@@ -4,13 +4,20 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: build test race bench bench-diff chaos loadlab fmt vet lint ci clean
+.PHONY: build test benchmark-test race bench bench-diff chaos loadlab fuzz fmt vet lint ci clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is its own module — the measurement of record, outside
+# `./...` — and compiles against internal/core's exported surface
+# (Options, the message types, ReplicaMetrics, StableStore). Vet and test
+# it wherever the main module is tested, or a core change rots it unseen.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # GOMAXPROCS=4 forces the shard-per-core worker pool to real parallelism —
 # worker-ownership races only interleave when workers actually preempt each
@@ -59,19 +66,21 @@ bench-diff:
 	rm -f BENCH_fresh.json
 
 # Deterministic fault-injection suite under the race detector: the
-# crash/recover/prune chaos matrix (crash timing × prune/snapshot options ×
-# gossip loss, including the group-commit cell over real FileStableStore
-# journals), the snapshot-recovery and prune×recovery regression tests,
-# the multi-process SIGKILL restart tests (snapshot recovery with pruning,
+# crash/recover/prune chaos matrix (crash timing × option sets × gossip
+# loss, including the replay cell for a type with no state encoding and
+# the group-commit cell over real FileStableStore journals), the
+# concurrent-recoveries cell, the state-transfer and prune×recovery
+# regression tests, the range catch-up tests and the FuzzRangeResponse seed
+# corpus, the multi-process SIGKILL restart tests (recovery with pruning,
 # and mid-batch durability against the group-commit journal), and the
 # live-resharding cell (resize under load, with replicas crashing
 # mid-migration, and the multi-process -resize admin path), and the
 # placement cell (a placed fleet's hosting member killed mid-load and
-# rejoined via range catch-up from surviving co-hosts, DESIGN.md §13).
+# recovered from surviving co-hosts, DESIGN.md §13).
 # Seeds are pinned; sweep others with ESDS_CHAOS_SEEDS=7,8,9 make chaos.
 # A failing matrix cell shrinks to a minimal reproduction automatically.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile' ./internal/core
+	$(GO) test -race -count=1 -run 'TestChaos|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange' ./internal/core
 	$(GO) test -race -count=1 -run 'TestKillNine|TestResizeAdminAgainstCluster' ./cmd/esds-server
 	$(GO) test -race -count=2 -run 'TestResize' ./internal/core
 
@@ -86,6 +95,14 @@ loadlab:
 	$(GO) test -race -count=1 -run 'TestRetransmitBatchingUnderLoss' ./internal/core
 	$(GO) test -race -count=1 -run 'TestFaultNet' ./internal/transport
 	$(GO) test -count=1 -run 'TestHist' ./internal/stats
+
+# Native fuzzing of the one state-transfer door (range responses delivered
+# to a recovering replica). The committed seeds already run in `make test`
+# and `make chaos`; this explores beyond them. The nightly deep-chaos job
+# runs it; FUZZTIME=5m make fuzz for a longer local session.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzRangeResponse -fuzztime $(FUZZTIME) ./internal/core
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -113,7 +130,7 @@ lint: vet
 		echo "lint: staticcheck not installed; ran go vet only (go install honnef.co/go/tools/cmd/staticcheck@2025.1.1)"; \
 	fi
 
-ci: build lint fmt test race chaos loadlab bench-diff
+ci: build lint fmt test benchmark-test race chaos loadlab bench-diff
 
 clean:
 	$(GO) clean

@@ -97,8 +97,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		"size of the shard-per-core worker pool executing this member's shard replicas (DESIGN.md §9): each shard is pinned to one worker goroutine; 0 = one worker per schedulable core (GOMAXPROCS), negative = disable (one mailbox goroutine per replica); applies to replica members with -shards > 1")
 	fs.IntVar(&cfg.resize, "resize", 0,
 		"ADMIN MODE: grow the running keyspace the -peers members serve to this many shards, online (live resharding; DESIGN.md §7), then exit. Member 0 drives the migration; restart members with the new -shards afterwards so a later cold start matches")
-	fs.IntVar(&cfg.opts.SnapshotCap, "snapshot-cap", 0,
-		"maximum recovery-snapshot size in bytes a replica will send (0 = unlimited); above the cap peers answer with descriptors only and recovery degrades to replay")
 	fs.DurationVar(&cfg.gossip, "gossip", 100*time.Millisecond, "gossip period")
 	fs.IntVar(&cfg.opts.BatchSize, "batch", 0,
 		"enable the batched hot path with this many elements per frame (DESIGN.md §8): front ends pack submissions into BatchRequestMsg, replicas batch responses and coalesce gossip; 0 or 1 = unbatched (every message its own frame); every member must agree")
@@ -110,12 +108,10 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.BoolVar(&cfg.storeSync, "store-sync", true,
 		"fsync the stable store before acknowledging (group commit: one fsync per admission batch); -store-sync=false acknowledges once records reach the OS page cache — survives kill -9 but NOT power loss")
 	fs.BoolVar(&cfg.recover, "recover", false,
-		"start in §9.3 recovery: ask every peer for fresh state (and a snapshot, with -snapshot) before serving; use when restarting a crashed replica")
+		"start in §9.3 recovery: reload -store, then fetch every peer's state (range catch-up, in bounded chunks) before serving; use when restarting a crashed replica")
 	fs.BoolVar(&cfg.verbose, "verbose", false, "log transport diagnostics to stderr")
 	fs.BoolVar(&cfg.opts.Memoize, "memoize", true, "memoize the solid prefix (§10.1)")
-	fs.BoolVar(&cfg.opts.Prune, "prune", true, "prune descriptors of memoized stable operations (§10.2)")
-	fs.BoolVar(&cfg.opts.Snapshot, "snapshot", true,
-		"answer recovery requests with a state snapshot of the memoized prefix (makes -prune composable with -recover); every member must agree — a -prune member that refuses snapshots strands recovering peers")
+	fs.BoolVar(&cfg.opts.Prune, "prune", true, "prune descriptors of memoized stable operations (§10.2); recovering and joining peers are then handed the memoized prefix itself")
 	fs.BoolVar(&cfg.opts.Commute, "commute", false, "answer non-strict operations from the current state (§10.3)")
 	fs.BoolVar(&cfg.opts.IncrementalGossip, "incremental", false,
 		"send gossip deltas instead of full state (§10.4; requires reliable FIFO channels — a TCP reconnect loses deltas, so leave this off unless the network is trusted)")
@@ -150,9 +146,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	}
 	if cfg.gossip <= 0 {
 		return cfg, fmt.Errorf("-gossip %v must be positive: the §9.1 liveness assumption needs a gossip round in every bounded interval", cfg.gossip)
-	}
-	if cfg.opts.SnapshotCap < 0 {
-		return cfg, fmt.Errorf("-snapshot-cap %d is negative; use 0 for unlimited", cfg.opts.SnapshotCap)
 	}
 	if cfg.opts.BatchSize < 0 {
 		return cfg, fmt.Errorf("-batch %d is negative; use 0 or 1 for the unbatched hot path", cfg.opts.BatchSize)
@@ -362,16 +355,17 @@ func openStore(dir string, shard, id int, noSync bool) (*core.FileStableStore, e
 		core.FileStoreOptions{NoSync: noSync})
 }
 
-// startRecovery begins the §9.3 handshake on every local replica and keeps
-// re-issuing it until it completes: the initial recovery requests race the
+// startRecovery begins §9.3 recovery on every local replica and keeps
+// retrying it until it completes: the initial range requests race the
 // peers' listeners (and, on a lossy network, can simply be dropped), and a
-// request lost before any ack arrives would otherwise strand the replica
+// request lost before any answer arrives would otherwise strand the replica
 // in recovery forever. Retries go through RetryRecovery, which keeps the
-// acks already collected and no-ops once the handshake is done. When every
-// local replica has recovered, a RECOVERED status line reports how the
-// history came back (snapshots installed, operations seeded from them,
-// descriptors retained) — wrappers and the multi-process tests read it to
-// confirm the snapshot path actually ran.
+// answers already collected, leaves a streaming round alone, and no-ops
+// once recovery is done. When every local replica has recovered, a
+// RECOVERED status line reports how the history came back (prefixes
+// installed, operations seeded from them, descriptors retained) — wrappers
+// and the multi-process tests read it to confirm the state transfer
+// actually ran.
 func startRecovery(replicas []*core.Replica, period time.Duration, stdout io.Writer) {
 	for _, r := range replicas {
 		r.Recover()

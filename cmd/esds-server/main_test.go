@@ -202,7 +202,7 @@ func TestClientModeAgainstCluster(t *testing.T) {
 // test: a replica process is SIGKILLed mid-load with pruning ON, then
 // restarted with -recover against the same stable store. By restart time
 // the survivors have pruned the early descriptors, so the rejoined replica
-// can only catch up through the §9.3 snapshot transfer. The proof of
+// can only catch up through the §9.3 state transfer (range catch-up). The proof of
 // convergence is a strict read pinned to the restarted replica and
 // causally ordered after the whole write chain: its value is computed from
 // the restarted replica's own history, so it is correct iff the snapshot
@@ -478,7 +478,8 @@ func TestParseFlagsValidation(t *testing.T) {
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-shards", "-3"}, "must be at least 1"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-gossip", "-5ms"}, "-gossip -5ms must be positive"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-gossip", "0s"}, "must be positive"},
-		{[]string{"-peers", "a:1,b:2", "-id", "0", "-snapshot-cap", "-1"}, "-snapshot-cap -1 is negative"},
+		{[]string{"-peers", "a:1,b:2", "-id", "0", "-snapshot-cap", "4096"}, "flag provided but not defined: -snapshot-cap"},
+		{[]string{"-peers", "a:1,b:2", "-id", "0", "-snapshot=false"}, "flag provided but not defined: -snapshot"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch", "-4"}, "-batch -4 is negative"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch", "8", "-batch-delay", "-1ms"}, "-batch-delay -1ms is negative"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch-delay", "2ms"}, "needs -batch > 1"},

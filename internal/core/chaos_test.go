@@ -165,11 +165,23 @@ func TestChaosNoFaultsManyOps(t *testing.T) {
 // --- crash/recover/prune chaos matrix ---
 //
 // Unlike the crash WINDOWS above (a replica is merely unreachable), these
-// runs crash replicas with full memory loss and drive the §9.3 recovery
-// handshake — including the snapshot state transfer that makes recovery
+// runs crash replicas with full memory loss and drive §9.3 recovery —
+// range rounds against every peer, the state transfer that makes recovery
 // composable with §10.2 pruning. The matrix crosses crash timing × options
-// (pruning/snapshots) × gossip loss over a pinned seed set, and failures
-// shrink to a minimal reproduction before reporting.
+// (pruning, batching, store kind) × gossip loss over a pinned seed set, and
+// failures shrink to a minimal reproduction before reporting.
+
+// opaqueType hides every optional interface of a data type — in particular
+// dtype.Snapshotter — behind the three DataType methods: the shape of a
+// user-defined type with no canonical state encoding, whose only way back
+// after a crash is descriptor replay.
+type opaqueType struct{ inner dtype.DataType }
+
+func (o opaqueType) Name() string         { return o.inner.Name() }
+func (o opaqueType) Initial() dtype.State { return o.inner.Initial() }
+func (o opaqueType) Apply(s dtype.State, op dtype.Operator) (dtype.State, dtype.Value) {
+	return o.inner.Apply(s, op)
+}
 
 // recoveryChaosConfig is one cell of the crash/recover chaos matrix. All
 // randomness derives from Seed, so a failing cell is its own reproduction
@@ -182,21 +194,23 @@ type recoveryChaosConfig struct {
 	DropProb   float64
 	CrashFrac  float64 // fraction of the workload window before the first crash
 	Cycles     int     // crash/recover cycles
+	Victims    int     // replicas crashed per cycle, windows overlapping (0 means 1)
 	Opt        Options
 	FileStores bool // real FileStableStore group-commit logs instead of MemStableStore
+	Opaque     bool // hide the Log's Snapshotter: recovery is full-tail descriptor replay
 }
 
 func (c recoveryChaosConfig) String() string {
-	return fmt.Sprintf("seed=%d replicas=%d ops=%d strict=%.2f drop=%.2f crashFrac=%.2f cycles=%d prune=%v snapshot=%v incr=%v filestores=%v",
-		c.Seed, c.Replicas, c.NumOps, c.StrictProb, c.DropProb, c.CrashFrac, c.Cycles,
-		c.Opt.Prune, c.Opt.Snapshot, c.Opt.IncrementalGossip, c.FileStores)
+	return fmt.Sprintf("seed=%d replicas=%d ops=%d strict=%.2f drop=%.2f crashFrac=%.2f cycles=%d victims=%d prune=%v incr=%v filestores=%v opaque=%v",
+		c.Seed, c.Replicas, c.NumOps, c.StrictProb, c.DropProb, c.CrashFrac, c.Cycles, c.Victims,
+		c.Opt.Prune, c.Opt.IncrementalGossip, c.FileStores, c.Opaque)
 }
 
 // runRecoveryChaos drives one cell and returns the first violated property
 // (nil when the run satisfies all of them). Properties:
 //
 //   - liveness: every request is eventually answered (front-end
-//     retransmission plus the recovery handshake restore service),
+//     retransmission plus recovery restore service),
 //   - convergence to one label order after healing,
 //   - EVERY answered operation — strict or not — appears in the converged
 //     order: the stable store persists descriptors alongside labels
@@ -242,9 +256,13 @@ func runRecoveryChaos(cfg recoveryChaosConfig) error {
 			stores[i] = NewMemStableStore()
 		}
 	}
+	var dt dtype.DataType = dtype.Log{}
+	if cfg.Opaque {
+		dt = opaqueType{dt}
+	}
 	cluster := NewCluster(ClusterConfig{
 		Replicas: cfg.Replicas,
-		DataType: dtype.Log{},
+		DataType: dt,
 		Network:  net,
 		Options:  cfg.Opt,
 		Stores:   stores,
@@ -258,31 +276,40 @@ func runRecoveryChaos(cfg recoveryChaosConfig) error {
 		fe := cluster.FrontEnd(c)
 		s.Every(40*sim.Millisecond, func() { fe.Retransmit() })
 	}
-	// Re-issue stuck recovery handshakes: the requests and acks are plain
+	// Re-issue stuck recovery rounds: range requests and chunks are plain
 	// messages and can be dropped like anything else. RetryRecovery keeps
-	// the acks already collected.
+	// the answers already collected.
 	s.Every(50*sim.Millisecond, func() {
 		for _, r := range cluster.LocalReplicas() {
 			r.RetryRecovery()
 		}
 	})
 
-	// Crash/recover cycles: full memory loss, down for 40ms, then the §9.3
-	// handshake. Cycles are spaced so at most one replica is down at a time
-	// (n-1 live peers are what recovery needs to complete).
+	// Crash/recover cycles: full memory loss, down for 40ms, then §9.3
+	// recovery. Cycles are spaced so one cycle's victims are back before the
+	// next one's crash. Within a cycle, Victims > 1 staggers the crashes by
+	// 10ms: the down windows and the recoveries overlap, and each victim's
+	// barrier includes a peer that is itself recovering.
 	const horizon = 300 * sim.Millisecond
+	victims := cfg.Victims
+	if victims < 1 {
+		victims = 1
+	}
 	for c := 0; c < cfg.Cycles; c++ {
-		victim := cluster.Replica(rng.Intn(cfg.Replicas))
-		down := sim.Time(50+200*cfg.CrashFrac+110*float64(c)) * sim.Time(sim.Millisecond)
-		up := down.Add(40 * sim.Millisecond)
-		s.ScheduleAt(down, func() {
-			net.SetNodeDown(victim.Node(), true)
-			victim.Crash()
-		})
-		s.ScheduleAt(up, func() {
-			net.SetNodeDown(victim.Node(), false)
-			victim.Recover()
-		})
+		first := rng.Intn(cfg.Replicas)
+		for v := 0; v < victims; v++ {
+			victim := cluster.Replica((first + v) % cfg.Replicas)
+			down := sim.Time(50+200*cfg.CrashFrac+110*float64(c)+10*float64(v)) * sim.Time(sim.Millisecond)
+			up := down.Add(40 * sim.Millisecond)
+			s.ScheduleAt(down, func() {
+				net.SetNodeDown(victim.Node(), true)
+				victim.Crash()
+			})
+			s.ScheduleAt(up, func() {
+				net.SetNodeDown(victim.Node(), false)
+				victim.Recover()
+			})
+		}
 	}
 
 	// Workload: appends and reads over the window. Prev constraints only
@@ -420,19 +447,20 @@ func chaosSeeds(t *testing.T) []int64 {
 }
 
 // TestChaosCrashRecoverPruneMatrix is the deterministic fault-injection
-// matrix: crash timing × option sets × gossip loss × pinned seeds. The
-// (prune on, snapshot off) cell is deliberately absent — it is the known
-// data-loss configuration, covered by
-// TestPruneRecoveryDataLossWithoutSnapshot.
+// matrix: crash timing × option sets × gossip loss × pinned seeds.
 func TestChaosCrashRecoverPruneMatrix(t *testing.T) {
 	optSets := []struct {
 		name       string
 		opt        Options
 		fileStores bool
+		opaque     bool
 	}{
-		{"replay", Options{Memoize: true}, false},
-		{"snapshot", Options{Memoize: true, Snapshot: true}, false},
-		{"prune+snapshot", Options{Memoize: true, Prune: true, Snapshot: true}, false},
+		// A type with no state encoding: Prune is requested and must not
+		// take effect (NewReplica), and every recovery is the full-tail
+		// descriptor replay.
+		{"replay", Options{Memoize: true, Prune: true}, false, true},
+		{"memoize", Options{Memoize: true}, false, false},
+		{"prune", Options{Memoize: true, Prune: true}, false, false},
 		// The batched hot path (DESIGN.md §8) must be invisible to the
 		// crash/recovery obligations: requests arrive in BatchRequestMsg
 		// frames, responses and gossip coalesce, and every cell property
@@ -440,12 +468,12 @@ func TestChaosCrashRecoverPruneMatrix(t *testing.T) {
 		// verbatim. BatchDelay stays 0 so gossip batches flush every tick
 		// and the cell remains deterministic under the simulator; partial
 		// request batches are healed by the harness's retransmission.
-		{"prune+snapshot+batch", Options{Memoize: true, Prune: true, Snapshot: true, BatchSize: 8}, false},
+		{"prune+batch", Options{Memoize: true, Prune: true, BatchSize: 8}, false, false},
 		// Group-commit cell: the same pruned+batched configuration over real
 		// FileStableStore logs — fsyncs, framed records, and descriptor
 		// replay from disk in the loop, not just the in-memory model of
 		// them. The other cells stay on MemStableStore for speed.
-		{"prune+snapshot+batch+groupcommit", Options{Memoize: true, Prune: true, Snapshot: true, BatchSize: 8}, true},
+		{"prune+batch+groupcommit", Options{Memoize: true, Prune: true, BatchSize: 8}, true, false},
 	}
 	for _, opts := range optSets {
 		for _, crashFrac := range []float64{0, 0.5, 1.0} {
@@ -461,6 +489,7 @@ func TestChaosCrashRecoverPruneMatrix(t *testing.T) {
 						Cycles:     2,
 						Opt:        opts.opt,
 						FileStores: opts.fileStores,
+						Opaque:     opts.opaque,
 					}
 					if err := runRecoveryChaos(cfg); err != nil {
 						minCfg, minErr := shrinkRecoveryChaos(cfg, err)
@@ -473,13 +502,41 @@ func TestChaosCrashRecoverPruneMatrix(t *testing.T) {
 	}
 }
 
+// TestChaosConcurrentRecoveries crashes two of three replicas per cycle
+// with overlapping windows: each recovering replica's §9.3 barrier includes
+// the other, so a recovering replica must serve range requests from what it
+// has, and the one survivor's prefix must reach both. Same properties as
+// the matrix, under loss.
+func TestChaosConcurrentRecoveries(t *testing.T) {
+	for _, crashFrac := range []float64{0, 0.5, 1.0} {
+		for _, seed := range chaosSeeds(t) {
+			cfg := recoveryChaosConfig{
+				Seed:       seed,
+				Replicas:   3,
+				NumOps:     30,
+				StrictProb: 0.3,
+				DropProb:   0.10,
+				CrashFrac:  crashFrac,
+				Cycles:     2,
+				Victims:    2,
+				Opt:        Options{Memoize: true, Prune: true},
+			}
+			if err := runRecoveryChaos(cfg); err != nil {
+				minCfg, minErr := shrinkRecoveryChaos(cfg, err)
+				t.Fatalf("cell {%v} failed: %v\nminimal failing reproduction: {%v}: %v", cfg, err, minCfg, minErr)
+			}
+		}
+	}
+}
+
 // runPruneRecoveryScenario is the distilled prune×recovery data-loss
-// scenario of DESIGN.md §5: prune every descriptor at every replica, crash
-// a replica with full memory loss, recover it, and demand full convergence
-// plus continued service. On the seed implementation (no snapshot
-// transfer) this CANNOT pass with pruning on — the crashed replica can
-// never re-learn descriptors its peers have pruned.
-func runPruneRecoveryScenario(opt Options) error {
+// scenario of DESIGN.md §5: let every replica memoize (and, for a type that
+// can snapshot, prune) the whole history, crash a replica with full memory
+// loss, recover it, and demand full convergence plus continued service. On
+// the seed implementation (no state transfer) this CANNOT pass with pruning
+// on — the crashed replica can never re-learn descriptors its peers have
+// pruned.
+func runPruneRecoveryScenario(dt dtype.DataType, opt Options) error {
 	s := sim.New(7)
 	df := 1 * sim.Millisecond
 	dg := 2 * sim.Millisecond
@@ -493,7 +550,7 @@ func runPruneRecoveryScenario(opt Options) error {
 	stores := []StableStore{NewMemStableStore(), NewMemStableStore(), NewMemStableStore()}
 	cluster := NewCluster(ClusterConfig{
 		Replicas: 3,
-		DataType: dtype.Log{},
+		DataType: dt,
 		Network:  net,
 		Options:  opt,
 		Stores:   stores,
@@ -518,16 +575,24 @@ func runPruneRecoveryScenario(opt Options) error {
 		s.RunFor(3 * sim.Millisecond)
 	}
 
-	// Wait until every descriptor is pruned everywhere — the precondition
-	// that makes descriptor replay insufficient.
-	pruned := false
-	for i := 0; i < 200 && !pruned; i++ {
-		s.RunFor(20 * sim.Millisecond)
-		pruned = cluster.TotalMetrics().RetainedOps == 0
+	// Wait until the whole history is memoized everywhere — and, for a type
+	// that can snapshot, pruned everywhere: the precondition that makes
+	// descriptor replay insufficient. A type that cannot must have kept
+	// every descriptor.
+	wantRetained := 0
+	if !dtype.CanSnapshot(dt) {
+		wantRetained = 3 * 10
 	}
-	if !pruned {
-		return fmt.Errorf("setup: descriptors never fully pruned (RetainedOps=%d); scenario needs Prune+Memoize",
-			cluster.TotalMetrics().RetainedOps)
+	settled := false
+	for i := 0; i < 200 && !settled; i++ {
+		s.RunFor(20 * sim.Millisecond)
+		m := cluster.TotalMetrics()
+		settled = m.MemoizedOps == 3*10 && m.RetainedOps == wantRetained
+	}
+	if !settled {
+		m := cluster.TotalMetrics()
+		return fmt.Errorf("setup: history never settled (MemoizedOps=%d RetainedOps=%d, want %d/%d); scenario needs Prune+Memoize",
+			m.MemoizedOps, m.RetainedOps, 3*10, wantRetained)
 	}
 
 	r0 := cluster.Replica(0)
@@ -539,7 +604,7 @@ func runPruneRecoveryScenario(opt Options) error {
 	s.RunFor(500 * sim.Millisecond)
 
 	if r0.Recovering() {
-		return fmt.Errorf("recovery handshake never completed")
+		return fmt.Errorf("recovery never completed")
 	}
 	// Post-recovery service: the recovered replica labels new work.
 	fe := cluster.FrontEnd("post")
@@ -569,19 +634,33 @@ func runPruneRecoveryScenario(opt Options) error {
 }
 
 // TestPruneRecoveryDataLossRegression pins the repaired prune×recovery
-// composition under the production configuration. On the pre-snapshot
-// implementation this test FAILS (DefaultOptions there has no snapshot
-// transfer, and a replica that crashes after its peers pruned can never
-// re-learn the history) — it is the regression witness for DESIGN.md §5's
-// former known gap.
+// composition under the production configuration. On the pre-state-transfer
+// implementation this test FAILS (a replica that crashes after its peers
+// pruned can never re-learn the history) — it is the regression witness for
+// DESIGN.md §5's former known gap.
 func TestPruneRecoveryDataLossRegression(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Commute = false // commute mode needs the SafeUsers discipline; this workload is unconstrained
 	if !opt.Memoize || !opt.Prune {
 		t.Fatal("production options must memoize and prune")
 	}
-	if err := runPruneRecoveryScenario(opt); err != nil {
+	if err := runPruneRecoveryScenario(dtype.Log{}, opt); err != nil {
 		t.Fatalf("prune+recovery under production options: %v", err)
+	}
+}
+
+// TestPruneRecoveryWithoutSnapshotterLosesNothing is the other half of the
+// same obligation: a data type with no state encoding cannot be handed a
+// memoized prefix, so under the same production options its replicas must
+// never prune what only a prefix could restore. The identical scenario —
+// memoize everything, crash, recover — must converge with nothing lost, by
+// descriptor replay. (While pruning was decided by the option alone this
+// configuration silently discarded the history.)
+func TestPruneRecoveryWithoutSnapshotterLosesNothing(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Commute = false
+	if err := runPruneRecoveryScenario(opaqueType{dtype.Log{}}, opt); err != nil {
+		t.Fatalf("recovery of a non-snapshottable type under production options: %v", err)
 	}
 }
 
@@ -590,9 +669,9 @@ func TestPruneRecoveryDataLossRegression(t *testing.T) {
 // placementChaosConfig is one cell of the placement chaos matrix: a placed
 // fleet (each shard on a strict subset of the members) under gossip loss,
 // with one member killed mid-load — every replica it hosts crashes with
-// full memory loss — and brought back through RANGE catch-up from the
-// surviving co-hosts (DESIGN.md §13), not the §9.3 all-peers handshake.
-// All randomness derives from Seed.
+// full memory loss — and brought back by Recover(): range rounds against
+// the surviving co-hosts of each shard it hosts (DESIGN.md §5). All
+// randomness derives from Seed.
 type placementChaosConfig struct {
 	Seed       int64
 	Shards     int
@@ -605,8 +684,8 @@ type placementChaosConfig struct {
 }
 
 func (c placementChaosConfig) String() string {
-	return fmt.Sprintf("seed=%d shards=%d replicas=%d members=%d ops=%d strict=%.2f drop=%.2f prune=%v snapshot=%v",
-		c.Seed, c.Shards, c.Replicas, c.Members, c.NumOps, c.StrictProb, c.DropProb, c.Opt.Prune, c.Opt.Snapshot)
+	return fmt.Sprintf("seed=%d shards=%d replicas=%d members=%d ops=%d strict=%.2f drop=%.2f prune=%v",
+		c.Seed, c.Shards, c.Replicas, c.Members, c.NumOps, c.StrictProb, c.DropProb, c.Opt.Prune)
 }
 
 // runPlacementChaos drives one cell and returns the first violated
@@ -643,9 +722,8 @@ func runPlacementChaos(cfg placementChaosConfig) error {
 			Options:   cfg.Opt,
 			Placement: place,
 			Member:    m,
-			// The durable store is what makes single-peer range recovery
-			// sound (see internal/core/range.go): it survives the crash even
-			// though the replica's memory does not.
+			// The durable store survives the crash even though the replica's
+			// memory does not (§9.3).
 			StoreFor: func(shard, slot int) StableStore { return NewMemStableStore() },
 		})
 		members[m].StartSimGossip(s, 5*sim.Millisecond)
@@ -675,7 +753,7 @@ func runPlacementChaos(cfg placementChaosConfig) error {
 	})
 
 	// The kill: one member crashes with full memory loss on every replica
-	// it hosts, mid-load; 40ms later it rejoins via range catch-up.
+	// it hosts, mid-load; 40ms later it recovers.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	victim := members[rng.Intn(cfg.Members)]
 	var victimReplicas []*Replica
@@ -694,7 +772,7 @@ func runPlacementChaos(cfg placementChaosConfig) error {
 	s.ScheduleAt(sim.Time(190*sim.Millisecond), func() {
 		for _, r := range victimReplicas {
 			net.SetNodeDown(r.Node(), false)
-			r.RecoverViaRange()
+			r.Recover()
 		}
 	})
 
@@ -788,16 +866,16 @@ func runPlacementChaos(cfg placementChaosConfig) error {
 // TestChaosPlacementKillAndRangeRecover is the placement chaos matrix
 // (`make chaos`, CI recovery-chaos job): option sets × gossip loss ×
 // pinned seeds (ESDS_CHAOS_SEEDS sweeps more). The replay cell exercises
-// the degraded full-tail range answer (no snapshots, nothing pruned); the
-// prune+snapshot cell exercises the chunked state transfer, which is the
-// only way back once survivors have pruned.
+// a range answer with nothing pruned behind it; the prune cell exercises
+// the chunked prefix transfer as the only way back once survivors have
+// pruned.
 func TestChaosPlacementKillAndRangeRecover(t *testing.T) {
 	optSets := []struct {
 		name string
 		opt  Options
 	}{
-		{"replay", Options{Memoize: true}},
-		{"prune+snapshot", Options{Memoize: true, Prune: true, Snapshot: true}},
+		{"memoize", Options{Memoize: true}},
+		{"prune", Options{Memoize: true, Prune: true}},
 	}
 	for _, opts := range optSets {
 		for _, drop := range []float64{0, 0.10} {
@@ -818,18 +896,4 @@ func TestChaosPlacementKillAndRangeRecover(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPruneRecoveryDataLossWithoutSnapshot documents that the gap is real
-// (and keeps the regression above sharp): the identical scenario with the
-// snapshot transfer disabled MUST lose data.
-func TestPruneRecoveryDataLossWithoutSnapshot(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Commute = false
-	opt.Snapshot = false
-	err := runPruneRecoveryScenario(opt)
-	if err == nil {
-		t.Fatal("prune+recovery without snapshots converged; the regression scenario no longer witnesses the data-loss gap")
-	}
-	t.Logf("expected data loss without snapshots: %v", err)
 }

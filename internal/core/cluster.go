@@ -208,6 +208,13 @@ func (c *Cluster) StartLiveRetransmit(period time.Duration) {
 	if c.closed {
 		panic("core: StartLiveRetransmit on closed cluster")
 	}
+	c.every(period, func() { c.RetransmitAll() })
+}
+
+// every runs fn on a wall-clock ticker in its own goroutine and registers
+// the stop function Close calls: it stops the ticker and returns only once
+// the goroutine has exited. Mutex held.
+func (c *Cluster) every(period time.Duration, fn func()) {
 	ticker := time.NewTicker(period)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -217,7 +224,7 @@ func (c *Cluster) StartLiveRetransmit(period time.Duration) {
 		for {
 			select {
 			case <-ticker.C:
-				c.RetransmitAll()
+				fn()
 			case <-done:
 				return
 			}
@@ -257,26 +264,7 @@ func (c *Cluster) StartLiveBatchFlush(period time.Duration) {
 	if c.closed {
 		panic("core: StartLiveBatchFlush on closed cluster")
 	}
-	ticker := time.NewTicker(period)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-ticker.C:
-				c.FlushAll()
-			case <-done:
-				return
-			}
-		}
-	}()
-	c.stops = append(c.stops, func() {
-		ticker.Stop()
-		close(done)
-		wg.Wait()
-	})
+	c.every(period, c.FlushAll)
 }
 
 // GossipAll runs one gossip round: every local replica sends to every peer.
@@ -320,29 +308,10 @@ func (c *Cluster) StartLiveGossip(period time.Duration) {
 			continue
 		}
 		r := r
-		ticker := time.NewTicker(period)
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-ticker.C:
-					// Under the shard-per-core runtime the round runs on the
-					// replica's owning worker, serialized with its message
-					// handling; Dispatch degrades to a direct call otherwise.
-					r.Dispatch(r.SendGossip)
-				case <-done:
-					return
-				}
-			}
-		}()
-		c.stops = append(c.stops, func() {
-			ticker.Stop()
-			close(done)
-			wg.Wait()
-		})
+		// Under the shard-per-core runtime the round runs on the replica's
+		// owning worker, serialized with its message handling; Dispatch
+		// degrades to a direct call otherwise.
+		c.every(period, func() { r.Dispatch(r.SendGossip) })
 	}
 }
 

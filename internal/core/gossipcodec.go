@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 
 	"esds/internal/dtype"
@@ -43,12 +42,10 @@ import (
 //
 // The form is negotiated per peer (transport.FeatureNegotiator): a replica
 // sends it only to peers that announced FeatureCompactGossip, so mixed
-// clusters interoperate — everyone else gets the legacy frames. Recovery
-// traffic never takes this path: encodeCompactGossip refuses RecoveryAck
-// elements and Resizes carriage (errCompactUnencodable), and the sender
-// falls back to the legacy frame. The decoder is strict: any truncation,
-// overrun, or out-of-range index rejects the WHOLE frame with an error —
-// a corrupt frame is dropped and counted, never partially applied.
+// clusters interoperate — everyone else gets the legacy frames. The
+// decoder is strict: any truncation, overrun, or out-of-range index rejects
+// the WHOLE frame with an error — a corrupt frame is dropped and counted,
+// never partially applied.
 
 // compactGossipV1 is the only codec version so far. The V byte exists so a
 // later layout can coexist: a decoder refuses versions it does not know,
@@ -66,14 +63,8 @@ type CompactGossipMsg struct {
 
 // SubscribableGossip marks CompactGossipMsg as gossip-topic traffic: a
 // transport with per-shard subscriptions may suppress it toward members
-// that do not host the destination shard (recovery traffic never takes the
-// compact path, so nothing a recovering replica waits on is affected).
+// that do not host the destination shard.
 func (CompactGossipMsg) SubscribableGossip() {}
-
-// errCompactUnencodable marks an element the compact form refuses to carry
-// (recovery acks and resize records stay on the legacy path). The sender
-// falls back to the legacy frame; this is not a failure.
-var errCompactUnencodable = errors.New("core: gossip element not compact-encodable")
 
 // compactOperators is the wrapper for the frame's single operator gob
 // stream (gob needs a concrete top-level type; the operators inside are
@@ -88,15 +79,9 @@ type compactOperators struct {
 const compactLimit = 1 << 22
 
 // encodeCompactGossip packs msgs (one coalesced flush, all from `from`)
-// into a CompactGossipMsg. It returns errCompactUnencodable if any element
-// carries recovery or resize state, which the compact form excludes.
+// into a CompactGossipMsg. It fails only when the operator gob stream does
+// (an operator type missing its wire registration).
 func encodeCompactGossip(from label.ReplicaID, msgs []GossipMsg) (CompactGossipMsg, error) {
-	for _, g := range msgs {
-		if g.RecoveryAck || g.RecoverySnapshotLen != 0 || len(g.Resizes) != 0 {
-			return CompactGossipMsg{}, errCompactUnencodable
-		}
-	}
-
 	// Pass 1: intern client strings, dedup descriptors by id, find the base
 	// label. Interning covers every id position (R ids, prev sets, D, L, S),
 	// so each client string crosses the wire once per frame.

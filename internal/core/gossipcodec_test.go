@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -107,21 +106,6 @@ func TestCompactGossipRoundTripSingle(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, msgs) {
 			t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, msgs)
-		}
-	}
-}
-
-// TestCompactGossipUnencodable: recovery and resize traffic must refuse the
-// compact path with errCompactUnencodable so the sender falls back to the
-// legacy frame — those flows stay on the wire form every build understands.
-func TestCompactGossipUnencodable(t *testing.T) {
-	for _, g := range []GossipMsg{
-		{From: 1, RecoveryAck: true},
-		{From: 1, RecoverySnapshotLen: 4},
-		{From: 1, Resizes: []ResizeRecord{{}}},
-	} {
-		if _, err := encodeCompactGossip(1, []GossipMsg{g}); !errors.Is(err, errCompactUnencodable) {
-			t.Fatalf("element %+v: err %v, want errCompactUnencodable", g, err)
 		}
 	}
 }

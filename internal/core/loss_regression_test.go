@@ -35,7 +35,7 @@ func TestRetransmitBatchingUnderLoss(t *testing.T) {
 		Replicas: 3,
 		DataType: dtype.Counter{},
 		Network:  fnet,
-		Options:  Options{Memoize: true, Prune: true, Snapshot: true, BatchSize: 8},
+		Options:  Options{Memoize: true, Prune: true, BatchSize: 8},
 	})
 	defer func() {
 		ks.Close()

@@ -26,19 +26,15 @@ type ReplicaMetrics struct {
 	GossipBatchesSent      uint64
 	GossipBatchesReceived  uint64
 	ResponseBatchesSent    uint64
-	// SnapshotsSent / SnapshotsReceived count SnapshotMsg traffic (the
-	// §9.3 recovery-handshake state transfer).
-	SnapshotsSent     uint64
-	SnapshotsReceived uint64
-	// SnapshotsInstalled counts snapshots that extended the local memoized
-	// prefix; SnapshotsIgnored counts duplicates and stale snapshots
-	// (no longer than what is already installed or memoized locally).
+	// SnapshotsInstalled counts range answers whose spliced prefix extended
+	// the local memoized prefix; SnapshotsIgnored counts answers carrying a
+	// prefix no longer than what is already memoized locally.
 	SnapshotsInstalled uint64
 	SnapshotsIgnored   uint64
 	// SnapshotOpsSeeded counts operations that became locally done through
-	// snapshot installation rather than descriptor replay.
+	// prefix installation rather than descriptor replay.
 	SnapshotOpsSeeded uint64
-	// Range catch-up counters (DESIGN.md §13). RangeServed counts range
+	// Range catch-up counters (DESIGN.md §5). RangeServed counts range
 	// requests this replica answered; RangeChunksSent/Received count
 	// RangeResponseMsg frames (Done chunks included). RangeCatchups counts
 	// client rounds completed; RangeRetries counts rounds rotated to
@@ -53,8 +49,8 @@ type ReplicaMetrics struct {
 	// CompactGossipSent / CompactGossipReceived count CompactGossipMsg
 	// frames (the negotiated delta-encoded wire form of coalesced gossip,
 	// DESIGN.md §12). CompactGossipFallbacks counts flushes that wanted the
-	// compact form but fell back to the legacy frame (an element the codec
-	// refuses, e.g. a recovery ack); CompactGossipRejects counts received
+	// compact form but fell back to the legacy frame (the operator gob
+	// stream failed to encode); CompactGossipRejects counts received
 	// compact frames dropped because decoding failed — corrupt or
 	// truncated payloads are refused, never partially applied.
 	CompactGossipSent      uint64
@@ -83,8 +79,8 @@ type ReplicaMetrics struct {
 	// ResizeRedirects counts requests refused with a Redirect because live
 	// resharding froze or moved their object away from this shard.
 	ResizeRedirects uint64
-	// RequestsParkedRecovering counts requests parked during the §9.3
-	// recovery handshake (a recovering replica has not yet re-learned its
+	// RequestsParkedRecovering counts requests parked during §9.3
+	// recovery (a recovering replica has not yet re-learned its
 	// resize obligations; parked requests re-enter admission once every
 	// peer has answered).
 	RequestsParkedRecovering uint64
@@ -122,8 +118,6 @@ func (m *ReplicaMetrics) Add(o ReplicaMetrics) {
 	m.GossipBatchesSent += o.GossipBatchesSent
 	m.GossipBatchesReceived += o.GossipBatchesReceived
 	m.ResponseBatchesSent += o.ResponseBatchesSent
-	m.SnapshotsSent += o.SnapshotsSent
-	m.SnapshotsReceived += o.SnapshotsReceived
 	m.SnapshotsInstalled += o.SnapshotsInstalled
 	m.SnapshotsIgnored += o.SnapshotsIgnored
 	m.SnapshotOpsSeeded += o.SnapshotOpsSeeded

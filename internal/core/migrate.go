@@ -35,8 +35,8 @@ import (
 //     it at the destination exactly once.
 //
 // Freeze and migration records ride the replica's durable journal
-// (StableStore.PersistResize) AND travel in §9.3 recovery answers
-// (GossipMsg.Resizes): a crashed replica with peers re-learns them from
+// (StableStore.PersistResize) AND travel in the Done chunk of every range
+// answer (RangeResponseMsg.Resizes): a crashed replica with peers re-learns them from
 // either source before it serves requests again, and a crashed
 // SINGLE-replica shard — which has no peer to ask — re-learns them from
 // its own journal alone. handleRequest drops requests while recovering, so
@@ -114,7 +114,7 @@ func (r *Replica) refuseForResize(x ops.Operation) (*Redirect, bool) {
 
 // handleFreezeKeys processes a FreezeKeysMsg: adopt (or refresh) the
 // freeze and answer with this replica's source-era operations on moving
-// keys. While the §9.3 recovery handshake is outstanding the ack is
+// keys. While a §9.3 recovery is outstanding the ack is
 // withheld — rcvd_r is still being rebuilt, and an incomplete ack could
 // hide a source-era operation from the drain; the driver simply retries.
 func (r *Replica) handleFreezeKeys(msg FreezeKeysMsg) {
@@ -257,8 +257,8 @@ func (r *Replica) persistResizeLocked(rr *replicaResize) {
 	}
 }
 
-// resizeRecordsLocked renders the replica's resize history for a §9.3
-// recovery answer. Mutex held.
+// resizeRecordsLocked renders the replica's resize history for a range
+// answer's Done chunk. Mutex held.
 func (r *Replica) resizeRecordsLocked() []ResizeRecord {
 	if len(r.resizes) == 0 {
 		return nil
@@ -270,7 +270,8 @@ func (r *Replica) resizeRecordsLocked() []ResizeRecord {
 	return out
 }
 
-// installResizeRecords merges recovery-answer resize history. Mutex held.
+// installResizeRecords merges range-answer (or store-reloaded) resize
+// history. Mutex held.
 func (r *Replica) installResizeRecords(recs []ResizeRecord) {
 	for _, rec := range recs {
 		if rec.OldShards < 1 || rec.NewShards <= rec.OldShards {

@@ -98,9 +98,8 @@ type BatchResponseMsg struct {
 // indistinguishable from its elements arriving individually on a FIFO
 // channel — which is what §10.4 already requires of delta gossip. From is
 // the frame's sender; an element whose own From contradicts it is dropped
-// without affecting its siblings. Empty-delta suppression, the §9.3
-// recovery handshake (acks and snapshots are sent directly, never
-// batched), and GossipMsg.Resizes carriage are all unchanged.
+// without affecting its siblings. Empty-delta suppression is unchanged, and
+// state transfer (range answers) is sent directly, never batched.
 type BatchGossipMsg struct {
 	From label.ReplicaID
 	Msgs []GossipMsg
@@ -127,41 +126,33 @@ type GossipMsg struct {
 	D    []ops.ID
 	L    map[ops.ID]label.Label
 	S    []ops.ID
-	// RecoveryAck marks a gossip message sent in response to a
-	// RecoveryRequestMsg (§9.3): the recovering replica counts one ack per
-	// peer before resuming.
-	RecoveryAck bool
-	// RecoverySnapshotLen, on a RecoveryAck, is the length of the
-	// SnapshotMsg the peer sent just before this ack (0 when it sent none).
-	// A snapshot-enabled recovering replica counts the ack only once its
-	// installed prefix has reached that length: the ack and the snapshot
-	// are separate, individually losable messages, and completing recovery
-	// on the ack alone would strand the replica without the pruned prefix
-	// forever (no later gossip can carry it).
-	RecoverySnapshotLen int
-	// Resizes, on a RecoveryAck, carries the answering replica's resize
-	// history (freezes and migrated keys): a crashed replica's migration
-	// obligations are volatile, and serving requests without them would
-	// re-admit operations for objects that moved away. The recovering
-	// replica installs these records before it resumes (and it drops all
-	// requests until then).
-	Resizes []ResizeRecord
 }
 
 // SubscribableGossip marks GossipMsg as gossip-topic traffic (see
-// transport.Subscribable). Recovery acks ride on GossipMsg too, but a
-// recovery answer only ever flows between two replicas of one shard — both
-// of which host it by definition — so subscription suppression can never
-// drop one.
+// transport.Subscribable).
 func (GossipMsg) SubscribableGossip() {}
 
-// SnapOp is one entry of a replica snapshot (SnapshotMsg): an operation of
-// the sender's memoized solid prefix, reduced to what a recovering replica
-// needs when the full descriptor may have been pruned everywhere — its
-// identity, its final label (solid labels never change, Lemma 10.2), its
-// memoized value, whether the sender had it stable, and its strict flag
-// (so a retransmitted request for it is still answered under the strict
-// discipline).
+// --- state transfer: descriptor-range catch-up (DESIGN.md §5) ---
+//
+// The one way replica state crosses the wire outside gossip. §10.2 pruning
+// means a recovering (or joining) replica cannot rebuild the shard history
+// from descriptors alone — one pruned everywhere can never be re-learned —
+// so the history travels as the serving peer's memoized solid prefix: the
+// BlocksByRange discipline. RangeRequestMsg names the requester's
+// solid-prefix length; the serving peer streams SnapOp chunks for the
+// missing slice and finishes with the post-prefix state, its label
+// watermark, its resize records, and a self-contained tail gossip covering
+// its unsolid suffix. The requester splices the chunks onto its own prefix,
+// routes the result through the install validator (installSnapshot), and
+// merges the tail. Crash recovery runs one such round per peer (the §9.3
+// "response from each replica" barrier); a live join runs one.
+
+// SnapOp is one operation of a memoized solid prefix in a range answer,
+// reduced to what the receiver needs when the full descriptor may have been
+// pruned everywhere — its identity, its final label (solid labels never
+// change, Lemma 10.2), its memoized value, whether the sender had it
+// stable, and its strict flag (so a retransmitted request for it is still
+// answered under the strict discipline).
 type SnapOp struct {
 	ID     ops.ID
 	Label  label.Label
@@ -177,46 +168,16 @@ type SnapOp struct {
 	Key string
 }
 
-// SnapshotMsg is a replica snapshot: the sender's memoized solid prefix in
-// final label order, the serial state after that prefix in the data type's
-// canonical encoding (dtype.Snapshotter), and the sender's label watermark.
-// It is the SnapshotReply of the §9.3 recovery handshake extension — a peer
-// answering a RecoveryRequestMsg sends its snapshot before the recovery-ack
-// gossip, so a recovering replica seeds the memoized prefix before replaying
-// descriptors. Without it, §10.2 pruning and crash recovery do not compose:
-// a descriptor pruned at every replica can never be re-learned.
-type SnapshotMsg struct {
-	From      label.ReplicaID
-	DataType  string // DataType.Name() of the sender; must match the receiver
-	Ops       []SnapOp
-	State     []byte // canonical encoding of the state after Ops
-	Watermark uint64 // highest label Seq the sender has observed (§9.3 freshness)
-}
-
-// --- descriptor-range catch-up (DESIGN.md §13) ---
-//
-// The §9.3 handshake is a full-fleet affair: a recovering replica blocks on
-// an answer (snapshot + full gossip) from EVERY peer. Under shard placement
-// a member that joins or recovers a SINGLE shard wants the BlocksByRange
-// discipline instead: fetch the missing slice of the shard's history from
-// any one hosting peer, in bounded chunks, and resume. The range protocol
-// is exactly that — RangeRequestMsg names the requester's solid-prefix
-// length, the serving peer streams SnapOp chunks for the missing slice and
-// finishes with the post-prefix state, its label watermark, its resize
-// records, and a self-contained tail gossip covering its unsolid suffix.
-// The requester splices the chunks onto its own prefix, routes the result
-// through the ordinary snapshot-install validator, and merges the tail.
-
 // RangeRequestMsg asks one hosting peer for the slice of the shard's
 // history the requester is missing. Have is the length of the requester's
 // memoized solid prefix (the first index it wants); Nonce pairs the
 // response chunks with one request round, so chunks from an abandoned
 // round (after a retry rotated to another peer) are ignored.
 //
-// Like RecoveryRequestMsg, a range request also resets the serving peer's
-// incremental-gossip bookkeeping for the requester: everything previously
-// delta-sent may have been lost with the requester's memory, so the peer's
-// tail answer is rebuilt from its full state.
+// A range request also resets the serving peer's incremental-gossip
+// bookkeeping for the requester: everything previously delta-sent may have
+// been lost with the requester's memory, so the peer's tail answer is
+// rebuilt from its full state.
 type RangeRequestMsg struct {
 	From  label.ReplicaID
 	Have  int
@@ -239,9 +200,10 @@ type RangeResponseMsg struct {
 	DataType string
 	Total    int
 	// Final-chunk fields (valid only with Done). HasState distinguishes a
-	// peer that cannot snapshot (no Snapshotter, or snapshots disabled) —
-	// such a peer serves no chunks and answers Done with the tail gossip
-	// alone, which is complete because nothing it holds was pruned.
+	// peer with no prefix to encode (nothing memoized yet, or a data type
+	// without dtype.Snapshotter) — such a peer serves no chunks and answers
+	// Done with a full tail gossip, which is complete because a replica
+	// that cannot snapshot never prunes.
 	HasState  bool
 	State     []byte
 	Watermark uint64
@@ -308,7 +270,7 @@ type MigratedKey struct {
 // requests for them are now refused with Final redirects, which is what
 // lets submitters replay safely. Replicas keep these records forever —
 // a late retransmission must be redirected years later — and re-learn them
-// through the §9.3 recovery answer after a crash.
+// from their store and the range answers' Done chunks after a crash.
 type KeyMigratedMsg struct {
 	Epoch     int
 	OldShards int
@@ -337,8 +299,8 @@ type ResizeCompleteAckMsg struct {
 }
 
 // ResizeRecord is a replica's durable view of one resize epoch, carried in
-// §9.3 recovery answers so a crashed replica re-learns its freeze and
-// migration obligations before serving requests again (GossipMsg.Resizes).
+// the Done chunk of range answers so a crashed replica re-learns its freeze
+// and migration obligations before serving requests again.
 type ResizeRecord struct {
 	Epoch     int
 	OldShards int
@@ -394,16 +356,10 @@ func EstimateSize(payload any) int {
 		size += (idBytes + labelBytes) * len(m.L)
 		size += idBytes * len(m.S)
 		return size
-	case SnapshotMsg:
-		// Per snapshot op: id + label + value + two flags + object key.
-		size := headerSize + len(m.Ops)*(idBytes+labelBytes+16+2) + len(m.State)
-		for _, so := range m.Ops {
-			size += len(so.Key)
-		}
-		return size
 	case RangeRequestMsg:
 		return headerSize + 16
 	case RangeResponseMsg:
+		// Per SnapOp: id + label + value + two flags + object key.
 		size := headerSize + 16 + len(m.Ops)*(idBytes+labelBytes+16+2) + len(m.State)
 		for _, so := range m.Ops {
 			size += len(so.Key)

@@ -14,7 +14,14 @@ type Options struct {
 
 	// Prune enables the §10.2 memory reclamation: prev sets are dropped once
 	// an operation is done locally, and full descriptors of memoized
-	// operations are released (only id and value are retained).
+	// operations are released (only id and value are retained). A pruned
+	// descriptor can never be re-learned from gossip, so a recovering or
+	// joining replica is handed the memoized prefix itself (state transfer,
+	// DESIGN.md §5) — which needs the data type's canonical state encoding.
+	// Prune therefore takes effect only for a type implementing
+	// dtype.Snapshotter (all built-in types and their Keyed lifts do); for
+	// any other type the replica retains every descriptor and recovery is
+	// descriptor replay.
 	Prune bool
 
 	// Commute enables the §10.3 current-state mode (Fig. 11): the replica
@@ -24,42 +31,6 @@ type Options struct {
 	// at response time. Sound only for SafeUsers workloads, where clients
 	// order all non-commuting operations via prev sets.
 	Commute bool
-
-	// Snapshot enables snapshot-based state transfer during the §9.3
-	// recovery handshake: a peer answering a recovery request first sends
-	// its memoized solid prefix as a SnapshotMsg (ids, final labels,
-	// memoized values, and the canonically encoded serial state), which the
-	// recovering replica installs before descriptor replay. This is what
-	// makes Prune composable with crash recovery — a descriptor pruned at
-	// every replica can never be re-learned from gossip, but its effect is
-	// contained in the snapshot. Requires the data type to implement
-	// dtype.Snapshotter (all built-in types and their Keyed lifts do);
-	// otherwise no snapshot is sent and recovery degrades to pure
-	// descriptor replay — which, with Prune also on, permanently loses any
-	// operation whose descriptor every peer has pruned (the data-loss gap
-	// the snapshot closes; TestPruneRecoveryDataLossWithoutSnapshot pins
-	// it). Every replica of a cluster should agree on this option: a
-	// recovering replica can only receive snapshots from peers that have
-	// it on.
-	Snapshot bool
-
-	// SnapshotCap, when positive, bounds the byte size of the recovery
-	// snapshots this replica SENDS (encoded state plus per-op entries):
-	// above the cap the peer answers with descriptors only and recovery
-	// degrades to pure replay, exactly as if Snapshot were off for that
-	// exchange. Use it to keep a recovering replica from being handed an
-	// arbitrarily large state in one message. Zero means unlimited;
-	// negative values are invalid (constructors and esds-server reject
-	// them).
-	SnapshotCap int
-
-	// RangeChunkOps bounds the per-chunk SnapOp count of the range answers
-	// this replica SERVES (descriptor-range catch-up, DESIGN.md §13): a
-	// request for a long missing slice is streamed as ceil(missing/chunk)
-	// frames instead of one unbounded message. Zero means the built-in
-	// default (256); negative values are invalid. Purely server-local — no
-	// negotiation, clients accept any chunking.
-	RangeChunkOps int
 
 	// BatchSize enables the batched hot path (DESIGN.md §8) when > 1: front
 	// ends pack up to BatchSize submissions per target replica into one
@@ -139,8 +110,7 @@ func (o Options) FlushPeriod() time.Duration {
 }
 
 // DefaultOptions is the configuration a production deployment would run:
-// memoization and pruning on, snapshot recovery on (pruning without it
-// forfeits crash recovery), incremental gossip on, commute mode off
+// memoization and pruning on, incremental gossip on, commute mode off
 // (commute mode needs the SafeUsers client discipline), batching off
 // (it trades per-operation latency for throughput — a deployment
 // decision; see BatchSize and DESIGN.md §8). AdaptiveBatch and
@@ -151,7 +121,6 @@ func DefaultOptions() Options {
 	return Options{
 		Memoize:           true,
 		Prune:             true,
-		Snapshot:          true,
 		IncrementalGossip: true,
 		AdaptiveBatch:     true,
 		CompactGossip:     true,

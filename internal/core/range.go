@@ -7,32 +7,25 @@ import (
 	"esds/internal/transport"
 )
 
-// Descriptor-range catch-up (DESIGN.md §13). The §9.3 handshake makes a
-// recovering replica block on an answer — snapshot plus full gossip — from
-// EVERY peer. Under shard placement that is the wrong shape twice over: a
-// member that (re)joins a single shard transfers the same solid prefix R
-// times, and it cannot resume until the slowest peer answers. The range
-// protocol is the BlocksByRange discipline instead: the client names the
-// solid-prefix length it already holds, ONE hosting peer streams the
-// missing slice as bounded SnapOp chunks and finishes with the post-prefix
-// state, its label watermark, its resize records, and a tail gossip
-// covering its unsolid suffix; the client splices the chunks onto its own
-// prefix, routes the result through the ordinary snapshot-install
-// validator (installSnapshot — range answers get exactly the scrutiny
-// full snapshots do), and merges the tail.
+// Descriptor-range catch-up (DESIGN.md §5): the one state-transfer path.
+// The client names the solid-prefix length it already holds, ONE peer
+// streams the missing slice as bounded SnapOp chunks and finishes with the
+// post-prefix state, its label watermark, its resize records, and a tail
+// gossip covering its unsolid suffix; the client splices the chunks onto
+// its own prefix, routes the result through the install validator
+// (installSnapshot), and merges the tail.
 //
-// Single-peer resume is sound because of the durable write path: every
-// label this replica ever externalized is in its StableStore (reloaded
-// before the round opens), so the §9.3 label condition holds without
-// consulting anyone; and everything the crash lost that the serving peer
-// does not yet know — an operation another peer admitted and delta-sent
-// here pre-crash — reaches the serving peer through normal gossip and is
-// relayed on its reset delta stream. A replica WITHOUT a stable store
-// should keep using the full §9.3 handshake, whose all-peers barrier is
-// what stood in for durability.
+// Crash recovery (Replica.Recover, recovery.go) runs one round per peer,
+// one peer at a time, and resumes when a Done chunk from EVERY peer has
+// installed — the §9.3 "response from each replica" barrier. Have is
+// re-pinned to the current memoized length at each round, so the prefix
+// crosses the wire once and later rounds carry only a tail. A live join
+// (CatchUpRange) runs a single round against one hosting peer while the
+// replica keeps serving: it lost nothing, so no barrier is owed.
 
-// rangeChunkOps is the default per-chunk SnapOp count of a range answer
-// (Options.RangeChunkOps overrides).
+// rangeChunkOps is the per-chunk SnapOp count of a range answer: a long
+// missing slice is streamed as ceil(missing/rangeChunkOps) frames instead
+// of one unbounded message.
 const rangeChunkOps = 256
 
 // CatchUpRange opens a range catch-up round against one hosting peer: the
@@ -47,32 +40,9 @@ func (r *Replica) CatchUpRange() bool {
 		return false
 	}
 	to, req := r.openRangeRoundLocked()
-	node := r.node
 	r.mu.Unlock()
-	r.net.Send(node, to, req)
+	r.net.Send(r.node, to, req)
 	return true
-}
-
-// RecoverViaRange restarts a crashed replica through a range round instead
-// of the full §9.3 handshake: the stable store is reloaded exactly as in
-// Recover, but the replica then fetches the shard history it is missing
-// from a single hosting peer and resumes as soon as that one transfer
-// completes. Requests are parked while the round is open (the resize
-// obligations arrive with the Done chunk, like with recovery answers). A
-// single-replica shard resumes immediately on its store alone.
-func (r *Replica) RecoverViaRange() {
-	r.mu.Lock()
-	r.reloadStoreLocked()
-	r.recovering = r.n > 1
-	r.recoveryAcks = make(map[label.ReplicaID]struct{})
-	if !r.recovering {
-		r.mu.Unlock()
-		return
-	}
-	to, req := r.openRangeRoundLocked()
-	node := r.node
-	r.mu.Unlock()
-	r.net.Send(node, to, req)
 }
 
 // RangeCatchingUp reports whether a range round is open.
@@ -83,49 +53,69 @@ func (r *Replica) RangeCatchingUp() bool {
 }
 
 // openRangeRoundLocked starts a fresh round: new nonce, next peer in the
-// rotation, buffer cleared, Have pinned to the current solid prefix.
-// Mutex held; caller sends the returned request after unlocking.
+// rotation that has not yet answered this recovery (recoveryAcks is empty
+// outside one), buffer cleared, Have pinned to the current solid prefix.
+// The caller guarantees some peer is still unanswered. Mutex held; caller
+// sends the returned request after unlocking.
 func (r *Replica) openRangeRoundLocked() (transport.NodeID, RangeRequestMsg) {
 	r.rangeSeq++
 	r.rangeNonce = r.rangeSeq
-	r.rangePeer = (int(r.id) + 1 + r.rangeTries%(r.n-1)) % r.n
+	for {
+		r.rangePeer = (int(r.id) + 1 + r.rangeTries%(r.n-1)) % r.n
+		if _, answered := r.recoveryAcks[label.ReplicaID(r.rangePeer)]; !answered {
+			break
+		}
+		r.rangeTries++
+	}
 	r.rangeHave = r.memoized
 	r.rangeBuf = nil
+	r.rangeProgress = false
 	return r.peers[r.rangePeer], RangeRequestMsg{From: r.id, Have: r.rangeHave, Nonce: r.rangeNonce}
 }
 
-// retryRangeLocked rotates an open round to the next peer (the §9.3 retry
-// discipline, one peer at a time). Mutex held on entry; released.
-func (r *Replica) retryRangeLocked() {
-	if r.rangeNonce == 0 {
+// RetryRecovery is the periodic retry against lost range requests, lost
+// chunks, and dead serving peers — for crash recovery and live joins alike.
+// A round that received a chunk since the last call is still streaming and
+// is left alone; otherwise it is abandoned and re-opened against the next
+// peer that has not answered, keeping the answers already collected. A
+// no-op when no round is open (decided under the lock, so a recovery that
+// just completed is never restarted; contrast Recover, which always begins
+// afresh).
+func (r *Replica) RetryRecovery() {
+	r.mu.Lock()
+	if r.crashed || r.rangeNonce == 0 || r.rangeProgress {
+		r.rangeProgress = false
 		r.mu.Unlock()
 		return
 	}
 	r.rangeTries++
 	r.metrics.RangeRetries++
 	to, req := r.openRangeRoundLocked()
-	node := r.node
 	r.mu.Unlock()
-	r.net.Send(node, to, req)
+	r.net.Send(r.node, to, req)
 }
 
 // handleRangeRequest serves one range round: chunked SnapOps for the slice
 // of the memoized solid prefix the requester is missing, then the Done
 // chunk with state, watermark, resize records, and the tail gossip. A peer
-// that cannot snapshot (snapshots off, no Snapshotter, or an encoding
-// failure) serves no chunks and sends a FULL tail instead — complete,
-// because such a configuration never pruned a descriptor it would need.
+// with no prefix to encode (nothing memoized, no Snapshotter, or an
+// encoding failure) serves no chunks and sends a FULL tail instead —
+// complete, because a replica that cannot snapshot never prunes
+// (NewReplica).
 //
-// Like handleRecoveryRequest, serving the request resets this replica's
-// delta bookkeeping for the requester: everything previously delta-sent
-// may have died with the requester's memory, and the answer re-covers the
-// full state, so the queues restart empty from here.
+// A replica that is itself recovering still answers, from whatever its
+// store reload and the answers so far have given it: two overlapping
+// recoveries — or a whole cluster restarted from its journals — would
+// otherwise wait on each other forever.
+//
+// Serving the request resets this replica's delta bookkeeping for the
+// requester: everything previously delta-sent may have died with the
+// requester's memory, and the answer re-covers the full state, so the
+// queues restart empty from here.
 func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 	from := int(msg.From)
 	r.mu.Lock()
-	if from < 0 || from >= r.n || from == int(r.id) || r.crashed || r.recovering {
-		// A recovering server cannot vouch for its own view yet; the
-		// client's retry rotates to a healthy peer.
+	if from < 0 || from >= r.n || from == int(r.id) || r.crashed {
 		r.mu.Unlock()
 		return
 	}
@@ -139,7 +129,7 @@ func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 		lo = total
 	}
 
-	canSnap := r.opt.Snapshot && total > 0 && dtype.CanSnapshot(r.dt)
+	canSnap := total > 0 && dtype.CanSnapshot(r.dt)
 	var state []byte
 	if canSnap {
 		enc, err := r.dt.(dtype.Snapshotter).EncodeState(r.memoState)
@@ -151,14 +141,10 @@ func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 		}
 	}
 
-	chunkSize := r.opt.RangeChunkOps
-	if chunkSize <= 0 {
-		chunkSize = rangeChunkOps
-	}
 	var out []RangeResponseMsg
 	if canSnap {
-		for off := lo; off < total; off += chunkSize {
-			hi := off + chunkSize
+		for off := lo; off < total; off += r.rangeChunk {
+			hi := off + r.rangeChunk
 			if hi > total {
 				hi = total
 			}
@@ -241,7 +227,7 @@ func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 // merge the tail. Any gap, nonce mismatch, or validation failure abandons
 // the attempt — the round stays open and the retry ticker rotates it to
 // another peer, so a lossy or hostile server costs a retry, never
-// corruption.
+// corruption. A recovery still owed answers opens its next round here.
 func (r *Replica) handleRangeResponse(msg RangeResponseMsg) {
 	r.mu.Lock()
 	if r.crashed || r.rangeNonce == 0 || msg.Nonce != r.rangeNonce || int(msg.From) != r.rangePeer {
@@ -259,62 +245,78 @@ func (r *Replica) handleRangeResponse(msg RangeResponseMsg) {
 		}
 		r.metrics.RangeChunksReceived++
 		r.rangeBuf = append(r.rangeBuf, msg.Ops...)
+		r.rangeProgress = true
 		r.mu.Unlock()
 		return
 	}
 	r.metrics.RangeChunksReceived++
 	if !r.finishRangeLocked(msg) {
-		// Failed round: keep it open (and the buffer clear) for the retry
-		// rotation.
+		// Failed round: keep it open (and the buffer clear) for the next
+		// retry to rotate.
 		r.metrics.RangeRejects++
 		r.rangeBuf = nil
+		r.rangeProgress = false
 		r.mu.Unlock()
 		return
 	}
+	var to transport.NodeID
+	var next RangeRequestMsg
+	if r.recovering {
+		to, next = r.openRangeRoundLocked()
+	}
 	r.finishGossipLocked()
+	if next.Nonce != 0 {
+		r.net.Send(r.node, to, next)
+	}
 }
 
 // finishRangeLocked applies a Done chunk. Mutex held; reports whether the
-// round completed (on true the round is closed and, in recovery mode, the
-// replica has resumed).
+// round completed. On true the round is closed and, during crash recovery,
+// the serving peer is counted as answered — the replica resumes once every
+// peer has been (§9.3).
 func (r *Replica) finishRangeLocked(msg RangeResponseMsg) bool {
 	// Freshness first, as in installSnapshot: labels issued from here on
 	// sort above everything the serving peer had seen.
 	r.gen.ObserveSeq(msg.Watermark)
-	if msg.HasState && msg.Total > r.memoized {
-		if r.rangeHave+len(r.rangeBuf) != msg.Total {
-			// Truncated transfer: a chunk was lost (or withheld). Refuse —
-			// installing a prefix with a hole would be exactly the corruption
-			// the validator exists to stop.
-			return false
-		}
-		snap := SnapshotMsg{
+	switch {
+	case !msg.HasState:
+		// The peer had no prefix to encode; its tail carries everything.
+	case msg.Total <= r.memoized:
+		// Nothing this replica lacks: by the solid-prefix invariant the
+		// peer's prefix is a prefix of the local one.
+		r.metrics.SnapshotsIgnored++
+	case r.rangeHave+len(r.rangeBuf) != msg.Total:
+		// Truncated transfer: a chunk was lost (or withheld). Refuse —
+		// installing a prefix with a hole would be exactly the corruption
+		// the validator exists to stop.
+		return false
+	default:
+		snap := prefixSnapshot{
 			From:      msg.From,
 			DataType:  msg.DataType,
 			Ops:       append(r.buildPrefixSnapOps(0, r.rangeHave), r.rangeBuf...),
 			State:     msg.State,
 			Watermark: msg.Watermark,
 		}
-		if r.installSnapshot(snap) {
-			r.metrics.SnapshotsInstalled++
-		}
-		if r.memoized < msg.Total {
+		if !r.installSnapshot(snap) {
 			// The splice failed validation (installSnapshot recorded the
 			// fault): do not complete the round on a prefix we refused.
 			return false
 		}
+		r.metrics.SnapshotsInstalled++
 	}
 	r.installResizeRecords(msg.Resizes)
 	r.mergeGossipLocked(msg.Tail)
 	r.rangeNonce = 0
 	r.rangeBuf = nil
-	r.rangeTries = 0
 	r.metrics.RangeCatchups++
 	if r.recovering {
-		// Range-mode recovery resumes on this single completed transfer —
-		// the §9.3 all-peers barrier is replaced by the durable store (see
-		// the file comment).
-		r.recovering = false
+		r.recoveryAcks[msg.From] = struct{}{}
+		r.recovering = len(r.recoveryAcks) < r.n-1
+	}
+	if !r.recovering {
+		r.recoveryAcks = nil
+		r.rangeTries = 0
 	}
 	return true
 }

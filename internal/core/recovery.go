@@ -7,7 +7,6 @@ import (
 	"esds/internal/dtype"
 	"esds/internal/label"
 	"esds/internal/ops"
-	"esds/internal/transport"
 )
 
 // This file implements the §9.3 crash-recovery protocol for replicas with
@@ -28,16 +27,10 @@ import (
 // operations durable (the answered-then-lost gap), and the resize records
 // let a single-replica shard re-learn its freeze obligations without a
 // peer. Crash wipes all volatile state; Recover reloads the persisted
-// labels, replays the persisted descriptors back into rcvd_r, asks every
-// peer for fresh gossip, and suspends do_it / responses / outgoing gossip
-// until every peer has answered.
-
-// RecoveryRequestMsg asks a peer for a full gossip message (and, under
-// incremental gossip, a reset of the peer's delta bookkeeping for the
-// requester, since the requester lost everything previously sent).
-type RecoveryRequestMsg struct {
-	From label.ReplicaID
-}
+// labels, replays the persisted descriptors back into rcvd_r, fetches every
+// peer's state through range rounds (range.go — §10.2 pruning forces the
+// paper's "new gossip" to carry state, not descriptors), and suspends
+// do_it / responses / outgoing gossip until every peer has answered.
 
 // StableStore is the replica's only non-volatile state: the write-ahead
 // journal of everything §9.3 recovery needs. Implementations must retain
@@ -238,7 +231,7 @@ func (r *Replica) Crash() {
 		r.gossipPend[i] = nil
 	}
 	r.strictGhost = make(map[ops.ID]struct{})
-	r.resizes = nil // re-learned from recovery answers (GossipMsg.Resizes)
+	r.resizes = nil // re-learned from the store and the range answers' Done chunks
 	r.recoveryParked = nil
 	r.keyOf = make(map[ops.ID]string)
 	r.prevSatisfied = make(map[ops.ID]struct{})
@@ -255,18 +248,18 @@ func (r *Replica) Crash() {
 }
 
 // reloadStoreLocked replays the stable store into a freshly crashed
-// replica — the shared first half of Recover and RecoverViaRange. Persisted
-// labels are observed (so every future label sorts above them, §9.3) and
-// held aside for reuse, descriptors are replayed into rcvd_r in journal
-// order, and resize records and key-index entries are reinstalled. Clears
-// the crashed flag. Mutex held.
+// replica — the first half of Recover. Persisted labels are observed (so
+// every future label sorts above them, §9.3) and held aside for reuse,
+// descriptors are replayed into rcvd_r in journal order, and resize records
+// and key-index entries are reinstalled. Clears the crashed flag. Mutex
+// held.
 func (r *Replica) reloadStoreLocked() {
 	if r.store != nil {
 		for id, l := range r.store.Labels() {
 			// Freshness is unconditional: labels issued after recovery must
 			// sort above everything issued before the crash. The label
 			// ASSIGNMENT is not re-entered into the label map — if it ever
-			// escaped, the handshake answers restore it; if not, it is held
+			// escaped, the peers' answers restore it; if not, it is held
 			// aside for §9.3 reuse when the front end retransmits the op
 			// (see Replica.storeHeld).
 			r.gen.Observe(l)
@@ -284,8 +277,8 @@ func (r *Replica) reloadStoreLocked() {
 		// do_it labeled them in that order). Each goes through receiveOp —
 		// NOT pending (the front end retransmits anything unanswered) — so
 		// the next process() pass re-labels it with its held label and
-		// re-enters it into gossip. Duplicates against handshake answers or
-		// snapshots dedup via rcvdIDs/doneAt as usual.
+		// re-enters it into gossip. Duplicates against the peers' answers
+		// dedup via rcvdIDs/doneAt as usual.
 		for _, x := range r.store.Ops() {
 			r.receiveOp(x)
 		}
@@ -303,128 +296,29 @@ func (r *Replica) reloadStoreLocked() {
 // correctness condition), persisted descriptors are replayed into rcvd_r
 // (so an operation this replica acknowledged and never gossiped re-enters
 // the algorithm — and, once re-labeled, gossip — instead of being lost),
-// persisted resize records and key-index entries are reinstalled, every
-// peer is asked for fresh gossip, and the replica resumes the algorithm
-// only after all peers have answered. A single-replica cluster resumes
-// immediately.
+// persisted resize records and key-index entries are reinstalled, and range
+// rounds are opened against the peers, one at a time (range.go). The
+// replica resumes the algorithm only after a Done chunk from every peer has
+// installed; keyed requests are parked until then (the resize obligations
+// arrive with the Done chunks). A single-replica cluster resumes
+// immediately on its store alone.
 func (r *Replica) Recover() {
 	r.mu.Lock()
 	r.reloadStoreLocked()
 	r.recovering = r.n > 1
+	if !r.recovering {
+		r.mu.Unlock()
+		return
+	}
 	r.recoveryAcks = make(map[label.ReplicaID]struct{})
-	peers := make([]transport.NodeID, 0, r.n-1)
-	for i := 0; i < r.n; i++ {
-		if i != int(r.id) {
-			peers = append(peers, r.peers[i])
-		}
-	}
+	to, req := r.openRangeRoundLocked()
 	r.mu.Unlock()
-	for _, p := range peers {
-		r.net.Send(r.node, p, RecoveryRequestMsg{From: r.id})
-	}
+	r.net.Send(r.node, to, req)
 }
 
-// Recovering reports whether the replica is waiting for recovery acks.
+// Recovering reports whether the replica is still owed a recovery answer.
 func (r *Replica) Recovering() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.recovering
-}
-
-// RetryRecovery re-sends recovery requests to the peers that have not yet
-// acked, keeping the acks already collected — the periodic retry against
-// lost requests or acks. It is a no-op unless the replica is currently
-// recovering (decided under the lock, so a handshake that just completed
-// is never restarted; contrast Recover, which always begins a fresh round).
-func (r *Replica) RetryRecovery() {
-	r.mu.Lock()
-	if r.crashed || !r.recovering {
-		r.mu.Unlock()
-		return
-	}
-	if r.rangeNonce != 0 {
-		// Range-mode recovery: the retry rotates the round to the next peer
-		// (the serving peer may itself have died) instead of re-broadcasting
-		// §9.3 requests. Existing retry drivers need no range awareness.
-		r.retryRangeLocked()
-		return
-	}
-	var missing []transport.NodeID
-	for i := 0; i < r.n; i++ {
-		if i == int(r.id) {
-			continue
-		}
-		if _, acked := r.recoveryAcks[label.ReplicaID(i)]; !acked {
-			missing = append(missing, r.peers[i])
-		}
-	}
-	r.mu.Unlock()
-	for _, p := range missing {
-		r.net.Send(r.node, p, RecoveryRequestMsg{From: r.id})
-	}
-}
-
-// handleRecoveryRequest serves a peer's recovery: the requester lost
-// everything previously sent, so the peer's delta queues are re-primed
-// with a full view of its state, which is then sent as one gossip message
-// flagged as a recovery ack. With Options.Snapshot, a state snapshot of
-// the memoized solid prefix is sent FIRST (on FIFO transports it installs
-// before the descriptor replay the ack gossip triggers): it stands in for
-// the descriptors §10.2 pruning discarded, which no gossip R can carry any
-// more.
-func (r *Replica) handleRecoveryRequest(msg RecoveryRequestMsg) {
-	from := int(msg.From)
-	r.mu.Lock()
-	if from < 0 || from >= r.n || from == int(r.id) || r.crashed {
-		r.mu.Unlock()
-		return
-	}
-	snap, haveSnap := r.buildSnapshot()
-	if haveSnap {
-		r.metrics.SnapshotsSent++
-	}
-	// Pending coalesced gossip for the requester is superseded by the full
-	// recovery answer below (and the requester lost the FIFO prefix those
-	// deltas assumed anyway).
-	r.gossipPend[from] = nil
-	var out GossipMsg
-	if r.opt.IncrementalGossip {
-		r.ensureSorted()
-		r.pendR[from] = nil
-		r.pendD[from] = nil
-		r.pendS[from] = nil
-		r.pendL[from] = make(map[ops.ID]struct{})
-		for _, id := range r.doneSeq {
-			r.pendR[from] = append(r.pendR[from], id)
-			r.pendD[from] = append(r.pendD[from], id)
-			r.pendL[from][id] = struct{}{}
-			if _, st := r.stableAt[r.id][id]; st {
-				r.pendS[from] = append(r.pendS[from], id)
-			}
-		}
-		r.pendR[from] = append(r.pendR[from], r.rcvdQueue...)
-		out = r.buildDelta(from)
-	} else {
-		out = r.buildGossip(from)
-	}
-	out.RecoveryAck = true
-	if haveSnap {
-		out.RecoverySnapshotLen = len(snap.Ops)
-	}
-	// The requester's resize obligations (freezes, migrated keys) were
-	// volatile; hand over this replica's view so the recovered replica
-	// refuses requests for moved keys again before it serves anything.
-	out.Resizes = r.resizeRecordsLocked()
-	r.metrics.GossipSent++
-	to := r.peers[from]
-	r.mu.Unlock()
-	// The answer carries labels; the ack-after-durable invariant (DESIGN.md
-	// §10) extends to recovery answers like any other externalization.
-	if !r.commitStore() {
-		return
-	}
-	if haveSnap {
-		r.net.Send(r.node, to, snap)
-	}
-	r.net.Send(r.node, to, out)
 }

@@ -12,8 +12,14 @@ import (
 	"esds/internal/transport"
 )
 
-// newRecoveryEnv builds a 3-replica cluster with stable stores.
+// newRecoveryEnv builds a 3-replica Log cluster with stable stores.
 func newRecoveryEnv(t *testing.T, opt Options) (*testEnv, []*MemStableStore) {
+	t.Helper()
+	return newRecoveryEnvOf(t, dtype.Log{}, opt)
+}
+
+// newRecoveryEnvOf is newRecoveryEnv over an arbitrary data type.
+func newRecoveryEnvOf(t *testing.T, dt dtype.DataType, opt Options) (*testEnv, []*MemStableStore) {
 	t.Helper()
 	s := sim.New(1)
 	df := 1 * sim.Millisecond
@@ -29,7 +35,7 @@ func newRecoveryEnv(t *testing.T, opt Options) (*testEnv, []*MemStableStore) {
 	stores := []*MemStableStore{NewMemStableStore(), NewMemStableStore(), NewMemStableStore()}
 	cluster := NewCluster(ClusterConfig{
 		Replicas: 3,
-		DataType: dtype.Log{},
+		DataType: dt,
 		Network:  net,
 		Options:  opt,
 		Stores:   []StableStore{stores[0], stores[1], stores[2]},
@@ -60,7 +66,7 @@ func TestCrashWipesAndRecoverRebuilds(t *testing.T) {
 	}
 	e.s.RunFor(50 * sim.Millisecond)
 
-	// Recover: rejoin, handshake, resume.
+	// Recover: rejoin, fetch every peer's state, resume.
 	e.net.SetNodeDown(r0.Node(), false)
 	r0.Recover()
 	if !r0.Recovering() {
@@ -143,8 +149,8 @@ func TestRecoveringReplicaDoesNotAnswer(t *testing.T) {
 	r0 := e.cluster.Replica(0)
 	nodes := e.cluster.Nodes()
 
-	// Crash and recover r0 while one peer is unreachable: the handshake
-	// cannot complete, so r0 must not process new requests.
+	// Crash and recover r0 while one peer is unreachable: the §9.3 barrier
+	// cannot be met, so r0 must not process new requests.
 	e.net.SetNodeDown(nodes[1], true)
 	r0.Crash()
 	r0.Recover()
@@ -162,8 +168,8 @@ func TestRecoveringReplicaDoesNotAnswer(t *testing.T) {
 		t.Fatal("recovering replica answered a request")
 	}
 
-	// Peer returns: handshake completes, request drains. RetryRecovery
-	// re-asks only the peer whose ack is missing, keeping node2's ack.
+	// Peer returns: recovery completes, request drains. RetryRecovery
+	// re-asks only the peer whose answer is missing, keeping node2's.
 	e.net.SetNodeDown(nodes[1], false)
 	r0.RetryRecovery()
 	e.s.RunFor(300 * sim.Millisecond)
@@ -179,7 +185,7 @@ func TestRecoveringReplicaDoesNotAnswer(t *testing.T) {
 	r0.RetryRecovery()
 	e.s.RunFor(100 * sim.Millisecond)
 	if r0.Recovering() {
-		t.Fatal("RetryRecovery restarted a completed handshake")
+		t.Fatal("RetryRecovery restarted a completed recovery")
 	}
 }
 
@@ -191,9 +197,12 @@ func TestCrashedReplicaIgnoresTraffic(t *testing.T) {
 	// crash was modelled on the network) must be ignored.
 	r0.handleRequest(RequestMsg{Op: ops.New(dtype.LogAppend{Entry: "z"}, ops.ID{Client: "c", Seq: 0}, nil, false)})
 	r0.handleGossip(GossipMsg{From: 1})
-	r0.handleRecoveryRequest(RecoveryRequestMsg{From: 1})
+	r0.handleRangeRequest(RangeRequestMsg{From: 1, Nonce: 1})
 	if got := len(r0.Snapshot().Done); got != 0 {
 		t.Fatalf("crashed replica processed traffic: %d done", got)
+	}
+	if r0.Metrics().RangeServed != 0 {
+		t.Fatal("crashed replica served a range request")
 	}
 	r0.SendGossip() // no-op
 	if r0.Metrics().GossipSent != 0 {
@@ -248,6 +257,65 @@ func TestStrictSafetyAcrossCrashRecovery(t *testing.T) {
 	if err := spec.ExplainStrictResponses(dtype.Log{}, requested, conv.Order, strictResponses); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecoverWholeClusterFromStores: every replica crashes with full memory
+// loss and recovers with nothing but its own journal. Each one's barrier
+// waits on peers that are themselves recovering, so a recovering replica
+// must still answer range requests (from its reloaded state) — a server
+// that refused until it had resumed would leave all three waiting on each
+// other forever. Every acknowledged operation lives in the journal of the
+// replica that labeled it, so nothing may be lost.
+func TestRecoverWholeClusterFromStores(t *testing.T) {
+	e, _ := newRecoveryEnv(t, DefaultOptions())
+	defer e.cluster.Close()
+	var all []*result
+	for i := 0; i < 12; i++ {
+		all = append(all, e.submit(fmt.Sprintf("c%d", i%3), dtype.LogAppend{Entry: fmt.Sprintf("e%d", i)}, nil, i%4 == 0))
+		e.s.RunFor(3 * sim.Millisecond)
+	}
+	e.s.RunFor(200 * sim.Millisecond)
+	for _, o := range all {
+		if !o.done {
+			t.Fatalf("setup: op %v never acknowledged", o.x.ID)
+		}
+	}
+
+	for _, r := range e.cluster.LocalReplicas() {
+		e.net.SetNodeDown(r.Node(), true)
+		r.Crash()
+	}
+	e.s.RunFor(30 * sim.Millisecond)
+	for _, r := range e.cluster.LocalReplicas() {
+		e.net.SetNodeDown(r.Node(), false)
+		r.Recover()
+	}
+	e.s.RunFor(300 * sim.Millisecond)
+
+	for i, r := range e.cluster.LocalReplicas() {
+		if r.Recovering() {
+			t.Fatalf("replica %d never resumed: recovering peers must answer each other", i)
+		}
+	}
+	post := e.submit("post", dtype.LogAppend{Entry: "post"}, nil, true)
+	e.s.RunFor(500 * sim.Millisecond)
+	if !post.done {
+		t.Fatal("restarted cluster never answered a strict operation")
+	}
+	conv := e.cluster.CheckConvergence()
+	if !conv.Converged {
+		t.Fatalf("no convergence after whole-cluster restart: %s", conv.Reason)
+	}
+	inOrder := make(map[ops.ID]struct{}, len(conv.Order))
+	for _, id := range conv.Order {
+		inOrder[id] = struct{}{}
+	}
+	for _, o := range append(all, post) {
+		if _, ok := inOrder[o.x.ID]; !ok {
+			t.Fatalf("acknowledged op %v missing after whole-cluster restart", o.x.ID)
+		}
+	}
+	requireNoFaults(t, e.cluster)
 }
 
 // failingStore is a StableStore whose writes fail on demand.

@@ -113,27 +113,33 @@ type Replica struct {
 	sortScratch []labeledID
 
 	// Crash recovery (§9.3): the stable store holding locally generated
-	// labels, and the recovery handshake state.
+	// labels, and the peers whose range answer has installed since Recover
+	// (the replica resumes once all n-1 have; nil outside a recovery).
 	store        StableStore
 	crashed      bool
 	recovering   bool
 	recoveryAcks map[label.ReplicaID]struct{}
 
-	// Descriptor-range catch-up (range.go, DESIGN.md §13): the client-side
+	// Descriptor-range catch-up (range.go, DESIGN.md §5): the client-side
 	// state of one range round. rangeNonce is 0 when no round is open;
 	// rangeSeq is the monotone nonce source (it survives Crash so a stale
-	// pre-crash chunk can never match a post-crash round).
-	rangeNonce uint64
-	rangeSeq   uint64
-	rangePeer  int
-	rangeHave  int
-	rangeBuf   []SnapOp
-	rangeTries int
+	// pre-crash chunk can never match a post-crash round). rangeProgress
+	// records a chunk accepted since the last RetryRecovery, which then
+	// leaves the streaming round alone. rangeChunk is the SnapOp count per
+	// chunk this replica SERVES: rangeChunkOps, lowered only by tests.
+	rangeNonce    uint64
+	rangeSeq      uint64
+	rangePeer     int
+	rangeHave     int
+	rangeBuf      []SnapOp
+	rangeTries    int
+	rangeProgress bool
+	rangeChunk    int
 
 	// storeHeld carries the store-reloaded labels of operations that are
 	// not yet done again after a recovery. Such a label is NOT entered into
-	// the label map: if it ever escaped this replica pre-crash, the §9.3
-	// handshake answers restore it (done-ness and labels travel in the same
+	// the label map: if it ever escaped this replica pre-crash, the peers'
+	// recovery answers restore it (done-ness and labels travel in the same
 	// gossip message, so any peer that learned the op done here also holds
 	// its label); if no answer mentions the op, the label is known only
 	// here and the operation can only re-enter via front-end
@@ -151,9 +157,10 @@ type Replica struct {
 
 	// resizes is the live-resharding history this replica participates in
 	// as a source shard: freezes, migrated keys, completed epochs (see
-	// migrate.go). Volatile — re-learned from recovery answers after a
-	// crash. recoveryParked holds requests received during the §9.3
-	// handshake, admitted only once that history is whole again.
+	// migrate.go). Volatile — re-learned from the store and the range
+	// answers' Done chunks after a crash. recoveryParked holds requests
+	// received during recovery, admitted only once that history is whole
+	// again.
 	resizes        []*replicaResize
 	recoveryParked []ops.Operation
 
@@ -257,6 +264,7 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		gossipPend:    make([][]GossipMsg, n),
 		gossipSince:   make([]time.Time, n),
 		store:         cfg.Store,
+		rangeChunk:    rangeChunkOps,
 		strictGhost:   make(map[ops.ID]struct{}),
 		keyOf:         make(map[ops.ID]string),
 		prevSatisfied: make(map[ops.ID]struct{}),
@@ -266,6 +274,11 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		r.stableAt[i] = make(map[ops.ID]struct{})
 		r.pendL[i] = make(map[ops.ID]struct{})
 	}
+	// §10.2 pruning discards descriptors that only a state transfer can
+	// stand in for afterwards, so it is on only for a type that can encode
+	// its state; any other type retains every descriptor and recovers by
+	// full-tail replay (handleRangeRequest).
+	r.opt.Prune = r.opt.Prune && dtype.CanSnapshot(cfg.DataType)
 	if r.opt.AdaptiveBatch && r.opt.BatchSize > 1 {
 		r.gossipCtrl = make([]*batchController, n)
 		for i := 0; i < n; i++ {
@@ -315,8 +328,8 @@ func (r *Replica) Dispatch(fn func()) {
 // queue on its owning worker: consecutive hot-path messages (requests and
 // gossip, batched or not) fold into a single locked run — one mutex round
 // and one process() pass for the whole run, the staged admit→label→gossip→
-// memoize pipeline of DESIGN.md §9 — while control messages (recovery,
-// snapshots, resize) and dispatched functions act as barriers handled by
+// memoize pipeline of DESIGN.md §9 — while control messages (range
+// catch-up, resize) and dispatched functions act as barriers handled by
 // the ordinary per-message paths.
 func (r *Replica) deliverBatch(items []queueItem) {
 	var run []transport.Message
@@ -446,14 +459,10 @@ func (r *Replica) handleMessage(m transport.Message) {
 		r.handleBatchGossip(p)
 	case CompactGossipMsg:
 		r.handleCompactGossip(p)
-	case RecoveryRequestMsg:
-		r.handleRecoveryRequest(p)
 	case RangeRequestMsg:
 		r.handleRangeRequest(p)
 	case RangeResponseMsg:
 		r.handleRangeResponse(p)
-	case SnapshotMsg:
-		r.handleSnapshot(p)
 	case FreezeKeysMsg:
 		r.handleFreezeKeys(p)
 	case KeyMigratedMsg:
@@ -520,7 +529,7 @@ func (r *Replica) handleBatchRequest(msg BatchRequestMsg) {
 }
 
 // admitOrRefuseLocked runs the admission decision for one requested
-// operation: park it while the §9.3 handshake is outstanding (keyed
+// operation: park it while a §9.3 recovery is outstanding (keyed
 // operations only — see the comment below), refuse it with a Redirect when
 // live resharding froze or moved its object, or admit it as pending and
 // received. It returns the refusal to send, if any. Mutex held; the caller
@@ -559,7 +568,7 @@ func (r *Replica) admitRequest(x ops.Operation) {
 	r.receiveOp(x)
 }
 
-// drainRecoveryParked re-admits requests parked during the §9.3 handshake,
+// drainRecoveryParked re-admits requests parked during §9.3 recovery,
 // now that the freeze/migration view is whole. It returns the redirects
 // to send (outside the mutex). Mutex held.
 func (r *Replica) drainRecoveryParked() []ResponseMsg {
@@ -691,7 +700,7 @@ func (r *Replica) mergeCompactGossipLocked(msg CompactGossipMsg) {
 }
 
 // finishGossipLocked runs the post-merge steps shared by the single and
-// batched gossip paths: re-admit parked requests if the §9.3 handshake just
+// batched gossip paths: re-admit parked requests if a §9.3 recovery just
 // completed, run internal actions, and send any refusals after unlocking.
 // Mutex held on entry; released on return.
 func (r *Replica) finishGossipLocked() {
@@ -706,35 +715,13 @@ func (r *Replica) finishGossipLocked() {
 }
 
 // mergeGossipLocked folds one gossip message into the replica state — the
-// receive_r'r merge of Fig. 7 plus the §9.3 ack bookkeeping — without
-// running internal actions (the caller does, once per frame). Mutex held.
+// receive_r'r merge of Fig. 7 — without running internal actions (the
+// caller does, once per frame). Mutex held.
 func (r *Replica) mergeGossipLocked(msg GossipMsg) {
 	r.metrics.GossipReceived++
 	from := int(msg.From)
 	if from < 0 || from >= r.n || from == int(r.id) {
 		return // malformed or self gossip: ignore
-	}
-	if len(msg.Resizes) > 0 {
-		// Recovery answers carry the peer's resize history; merge it before
-		// anything else so the freeze/migration obligations are in place by
-		// the time this replica resumes serving.
-		r.installResizeRecords(msg.Resizes)
-	}
-	if msg.RecoveryAck && r.recovering {
-		// With snapshots on, an ack is complete only once the snapshot it
-		// was paired with (or a longer one) has installed: the two are
-		// separate, individually losable messages, and resuming on the ack
-		// alone would leave the pruned prefix permanently missing. An
-		// uncounted ack keeps its peer in RetryRecovery's missing set, so
-		// the pair is simply requested again.
-		if !r.opt.Snapshot || msg.RecoverySnapshotLen <= r.memoized {
-			r.recoveryAcks[msg.From] = struct{}{}
-			if len(r.recoveryAcks) == r.n-1 {
-				// Every peer has answered: resume the algorithm (§9.3) after
-				// merging this final message below.
-				r.recovering = false
-			}
-		}
 	}
 
 	// rcvd_r ← rcvd_r ∪ R.
@@ -909,9 +896,9 @@ func (r *Replica) applyCurrent(id ops.ID) {
 // returns the round's responses UNSENT — the caller unlocks, commits the
 // round's journal records with one fsync (group commit), and only then
 // ships them (deliverOutbox): a replica never acknowledges a request
-// before its record is durable. While the §9.3 recovery handshake is
-// outstanding the replica only merges state; it neither labels new
-// operations nor answers clients.
+// before its record is durable. While a §9.3 recovery is outstanding the
+// replica only merges state; it neither labels new operations nor answers
+// clients.
 func (r *Replica) process() []responseOut {
 	r.retryDeferred()
 	if r.recovering {
@@ -993,7 +980,7 @@ func (r *Replica) tryDoIt() {
 				// done, so a slot below the local done maximum may already
 				// sit under a peer's memoized frontier; reusing it would
 				// re-admit the op below that frontier. Voiding is safe: the
-				// handshake answers proved no peer ever saw this label.
+				// peers' recovery answers proved none of them saw this label.
 				if max, ok := r.maxDoneLabelLocked(); ok && l.LessEq(max) {
 					reuse = false
 				}
@@ -1130,7 +1117,7 @@ func (r *Replica) maxDoneLabelLocked() (label.Label, bool) {
 // replica is missing, and it may belong below the stable frontier — exactly
 // the situation after a crash when peers gossip done-ids whose descriptors
 // §10.2 pruning discarded. Memoizing past it would fix a wrong prefix and
-// make the incoming snapshot uninstallable. Deferrals are transient in
+// make the incoming range answer uninstallable. Deferrals are transient in
 // normal operation (incremental-gossip reordering), so the gate costs
 // nothing outside recovery windows.
 func (r *Replica) advanceMemo() {
@@ -1418,8 +1405,8 @@ func (r *Replica) SendGossip() {
 			// whenever this replica HAS news for a peer, the next tick still
 			// sends within g. Full gossip is never suppressed (each round
 			// re-sends complete state, which is what makes loss tolerable),
-			// and the §9.3 recovery handshake answers through its own path
-			// (handleRecoveryRequest), which always sends.
+			// and range answers go through their own path
+			// (handleRangeRequest), which always sends.
 			r.metrics.GossipSuppressed++
 		} else {
 			msg := r.buildGossip(i)
@@ -1470,8 +1457,8 @@ func (r *Replica) SendGossip() {
 			// Negotiated delta encoding (DESIGN.md §12): peers that announced
 			// FeatureCompactGossip get the compact frame; everyone else — old
 			// builds, transports without negotiation, peers not yet heard
-			// from — gets the legacy forms. An element the codec refuses
-			// (recovery traffic) falls back to legacy for the whole flush.
+			// from — gets the legacy forms. A flush the codec cannot encode
+			// (an operator missing its gob registration) falls back to legacy.
 			if r.opt.CompactGossip && r.negotiator != nil &&
 				r.negotiator.PeerFeatures(r.peers[i])&transport.FeatureCompactGossip != 0 {
 				if cm, err := encodeCompactGossip(r.id, pend); err == nil {

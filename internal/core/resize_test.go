@@ -425,7 +425,7 @@ func TestResizeCrashMidMigration(t *testing.T) {
 // KeyInstall subsume set (breaking exactly-once replay and stale prev
 // translation).
 func TestSnapshotReseedsKeyIndex(t *testing.T) {
-	e := newTestEnv(t, 3, dtype.NewKeyed(dtype.Counter{}), Options{Memoize: true, Prune: true, Snapshot: true})
+	e := newTestEnv(t, 3, dtype.NewKeyed(dtype.Counter{}), Options{Memoize: true, Prune: true})
 	defer e.cluster.Close()
 	want := map[ops.ID]string{}
 	for i := 0; i < 8; i++ {

@@ -6,18 +6,17 @@ import (
 	"esds/internal/ops"
 )
 
-// This file implements snapshot-based state transfer: the extension of the
-// §9.3 recovery handshake that makes §10.2 pruning composable with crash
-// recovery. The protocol is one message: a peer answering a
-// RecoveryRequestMsg sends a SnapshotMsg of its memoized solid prefix
-// before the recovery-ack gossip. Correctness rests on the solid-prefix
-// invariants the memoization optimization already maintains:
+// This file is the install half of state transfer (range.go is the wire
+// half): validating a peer's memoized solid prefix and adopting it without
+// descriptors, which is what makes §10.2 pruning composable with crash
+// recovery. Correctness rests on the solid-prefix invariants the
+// memoization optimization already maintains:
 //
 //   - The memoized prefix is a prefix of the eventual total order and its
-//     labels are final (Lemma 10.2), so two replicas' snapshots never
+//     labels are final (Lemma 10.2), so two replicas' prefixes never
 //     conflict — one is a prefix of the other. Installation is therefore
-//     idempotent and merge-monotone: duplicate and stale snapshots are
-//     ignored, longer ones extend the installed prefix.
+//     idempotent and merge-monotone: an answer no longer than the local
+//     prefix is ignored, a longer one extends it.
 //   - Every operation outside the sender's memoized prefix has a final
 //     label above the sender's memoized frontier, so locally known
 //     operations not covered by the snapshot always sort after it; the
@@ -30,54 +29,27 @@ import (
 // Installation seeds rcvd/done/stable/label state, the memoized prefix
 // (state, values, frontier), and — in commute mode — rebuilds the current
 // state, all without descriptors. Descriptors still retained anywhere
-// continue to travel in gossip R exactly as before; the snapshot only has
-// to stand in for the ones pruning has made unrecoverable.
+// continue to travel in gossip R exactly as before; the prefix only has to
+// stand in for the ones pruning has made unrecoverable.
 
-// buildSnapshot assembles this replica's snapshot, or reports false when it
-// has nothing to transfer (no memoized prefix, snapshots disabled, or a
-// data type without a canonical encoding). Mutex held.
-func (r *Replica) buildSnapshot() (SnapshotMsg, bool) {
-	if !r.opt.Snapshot || r.memoized == 0 || !dtype.CanSnapshot(r.dt) {
-		return SnapshotMsg{}, false
-	}
-	sn := r.dt.(dtype.Snapshotter)
-	enc, err := sn.EncodeState(r.memoState)
-	if err != nil {
-		// A state the type cannot encode is an implementation bug of the
-		// data type; record and skip the snapshot (recovery degrades to
-		// descriptor replay).
-		r.fault(FaultBadSnapshot, ops.ID{}, "encoding local state: %v", err)
-		return SnapshotMsg{}, false
-	}
-	if r.opt.SnapshotCap > 0 {
-		// Approximate wire size: encoded state plus the per-op entries the
-		// message will carry (EstimateSize's per-SnapOp weight, keys
-		// included).
-		est := len(enc) + r.memoized*(16+12+16+2)
-		for i := 0; i < r.memoized; i++ {
-			est += len(r.keyOf[r.doneSeq[i]])
-		}
-		if est > r.opt.SnapshotCap {
-			// Over the cap: answer with descriptors only (pure §9.3 replay).
-			// With pruning on this can strand a recovering peer — the cap is
-			// an operator's explicit trade, surfaced in the option docs.
-			return SnapshotMsg{}, false
-		}
-	}
-	return SnapshotMsg{
-		From:      r.id,
-		DataType:  r.dt.Name(),
-		Ops:       r.buildPrefixSnapOps(0, r.memoized),
-		State:     enc,
-		Watermark: r.gen.HighSeq(),
-	}, true
+// prefixSnapshot is a whole memoized solid prefix in final label order, the
+// serial state after it in the data type's canonical encoding
+// (dtype.Snapshotter), and the sender's label watermark: what the range
+// client assembles from its own prefix plus the fetched chunks and hands to
+// installSnapshot. It never crosses the wire in one piece.
+type prefixSnapshot struct {
+	From      label.ReplicaID
+	DataType  string // DataType.Name() of the sender; must match the receiver
+	Ops       []SnapOp
+	State     []byte // canonical encoding of the state after Ops
+	Watermark uint64 // highest label Seq the sender has observed (§9.3 freshness)
 }
 
 // buildPrefixSnapOps assembles the SnapOp entries for doneSeq[lo:hi], a
-// slice of the memoized solid prefix (hi ≤ r.memoized). It is the common
-// bottom half of buildSnapshot and of the range server's chunker — and,
-// on the range CLIENT, what reconstructs its own already-held prefix when
-// splicing fetched chunks into a full snapshot. Mutex held.
+// slice of the memoized solid prefix (hi ≤ r.memoized): the range server's
+// chunker — and, on the range CLIENT, what reconstructs its own
+// already-held prefix when splicing fetched chunks into a full snapshot.
+// Mutex held.
 func (r *Replica) buildPrefixSnapOps(lo, hi int) []SnapOp {
 	out := make([]SnapOp, 0, hi-lo)
 	for i := lo; i < hi; i++ {
@@ -95,41 +67,12 @@ func (r *Replica) buildPrefixSnapOps(lo, hi int) []SnapOp {
 	return out
 }
 
-// handleSnapshot validates and installs a received snapshot, then lets the
-// algorithm resume (deferred completions first — ids gossiped as done whose
-// descriptors were pruned resolve against the installed prefix).
-func (r *Replica) handleSnapshot(msg SnapshotMsg) {
-	r.mu.Lock()
-	if r.crashed || !r.opt.Snapshot {
-		r.mu.Unlock()
-		return
-	}
-	from := int(msg.From)
-	if from < 0 || from >= r.n || from == int(r.id) {
-		r.mu.Unlock()
-		return // malformed or self snapshot: ignore
-	}
-	r.metrics.SnapshotsReceived++
-	if r.installSnapshot(msg) {
-		r.metrics.SnapshotsInstalled++
-	}
-	outbox := r.process()
-	r.mu.Unlock()
-	r.deliverOutbox(outbox)
-}
-
-// installSnapshot merges a validated snapshot into the replica state and
-// reports whether anything was installed. Mutex held.
-func (r *Replica) installSnapshot(msg SnapshotMsg) bool {
+// installSnapshot validates a snapshot strictly longer than the locally
+// memoized prefix (the caller's precondition), merges it into the replica
+// state, and reports whether it was installed. Mutex held.
+func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 	from := int(msg.From)
 
-	// A snapshot no longer than the locally memoized prefix adds nothing:
-	// by the solid-prefix invariant the two prefixes are identical on the
-	// shared length.
-	if len(msg.Ops) <= r.memoized {
-		r.metrics.SnapshotsIgnored++
-		return false
-	}
 	if msg.DataType != r.dt.Name() {
 		r.fault(FaultBadSnapshot, ops.ID{}, "data type %q, local %q", msg.DataType, r.dt.Name())
 		return false

@@ -12,10 +12,10 @@ import (
 	"esds/internal/sim"
 )
 
-// pruneOptions is the production configuration whose recovery story the
-// snapshot protocol exists for: memoized, pruned, snapshot transfer on.
+// pruneOptions is the production configuration whose recovery story state
+// transfer exists for: memoized and pruned.
 func pruneOptions() Options {
-	return Options{Memoize: true, Prune: true, Snapshot: true}
+	return Options{Memoize: true, Prune: true}
 }
 
 // drainUntilPruned runs the simulation until every replica has released
@@ -217,22 +217,63 @@ func TestSnapshotAnswersRetransmittedPrunedRequest(t *testing.T) {
 	requireNoFaults(t, e.cluster)
 }
 
-// buildSnapshotOf extracts a replica's snapshot the way
-// handleRecoveryRequest would.
-func buildSnapshotOf(t *testing.T, r *Replica) SnapshotMsg {
+// buildSnapshotOf extracts a replica's whole memoized prefix — what a range
+// client with Have=0 would assemble from that replica's answer.
+func buildSnapshotOf(t *testing.T, r *Replica) prefixSnapshot {
 	t.Helper()
 	r.mu.Lock()
-	msg, ok := r.buildSnapshot()
-	r.mu.Unlock()
-	if !ok {
+	defer r.mu.Unlock()
+	if r.memoized == 0 {
 		t.Fatal("replica has no snapshot to offer")
 	}
-	return msg
+	enc, err := r.dt.(dtype.Snapshotter).EncodeState(r.memoState)
+	if err != nil {
+		t.Fatalf("encoding state: %v", err)
+	}
+	return prefixSnapshot{
+		From:      r.id,
+		DataType:  r.dt.Name(),
+		Ops:       r.buildPrefixSnapOps(0, r.memoized),
+		State:     enc,
+		Watermark: r.gen.HighSeq(),
+	}
+}
+
+// deliverRangeAnswer feeds snap to r the only way a prefix reaches a replica:
+// as the answer of a range round. The round is pinned at have — below
+// r.memoized it models a live join whose local prefix advanced while the
+// round was in flight, which is how a server's chunks come to overlap the
+// receiver's solid prefix — and answered with one chunk carrying
+// snap.Ops[have:] followed by the Done frame.
+func deliverRangeAnswer(r *Replica, have int, snap prefixSnapshot) {
+	r.mu.Lock()
+	r.rangeSeq++
+	r.rangeNonce = r.rangeSeq
+	r.rangePeer = int(snap.From)
+	r.rangeHave = have
+	r.rangeBuf = nil
+	nonce := r.rangeNonce
+	r.mu.Unlock()
+	if have < len(snap.Ops) {
+		r.handleRangeResponse(RangeResponseMsg{From: snap.From, Nonce: nonce, Offset: have, Ops: snap.Ops[have:]})
+	}
+	r.handleRangeResponse(RangeResponseMsg{
+		From:      snap.From,
+		Nonce:     nonce,
+		Offset:    len(snap.Ops),
+		Done:      true,
+		DataType:  snap.DataType,
+		Total:     len(snap.Ops),
+		HasState:  true,
+		State:     snap.State,
+		Watermark: snap.Watermark,
+		Tail:      GossipMsg{From: snap.From},
+	})
 }
 
 // TestDuplicateAndStaleSnapshotsIgnored: installation is idempotent and
 // merge-monotone — a replica that already holds an equal or longer prefix
-// ignores the message without touching its state.
+// ignores the answer's prefix without touching its state.
 func TestDuplicateAndStaleSnapshotsIgnored(t *testing.T) {
 	e, _ := newRecoveryEnv(t, pruneOptions())
 	defer e.cluster.Close()
@@ -247,9 +288,10 @@ func TestDuplicateAndStaleSnapshotsIgnored(t *testing.T) {
 	before := r0.Snapshot()
 	mBefore := r0.Metrics()
 
-	// Duplicate delivery (e.g. a peer that answered two recovery requests).
-	r0.handleSnapshot(msg)
-	r0.handleSnapshot(msg)
+	// Two rounds answered with a prefix r0 already holds (e.g. the later
+	// rounds of a recovery, or a live join against a peer that is not ahead).
+	deliverRangeAnswer(r0, before.Memoized, msg)
+	deliverRangeAnswer(r0, before.Memoized, msg)
 
 	after := r0.Snapshot()
 	if got := r0.Metrics().SnapshotsIgnored - mBefore.SnapshotsIgnored; got != 2 {
@@ -278,18 +320,18 @@ func TestSnapshotValidationFaults(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		mutate func(SnapshotMsg) SnapshotMsg
+		mutate func(prefixSnapshot) prefixSnapshot
 	}{
-		{"wrong data type", func(m SnapshotMsg) SnapshotMsg {
+		{"wrong data type", func(m prefixSnapshot) prefixSnapshot {
 			m.DataType = "counter"
 			return m
 		}},
-		{"infinite label", func(m SnapshotMsg) SnapshotMsg {
+		{"infinite label", func(m prefixSnapshot) prefixSnapshot {
 			m.Ops = append([]SnapOp(nil), m.Ops...)
 			m.Ops[1].Label = label.Infinity
 			return m
 		}},
-		{"non-ascending labels", func(m SnapshotMsg) SnapshotMsg {
+		{"non-ascending labels", func(m prefixSnapshot) prefixSnapshot {
 			m.Ops = append([]SnapOp(nil), m.Ops...)
 			m.Ops[0], m.Ops[1] = m.Ops[1], m.Ops[0]
 			return m
@@ -302,10 +344,13 @@ func TestSnapshotValidationFaults(t *testing.T) {
 			r0 := e.cluster.Replica(0)
 			r0.Crash()
 			faultsBefore := r0.Metrics().Faults
-			r0.Recover() // leave crashed state so the snapshot is processed
-			r0.handleSnapshot(tc.mutate(good))
-			if r0.Metrics().SnapshotsInstalled != 0 {
+			r0.Recover() // leave crashed state so the answer is processed
+			deliverRangeAnswer(r0, 0, tc.mutate(good))
+			if r0.Metrics().SnapshotsInstalled != 0 || r0.Snapshot().Memoized != 0 {
 				t.Fatal("malformed snapshot installed")
+			}
+			if !r0.RangeCatchingUp() {
+				t.Fatal("round closed on a refused prefix")
 			}
 			if r0.Metrics().Faults == faultsBefore {
 				t.Fatal("no fault recorded")
@@ -328,11 +373,10 @@ func errorsAsAny(errs []error, target *(*ReplicaFault)) bool {
 	return false
 }
 
-// TestSnapshotCannotRelabelSolidPrefix: a forged snapshot whose shared
-// prefix matches by id but carries different (lower) labels must be
-// rejected — solid labels are final, and accepting the message would relabel
-// the memoized prefix and corrupt memoized values past the setLabelMin
-// guard.
+// TestSnapshotCannotRelabelSolidPrefix: a forged answer whose chunks overlap
+// the receiver's solid prefix by id but carry different (lower) labels must
+// be rejected — solid labels are final, and accepting it would relabel the
+// memoized prefix and corrupt memoized values past the setLabelMin guard.
 func TestSnapshotCannotRelabelSolidPrefix(t *testing.T) {
 	e, _ := newRecoveryEnv(t, pruneOptions())
 	defer e.cluster.Close()
@@ -357,7 +401,7 @@ func TestSnapshotCannotRelabelSolidPrefix(t *testing.T) {
 		Value: "forged",
 	})
 	mBefore := r0.Metrics()
-	r0.handleSnapshot(msg)
+	deliverRangeAnswer(r0, 0, msg)
 	if r0.Metrics().SnapshotsInstalled != mBefore.SnapshotsInstalled {
 		t.Fatal("relabelling snapshot installed")
 	}
@@ -392,7 +436,7 @@ func TestSnapshotRejectsDuplicateOps(t *testing.T) {
 	r0 := e.cluster.Replica(0)
 	r0.Crash()
 	r0.Recover()
-	r0.handleSnapshot(msg)
+	deliverRangeAnswer(r0, 0, msg)
 	if r0.Metrics().SnapshotsInstalled != 0 {
 		t.Fatal("duplicate-op snapshot installed")
 	}
@@ -402,7 +446,7 @@ func TestSnapshotRejectsDuplicateOps(t *testing.T) {
 	}
 }
 
-// TestSnapshotPrefixMismatchFault: a snapshot that contradicts the locally
+// TestSnapshotPrefixMismatchFault: an answer that contradicts the locally
 // memoized prefix (only hostile or corrupted senders can produce one) is
 // rejected.
 func TestSnapshotPrefixMismatchFault(t *testing.T) {
@@ -424,7 +468,7 @@ func TestSnapshotPrefixMismatchFault(t *testing.T) {
 		Value: 1,
 	})
 	mBefore := r0.Metrics()
-	r0.handleSnapshot(msg)
+	deliverRangeAnswer(r0, 0, msg)
 	if r0.Metrics().SnapshotsInstalled != mBefore.SnapshotsInstalled {
 		t.Fatal("diverging snapshot installed")
 	}
@@ -543,7 +587,7 @@ func TestValueForPrunedAndUnknownFaults(t *testing.T) {
 	}
 }
 
-// TestHostileWatermarkCannotCrashLabeling: a forged snapshot with a
+// TestHostileWatermarkCannotCrashLabeling: a forged range answer with a
 // near-maximal label watermark exhausts the label sequence space; the
 // replica must fail soft (stop labeling, record a fault) instead of
 // panicking on the next do_it — the remote-crash class this PR eliminates.
@@ -551,7 +595,7 @@ func TestHostileWatermarkCannotCrashLabeling(t *testing.T) {
 	e, _ := newRecoveryEnv(t, pruneOptions())
 	defer e.cluster.Close()
 	r0 := e.cluster.Replica(0)
-	evil := SnapshotMsg{
+	evil := prefixSnapshot{
 		From:     1,
 		DataType: "log",
 		Ops: []SnapOp{{
@@ -562,7 +606,7 @@ func TestHostileWatermarkCannotCrashLabeling(t *testing.T) {
 		State:     []byte("evil"),
 		Watermark: ^uint64(0),
 	}
-	r0.handleSnapshot(evil)
+	deliverRangeAnswer(r0, 0, evil)
 
 	fe := e.cluster.FrontEnd("c")
 	fe.StickTo(ReplicaNode(0))
@@ -572,131 +616,5 @@ func TestHostileWatermarkCannotCrashLabeling(t *testing.T) {
 	var rf *ReplicaFault
 	if !errorsAsAny(r0.Faults(), &rf) || rf.Code != FaultLabelsExhausted {
 		t.Fatalf("faults = %v, want FaultLabelsExhausted", r0.Faults())
-	}
-}
-
-// TestAckWithoutSnapshotDoesNotCompleteRecovery: the recovery ack and the
-// snapshot are separate, individually losable messages. If the acks arrive
-// but every snapshot is lost, recovery must NOT complete — completing on
-// acks alone would strand the replica without the pruned prefix forever.
-// The retry path (re-request → snapshot + ack again) must then finish the
-// job.
-func TestAckWithoutSnapshotDoesNotCompleteRecovery(t *testing.T) {
-	e, _ := newRecoveryEnv(t, pruneOptions())
-	defer e.cluster.Close()
-	for i := 0; i < 6; i++ {
-		e.submit("c", dtype.LogAppend{Entry: fmt.Sprintf("e%d", i)}, nil, false)
-		e.s.RunFor(3 * sim.Millisecond)
-	}
-	drainUntilPruned(t, e)
-
-	r0 := e.cluster.Replica(0)
-	e.net.SetNodeDown(r0.Node(), true)
-	r0.Crash()
-	e.s.RunFor(20 * sim.Millisecond)
-	r0.Recover() // node still down: the real requests go nowhere
-
-	// Deliver ONLY the acks (snapshots "lost on the wire").
-	acks := make([]GossipMsg, 0, 2)
-	snaps := make([]SnapshotMsg, 0, 2)
-	for i := 1; i <= 2; i++ {
-		peer := e.cluster.Replica(i)
-		peer.mu.Lock()
-		snap, ok := peer.buildSnapshot()
-		ack := peer.buildGossip(0)
-		peer.mu.Unlock()
-		if !ok {
-			t.Fatalf("peer %d has no snapshot", i)
-		}
-		ack.RecoveryAck = true
-		ack.RecoverySnapshotLen = len(snap.Ops)
-		acks = append(acks, ack)
-		snaps = append(snaps, snap)
-	}
-	for _, ack := range acks {
-		r0.handleGossip(ack)
-	}
-	if !r0.Recovering() {
-		t.Fatal("recovery completed on acks alone: a lost snapshot would strand the pruned prefix forever")
-	}
-
-	// Retry round: this time the snapshots arrive too (any order), then the
-	// acks count.
-	for _, snap := range snaps {
-		r0.handleSnapshot(snap)
-	}
-	for _, ack := range acks {
-		r0.handleGossip(ack)
-	}
-	if r0.Recovering() {
-		t.Fatal("recovery did not complete after snapshots installed")
-	}
-	e.net.SetNodeDown(r0.Node(), false)
-	e.s.RunFor(300 * sim.Millisecond)
-	if conv := e.cluster.CheckConvergence(); !conv.Converged {
-		t.Fatalf("no convergence: %s", conv.Reason)
-	}
-}
-
-// TestSnapshotDisabledPreservesOldBehaviour: with Options.Snapshot off no
-// snapshot traffic happens at all — recovery is pure §9.3 descriptor
-// replay (the seed's behaviour, still the right mode when pruning is off).
-func TestSnapshotDisabledPreservesOldBehaviour(t *testing.T) {
-	e, _ := newRecoveryEnv(t, Options{Memoize: true})
-	defer e.cluster.Close()
-	for i := 0; i < 6; i++ {
-		e.submit("c", dtype.LogAppend{Entry: fmt.Sprintf("e%d", i)}, nil, false)
-		e.s.RunFor(3 * sim.Millisecond)
-	}
-	e.s.RunFor(200 * sim.Millisecond)
-	r0 := e.cluster.Replica(0)
-	e.net.SetNodeDown(r0.Node(), true)
-	r0.Crash()
-	e.s.RunFor(20 * sim.Millisecond)
-	e.net.SetNodeDown(r0.Node(), false)
-	r0.Recover()
-	e.s.RunFor(300 * sim.Millisecond)
-
-	m := e.cluster.TotalMetrics()
-	if m.SnapshotsSent != 0 || m.SnapshotsReceived != 0 {
-		t.Fatalf("snapshot traffic with Snapshot off: %+v", m)
-	}
-	if !e.cluster.CheckConvergence().Converged {
-		t.Fatal("descriptor-replay recovery broke")
-	}
-}
-
-// TestSnapshotCapDegradesToReplay pins Options.SnapshotCap: a peer whose
-// snapshot would exceed the cap answers recovery with descriptors only.
-// With pruning OFF that still restores the crashed replica (replay path);
-// the capped peer's SnapshotsSent stays zero while an uncapped control
-// run sends one.
-func TestSnapshotCapDegradesToReplay(t *testing.T) {
-	run := func(cap int) (sent uint64, recovered bool) {
-		opt := Options{Memoize: true, Snapshot: true, SnapshotCap: cap}
-		e, _ := newRecoveryEnv(t, opt)
-		defer e.cluster.Close()
-		for i := 0; i < 6; i++ {
-			e.submit("c", dtype.LogAppend{Entry: fmt.Sprintf("x%d", i)}, nil, false)
-			e.s.RunFor(5 * sim.Millisecond)
-		}
-		e.s.RunFor(100 * sim.Millisecond)
-		r0 := e.cluster.Replica(0)
-		e.net.SetNodeDown(r0.Node(), true)
-		r0.Crash()
-		e.s.RunFor(20 * sim.Millisecond)
-		e.net.SetNodeDown(r0.Node(), false)
-		r0.Recover()
-		e.s.RunFor(300 * sim.Millisecond)
-		for _, r := range e.cluster.LocalReplicas() {
-			sent += r.Metrics().SnapshotsSent
-		}
-		return sent, !r0.Recovering() && len(r0.Snapshot().Done) == 6
-	}
-	if sent, ok := run(0); sent == 0 || !ok {
-		t.Fatalf("uncapped control: snapshots sent=%d recovered=%v, want >0 and true", sent, ok)
-	}
-	if sent, ok := run(1); sent != 0 || !ok {
-		t.Fatalf("capped run: snapshots sent=%d recovered=%v, want 0 and true (replay path)", sent, ok)
 	}
 }

@@ -17,7 +17,8 @@ import (
 var wireOnce sync.Once
 
 // RegisterWire registers the core message set (𝓜_req, 𝓜_resp, 𝓜_gossip,
-// plus the §9.3 recovery request) and the built-in data type operators with
+// the range catch-up pair that carries all state transfer, and the resize
+// control messages — 14 types) and the built-in data type operators with
 // encoding/gob. It is idempotent; cmd/esds-server and every test that opens
 // a TCPNet call it once at startup.
 func RegisterWire() {
@@ -29,8 +30,6 @@ func RegisterWire() {
 		gob.Register(BatchResponseMsg{})
 		gob.Register(BatchGossipMsg{})
 		gob.Register(CompactGossipMsg{})
-		gob.Register(RecoveryRequestMsg{})
-		gob.Register(SnapshotMsg{})
 		gob.Register(RangeRequestMsg{})
 		gob.Register(RangeResponseMsg{})
 		gob.Register(FreezeKeysMsg{})

@@ -53,10 +53,8 @@ func TestWireRoundTrip(t *testing.T) {
 				id1: label.Make(3, 1),
 				id2: label.Make(9, 0),
 			},
-			S:           []ops.ID{id2},
-			RecoveryAck: true,
+			S: []ops.ID{id2},
 		},
-		RecoveryRequestMsg{From: 1},
 		BatchRequestMsg{Ops: []ops.Operation{
 			ops.New(dtype.CtrAdd{N: 1}, id1, []ops.ID{id2}, false),
 			ops.New(dtype.CtrRead{}, id2, []ops.ID{id1}, true),
@@ -70,15 +68,28 @@ func TestWireRoundTrip(t *testing.T) {
 			{From: 1, R: []ops.Operation{ops.New(dtype.CtrAdd{N: 9}, id2, []ops.ID{id1}, false)},
 				S: []ops.ID{id1}},
 		}},
-		SnapshotMsg{
-			From:     2,
-			DataType: "log",
+		RangeRequestMsg{From: 1, Have: 3, Nonce: 7},
+		RangeResponseMsg{
+			From:   2,
+			Nonce:  7,
+			Offset: 3,
 			Ops: []SnapOp{
 				{ID: id1, Label: label.Make(1, 0), Value: 1, Stable: true, Strict: true},
-				{ID: id2, Label: label.Make(4, 2), Value: 2},
+				{ID: id2, Label: label.Make(4, 2), Value: 2, Key: "k"},
 			},
+		},
+		RangeResponseMsg{
+			From:      2,
+			Nonce:     7,
+			Offset:    5,
+			Done:      true,
+			DataType:  "log",
+			Total:     5,
+			HasState:  true,
 			State:     []byte("a|b"),
 			Watermark: 9,
+			Resizes:   []ResizeRecord{{Epoch: 1, OldShards: 1, NewShards: 2, Migrated: []MigratedKey{{Key: "k", HasInstall: true, InstallID: id1}}}},
+			Tail:      GossipMsg{From: 2, D: []ops.ID{id1}, L: map[ops.ID]label.Label{id1: label.Make(6, 2)}},
 		},
 	}
 	for _, msg := range msgs {

@@ -203,7 +203,7 @@ func runLoadLabPoint(p LoadLabParams, profName string, rate float64, seed int64)
 		Network:  fnet,
 		// Full gossip: FaultNet's loss and reordering break the FIFO
 		// prerequisite of IncrementalGossip; everything else stays on.
-		Options:  core.Options{Memoize: true, Prune: true, Snapshot: true, BatchSize: 8},
+		Options:  core.Options{Memoize: true, Prune: true, BatchSize: 8},
 		StoreFor: storeFor,
 	})
 	defer func() {

@@ -66,8 +66,8 @@ func runCell(cfg cellConfig) error {
 		Network:  fnet,
 		// Full gossip (no IncrementalGossip): FaultNet's loss, jitter, and
 		// reordering break the FIFO-channel prerequisite of the incremental
-		// mode; Memoize+Prune+Snapshot+batching all stay on.
-		Options: core.Options{Memoize: true, Prune: true, Snapshot: true, BatchSize: 8},
+		// mode; Memoize+Prune+batching all stay on.
+		Options: core.Options{Memoize: true, Prune: true, BatchSize: 8},
 	})
 	defer func() {
 		ks.Close()
@@ -251,7 +251,7 @@ func TestLoadLabGeneratorBasics(t *testing.T) {
 		Replicas: 3,
 		DataType: dtype.Counter{},
 		Network:  fnet,
-		Options:  core.Options{Memoize: true, Prune: true, Snapshot: true, BatchSize: 8},
+		Options:  core.Options{Memoize: true, Prune: true, BatchSize: 8},
 	})
 	defer func() {
 		ks.Close()

@@ -19,7 +19,7 @@ import (
 //
 // where encode/decode is the data type's canonical wire form
 // (dtype.Snapshotter) — exactly what a recovering replica receives in a
-// SnapshotMsg and then extends by descriptor replay. The check compares the
+// range answer and then extends by descriptor replay. The check compares the
 // value of every post-cut operation and the final state; the pre-cut values
 // carried by the snapshot itself are compared against the full replay too,
 // since a recovering replica answers retransmitted requests for pruned
