@@ -70,9 +70,10 @@ bench-diff:
 # loss, including the replay cell for a type with no state encoding and
 # the group-commit cell over real FileStableStore journals), the
 # concurrent-recoveries cell, the state-transfer and prune×recovery
-# regression tests, the range catch-up tests and the FuzzRangeResponse seed
-# corpus, the multi-process SIGKILL restart tests (recovery with pruning,
-# and mid-batch durability against the group-commit journal), and the
+# regression tests, the range catch-up tests, the FuzzRangeResponse and
+# FuzzCompactGossip seed corpora, the multi-process SIGKILL restart tests
+# (recovery with pruning, and mid-batch durability against the
+# group-commit journal), and the
 # live-resharding cell (resize under load, with replicas crashing
 # mid-migration, and the multi-process -resize admin path), and the
 # placement cell (a placed fleet's hosting member killed mid-load and
@@ -80,7 +81,7 @@ bench-diff:
 # Seeds are pinned; sweep others with ESDS_CHAOS_SEEDS=7,8,9 make chaos.
 # A failing matrix cell shrinks to a minimal reproduction automatically.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange' ./internal/core
+	$(GO) test -race -count=1 -run 'TestChaos|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact' ./internal/core
 	$(GO) test -race -count=1 -run 'TestKillNine|TestResizeAdminAgainstCluster' ./cmd/esds-server
 	$(GO) test -race -count=2 -run 'TestResize' ./internal/core
 
@@ -96,13 +97,16 @@ loadlab:
 	$(GO) test -race -count=1 -run 'TestFaultNet' ./internal/transport
 	$(GO) test -count=1 -run 'TestHist' ./internal/stats
 
-# Native fuzzing of the one state-transfer door (range responses delivered
-# to a recovering replica). The committed seeds already run in `make test`
-# and `make chaos`; this explores beyond them. The nightly deep-chaos job
-# runs it; FUZZTIME=5m make fuzz for a longer local session.
+# Native fuzzing of the two doors through which another process's bytes
+# reach a replica's state: range responses delivered to a recovering
+# replica, and the compact gossip decoder. go test takes one -fuzz target
+# per invocation, so each gets FUZZTIME. The committed seeds already run in
+# `make test` and `make chaos`; this explores beyond them. The nightly
+# deep-chaos job runs it; FUZZTIME=5m make fuzz for a longer local session.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzRangeResponse -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRangeResponse$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCompactGossip$$' -fuzztime $(FUZZTIME) ./internal/core
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

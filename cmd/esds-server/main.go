@@ -99,9 +99,9 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		"ADMIN MODE: grow the running keyspace the -peers members serve to this many shards, online (live resharding; DESIGN.md §7), then exit. Member 0 drives the migration; restart members with the new -shards afterwards so a later cold start matches")
 	fs.DurationVar(&cfg.gossip, "gossip", 100*time.Millisecond, "gossip period")
 	fs.IntVar(&cfg.opts.BatchSize, "batch", 0,
-		"enable the batched hot path with this many elements per frame (DESIGN.md §8): front ends pack submissions into BatchRequestMsg, replicas batch responses and coalesce gossip; 0 or 1 = unbatched (every message its own frame); every member must agree")
+		"enable the batched hot path with this many elements per frame (DESIGN.md §8): front ends pack submissions into BatchRequestMsg and replicas batch responses (gossip already sends one frame per peer per -gossip tick); 0 or 1 = unbatched (every message its own frame); every member must agree")
 	fs.DurationVar(&cfg.opts.BatchDelay, "batch-delay", 0,
-		"longest a partially filled batch may wait before flushing (default 1ms for front ends when -batch is on; 0 flushes coalesced gossip every tick); requires -batch > 1")
+		"front-end flush period: longest a partially filled request batch waits before it is sent (default 1ms when -batch is on); requires -batch > 1")
 	fs.StringVar(&cfg.client, "client", "", "run a front end for this client name instead of a replica")
 	fs.StringVar(&cfg.storeDir, "store", "",
 		"directory for the §9.3 stable store (locally generated labels and the operation descriptors they name, group-committed; DESIGN.md §10); required for correct crash recovery with -recover")
@@ -116,9 +116,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.BoolVar(&cfg.opts.IncrementalGossip, "incremental", false,
 		"send gossip deltas instead of full state (§10.4; requires reliable FIFO channels — a TCP reconnect loses deltas, so leave this off unless the network is trusted)")
 	fs.BoolVar(&cfg.opts.AdaptiveBatch, "adaptive-batch", true,
-		"adapt every batch target inside [1, -batch] from observed queue depth (DESIGN.md §12): front-end submission buffers and per-peer gossip coalescers grow toward -batch under load and decay toward 1 when idle; no effect unless -batch > 1")
-	fs.BoolVar(&cfg.opts.CompactGossip, "compact-gossip", true,
-		"offer the compact gossip wire encoding (DESIGN.md §12: client-id interning, label deltas against a batch base, descriptor dedup), used per connection only when both ends announce it — peers without the feature keep receiving legacy frames, so mixed-version clusters interoperate")
+		"adapt every front-end batch target inside [1, -batch] from observed queue depth (DESIGN.md §12): submission buffers grow toward -batch under load and decay toward 1 when idle; no effect unless -batch > 1")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}

@@ -480,6 +480,7 @@ func TestParseFlagsValidation(t *testing.T) {
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-gossip", "0s"}, "must be positive"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-snapshot-cap", "4096"}, "flag provided but not defined: -snapshot-cap"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-snapshot=false"}, "flag provided but not defined: -snapshot"},
+		{[]string{"-peers", "a:1,b:2", "-id", "0", "-compact-gossip=false"}, "flag provided but not defined: -compact-gossip"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch", "-4"}, "-batch -4 is negative"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch", "8", "-batch-delay", "-1ms"}, "-batch-delay -1ms is negative"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch-delay", "2ms"}, "needs -batch > 1"},

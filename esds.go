@@ -117,8 +117,8 @@ type Config struct {
 	// disables retransmission (only safe on lossless transports).
 	RetransmitInterval time.Duration
 	// Options selects optimizations. Default: DefaultOptions(). Setting
-	// Options.BatchSize > 1 enables the batched hot path (submissions,
-	// responses, and gossip coalesce into batch frames; see DESIGN.md §8
+	// Options.BatchSize > 1 enables the batched hot path (submissions and
+	// responses travel in batch frames; see DESIGN.md §8
 	// and the README's Tuning section); New then also starts a batch-flush
 	// ticker of period Options.BatchDelay (1ms when unset) so a partially
 	// filled batch never waits longer than that.

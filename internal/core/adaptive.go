@@ -5,9 +5,8 @@ package core
 // the queue depth observed at each flush opportunity, replacing the static
 // sweet spot the E12 sweep showed moves with offered load. One controller
 // instance guards one flush point — a front end's per-replica submission
-// buffer, or a replica's per-peer gossip coalescer — and is driven
-// exclusively by observe calls made under that owner's mutex, so it needs
-// no locking of its own.
+// buffer — and is driven exclusively by observe calls made under that
+// owner's mutex, so it needs no locking of its own.
 //
 // The control law is deliberately tiny and deterministic (no wall clock, no
 // randomness — the SimNet tests replay it exactly):

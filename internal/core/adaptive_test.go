@@ -141,65 +141,3 @@ func TestAdaptiveFrontEndOnSimNet(t *testing.T) {
 		t.Fatalf("idle decay recorded no shrink transitions: %+v", m)
 	}
 }
-
-// TestAdaptiveGossipTargetOnSimNet exercises the replica-side coalescer
-// controllers on the simulated network: request load that generates gossip
-// deltas every tick, then idle ticks. The per-peer gossip batch target must
-// stay within [1, BatchSize] throughout and decay to 1 once the cluster
-// goes idle (the ReplicaMetrics gauge observes it).
-func TestAdaptiveGossipTargetOnSimNet(t *testing.T) {
-	s := sim.New(11)
-	net := transport.NewSimNet(s, transport.SimNetConfig{})
-	opt := adaptiveOptions()
-	// A small delay bound forces age flushes under load, so the controller
-	// sees real depths instead of always flushing at 1.
-	opt.BatchDelay = 4 * time.Millisecond
-	cluster := NewCluster(ClusterConfig{
-		Replicas: 3,
-		DataType: dtype.Counter{},
-		Network:  net,
-		Options:  opt,
-	})
-	cluster.StartSimGossip(s, sim.Millisecond)
-	defer cluster.Close()
-	fe := cluster.FrontEnd("gossiper")
-
-	for step := 0; step < 50; step++ {
-		for i := 0; i < 8; i++ {
-			fe.Submit(dtype.CtrAdd{N: 1}, nil, false, nil)
-		}
-		fe.Flush()
-		s.RunFor(sim.Millisecond)
-		for i := 0; i < cluster.NumReplicas(); i++ {
-			if m := cluster.Replica(i).Metrics(); m.GossipBatchTarget > opt.BatchSize {
-				t.Fatalf("replica %d gossip target %d exceeded BatchSize %d",
-					i, m.GossipBatchTarget, opt.BatchSize)
-			}
-		}
-	}
-
-	// Drain, then decay. Partial batches age on the wall clock (BatchDelay is
-	// real time even under the simulator, and s.RunFor burns sim time in
-	// microseconds of wall time), and every flush triggers ack-label gossip
-	// on its receiver — i.e. one more partial batch. Interleave wall sleeps
-	// with sim runs: each round flushes whatever was stuck, the ack exchange
-	// converges within a few rounds, and from then on gossip ticks see empty
-	// deltas and empty pends — each one an observe(0) decaying the target.
-	for round := 0; round < 12; round++ {
-		time.Sleep(opt.BatchDelay + time.Millisecond)
-		s.RunFor(50 * sim.Millisecond)
-	}
-	for i := 0; i < cluster.NumReplicas(); i++ {
-		m := cluster.Replica(i).Metrics()
-		if m.GossipBatchTarget != 1 {
-			t.Fatalf("replica %d gossip target %d after sustained idle, want 1 (metrics %+v)",
-				i, m.GossipBatchTarget, m)
-		}
-	}
-	if conv := cluster.CheckConvergence(); !conv.Converged {
-		t.Fatalf("adaptive cluster did not converge: %+v", conv)
-	}
-	if errs := cluster.Faults(); len(errs) > 0 {
-		t.Fatalf("replica faults under adaptive batching: %v", errs)
-	}
-}

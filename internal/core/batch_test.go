@@ -110,11 +110,11 @@ func TestBatchRequestPartialRefusal(t *testing.T) {
 	}
 }
 
-// TestBatchGossipCorruptElementDoesNotPoisonFrame delivers a coalesced
-// gossip frame whose first element is hostile (it tries to lower a solid
-// operation's label — a Lemma 10.2 violation the replica must fault and
-// refuse) and whose second element claims a bogus sender: the third, valid
-// element must still be applied in full.
+// TestBatchGossipCorruptElementDoesNotPoisonFrame delivers a multi-element
+// gossip frame (the form older builds send) whose first element is hostile
+// (it tries to lower a solid operation's label — a Lemma 10.2 violation the
+// replica must fault and refuse) and whose second element claims a bogus
+// sender: the third, valid element must still be applied in full.
 func TestBatchGossipCorruptElementDoesNotPoisonFrame(t *testing.T) {
 	s := sim.New(2)
 	net := transport.NewSimNet(s, transport.SimNetConfig{})
@@ -181,8 +181,8 @@ func TestBatchGossipCorruptElementDoesNotPoisonFrame(t *testing.T) {
 // transport with the full batched hot path enabled and checks the
 // acceptance obligations: every operation answered, the strict read-back
 // equals the serial count, CheckConvergence holds at quiescence, no
-// faults — and the batch machinery actually engaged (batches were sent on
-// every leg, not silently bypassed).
+// faults — and the batch machinery actually engaged on the request and
+// response legs, while gossip kept to one delta frame per peer per tick.
 func TestBatchedConvergenceLive(t *testing.T) {
 	net := transport.NewLiveNet()
 	defer net.Close()
@@ -258,11 +258,11 @@ func TestBatchedConvergenceLive(t *testing.T) {
 	if m.RequestBatchesReceived == 0 {
 		t.Fatal("no request batches received — batching never engaged")
 	}
-	if m.GossipBatchesSent == 0 || m.GossipBatchesReceived == 0 {
-		t.Fatalf("no gossip coalescing (sent=%d received=%d)", m.GossipBatchesSent, m.GossipBatchesReceived)
-	}
 	if m.ResponseBatchesSent == 0 {
 		t.Fatal("no response batches sent")
+	}
+	if m.GossipBatchesReceived != 0 {
+		t.Fatalf("%d multi-element gossip frames: gossip sends one delta per peer per tick", m.GossipBatchesReceived)
 	}
 }
 
@@ -402,8 +402,26 @@ func TestResizeWithBatching(t *testing.T) {
 	}
 	add(1)
 
+	// One pipelined round on the grown keyspace: every object's add in
+	// flight at once, so front-end buffers fill and replicas answer in
+	// batches.
+	burst := make(map[string]ops.ID)
+	var wg sync.WaitGroup
+	for obj := range want {
+		wg.Add(1)
+		x := client.Submit(ks.WrapOp(obj, dtype.CtrAdd{N: 1}), nil, false, func(r Response) {
+			if r.Err != nil {
+				t.Errorf("pipelined add: %v", r.Err)
+			}
+			wg.Done()
+		})
+		burst[obj] = x.ID
+		want[obj]++
+	}
+	wg.Wait()
+
 	for obj, n := range want {
-		_, v, err := client.SubmitWait(ks.WrapOp(obj, dtype.CtrRead{}), []ops.ID{last[obj]}, true)
+		_, v, err := client.SubmitWait(ks.WrapOp(obj, dtype.CtrRead{}), []ops.ID{last[obj], burst[obj]}, true)
 		if err != nil {
 			t.Fatalf("strict read %s: %v", obj, err)
 		}
@@ -414,18 +432,18 @@ func TestResizeWithBatching(t *testing.T) {
 	for _, err := range ks.Faults() {
 		t.Fatalf("replica fault: %v", err)
 	}
-	if m := ks.TotalMetrics(); m.GossipBatchesSent == 0 {
-		t.Fatal("gossip coalescing never engaged during the resize run")
+	if m := ks.TotalMetrics(); m.RequestBatchesReceived == 0 || m.ResponseBatchesSent == 0 {
+		t.Fatalf("the pipelined round never batched: %d request batches received, %d response batches sent",
+			m.RequestBatchesReceived, m.ResponseBatchesSent)
 	}
 }
 
 // TestBatchedFullGossipStillStabilizes pins a regression the multi-process
-// drive caught: with IncrementalGossip OFF (the esds-server default over
-// TCP) and BatchDelay > 0, an early version of gossip coalescing held the
-// always-length-1 full-gossip "batch" forever — its age reset every tick —
-// so nothing ever gossiped and strict operations never stabilized. Full
-// gossip must bypass coalescing entirely: a strict causal read has to
-// complete promptly.
+// drive once caught: with IncrementalGossip OFF (the esds-server default
+// over TCP) and BatchDelay > 0, gossip that waits on the batching knobs can
+// be held forever, so strict operations never stabilize. Gossip must leave
+// on its own tick whatever the batching knobs say: a strict causal read has
+// to complete promptly.
 func TestBatchedFullGossipStillStabilizes(t *testing.T) {
 	net := transport.NewLiveNet()
 	defer net.Close()
@@ -451,6 +469,115 @@ func TestBatchedFullGossipStillStabilizes(t *testing.T) {
 			t.Fatalf("strict read = (%v, %v), want 5", r.Value, r.Err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("strict read never stabilized: full gossip is being coalesced")
+		t.Fatal("strict read never stabilized: full gossip is being held back")
+	}
+}
+
+// TestGossipOneFramePerPeerPerTick pins the gossip send path under the
+// batched hot path: the gossip interval is the gossip batch, so every tick
+// with a non-empty delta sends each peer exactly one frame — nothing is
+// held back for a later tick — and a tick with nothing new sends nothing.
+// Ticks are driven by hand on the simulator, one replica at a time.
+func TestGossipOneFramePerPeerPerTick(t *testing.T) {
+	s := sim.New(3)
+	net := transport.NewSimNet(s, transport.SimNetConfig{})
+	opt := DefaultOptions()
+	opt.BatchSize = 32
+	opt.BatchDelay = time.Millisecond
+	const n = 3
+	cluster := NewCluster(ClusterConfig{Replicas: n, DataType: dtype.Counter{}, Network: net, Options: opt})
+	defer cluster.Close()
+	fe := cluster.FrontEnd("c")
+
+	busyTicks := 0
+	tick := func(r *Replica) {
+		r.mu.Lock()
+		busy := !r.deltaEmpty((int(r.id) + 1) % n) // deltas are enqueued for every peer at once
+		r.mu.Unlock()
+		frames, sent := net.Stats().Sent, r.Metrics().GossipSent
+		r.SendGossip()
+		frames, sent = net.Stats().Sent-frames, r.Metrics().GossipSent-sent
+		want := uint64(0)
+		if busy {
+			want = n - 1
+			busyTicks++
+		}
+		if frames != want || sent != want {
+			t.Fatalf("replica %d tick (delta pending: %v): %d frames, GossipSent +%d; want %d of each",
+				r.id, busy, frames, sent, want)
+		}
+	}
+	for round := 0; round < 5; round++ {
+		fe.Submit(dtype.CtrAdd{N: 1}, nil, false, nil)
+		fe.Flush()
+		s.RunFor(10 * sim.Millisecond) // admitted, labeled and answered; no gossip yet
+		for pass := 0; pass < 4; pass++ {
+			for i := 0; i < n; i++ {
+				tick(cluster.Replica(i))
+			}
+			s.RunFor(10 * sim.Millisecond)
+		}
+	}
+	if busyTicks < 10 {
+		t.Fatalf("only %d ticks had a delta to send", busyTicks)
+	}
+	if conv := cluster.CheckConvergence(); !conv.Converged {
+		t.Fatalf("no convergence: %s", conv.Reason)
+	}
+}
+
+// TestLiveNetKeyspaceSendsNoCompactGossip pins that an in-process transport
+// has no wire to negotiate over, so a batched LiveNet keyspace on the shard runtime — wired the way
+// esds.New wires one, which never calls RegisterWire — must never touch
+// the compact codec: no compact frame sent, and no encode attempted and
+// abandoned for the plain form.
+func TestLiveNetKeyspaceSendsNoCompactGossip(t *testing.T) {
+	net := transport.NewLiveNet()
+	rt := NewShardRuntime(0)
+	ks := NewKeyspace(KeyspaceConfig{
+		Shards:   2,
+		Replicas: 3,
+		DataType: dtype.Counter{},
+		Network:  net,
+		Options:  batchOptions(),
+		Runtime:  rt,
+	})
+	ks.StartLiveGossip(2 * time.Millisecond)
+	ks.StartLiveRetransmit(50 * time.Millisecond)
+	ks.StartLiveBatchFlush(time.Millisecond)
+	defer func() {
+		ks.Close()
+		net.Close()
+		rt.Close()
+	}()
+
+	const adds = 200
+	client := ks.Client("c")
+	var wg sync.WaitGroup
+	for i := 0; i < adds; i++ {
+		wg.Add(1)
+		client.Submit(ks.WrapOp(fmt.Sprintf("obj-%02d", i%16), dtype.CtrAdd{N: 1}), nil, false, func(r Response) {
+			if r.Err != nil {
+				t.Errorf("add: %v", r.Err)
+			}
+			wg.Done()
+		})
+	}
+	wg.Wait()
+	// Stability at all three replicas of each shard takes gossip rounds.
+	deadline := time.Now().Add(10 * time.Second)
+	for ks.TotalMetrics().StableOps < 3*adds {
+		if time.Now().After(deadline) {
+			t.Fatalf("never stabilized: %+v", ks.TotalMetrics())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	m := ks.TotalMetrics()
+	if m.GossipSent == 0 {
+		t.Fatal("no gossip sent")
+	}
+	if m.CompactGossipSent != 0 || m.CompactGossipFallbacks != 0 {
+		t.Fatalf("in-process gossip touched the compact codec: %d compact frames, %d fallbacks",
+			m.CompactGossipSent, m.CompactGossipFallbacks)
 	}
 }

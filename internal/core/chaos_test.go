@@ -463,11 +463,10 @@ func TestChaosCrashRecoverPruneMatrix(t *testing.T) {
 		{"prune", Options{Memoize: true, Prune: true}, false, false},
 		// The batched hot path (DESIGN.md §8) must be invisible to the
 		// crash/recovery obligations: requests arrive in BatchRequestMsg
-		// frames, responses and gossip coalesce, and every cell property
-		// (liveness, convergence, Theorem 5.8, zero faults) must hold
-		// verbatim. BatchDelay stays 0 so gossip batches flush every tick
-		// and the cell remains deterministic under the simulator; partial
-		// request batches are healed by the harness's retransmission.
+		// frames, responses leave in BatchResponseMsg frames, and every
+		// cell property (liveness, convergence, Theorem 5.8, zero faults)
+		// must hold verbatim. Partial request batches are healed by the
+		// harness's retransmission.
 		{"prune+batch", Options{Memoize: true, Prune: true, BatchSize: 8}, false, false},
 		// Group-commit cell: the same pruned+batched configuration over real
 		// FileStableStore logs — fsyncs, framed records, and descriptor

@@ -11,11 +11,13 @@ import (
 	"esds/internal/ops"
 )
 
-// Compact gossip wire form (DESIGN.md §12). A coalesced gossip flush is
-// highly self-similar — ids repeat the same few client strings, labels are
+// Compact gossip wire form (DESIGN.md §12). A gossip delta is highly
+// self-similar — ids repeat the same few client strings, labels are
 // near-monotone, and gob re-sends full type descriptors on every TCP frame
 // because TCPNet opens a fresh stream per frame. CompactGossipMsg replaces
-// the BatchGossipMsg/GossipMsg frame with a hand-rolled byte payload:
+// the GossipMsg frame with a hand-rolled byte payload (one element per
+// frame from this build; older builds packed several ticks' deltas into
+// one frame, and the layout still carries them):
 //
 //	V    uint8            codec version (compactGossipV1)
 //	From label.ReplicaID  frame sender, hoisted out of every element
@@ -30,7 +32,7 @@ import (
 //	                                  all unique descriptors, in table order —
 //	                                  type descriptors are paid once per frame,
 //	                                  not once per operator
-//	    uvarint  nElements            the coalesced GossipMsg elements, in order
+//	    uvarint  nElements            the GossipMsg elements, in order
 //	      {uvarint nR, {uvarint descriptor idx}...
 //	       uvarint nD, {uvarint client idx, uvarint seq}...
 //	       uvarint nL, {uvarint client idx, uvarint seq, label}...
@@ -42,19 +44,21 @@ import (
 //
 // The form is negotiated per peer (transport.FeatureNegotiator): a replica
 // sends it only to peers that announced FeatureCompactGossip, so mixed
-// clusters interoperate — everyone else gets the legacy frames. The
-// decoder is strict: any truncation, overrun, or out-of-range index rejects
-// the WHOLE frame with an error — a corrupt frame is dropped and counted,
-// never partially applied.
+// clusters interoperate — everyone else, including every peer on an
+// in-process transport (no wire, no negotiation), gets plain GossipMsg.
+// The decoder is strict: any truncation, overrun, count larger than the
+// bytes left, duplicate descriptor or out-of-range index rejects the WHOLE
+// frame with an error — a corrupt frame is dropped and counted, never
+// partially applied.
 
 // compactGossipV1 is the only codec version so far. The V byte exists so a
 // later layout can coexist: a decoder refuses versions it does not know,
 // and the sender's negotiated feature bit can grow a per-version sibling.
 const compactGossipV1 = 1
 
-// CompactGossipMsg is the negotiated delta-encoded form of a coalesced
-// gossip flush (one or more GossipMsg elements from one sender). It is
-// semantically identical to the BatchGossipMsg carrying the same elements.
+// CompactGossipMsg is the negotiated delta-encoded form of one or more
+// GossipMsg elements from one sender, semantically identical to those
+// elements arriving in order.
 type CompactGossipMsg struct {
 	V    uint8
 	From label.ReplicaID
@@ -73,14 +77,9 @@ type compactOperators struct {
 	Ops []dtype.Operator
 }
 
-// compactLimit bounds every count read from an untrusted compact frame.
-// The legitimate maximum is BatchSize elements of bounded deltas — far
-// below this; anything larger is garbage and must not allocate first.
-const compactLimit = 1 << 22
-
-// encodeCompactGossip packs msgs (one coalesced flush, all from `from`)
-// into a CompactGossipMsg. It fails only when the operator gob stream does
-// (an operator type missing its wire registration).
+// encodeCompactGossip packs msgs (all from `from`) into a CompactGossipMsg.
+// It fails only when the operator gob stream does (an operator type
+// missing its wire registration).
 func encodeCompactGossip(from label.ReplicaID, msgs []GossipMsg) (CompactGossipMsg, error) {
 	// Pass 1: intern client strings, dedup descriptors by id, find the base
 	// label. Interning covers every id position (R ids, prev sets, D, L, S),
@@ -222,12 +221,15 @@ func (r *compactReader) uvarint() uint64 {
 	return v
 }
 
-// count reads a uvarint and rejects values past compactLimit BEFORE any
-// allocation sized by it.
+// count reads a uvarint and rejects it, BEFORE any allocation sized by it,
+// when it exceeds the bytes left in the frame: every counted item — a
+// string byte, a table entry, an element, an id — takes at least one byte,
+// so a larger count is a lie, and believing it would let a six-byte frame
+// allocate hundreds of megabytes.
 func (r *compactReader) count(what string) int {
 	v := r.uvarint()
-	if v > compactLimit {
-		r.fail("%s count %d exceeds limit", what, v)
+	if left := uint64(len(r.data) - r.pos); v > left {
+		r.fail("%s count %d exceeds the %d bytes left", what, v, left)
 		return 0
 	}
 	return int(v)
@@ -306,8 +308,15 @@ func decodeCompactGossip(m CompactGossipMsg) ([]GossipMsg, error) {
 
 	nDesc := r.count("descriptor table")
 	descs := make([]ops.Operation, 0, nDesc)
+	seen := make(map[ops.ID]bool, nDesc)
 	for i := 0; i < nDesc && r.err == nil; i++ {
 		id := readID()
+		if seen[id] {
+			// The encoder deduplicates by id; two entries for one id could
+			// only disagree, and a re-encode would silently keep one.
+			r.fail("duplicate descriptor %v", id)
+		}
+		seen[id] = true
 		flags := r.byte()
 		nPrev := r.count("prev set")
 		prev := make([]ops.ID, 0, nPrev)

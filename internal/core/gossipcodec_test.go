@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"esds/internal/dtype"
@@ -12,9 +14,9 @@ import (
 	"esds/internal/ops"
 )
 
-// compactTestFrame builds a representative coalesced flush: three elements
-// exercising every field the codec carries — R with operators, prev sets and
-// strict flags, D and S identifier lists, L with proper and ∞ labels, and
+// compactTestFrame builds a representative multi-element frame: three
+// elements exercising every field the codec carries — R with operators,
+// prev sets and strict flags, D and S identifier lists, L with proper and ∞ labels, and
 // repeated client strings so interning and descriptor dedup have work to do.
 func compactTestFrame() []GossipMsg {
 	idA1 := ops.ID{Client: "client-alpha", Seq: 1}
@@ -87,9 +89,9 @@ func TestCompactGossipRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompactGossipRoundTripSingle covers the single-element flush (the
-// sender uses the compact form even for batches of one — it still drops the
-// per-frame gob type descriptors) and the all-empty degenerate element.
+// TestCompactGossipRoundTripSingle covers the single-element frame — the
+// form every delta takes on a negotiated wire — and the all-empty
+// degenerate element.
 func TestCompactGossipRoundTripSingle(t *testing.T) {
 	RegisterWire()
 	for _, msgs := range [][]GossipMsg{
@@ -147,9 +149,21 @@ func TestCompactGossipRejectsGarbage(t *testing.T) {
 		return append(b, tail...)
 	}
 	cases := map[string]CompactGossipMsg{
-		"unknown version": {V: compactGossipV1 + 1, From: 2, Data: valid.Data},
-		"trailing bytes":  {V: compactGossipV1, From: 2, Data: append(append([]byte{}, valid.Data...), 0)},
-		"oversized count": {V: compactGossipV1, From: 2, Data: uv(0, compactLimit+1)},
+		"unknown version":      {V: compactGossipV1 + 1, From: 2, Data: valid.Data},
+		"trailing bytes":       {V: compactGossipV1, From: 2, Data: append(append([]byte{}, valid.Data...), 0)},
+		"count past the frame": {V: compactGossipV1, From: 2, Data: uv(0, 3, 1, 'x')},
+		"duplicate descriptor": func() CompactGossipMsg {
+			a, b := ops.ID{Client: "x", Seq: 1}, ops.ID{Client: "x", Seq: 2}
+			m, err := encodeCompactGossip(2, []GossipMsg{{From: 2, R: []ops.Operation{
+				ops.New(dtype.CtrAdd{N: 1}, a, nil, false), ops.New(dtype.CtrAdd{N: 2}, b, nil, false)}}})
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			// The second descriptor's {client 0, seq 2, flags, no prev}
+			// becomes a second entry for x:1; the frame stays well formed.
+			m.Data = bytes.Replace(m.Data, []byte{0, 2, 0, 0}, []byte{0, 1, 0, 0}, 1)
+			return m
+		}(),
 		"descriptor index out of range": {V: compactGossipV1, From: 2,
 			// one element, one R entry referencing descriptor 5 of an empty table
 			Data: empty(uv(1, 1, 5))},
@@ -187,4 +201,36 @@ func TestCompactGossipRejectsGarbage(t *testing.T) {
 		data[i] ^= 0x40
 		decodeCompactGossip(CompactGossipMsg{V: valid.V, From: valid.From, Data: data}) //nolint:errcheck
 	}
+}
+
+// TestCompactGossipCountCannotAmplify pins the decoder's allocation bound:
+// a six-byte frame claiming 1<<22 descriptors must be refused before
+// anything is allocated for them (believing the count cost 288 MiB).
+func TestCompactGossipCountCannotAmplify(t *testing.T) {
+	frame := CompactGossipMsg{V: compactGossipV1, From: 2, Data: binary.AppendUvarint([]byte{0, 0}, 1<<22)}
+	if len(frame.Data) != 6 {
+		t.Fatalf("frame is %d bytes, want 6", len(frame.Data))
+	}
+	var err error
+	alloc := allocated(func() { _, err = decodeCompactGossip(frame) })
+	if err == nil {
+		t.Fatal("a frame claiming 1<<22 descriptors in 6 bytes decoded without error")
+	}
+	if alloc >= 1<<20 {
+		t.Fatalf("decoding a 6-byte frame allocated %d bytes", alloc)
+	}
+}
+
+// allocated reports the bytes the process allocated while fn ran: the least
+// of three runs, so a stray background allocation cannot inflate it.
+func allocated(fn func()) uint64 {
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
 }

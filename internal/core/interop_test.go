@@ -5,69 +5,87 @@ import (
 	"time"
 
 	"esds/internal/dtype"
+	"esds/internal/label"
 	"esds/internal/transport"
 )
 
-// TestCompactGossipMixedVersionInterop runs a 3-replica cluster where
-// replicas 0 and 2 speak the negotiated compact gossip form and replica 1 is
-// built like a pre-feature binary (CompactGossip off: it neither announces
-// FeatureCompactGossip nor sends compact frames). The two halves share one
-// LiveNet, the way a rolling upgrade shares one wire. The cluster must
-// converge, the compact pair must actually use the compact form, and the
-// legacy replica must never be sent one.
+// legacyWire hides a transport's FeatureNegotiator: only the Network
+// methods are promoted, so a replica built on it neither announces nor sees
+// FeatureCompactGossip — it behaves like a build that predates the codec.
+type legacyWire struct{ transport.Network }
+
+// TestCompactGossipMixedVersionInterop runs a 3-replica cluster, each member
+// on its own loopback TCPNet the way three processes would, where replicas 0
+// and 2 negotiate the compact gossip form and replica 1 is built on a
+// non-negotiating wire (a pre-feature binary during a rolling upgrade). The
+// cluster must converge, the compact pair must actually use the compact
+// form, and the legacy replica must never be sent one.
 func TestCompactGossipMixedVersionInterop(t *testing.T) {
-	net := transport.NewLiveNet()
-	defer net.Close()
-
-	optCompact := DefaultOptions()
-	optCompact.BatchSize = 8
-	optCompact.BatchDelay = time.Millisecond
-	optLegacy := optCompact
-	optLegacy.CompactGossip = false
-
-	compactHalf := NewCluster(ClusterConfig{
-		Replicas:      3,
-		DataType:      dtype.Counter{},
-		Network:       net,
-		Options:       optCompact,
-		LocalReplicas: []int{0, 2},
-	})
-	legacyHalf := NewCluster(ClusterConfig{
-		Replicas:      3,
-		DataType:      dtype.Counter{},
-		Network:       net,
-		Options:       optLegacy,
-		LocalReplicas: []int{1},
-	})
-	for _, c := range []*Cluster{compactHalf, legacyHalf} {
+	RegisterWire()
+	const n = 3
+	nets := make([]*transport.TCPNet, n)
+	addrs := make([]string, n)
+	for i := range nets {
+		net, err := transport.NewTCPNet(transport.TCPConfig{Listen: "127.0.0.1:0", Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer net.Close()
+		nets[i], addrs[i] = net, net.Addr().String()
+	}
+	opt := DefaultOptions()
+	opt.BatchSize = 8
+	opt.BatchDelay = time.Millisecond
+	clusters := make([]*Cluster, n)
+	for i := range clusters {
+		for j := range addrs {
+			if j != i {
+				nets[i].SetPeer(ReplicaNode(label.ReplicaID(j)), addrs[j])
+			}
+		}
+		var net transport.Network = nets[i]
+		if i == 1 {
+			net = legacyWire{net}
+		}
+		clusters[i] = NewCluster(ClusterConfig{
+			Replicas:      n,
+			DataType:      dtype.Counter{},
+			Network:       net,
+			Options:       opt,
+			LocalReplicas: []int{i},
+		})
+		defer clusters[i].Close()
+		nets[i].Start()
+	}
+	for _, c := range clusters {
 		c.StartLiveGossip(time.Millisecond)
-		c.StartLiveBatchFlush(optCompact.FlushPeriod())
-		defer c.Close()
+		c.StartLiveRetransmit(50 * time.Millisecond)
+		c.StartLiveBatchFlush(opt.FlushPeriod())
 	}
 
 	const adds = 60
-	fe := compactHalf.FrontEnd("upgrader")
+	fe := clusters[0].FrontEnd("upgrader")
 	for i := 0; i < adds; i++ {
 		if _, v, err := fe.SubmitWait(dtype.CtrAdd{N: 1}, nil, false); err != nil || v != "ok" {
 			t.Fatalf("add %d: v=%v err=%v", i, v, err)
 		}
 	}
 
-	// A strict read stabilizes only after full gossip exchange with every
+	// A strict read stabilizes only after gossip exchange with every
 	// replica — legacy included — so a correct answer here IS the interop
-	// claim. Read through both halves: each proves its replicas applied the
-	// whole history. Keep reading until the compact pair has demonstrably
-	// used the compact form at least once in each direction.
+	// claim. Read through both kinds of member: each proves its replica
+	// applied the whole history. Keep reading until the compact pair has
+	// demonstrably used the compact form at least once in each direction.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		okA := false
-		if _, v, err := compactHalf.FrontEnd("readerA").SubmitWait(dtype.CtrRead{}, nil, true); err == nil && v == int64(adds) {
+		if _, v, err := clusters[0].FrontEnd("readerA").SubmitWait(dtype.CtrRead{}, nil, true); err == nil && v == int64(adds) {
 			okA = true
 		} else if time.Now().After(deadline) {
-			t.Fatalf("compact-half strict read: v=%v err=%v", v, err)
+			t.Fatalf("compact-member strict read: v=%v err=%v", v, err)
 		}
-		m0 := compactHalf.Replica(0).Metrics()
-		m2 := compactHalf.Replica(2).Metrics()
+		m0 := clusters[0].Replica(0).Metrics()
+		m2 := clusters[2].Replica(2).Metrics()
 		if okA && m0.CompactGossipSent > 0 && m2.CompactGossipSent > 0 &&
 			m0.CompactGossipReceived > 0 && m2.CompactGossipReceived > 0 {
 			break
@@ -77,13 +95,13 @@ func TestCompactGossipMixedVersionInterop(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if _, v, err := legacyHalf.FrontEnd("readerB").SubmitWait(dtype.CtrRead{}, nil, true); err != nil || v != int64(adds) {
-		t.Fatalf("legacy-half strict read: v=%v err=%v", v, err)
+	if _, v, err := clusters[1].FrontEnd("readerB").SubmitWait(dtype.CtrRead{}, nil, true); err != nil || v != int64(adds) {
+		t.Fatalf("legacy-member strict read: v=%v err=%v", v, err)
 	}
 
 	// The legacy replica must have seen only legacy frames: nothing compact
 	// delivered, nothing rejected, and it must never have sent compact.
-	m1 := legacyHalf.Replica(1).Metrics()
+	m1 := clusters[1].Replica(1).Metrics()
 	if m1.CompactGossipReceived != 0 || m1.CompactGossipRejects != 0 || m1.CompactGossipSent != 0 {
 		t.Fatalf("legacy replica touched the compact path: %+v", m1)
 	}
@@ -92,7 +110,7 @@ func TestCompactGossipMixedVersionInterop(t *testing.T) {
 	if m1.GossipReceived == 0 {
 		t.Fatalf("legacy replica received no gossip at all: %+v", m1)
 	}
-	for _, c := range []*Cluster{compactHalf, legacyHalf} {
+	for _, c := range clusters {
 		if errs := c.Faults(); len(errs) > 0 {
 			t.Fatalf("replica faults in mixed-version cluster: %v", errs)
 		}

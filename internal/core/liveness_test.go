@@ -305,8 +305,8 @@ func TestCheckConvergenceElementwise(t *testing.T) {
 	// Exchange ONLY label knowledge (a gossip L without R/D/S — possible
 	// under incremental gossip reordering): both replicas now know both
 	// labels, done sets still differ.
-	r1.handleGossip(GossipMsg{From: 0, L: r0.Snapshot().Labels})
-	r0.handleGossip(GossipMsg{From: 1, L: r1.Snapshot().Labels})
+	r1.handleMessage(transport.Message{Payload: GossipMsg{From: 0, L: r0.Snapshot().Labels}})
+	r0.handleMessage(transport.Message{Payload: GossipMsg{From: 1, L: r1.Snapshot().Labels}})
 
 	s0, s1 := r0.Snapshot(), r1.Snapshot()
 	if len(s0.Done) != 1 || len(s1.Done) != 1 || s0.Done[0] == s1.Done[0] {

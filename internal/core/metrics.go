@@ -16,14 +16,14 @@ type ReplicaMetrics struct {
 	GossipSuppressed uint64
 	// ResponsesSent counts ⟨response⟩ messages.
 	ResponsesSent uint64
-	// RequestBatchesReceived / GossipBatchesSent / GossipBatchesReceived /
-	// ResponseBatchesSent count the batched hot path's frames (DESIGN.md
-	// §8): one BatchRequestMsg admitted, one coalesced BatchGossipMsg
-	// flushed / applied, one BatchResponseMsg sent. The per-element
-	// counters above keep counting elements, so e.g. RequestsReceived /
+	// RequestBatchesReceived / ResponseBatchesSent count the batched hot
+	// path's frames (DESIGN.md §8): one BatchRequestMsg admitted, one
+	// BatchResponseMsg sent. GossipBatchesReceived counts multi-element
+	// gossip frames applied (BatchGossipMsg, or a CompactGossipMsg of more
+	// than one element — older builds send them). The per-element counters
+	// above keep counting elements, so e.g. RequestsReceived /
 	// RequestBatchesReceived is the achieved request batch size.
 	RequestBatchesReceived uint64
-	GossipBatchesSent      uint64
 	GossipBatchesReceived  uint64
 	ResponseBatchesSent    uint64
 	// SnapshotsInstalled counts range answers whose spliced prefix extended
@@ -47,26 +47,16 @@ type ReplicaMetrics struct {
 	RangeRetries        uint64
 	RangeRejects        uint64
 	// CompactGossipSent / CompactGossipReceived count CompactGossipMsg
-	// frames (the negotiated delta-encoded wire form of coalesced gossip,
-	// DESIGN.md §12). CompactGossipFallbacks counts flushes that wanted the
-	// compact form but fell back to the legacy frame (the operator gob
-	// stream failed to encode); CompactGossipRejects counts received
-	// compact frames dropped because decoding failed — corrupt or
-	// truncated payloads are refused, never partially applied.
+	// frames (the negotiated delta-encoded wire form of gossip deltas,
+	// DESIGN.md §12). CompactGossipFallbacks counts deltas that wanted the
+	// compact form but went out plain (the operator gob stream failed to
+	// encode); CompactGossipRejects counts received compact frames dropped
+	// because decoding failed — corrupt or truncated payloads are refused,
+	// never partially applied.
 	CompactGossipSent      uint64
 	CompactGossipReceived  uint64
 	CompactGossipFallbacks uint64
 	CompactGossipRejects   uint64
-	// GossipBatchTarget / GossipQueueDepthEWMA expose the adaptive gossip
-	// coalescer (DESIGN.md §12) at snapshot time: the effective batch
-	// target and queue-depth EWMA of the busiest peer (the maximum across
-	// per-peer controllers; BatchSize while static or cold).
-	// GossipBatchGrows / GossipBatchShrinks count target transitions,
-	// summed across peers.
-	GossipBatchTarget    int
-	GossipQueueDepthEWMA float64
-	GossipBatchGrows     uint64
-	GossipBatchShrinks   uint64
 	// PipelineRuns counts batches delivered by the shard-per-core runtime's
 	// worker loop (DESIGN.md §9): one run is one mutex round over a replica's
 	// drained inbound backlog. RequestsReceived / PipelineRuns etc. give the
@@ -115,7 +105,6 @@ func (m *ReplicaMetrics) Add(o ReplicaMetrics) {
 	m.GossipSuppressed += o.GossipSuppressed
 	m.ResponsesSent += o.ResponsesSent
 	m.RequestBatchesReceived += o.RequestBatchesReceived
-	m.GossipBatchesSent += o.GossipBatchesSent
 	m.GossipBatchesReceived += o.GossipBatchesReceived
 	m.ResponseBatchesSent += o.ResponseBatchesSent
 	m.SnapshotsInstalled += o.SnapshotsInstalled
@@ -131,16 +120,6 @@ func (m *ReplicaMetrics) Add(o ReplicaMetrics) {
 	m.CompactGossipReceived += o.CompactGossipReceived
 	m.CompactGossipFallbacks += o.CompactGossipFallbacks
 	m.CompactGossipRejects += o.CompactGossipRejects
-	// The two gauges aggregate as maxima (they answer "how batched is the
-	// busiest gossip stream"), matching the per-replica snapshot semantics.
-	if o.GossipBatchTarget > m.GossipBatchTarget {
-		m.GossipBatchTarget = o.GossipBatchTarget
-	}
-	if o.GossipQueueDepthEWMA > m.GossipQueueDepthEWMA {
-		m.GossipQueueDepthEWMA = o.GossipQueueDepthEWMA
-	}
-	m.GossipBatchGrows += o.GossipBatchGrows
-	m.GossipBatchShrinks += o.GossipBatchShrinks
 	m.PipelineRuns += o.PipelineRuns
 	m.Faults += o.Faults
 	m.ResizeRedirects += o.ResizeRedirects

@@ -39,7 +39,7 @@ import (
 // answer (RangeResponseMsg.Resizes): a crashed replica with peers re-learns them from
 // either source before it serves requests again, and a crashed
 // SINGLE-replica shard — which has no peer to ask — re-learns them from
-// its own journal alone. handleRequest drops requests while recovering, so
+// its own journal alone. Admission parks keyed requests while recovering, so
 // no operation can slip into rcvd_r at a replica that has forgotten it is
 // frozen.
 

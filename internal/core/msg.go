@@ -89,17 +89,14 @@ type BatchResponseMsg struct {
 	Resps []ResponseMsg
 }
 
-// BatchGossipMsg carries several gossip messages for one peer in one frame:
-// under coalescing (Options.BatchSize > 1 with IncrementalGossip) a replica
-// appends each tick's delta to a per-peer pending batch and flushes when
-// the batch reaches BatchSize elements or its oldest element is BatchDelay
-// old (a single-element flush skips the wrapper and sends the GossipMsg
-// plain). The receiver applies the elements in order, so a batch is
-// indistinguishable from its elements arriving individually on a FIFO
-// channel — which is what §10.4 already requires of delta gossip. From is
-// the frame's sender; an element whose own From contradicts it is dropped
-// without affecting its siblings. Empty-delta suppression is unchanged, and
-// state transfer (range answers) is sent directly, never batched.
+// BatchGossipMsg carries several gossip messages for one peer in one frame.
+// Builds that held deltas across gossip ticks sent it; this one sends one
+// frame per peer per tick and only RECEIVES it, so a rolling upgrade keeps
+// the older peers' delta chains intact. The receiver applies the elements
+// in order, so a batch is indistinguishable from its elements arriving
+// individually on a FIFO channel — which is what §10.4 already requires of
+// delta gossip. From is the frame's sender; an element whose own From
+// contradicts it is dropped without affecting its siblings.
 type BatchGossipMsg struct {
 	From label.ReplicaID
 	Msgs []GossipMsg
@@ -332,21 +329,6 @@ func EstimateSize(payload any) int {
 		return size
 	case BatchResponseMsg:
 		return headerSize + len(m.Resps)*(idBytes+16)
-	case BatchGossipMsg:
-		// One header for the frame; elements contribute only their bodies —
-		// charging a header per element would hide exactly the amortization
-		// coalescing provides in Sizer-based (SimNet/LiveNet) byte stats.
-		size := headerSize
-		for _, g := range m.Msgs {
-			size += EstimateSize(g) - headerSize
-		}
-		return size
-	case CompactGossipMsg:
-		// The payload is already encoded bytes: charge them as-is, plus the
-		// frame header — this is what lets Sizer-based (SimNet/LiveNet)
-		// byte stats see the delta-encoding win, not just TCPNet's real
-		// wire counts.
-		return headerSize + 2 + len(m.Data)
 	case GossipMsg:
 		size := headerSize
 		for _, x := range m.R {

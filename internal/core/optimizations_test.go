@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"esds/internal/dtype"
@@ -381,9 +383,9 @@ func TestSelfAndMalformedGossipIgnored(t *testing.T) {
 	e := newTestEnv(t, 2, dtype.Counter{}, Options{})
 	r0 := e.cluster.Replica(0)
 	// Self gossip and out-of-range sender ids must be ignored.
-	r0.handleGossip(GossipMsg{From: 0})
-	r0.handleGossip(GossipMsg{From: 99})
-	r0.handleGossip(GossipMsg{From: -1})
+	r0.handleMessage(transport.Message{Payload: GossipMsg{From: 0}})
+	r0.handleMessage(transport.Message{Payload: GossipMsg{From: 99}})
+	r0.handleMessage(transport.Message{Payload: GossipMsg{From: -1}})
 	if len(r0.Snapshot().Done) != 0 {
 		t.Fatal("malformed gossip changed state")
 	}
@@ -414,5 +416,67 @@ func TestEstimateSize(t *testing.T) {
 	}
 	if EstimateSize("junk") <= 0 {
 		t.Error("unknown payloads still have header cost")
+	}
+}
+
+// TestEnsureSortedMatchesFullSort drives the local total order through
+// random appends (most labeled above everything seen, some interleaving
+// below, as gossiped labels do), label lowerings of done operations and
+// memoized-prefix advances, and after each ensureSorted requires the
+// unsolid suffix to be exactly the label-ordered arrangement of the same
+// operations — the append-only merge path and the full re-sort alike.
+func TestEnsureSortedMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	r := &Replica{labels: label.NewMap()}
+	used := make(map[label.Label]bool)
+	fresh := func(lo, hi uint64) label.Label {
+		for {
+			l := label.Make(lo+uint64(rng.Int63n(int64(hi-lo+1))), label.ReplicaID(rng.Intn(3)))
+			if !used[l] {
+				used[l] = true
+				return l
+			}
+		}
+	}
+	top := uint64(10)
+	for step := 0; step < 5000; step++ {
+		switch k := rng.Intn(10); {
+		case k < 6: // a newly done operation
+			id := ops.ID{Client: "c", Seq: uint64(step)}
+			l := fresh(top+1, top+3)
+			if k == 0 {
+				l = fresh(top-8, top) // a peer's label from a few message delays ago
+			}
+			if l.Seq > top {
+				top = l.Seq
+			}
+			r.labels.SetMin(id, l)
+			r.doneSeq = append(r.doneSeq, id)
+		case k == 6 && len(r.doneSeq) > r.memoized: // setLabelMin on a done op
+			id := r.doneSeq[r.memoized+rng.Intn(len(r.doneSeq)-r.memoized)]
+			if cur := r.labels.Get(id); cur.Seq > 1 {
+				r.labels.SetMin(id, fresh(cur.Seq/2, cur.Seq-1))
+				r.seqDirty = true
+			}
+		case k == 7: // advanceMemo fixing part of the sorted prefix
+			r.ensureSorted()
+			r.memoized += rng.Intn(len(r.doneSeq) - r.memoized + 1)
+		default:
+			before := append([]ops.ID(nil), r.doneSeq...)
+			r.ensureSorted()
+			want := append([]ops.ID(nil), before[r.memoized:]...)
+			sort.Slice(want, func(i, j int) bool { return r.labels.Get(want[i]).Less(r.labels.Get(want[j])) })
+			for i := range before[:r.memoized] {
+				if r.doneSeq[i] != before[i] {
+					t.Fatalf("step %d: memoized position %d changed", step, i)
+				}
+			}
+			for i, id := range want {
+				if got := r.doneSeq[r.memoized+i]; got != id {
+					t.Fatalf("step %d: suffix position %d holds %v (label %v), want %v (label %v)",
+						step, i, got, r.labels.Get(got), id, r.labels.Get(id))
+				}
+			}
+		}
 	}
 }

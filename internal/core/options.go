@@ -34,12 +34,11 @@ type Options struct {
 
 	// BatchSize enables the batched hot path (DESIGN.md §8) when > 1: front
 	// ends pack up to BatchSize submissions per target replica into one
-	// BatchRequestMsg, replicas pack responses to one front end into one
-	// BatchResponseMsg, and — under IncrementalGossip — gossip deltas
-	// accumulate into BatchGossipMsg frames of up to BatchSize elements
-	// (full gossip is self-contained and is never held back, so without
-	// IncrementalGossip only requests and responses batch; TCPNet's
-	// buffered writer still coalesces its frames). A batch is semantically the
+	// BatchRequestMsg and replicas pack responses to one front end into one
+	// BatchResponseMsg. Gossip needs no knob of its own: a replica sends
+	// each peer one frame per gossip tick, and under IncrementalGossip that
+	// frame already carries everything that changed since the last tick —
+	// the gossip interval is the gossip batch. A batch is semantically the
 	// sequence of its elements, applied in order — no protocol obligation
 	// changes — so the knob trades per-operation latency for frame-rate and
 	// CPU: one frame (and, over TCPNet, typically one syscall) carries many
@@ -48,17 +47,11 @@ type Options struct {
 	// batching is on, like the other wire-affecting options.
 	BatchSize int
 
-	// BatchDelay bounds how long a partially filled batch may wait before
-	// it is flushed: front-end request batches are flushed by a flush
-	// ticker of this period (esds.New/NewKeyspace and esds-server wire it;
-	// raw core users call Cluster.StartLiveBatchFlush or FrontEnd.Flush),
-	// and a replica holds coalesced gossip deltas across ticks until they
-	// are BatchDelay old (or BatchSize elements) — at most one extra
-	// gossip tick when BatchDelay is below the gossip period, since the
-	// tick is the flush opportunity. Zero flushes gossip every tick and
-	// leaves request batches to the size trigger plus the retransmission
-	// ticker, which heals a stuck partial batch. Meaningful only with
-	// BatchSize > 1.
+	// BatchDelay is the front-end flush period: a partially filled request
+	// batch waits at most this long before the flush ticker sends it
+	// (esds.New/NewKeyspace and esds-server wire the ticker; raw core users
+	// call Cluster.StartLiveBatchFlush or FrontEnd.Flush). Zero means the
+	// default period of FlushPeriod. Meaningful only with BatchSize > 1.
 	BatchDelay time.Duration
 
 	// IncrementalGossip enables the §10.4 communication reduction: each
@@ -71,31 +64,16 @@ type Options struct {
 	IncrementalGossip bool
 
 	// AdaptiveBatch turns the static BatchSize ceiling into a per-target
-	// feedback loop (DESIGN.md §12): each front-end submission buffer and
-	// each per-peer gossip coalescer runs a batchController that grows or
-	// shrinks its effective batch target inside [1, BatchSize] from the
-	// queue depth observed at flush opportunities — deep backlogs earn big
-	// batches, light traffic flushes near-immediately, and an idle stream
-	// decays back to the unbatched latency profile. Meaningful only with
-	// BatchSize > 1 (there is no range to adapt over otherwise); off, the
-	// static BatchSize trigger of DESIGN.md §8 applies unchanged. Purely
-	// local — no wire or protocol change, so members need not agree.
+	// feedback loop (DESIGN.md §12): each front-end submission buffer runs
+	// a batchController that grows or shrinks its effective batch target
+	// inside [1, BatchSize] from the queue depth observed at flush
+	// opportunities — deep backlogs earn big batches, light traffic flushes
+	// near-immediately, and an idle stream decays back to the unbatched
+	// latency profile. Meaningful only with BatchSize > 1 (there is no
+	// range to adapt over otherwise); off, the static BatchSize trigger of
+	// DESIGN.md §8 applies unchanged. Purely local — no wire or protocol
+	// change, so members need not agree.
 	AdaptiveBatch bool
-
-	// CompactGossip lets this replica send coalesced gossip as the
-	// versioned compact wire form (CompactGossipMsg, DESIGN.md §12):
-	// client-id interning, varint label deltas against the frame's base
-	// label, descriptor dedup, and one shared encoder stream per frame in
-	// place of gob's per-frame type descriptors. It is negotiated per peer
-	// — compact frames go only to peers whose transport announced
-	// FeatureCompactGossip support (transport.FeatureNegotiator), so a
-	// cluster can run mixed versions: everyone else receives the legacy
-	// GossipMsg/BatchGossipMsg forms. Off, the replica neither announces
-	// the feature nor sends compact frames — it behaves like a pre-feature
-	// build, which is what the mixed-version interop tests simulate.
-	// Meaningful with the coalesced gossip path (BatchSize > 1 and
-	// IncrementalGossip).
-	CompactGossip bool
 }
 
 // FlushPeriod is the batch-flush ticker period for an enabled batched hot
@@ -113,16 +91,15 @@ func (o Options) FlushPeriod() time.Duration {
 // memoization and pruning on, incremental gossip on, commute mode off
 // (commute mode needs the SafeUsers client discipline), batching off
 // (it trades per-operation latency for throughput — a deployment
-// decision; see BatchSize and DESIGN.md §8). AdaptiveBatch and
-// CompactGossip are on: both are inert until batching is enabled, and once
-// it is, self-tuning targets and the negotiated compact wire form are
-// strictly better defaults than hand-tuned static ones (DESIGN.md §12).
+// decision; see BatchSize and DESIGN.md §8). AdaptiveBatch is on: it is
+// inert until batching is enabled, and once it is, self-tuning front-end
+// targets are a better default than a hand-tuned static one (DESIGN.md
+// §12). The gossip wire form is not an option: the transport negotiates it.
 func DefaultOptions() Options {
 	return Options{
 		Memoize:           true,
 		Prune:             true,
 		IncrementalGossip: true,
 		AdaptiveBatch:     true,
-		CompactGossip:     true,
 	}
 }

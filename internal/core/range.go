@@ -207,7 +207,6 @@ func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 		r.pendS[from] = nil
 		r.pendL[from] = make(map[ops.ID]struct{})
 	}
-	r.gossipPend[from] = nil
 	to := r.peers[from]
 	r.mu.Unlock()
 
@@ -264,7 +263,7 @@ func (r *Replica) handleRangeResponse(msg RangeResponseMsg) {
 	if r.recovering {
 		to, next = r.openRangeRoundLocked()
 	}
-	r.finishGossipLocked()
+	r.finishLocked(nil)
 	if next.Nonce != 0 {
 		r.net.Send(r.node, to, next)
 	}

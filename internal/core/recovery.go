@@ -213,6 +213,7 @@ func (r *Replica) Crash() {
 	r.labels = label.NewMap()
 	r.gen = label.NewGenerator(r.id)
 	r.doneSeq = nil
+	r.sortedTo = 0
 	r.seqDirty = false
 	r.deferredQueue = nil
 	r.deferredSet = make(map[ops.ID]struct{})
@@ -228,7 +229,6 @@ func (r *Replica) Crash() {
 		r.pendD[i] = nil
 		r.pendS[i] = nil
 		r.pendL[i] = make(map[ops.ID]struct{})
-		r.gossipPend[i] = nil
 	}
 	r.strictGhost = make(map[ops.ID]struct{})
 	r.resizes = nil // re-learned from the store and the range answers' Done chunks

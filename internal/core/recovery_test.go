@@ -195,8 +195,8 @@ func TestCrashedReplicaIgnoresTraffic(t *testing.T) {
 	r0.Crash()
 	// Messages arriving at a crashed replica (e.g. in-flight before the
 	// crash was modelled on the network) must be ignored.
-	r0.handleRequest(RequestMsg{Op: ops.New(dtype.LogAppend{Entry: "z"}, ops.ID{Client: "c", Seq: 0}, nil, false)})
-	r0.handleGossip(GossipMsg{From: 1})
+	r0.handleMessage(transport.Message{Payload: RequestMsg{Op: ops.New(dtype.LogAppend{Entry: "z"}, ops.ID{Client: "c", Seq: 0}, nil, false)}})
+	r0.handleMessage(transport.Message{Payload: GossipMsg{From: 1}})
 	r0.handleRangeRequest(RangeRequestMsg{From: 1, Nonce: 1})
 	if got := len(r0.Snapshot().Done); got != 0 {
 		t.Fatalf("crashed replica processed traffic: %d done", got)

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
-	"time"
 
 	"esds/internal/dtype"
 	"esds/internal/label"
@@ -54,8 +54,11 @@ type Replica struct {
 
 	// doneSeq is done_r[r] sorted ascending by current label: the local
 	// total order lc_r (Invariant 7.15). The prefix [0:memoized) is solid
-	// and never reordered (Lemma 10.2); the suffix is re-sorted lazily.
+	// and never reordered (Lemma 10.2); the suffix is re-sorted lazily:
+	// ops done since the last sort sit past sortedTo, and seqDirty records a
+	// lowered label of a done op, which may move anything in the suffix.
 	doneSeq  []ops.ID
+	sortedTo int
 	seqDirty bool
 
 	// deferred: ids reported done elsewhere (gossip D/S) whose descriptor or
@@ -85,25 +88,8 @@ type Replica struct {
 	pendS []([]ops.ID)          // newly locally-stable ids
 	pendL []map[ops.ID]struct{} // ids whose label changed (value read at build)
 
-	// Gossip coalescing (DESIGN.md §8, Options.BatchSize > 1): per peer,
-	// the deltas built but not yet flushed, and when the oldest of them was
-	// built. A batch flushes once it holds BatchSize elements or its oldest
-	// element is BatchDelay old; elements are applied in order by the
-	// receiver, so coalescing is indistinguishable from per-tick sends on a
-	// FIFO channel.
-	gossipPend  [][]GossipMsg
-	gossipSince []time.Time
-
-	// gossipCtrl (Options.AdaptiveBatch, DESIGN.md §12): per-peer adaptive
-	// controllers moving the coalescer's flush threshold inside
-	// [1, BatchSize] from observed pending depth. Nil entries / nil slice
-	// mean static BatchSize. Mutated only under mu (SendGossip, Metrics).
-	gossipCtrl []*batchController
-
-	// negotiator is the transport's capability channel (nil when the
-	// transport has none): with Options.CompactGossip the replica announces
-	// FeatureCompactGossip at construction and sends the compact wire form
-	// to exactly those peers whose announced bits include it.
+	// negotiator is the transport's capability channel, nil when it has no
+	// wire to negotiate over (DESIGN.md §12; see wireGossip).
 	negotiator transport.FeatureNegotiator
 
 	// sortScratch is the reusable buffer ensureSorted pre-fetches labels
@@ -261,8 +247,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		pendD:         make([][]ops.ID, n),
 		pendS:         make([][]ops.ID, n),
 		pendL:         make([]map[ops.ID]struct{}, n),
-		gossipPend:    make([][]GossipMsg, n),
-		gossipSince:   make([]time.Time, n),
 		store:         cfg.Store,
 		rangeChunk:    rangeChunkOps,
 		strictGhost:   make(map[ops.ID]struct{}),
@@ -279,19 +263,9 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	// its state; any other type retains every descriptor and recovers by
 	// full-tail replay (handleRangeRequest).
 	r.opt.Prune = r.opt.Prune && dtype.CanSnapshot(cfg.DataType)
-	if r.opt.AdaptiveBatch && r.opt.BatchSize > 1 {
-		r.gossipCtrl = make([]*batchController, n)
-		for i := 0; i < n; i++ {
-			if i != int(r.id) {
-				r.gossipCtrl[i] = newBatchController(r.opt.BatchSize)
-			}
-		}
-	}
 	if fn, ok := cfg.Network.(transport.FeatureNegotiator); ok {
 		r.negotiator = fn
-		if r.opt.CompactGossip {
-			fn.AnnounceFeatures(r.node, transport.FeatureCompactGossip)
-		}
+		fn.AnnounceFeatures(r.node, transport.FeatureCompactGossip)
 	}
 	h := r.handleMessage
 	if cfg.Runtime != nil {
@@ -325,12 +299,11 @@ func (r *Replica) Dispatch(fn func()) {
 }
 
 // deliverBatch processes one drained backlog of the replica's inbound
-// queue on its owning worker: consecutive hot-path messages (requests and
-// gossip, batched or not) fold into a single locked run — one mutex round
-// and one process() pass for the whole run, the staged admit→label→gossip→
-// memoize pipeline of DESIGN.md §9 — while control messages (range
-// catch-up, resize) and dispatched functions act as barriers handled by
-// the ordinary per-message paths.
+// queue on its owning worker: consecutive hot-path messages fold into a
+// single locked run — one mutex round and one process() pass for the whole
+// run, the staged admit→label→gossip→memoize pipeline of DESIGN.md §9 —
+// while control messages (range catch-up, resize) and dispatched functions
+// act as barriers handled by the ordinary per-message paths.
 func (r *Replica) deliverBatch(items []queueItem) {
 	var run []transport.Message
 	flush := func() {
@@ -340,13 +313,11 @@ func (r *Replica) deliverBatch(items []queueItem) {
 		}
 	}
 	for _, it := range items {
-		if it.fn != nil {
+		switch {
+		case it.fn != nil:
 			flush()
 			it.fn()
-			continue
-		}
-		switch it.msg.Payload.(type) {
-		case RequestMsg, BatchRequestMsg, GossipMsg, BatchGossipMsg, CompactGossipMsg:
+		case hotPath(it.msg.Payload):
 			run = append(run, it.msg)
 		default:
 			flush()
@@ -356,12 +327,22 @@ func (r *Replica) deliverBatch(items []queueItem) {
 	flush()
 }
 
-// deliverRun applies a run of hot-path messages under one mutex round.
-// Each element goes through the exact admission or merge logic of its
-// single-message handler, in arrival order; the internal actions then run
-// once for the whole run. This is sound for the same reason the batched
-// handlers are: the Fig. 7 internal actions are enabled at any time, so
-// deferring them across a run only changes scheduling, not reachability.
+// hotPath reports whether a payload is one deliverRun applies: requests
+// and gossip, batched or not.
+func hotPath(payload any) bool {
+	switch payload.(type) {
+	case RequestMsg, BatchRequestMsg, GossipMsg, BatchGossipMsg, CompactGossipMsg:
+		return true
+	}
+	return false
+}
+
+// deliverRun is the one receive path for hot-path messages: receive_cr
+// (⟨"request", x⟩) and receive_r'r(⟨"gossip", R, D, L, S⟩) of Fig. 7 for
+// each element in arrival order (a refused or malformed batch element
+// affects only itself), then the internal actions once for the whole run —
+// sound because they are enabled at any time. Outside the shard runtime
+// every delivery is a run of one.
 func (r *Replica) deliverRun(run []transport.Message) {
 	r.mu.Lock()
 	if r.crashed {
@@ -369,36 +350,48 @@ func (r *Replica) deliverRun(run []transport.Message) {
 		return
 	}
 	var redirects []ResponseMsg
+	admit := func(x ops.Operation) {
+		if resp, refuse := r.admitOrRefuseLocked(x); refuse {
+			redirects = append(redirects, resp)
+		}
+	}
 	for _, m := range run {
 		switch p := m.Payload.(type) {
 		case RequestMsg:
-			if resp, refuse := r.admitOrRefuseLocked(p.Op); refuse {
-				redirects = append(redirects, resp)
-			}
+			admit(p.Op)
 		case BatchRequestMsg:
 			r.metrics.RequestBatchesReceived++
 			for _, x := range p.Ops {
-				if resp, refuse := r.admitOrRefuseLocked(x); refuse {
-					redirects = append(redirects, resp)
-				}
+				admit(x)
 			}
 		case GossipMsg:
 			r.mergeGossipLocked(p)
 		case BatchGossipMsg:
+			// Sent only by older builds; an element contradicting the
+			// frame's sender is malformed.
 			r.metrics.GossipBatchesReceived++
 			for _, g := range p.Msgs {
-				if g.From != p.From {
-					continue
+				if g.From == p.From {
+					r.mergeGossipLocked(g)
 				}
-				r.mergeGossipLocked(g)
 			}
 		case CompactGossipMsg:
 			r.mergeCompactGossipLocked(p)
 		}
 	}
+	if r.queue != nil {
+		r.metrics.PipelineRuns++ // a run of the shard runtime's worker
+	}
+	r.finishLocked(redirects)
+}
+
+// finishLocked ends a locked round: re-admit parked requests if a §9.3
+// recovery just completed, run the internal actions, unlock, and send the
+// refusals (no labels, so no durability wait) and the responses (after the
+// round's one group commit). Mutex held on entry; released on return.
+func (r *Replica) finishLocked(redirects []ResponseMsg) {
 	redirects = append(redirects, r.drainRecoveryParked()...)
 	outbox := r.process()
-	r.metrics.PipelineRuns++
 	node, shard := r.node, r.shard
 	r.mu.Unlock()
 	for _, resp := range redirects {
@@ -423,42 +416,16 @@ func (r *Replica) Metrics() ReplicaMetrics {
 	m.MemoizedOps = r.memoized
 	m.PendingOps = len(r.pendingSet)
 	m.RetainedOps = len(r.retained)
-	if r.opt.BatchSize > 1 && r.opt.IncrementalGossip {
-		m.GossipBatchTarget = r.opt.BatchSize // static, or cold adaptive
-	}
-	first := true
-	for _, c := range r.gossipCtrl {
-		if c == nil {
-			continue
-		}
-		// Report the busiest peer's target (the first controller seen
-		// replaces the static placeholder set above).
-		if first || c.target > m.GossipBatchTarget {
-			m.GossipBatchTarget = c.target
-		}
-		first = false
-		if c.ewma > m.GossipQueueDepthEWMA {
-			m.GossipQueueDepthEWMA = c.ewma
-		}
-		m.GossipBatchGrows += c.grows
-		m.GossipBatchShrinks += c.shrinks
-	}
 	return m
 }
 
 // handleMessage dispatches a transport delivery.
 func (r *Replica) handleMessage(m transport.Message) {
+	if hotPath(m.Payload) {
+		r.deliverRun([]transport.Message{m})
+		return
+	}
 	switch p := m.Payload.(type) {
-	case RequestMsg:
-		r.handleRequest(p)
-	case BatchRequestMsg:
-		r.handleBatchRequest(p)
-	case GossipMsg:
-		r.handleGossip(p)
-	case BatchGossipMsg:
-		r.handleBatchGossip(p)
-	case CompactGossipMsg:
-		r.handleCompactGossip(p)
 	case RangeRequestMsg:
 		r.handleRangeRequest(p)
 	case RangeResponseMsg:
@@ -475,65 +442,14 @@ func (r *Replica) handleMessage(m transport.Message) {
 	}
 }
 
-// handleRequest is receive_cr(⟨"request", x⟩) of Fig. 7: the operation is
-// recorded as received and marked pending (even if received before — the
-// front end may legitimately retransmit, §6.3 footnote 4).
-func (r *Replica) handleRequest(msg RequestMsg) {
-	r.mu.Lock()
-	if r.crashed {
-		r.mu.Unlock()
-		return
-	}
-	resp, refuse := r.admitOrRefuseLocked(msg.Op)
-	if refuse {
-		to := FrontEndNodeIn(r.shard, msg.Op.ID.Client)
-		node := r.node
-		r.mu.Unlock()
-		r.net.Send(node, to, resp)
-		return
-	}
-	outbox := r.process()
-	r.mu.Unlock()
-	r.deliverOutbox(outbox)
-}
-
-// handleBatchRequest is the batched form of receive_cr: each element goes
-// through the exact per-operation admission of handleRequest, in order, and
-// the internal actions run once for the whole frame — one mutex round and
-// one process pass serve BatchSize operations, which is the point of the
-// batched hot path. A refused element yields its redirect without touching
-// its siblings (a corrupt element must not poison the frame).
-func (r *Replica) handleBatchRequest(msg BatchRequestMsg) {
-	r.mu.Lock()
-	if r.crashed {
-		r.mu.Unlock()
-		return
-	}
-	r.metrics.RequestBatchesReceived++
-	var redirects []ResponseMsg
-	for _, x := range msg.Ops {
-		if resp, refuse := r.admitOrRefuseLocked(x); refuse {
-			redirects = append(redirects, resp)
-		}
-	}
-	outbox := r.process()
-	node, shard := r.node, r.shard
-	r.mu.Unlock()
-	// Redirects carry no labels and need no durability; the responses wait
-	// on the round's single group commit — one fsync for the whole
-	// BatchRequestMsg, which is what makes durable acks batch-priced.
-	for _, resp := range redirects {
-		r.net.Send(node, FrontEndNodeIn(shard, resp.ID.Client), resp)
-	}
-	r.deliverOutbox(outbox)
-}
-
 // admitOrRefuseLocked runs the admission decision for one requested
 // operation: park it while a §9.3 recovery is outstanding (keyed
 // operations only — see the comment below), refuse it with a Redirect when
 // live resharding froze or moved its object, or admit it as pending and
-// received. It returns the refusal to send, if any. Mutex held; the caller
-// runs process() and sends refusals after unlocking.
+// received — even if received before: the front end may legitimately
+// retransmit (§6.3 footnote 4). It returns the refusal to send, if any.
+// Mutex held; the caller runs process() and sends refusals after
+// unlocking.
 func (r *Replica) admitOrRefuseLocked(x ops.Operation) (ResponseMsg, bool) {
 	r.metrics.RequestsReceived++
 	if _, keyed := dtype.KeyOf(x.Op); keyed && r.recovering {
@@ -627,60 +543,11 @@ func (r *Replica) absorbInstall(x ops.Operation) {
 	}
 }
 
-// handleGossip is receive_r'r(⟨"gossip", R, D, L, S⟩) of Fig. 7.
-func (r *Replica) handleGossip(msg GossipMsg) {
-	r.mu.Lock()
-	if r.crashed {
-		r.mu.Unlock()
-		return
-	}
-	r.mergeGossipLocked(msg)
-	r.finishGossipLocked()
-}
-
-// handleBatchGossip applies a coalesced gossip frame: every element is
-// merged through the exact per-message logic of handleGossip, in order (the
-// order the sender built them, which is what §10.4 delta gossip requires of
-// a FIFO channel), and the internal actions run once for the frame. An
-// element that fails its own validation (bad From, hostile labels) is
-// rejected by the per-message logic without poisoning its siblings.
-func (r *Replica) handleBatchGossip(msg BatchGossipMsg) {
-	r.mu.Lock()
-	if r.crashed {
-		r.mu.Unlock()
-		return
-	}
-	r.metrics.GossipBatchesReceived++
-	for _, g := range msg.Msgs {
-		if g.From != msg.From {
-			// An element contradicting the frame's sender is malformed
-			// (honest replicas only coalesce their own messages); skip it
-			// without poisoning its siblings.
-			continue
-		}
-		r.mergeGossipLocked(g)
-	}
-	r.finishGossipLocked()
-}
-
-// handleCompactGossip applies a delta-encoded gossip frame (DESIGN.md §12):
-// decode, then merge each carried element through the exact per-message
-// logic of handleGossip, in order — semantically identical to the
-// BatchGossipMsg carrying the same elements. A frame that fails to decode
-// is dropped whole and counted (CompactGossipRejects): the codec rejects
-// corruption atomically, so no partial state can be applied.
-func (r *Replica) handleCompactGossip(msg CompactGossipMsg) {
-	r.mu.Lock()
-	if r.crashed {
-		r.mu.Unlock()
-		return
-	}
-	r.mergeCompactGossipLocked(msg)
-	r.finishGossipLocked()
-}
-
-// mergeCompactGossipLocked decodes and merges a compact frame. Mutex held;
-// shared by the per-delivery and shard-per-core paths.
+// mergeCompactGossipLocked decodes a delta-encoded gossip frame (DESIGN.md
+// §12) and merges each carried element in order — semantically identical
+// to the GossipMsg elements it encodes. A frame that fails to decode is
+// dropped whole and counted (CompactGossipRejects): the codec rejects
+// corruption atomically, so no partial state can be applied. Mutex held.
 func (r *Replica) mergeCompactGossipLocked(msg CompactGossipMsg) {
 	msgs, err := decodeCompactGossip(msg)
 	if err != nil {
@@ -693,30 +560,15 @@ func (r *Replica) mergeCompactGossipLocked(msg CompactGossipMsg) {
 	}
 	for _, g := range msgs {
 		// The decoder stamps every element with the frame's From, so the
-		// element-vs-frame sender check of handleBatchGossip holds by
+		// element-vs-frame sender check of a BatchGossipMsg holds by
 		// construction here.
 		r.mergeGossipLocked(g)
 	}
 }
 
-// finishGossipLocked runs the post-merge steps shared by the single and
-// batched gossip paths: re-admit parked requests if a §9.3 recovery just
-// completed, run internal actions, and send any refusals after unlocking.
-// Mutex held on entry; released on return.
-func (r *Replica) finishGossipLocked() {
-	redirects := r.drainRecoveryParked()
-	outbox := r.process()
-	node, shard := r.node, r.shard
-	r.mu.Unlock()
-	for _, resp := range redirects {
-		r.net.Send(node, FrontEndNodeIn(shard, resp.ID.Client), resp)
-	}
-	r.deliverOutbox(outbox)
-}
-
 // mergeGossipLocked folds one gossip message into the replica state — the
 // receive_r'r merge of Fig. 7 — without running internal actions (the
-// caller does, once per frame). Mutex held.
+// caller does, once per run). Mutex held.
 func (r *Replica) mergeGossipLocked(msg GossipMsg) {
 	r.metrics.GossipReceived++
 	from := int(msg.From)
@@ -741,6 +593,9 @@ func (r *Replica) mergeGossipLocked(msg GossipMsg) {
 		r.markDoneLocal(id)
 	}
 	for _, id := range msg.S {
+		if r.doneCount[id] == r.n {
+			continue // already done at every replica, here included
+		}
 		for i := 0; i < r.n; i++ {
 			if i == int(r.id) {
 				r.markDoneLocal(id)
@@ -806,21 +661,27 @@ func (r *Replica) markDoneLocal(id ops.ID) {
 		r.defer_(id)
 		return
 	}
-	if _, ok := r.retained[id]; !ok {
+	x, ok := r.retained[id]
+	if !ok {
 		// Done elsewhere but the descriptor has not arrived (possible only
 		// with incremental gossip while a message is in flight).
 		r.defer_(id)
 		return
 	}
+	r.addDone(id, x)
+}
+
+// addDone makes a labeled operation x locally done — the tail shared by
+// do_it and by learning it done from gossip: it joins done_r[r], the local
+// order and every peer's delta, an install's subsumed prevs become
+// satisfied, and it is stable once every replica has it.
+func (r *Replica) addDone(id ops.ID, x ops.Operation) {
 	r.doneAt[r.id][id] = struct{}{}
 	delete(r.storeHeld, id)
 	r.doneCount[id]++
 	r.doneSeq = append(r.doneSeq, id)
-	r.seqDirty = true
 	r.enqueueD(id)
-	if x, ok := r.retained[id]; ok {
-		r.absorbInstall(x)
-	}
+	r.absorbInstall(x)
 	if r.doneCount[id] == r.n {
 		r.markStableLocal(id)
 	}
@@ -1016,18 +877,8 @@ func (r *Replica) tryDoIt() {
 			}
 			r.labels.SetMin(id, l)
 			r.enqueueL(id)
-			r.doneAt[r.id][id] = struct{}{}
-			delete(r.storeHeld, id)
-			r.doneCount[id]++
-			r.doneSeq = append(r.doneSeq, id)
-			r.seqDirty = true
-			r.enqueueD(id)
-			r.absorbInstall(x)
+			r.addDone(id, x)
 			r.metrics.DoItCount++
-			if r.doneCount[id] == r.n {
-				r.markStableLocal(id)
-			}
-			r.applyCurrent(id)
 			if r.opt.Prune {
 				// §10.2: the prev set is only needed by do_it; free it.
 				x.Prev = nil
@@ -1063,36 +914,59 @@ func (r *Replica) prevsDone(x ops.Operation) bool {
 }
 
 // ensureSorted re-sorts the unsolid suffix of doneSeq by current labels.
-// The memoized prefix is fixed (Lemma 10.2) and never re-sorted.
-//
-// Labels are pre-fetched once into a reusable scratch buffer: the insertion
-// sort's comparisons on the nearly-sorted fast path otherwise hit the label
-// map twice per element, and this is the label-compare hot path of every
-// response and gossip build.
+// The memoized prefix is fixed (Lemma 10.2) and never re-sorted. It runs
+// after every message, so after appends only it leaves the sorted run
+// alone up to the first op above the smallest appended label, sorts the
+// appended ops and merges the two runs. Labels are pre-fetched once into
+// a reusable scratch buffer: this is the label-compare hot path.
 func (r *Replica) ensureSorted() {
-	if !r.seqDirty {
-		return
+	lo, inOrder := r.memoized, 0 // doneSeq[lo:lo+inOrder] is already in order
+	if !r.seqDirty && r.sortedTo >= lo {
+		if r.sortedTo == len(r.doneSeq) {
+			return
+		}
+		min := r.labels.Get(r.doneSeq[r.sortedTo])
+		for _, id := range r.doneSeq[r.sortedTo+1:] {
+			if l := r.labels.Get(id); l.Less(min) {
+				min = l
+			}
+		}
+		run := r.doneSeq[lo:r.sortedTo]
+		skip := sort.Search(len(run), func(i int) bool { return min.Less(r.labels.Get(run[i])) })
+		lo, inOrder = lo+skip, len(run)-skip
 	}
-	suffix := r.doneSeq[r.memoized:]
-	if cap(r.sortScratch) < len(suffix) {
-		r.sortScratch = make([]labeledID, len(suffix))
+	suffix := r.doneSeq[lo:]
+	n := len(suffix)
+	if cap(r.sortScratch) < 2*n {
+		r.sortScratch = make([]labeledID, 2*n)
 	}
-	scratch := r.sortScratch[:len(suffix)]
+	scratch := r.sortScratch[:n]
 	for i, id := range suffix {
 		scratch[i] = labeledID{id: id, l: r.labels.Get(id)}
 	}
-	// Insertion sort: the suffix is nearly sorted (labels only lower via
-	// gossip, and new ops append with the highest label yet).
-	for i := 1; i < len(scratch); i++ {
-		j := i
-		for j > 0 && scratch[j].l.Less(scratch[j-1].l) {
+	// Insertion sort of the rest: it is nearly sorted (labels only lower
+	// via gossip, and new ops append with the highest label yet).
+	for i := inOrder + 1; i < n; i++ {
+		for j := i; j > inOrder && scratch[j].l.Less(scratch[j-1].l); j-- {
 			scratch[j], scratch[j-1] = scratch[j-1], scratch[j]
-			j--
 		}
+	}
+	if inOrder > 0 {
+		merged := r.sortScratch[n : 2*n]
+		a, b := 0, inOrder
+		for k := range merged {
+			if b == n || (a < inOrder && scratch[a].l.Less(scratch[b].l)) {
+				merged[k], a = scratch[a], a+1
+			} else {
+				merged[k], b = scratch[b], b+1
+			}
+		}
+		scratch = merged
 	}
 	for i := range scratch {
 		suffix[i] = scratch[i].id
 	}
+	r.sortedTo = len(r.doneSeq)
 	r.seqDirty = false
 }
 
@@ -1368,13 +1242,9 @@ func (r *Replica) valueFor(id ops.ID, strict bool) (dtype.Value, error) {
 }
 
 // SendGossip performs one gossip round: send_rr'(⟨"gossip", ...⟩) of Fig. 7
-// to every peer. With IncrementalGossip only the delta since the last send
-// to each peer is included (§10.4). With BatchSize > 1 incremental deltas
-// are additionally coalesced: each peer's delta joins a pending batch that
-// is flushed as one BatchGossipMsg when it reaches BatchSize elements or
-// its oldest element is BatchDelay old, checked every tick (DESIGN.md §8).
-// Full gossip is never coalesced — each message subsumes the last, so
-// holding one back could only delay stabilization.
+// to every peer, one frame per peer. With IncrementalGossip only the delta
+// since the last send to each peer is included (§10.4), so the gossip
+// interval is the gossip batch (DESIGN.md §8).
 func (r *Replica) SendGossip() {
 	r.mu.Lock()
 	if r.crashed || r.recovering {
@@ -1386,13 +1256,6 @@ func (r *Replica) SendGossip() {
 		msg any
 	}
 	var outbox []outMsg
-	// Coalescing applies to incremental deltas only: a full gossip message
-	// is self-contained and subsumes every earlier one, so there is nothing
-	// to fold across ticks — holding it back would only delay (or, held
-	// forever, break) stabilization. Full-gossip frames still share
-	// syscalls through the transport's buffered writer.
-	coalesce := r.opt.BatchSize > 1 && r.opt.IncrementalGossip
-	now := time.Now()
 	for i := 0; i < r.n; i++ {
 		if i == int(r.id) {
 			continue
@@ -1408,74 +1271,10 @@ func (r *Replica) SendGossip() {
 			// and range answers go through their own path
 			// (handleRangeRequest), which always sends.
 			r.metrics.GossipSuppressed++
-		} else {
-			msg := r.buildGossip(i)
-			if !coalesce {
-				r.metrics.GossipSent++
-				outbox = append(outbox, outMsg{to: r.peers[i], msg: msg})
-				continue
-			}
-			// Coalescing (DESIGN.md §8): append this tick's delta to the
-			// peer's pending batch instead of sending it. Deltas accumulate
-			// and are applied in order by the receiver; a partial batch is
-			// held at most max(BatchDelay, one gossip tick) — the flush
-			// check below runs on every tick, suppressed ones included.
-			if len(r.gossipPend[i]) == 0 {
-				r.gossipSince[i] = now
-			}
-			r.gossipPend[i] = append(r.gossipPend[i], msg)
-		}
-		// Flush the pending batch — even on a suppressed tick, a held batch
-		// keeps aging toward its BatchDelay bound.
-		if !coalesce || len(r.gossipPend[i]) == 0 {
-			// An idle tick (nothing pending for this peer) is a flush
-			// opportunity that observed depth 0: the adaptive controller
-			// decays toward 1 so the next trickle of traffic flushes
-			// immediately instead of waiting out a stale large target.
-			if coalesce && r.gossipCtrl != nil && r.gossipCtrl[i] != nil {
-				r.gossipCtrl[i].observe(0)
-			}
 			continue
 		}
-		// The effective flush threshold: the static BatchSize, or the
-		// per-peer controller's moving target (DESIGN.md §12).
-		target := r.opt.BatchSize
-		if r.gossipCtrl != nil && r.gossipCtrl[i] != nil {
-			target = r.gossipCtrl[i].targetNow()
-		}
-		if len(r.gossipPend[i]) >= target || r.opt.BatchDelay <= 0 ||
-			now.Sub(r.gossipSince[i]) >= r.opt.BatchDelay {
-			pend := r.gossipPend[i]
-			r.gossipPend[i] = nil
-			if r.gossipCtrl != nil && r.gossipCtrl[i] != nil {
-				r.gossipCtrl[i].observe(len(pend))
-			}
-			r.metrics.GossipSent += uint64(len(pend))
-			if len(pend) > 1 {
-				r.metrics.GossipBatchesSent++
-			}
-			// Negotiated delta encoding (DESIGN.md §12): peers that announced
-			// FeatureCompactGossip get the compact frame; everyone else — old
-			// builds, transports without negotiation, peers not yet heard
-			// from — gets the legacy forms. A flush the codec cannot encode
-			// (an operator missing its gob registration) falls back to legacy.
-			if r.opt.CompactGossip && r.negotiator != nil &&
-				r.negotiator.PeerFeatures(r.peers[i])&transport.FeatureCompactGossip != 0 {
-				if cm, err := encodeCompactGossip(r.id, pend); err == nil {
-					r.metrics.CompactGossipSent++
-					outbox = append(outbox, outMsg{to: r.peers[i], msg: cm})
-					continue
-				}
-				r.metrics.CompactGossipFallbacks++
-			}
-			if len(pend) == 1 {
-				// A batch of one is just its element: skip the wrapper (and
-				// its frame overhead), exactly as the response path does.
-				outbox = append(outbox, outMsg{to: r.peers[i], msg: pend[0]})
-			} else {
-				outbox = append(outbox, outMsg{to: r.peers[i], msg: BatchGossipMsg{From: r.id, Msgs: pend}})
-			}
-		}
+		r.metrics.GossipSent++
+		outbox = append(outbox, outMsg{to: r.peers[i], msg: r.wireGossip(i, r.buildGossip(i))})
 	}
 	r.mu.Unlock()
 	// Gossip carries labels; any journaled in an admission round whose
@@ -1498,6 +1297,24 @@ func (r *Replica) buildGossip(i int) GossipMsg {
 		return r.buildDelta(i)
 	}
 	return r.buildFullGossip()
+}
+
+// wireGossip picks the wire form of peer i's gossip: a delta goes out as a
+// one-element CompactGossipMsg to a peer that negotiated it (DESIGN.md
+// §12); anything else, or a delta whose operators gob cannot encode, as
+// the plain GossipMsg. Mutex held.
+func (r *Replica) wireGossip(i int, msg GossipMsg) any {
+	if !r.opt.IncrementalGossip || r.negotiator == nil ||
+		r.negotiator.PeerFeatures(r.peers[i])&transport.FeatureCompactGossip == 0 {
+		return msg
+	}
+	cm, err := encodeCompactGossip(r.id, []GossipMsg{msg})
+	if err != nil {
+		r.metrics.CompactGossipFallbacks++
+		return msg
+	}
+	r.metrics.CompactGossipSent++
+	return cm
 }
 
 // buildFullGossip assembles a self-contained full-state gossip message,

@@ -10,6 +10,7 @@ import (
 	"esds/internal/label"
 	"esds/internal/ops"
 	"esds/internal/sim"
+	"esds/internal/transport"
 )
 
 // pruneOptions is the production configuration whose recovery story state
@@ -493,10 +494,10 @@ func TestHostileGossipCannotLowerSolidLabel(t *testing.T) {
 	}
 	want := r0.Snapshot().Labels[x.x.ID]
 
-	r0.handleGossip(GossipMsg{
+	r0.handleMessage(transport.Message{Payload: GossipMsg{
 		From: 1,
 		L:    map[ops.ID]label.Label{x.x.ID: label.Make(0, 1)},
-	})
+	}})
 
 	if got := r0.Snapshot().Labels[x.x.ID]; got != want {
 		t.Fatalf("solid label moved: %v -> %v", want, got)
@@ -524,12 +525,12 @@ func TestHostileGossipBelowMemoizedFrontier(t *testing.T) {
 	}
 
 	evil := ops.New(dtype.LogAppend{Entry: "evil"}, ops.ID{Client: "evil", Seq: 0}, nil, false)
-	r0.handleGossip(GossipMsg{
+	r0.handleMessage(transport.Message{Payload: GossipMsg{
 		From: 1,
 		R:    []ops.Operation{evil},
 		L:    map[ops.ID]label.Label{evil.ID: label.Make(0, 1)}, // below everything
 		D:    []ops.ID{evil.ID},
-	})
+	}})
 
 	if got := r0.Snapshot().Memoized; got != memoBefore {
 		t.Fatalf("memoized prefix moved: %d -> %d", memoBefore, got)

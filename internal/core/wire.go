@@ -28,7 +28,7 @@ func RegisterWire() {
 		gob.Register(GossipMsg{})
 		gob.Register(BatchRequestMsg{})
 		gob.Register(BatchResponseMsg{})
-		gob.Register(BatchGossipMsg{})
+		gob.Register(BatchGossipMsg{}) // only received, from older peers
 		gob.Register(CompactGossipMsg{})
 		gob.Register(RangeRequestMsg{})
 		gob.Register(RangeResponseMsg{})

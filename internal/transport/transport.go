@@ -70,8 +70,8 @@ type InlineRegistrar interface {
 // capability the announcing node can DECODE; a sender uses the capability
 // only toward peers whose announced bits include it.
 const (
-	// FeatureCompactGossip: the node decodes core.CompactGossipMsg, the
-	// delta-encoded form of coalesced gossip (DESIGN.md §12).
+	// FeatureCompactGossip means the node decodes core.CompactGossipMsg,
+	// the delta-encoded form of gossip (DESIGN.md §12).
 	FeatureCompactGossip uint32 = 1 << 0
 )
 
@@ -80,10 +80,9 @@ const (
 // node announces what it can decode, and senders check PeerFeatures before
 // using an upgraded form — an unannounced peer (older build, or a transport
 // without negotiation) gets the legacy encoding. TCPNet piggybacks the bits
-// on its frames and learns them per peer; LiveNet keeps an in-process map.
-// SimNet deliberately does not implement it: the simulator pins the paper's
-// wire model, and negotiation-dependent paths are exercised on the live
-// transports.
+// on its frames and learns them per peer. LiveNet and SimNet do not
+// implement it: an in-process transport has no wire, so there is nothing
+// to encode compactly — and SimNet pins the paper's wire model.
 type FeatureNegotiator interface {
 	// AnnounceFeatures declares the capability bits of a LOCAL node, before
 	// or after registration. Announcing replaces earlier announcements.
@@ -380,16 +379,14 @@ type LiveNet struct {
 	mu     sync.Mutex
 	nodes  map[NodeID]*mailbox
 	inline map[NodeID]Handler
-	feat   map[NodeID]uint32
 	closed bool
 	wg     sync.WaitGroup
 	stats  Stats
 }
 
 var (
-	_ Network           = (*LiveNet)(nil)
-	_ InlineRegistrar   = (*LiveNet)(nil)
-	_ FeatureNegotiator = (*LiveNet)(nil)
+	_ Network         = (*LiveNet)(nil)
+	_ InlineRegistrar = (*LiveNet)(nil)
 )
 
 type mailbox struct {
@@ -482,25 +479,6 @@ func (n *LiveNet) RegisterInline(id NodeID, h Handler) {
 		n.inline = make(map[NodeID]Handler)
 	}
 	n.inline[id] = h
-}
-
-// AnnounceFeatures implements FeatureNegotiator. In-process there is no
-// wire to piggyback on: every node shares one map, so an announcement is
-// visible to all peers immediately.
-func (n *LiveNet) AnnounceFeatures(id NodeID, features uint32) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.feat == nil {
-		n.feat = make(map[NodeID]uint32)
-	}
-	n.feat[id] = features
-}
-
-// PeerFeatures implements FeatureNegotiator.
-func (n *LiveNet) PeerFeatures(id NodeID) uint32 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.feat[id]
 }
 
 // Send implements Network. Messages to unregistered nodes are dropped

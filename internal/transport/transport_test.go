@@ -260,6 +260,21 @@ func TestLiveNetDelivery(t *testing.T) {
 	}
 }
 
+// TestInProcessTransportsDoNotNegotiate pins that only a transport with a
+// wire negotiates wire features: LiveNet and SimNet carry payloads by
+// reference, so a replica on one must never spend CPU on the compact gossip
+// encoding — and never see a peer announce it.
+func TestInProcessTransportsDoNotNegotiate(t *testing.T) {
+	live := NewLiveNet()
+	defer live.Close()
+	if _, ok := any(live).(FeatureNegotiator); ok {
+		t.Error("LiveNet implements FeatureNegotiator")
+	}
+	if _, ok := any(NewSimNet(sim.New(1), SimNetConfig{})).(FeatureNegotiator); ok {
+		t.Error("SimNet implements FeatureNegotiator")
+	}
+}
+
 func TestLiveNetBidirectionalNoDeadlock(t *testing.T) {
 	// Two nodes that respond to every message with another message; Send
 	// from within a handler must not deadlock. Bounded ping-pong.
