@@ -4,7 +4,7 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: build test benchmark-test race bench bench-diff chaos loadlab fuzz fmt vet lint ci clean
+.PHONY: build test benchmark-test race bench bench-diff microbench chaos loadlab fuzz fmt vet lint ci clean
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,16 @@ bench-diff:
 	set -o pipefail; $(GO) test -bench . -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_fresh.json -require BENCH_results.json -max-regress 0.2 -regress-match '^BenchmarkE12|^BenchmarkE13|^BenchmarkE14|^BenchmarkE15|^BenchmarkE16|^BenchmarkE17'
 	rm -f BENCH_fresh.json
 
+# Per-layer micro-benchmarks with real iteration counts and allocs/op: the
+# data types' transition functions (the directory on a 64-name x 4-key
+# state) and response-value computation (memoized prefix, Fig. 7
+# recompute, and an unstable suffix that never stabilizes). Unlike the
+# `bench` smoke run these numbers carry information; the CI build job runs
+# them at MICROBENCHTIME=100x so they cannot rot.
+MICROBENCHTIME ?= 2000x
+microbench:
+	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation' -benchmem -benchtime $(MICROBENCHTIME) .
+
 # Deterministic fault-injection suite under the race detector: the
 # crash/recover/prune chaos matrix (crash timing × option sets × gossip
 # loss, including the replay cell for a type with no state encoding and
@@ -97,9 +107,10 @@ loadlab:
 	$(GO) test -race -count=1 -run 'TestFaultNet' ./internal/transport
 	$(GO) test -count=1 -run 'TestHist' ./internal/stats
 
-# Native fuzzing of the two doors through which another process's bytes
-# reach a replica's state: range responses delivered to a recovering
-# replica, and the compact gossip decoder. go test takes one -fuzz target
+# Native fuzzing of the doors through which another process's bytes reach
+# a replica's state: range responses delivered to a recovering replica,
+# the compact gossip decoder, and the Directory snapshot decoder (which
+# also checks the golden encodings first). go test takes one -fuzz target
 # per invocation, so each gets FUZZTIME. The committed seeds already run in
 # `make test` and `make chaos`; this explores beyond them. The nightly
 # deep-chaos job runs it; FUZZTIME=5m make fuzz for a longer local session.
@@ -107,6 +118,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRangeResponse$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompactGossip$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDirectoryState$$' -fuzztime $(FUZZTIME) ./internal/dtype
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -134,7 +146,9 @@ lint: vet
 		echo "lint: staticcheck not installed; ran go vet only (go install honnef.co/go/tools/cmd/staticcheck@2025.1.1)"; \
 	fi
 
-ci: build lint fmt test benchmark-test race chaos loadlab bench-diff
+# CI runs the micro-benchmarks as a smoke test (see microbench).
+ci: MICROBENCHTIME = 100x
+ci: build lint fmt test benchmark-test microbench race chaos loadlab bench-diff
 
 clean:
 	$(GO) clean

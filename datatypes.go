@@ -44,7 +44,9 @@ func SetContains(elem string) Operator { return dtype.SetContains{Elem: elem} }
 func SetSize() Operator { return dtype.SetSize{} }
 
 // Directory returns the name-service data type of the paper's motivating
-// application (§11.2): names with attribute sets.
+// application (§11.2): names with attribute sets. A name, key or value
+// containing the bytes 0x00–0x02, or a key containing '=', is refused:
+// the operation changes nothing and its value is "invalid".
 func Directory() DataType { return dtype.Directory{} }
 
 // Bind creates a name. Value: "ok".

@@ -76,10 +76,13 @@ type ReplicaMetrics struct {
 	RequestsParkedRecovering uint64
 	// AppliesForResponse counts data type Apply calls made while computing
 	// response values. Without memoization this grows quadratically with
-	// history length; with it, only the unstable suffix is recomputed.
+	// history length; with it, each position of the unstable suffix is
+	// applied once into the suffix cache, and again only after a reorder
+	// moved an operation below it.
 	AppliesForResponse uint64
 	// AppliesForMemoize counts Apply calls that advanced the memoized
-	// prefix (each done operation is memoized exactly once).
+	// prefix (each done operation is memoized exactly once, by this apply
+	// or by adopting the suffix cache's state, which is not counted).
 	AppliesForMemoize uint64
 	// AppliesForCurrentState counts Apply calls maintaining cs_r in commute
 	// mode (each done operation applied exactly once, at do-time).

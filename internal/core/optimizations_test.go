@@ -17,16 +17,58 @@ import (
 // by operation id plus the environment for further inspection.
 func runWorkload(t *testing.T, opt Options, strictEvery int) (map[ops.ID]string, *testEnv) {
 	t.Helper()
-	e := newTestEnv(t, 3, dtype.Log{}, opt)
+	return workload{dt: dtype.Log{}, n: 30, gen: logOp, spacing: 2 * sim.Millisecond}.run(t, opt, strictEvery)
+}
+
+// workload is n operators gen(0..n-1) submitted from three clients, one
+// every spacing, to a three-replica cluster of dt: round robin over the
+// replicas, or all at replica 0 when pinned (sessions kept on their
+// nearest replica).
+type workload struct {
+	dt      dtype.DataType
+	n       int
+	gen     func(int) dtype.Operator
+	spacing sim.Duration
+	pinned  bool
+}
+
+// logOp appends, with every fifth operation a read.
+func logOp(i int) dtype.Operator {
+	if i%5 == 4 {
+		return dtype.LogRead{}
+	}
+	return dtype.LogAppend{Entry: fmt.Sprintf("e%d", i)}
+}
+
+// dirOp is a Directory mix over five names: binds, attribute writes,
+// attribute reads and lookups.
+func dirOp(i int) dtype.Operator {
+	name := fmt.Sprintf("n%d", i%5)
+	switch i % 4 {
+	case 0:
+		return dtype.DirBind{Name: name}
+	case 1:
+		return dtype.DirSetAttr{Name: name, Key: fmt.Sprintf("k%d", i%3), Val: fmt.Sprintf("v%d", i)}
+	case 2:
+		return dtype.DirGetAttr{Name: name, Key: fmt.Sprintf("k%d", i%3)}
+	default:
+		return dtype.DirLookup{Name: name}
+	}
+}
+
+// run drives the workload (every strictEvery-th operation strict) and
+// returns the responses keyed by operation id plus the environment.
+func (w workload) run(t *testing.T, opt Options, strictEvery int) (map[ops.ID]string, *testEnv) {
+	t.Helper()
+	e := newTestEnv(t, 3, w.dt, opt)
+	for c := 0; c < 3 && w.pinned; c++ {
+		e.cluster.FrontEnd(fmt.Sprintf("c%d", c)).StickTo(ReplicaNode(0))
+	}
 	var all []*result
-	for i := 0; i < 30; i++ {
+	for i := 0; i < w.n; i++ {
 		strict := strictEvery > 0 && i%strictEvery == 0
-		var op dtype.Operator = dtype.LogAppend{Entry: fmt.Sprintf("e%d", i)}
-		if i%5 == 4 {
-			op = dtype.LogRead{}
-		}
-		all = append(all, e.submit(fmt.Sprintf("c%d", i%3), op, nil, strict))
-		e.s.RunFor(2 * sim.Millisecond)
+		all = append(all, e.submit(fmt.Sprintf("c%d", i%3), w.gen(i), nil, strict))
+		e.s.RunFor(w.spacing)
 	}
 	e.s.RunFor(800 * sim.Millisecond)
 	results := make(map[ops.ID]string, len(all))
@@ -38,38 +80,61 @@ func runWorkload(t *testing.T, opt Options, strictEvery int) (map[ops.ID]string,
 	return results, e
 }
 
+// TestMemoizationPreservesResponsesAndCutsWork runs each workload with and
+// without Memoize: identical responses and eventual order, fewer response
+// applies. The Directory cases are non-commuting reads and writes whose
+// responses used to replay the whole unstable suffix each; with sessions
+// pinned to one replica (appends only, a suffix ~30 operations long) that
+// was ~15 applies per response, and the suffix cache must hold it to at
+// most two.
 func TestMemoizationPreservesResponsesAndCutsWork(t *testing.T) {
-	collect := func(opt Options) (map[ops.ID]string, ReplicaMetrics, Convergence) {
-		results, e := runWorkload(t, opt, 6)
-		return results, e.cluster.TotalMetrics(), e.cluster.CheckConvergence()
-	}
-	baseRes, baseM, baseConv := collect(Options{})
-	memoRes, memoM, memoConv := collect(Options{Memoize: true})
+	for _, tc := range []struct {
+		name        string
+		w           workload
+		perResponse uint64 // response applies per response allowed under Memoize (0: no bound)
+	}{
+		{"log", workload{dt: dtype.Log{}, n: 30, gen: logOp, spacing: 2 * sim.Millisecond}, 0},
+		{"directory", workload{dt: dtype.Directory{}, n: 120, gen: dirOp, spacing: 2 * sim.Millisecond}, 0},
+		{"directory-pinned", workload{dt: dtype.Directory{}, n: 240, gen: dirOp, spacing: sim.Millisecond / 2, pinned: true}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			collect := func(opt Options) (map[ops.ID]string, ReplicaMetrics, Convergence) {
+				results, e := tc.w.run(t, opt, 6)
+				return results, e.cluster.TotalMetrics(), e.cluster.CheckConvergence()
+			}
+			baseRes, baseM, baseConv := collect(Options{})
+			memoRes, memoM, memoConv := collect(Options{Memoize: true})
 
-	if !baseConv.Converged || !memoConv.Converged {
-		t.Fatalf("convergence: base=%v memo=%v", baseConv.Reason, memoConv.Reason)
-	}
-	if len(baseRes) == 0 || len(baseRes) != len(memoRes) {
-		t.Fatalf("response counts differ: %d vs %d", len(baseRes), len(memoRes))
-	}
-	for id, v := range baseRes {
-		if memoRes[id] != v {
-			t.Errorf("op %v: base %q, memoized %q", id, v, memoRes[id])
-		}
-	}
-	// Both runs are identical except for internal caching, so the eventual
-	// orders must match exactly.
-	for i := range baseConv.Order {
-		if baseConv.Order[i] != memoConv.Order[i] {
-			t.Fatalf("eventual orders diverge at %d", i)
-		}
-	}
-	if memoM.AppliesForResponse >= baseM.AppliesForResponse {
-		t.Errorf("memoization did not reduce response applies: %d vs %d",
-			memoM.AppliesForResponse, baseM.AppliesForResponse)
-	}
-	if memoM.MemoizedOps == 0 {
-		t.Error("nothing was memoized")
+			if !baseConv.Converged || !memoConv.Converged {
+				t.Fatalf("convergence: base=%v memo=%v", baseConv.Reason, memoConv.Reason)
+			}
+			if len(baseRes) == 0 || len(baseRes) != len(memoRes) {
+				t.Fatalf("response counts differ: %d vs %d", len(baseRes), len(memoRes))
+			}
+			for id, v := range baseRes {
+				if memoRes[id] != v {
+					t.Errorf("op %v: base %q, memoized %q", id, v, memoRes[id])
+				}
+			}
+			// Both runs are identical except for internal caching, so the
+			// eventual orders must match exactly.
+			for i := range baseConv.Order {
+				if baseConv.Order[i] != memoConv.Order[i] {
+					t.Fatalf("eventual orders diverge at %d", i)
+				}
+			}
+			if memoM.AppliesForResponse >= baseM.AppliesForResponse {
+				t.Errorf("memoization did not reduce response applies: %d vs %d",
+					memoM.AppliesForResponse, baseM.AppliesForResponse)
+			}
+			if tc.perResponse > 0 && memoM.AppliesForResponse > tc.perResponse*memoM.ResponsesSent {
+				t.Errorf("%d response applies for %d responses, want at most %d each",
+					memoM.AppliesForResponse, memoM.ResponsesSent, tc.perResponse)
+			}
+			if memoM.MemoizedOps == 0 {
+				t.Error("nothing was memoized")
+			}
+		})
 	}
 }
 
@@ -424,7 +489,9 @@ func TestEstimateSize(t *testing.T) {
 // below, as gossiped labels do), label lowerings of done operations and
 // memoized-prefix advances, and after each ensureSorted requires the
 // unsolid suffix to be exactly the label-ordered arrangement of the same
-// operations — the append-only merge path and the full re-sort alike.
+// operations — the append-only merge path and the full re-sort alike —
+// and the index it reports (where the suffix cache is cut) to be exactly
+// the first position at which the old and new orders differ.
 func TestEnsureSortedMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r := &Replica{labels: label.NewMap()}
@@ -463,7 +530,17 @@ func TestEnsureSortedMatchesFullSort(t *testing.T) {
 			r.memoized += rng.Intn(len(r.doneSeq) - r.memoized + 1)
 		default:
 			before := append([]ops.ID(nil), r.doneSeq...)
-			r.ensureSorted()
+			moved := r.ensureSorted()
+			firstDiff := len(before)
+			for i := range before {
+				if before[i] != r.doneSeq[i] {
+					firstDiff = i
+					break
+				}
+			}
+			if moved != firstDiff {
+				t.Fatalf("step %d: ensureSorted reported first moved index %d, orders first differ at %d", step, moved, firstDiff)
+			}
 			want := append([]ops.ID(nil), before[r.memoized:]...)
 			sort.Slice(want, func(i, j int) bool { return r.labels.Get(want[i]).Less(r.labels.Get(want[j])) })
 			for i := range before[:r.memoized] {

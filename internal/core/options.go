@@ -6,10 +6,16 @@ import "time"
 // value is the unoptimized abstract algorithm of Fig. 7 (recompute every
 // response from the initial state, full gossip).
 type Options struct {
-	// Memoize enables the §10.1 solid-prefix memoization (ESDS-Alg′,
-	// Fig. 10): once an operation is solid at the replica — stable, or
-	// locally ordered before a stable operation — its value and the state
-	// after it are cached and never recomputed.
+	// Memoize caches computed states. It enables the §10.1 solid-prefix
+	// memoization (ESDS-Alg′, Fig. 10): once an operation is solid at the
+	// replica — stable, or locally ordered before a stable operation — its
+	// value and the state after it are cached and never recomputed. It also
+	// keeps the suffix cache (DESIGN.md §8, "Response computation"): the
+	// value of and state after each unsolid operation a response needed,
+	// recomputed only from the first position a reorder moved and taken
+	// over by the memoized prefix as it advances. Off, every response
+	// replays the unstable suffix from the memoized state (Fig. 7 as
+	// written).
 	Memoize bool
 
 	// Prune enables the §10.2 memory reclamation: prev sets are dropped once

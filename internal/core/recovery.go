@@ -220,6 +220,7 @@ func (r *Replica) Crash() {
 	r.memoized = 0
 	r.memoState = r.dt.Initial()
 	r.memoVals = make(map[ops.ID]dtype.Value)
+	r.sufStates, r.sufVals = nil, nil
 	r.lastMemoLabel = label.Label{}
 	r.maxStable = label.Infinity
 	r.curState = r.dt.Initial()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -73,6 +74,15 @@ type Replica struct {
 	memoVals      map[ops.ID]dtype.Value
 	lastMemoLabel label.Label
 	maxStable     label.Label // max label among stable_r[r]; ∞ when none yet
+
+	// Suffix cache (DESIGN.md §8, "Response computation"): sufStates[i] and
+	// sufVals[i] are the state after, and the value of, doneSeq[memoized+i]
+	// replayed from memoState, for i < len(sufVals). Only valueFor's replay
+	// extends it (and only under Memoize), ensureSorted cuts it at the first
+	// position a sort moved, and advanceMemo adopts its head instead of
+	// applying again.
+	sufStates []dtype.State
+	sufVals   []dtype.Value
 
 	// Commute mode (§10.3): current state after all locally done ops in
 	// application order, and the value each op produced when applied.
@@ -919,11 +929,15 @@ func (r *Replica) prevsDone(x ops.Operation) bool {
 // alone up to the first op above the smallest appended label, sorts the
 // appended ops and merges the two runs. Labels are pre-fetched once into
 // a reusable scratch buffer: this is the label-compare hot path.
-func (r *Replica) ensureSorted() {
+//
+// It returns the first index of doneSeq whose operation changed
+// (len(doneSeq) when none did) and cuts the suffix cache there: every
+// cached position below it still has the same operations before it.
+func (r *Replica) ensureSorted() int {
 	lo, inOrder := r.memoized, 0 // doneSeq[lo:lo+inOrder] is already in order
 	if !r.seqDirty && r.sortedTo >= lo {
 		if r.sortedTo == len(r.doneSeq) {
-			return
+			return len(r.doneSeq)
 		}
 		min := r.labels.Get(r.doneSeq[r.sortedTo])
 		for _, id := range r.doneSeq[r.sortedTo+1:] {
@@ -963,11 +977,28 @@ func (r *Replica) ensureSorted() {
 		}
 		scratch = merged
 	}
+	moved := len(r.doneSeq)
 	for i := range scratch {
+		if moved == len(r.doneSeq) && suffix[i] != scratch[i].id {
+			moved = lo + i
+		}
 		suffix[i] = scratch[i].id
 	}
 	r.sortedTo = len(r.doneSeq)
 	r.seqDirty = false
+	r.cutSuffixCache(moved - r.memoized)
+	return moved
+}
+
+// cutSuffixCache keeps the first k positions of the suffix cache (O(1)
+// when it holds no more), releasing the states it drops.
+func (r *Replica) cutSuffixCache(k int) {
+	if k >= len(r.sufVals) {
+		return
+	}
+	clear(r.sufStates[k:])
+	clear(r.sufVals[k:])
+	r.sufStates, r.sufVals = r.sufStates[:k], r.sufVals[:k]
 }
 
 // maxDoneLabelLocked returns the greatest label of any locally done
@@ -984,7 +1015,8 @@ func (r *Replica) maxDoneLabelLocked() (label.Label, bool) {
 // advanceMemo extends the memoized solid prefix (§10.1): operations whose
 // label is ≤ the largest stable label are solid — their position in the
 // eventual total order is fixed — so their value and the state after them
-// are computed once and cached.
+// are computed once and cached, or taken over from the suffix cache when a
+// response already computed them.
 //
 // The prefix never advances while deferred completions are outstanding: a
 // deferred id is an operation done somewhere whose label or descriptor this
@@ -1019,11 +1051,20 @@ func (r *Replica) advanceMemo() {
 			return
 		}
 		var v dtype.Value
-		r.memoState, v = r.dt.Apply(r.memoState, x.Op)
+		if len(r.sufVals) > 0 {
+			// The suffix cache already holds this position's state and value,
+			// computed from the same memoState: adopt them, and the rest of
+			// the cache stays aligned with the new memoState.
+			r.memoState, v = r.sufStates[0], r.sufVals[0]
+			r.sufStates[0], r.sufVals[0] = nil, nil
+			r.sufStates, r.sufVals = r.sufStates[1:], r.sufVals[1:]
+		} else {
+			r.memoState, v = r.dt.Apply(r.memoState, x.Op)
+			r.metrics.AppliesForMemoize++
+		}
 		r.memoVals[id] = v
 		r.lastMemoLabel = l
 		r.memoized++
-		r.metrics.AppliesForMemoize++
 		r.maybePrune(id)
 	}
 }
@@ -1211,8 +1252,10 @@ func (r *Replica) isStrict(id ops.ID) bool {
 // snapshot-seeded) solid ops answer from the cached prefix (Fig. 10) — the
 // memoVals check is unconditional because snapshot installation seeds
 // values even when Memoize is off, and a seeded op has no descriptor to
-// replay. Uncomputable values (hostile interleavings) return an error with
-// the fault recorded.
+// replay. Anything else is replayed from memoState along the unsolid
+// suffix; under Memoize the replay extends the suffix cache, so it starts
+// where the cache ends and stops at the op asked for. Uncomputable values
+// (hostile interleavings) return an error with the fault recorded.
 func (r *Replica) valueFor(id ops.ID, strict bool) (dtype.Value, error) {
 	if r.opt.Commute && !strict {
 		if v, ok := r.curVals[id]; ok {
@@ -1223,22 +1266,36 @@ func (r *Replica) valueFor(id ops.ID, strict bool) (dtype.Value, error) {
 		return v, nil
 	}
 	r.ensureSorted()
-	st := r.memoState // initial state when nothing is memoized
-	for _, seqID := range r.doneSeq[r.memoized:] {
-		x, ok := r.retained[seqID]
-		if !ok {
-			r.fault(FaultValuePruned, id, "replay needs pruned unsolid op %v", seqID)
-			return nil, &ReplicaFault{Replica: r.id, Code: FaultValuePruned, ID: id}
+	suffix := r.doneSeq[r.memoized:]
+	pos := slices.Index(suffix, id)
+	if pos < 0 {
+		r.fault(FaultValueNotDone, id, "op not in local total order")
+		return nil, &ReplicaFault{Replica: r.id, Code: FaultValueNotDone, ID: id}
+	}
+	st, k := r.memoState, 0 // initial state when nothing is memoized
+	if r.opt.Memoize {
+		if k = len(r.sufVals); pos < k {
+			return r.sufVals[pos], nil
 		}
-		var v dtype.Value
-		st, v = r.dt.Apply(st, x.Op)
-		r.metrics.AppliesForResponse++
-		if seqID == id {
-			return v, nil
+		if k > 0 {
+			st = r.sufStates[k-1]
 		}
 	}
-	r.fault(FaultValueNotDone, id, "op not in local total order")
-	return nil, &ReplicaFault{Replica: r.id, Code: FaultValueNotDone, ID: id}
+	var v dtype.Value
+	for ; k <= pos; k++ {
+		x, ok := r.retained[suffix[k]]
+		if !ok {
+			r.fault(FaultValuePruned, id, "replay needs pruned unsolid op %v", suffix[k])
+			return nil, &ReplicaFault{Replica: r.id, Code: FaultValuePruned, ID: id}
+		}
+		st, v = r.dt.Apply(st, x.Op)
+		r.metrics.AppliesForResponse++
+		if r.opt.Memoize {
+			r.sufStates = append(r.sufStates, st)
+			r.sufVals = append(r.sufVals, v)
+		}
+	}
+	return v, nil
 }
 
 // SendGossip performs one gossip round: send_rr'(⟨"gossip", ...⟩) of Fig. 7

@@ -198,6 +198,7 @@ func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 	r.memoized = len(msg.Ops)
 	r.seqDirty = true // the suffix may need re-sorting against new labels
 	r.memoState = state
+	r.sufStates, r.sufVals = nil, nil // replayed from the old memoState
 	r.lastMemoLabel = msg.Ops[len(msg.Ops)-1].Label
 
 	// Commute mode: cs_r is the state after all locally done operations;

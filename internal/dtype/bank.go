@@ -17,6 +17,7 @@ var (
 	_ DataType         = Bank{}
 	_ Commuter         = Bank{}
 	_ ObliviousChecker = Bank{}
+	_ ReadOnlyChecker  = Bank{}
 )
 
 // BankDeposit adds Amount (> 0) to Account. Value: "ok".
@@ -111,6 +112,14 @@ func (Bank) Apply(s State, op Operator) (State, Value) {
 	default:
 		panic(fmt.Sprintf("dtype: bank does not support operator %T", op))
 	}
+}
+
+// ReadOnly implements ReadOnlyChecker: balance queries never change the
+// accounts (a refused withdrawal does not either, but whether it is
+// refused depends on the state).
+func (Bank) ReadOnly(op Operator) bool {
+	_, bal := op.(BankBalance)
+	return bal
 }
 
 // Commute implements Commuter: operations on different accounts commute;

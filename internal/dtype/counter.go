@@ -12,6 +12,7 @@ var (
 	_ DataType         = Counter{}
 	_ Commuter         = Counter{}
 	_ ObliviousChecker = Counter{}
+	_ ReadOnlyChecker  = Counter{}
 )
 
 // CtrAdd adds N to the counter; its reportable value is "ok".
@@ -50,6 +51,9 @@ func (Counter) Apply(s State, op Operator) (State, Value) {
 		panic(fmt.Sprintf("dtype: counter does not support operator %T", op))
 	}
 }
+
+// ReadOnly implements ReadOnlyChecker: reads never change the count.
+func (Counter) ReadOnly(op Operator) bool { return isCtrRead(op) }
 
 // Commute implements Commuter. Adds commute with adds; doubles commute with
 // doubles; reads commute with everything; add and double do not commute

@@ -2,6 +2,7 @@ package dtype
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -10,13 +11,25 @@ import (
 // from names to attribute sets. It is the paper's motivating application —
 // lookups dominate, updates tolerate lazy propagation, and attribute
 // initialization depends (via prev sets) on name creation.
+//
+// Names, keys and values may not contain the bytes "\x00", "\x01" or
+// "\x02" (the separators of the canonical encoding), and keys may not
+// contain "=". An operator carrying such a field is refused: it leaves the
+// state unchanged and reports DirInvalid — deterministically, so every
+// replica agrees, and without ever building a state the encoding could not
+// represent.
 type Directory struct{}
 
 var (
 	_ DataType         = Directory{}
 	_ Commuter         = Directory{}
 	_ ObliviousChecker = Directory{}
+	_ ReadOnlyChecker  = Directory{}
 )
+
+// DirInvalid is the reportable value of a Directory operator refused for a
+// name, key or value the encoding cannot carry (see Directory).
+const DirInvalid = "invalid"
 
 // DirBind creates the name object (with no attributes). Binding an existing
 // name is a no-op. Value: "ok".
@@ -47,87 +60,108 @@ func (o DirGetAttr) String() string { return fmt.Sprintf("getattr(%s.%s)", o.Nam
 func (o DirLookup) String() string  { return fmt.Sprintf("lookup(%s)", o.Name) }
 func (DirList) String() string      { return "list" }
 
-// DirState is the immutable canonical state of a Directory.
+// DirState is the immutable state of a Directory: the bound names in
+// ascending order, each with its attribute set. It is copy-on-write —
+// Apply never mutates an entry array or attribute map it did not just
+// allocate — so a replica can keep every intermediate state (the memoized
+// prefix, the unstable-suffix cache) and successive states share
+// structure: a read copies nothing, a write copies the entry array and at
+// most one attribute map. The canonical string form ("name\x01k=v\x02k=v"
+// entries joined by "\x00", names and keys sorted) exists only in
+// EncodeState, DecodeState and String.
 type DirState struct {
-	// enc is a canonical encoding: "name\x01k=v\x02k=v..." entries joined by
-	// "\x00", names and keys sorted. Canonical encoding makes states
-	// comparable with == and printable deterministically.
-	enc string
+	entries []dirEntry // ascending by name, names unique
 }
-
-func (s DirState) String() string { return "dir[" + strings.ReplaceAll(s.enc, "\x00", " ") + "]" }
 
 type dirEntry struct {
 	name  string
-	attrs map[string]string
+	attrs map[string]string // never mutated once built; nil when empty
 }
 
-func (s DirState) decode() []dirEntry {
-	if s.enc == "" {
-		return nil
-	}
-	parts := strings.Split(s.enc, "\x00")
-	out := make([]dirEntry, 0, len(parts))
-	for _, p := range parts {
-		fields := strings.Split(p, "\x01")
-		e := dirEntry{name: fields[0], attrs: make(map[string]string)}
-		if len(fields) > 1 && fields[1] != "" {
-			for _, kv := range strings.Split(fields[1], "\x02") {
-				i := strings.IndexByte(kv, '=')
-				e.attrs[kv[:i]] = kv[i+1:]
-			}
+// String renders the canonical encoding with entries separated by spaces,
+// so equal states print equally (stateEqual compares printed forms).
+func (s DirState) String() string {
+	var b strings.Builder
+	b.WriteString("dir[")
+	s.write(&b, ' ')
+	b.WriteByte(']')
+	return b.String()
+}
+
+// write renders the canonical encoding with entries separated by sep.
+func (s DirState) write(b *strings.Builder, sep byte) {
+	for i, e := range s.entries {
+		if i > 0 {
+			b.WriteByte(sep)
 		}
-		out = append(out, e)
-	}
-	return out
-}
-
-func encodeDir(entries []dirEntry) DirState {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	parts := make([]string, 0, len(entries))
-	for _, e := range entries {
+		b.WriteString(e.name)
+		b.WriteByte('\x01')
 		keys := make([]string, 0, len(e.attrs))
 		for k := range e.attrs {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		kvs := make([]string, 0, len(keys))
-		for _, k := range keys {
-			kvs = append(kvs, k+"="+e.attrs[k])
+		for j, k := range keys {
+			if j > 0 {
+				b.WriteByte('\x02')
+			}
+			b.WriteString(k)
+			b.WriteByte('=')
+			b.WriteString(e.attrs[k])
 		}
-		parts = append(parts, e.name+"\x01"+strings.Join(kvs, "\x02"))
 	}
-	return DirState{enc: strings.Join(parts, "\x00")}
+}
+
+// find returns the position of name among the entries — where it is, or
+// where it would be inserted — and whether it is bound.
+func (s DirState) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.entries, name, func(e dirEntry, name string) int {
+		return strings.Compare(e.name, name)
+	})
+}
+
+// splice returns a new state whose entries are s's with entries[i:j]
+// replaced by repl; s itself is untouched.
+func (s DirState) splice(i, j int, repl ...dirEntry) DirState {
+	out := make([]dirEntry, 0, len(s.entries)-(j-i)+len(repl))
+	out = append(out, s.entries[:i]...)
+	out = append(out, repl...)
+	out = append(out, s.entries[j:]...)
+	return DirState{entries: out}
 }
 
 // Bound reports whether name is bound in the state.
 func (s DirState) Bound(name string) bool {
-	for _, e := range s.decode() {
-		if e.name == name {
-			return true
-		}
-	}
-	return false
+	_, ok := s.find(name)
+	return ok
 }
 
 // Attr returns the value of an attribute, or "" if absent.
 func (s DirState) Attr(name, key string) string {
-	for _, e := range s.decode() {
-		if e.name == name {
-			return e.attrs[key]
-		}
+	if i, ok := s.find(name); ok {
+		return s.entries[i].attrs[key]
 	}
 	return ""
 }
 
 // Names returns the sorted bound names.
 func (s DirState) Names() []string {
-	es := s.decode()
-	out := make([]string, 0, len(es))
-	for _, e := range es {
+	out := make([]string, 0, len(s.entries))
+	for _, e := range s.entries {
 		out = append(out, e.name)
 	}
 	return out
+}
+
+// dirField reports whether s can be a name, key (key set) or value: none
+// of the encoding's separators, and no '=' in a key.
+func dirField(s string, key bool) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= '\x02' || (key && c == '=') {
+			return false
+		}
+	}
+	return true
 }
 
 // Name implements DataType.
@@ -136,52 +170,75 @@ func (Directory) Name() string { return "directory" }
 // Initial implements DataType.
 func (Directory) Initial() State { return DirState{} }
 
-// Apply implements DataType.
+// Apply implements DataType. Whenever the state does not change it returns
+// s itself, so a read does not even re-box the state.
 func (Directory) Apply(s State, op Operator) (State, Value) {
 	cur, ok := s.(DirState)
 	if !ok {
 		panic(fmt.Sprintf("dtype: directory state has type %T, want DirState", s))
 	}
-	entries := cur.decode()
 	switch o := op.(type) {
 	case DirBind:
-		for _, e := range entries {
-			if e.name == o.Name {
-				return cur, "ok"
-			}
+		if !dirField(o.Name, false) {
+			return s, DirInvalid
 		}
-		entries = append(entries, dirEntry{name: o.Name, attrs: map[string]string{}})
-		return encodeDir(entries), "ok"
+		i, bound := cur.find(o.Name)
+		if bound {
+			return s, "ok"
+		}
+		return cur.splice(i, i, dirEntry{name: o.Name}), "ok"
 	case DirUnbind:
-		out := entries[:0:0]
-		for _, e := range entries {
-			if e.name != o.Name {
-				out = append(out, e)
-			}
+		if !dirField(o.Name, false) {
+			return s, DirInvalid
 		}
-		return encodeDir(out), "ok"
+		i, bound := cur.find(o.Name)
+		if !bound {
+			return s, "ok"
+		}
+		return cur.splice(i, i+1), "ok"
 	case DirSetAttr:
-		for i, e := range entries {
-			if e.name == o.Name {
-				attrs := make(map[string]string, len(e.attrs)+1)
-				for k, v := range e.attrs {
-					attrs[k] = v
-				}
-				attrs[o.Key] = o.Val
-				entries[i] = dirEntry{name: e.name, attrs: attrs}
-				return encodeDir(entries), "ok"
-			}
+		if !dirField(o.Name, false) || !dirField(o.Key, true) || !dirField(o.Val, false) {
+			return s, DirInvalid
 		}
-		return cur, "no-such-name"
+		i, bound := cur.find(o.Name)
+		if !bound {
+			return s, "no-such-name"
+		}
+		e := cur.entries[i]
+		if v, has := e.attrs[o.Key]; has && v == o.Val {
+			return s, "ok"
+		}
+		attrs := make(map[string]string, len(e.attrs)+1)
+		for k, v := range e.attrs {
+			attrs[k] = v
+		}
+		attrs[o.Key] = o.Val
+		return cur.splice(i, i+1, dirEntry{name: e.name, attrs: attrs}), "ok"
 	case DirGetAttr:
-		return cur, cur.Attr(o.Name, o.Key)
+		if !dirField(o.Name, false) || !dirField(o.Key, true) {
+			return s, DirInvalid
+		}
+		return s, cur.Attr(o.Name, o.Key)
 	case DirLookup:
-		return cur, cur.Bound(o.Name)
+		if !dirField(o.Name, false) {
+			return s, DirInvalid
+		}
+		return s, cur.Bound(o.Name)
 	case DirList:
-		return cur, cur.Names()
+		return s, cur.Names()
 	default:
 		panic(fmt.Sprintf("dtype: directory does not support operator %T", op))
 	}
+}
+
+// ReadOnly implements ReadOnlyChecker: lookups, attribute reads and
+// listings never change the state.
+func (Directory) ReadOnly(op Operator) bool {
+	switch op.(type) {
+	case DirGetAttr, DirLookup, DirList:
+		return true
+	}
+	return false
 }
 
 // Commute implements Commuter: operations on different names commute;

@@ -8,7 +8,7 @@
 // (register, counter, set, directory, log, bank) provide typed operator
 // constructors. Data types may additionally implement Commuter and
 // ObliviousChecker to expose the commutativity/independence structure used
-// by the §10.3 optimization.
+// by the §10.3 optimization, and ReadOnlyChecker to name their queries.
 package dtype
 
 import "fmt"
@@ -47,6 +47,21 @@ type Commuter interface {
 // for all σ, i.e. op₁'s return value is unaffected by op₂ preceding it.
 type ObliviousChecker interface {
 	Oblivious(op1, op2 Operator) bool
+}
+
+// ReadOnlyChecker is an optional extension: ReadOnly(op) reports that op is
+// a pure query — τ(σ, op).s = σ for all σ — so a caller may keep the input
+// state instead of whatever Apply returns (Keyed does, to share its object
+// map across reads). A false answer is always safe.
+type ReadOnlyChecker interface {
+	ReadOnly(op Operator) bool
+}
+
+// ReadOnly reports whether dt declares op a pure query (ReadOnlyChecker);
+// false when dt cannot tell.
+func ReadOnly(dt DataType, op Operator) bool {
+	c, ok := dt.(ReadOnlyChecker)
+	return ok && c.ReadOnly(op)
 }
 
 // ApplyAll is τ⁺ (§2.2): it applies ops in sequence from s and returns the

@@ -345,6 +345,45 @@ func TestObliviousOracle(t *testing.T) {
 	}
 }
 
+// TestReadOnlyOracle: every operator a type declares read-only must leave
+// every sampled state unchanged, and every type names at least one query.
+func TestReadOnlyOracle(t *testing.T) {
+	cases := []struct {
+		dt     DataType
+		ops    []Operator
+		states []State
+	}{
+		{Register{}, registerOps(), registerStates()},
+		{Counter{}, counterOps(), counterStates()},
+		{Set{}, setOps(), setStates()},
+		{Directory{}, dirOps(), dirStates()},
+		{Log{}, logOps(), logStates()},
+		{Bank{}, bankOps(), bankStates()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.dt.Name(), func(t *testing.T) {
+			queries := 0
+			for _, op := range tc.ops {
+				if !ReadOnly(tc.dt, op) {
+					continue
+				}
+				queries++
+				for _, s := range tc.states {
+					if next, _ := tc.dt.Apply(s, op); !stateEqual(next, s) {
+						t.Errorf("%v declared read-only but takes %v to %v", op, s, next)
+					}
+				}
+			}
+			if queries == 0 {
+				t.Error("no operator declared read-only")
+			}
+		})
+	}
+	if ReadOnly(opaqueType{}, RegRead{}) {
+		t.Error("a type without ReadOnlyChecker must not be read-only")
+	}
+}
+
 // TestIndependent: Independent must require both directions of obliviousness
 // plus commutativity, and must be false for types lacking the interfaces.
 func TestIndependent(t *testing.T) {

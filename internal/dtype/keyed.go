@@ -43,9 +43,12 @@ type KeyedOp struct {
 func (o KeyedOp) String() string { return fmt.Sprintf("%s/%v", o.Key, o.Op) }
 
 // KeyedState is the state of a Keyed object: object name → inner state.
-// It is treated as immutable; Apply copies it (copy-on-write at map
-// granularity), which keeps per-shard states cheap when the keyspace is
-// partitioned across many shards.
+// It is treated as immutable and copied on write at map granularity: an
+// operator that changes an object's state — or names an object for the
+// first time, which brings it into existence — returns a fresh map, while
+// a read-only inner operator (dtype.ReadOnly) on an existing object
+// returns its input map itself, so the states a replica keeps around
+// reads share one map. A write copies the whole map.
 type KeyedState map[string]State
 
 // KeyInstall replaces the named object's state with a decoded canonical
@@ -109,6 +112,9 @@ func (k Keyed) Apply(s State, op Operator) (State, Value) {
 			inner = k.Inner.Initial()
 		}
 		next, v = k.Inner.Apply(inner, o.Op)
+		if ok && ReadOnly(k.Inner, o.Op) {
+			return cur, v
+		}
 	case KeyInstall:
 		key = o.Key
 		sn, ok := k.Inner.(Snapshotter)

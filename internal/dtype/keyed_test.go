@@ -1,6 +1,9 @@
 package dtype
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestKeyedApplyIsolatesObjects(t *testing.T) {
 	k := NewKeyed(Counter{})
@@ -33,6 +36,38 @@ func TestKeyedApplyDoesNotMutateInput(t *testing.T) {
 	}
 	if len(s0.(KeyedState)) != 0 {
 		t.Fatal("initial state mutated")
+	}
+}
+
+// TestKeyedReadSharesMap: a read-only inner operator on an existing object
+// returns the input map itself — the states a replica caches around reads
+// share one map — while a write returns a fresh map and leaves the input
+// alone. A read of an object never named before still brings it into
+// existence, so states (and their encodings) do not depend on the shortcut.
+func TestKeyedReadSharesMap(t *testing.T) {
+	k := NewKeyed(Counter{})
+	s, _ := k.Apply(k.Initial(), KeyedOp{Key: "a", Op: CtrAdd{N: 3}})
+	in := s.(KeyedState)
+
+	read, v := k.Apply(s, KeyedOp{Key: "a", Op: CtrRead{}})
+	if v != int64(3) {
+		t.Fatalf("read = %v, want 3", v)
+	}
+	if reflect.ValueOf(read).UnsafePointer() != reflect.ValueOf(in).UnsafePointer() {
+		t.Fatal("a read returned a copy of the object map")
+	}
+
+	added, _ := k.Apply(s, KeyedOp{Key: "a", Op: CtrAdd{N: 1}})
+	if reflect.ValueOf(added).UnsafePointer() == reflect.ValueOf(in).UnsafePointer() {
+		t.Fatal("an add returned its input map")
+	}
+	if in["a"] != int64(3) || added.(KeyedState)["a"] != int64(4) {
+		t.Fatalf("add: input %v, output %v", in, added)
+	}
+
+	fresh, v := k.Apply(s, KeyedOp{Key: "b", Op: CtrRead{}})
+	if v != int64(0) || len(fresh.(KeyedState)) != 2 || len(in) != 1 {
+		t.Fatalf("read of a new object: value %v, state %v, input %v", v, fresh, in)
 	}
 }
 

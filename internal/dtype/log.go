@@ -15,6 +15,7 @@ var (
 	_ DataType         = Log{}
 	_ Commuter         = Log{}
 	_ ObliviousChecker = Log{}
+	_ ReadOnlyChecker  = Log{}
 )
 
 // LogAppend appends Entry; its reportable value is the new length.
@@ -71,6 +72,16 @@ func (Log) Apply(s State, op Operator) (State, Value) {
 	default:
 		panic(fmt.Sprintf("dtype: log does not support operator %T", op))
 	}
+}
+
+// ReadOnly implements ReadOnlyChecker: reads and length queries never
+// change the log.
+func (Log) ReadOnly(op Operator) bool {
+	switch op.(type) {
+	case LogRead, LogLen:
+		return true
+	}
+	return false
 }
 
 // Commute implements Commuter: appends never commute with each other

@@ -10,6 +10,7 @@ var (
 	_ DataType         = Register{}
 	_ Commuter         = Register{}
 	_ ObliviousChecker = Register{}
+	_ ReadOnlyChecker  = Register{}
 )
 
 // RegWrite sets the register to Val; its reportable value is "ok".
@@ -41,6 +42,12 @@ func (Register) Apply(s State, op Operator) (State, Value) {
 	default:
 		panic(fmt.Sprintf("dtype: register does not support operator %T", op))
 	}
+}
+
+// ReadOnly implements ReadOnlyChecker: reads never change the contents.
+func (Register) ReadOnly(op Operator) bool {
+	_, read := op.(RegRead)
+	return read
 }
 
 // Commute implements Commuter: two register operators commute unless both

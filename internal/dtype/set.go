@@ -14,6 +14,7 @@ var (
 	_ DataType         = Set{}
 	_ Commuter         = Set{}
 	_ ObliviousChecker = Set{}
+	_ ReadOnlyChecker  = Set{}
 )
 
 // SetAdd inserts Elem; its reportable value is "ok".
@@ -101,6 +102,16 @@ func (Set) Apply(s State, op Operator) (State, Value) {
 	default:
 		panic(fmt.Sprintf("dtype: set does not support operator %T", op))
 	}
+}
+
+// ReadOnly implements ReadOnlyChecker: membership and size queries never
+// change the set.
+func (Set) ReadOnly(op Operator) bool {
+	switch op.(type) {
+	case SetContains, SetSize:
+		return true
+	}
+	return false
 }
 
 // Commute implements Commuter: mutators on different elements commute;

@@ -158,40 +158,57 @@ func (Bank) DecodeState(data []byte) (State, error) {
 
 // --- Directory ---
 
-// EncodeState implements Snapshotter: the canonical entry encoding.
+// EncodeState implements Snapshotter: the canonical entry encoding,
+// "name\x01k=v\x02k=v" per bound name, joined by "\x00", names and keys
+// ascending.
 func (Directory) EncodeState(s State) ([]byte, error) {
 	cur, ok := s.(DirState)
 	if !ok {
 		return nil, fmt.Errorf("dtype: directory snapshot of %T state", s)
 	}
-	return []byte(cur.enc), nil
+	var b strings.Builder
+	cur.write(&b, '\x00')
+	return []byte(b.String()), nil
 }
 
-// DecodeState implements Snapshotter.
+// DecodeState implements Snapshotter. It accepts exactly the encodings
+// EncodeState produces for states Apply can build: names strictly
+// ascending, every attribute a "k=v" with keys strictly ascending, and no
+// separator byte inside a name, key or value.
 func (Directory) DecodeState(data []byte) (State, error) {
-	st := DirState{enc: string(data)}
-	// Validate attribute entries (decode assumes every "k=v" has its '='),
-	// then decode/encode as the canonical-form check.
-	if st.enc != "" {
-		for _, part := range strings.Split(st.enc, "\x00") {
-			fields := strings.Split(part, "\x01")
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("dtype: directory snapshot entry %q malformed", part)
-			}
-			if fields[1] == "" {
-				continue
-			}
-			for _, kv := range strings.Split(fields[1], "\x02") {
-				if strings.IndexByte(kv, '=') < 0 {
+	if len(data) == 0 {
+		return DirState{}, nil
+	}
+	parts := strings.Split(string(data), "\x00")
+	entries := make([]dirEntry, 0, len(parts))
+	for _, part := range parts {
+		name, kvs, ok := strings.Cut(part, "\x01")
+		if !ok || !dirField(name, false) || strings.IndexByte(kvs, '\x01') >= 0 {
+			return nil, fmt.Errorf("dtype: directory snapshot entry %q malformed", part)
+		}
+		if n := len(entries); n > 0 && name <= entries[n-1].name {
+			return nil, fmt.Errorf("dtype: directory snapshot not in canonical form")
+		}
+		e := dirEntry{name: name}
+		if kvs != "" {
+			prev := ""
+			for j, kv := range strings.Split(kvs, "\x02") {
+				k, v, ok := strings.Cut(kv, "=")
+				if !ok {
 					return nil, fmt.Errorf("dtype: directory snapshot attribute %q lacks '='", kv)
 				}
+				if j > 0 && k <= prev {
+					return nil, fmt.Errorf("dtype: directory snapshot not in canonical form")
+				}
+				if e.attrs == nil {
+					e.attrs = make(map[string]string)
+				}
+				e.attrs[k], prev = v, k
 			}
 		}
+		entries = append(entries, e)
 	}
-	if encodeDir(st.decode()).enc != st.enc {
-		return nil, fmt.Errorf("dtype: directory snapshot not in canonical form")
-	}
-	return st, nil
+	return DirState{entries: entries}, nil
 }
 
 // --- Keyed ---

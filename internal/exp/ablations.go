@@ -159,7 +159,7 @@ func RunE7(p AblationParams) E7Result {
 // Table renders the comparison.
 func (r E7Result) Table() string {
 	t := stats.NewTable("variant", "applies/response", "applies cs_r", "mean latency ms")
-	t.AddRow("base (recompute suffix)", r.Base.Metrics.AppliesForResponse,
+	t.AddRow("base (memo + suffix cache)", r.Base.Metrics.AppliesForResponse,
 		r.Base.Metrics.AppliesForCurrentState, r.Base.MeanLatency)
 	t.AddRow("commute (Fig. 11)", r.Commute.Metrics.AppliesForResponse,
 		r.Commute.Metrics.AppliesForCurrentState, r.Commute.MeanLatency)
