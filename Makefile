@@ -67,13 +67,15 @@ bench-diff:
 
 # Per-layer micro-benchmarks with real iteration counts and allocs/op: the
 # data types' transition functions (the directory on a 64-name x 4-key
-# state) and response-value computation (memoized prefix, Fig. 7
-# recompute, and an unstable suffix that never stabilizes). Unlike the
-# `bench` smoke run these numbers carry information; the CI build job runs
-# them at MICROBENCHTIME=100x so they cannot rot.
+# state, keyed counters at 16, 256 and 4 096 objects), response-value
+# computation (memoized prefix, Fig. 7 recompute, and an unstable suffix
+# that never stabilizes) and one batch-flush tick over 256 front ends of
+# which one is busy. Unlike the `bench` smoke run these numbers carry
+# information; the CI build job runs them at MICROBENCHTIME=100x so they
+# cannot rot.
 MICROBENCHTIME ?= 2000x
 microbench:
-	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation' -benchmem -benchtime $(MICROBENCHTIME) .
+	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush' -benchmem -benchtime $(MICROBENCHTIME) .
 
 # Deterministic fault-injection suite under the race detector: the
 # crash/recover/prune chaos matrix (crash timing × option sets × gossip
@@ -109,8 +111,8 @@ loadlab:
 
 # Native fuzzing of the doors through which another process's bytes reach
 # a replica's state: range responses delivered to a recovering replica,
-# the compact gossip decoder, and the Directory snapshot decoder (which
-# also checks the golden encodings first). go test takes one -fuzz target
+# the compact gossip decoder, and the Directory and Keyed snapshot decoders
+# (which also check their golden encodings first). go test takes one -fuzz target
 # per invocation, so each gets FUZZTIME. The committed seeds already run in
 # `make test` and `make chaos`; this explores beyond them. The nightly
 # deep-chaos job runs it; FUZZTIME=5m make fuzz for a longer local session.
@@ -119,6 +121,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRangeResponse$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompactGossip$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDirectoryState$$' -fuzztime $(FUZZTIME) ./internal/dtype
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyedState$$' -fuzztime $(FUZZTIME) ./internal/dtype
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

@@ -12,6 +12,7 @@ package esds_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -594,8 +595,23 @@ func dirBenchCycle() []dtype.Operator {
 // BenchmarkDataTypeApply measures the serial data types' transition
 // functions: one operator applied to its own output from the initial
 // state, except the directory, which cycles dirBenchCycle over 64 names
-// with 4 attributes each (the benchmark workload's shape).
+// with 4 attributes each (the benchmark workload's shape), and the keyed
+// counters, which cycle an add over every one of 16, 256 or 4 096 existing
+// objects (one keyspace shard's share at the benchmark workload's 1 024
+// objects is 256). A write's cost should not grow with the object count.
 func BenchmarkDataTypeApply(b *testing.B) {
+	keyed := dtype.NewKeyed(dtype.Counter{})
+	keyedAdds := func(objects int) []dtype.Operator {
+		out := make([]dtype.Operator, objects)
+		for i := range out {
+			out[i] = dtype.KeyedOp{Key: fmt.Sprintf("s%02d/o%02d", i/16, i%16), Op: dtype.CtrAdd{N: 1}}
+		}
+		return out
+	}
+	keyedAt := func(ops []dtype.Operator) func() dtype.State {
+		return func() dtype.State { return dtype.ApplyAll(keyed, keyed.Initial(), ops) }
+	}
+	k16, k256, k4096 := keyedAdds(16), keyedAdds(256), keyedAdds(4096)
 	dir := func() dtype.State {
 		var d dtype.Directory
 		st := d.Initial()
@@ -620,6 +636,9 @@ func BenchmarkDataTypeApply(b *testing.B) {
 		{"directory", dtype.Directory{}, dir, dirBenchCycle()},
 		{"log", dtype.Log{}, nil, []dtype.Operator{dtype.LogLen{}}},
 		{"bank", dtype.Bank{}, nil, []dtype.Operator{dtype.BankDeposit{Account: "a", Amount: 1}}},
+		{"keyed-16", keyed, keyedAt(k16), k16},
+		{"keyed-256", keyed, keyedAt(k256), k256},
+		{"keyed-4096", keyed, keyedAt(k4096), k4096},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -627,6 +646,9 @@ func BenchmarkDataTypeApply(b *testing.B) {
 			if tc.init != nil {
 				st = tc.init()
 			}
+			// Collect the set-up's garbage now, so a GC cycle it would
+			// trigger is not charged to the operators timed.
+			runtime.GC()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st, _ = tc.dt.Apply(st, tc.ops[i%len(tc.ops)])
@@ -634,6 +656,39 @@ func BenchmarkDataTypeApply(b *testing.B) {
 			_ = st
 		})
 	}
+}
+
+// BenchmarkFrontEndFlush measures one batch-flush tick (Cluster.FlushAll)
+// over 256 batched, adaptive front ends of which one is busy — the shape of
+// a keyspace shard serving 64 sessions at a few operations per second each.
+// The other 255 each submitted once and have idled since, so their
+// controllers have settled at target 1. The cluster hosts no replica, so
+// the flushed batches are dropped and the number is the flush path alone.
+func BenchmarkFrontEndFlush(b *testing.B) {
+	b.Run("idle-256", func(b *testing.B) {
+		net := transport.NewLiveNet()
+		defer net.Close()
+		opt := core.DefaultOptions()
+		opt.BatchSize = 32
+		cluster := core.NewCluster(core.ClusterConfig{
+			Replicas: 3, DataType: dtype.Counter{}, Network: net, Options: opt,
+			LocalReplicas: []int{},
+		})
+		defer cluster.Close()
+		fes := make([]*core.FrontEnd, 256)
+		for i := range fes {
+			fes[i] = cluster.FrontEnd(fmt.Sprintf("c%03d", i))
+			fes[i].Submit(dtype.CtrAdd{N: 1}, nil, false, nil)
+		}
+		for i := 0; i < 100; i++ {
+			cluster.FlushAll()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fes[0].Submit(dtype.CtrAdd{N: 1}, nil, false, nil)
+			cluster.FlushAll()
+		}
+	})
 }
 
 // BenchmarkE11ResizeUnderLoad runs the online-resharding experiment: a

@@ -119,8 +119,8 @@ type Config struct {
 	// Options selects optimizations. Default: DefaultOptions(). Setting
 	// Options.BatchSize > 1 enables the batched hot path (submissions and
 	// responses travel in batch frames; see DESIGN.md §8
-	// and the README's Tuning section); New then also starts a batch-flush
-	// ticker of period Options.BatchDelay (1ms when unset) so a partially
+	// and the README's Tuning section); New then also starts a batch
+	// flusher of period Options.BatchDelay (1ms when unset) so a partially
 	// filled batch never waits longer than that.
 	Options *Options
 }

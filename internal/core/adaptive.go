@@ -85,3 +85,16 @@ func (c *batchController) observe(depth int) int {
 
 // targetNow returns the current effective batch target without observing.
 func (c *batchController) targetNow() int { return c.target }
+
+// settledEWMA is the EWMA below which a controller at target 1 is settled.
+const settledEWMA = 1.0 / 64
+
+// settled reports whether the controller has decayed as far as idle ticks
+// can matter, so a flusher may stop observing zero for it (DESIGN.md §12).
+// At target 1 only a grow can fire, when ¾·ewma + ¼·depth ≥ ¾: for an
+// integer depth that holds (depth ≥ 3) or fails (depth ≤ 2) alike for
+// every ewma < ⅓, so the decay a skipped idle tick would have applied
+// cannot change the next decision. What it leaves behind is a residual of
+// under ¾·settledEWMA in the EWMA after that observation, shrinking by ¾
+// with each one after it.
+func (c *batchController) settled() bool { return c.target == 1 && c.ewma < settledEWMA }

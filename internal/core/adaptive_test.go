@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -139,5 +142,180 @@ func TestAdaptiveFrontEndOnSimNet(t *testing.T) {
 	}
 	if m.BatchShrinks == 0 {
 		t.Fatalf("idle decay recorded no shrink transitions: %+v", m)
+	}
+}
+
+// TestFlusherPreservesAdaptiveLaw drives the flush pass by hand beside a
+// reference front end flushed on every tick, through a scripted load of
+// bursts, idle gaps, lone operations and small clusters of them. The pass
+// skips front ends whose controllers have settled; the batch targets and
+// the grow/shrink transitions must still match the reference tick for
+// tick. A pass that hands back a non-empty set must leave a wake pending.
+func TestFlusherPreservesAdaptiveLaw(t *testing.T) {
+	net := transport.NewLiveNet()
+	defer net.Close()
+	opt := adaptiveOptions()
+	build := func() *Cluster {
+		// One replica, so every submission feeds the same controller, and
+		// none local: the flushed batches are dropped, only the front ends'
+		// controllers matter here.
+		return NewCluster(ClusterConfig{Replicas: 1, DataType: dtype.Counter{}, Network: net, Options: opt, LocalReplicas: []int{}})
+	}
+	refCluster, setCluster := build(), build()
+	defer refCluster.Close()
+	defer setCluster.Close()
+	ref, fe := refCluster.FrontEnd("ref"), setCluster.FrontEnd("set")
+
+	var depths []int
+	phase := func(ticks, every, depth int) {
+		for i := 0; i < ticks; i++ {
+			if i%every == 0 {
+				depths = append(depths, depth)
+			} else {
+				depths = append(depths, 0)
+			}
+		}
+	}
+	phase(10, 1, 200) // burst
+	phase(80, 1, 0)   // idle
+	phase(200, 20, 1) // lone operations
+	phase(30, 1, 5)   // moderate load
+	phase(60, 1, 0)
+	phase(40, 4, 2) // pairs
+	phase(40, 13, 3)
+	phase(30, 1, 1) // one per tick
+	phase(100, 1, 0)
+	phase(12, 1, 70)
+	phase(150, 30, 2)
+
+	skipped := 0
+	for tick, d := range depths {
+		for i := 0; i < d; i++ {
+			ref.Submit(dtype.CtrAdd{N: 1}, nil, false, nil)
+			fe.Submit(dtype.CtrAdd{N: 1}, nil, false, nil)
+		}
+		ref.Flush()
+		before := setCluster.flushPasses.Load()
+		select {
+		case <-setCluster.flushWake: // as a flusher would, before it ticks
+		default:
+		}
+		if setCluster.flushPass() && len(setCluster.flushWake) == 0 {
+			// A flusher that found the set empty because this pass held it
+			// (FlushAll beside the flusher) is asleep now: the pass that
+			// hands the set back must leave it a wake.
+			t.Fatalf("tick %d: the set is non-empty and no wake is pending", tick)
+		}
+		if setCluster.flushPasses.Load() == before {
+			skipped++
+		}
+		want, got := ref.Metrics(), fe.Metrics()
+		if got.BatchTarget != want.BatchTarget || got.BatchGrows != want.BatchGrows || got.BatchShrinks != want.BatchShrinks {
+			t.Fatalf("tick %d (depth %d): flush set gives target %d, %d grows, %d shrinks; every-tick flush gives %d, %d, %d",
+				tick, d, got.BatchTarget, got.BatchGrows, got.BatchShrinks, want.BatchTarget, want.BatchGrows, want.BatchShrinks)
+		}
+	}
+	if m := fe.Metrics(); m.BatchGrows == 0 || m.BatchShrinks == 0 {
+		t.Fatalf("script exercised no transitions: %+v", m)
+	}
+	if skipped < len(depths)/4 {
+		t.Fatalf("the pass skipped the settled front end on only %d of %d ticks", skipped, len(depths))
+	}
+}
+
+// TestFlushSetConcurrentUse runs submitters, the flusher and FlushAll
+// callers against one flush set at once. With no retransmission ticker, a
+// partial batch the set lost track of would strand its operations, so
+// every operation must still be answered; the race detector checks the
+// sharing.
+func TestFlushSetConcurrentUse(t *testing.T) {
+	net := transport.NewLiveNet()
+	defer net.Close()
+	opt := adaptiveOptions()
+	cluster := NewCluster(ClusterConfig{Replicas: 2, DataType: dtype.Counter{}, Network: net, Options: opt})
+	defer cluster.Close()
+	cluster.StartLiveBatchFlush(opt.FlushPeriod())
+
+	stop := make(chan struct{})
+	var flushers sync.WaitGroup
+	flushers.Add(1)
+	go func() {
+		defer flushers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				cluster.FlushAll()
+			}
+		}
+	}()
+	var submitters sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		submitters.Add(1)
+		go func(w int) {
+			defer submitters.Done()
+			fe := cluster.FrontEnd(fmt.Sprintf("conc-%d", w))
+			for i := 0; i < 50; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				_, _, err := fe.SubmitWaitCtx(ctx, dtype.CtrAdd{N: 1}, nil, false)
+				cancel()
+				if err != nil {
+					t.Errorf("front end %d op %d: %v", w, i, err)
+					return
+				}
+				if i%10 == 9 {
+					time.Sleep(3 * opt.FlushPeriod()) // let the controller settle and leave the set
+				}
+			}
+		}(w)
+	}
+	submitters.Wait()
+	close(stop)
+	flushers.Wait()
+}
+
+// TestIdleFlusherSleeps: once every front end has gone idle and its
+// controllers have settled, the batch flusher stops ticking. 64 front ends
+// each submit one operation and then idle; after their controllers settle,
+// 50 flush periods pass without one flush pass (a flusher that ticks every
+// front end every period would make 50 passes of 64 flushes).
+func TestIdleFlusherSleeps(t *testing.T) {
+	net := transport.NewLiveNet()
+	defer net.Close()
+	opt := adaptiveOptions()
+	cluster := NewCluster(ClusterConfig{Replicas: 2, DataType: dtype.Counter{}, Network: net, Options: opt})
+	defer cluster.Close()
+	cluster.StartLiveBatchFlush(opt.FlushPeriod())
+
+	fes := make([]*FrontEnd, 64)
+	for i := range fes {
+		fes[i] = cluster.FrontEnd(fmt.Sprintf("idle-%02d", i))
+		if _, _, err := fes[i].SubmitWait(dtype.CtrAdd{N: 1}, nil, false); err != nil {
+			t.Fatalf("front end %d: %v", i, err)
+		}
+	}
+	settled := func() bool {
+		for _, fe := range fes {
+			if m := fe.Metrics(); m.BatchTarget != 1 || m.QueueDepthEWMA >= settledEWMA {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !settled(); time.Sleep(opt.FlushPeriod()) {
+		if time.Now().After(deadline) {
+			t.Fatal("controllers never settled")
+		}
+	}
+	// The pass that settled the last controller may still be finishing.
+	time.Sleep(2 * opt.FlushPeriod())
+	passes := cluster.flushPasses.Load()
+	if passes == 0 {
+		t.Fatal("the flusher never ran")
+	}
+	time.Sleep(50 * opt.FlushPeriod())
+	if idle := cluster.flushPasses.Load() - passes; idle != 0 {
+		t.Fatalf("the flusher made %d passes over 50 idle periods, want 0", idle)
 	}
 }

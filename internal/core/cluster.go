@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"esds/internal/dtype"
@@ -28,6 +29,16 @@ type Cluster struct {
 	fronts   map[string]*FrontEnd
 	stops    []func()
 	closed   bool
+
+	// The flush set (DESIGN.md §8): the front ends holding a partial batch
+	// or an unsettled adaptive controller, each once. A front end joins it
+	// itself (joinFlushSet); flushPass takes the set and puts back the
+	// members still active. flushWake holds a token once the set turns
+	// non-empty, so the flusher sleeps, with no timer, while it is empty.
+	flushMu     sync.Mutex
+	flushSet    []*FrontEnd
+	flushWake   chan struct{}
+	flushPasses atomic.Uint64 // passes that visited at least one front end
 }
 
 // ClusterConfig configures a cluster.
@@ -89,12 +100,13 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		nodes[i] = ReplicaNodeIn(cfg.Shard, label.ReplicaID(i))
 	}
 	c := &Cluster{
-		dt:     cfg.DataType,
-		net:    cfg.Network,
-		opt:    cfg.Options,
-		shard:  cfg.Shard,
-		nodes:  nodes,
-		fronts: make(map[string]*FrontEnd),
+		dt:        cfg.DataType,
+		net:       cfg.Network,
+		opt:       cfg.Options,
+		shard:     cfg.Shard,
+		nodes:     nodes,
+		fronts:    make(map[string]*FrontEnd),
+		flushWake: make(chan struct{}, 1),
 	}
 	local := make([]bool, cfg.Replicas)
 	if cfg.LocalReplicas == nil {
@@ -173,6 +185,7 @@ func (c *Cluster) FrontEnd(client string) *FrontEnd {
 		return fe
 	}
 	fe := NewFrontEnd(cfg)
+	fe.join = c.joinFlushSet
 	c.fronts[client] = fe
 	return fe
 }
@@ -211,16 +224,28 @@ func (c *Cluster) StartLiveRetransmit(period time.Duration) {
 	c.every(period, func() { c.RetransmitAll() })
 }
 
-// every runs fn on a wall-clock ticker in its own goroutine and registers
-// the stop function Close calls: it stops the ticker and returns only once
-// the goroutine has exited. Mutex held.
-func (c *Cluster) every(period time.Duration, fn func()) {
-	ticker := time.NewTicker(period)
+// spawn runs loop in its own goroutine and registers the stop function
+// Close calls: it closes done and returns only once loop has returned.
+// Mutex held.
+func (c *Cluster) spawn(loop func(done <-chan struct{})) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		loop(done)
+	}()
+	c.stops = append(c.stops, func() {
+		close(done)
+		wg.Wait()
+	})
+}
+
+// every runs fn on a wall-clock ticker until Close. Mutex held.
+func (c *Cluster) every(period time.Duration, fn func()) {
+	c.spawn(func(done <-chan struct{}) {
+		ticker := time.NewTicker(period)
+		defer ticker.Stop()
 		for {
 			select {
 			case <-ticker.C:
@@ -229,32 +254,76 @@ func (c *Cluster) every(period time.Duration, fn func()) {
 				return
 			}
 		}
-	}()
-	c.stops = append(c.stops, func() {
-		ticker.Stop()
-		close(done)
-		wg.Wait()
 	})
 }
 
-// FlushAll flushes every front end's partially filled request batches (see
-// FrontEnd.Flush). A no-op when batching is off.
-func (c *Cluster) FlushAll() {
-	c.mu.Lock()
-	fes := make([]*FrontEnd, 0, len(c.fronts))
-	for _, fe := range c.fronts {
-		fes = append(fes, fe)
-	}
-	c.mu.Unlock()
-	for _, fe := range fes {
-		fe.Flush()
+// joinFlushSet adds fe to the flush set and wakes the flusher if the set
+// was empty. fe's mutex is held (the lock order is fe.mu, then flushMu).
+func (c *Cluster) joinFlushSet(fe *FrontEnd) {
+	c.flushMu.Lock()
+	c.flushSet = append(c.flushSet, fe)
+	first := len(c.flushSet) == 1
+	c.flushMu.Unlock()
+	if first {
+		c.wakeFlusher()
 	}
 }
 
-// StartLiveBatchFlush starts a wall-clock ticker that flushes every front
-// end's partial request batches each period — the Options.BatchDelay bound
-// on how long a buffered submission waits for its batch to fill. Call Close
-// to stop the ticker. Meaningless (but harmless) without batching.
+// wakeFlusher leaves a token for a sleeping flusher; one pending token is
+// enough.
+func (c *Cluster) wakeFlusher() {
+	select {
+	case c.flushWake <- struct{}{}:
+	default:
+	}
+}
+
+// flushPass is one tick of the batch flusher: it takes the flush set, runs
+// one flush tick (FrontEnd.Flush) for each member and puts back those still
+// active. It reports whether the set is non-empty afterwards.
+func (c *Cluster) flushPass() bool {
+	c.flushMu.Lock()
+	due := c.flushSet
+	c.flushSet = nil
+	c.flushMu.Unlock()
+	if len(due) == 0 {
+		return false
+	}
+	c.flushPasses.Add(1)
+	keep := due[:0]
+	for _, fe := range due {
+		if fe.flush(true) {
+			keep = append(keep, fe)
+		}
+	}
+	clear(due[len(keep):])
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	if len(keep) == 0 {
+		return len(c.flushSet) > 0
+	}
+	if len(c.flushSet) == 0 {
+		c.flushSet = keep
+		// A concurrent pass (FlushAll beside the flusher) may have let the
+		// flusher park on the set this pass held.
+		c.wakeFlusher()
+	} else {
+		c.flushSet = append(c.flushSet, keep...)
+	}
+	return true
+}
+
+// FlushAll runs one flush tick for every front end with work: each one
+// holding a partially filled request batch or an adaptive controller not
+// yet settled (see FrontEnd.Flush). A no-op when batching is off.
+func (c *Cluster) FlushAll() { c.flushPass() }
+
+// StartLiveBatchFlush starts the cluster's batch flusher: every period it
+// runs one flush tick for each front end in the flush set — the
+// Options.BatchDelay bound on how long a buffered submission waits for its
+// batch to fill — and it sleeps, with no timer running, while no front end
+// holds a partial batch or an unsettled controller. Call Close to stop it.
+// Meaningless (but harmless) without batching.
 func (c *Cluster) StartLiveBatchFlush(period time.Duration) {
 	if period <= 0 {
 		panic(fmt.Sprintf("core: invalid batch-flush period %v", period))
@@ -264,7 +333,26 @@ func (c *Cluster) StartLiveBatchFlush(period time.Duration) {
 	if c.closed {
 		panic("core: StartLiveBatchFlush on closed cluster")
 	}
-	c.every(period, c.FlushAll)
+	c.spawn(func(done <-chan struct{}) {
+		for {
+			select {
+			case <-c.flushWake:
+			case <-done:
+				return
+			}
+			ticker := time.NewTicker(period)
+			for busy := true; busy; {
+				select {
+				case <-ticker.C:
+					busy = c.flushPass()
+				case <-done:
+					ticker.Stop()
+					return
+				}
+			}
+			ticker.Stop()
+		}
+	})
 }
 
 // GossipAll runs one gossip round: every local replica sends to every peer.

@@ -52,16 +52,24 @@ type FrontEnd struct {
 
 	// Request batching (DESIGN.md §8): with opt.BatchSize > 1, submissions
 	// are appended to a per-target buffer and sent as one BatchRequestMsg
-	// when the buffer reaches BatchSize, or when Flush runs (wired to a
-	// flush ticker by Cluster.StartLiveBatchFlush). A buffered-but-unsent
-	// operation is already in wait, so the retransmission ticker re-sends
-	// it singly if a flush never comes — batching can add latency, never
-	// deadlock. With opt.AdaptiveBatch, ctrl holds one batchController per
-	// target (DESIGN.md §12) and the size trigger compares against its
-	// moving target instead of the static BatchSize.
+	// when the buffer reaches BatchSize, or when Flush runs (driven by the
+	// cluster's batch flusher, Cluster.StartLiveBatchFlush). A
+	// buffered-but-unsent operation is already in wait, so the
+	// retransmission ticker re-sends it singly if a flush never comes —
+	// batching can add latency, never deadlock. With opt.AdaptiveBatch, ctrl
+	// holds one batchController per target (DESIGN.md §12) and the size
+	// trigger compares against its moving target instead of the static
+	// BatchSize.
 	opt   Options
 	batch map[transport.NodeID][]ops.Operation
 	ctrl  map[transport.NodeID]*batchController
+
+	// join puts the front end in its cluster's flush set (nil for a front
+	// end built outside a Cluster, which only explicit Flush calls tick).
+	// inFlushSet records membership: set here when the front end buffers,
+	// cleared only by the flusher's pass once nothing is left to tick.
+	join       func(*FrontEnd)
+	inFlushSet bool
 
 	// onRedirect, when set, receives Redirect refusals (live resharding's
 	// "wrong shard" replies) for pending operations; the operation STAYS
@@ -182,6 +190,12 @@ func (fe *FrontEnd) dispatchLocked(x ops.Operation) (to transport.NodeID, payloa
 		return target, RequestMsg{Op: x}
 	}
 	fe.batch[target] = append(fe.batch[target], x)
+	// Whether x stays buffered or tops the batch up (and its controller
+	// observes), the flusher has work here now.
+	if fe.join != nil && !fe.inFlushSet {
+		fe.inFlushSet = true
+		fe.join(fe)
+	}
 	if len(fe.batch[target]) >= fe.targetLocked(target) {
 		full := fe.batch[target]
 		delete(fe.batch, target)
@@ -223,26 +237,33 @@ func (fe *FrontEnd) ctrlLocked(target transport.NodeID) *batchController {
 	return c
 }
 
-// Flush sends every partially filled request batch immediately. Wired to a
-// periodic ticker by Cluster.StartLiveBatchFlush; a no-op when batching is
-// off. Each tick is a flush opportunity for the adaptive controllers: a
-// target with a partial buffer observes that (age-triggered) depth, and a
-// target with nothing buffered observes zero — the idle decay that walks
-// its batch target back down to 1 (DESIGN.md §12).
-func (fe *FrontEnd) Flush() {
+// Flush runs one explicit flush tick: it sends every partially filled
+// request batch immediately; a no-op when batching is off. The cluster's
+// batch flusher runs the same tick for every front end in its flush set
+// (Cluster.StartLiveBatchFlush). Each tick is a flush opportunity for the
+// adaptive controllers: a target with a partial buffer observes that
+// (age-triggered) depth, and a target with nothing buffered observes zero —
+// the idle decay that walks its batch target back down to 1 (DESIGN.md
+// §12).
+func (fe *FrontEnd) Flush() { fe.flush(false) }
+
+// flush is one flush tick. From the cluster's flush pass (fromSet) it also
+// reports whether the front end stays in the flush set, and leaves it, under
+// the same lock, when no partial batch and no unsettled controller remain:
+// a later submission then re-joins it.
+func (fe *FrontEnd) flush(fromSet bool) (stay bool) {
 	fe.mu.Lock()
 	if fe.batch == nil || fe.closed != nil {
+		if fromSet {
+			fe.inFlushSet = false
+		}
 		fe.mu.Unlock()
-		return
+		return false
 	}
 	for to, c := range fe.ctrl {
 		if len(fe.batch[to]) == 0 {
 			c.observe(0)
 		}
-	}
-	if len(fe.batch) == 0 {
-		fe.mu.Unlock()
-		return
 	}
 	type outMsg struct {
 		to  transport.NodeID
@@ -260,10 +281,20 @@ func (fe *FrontEnd) Flush() {
 		}
 		delete(fe.batch, to)
 	}
+	if fromSet {
+		for _, c := range fe.ctrl {
+			if !c.settled() {
+				stay = true
+				break
+			}
+		}
+		fe.inFlushSet = stay
+	}
 	fe.mu.Unlock()
 	for _, o := range outbox {
 		fe.net.Send(fe.node, o.to, o.msg)
 	}
+	return stay
 }
 
 // SubmitOp relays an externally assembled operation — identifier included

@@ -395,8 +395,8 @@ func (k *Keyspace) StartLiveRetransmit(period time.Duration) {
 	}
 }
 
-// StartLiveBatchFlush starts wall-clock batch-flush tickers on every shard
-// (see Cluster.StartLiveBatchFlush), and on every shard online growth adds
+// StartLiveBatchFlush starts the batch flusher of every shard (see
+// Cluster.StartLiveBatchFlush), and of every shard online growth adds
 // later. Meaningless (but harmless) without batching.
 func (k *Keyspace) StartLiveBatchFlush(period time.Duration) {
 	k.mu.Lock()

@@ -301,12 +301,11 @@ func (r *Replica) MovingStateKeys(oldR, newR ring.Ring) []string {
 		return nil
 	}
 	var out []string
-	for key := range st {
+	for key := range st.All() {
 		if oldR.ShardOf(key) == r.shard && newR.ShardOf(key) != r.shard {
 			out = append(out, key)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -389,7 +388,7 @@ func (r *Replica) ExportKeyState(key string, drain []ops.ID) (enc []byte, subsum
 		}
 		return subsumes[i].Seq < subsumes[j].Seq
 	})
-	inner, ok := st[key]
+	inner, ok := st.Get(key)
 	if !ok {
 		return nil, subsumes, false, nil // drained, no state: migrate without install
 	}

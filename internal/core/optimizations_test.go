@@ -179,6 +179,43 @@ func TestIncrementalGossipEquivalentAndSmaller(t *testing.T) {
 		fullBytes, incrBytes, 100*float64(incrBytes)/float64(fullBytes))
 }
 
+// labelSink makes a label map escape as a gossip message's does.
+var labelSink map[ops.ID]label.Label
+
+// TestBuildDeltaAllocations pins what one incremental gossip build
+// allocates for a steady stream of label changes: the message's own label
+// map, and nothing for the per-peer set of changed labels, which is drained
+// in place rather than replaced (and so never regrows either).
+func TestBuildDeltaAllocations(t *testing.T) {
+	s := sim.New(1)
+	net := transport.NewSimNet(s, transport.SimNetConfig{})
+	c := NewCluster(ClusterConfig{Replicas: 3, DataType: dtype.Counter{}, Network: net, Options: DefaultOptions()})
+	r := c.Replica(0)
+	ids := make([]ops.ID, 32)
+	for i := range ids {
+		ids[i] = ops.ID{Client: "c", Seq: uint64(i)}
+		r.labels.SetMin(ids[i], label.Make(uint64(i+1), 0))
+	}
+	cycle := func() {
+		for _, id := range ids {
+			r.enqueueL(id)
+		}
+		if msg := r.buildDelta(1); len(msg.L) != len(ids) {
+			t.Fatalf("delta carries %d labels, want %d", len(msg.L), len(ids))
+		}
+	}
+	cycle()
+	msgOnly := testing.AllocsPerRun(100, func() {
+		labelSink = make(map[ops.ID]label.Label, len(ids))
+		for _, id := range ids {
+			labelSink[id] = r.labels.Get(id)
+		}
+	})
+	if got := testing.AllocsPerRun(100, cycle); got > msgOnly {
+		t.Fatalf("a delta build allocates %.0f times, want at most the %.0f of its label map", got, msgOnly)
+	}
+}
+
 func TestCommuteModeMatchesBaseOnSafeWorkload(t *testing.T) {
 	// SafeUsers discipline on a Set: all mutators of the same element are
 	// ordered by prev chains per element; queries ordered after the mutators

@@ -54,10 +54,13 @@ type Options struct {
 	BatchSize int
 
 	// BatchDelay is the front-end flush period: a partially filled request
-	// batch waits at most this long before the flush ticker sends it
-	// (esds.New/NewKeyspace and esds-server wire the ticker; raw core users
-	// call Cluster.StartLiveBatchFlush or FrontEnd.Flush). Zero means the
-	// default period of FlushPeriod. Meaningful only with BatchSize > 1.
+	// batch waits at most this long before the batch flusher sends it
+	// (esds.New/NewKeyspace and esds-server start the flusher; raw core
+	// users call Cluster.StartLiveBatchFlush or FrontEnd.Flush). The flusher
+	// ticks at this period only while some front end holds a partial batch
+	// or an adaptive controller that has not settled, and sleeps otherwise.
+	// Zero means the default period of FlushPeriod. Meaningful only with
+	// BatchSize > 1.
 	BatchDelay time.Duration
 
 	// IncrementalGossip enables the §10.4 communication reduction: each
@@ -82,7 +85,7 @@ type Options struct {
 	AdaptiveBatch bool
 }
 
-// FlushPeriod is the batch-flush ticker period for an enabled batched hot
+// FlushPeriod is the batch flusher's period for an enabled batched hot
 // path: BatchDelay when set, else 1ms — a partial batch must never be
 // stranded waiting for the size trigger alone. esds.New/NewKeyspace and
 // esds-server pass it to StartLiveBatchFlush whenever BatchSize > 1.

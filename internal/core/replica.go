@@ -1422,6 +1422,8 @@ func (r *Replica) deltaEmpty(i int) bool {
 
 // buildDelta drains the pending delta queues for peer i (§10.4). Cost is
 // proportional to the changes since the last send, not to the history.
+// The pending label set is cleared in place and reused; msg.L must be a
+// fresh map, since LiveNet hands the message to the peer by reference.
 func (r *Replica) buildDelta(i int) GossipMsg {
 	msg := GossipMsg{From: r.id, L: make(map[ops.ID]label.Label, len(r.pendL[i]))}
 	msg.R = make([]ops.Operation, 0, len(r.pendR[i]))
@@ -1442,7 +1444,7 @@ func (r *Replica) buildDelta(i int) GossipMsg {
 	r.pendR[i] = nil
 	r.pendD[i] = nil
 	r.pendS[i] = nil
-	r.pendL[i] = make(map[ops.ID]struct{})
+	clear(r.pendL[i])
 	return msg
 }
 

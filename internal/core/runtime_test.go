@@ -229,9 +229,13 @@ func TestRuntimeCrossWorkerResizeFixedPoint(t *testing.T) {
 	}
 
 	// Background load during the migration, on the writer's own objects.
+	// lastLoad records each object's last acknowledged load add: ESDS lets
+	// a strict read that names no such add be ordered before it, so the
+	// read-back below must name it to be owed its effect.
 	stop := make(chan struct{})
 	var loadWG sync.WaitGroup
 	extra := make(map[string]int64)
+	lastLoad := make(map[string]ops.ID)
 	loadWG.Add(1)
 	go func() {
 		defer loadWG.Done()
@@ -243,10 +247,12 @@ func TestRuntimeCrossWorkerResizeFixedPoint(t *testing.T) {
 			default:
 			}
 			obj := fmt.Sprintf("rz-%02d", i%objects)
-			if _, _, err := c.SubmitWait(ks.WrapOp(obj, dtype.CtrAdd{N: 1}), nil, false); err != nil {
+			x, _, err := c.SubmitWait(ks.WrapOp(obj, dtype.CtrAdd{N: 1}), nil, false)
+			if err != nil {
 				return // Close during teardown is fine; correctness is checked below
 			}
 			extra[obj]++
+			lastLoad[obj] = x.ID
 		}
 	}()
 
@@ -269,7 +275,11 @@ func TestRuntimeCrossWorkerResizeFixedPoint(t *testing.T) {
 
 	reader := ks.Client("check")
 	for obj, n := range want {
-		_, v, err := reader.SubmitWait(ks.WrapOp(obj, dtype.CtrRead{}), []ops.ID{last[obj]}, true)
+		prev := []ops.ID{last[obj]}
+		if id, ok := lastLoad[obj]; ok {
+			prev = append(prev, id)
+		}
+		_, v, err := reader.SubmitWait(ks.WrapOp(obj, dtype.CtrRead{}), prev, true)
 		if err != nil {
 			t.Fatalf("strict read %s: %v", obj, err)
 		}

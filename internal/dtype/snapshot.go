@@ -3,7 +3,6 @@ package dtype
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -213,9 +212,9 @@ func (Directory) DecodeState(data []byte) (State, error) {
 
 // --- Keyed ---
 
-// EncodeState implements Snapshotter for the keyed lift: sorted
-// (key, inner-encoding) pairs, each length-prefixed with a uvarint. The
-// inner type must itself implement Snapshotter.
+// EncodeState implements Snapshotter for the keyed lift: (key,
+// inner-encoding) pairs in ascending key order, each length-prefixed with a
+// uvarint. The inner type must itself implement Snapshotter.
 func (k Keyed) EncodeState(s State) ([]byte, error) {
 	sn, ok := k.Inner.(Snapshotter)
 	if !ok {
@@ -225,25 +224,16 @@ func (k Keyed) EncodeState(s State) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("dtype: keyed snapshot of %T state", s)
 	}
-	keys := make([]string, 0, len(cur))
-	for key := range cur {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
 	var out []byte
-	var scratch [binary.MaxVarintLen64]byte
-	appendBytes := func(b []byte) {
-		n := binary.PutUvarint(scratch[:], uint64(len(b)))
-		out = append(out, scratch[:n]...)
-		out = append(out, b...)
-	}
-	for _, key := range keys {
-		enc, err := sn.EncodeState(cur[key])
+	for key, st := range cur.All() {
+		enc, err := sn.EncodeState(st)
 		if err != nil {
 			return nil, fmt.Errorf("dtype: keyed snapshot of object %q: %w", key, err)
 		}
-		appendBytes([]byte(key))
-		appendBytes(enc)
+		out = binary.AppendUvarint(out, uint64(len(key)))
+		out = append(out, key...)
+		out = binary.AppendUvarint(out, uint64(len(enc)))
+		out = append(out, enc...)
 	}
 	return out, nil
 }
@@ -254,15 +244,18 @@ func (k Keyed) DecodeState(data []byte) (State, error) {
 	if !ok {
 		return nil, fmt.Errorf("dtype: keyed inner type %s has no snapshot encoding", k.Inner.Name())
 	}
-	if len(data) == 0 {
-		return KeyedState(nil), nil
-	}
-	out := make(KeyedState)
+	var out KeyedState
 	rest := data
+	var minimal [binary.MaxVarintLen64]byte
 	next := func() ([]byte, error) {
 		n, used := binary.Uvarint(rest)
 		if used <= 0 || n > uint64(len(rest)-used) {
 			return nil, fmt.Errorf("dtype: keyed snapshot truncated")
+		}
+		// A padded length decodes to the same n but would not re-encode
+		// to the same bytes.
+		if binary.PutUvarint(minimal[:], n) != used {
+			return nil, fmt.Errorf("dtype: keyed snapshot length not in canonical form")
 		}
 		b := rest[used : used+int(n)]
 		rest = rest[used+int(n):]
@@ -279,14 +272,14 @@ func (k Keyed) DecodeState(data []byte) (State, error) {
 			return nil, err
 		}
 		key := string(keyB)
-		if len(out) > 0 && key <= prevKey {
+		if out.Len() > 0 && key <= prevKey {
 			return nil, fmt.Errorf("dtype: keyed snapshot keys not in canonical order")
 		}
 		inner, err := sn.DecodeState(encB)
 		if err != nil {
 			return nil, fmt.Errorf("dtype: keyed snapshot object %q: %w", key, err)
 		}
-		out[key] = inner
+		out = out.With(key, inner)
 		prevKey = key
 	}
 	return out, nil

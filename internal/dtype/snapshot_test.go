@@ -113,6 +113,7 @@ func TestSnapshotterRejectsGarbage(t *testing.T) {
 		{Directory{}, []byte("b\x01\x00a\x01")},                   // unsorted names
 		{NewKeyed(Counter{}), []byte{0xff}},                       // truncated varint payload
 		{NewKeyed(Counter{}), append([]byte{1, 'k'}, 3, 0, 0, 0)}, // truncated inner state
+		{NewKeyed(Register{}), []byte{0x81, 0x00, 'a', 0}},        // padded key length
 	}
 	for _, tc := range cases {
 		sn := tc.dt.(Snapshotter)

@@ -81,7 +81,7 @@ func CheckResizeEquivalence(inner dtype.DataType, seq []ops.Operation, cut, oldS
 	// KeyInstall operator, and retired at the source.
 	for src := 0; src < oldShards; src++ {
 		st := shardStates[src].(dtype.KeyedState)
-		for key, innerState := range st {
+		for key, innerState := range st.All() {
 			if oldRing.ShardOf(key) != src {
 				continue // an object another shard owns cannot sit here
 			}
@@ -101,10 +101,10 @@ func CheckResizeEquivalence(inner dtype.DataType, seq []ops.Operation, cut, oldS
 			// Retire the source copy the way a real source does: it stops
 			// serving the key (here: drop it so a routing bug would read a
 			// missing object, not a stale one).
-			pruned := make(dtype.KeyedState, len(st))
-			for k2, s2 := range shardStates[src].(dtype.KeyedState) {
+			var pruned dtype.KeyedState
+			for k2, s2 := range shardStates[src].(dtype.KeyedState).All() {
 				if k2 != key {
-					pruned[k2] = s2
+					pruned = pruned.With(k2, s2)
 				}
 			}
 			shardStates[src] = pruned
@@ -127,9 +127,9 @@ func CheckResizeEquivalence(inner dtype.DataType, seq []ops.Operation, cut, oldS
 	// Final states must agree object by object, each read from the shard
 	// that owns it after the resize, and no shard may hold an object it
 	// does not own (a leaked or resurrected copy).
-	for key, want := range truthState.(dtype.KeyedState) {
+	for key, want := range truthState.(dtype.KeyedState).All() {
 		owner := newRing.ShardOf(key)
-		got, ok := shardStates[owner].(dtype.KeyedState)[key]
+		got, ok := shardStates[owner].(dtype.KeyedState).Get(key)
 		if !ok {
 			return fmt.Errorf("spec: object %q missing from its post-resize owner %d", key, owner)
 		}
@@ -149,7 +149,7 @@ func CheckResizeEquivalence(inner dtype.DataType, seq []ops.Operation, cut, oldS
 		}
 	}
 	for s, raw := range shardStates {
-		for key := range raw.(dtype.KeyedState) {
+		for key := range raw.(dtype.KeyedState).All() {
 			if newRing.ShardOf(key) != s && oldRing.ShardOf(key) != s {
 				return fmt.Errorf("spec: shard %d holds object %q it never owned", s, key)
 			}
