@@ -29,7 +29,7 @@ race:
 # a measurement (the E10–E17 live-transport experiments run their full
 # workloads even at 1x). benchjson tees the output and captures every
 # metric — sharding speedup, resize windows, core scaling, durable
-# throughput, adaptive-batching wire efficiency — into the
+# throughput, compact-gossip wire efficiency — into the
 # BENCH_results.json trajectory artifact. For real numbers drop -benchtime
 # or raise it.
 bench:
@@ -82,8 +82,9 @@ microbench:
 # loss, including the replay cell for a type with no state encoding and
 # the group-commit cell over real FileStableStore journals), the
 # concurrent-recoveries cell, the state-transfer and prune×recovery
-# regression tests, the range catch-up tests, the FuzzRangeResponse and
-# FuzzCompactGossip seed corpora, the multi-process SIGKILL restart tests
+# regression tests, the range catch-up tests, the FuzzRangeResponse,
+# FuzzCompactGossip and FuzzFileStableStore seed corpora, the
+# multi-process SIGKILL restart tests
 # (recovery with pruning, and mid-batch durability against the
 # group-commit journal), and the
 # live-resharding cell (resize under load, with replicas crashing
@@ -93,7 +94,7 @@ microbench:
 # Seeds are pinned; sweep others with ESDS_CHAOS_SEEDS=7,8,9 make chaos.
 # A failing matrix cell shrinks to a minimal reproduction automatically.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact' ./internal/core
+	$(GO) test -race -count=1 -run 'TestChaos|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact|FuzzFileStableStore' ./internal/core
 	$(GO) test -race -count=1 -run 'TestKillNine|TestResizeAdminAgainstCluster' ./cmd/esds-server
 	$(GO) test -race -count=2 -run 'TestResize' ./internal/core
 
@@ -111,8 +112,9 @@ loadlab:
 
 # Native fuzzing of the doors through which another process's bytes reach
 # a replica's state: range responses delivered to a recovering replica,
-# the compact gossip decoder, and the Directory and Keyed snapshot decoders
-# (which also check their golden encodings first). go test takes one -fuzz target
+# the compact gossip decoder, the stable-store journal a restarting replica
+# reloads (torn and corrupt record frames), and the Directory and Keyed
+# snapshot decoders (which also check their golden encodings first). go test takes one -fuzz target
 # per invocation, so each gets FUZZTIME. The committed seeds already run in
 # `make test` and `make chaos`; this explores beyond them. The nightly
 # deep-chaos job runs it; FUZZTIME=5m make fuzz for a longer local session.
@@ -120,6 +122,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRangeResponse$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompactGossip$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzFileStableStore$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDirectoryState$$' -fuzztime $(FUZZTIME) ./internal/dtype
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyedState$$' -fuzztime $(FUZZTIME) ./internal/dtype
 

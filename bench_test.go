@@ -311,20 +311,19 @@ func BenchmarkE15LoadLab(b *testing.B) {
 	}
 }
 
-// BenchmarkE16AdaptiveBatching runs the adaptive-batching step-load
-// experiment: the open-loop generator stepped low → high → low against
-// static batch sizes and the adaptive controller, with the compact gossip
-// form measured against the identical legacy-encoded run. The throughput
-// and wire gates are disabled here (the gated run is `esds-bench -exp
-// e16`); the bytes/op metrics ARE gated by benchjson — they are structural
-// frame-layout quantities, and the committed baseline is a ceiling the
-// delta encoding must stay under.
-func BenchmarkE16AdaptiveBatching(b *testing.B) {
-	p := exp.DefaultAdaptiveParams()
+// BenchmarkE16StepLoad runs the step-load experiment: the open-loop
+// generator stepped low → high → low against batch sizes 8, 32 and 128,
+// with the compact gossip form measured against the identical
+// legacy-encoded batch-128 run. The throughput and wire gates are disabled
+// here (the gated run is `esds-bench -exp e16`); the bytes/op metrics ARE
+// gated by benchjson — they are structural frame-layout quantities, and the
+// committed baseline is a ceiling the delta encoding must stay under.
+func BenchmarkE16StepLoad(b *testing.B) {
+	p := exp.DefaultStepLoadParams()
 	p.MinRatio, p.MinBytesDrop = 0, 0
-	var r exp.AdaptiveResult
+	var r exp.StepLoadResult
 	for i := 0; i < b.N; i++ {
-		r = exp.RunAdaptive(p)
+		r = exp.RunStepLoad(p)
 		if err := r.Verify(p); err != nil {
 			b.Fatal(err)
 		}
@@ -335,24 +334,14 @@ func BenchmarkE16AdaptiveBatching(b *testing.B) {
 			highStep = i
 		}
 	}
-	var compactBytes, legacyBytes uint64
-	var compactAnswered, legacyAnswered int
 	for _, row := range r.Rows {
-		switch row.Kind {
-		case "adaptive":
-			compactBytes += row.WireBytes
-			compactAnswered += row.Answered
-			if row.Step == highStep {
-				b.ReportMetric(row.OpsPerSec, "ops/s-adaptive-high")
-				b.ReportMetric(row.P99Ms, "p99-ms-adaptive-high")
-			}
-		case "adaptive-legacy":
-			legacyBytes += row.WireBytes
-			legacyAnswered += row.Answered
+		if row.Size == p.Size && !row.Legacy && row.Step == highStep {
+			b.ReportMetric(row.OpsPerSec, fmt.Sprintf("ops/s-batch%d-high", p.Size))
+			b.ReportMetric(row.P99Ms, fmt.Sprintf("p99-ms-batch%d-high", p.Size))
 		}
 	}
-	compact := float64(compactBytes) / float64(compactAnswered)
-	legacy := float64(legacyBytes) / float64(legacyAnswered)
+	compact, _ := r.BytesPerOp(p.Size, false)
+	legacy, _ := r.BytesPerOp(p.Size, true)
 	b.ReportMetric(compact, "bytes/op-compact")
 	b.ReportMetric(legacy, "bytes/op-legacy")
 	b.ReportMetric(1-compact/legacy, "wire-drop-frac")
@@ -659,11 +648,12 @@ func BenchmarkDataTypeApply(b *testing.B) {
 }
 
 // BenchmarkFrontEndFlush measures one batch-flush tick (Cluster.FlushAll)
-// over 256 batched, adaptive front ends of which one is busy — the shape of
-// a keyspace shard serving 64 sessions at a few operations per second each.
-// The other 255 each submitted once and have idled since, so their
-// controllers have settled at target 1. The cluster hosts no replica, so
-// the flushed batches are dropped and the number is the flush path alone.
+// over 256 batched front ends of which one is busy — the shape of a
+// keyspace shard serving 64 sessions at a few operations per second each.
+// The other 255 each submitted once and have idled since, so their targets
+// are closed and they have left the flush set. The cluster hosts no
+// replica, so the sent requests are dropped and the number is the
+// submission and flush path alone.
 func BenchmarkFrontEndFlush(b *testing.B) {
 	b.Run("idle-256", func(b *testing.B) {
 		net := transport.NewLiveNet()

@@ -115,8 +115,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.BoolVar(&cfg.opts.Commute, "commute", false, "answer non-strict operations from the current state (§10.3)")
 	fs.BoolVar(&cfg.opts.IncrementalGossip, "incremental", false,
 		"send gossip deltas instead of full state (§10.4; requires reliable FIFO channels — a TCP reconnect loses deltas, so leave this off unless the network is trusted)")
-	fs.BoolVar(&cfg.opts.AdaptiveBatch, "adaptive-batch", true,
-		"adapt every front-end batch target inside [1, -batch] from observed queue depth (DESIGN.md §12): submission buffers grow toward -batch under load and decay toward 1 when idle; no effect unless -batch > 1")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}

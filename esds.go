@@ -147,32 +147,11 @@ type Service struct {
 // Config.Shards ≤ 1, a sharded keyspace on the shard-per-core runtime when
 // Config.Shards ≥ 2.
 func New(cfg Config) (*Service, error) {
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("esds: invalid shard count %d", cfg.Shards)
-	}
 	if cfg.Shards >= 2 {
 		return newSharded(cfg)
 	}
-	if cfg.Replicas < 1 {
-		return nil, fmt.Errorf("esds: invalid replica count %d", cfg.Replicas)
-	}
-	if cfg.DataType == nil {
-		return nil, errors.New("esds: nil data type")
-	}
-	if cfg.GossipInterval < 0 {
-		return nil, fmt.Errorf("esds: negative gossip interval %v", cfg.GossipInterval)
-	}
-	if cfg.GossipInterval == 0 {
-		cfg.GossipInterval = 10 * time.Millisecond
-	}
-	if cfg.RetransmitInterval == 0 {
-		cfg.RetransmitInterval = 250 * time.Millisecond
-	}
-	opt := core.DefaultOptions()
-	if cfg.Options != nil {
-		opt = *cfg.Options
-	}
-	if err := validateBatching(opt); err != nil {
+	cfg, err := configure(cfg)
+	if err != nil {
 		return nil, err
 	}
 	net := transport.NewLiveNet()
@@ -180,15 +159,9 @@ func New(cfg Config) (*Service, error) {
 		Replicas: cfg.Replicas,
 		DataType: cfg.DataType,
 		Network:  net,
-		Options:  opt,
+		Options:  *cfg.Options,
 	})
-	cluster.StartLiveGossip(cfg.GossipInterval)
-	if cfg.RetransmitInterval > 0 {
-		cluster.StartLiveRetransmit(cfg.RetransmitInterval)
-	}
-	if opt.BatchSize > 1 {
-		cluster.StartLiveBatchFlush(opt.FlushPeriod())
-	}
+	startTickers(cluster, cfg)
 	return &Service{net: net, cluster: cluster, replicas: cfg.Replicas}, nil
 }
 
@@ -196,29 +169,8 @@ func New(cfg Config) (*Service, error) {
 // Shards == 1 — the deprecated NewKeyspace allows a one-shard keyspace,
 // which differs from an unsharded Service in that Resize can grow it.
 func newSharded(cfg Config) (*Service, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("esds: invalid shard count %d", cfg.Shards)
-	}
-	if cfg.Replicas < 1 {
-		return nil, fmt.Errorf("esds: invalid replica count %d", cfg.Replicas)
-	}
-	if cfg.DataType == nil {
-		return nil, errors.New("esds: nil data type")
-	}
-	if cfg.GossipInterval < 0 {
-		return nil, fmt.Errorf("esds: negative gossip interval %v", cfg.GossipInterval)
-	}
-	if cfg.GossipInterval == 0 {
-		cfg.GossipInterval = 10 * time.Millisecond
-	}
-	if cfg.RetransmitInterval == 0 {
-		cfg.RetransmitInterval = 250 * time.Millisecond
-	}
-	opt := core.DefaultOptions()
-	if cfg.Options != nil {
-		opt = *cfg.Options
-	}
-	if err := validateBatching(opt); err != nil {
+	cfg, err := configure(cfg)
+	if err != nil {
 		return nil, err
 	}
 	net := transport.NewLiveNet()
@@ -231,28 +183,62 @@ func newSharded(cfg Config) (*Service, error) {
 		Replicas: cfg.Replicas,
 		DataType: cfg.DataType,
 		Network:  net,
-		Options:  opt,
+		Options:  *cfg.Options,
 		Runtime:  rt,
 	})
-	ks.StartLiveGossip(cfg.GossipInterval)
-	if cfg.RetransmitInterval > 0 {
-		ks.StartLiveRetransmit(cfg.RetransmitInterval)
-	}
-	if opt.BatchSize > 1 {
-		ks.StartLiveBatchFlush(opt.FlushPeriod())
-	}
+	startTickers(ks, cfg)
 	return &Service{net: net, ks: ks, rt: rt, replicas: cfg.Replicas}, nil
 }
 
-// validateBatching rejects nonsensical batching knobs (see Options).
-func validateBatching(opt Options) error {
+// configure validates cfg for either door of New and returns it with its
+// defaults filled in; Options is non-nil afterwards.
+func configure(cfg Config) (Config, error) {
+	if cfg.Shards < 0 {
+		return cfg, fmt.Errorf("esds: invalid shard count %d", cfg.Shards)
+	}
+	if cfg.Replicas < 1 {
+		return cfg, fmt.Errorf("esds: invalid replica count %d", cfg.Replicas)
+	}
+	if cfg.DataType == nil {
+		return cfg, errors.New("esds: nil data type")
+	}
+	if cfg.GossipInterval < 0 {
+		return cfg, fmt.Errorf("esds: negative gossip interval %v", cfg.GossipInterval)
+	}
+	if cfg.GossipInterval == 0 {
+		cfg.GossipInterval = 10 * time.Millisecond
+	}
+	if cfg.RetransmitInterval == 0 {
+		cfg.RetransmitInterval = 250 * time.Millisecond
+	}
+	opt := core.DefaultOptions()
+	if cfg.Options != nil {
+		opt = *cfg.Options
+	}
 	if opt.BatchSize < 0 {
-		return fmt.Errorf("esds: negative batch size %d", opt.BatchSize)
+		return cfg, fmt.Errorf("esds: negative batch size %d", opt.BatchSize)
 	}
 	if opt.BatchDelay < 0 {
-		return fmt.Errorf("esds: negative batch delay %v", opt.BatchDelay)
+		return cfg, fmt.Errorf("esds: negative batch delay %v", opt.BatchDelay)
 	}
-	return nil
+	cfg.Options = &opt
+	return cfg, nil
+}
+
+// startTickers starts the gossip, retransmission and batch-flush tickers a
+// configured service runs, on a cluster or a keyspace alike.
+func startTickers(c interface {
+	StartLiveGossip(time.Duration)
+	StartLiveRetransmit(time.Duration)
+	StartLiveBatchFlush(time.Duration)
+}, cfg Config) {
+	c.StartLiveGossip(cfg.GossipInterval)
+	if cfg.RetransmitInterval > 0 {
+		c.StartLiveRetransmit(cfg.RetransmitInterval)
+	}
+	if cfg.Options.BatchSize > 1 {
+		c.StartLiveBatchFlush(cfg.Options.FlushPeriod())
+	}
 }
 
 // Close stops gossip, fails every operation still awaiting a response with

@@ -24,15 +24,33 @@ func newService(t *testing.T, replicas int, dt esds.DataType) *esds.Service {
 	return svc
 }
 
+// TestNewValidation runs every invalid configuration through both doors of
+// New: the unsharded service (Shards 0) and the sharded one (Shards 4).
 func TestNewValidation(t *testing.T) {
-	if _, err := esds.New(esds.Config{Replicas: 0, DataType: esds.Counter()}); err == nil {
-		t.Error("zero replicas accepted")
+	cases := []struct {
+		name string
+		cfg  esds.Config
+	}{
+		{"zero replicas", esds.Config{Replicas: 0, DataType: esds.Counter()}},
+		{"nil data type", esds.Config{Replicas: 3}},
+		{"negative gossip interval", esds.Config{Replicas: 3, DataType: esds.Counter(), GossipInterval: -time.Second}},
+		{"negative batch size", esds.Config{Replicas: 3, DataType: esds.Counter(), Options: &esds.Options{BatchSize: -1}}},
+		{"negative batch delay", esds.Config{Replicas: 3, DataType: esds.Counter(), Options: &esds.Options{BatchSize: 8, BatchDelay: -time.Millisecond}}},
 	}
-	if _, err := esds.New(esds.Config{Replicas: 3}); err == nil {
-		t.Error("nil data type accepted")
+	for _, shards := range []int{0, 4} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Shards = shards
+				if svc, err := esds.New(cfg); err == nil {
+					svc.Close()
+					t.Fatalf("%+v accepted", cfg)
+				}
+			})
+		}
 	}
-	if _, err := esds.New(esds.Config{Replicas: 3, DataType: esds.Counter(), GossipInterval: -time.Second}); err == nil {
-		t.Error("negative gossip interval accepted")
+	if _, err := esds.New(esds.Config{Shards: -1, Replicas: 3, DataType: esds.Counter()}); err == nil {
+		t.Error("negative shard count accepted")
 	}
 }
 

@@ -30,11 +30,11 @@ type Cluster struct {
 	stops    []func()
 	closed   bool
 
-	// The flush set (DESIGN.md §8): the front ends holding a partial batch
-	// or an unsettled adaptive controller, each once. A front end joins it
-	// itself (joinFlushSet); flushPass takes the set and puts back the
-	// members still active. flushWake holds a token once the set turns
-	// non-empty, so the flusher sleeps, with no timer, while it is empty.
+	// The flush set (DESIGN.md §8): the front ends with an open replica
+	// target, each once. A front end joins it itself (joinFlushSet) when a
+	// target opens; flushPass takes the set and puts back the members still
+	// open. flushWake holds a token once the set turns non-empty, so the
+	// flusher sleeps, with no timer, while it is empty.
 	flushMu     sync.Mutex
 	flushSet    []*FrontEnd
 	flushWake   chan struct{}
@@ -279,8 +279,8 @@ func (c *Cluster) wakeFlusher() {
 }
 
 // flushPass is one tick of the batch flusher: it takes the flush set, runs
-// one flush tick (FrontEnd.Flush) for each member and puts back those still
-// active. It reports whether the set is non-empty afterwards.
+// one flush tick (FrontEnd.Flush) for each member and puts back those with
+// a target still open. It reports whether the set is non-empty afterwards.
 func (c *Cluster) flushPass() bool {
 	c.flushMu.Lock()
 	due := c.flushSet
@@ -313,17 +313,16 @@ func (c *Cluster) flushPass() bool {
 	return true
 }
 
-// FlushAll runs one flush tick for every front end with work: each one
-// holding a partially filled request batch or an adaptive controller not
-// yet settled (see FrontEnd.Flush). A no-op when batching is off.
+// FlushAll runs one flush tick for every front end with an open replica
+// target (see FrontEnd.Flush). A no-op when batching is off.
 func (c *Cluster) FlushAll() { c.flushPass() }
 
 // StartLiveBatchFlush starts the cluster's batch flusher: every period it
 // runs one flush tick for each front end in the flush set — the
 // Options.BatchDelay bound on how long a buffered submission waits for its
 // batch to fill — and it sleeps, with no timer running, while no front end
-// holds a partial batch or an unsettled controller. Call Close to stop it.
-// Meaningless (but harmless) without batching.
+// has an open target. Call Close to stop it. Meaningless (but harmless)
+// without batching.
 func (c *Cluster) StartLiveBatchFlush(period time.Duration) {
 	if period <= 0 {
 		panic(fmt.Sprintf("core: invalid batch-flush period %v", period))

@@ -50,24 +50,23 @@ type FrontEnd struct {
 	history  []ops.ID // issue order, for auto-causality helpers
 	closed   error    // non-nil once Close ran; delivered to all waiters
 
-	// Request batching (DESIGN.md §8): with opt.BatchSize > 1, submissions
-	// are appended to a per-target buffer and sent as one BatchRequestMsg
-	// when the buffer reaches BatchSize, or when Flush runs (driven by the
-	// cluster's batch flusher, Cluster.StartLiveBatchFlush). A
+	// Request batching (DESIGN.md §8): with opt.BatchSize > 1, every
+	// replica target is closed or open, and open exactly when batch holds
+	// a key for it. A submission to a closed target is sent at once and
+	// opens it; on an open target submissions buffer until BatchSize, which
+	// is sent at once, or until the next flush tick (Flush, driven by the
+	// cluster's batch flusher, Cluster.StartLiveBatchFlush), which sends
+	// every partial buffer and closes every target it finds empty. A
 	// buffered-but-unsent operation is already in wait, so the
-	// retransmission ticker re-sends it singly if a flush never comes —
-	// batching can add latency, never deadlock. With opt.AdaptiveBatch, ctrl
-	// holds one batchController per target (DESIGN.md §12) and the size
-	// trigger compares against its moving target instead of the static
-	// BatchSize.
+	// retransmission ticker re-sends it if a flush never comes — batching
+	// can add latency, never deadlock.
 	opt   Options
 	batch map[transport.NodeID][]ops.Operation
-	ctrl  map[transport.NodeID]*batchController
 
 	// join puts the front end in its cluster's flush set (nil for a front
 	// end built outside a Cluster, which only explicit Flush calls tick).
-	// inFlushSet records membership: set here when the front end buffers,
-	// cleared only by the flusher's pass once nothing is left to tick.
+	// inFlushSet records membership: set here when a target opens, cleared
+	// only by the flusher's pass once no target is left open.
 	join       func(*FrontEnd)
 	inFlushSet bool
 
@@ -126,9 +125,6 @@ func newFrontEnd(cfg FrontEndConfig, register bool) *FrontEnd {
 	}
 	if fe.opt.BatchSize > 1 {
 		fe.batch = make(map[transport.NodeID][]ops.Operation)
-		if fe.opt.AdaptiveBatch {
-			fe.ctrl = make(map[transport.NodeID]*batchController)
-		}
 	}
 	if register {
 		cfg.Network.Register(fe.node, fe.handleMessage)
@@ -175,12 +171,11 @@ func (fe *FrontEnd) Submit(op dtype.Operator, prev []ops.ID, strict bool, cb fun
 }
 
 // dispatchLocked assigns the next round-robin target to x and returns the
-// message to send now: a lone RequestMsg when batching is off, a full
-// BatchRequestMsg when x topped its target's buffer up to the effective
-// batch target (the static BatchSize, or the per-target controller's moving
-// target under AdaptiveBatch), or nil when x joined a partial batch (a later
-// submission, Flush, or the retransmission ticker moves it). Mutex held;
-// callers send outside it.
+// message to send now: a lone RequestMsg when batching is off or the
+// target was closed (x opens it), a full BatchRequestMsg when x topped an
+// open target's buffer up to BatchSize, or nil when x joined a partial
+// batch (a later submission, Flush, or the retransmission ticker moves it).
+// Mutex held; callers send outside it.
 func (fe *FrontEnd) dispatchLocked(x ops.Operation) (to transport.NodeID, payload any) {
 	target := fe.replicas[fe.rr%len(fe.replicas)]
 	fe.rr++
@@ -189,68 +184,35 @@ func (fe *FrontEnd) dispatchLocked(x ops.Operation) (to transport.NodeID, payloa
 	if fe.batch == nil {
 		return target, RequestMsg{Op: x}
 	}
-	fe.batch[target] = append(fe.batch[target], x)
-	// Whether x stays buffered or tops the batch up (and its controller
-	// observes), the flusher has work here now.
-	if fe.join != nil && !fe.inFlushSet {
-		fe.inFlushSet = true
-		fe.join(fe)
-	}
-	if len(fe.batch[target]) >= fe.targetLocked(target) {
-		full := fe.batch[target]
-		delete(fe.batch, target)
-		// A size-triggered flush is a flush opportunity that saw a full
-		// buffer: feed the controller the depth it just drained.
-		if c := fe.ctrlLocked(target); c != nil {
-			c.observe(len(full))
+	buffered, open := fe.batch[target]
+	if !open {
+		fe.batch[target] = nil
+		if fe.join != nil && !fe.inFlushSet {
+			fe.inFlushSet = true
+			fe.join(fe)
 		}
-		if len(full) == 1 {
-			// An adaptive target of 1 means "don't batch right now": send
-			// the plain RequestMsg so the replica skips batch bookkeeping.
-			return target, RequestMsg{Op: full[0]}
-		}
-		return target, BatchRequestMsg{Ops: full}
+		return target, RequestMsg{Op: x}
 	}
-	return target, nil
-}
-
-// targetLocked returns the effective batch target for one replica: the
-// static BatchSize, or the controller's current target under AdaptiveBatch.
-func (fe *FrontEnd) targetLocked(target transport.NodeID) int {
-	if c := fe.ctrlLocked(target); c != nil {
-		return c.targetNow()
+	buffered = append(buffered, x)
+	if len(buffered) < fe.opt.BatchSize {
+		fe.batch[target] = buffered
+		return target, nil
 	}
-	return fe.opt.BatchSize
-}
-
-// ctrlLocked returns (creating on first use) the batch controller for one
-// replica target, or nil when AdaptiveBatch is off.
-func (fe *FrontEnd) ctrlLocked(target transport.NodeID) *batchController {
-	if fe.ctrl == nil {
-		return nil
-	}
-	c := fe.ctrl[target]
-	if c == nil {
-		c = newBatchController(fe.opt.BatchSize)
-		fe.ctrl[target] = c
-	}
-	return c
+	fe.batch[target] = nil
+	return target, BatchRequestMsg{Ops: buffered}
 }
 
 // Flush runs one explicit flush tick: it sends every partially filled
-// request batch immediately; a no-op when batching is off. The cluster's
-// batch flusher runs the same tick for every front end in its flush set
-// (Cluster.StartLiveBatchFlush). Each tick is a flush opportunity for the
-// adaptive controllers: a target with a partial buffer observes that
-// (age-triggered) depth, and a target with nothing buffered observes zero —
-// the idle decay that walks its batch target back down to 1 (DESIGN.md
-// §12).
+// request batch immediately and closes every open target with nothing
+// buffered; a no-op when batching is off. The cluster's batch flusher runs
+// the same tick for every front end in its flush set
+// (Cluster.StartLiveBatchFlush).
 func (fe *FrontEnd) Flush() { fe.flush(false) }
 
 // flush is one flush tick. From the cluster's flush pass (fromSet) it also
 // reports whether the front end stays in the flush set, and leaves it, under
-// the same lock, when no partial batch and no unsettled controller remain:
-// a later submission then re-joins it.
+// the same lock, when no target is left open: the submission that opens one
+// re-joins it.
 func (fe *FrontEnd) flush(fromSet bool) (stay bool) {
 	fe.mu.Lock()
 	if fe.batch == nil || fe.closed != nil {
@@ -260,34 +222,25 @@ func (fe *FrontEnd) flush(fromSet bool) (stay bool) {
 		fe.mu.Unlock()
 		return false
 	}
-	for to, c := range fe.ctrl {
-		if len(fe.batch[to]) == 0 {
-			c.observe(0)
-		}
-	}
 	type outMsg struct {
 		to  transport.NodeID
 		msg any
 	}
-	outbox := make([]outMsg, 0, len(fe.batch))
+	var outbox []outMsg
 	for to, buffered := range fe.batch {
-		if c := fe.ctrlLocked(to); c != nil {
-			c.observe(len(buffered))
-		}
-		if len(buffered) == 1 {
+		switch len(buffered) {
+		case 0:
+			delete(fe.batch, to)
+			continue
+		case 1:
 			outbox = append(outbox, outMsg{to: to, msg: RequestMsg{Op: buffered[0]}})
-		} else {
+		default:
 			outbox = append(outbox, outMsg{to: to, msg: BatchRequestMsg{Ops: buffered}})
 		}
-		delete(fe.batch, to)
+		fe.batch[to] = nil
 	}
+	stay = len(fe.batch) > 0
 	if fromSet {
-		for _, c := range fe.ctrl {
-			if !c.settled() {
-				stay = true
-				break
-			}
-		}
 		fe.inFlushSet = stay
 	}
 	fe.mu.Unlock()
@@ -531,33 +484,6 @@ func (fe *FrontEnd) Stats() (requests, responses uint64) {
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
 	return fe.requests, fe.responses
-}
-
-// Metrics snapshots the front end's counters, including the adaptive
-// batching observables (DESIGN.md §12). With several per-target
-// controllers, BatchTarget and QueueDepthEWMA report the busiest target
-// (the maximum) — the value an operator tuning BatchSize would look at —
-// while the grow/shrink transition counters sum across targets.
-func (fe *FrontEnd) Metrics() FrontEndMetrics {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
-	m := FrontEndMetrics{Requests: fe.requests, Responses: fe.responses}
-	if fe.batch != nil {
-		m.BatchTarget = fe.opt.BatchSize // static target; cold-start adaptive
-	}
-	first := true
-	for _, c := range fe.ctrl {
-		if first || c.target > m.BatchTarget {
-			m.BatchTarget = c.target
-		}
-		first = false
-		if c.ewma > m.QueueDepthEWMA {
-			m.QueueDepthEWMA = c.ewma
-		}
-		m.BatchGrows += c.grows
-		m.BatchShrinks += c.shrinks
-	}
-	return m
 }
 
 // History returns the ids of all operations issued, in issue order.

@@ -136,19 +136,3 @@ func (m *ReplicaMetrics) Add(o ReplicaMetrics) {
 	m.PendingOps += o.PendingOps
 	m.RetainedOps += o.RetainedOps
 }
-
-// FrontEndMetrics snapshots a front end's counters and its adaptive
-// batching observables (DESIGN.md §12). BatchTarget is the effective batch
-// target of the busiest replica target (the static BatchSize while
-// AdaptiveBatch is off or before any flush opportunity; 0 with batching
-// off), QueueDepthEWMA the matching smoothed queue depth, and
-// BatchGrows/BatchShrinks the controller's target transitions summed
-// across targets.
-type FrontEndMetrics struct {
-	Requests       uint64
-	Responses      uint64
-	BatchTarget    int
-	QueueDepthEWMA float64
-	BatchGrows     uint64
-	BatchShrinks   uint64
-}

@@ -56,11 +56,12 @@ type Options struct {
 	// BatchDelay is the front-end flush period: a partially filled request
 	// batch waits at most this long before the batch flusher sends it
 	// (esds.New/NewKeyspace and esds-server start the flusher; raw core
-	// users call Cluster.StartLiveBatchFlush or FrontEnd.Flush). The flusher
-	// ticks at this period only while some front end holds a partial batch
-	// or an adaptive controller that has not settled, and sleeps otherwise.
-	// Zero means the default period of FlushPeriod. Meaningful only with
-	// BatchSize > 1.
+	// users call Cluster.StartLiveBatchFlush or FrontEnd.Flush). The first
+	// submission to an idle replica target never waits: it is sent at once
+	// and opens the target, and only submissions to an open target buffer.
+	// The flusher ticks at this period only while some front end has an
+	// open target, and sleeps otherwise. Zero means the default period of
+	// FlushPeriod. Meaningful only with BatchSize > 1.
 	BatchDelay time.Duration
 
 	// IncrementalGossip enables the §10.4 communication reduction: each
@@ -71,18 +72,6 @@ type Options struct {
 	// R descriptors and L labels), so reordering is harmless, but a delta
 	// depends on its predecessors having been delivered.
 	IncrementalGossip bool
-
-	// AdaptiveBatch turns the static BatchSize ceiling into a per-target
-	// feedback loop (DESIGN.md §12): each front-end submission buffer runs
-	// a batchController that grows or shrinks its effective batch target
-	// inside [1, BatchSize] from the queue depth observed at flush
-	// opportunities — deep backlogs earn big batches, light traffic flushes
-	// near-immediately, and an idle stream decays back to the unbatched
-	// latency profile. Meaningful only with BatchSize > 1 (there is no
-	// range to adapt over otherwise); off, the static BatchSize trigger of
-	// DESIGN.md §8 applies unchanged. Purely local — no wire or protocol
-	// change, so members need not agree.
-	AdaptiveBatch bool
 }
 
 // FlushPeriod is the batch flusher's period for an enabled batched hot
@@ -100,15 +89,12 @@ func (o Options) FlushPeriod() time.Duration {
 // memoization and pruning on, incremental gossip on, commute mode off
 // (commute mode needs the SafeUsers client discipline), batching off
 // (it trades per-operation latency for throughput — a deployment
-// decision; see BatchSize and DESIGN.md §8). AdaptiveBatch is on: it is
-// inert until batching is enabled, and once it is, self-tuning front-end
-// targets are a better default than a hand-tuned static one (DESIGN.md
-// §12). The gossip wire form is not an option: the transport negotiates it.
+// decision; see BatchSize and DESIGN.md §8). The gossip wire form is not
+// an option: the transport negotiates it.
 func DefaultOptions() Options {
 	return Options{
 		Memoize:           true,
 		Prune:             true,
 		IncrementalGossip: true,
-		AdaptiveBatch:     true,
 	}
 }

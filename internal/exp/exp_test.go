@@ -333,25 +333,25 @@ func TestE12BatchingSmoke(t *testing.T) {
 	}
 }
 
-func TestE16AdaptiveSmoke(t *testing.T) {
-	// Structural smoke of the adaptive-batching experiment: tiny step-load
-	// sweep over real loopback sockets, throughput and bytes/op gates off
-	// (wall-clock ratios are machine-dependent; the headline gated run is
-	// `esds-bench -exp e16` / BenchmarkE16AdaptiveBatching). The structural
-	// claims — every offered op answered and read back, real wire traffic
-	// on every point, the compact path engaged exactly when negotiated —
-	// are folded into the runner and asserted by Verify.
-	p := SmokeAdaptiveParams()
-	r := RunAdaptive(p)
+func TestE16StepLoadSmoke(t *testing.T) {
+	// Structural smoke of the step-load experiment: tiny sweep over real
+	// loopback sockets, throughput and bytes/op gates off (wall-clock
+	// ratios are machine-dependent; the headline gated run is `esds-bench
+	// -exp e16` / BenchmarkE16StepLoad). The structural claims — every
+	// offered op answered and read back, real wire traffic on every point,
+	// the compact path engaged exactly when negotiated — are folded into
+	// the runner and asserted by Verify.
+	p := SmokeStepLoadParams()
+	r := RunStepLoad(p)
 	if err := r.Verify(p); err != nil {
 		t.Fatalf("%v\n%s", err, r.Table())
 	}
 	// The delta encoding must not INFLATE the wire even at smoke scale:
-	// compact adaptive ≤ legacy adaptive bytes/op.
-	compact, ok1 := r.bytesPerOp("adaptive")
-	legacy, ok2 := r.bytesPerOp("adaptive-legacy")
+	// compact ≤ legacy bytes/op at the same batch size.
+	compact, ok1 := r.BytesPerOp(p.Size, false)
+	legacy, ok2 := r.BytesPerOp(p.Size, true)
 	if !ok1 || !ok2 {
-		t.Fatalf("missing adaptive candidates:\n%s", r.Table())
+		t.Fatalf("missing batch-%d candidates:\n%s", p.Size, r.Table())
 	}
 	if compact > legacy {
 		t.Fatalf("compact gossip bytes/op %.0f exceeds legacy %.0f\n%s", compact, legacy, r.Table())

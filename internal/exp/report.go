@@ -126,10 +126,10 @@ func All() []Experiment {
 			},
 		},
 		{
-			ID: "e16", Title: "Adaptive batching & compact gossip under step load", PaperRef: "DESIGN.md §12 (beyond the paper)",
+			ID: "e16", Title: "Wire compression & one batch size under step load", PaperRef: "DESIGN.md §12 (beyond the paper)",
 			Run: func() (string, error) {
-				p := DefaultAdaptiveParams()
-				r := RunAdaptive(p)
+				p := DefaultStepLoadParams()
+				r := RunStepLoad(p)
 				return r.Table(), r.Verify(p)
 			},
 		},
