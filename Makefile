@@ -69,16 +69,19 @@ bench-diff:
 # data types' transition functions (the directory on a 64-name x 4-key
 # state, keyed counters at 16, 256 and 4 096 objects), response-value
 # computation (memoized prefix, Fig. 7 recompute, and an unstable suffix
-# that never stabilizes) and one batch-flush tick over 256 front ends of
-# which one is busy. Unlike the `bench` smoke run these numbers carry
+# that never stabilizes), one batch-flush tick over 256 front ends of
+# which one is busy, and one incremental gossip delta of 64 operations
+# merged into a replica holding a 1k- or 100k-operation history (the
+# identifier table's per-id cost). Unlike the `bench` smoke run these numbers carry
 # information; the CI build job runs them at MICROBENCHTIME=100x so they
 # cannot rot.
 MICROBENCHTIME ?= 2000x
 microbench:
-	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush' -benchmem -benchtime $(MICROBENCHTIME) .
+	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush|GossipMerge' -benchmem -benchtime $(MICROBENCHTIME) .
 
 # Deterministic fault-injection suite under the race detector: the
-# crash/recover/prune chaos matrix (crash timing × option sets × gossip
+# identifier-table invariants checked after every delivery under loss and
+# a crash, the crash/recover/prune chaos matrix (crash timing × option sets × gossip
 # loss, including the replay cell for a type with no state encoding and
 # the group-commit cell over real FileStableStore journals), the
 # concurrent-recoveries cell, the state-transfer and prune×recovery
@@ -94,7 +97,7 @@ microbench:
 # Seeds are pinned; sweep others with ESDS_CHAOS_SEEDS=7,8,9 make chaos.
 # A failing matrix cell shrinks to a minimal reproduction automatically.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact|FuzzFileStableStore' ./internal/core
+	$(GO) test -race -count=1 -run 'TestChaos|TestIDTableInvariants|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact|FuzzFileStableStore' ./internal/core
 	$(GO) test -race -count=1 -run 'TestKillNine|TestResizeAdminAgainstCluster' ./cmd/esds-server
 	$(GO) test -race -count=2 -run 'TestResize' ./internal/core
 
@@ -113,8 +116,9 @@ loadlab:
 # Native fuzzing of the doors through which another process's bytes reach
 # a replica's state: range responses delivered to a recovering replica,
 # the compact gossip decoder, the stable-store journal a restarting replica
-# reloads (torn and corrupt record frames), and the Directory and Keyed
-# snapshot decoders (which also check their golden encodings first). go test takes one -fuzz target
+# reloads (torn and corrupt record frames), the Directory and Keyed
+# snapshot decoders (which also check their golden encodings first), and
+# the Counter, Register, Set, Log and Bank state decoders. go test takes one -fuzz target
 # per invocation, so each gets FUZZTIME. The committed seeds already run in
 # `make test` and `make chaos`; this explores beyond them. The nightly
 # deep-chaos job runs it; FUZZTIME=5m make fuzz for a longer local session.
@@ -125,6 +129,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFileStableStore$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDirectoryState$$' -fuzztime $(FUZZTIME) ./internal/dtype
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyedState$$' -fuzztime $(FUZZTIME) ./internal/dtype
+	$(GO) test -run '^$$' -fuzz '^FuzzStateDecoders$$' -fuzztime $(FUZZTIME) ./internal/dtype
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

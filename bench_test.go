@@ -419,6 +419,81 @@ func BenchmarkGossipRound(b *testing.B) {
 	}
 }
 
+// BenchmarkGossipMerge measures the receive side of incremental gossip
+// against the history a replica holds (run with -benchmem): replica 0 of
+// a three-replica cluster holds N operations done and stable everywhere
+// (history-N), and each iteration merges one delta from replica 1 — 64 new
+// descriptors with their labels, done at the sender, plus the previous
+// delta's 64 operations now stable — and runs the internal actions,
+// memoizing what became stable. The deltas grow the history, so it is
+// rebuilt (timer stopped) whenever they have added a quarter of N: every
+// iteration sees between N and 1.25N identifiers.
+func BenchmarkGossipMerge(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("history-%dk", n/1000), func(b *testing.B) { benchGossipMerge(b, n) })
+	}
+}
+
+func benchGossipMerge(b *testing.B, history int) {
+	const delta = 64
+	var (
+		s        *sim.Sim
+		net      *transport.SimNet
+		to, from transport.NodeID
+		seq      uint64
+		deltas   []core.GossipMsg
+	)
+	// gossip is replica 1's message carrying k new operations, stable at
+	// every replica or done at the sender only.
+	gossip := func(k int, stable bool) core.GossipMsg {
+		m := core.GossipMsg{From: 1, L: make(map[ops.ID]label.Label, k)}
+		for i := 0; i < k; i++ {
+			seq++
+			id := ops.ID{Client: "c", Seq: seq}
+			m.R = append(m.R, ops.New(dtype.CtrAdd{N: 1}, id, nil, false))
+			m.L[id] = label.Make(seq, 1)
+			if stable {
+				m.S = append(m.S, id)
+			} else {
+				m.D = append(m.D, id)
+			}
+		}
+		return m
+	}
+	build := func() {
+		s = sim.New(1)
+		net = transport.NewSimNet(s, transport.SimNetConfig{})
+		cluster := core.NewCluster(core.ClusterConfig{
+			Replicas: 3, DataType: dtype.Counter{}, Network: net,
+			Options: core.Options{Memoize: true},
+		})
+		to, from = cluster.Nodes()[0], cluster.Nodes()[1]
+		seq = 0
+		for held := 0; held < history; held += 1000 {
+			net.Send(from, to, gossip(min(1000, history-held), true))
+			s.Run(0)
+		}
+		deltas = make([]core.GossipMsg, history/delta/4+1)
+		for i := range deltas {
+			deltas[i] = gossip(delta, false)
+			if i > 0 {
+				deltas[i].S = deltas[i-1].D
+			}
+		}
+	}
+	build()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(deltas) == 0 {
+			b.StopTimer()
+			build()
+			b.StartTimer()
+		}
+		net.Send(from, to, deltas[i%len(deltas)])
+		s.Run(0)
+	}
+}
+
 // BenchmarkLiveSubmitNonStrict measures the end-to-end latency path of a
 // non-strict operation on the live transport. The service is recreated
 // every few thousand operations so the measurement reflects a bounded

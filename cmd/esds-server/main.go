@@ -35,6 +35,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -139,6 +140,9 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	}
 	if cfg.place > len(cfg.peers) {
 		return cfg, fmt.Errorf("-place %d wants more replicas per shard than the fleet has members (%d)", cfg.place, len(cfg.peers))
+	}
+	if perShard := cmp.Or(cfg.place, len(cfg.peers)); perShard > core.MaxReplicas {
+		return cfg, fmt.Errorf("%d replicas per shard, at most %d supported: use -place to spread a larger fleet", perShard, core.MaxReplicas)
 	}
 	if cfg.gossip <= 0 {
 		return cfg, fmt.Errorf("-gossip %v must be positive: the §9.1 liveness assumption needs a gossip round in every bounded interval", cfg.gossip)

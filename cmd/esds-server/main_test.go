@@ -493,6 +493,8 @@ func TestParseFlagsValidation(t *testing.T) {
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-place", "-1"}, "-place -1 is negative"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-place", "3"}, "more replicas per shard than the fleet has members"},
 		{[]string{"-peers", "a:1,b:2", "-resize", "4", "-place", "2"}, "admin command"},
+		{[]string{"-peers", manyPeers(65), "-id", "0"}, "65 replicas per shard, at most 64"},
+		{[]string{"-peers", manyPeers(70), "-id", "0", "-place", "65"}, "65 replicas per shard, at most 64"},
 	}
 	for _, tc := range cases {
 		_, err := parseFlags(tc.args, os.Stderr)
@@ -506,6 +508,9 @@ func TestParseFlagsValidation(t *testing.T) {
 	}
 	if cfg.listen != "b:2" {
 		t.Errorf("listen defaulted to %q, want the replica's own peers entry", cfg.listen)
+	}
+	if _, err := parseFlags([]string{"-peers", manyPeers(70), "-id", "0", "-place", "3"}, os.Stderr); err != nil {
+		t.Errorf("a 70-member fleet placing 3 replicas per shard rejected: %v", err)
 	}
 	if _, err := parseFlags([]string{"-peers", "a:1,b:2", "-resize", "4"}, os.Stderr); err != nil {
 		t.Errorf("valid -resize admin flags rejected: %v", err)
@@ -695,4 +700,13 @@ func TestPlacedClientModeAgainstCluster(t *testing.T) {
 	if !strings.HasSuffix(lines[5], "= 10") {
 		t.Fatalf("strict read of cart:2 = %q, want suffix %q", lines[5], "= 10")
 	}
+}
+
+// manyPeers returns a -peers list of n loopback members.
+func manyPeers(n int) string {
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("127.0.0.1:%d", 7000+i)
+	}
+	return strings.Join(addrs, ",")
 }

@@ -196,8 +196,8 @@ func configure(cfg Config) (Config, error) {
 	if cfg.Shards < 0 {
 		return cfg, fmt.Errorf("esds: invalid shard count %d", cfg.Shards)
 	}
-	if cfg.Replicas < 1 {
-		return cfg, fmt.Errorf("esds: invalid replica count %d", cfg.Replicas)
+	if cfg.Replicas < 1 || cfg.Replicas > core.MaxReplicas {
+		return cfg, fmt.Errorf("esds: invalid replica count %d (1 to %d)", cfg.Replicas, core.MaxReplicas)
 	}
 	if cfg.DataType == nil {
 		return cfg, errors.New("esds: nil data type")

@@ -32,6 +32,7 @@ func TestNewValidation(t *testing.T) {
 		cfg  esds.Config
 	}{
 		{"zero replicas", esds.Config{Replicas: 0, DataType: esds.Counter()}},
+		{"65 replicas", esds.Config{Replicas: 65, DataType: esds.Counter()}},
 		{"nil data type", esds.Config{Replicas: 3}},
 		{"negative gossip interval", esds.Config{Replicas: 3, DataType: esds.Counter(), GossipInterval: -time.Second}},
 		{"negative batch size", esds.Config{Replicas: 3, DataType: esds.Counter(), Options: &esds.Options{BatchSize: -1}}},

@@ -83,8 +83,8 @@ type ClusterConfig struct {
 // is not started; call StartSimGossip / StartLiveGossip or drive rounds
 // manually with GossipAll.
 func NewCluster(cfg ClusterConfig) *Cluster {
-	if cfg.Replicas < 1 {
-		panic(fmt.Sprintf("core: invalid replica count %d", cfg.Replicas))
+	if cfg.Replicas < 1 || cfg.Replicas > MaxReplicas {
+		panic(fmt.Sprintf("core: invalid replica count %d (1 to %d)", cfg.Replicas, MaxReplicas))
 	}
 	if cfg.DataType == nil {
 		panic("core: nil data type")

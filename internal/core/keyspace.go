@@ -137,6 +137,9 @@ func NewKeyspace(cfg KeyspaceConfig) *Keyspace {
 	if cfg.Shards < 1 {
 		panic(fmt.Sprintf("core: invalid shard count %d", cfg.Shards))
 	}
+	if cfg.Replicas < 1 || cfg.Replicas > MaxReplicas {
+		panic(fmt.Sprintf("core: invalid replica count %d (1 to %d)", cfg.Replicas, MaxReplicas))
+	}
 	if cfg.DataType == nil {
 		panic("core: nil data type")
 	}

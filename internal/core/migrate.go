@@ -90,7 +90,7 @@ func (r *Replica) refuseForResize(x ops.Operation) (*Redirect, bool) {
 	if !keyed {
 		return nil, false
 	}
-	if _, seen := r.rcvdIDs[x.ID]; seen {
+	if e := r.ids.get(x.ID); e != nil && e.has(recRcvd) {
 		return nil, false // source-era operation: it completes here
 	}
 	for _, rr := range r.resizes {
@@ -135,15 +135,14 @@ func (r *Replica) handleFreezeKeys(msg FreezeKeysMsg) {
 	}
 	ack := FreezeAckMsg{From: r.id, Shard: r.shard, Epoch: msg.Epoch, Nonce: msg.Nonce}
 	perKey := make(map[string][]ops.ID)
-	for id, x := range r.retained {
-		key, keyed := dtype.KeyOf(x.Op)
-		if !keyed || !rr.movesAway(r.shard, key) {
+	for id, e := range r.ids.m {
+		if !e.has(recRetained) || !e.has(recKeyed) || !rr.movesAway(r.shard, e.key) {
 			continue
 		}
-		if _, st := r.stableAt[r.id][id]; st {
+		if e.stableAt(r.id) {
 			continue // stable ⇒ done at every replica, exporter included
 		}
-		perKey[key] = append(perKey[key], id)
+		perKey[e.key] = append(perKey[e.key], id)
 	}
 	keys := make([]string, 0, len(perKey))
 	for key := range perKey {
@@ -344,7 +343,7 @@ func (r *Replica) ExportKeyState(key string, drain []ops.ID) (enc []byte, subsum
 		return nil, nil, false, &ErrNotDrained{Reason: "exporter is crashed or recovering"}
 	}
 	for _, id := range drain {
-		if _, solid := r.memoVals[id]; !solid {
+		if e := r.ids.get(id); e == nil || !e.has(recMemo) {
 			return nil, nil, false, &ErrNotDrained{Reason: fmt.Sprintf("op %v not yet solid", id)}
 		}
 	}
@@ -352,22 +351,18 @@ func (r *Replica) ExportKeyState(key string, drain []ops.ID) (enc []byte, subsum
 	// done op could still re-order, and a received-undone op has not even
 	// executed. (All such ops are drain-reported by some replica, but the
 	// exporter may additionally know ops the acks predate.)
-	touchesKey := func(id ops.ID) bool {
-		x, ok := r.retained[id]
-		if !ok {
-			return false // pruned ⇒ stable ⇒ memoized
-		}
-		k, keyed := dtype.KeyOf(x.Op)
-		return keyed && k == key
+	touchesKey := func(e *idRec) bool {
+		// A pruned op is stable, hence memoized.
+		return e.has(recRetained) && e.has(recKeyed) && e.key == key
 	}
 	for _, id := range r.doneSeq[r.memoized:] {
-		if touchesKey(id) {
+		if touchesKey(r.ids.get(id)) {
 			return nil, nil, false, &ErrNotDrained{Reason: fmt.Sprintf("done op %v not yet solid", id)}
 		}
 	}
-	for _, id := range r.rcvdQueue {
-		if touchesKey(id) {
-			return nil, nil, false, &ErrNotDrained{Reason: fmt.Sprintf("received op %v not yet done", id)}
+	for _, e := range r.rcvdQueue {
+		if touchesKey(e) {
+			return nil, nil, false, &ErrNotDrained{Reason: fmt.Sprintf("received op %v not yet done", e.id)}
 		}
 	}
 	st, ok := r.memoState.(dtype.KeyedState)
@@ -377,8 +372,8 @@ func (r *Replica) ExportKeyState(key string, drain []ops.ID) (enc []byte, subsum
 	// The key's full source-era identifier history, from the
 	// prune-surviving index; drain ids are a subset (they were received —
 	// via request or gossip — to become solid here).
-	for id, k := range r.keyOf {
-		if k == key {
+	for id, e := range r.ids.m {
+		if e.has(recKeyed) && e.key == key {
 			subsumes = append(subsumes, dtype.OpRef{Client: id.Client, Seq: id.Seq})
 		}
 	}

@@ -194,11 +194,11 @@ func TestBuildDeltaAllocations(t *testing.T) {
 	ids := make([]ops.ID, 32)
 	for i := range ids {
 		ids[i] = ops.ID{Client: "c", Seq: uint64(i)}
-		r.labels.SetMin(ids[i], label.Make(uint64(i+1), 0))
+		r.ids.rec(ids[i]).setLabelMin(label.Make(uint64(i+1), 0))
 	}
 	cycle := func() {
 		for _, id := range ids {
-			r.enqueueL(id)
+			r.enqueueL(r.ids.get(id))
 		}
 		if msg := r.buildDelta(1); len(msg.L) != len(ids) {
 			t.Fatalf("delta carries %d labels, want %d", len(msg.L), len(ids))
@@ -208,7 +208,7 @@ func TestBuildDeltaAllocations(t *testing.T) {
 	msgOnly := testing.AllocsPerRun(100, func() {
 		labelSink = make(map[ops.ID]label.Label, len(ids))
 		for _, id := range ids {
-			labelSink[id] = r.labels.Get(id)
+			labelSink[id] = r.ids.label(id)
 		}
 	})
 	if got := testing.AllocsPerRun(100, cycle); got > msgOnly {
@@ -399,6 +399,15 @@ func TestConfigValidationPanics(t *testing.T) {
 		"zero replicas": func() {
 			NewCluster(ClusterConfig{Replicas: 0, DataType: dtype.Counter{}, Network: e.net})
 		},
+		"65 replicas": func() {
+			NewCluster(ClusterConfig{Replicas: 65, DataType: dtype.Counter{}, Network: e.net})
+		},
+		"65 replicas per shard": func() {
+			NewKeyspace(KeyspaceConfig{Shards: 2, Replicas: 65, DataType: dtype.Counter{}, Network: e.net})
+		},
+		"65 peers": func() {
+			NewReplica(ReplicaConfig{Peers: make([]transport.NodeID, 65), DataType: dtype.Counter{}, Network: e.net})
+		},
 		"nil data type": func() {
 			NewCluster(ClusterConfig{Replicas: 1, Network: e.net})
 		},
@@ -531,7 +540,7 @@ func TestEstimateSize(t *testing.T) {
 // the first position at which the old and new orders differ.
 func TestEnsureSortedMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	r := &Replica{labels: label.NewMap()}
+	r := &Replica{ids: newIDTable()}
 	used := make(map[label.Label]bool)
 	fresh := func(lo, hi uint64) label.Label {
 		for {
@@ -554,12 +563,12 @@ func TestEnsureSortedMatchesFullSort(t *testing.T) {
 			if l.Seq > top {
 				top = l.Seq
 			}
-			r.labels.SetMin(id, l)
+			r.ids.rec(id).setLabelMin(l)
 			r.doneSeq = append(r.doneSeq, id)
 		case k == 6 && len(r.doneSeq) > r.memoized: // setLabelMin on a done op
 			id := r.doneSeq[r.memoized+rng.Intn(len(r.doneSeq)-r.memoized)]
-			if cur := r.labels.Get(id); cur.Seq > 1 {
-				r.labels.SetMin(id, fresh(cur.Seq/2, cur.Seq-1))
+			if cur := r.ids.label(id); cur.Seq > 1 {
+				r.ids.get(id).setLabelMin(fresh(cur.Seq/2, cur.Seq-1))
 				r.seqDirty = true
 			}
 		case k == 7: // advanceMemo fixing part of the sorted prefix
@@ -579,7 +588,7 @@ func TestEnsureSortedMatchesFullSort(t *testing.T) {
 				t.Fatalf("step %d: ensureSorted reported first moved index %d, orders first differ at %d", step, moved, firstDiff)
 			}
 			want := append([]ops.ID(nil), before[r.memoized:]...)
-			sort.Slice(want, func(i, j int) bool { return r.labels.Get(want[i]).Less(r.labels.Get(want[j])) })
+			sort.Slice(want, func(i, j int) bool { return r.ids.label(want[i]).Less(r.ids.label(want[j])) })
 			for i := range before[:r.memoized] {
 				if r.doneSeq[i] != before[i] {
 					t.Fatalf("step %d: memoized position %d changed", step, i)
@@ -588,7 +597,7 @@ func TestEnsureSortedMatchesFullSort(t *testing.T) {
 			for i, id := range want {
 				if got := r.doneSeq[r.memoized+i]; got != id {
 					t.Fatalf("step %d: suffix position %d holds %v (label %v), want %v (label %v)",
-						step, i, got, r.labels.Get(got), id, r.labels.Get(id))
+						step, i, got, r.ids.label(got), id, r.ids.label(id))
 				}
 			}
 		}

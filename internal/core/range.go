@@ -173,25 +173,24 @@ func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 		// the unsolid suffix and the not-yet-done arrival queue.
 		r.ensureSorted()
 		done.Tail = GossipMsg{From: r.id, L: make(map[ops.ID]label.Label)}
-		for _, id := range r.doneSeq[r.memoized:] {
-			if x, ok := r.retained[id]; ok {
+		addTail := func(e *idRec) {
+			if x, ok := e.descriptor(); ok {
 				done.Tail.R = append(done.Tail.R, x)
 			}
-			done.Tail.D = append(done.Tail.D, id)
-			if l := r.labels.Get(id); !l.IsInf() {
-				done.Tail.L[id] = l
+			if !e.label.IsInf() {
+				done.Tail.L[e.id] = e.label
 			}
-			if _, st := r.stableAt[r.id][id]; st {
+		}
+		for _, id := range r.doneSeq[r.memoized:] {
+			e := r.ids.get(id)
+			addTail(e)
+			done.Tail.D = append(done.Tail.D, id)
+			if e.stableAt(r.id) {
 				done.Tail.S = append(done.Tail.S, id)
 			}
 		}
-		for _, id := range r.rcvdQueue {
-			if x, ok := r.retained[id]; ok {
-				done.Tail.R = append(done.Tail.R, x)
-			}
-			if l := r.labels.Get(id); !l.IsInf() {
-				done.Tail.L[id] = l
-			}
+		for _, e := range r.rcvdQueue {
+			addTail(e)
 		}
 	} else {
 		done.Tail = r.buildFullGossip()
@@ -205,7 +204,7 @@ func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 		r.pendR[from] = nil
 		r.pendD[from] = nil
 		r.pendS[from] = nil
-		r.pendL[from] = make(map[ops.ID]struct{})
+		r.dropPendL(from)
 	}
 	to := r.peers[from]
 	r.mu.Unlock()

@@ -30,28 +30,26 @@ type Replica struct {
 	peers []transport.NodeID // node ids of ALL replicas, indexed by ReplicaID
 	opt   Options
 
-	// pending_r: requests awaiting a response (Fig. 7). pendingQueue keeps a
-	// deterministic iteration order; pendingSet dedupes.
-	pendingQueue []ops.ID
-	pendingSet   map[ops.ID]struct{}
+	// ids is the identifier table (idtable.go): one record per operation
+	// identifier this replica has heard of, holding its membership in every
+	// per-identifier set of Fig. 7 and the §10 optimizations. all is the
+	// done/stable mask of an id in every replica's set (stable_r[r] =
+	// ∩_i done_r[i], Invariant 7.2, is done == all). doneLocal, stableLocal
+	// and retainedN count |done_r[r]|, |stable_r[r]| and the descriptors
+	// still held.
+	ids                               idTable
+	all                               uint64
+	doneLocal, stableLocal, retainedN int
 
-	// rcvd_r: every operation received, directly or by gossip. retained maps
-	// id → descriptor; pruning (§10.2) may remove entries for memoized ops.
-	retained  map[ops.ID]ops.Operation
-	rcvdIDs   map[ops.ID]struct{} // ids ever received (survives pruning)
-	rcvdQueue []ops.ID            // arrival order of not-yet-locally-done ops
+	// pending_r: requests awaiting a response (Fig. 7), in arrival order;
+	// recPending dedupes.
+	pendingQueue []*idRec
 
-	// done_r[i] and stable_r[i] (Fig. 7), with incremental counters:
-	// doneCount[id] = |{i : id ∈ done[i]}|; stable-everywhere when
-	// stableCount[id] = n.
-	doneAt      []map[ops.ID]struct{}
-	stableAt    []map[ops.ID]struct{}
-	doneCount   map[ops.ID]int
-	stableCount map[ops.ID]int
+	// rcvdQueue is the arrival order of received, not-yet-locally-done ops.
+	rcvdQueue []*idRec
 
-	// label_r and the label generator over ℒ_r (§6.3).
-	labels *label.Map
-	gen    *label.Generator
+	// The label generator over ℒ_r (§6.3); label_r lives in the records.
+	gen *label.Generator
 
 	// doneSeq is done_r[r] sorted ascending by current label: the local
 	// total order lc_r (Invariant 7.15). The prefix [0:memoized) is solid
@@ -64,14 +62,13 @@ type Replica struct {
 
 	// deferred: ids reported done elsewhere (gossip D/S) whose descriptor or
 	// label has not arrived yet (possible with incremental gossip under
-	// reordering). Retried after every message.
-	deferredQueue []ops.ID
-	deferredSet   map[ops.ID]struct{}
+	// reordering). Retried after every message; recDeferred dedupes.
+	deferredQueue []*idRec
 
-	// Memoization (§10.1): state and values of the solid prefix.
+	// Memoization (§10.1): the state after the solid prefix (its values are
+	// in the records).
 	memoized      int
 	memoState     dtype.State
-	memoVals      map[ops.ID]dtype.Value
 	lastMemoLabel label.Label
 	maxStable     label.Label // max label among stable_r[r]; ∞ when none yet
 
@@ -85,18 +82,17 @@ type Replica struct {
 	sufVals   []dtype.Value
 
 	// Commute mode (§10.3): current state after all locally done ops in
-	// application order, and the value each op produced when applied.
+	// application order (the value each op produced is in its record).
 	curState dtype.State
-	curVals  map[ops.ID]dtype.Value
 
 	// Incremental gossip bookkeeping (§10.4): per destination replica, the
 	// deltas accumulated since the last message to it. Keeping explicit
 	// delta queues makes each gossip build O(changes), not O(history) — the
 	// point of the optimization.
-	pendR []([]ops.ID)          // descriptors not yet sent
-	pendD []([]ops.ID)          // newly locally-done ids, in done order
-	pendS []([]ops.ID)          // newly locally-stable ids
-	pendL []map[ops.ID]struct{} // ids whose label changed (value read at build)
+	pendR [][]*idRec // descriptors not yet sent
+	pendD [][]ops.ID // newly locally-done ids, in done order
+	pendS [][]ops.ID // newly locally-stable ids
+	pendL [][]*idRec // ids whose label changed (value read at build; idRec.queuedL dedupes)
 
 	// negotiator is the transport's capability channel, nil when it has no
 	// wire to negotiate over (DESIGN.md §12; see wireGossip).
@@ -104,7 +100,7 @@ type Replica struct {
 
 	// sortScratch is the reusable buffer ensureSorted pre-fetches labels
 	// into: the nearly-sorted suffix pass is the label-compare hot path,
-	// and re-reading the label map per comparison (plus re-allocating the
+	// and re-reading the label table per comparison (plus re-allocating the
 	// buffer per call) dominated its profile.
 	sortScratch []labeledID
 
@@ -132,20 +128,6 @@ type Replica struct {
 	rangeProgress bool
 	rangeChunk    int
 
-	// storeHeld carries the store-reloaded labels of operations that are
-	// not yet done again after a recovery. Such a label is NOT entered into
-	// the label map: if it ever escaped this replica pre-crash, the peers'
-	// recovery answers restore it (done-ness and labels travel in the same
-	// gossip message, so any peer that learned the op done here also holds
-	// its label); if no answer mentions the op, the label is known only
-	// here and the operation can only re-enter via front-end
-	// retransmission. do_it then reuses the held label — unless a done
-	// operation already sorts above it, in which case reusing would insert
-	// the op under a peer's memoized frontier (the store-label race) and
-	// the label is voided in favor of a fresh one, which is safe precisely
-	// because no peer ever saw it. Entries clear as ops become done.
-	storeHeld map[ops.ID]label.Label
-
 	// storeFailed latches after a StableStore write error: the replica
 	// stops labeling new operations (see tryDoIt) because an unpersisted
 	// label violates the §9.3 safety condition.
@@ -159,21 +141,6 @@ type Replica struct {
 	// again.
 	resizes        []*replicaResize
 	recoveryParked []ops.Operation
-
-	// keyOf indexes every received keyed operation by its object — it
-	// survives pruning (like rcvdIDs) so a resize exporter can enumerate a
-	// key's full source-era history even after descriptors are gone.
-	// prevSatisfied holds identifiers subsumed by locally done KeyInstalls:
-	// prev constraints on them are satisfied by construction (the install
-	// contains their effects and is ordered first).
-	keyOf         map[ops.ID]string
-	prevSatisfied map[ops.ID]struct{}
-
-	// strictGhost records the strict flags of snapshot-seeded operations
-	// whose descriptors were pruned everywhere: the flag must survive so a
-	// retransmitted request for such an operation still honours the strict
-	// response discipline.
-	strictGhost map[ops.ID]struct{}
 
 	// faults is the bounded log of rejected-input faults (see errors.go).
 	faults []*ReplicaFault
@@ -229,44 +196,30 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		panic(fmt.Sprintf("core: replica id %d out of range for %d peers", cfg.ID, len(cfg.Peers)))
 	}
 	n := len(cfg.Peers)
-	r := &Replica{
-		id:            cfg.ID,
-		n:             n,
-		shard:         cfg.Shard,
-		dt:            cfg.DataType,
-		net:           cfg.Network,
-		node:          cfg.Peers[cfg.ID],
-		peers:         append([]transport.NodeID(nil), cfg.Peers...),
-		opt:           cfg.Options,
-		pendingSet:    make(map[ops.ID]struct{}),
-		retained:      make(map[ops.ID]ops.Operation),
-		rcvdIDs:       make(map[ops.ID]struct{}),
-		doneAt:        make([]map[ops.ID]struct{}, n),
-		stableAt:      make([]map[ops.ID]struct{}, n),
-		doneCount:     make(map[ops.ID]int),
-		stableCount:   make(map[ops.ID]int),
-		labels:        label.NewMap(),
-		gen:           label.NewGenerator(cfg.ID),
-		deferredSet:   make(map[ops.ID]struct{}),
-		memoState:     cfg.DataType.Initial(),
-		memoVals:      make(map[ops.ID]dtype.Value),
-		maxStable:     label.Infinity,
-		curState:      cfg.DataType.Initial(),
-		curVals:       make(map[ops.ID]dtype.Value),
-		pendR:         make([][]ops.ID, n),
-		pendD:         make([][]ops.ID, n),
-		pendS:         make([][]ops.ID, n),
-		pendL:         make([]map[ops.ID]struct{}, n),
-		store:         cfg.Store,
-		rangeChunk:    rangeChunkOps,
-		strictGhost:   make(map[ops.ID]struct{}),
-		keyOf:         make(map[ops.ID]string),
-		prevSatisfied: make(map[ops.ID]struct{}),
+	if n > MaxReplicas {
+		panic(fmt.Sprintf("core: invalid replica count %d (1 to %d)", n, MaxReplicas))
 	}
-	for i := 0; i < n; i++ {
-		r.doneAt[i] = make(map[ops.ID]struct{})
-		r.stableAt[i] = make(map[ops.ID]struct{})
-		r.pendL[i] = make(map[ops.ID]struct{})
+	r := &Replica{
+		id:         cfg.ID,
+		n:          n,
+		shard:      cfg.Shard,
+		dt:         cfg.DataType,
+		net:        cfg.Network,
+		node:       cfg.Peers[cfg.ID],
+		peers:      append([]transport.NodeID(nil), cfg.Peers...),
+		opt:        cfg.Options,
+		ids:        newIDTable(),
+		all:        ^uint64(0) >> (64 - n),
+		gen:        label.NewGenerator(cfg.ID),
+		memoState:  cfg.DataType.Initial(),
+		maxStable:  label.Infinity,
+		curState:   cfg.DataType.Initial(),
+		pendR:      make([][]*idRec, n),
+		pendD:      make([][]ops.ID, n),
+		pendS:      make([][]ops.ID, n),
+		pendL:      make([][]*idRec, n),
+		store:      cfg.Store,
+		rangeChunk: rangeChunkOps,
 	}
 	// §10.2 pruning discards descriptors that only a state transfer can
 	// stand in for afterwards, so it is on only for a type that can encode
@@ -421,11 +374,11 @@ func (r *Replica) Metrics() ReplicaMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.metrics
-	m.DoneOps = len(r.doneAt[r.id])
-	m.StableOps = len(r.stableAt[r.id])
+	m.DoneOps = r.doneLocal
+	m.StableOps = r.stableLocal
 	m.MemoizedOps = r.memoized
-	m.PendingOps = len(r.pendingSet)
-	m.RetainedOps = len(r.retained)
+	m.PendingOps = len(r.pendingQueue)
+	m.RetainedOps = r.retainedN
 	return m
 }
 
@@ -487,11 +440,11 @@ func (r *Replica) admitOrRefuseLocked(x ops.Operation) (ResponseMsg, bool) {
 // admitRequest records an admitted request as pending and received.
 // Mutex held; the resize refusal check has already passed.
 func (r *Replica) admitRequest(x ops.Operation) {
-	if _, isPending := r.pendingSet[x.ID]; !isPending {
-		r.pendingSet[x.ID] = struct{}{}
-		r.pendingQueue = append(r.pendingQueue, x.ID)
+	e := r.receiveOp(x)
+	if !e.has(recPending) {
+		e.flags |= recPending
+		r.pendingQueue = append(r.pendingQueue, e)
 	}
-	r.receiveOp(x)
 }
 
 // drainRecoveryParked re-admits requests parked during §9.3 recovery,
@@ -515,15 +468,20 @@ func (r *Replica) drainRecoveryParked() []ResponseMsg {
 	return redirects
 }
 
-// receiveOp records an operation descriptor in rcvd_r.
-func (r *Replica) receiveOp(x ops.Operation) {
-	if _, seen := r.rcvdIDs[x.ID]; seen {
-		return
+// receiveOp records an operation descriptor in rcvd_r and returns its
+// record.
+func (r *Replica) receiveOp(x ops.Operation) *idRec {
+	e := r.ids.rec(x.ID)
+	if e.has(recRcvd) {
+		return e
 	}
-	r.rcvdIDs[x.ID] = struct{}{}
-	r.retained[x.ID] = x
+	// Only receiveOp retains descriptors, so this is the first.
+	e.x = x
+	e.flags |= recRcvd | recRetained
+	r.retainedN++
 	if key, keyed := dtype.KeyOf(x.Op); keyed {
-		r.keyOf[x.ID] = key
+		e.key = key
+		e.flags |= recKeyed
 		if r.store != nil {
 			// The key index outlives pruning (ExportKeyState enumerates a
 			// key's full source-era history from it), so it rides the
@@ -535,10 +493,20 @@ func (r *Replica) receiveOp(x ops.Operation) {
 			}
 		}
 	}
-	r.enqueueR(x.ID)
-	if _, done := r.doneAt[r.id][x.ID]; !done {
-		r.rcvdQueue = append(r.rcvdQueue, x.ID)
+	r.enqueueR(e)
+	if !e.doneAt(r.id) {
+		r.rcvdQueue = append(r.rcvdQueue, e)
 	}
+	return e
+}
+
+// unretain releases e's descriptor (§10.2 pruning).
+func (r *Replica) unretain(e *idRec) {
+	if e.has(recRetained) {
+		r.retainedN--
+	}
+	e.x = ops.Operation{}
+	e.flags &^= recRetained
 }
 
 // absorbInstall records the prev constraints a locally done KeyInstall
@@ -549,7 +517,7 @@ func (r *Replica) absorbInstall(x ops.Operation) {
 		return
 	}
 	for _, ref := range inst.Subsumes {
-		r.prevSatisfied[ops.ID{Client: ref.Client, Seq: ref.Seq}] = struct{}{}
+		r.ids.rec(ops.ID{Client: ref.Client, Seq: ref.Seq}).flags |= recPrevSatisfied
 	}
 }
 
@@ -594,33 +562,23 @@ func (r *Replica) mergeGossipLocked(msg GossipMsg) {
 	// label_r ← min(label_r, L), observing every label so future labels from
 	// this replica sort above everything it has seen (do_it precondition).
 	for id, l := range msg.L {
-		r.setLabelMin(id, l)
+		r.setLabelMin(r.ids.rec(id), l)
 	}
 
-	// done_r[r'] ∪= D ∪ S; done_r[r] ∪= D ∪ S; done_r[i] ∪= S for all i.
-	for _, id := range msg.D {
-		r.markDoneAt(from, id)
-		r.markDoneLocal(id)
-	}
-	for _, id := range msg.S {
-		if r.doneCount[id] == r.n {
-			continue // already done at every replica, here included
-		}
-		for i := 0; i < r.n; i++ {
-			if i == int(r.id) {
-				r.markDoneLocal(id)
-			} else {
-				r.markDoneAt(i, id)
-			}
-		}
-	}
-
+	// done_r[r'] ∪= D ∪ S; done_r[r] ∪= D ∪ S; done_r[i] ∪= S for all i;
 	// stable_r[r'] ∪= S; stable_r[r] ∪= S (S was stable at the sender, hence
 	// done at every replica; the ∩_i done_r[i] part is maintained
 	// incrementally by markDoneAt).
+	for _, id := range msg.D {
+		e := r.ids.rec(id)
+		r.markDoneAt(from, e)
+		r.markDoneLocal(e)
+	}
 	for _, id := range msg.S {
-		r.markStableAt(from, id)
-		r.markStableLocal(id)
+		e := r.ids.rec(id)
+		r.markDoneEverywhere(e)
+		r.markStableAt(from, e)
+		r.markStableLocal(e)
 	}
 }
 
@@ -629,135 +587,145 @@ func (r *Replica) mergeGossipLocked(msg GossipMsg) {
 // message that tries to lower a memoized operation's label is rejected and
 // recorded as a fault — honest replicas never send one, so accepting it
 // could only corrupt the solid prefix.
-func (r *Replica) setLabelMin(id ops.ID, l label.Label) {
+func (r *Replica) setLabelMin(e *idRec, l label.Label) {
 	r.gen.Observe(l)
-	if _, memoed := r.memoVals[id]; memoed {
-		if cur := r.labels.Get(id); !cur.IsInf() && l.Less(cur) {
-			r.fault(FaultMemoLabelChange, id, "label %v below solid label %v", l, cur)
-			return
-		}
-	}
-	if !r.labels.SetMin(id, l) {
+	if e.has(recMemo) && !e.label.IsInf() && l.Less(e.label) {
+		r.fault(FaultMemoLabelChange, e.id, "label %v below solid label %v", l, e.label)
 		return
 	}
-	r.enqueueL(id)
-	if _, done := r.doneAt[r.id][id]; done {
+	if !e.setLabelMin(l) {
+		return
+	}
+	r.enqueueL(e)
+	if e.doneAt(r.id) {
 		r.seqDirty = true
 	}
 }
 
-// markDoneAt records that id is done at replica i (i ≠ r). It feeds the
-// doneCount used to detect stability (Invariant 7.2: stable_r[r] =
+// markDoneAt records that e is done at replica i (i ≠ r); once it is done
+// at every replica it is stable here (Invariant 7.2: stable_r[r] =
 // ∩_i done_r[i]).
-func (r *Replica) markDoneAt(i int, id ops.ID) {
-	if _, ok := r.doneAt[i][id]; ok {
+func (r *Replica) markDoneAt(i int, e *idRec) {
+	bit := uint64(1) << i
+	if e.done&bit != 0 {
 		return
 	}
-	r.doneAt[i][id] = struct{}{}
-	r.doneCount[id]++
-	if r.doneCount[id] == r.n {
-		r.markStableLocal(id)
+	e.done |= bit
+	if e.done == r.all {
+		r.markStableLocal(e)
 	}
 }
 
-// markDoneLocal makes id done at this replica via gossip: it joins doneSeq
+// markDoneEverywhere records e done at every replica, this one included —
+// what a gossip S entry or a stable snapshot operation vouches for.
+func (r *Replica) markDoneEverywhere(e *idRec) {
+	for i := 0; i < r.n && e.done != r.all; i++ {
+		if i == int(r.id) {
+			r.markDoneLocal(e)
+		} else {
+			r.markDoneAt(i, e)
+		}
+	}
+}
+
+// markDoneLocal makes e done at this replica via gossip: it joins doneSeq
 // (ordered by its gossiped label) once its label is known; if the label has
 // not arrived yet (incremental gossip reordering) it is deferred.
-func (r *Replica) markDoneLocal(id ops.ID) {
-	if _, ok := r.doneAt[r.id][id]; ok {
+func (r *Replica) markDoneLocal(e *idRec) {
+	if e.doneAt(r.id) {
 		return
 	}
-	if r.labels.Get(id).IsInf() {
-		r.defer_(id)
+	if e.label.IsInf() {
+		r.defer_(e)
 		return
 	}
-	x, ok := r.retained[id]
+	x, ok := e.descriptor()
 	if !ok {
 		// Done elsewhere but the descriptor has not arrived (possible only
 		// with incremental gossip while a message is in flight).
-		r.defer_(id)
+		r.defer_(e)
 		return
 	}
-	r.addDone(id, x)
+	r.addDone(e, x)
 }
 
 // addDone makes a labeled operation x locally done — the tail shared by
 // do_it and by learning it done from gossip: it joins done_r[r], the local
 // order and every peer's delta, an install's subsumed prevs become
 // satisfied, and it is stable once every replica has it.
-func (r *Replica) addDone(id ops.ID, x ops.Operation) {
-	r.doneAt[r.id][id] = struct{}{}
-	delete(r.storeHeld, id)
-	r.doneCount[id]++
-	r.doneSeq = append(r.doneSeq, id)
-	r.enqueueD(id)
+func (r *Replica) addDone(e *idRec, x ops.Operation) {
+	r.setDoneLocal(e)
+	r.doneSeq = append(r.doneSeq, e.id)
 	r.absorbInstall(x)
-	if r.doneCount[id] == r.n {
-		r.markStableLocal(id)
+	if e.done == r.all {
+		r.markStableLocal(e)
 	}
-	r.applyCurrent(id)
+	r.applyCurrent(e)
+}
+
+// setDoneLocal enters e into done_r[r] and every peer's delta; a held store
+// label is no longer needed. The caller places it in doneSeq.
+func (r *Replica) setDoneLocal(e *idRec) {
+	e.done |= 1 << r.id
+	e.flags &^= recHeld
+	r.doneLocal++
+	r.enqueueD(e.id)
 }
 
 // defer_ queues an id whose done-ness cannot be processed yet.
-func (r *Replica) defer_(id ops.ID) {
-	if _, ok := r.deferredSet[id]; ok {
+func (r *Replica) defer_(e *idRec) {
+	if e.has(recDeferred) {
 		return
 	}
-	r.deferredSet[id] = struct{}{}
-	r.deferredQueue = append(r.deferredQueue, id)
+	e.flags |= recDeferred
+	r.deferredQueue = append(r.deferredQueue, e)
 }
 
-// markStableAt records that id is stable at replica i (i ≠ r).
-func (r *Replica) markStableAt(i int, id ops.ID) {
-	if _, ok := r.stableAt[i][id]; ok {
-		return
-	}
-	r.stableAt[i][id] = struct{}{}
-	r.stableCount[id]++
+// markStableAt records that e is stable at replica i (i ≠ r).
+func (r *Replica) markStableAt(i int, e *idRec) {
+	e.stable |= 1 << i
 }
 
-// markStableLocal records that id is stable at this replica, updating the
+// markStableLocal records that e is stable at this replica, updating the
 // solid-prefix boundary maxStable.
-func (r *Replica) markStableLocal(id ops.ID) {
-	if _, ok := r.stableAt[r.id][id]; ok {
+func (r *Replica) markStableLocal(e *idRec) {
+	if e.stableAt(r.id) {
 		return
 	}
-	r.stableAt[r.id][id] = struct{}{}
-	r.stableCount[id]++
-	r.enqueueS(id)
-	l := r.labels.Get(id)
-	if l.IsInf() {
+	e.stable |= 1 << r.id
+	r.stableLocal++
+	r.enqueueS(e.id)
+	if e.label.IsInf() {
 		// A stable op is done everywhere, so a label must exist (Invariant
 		// 7.5); with incremental gossip the label may still be in flight.
 		// maxStable will advance when it arrives and the op is re-marked via
 		// the deferred queue.
-		r.defer_(id)
+		r.defer_(e)
 		return
 	}
-	if r.maxStable.IsInf() || r.maxStable.Less(l) {
-		r.maxStable = l
+	if r.maxStable.IsInf() || r.maxStable.Less(e.label) {
+		r.maxStable = e.label
 	}
-	r.maybePrune(id)
+	r.maybePrune(e)
 }
 
 // applyCurrent maintains cs_r in commute mode: every op is applied exactly
 // once, when it becomes locally done.
-func (r *Replica) applyCurrent(id ops.ID) {
+func (r *Replica) applyCurrent(e *idRec) {
 	if !r.opt.Commute {
 		return
 	}
-	x, ok := r.retained[id]
+	x, ok := e.descriptor()
 	if !ok {
 		// Descriptor pruned: only possible for memoized (stable-everywhere)
 		// ops, which were applied when first done — reaching this means a
 		// hostile interleaving or a bug. Skip the apply: the op's value (if
 		// ever requested) falls back to the memoized/replay paths.
-		r.fault(FaultApplyPruned, id, "commute apply of pruned op")
+		r.fault(FaultApplyPruned, e.id, "commute apply of pruned op")
 		return
 	}
-	var v dtype.Value
-	r.curState, v = r.dt.Apply(r.curState, x.Op)
-	r.curVals[id] = v
+	r.curState, e.cur = r.dt.Apply(r.curState, x.Op)
+	e.flags |= recCur
 	r.metrics.AppliesForCurrentState++
 }
 
@@ -788,25 +756,22 @@ func (r *Replica) retryDeferred() {
 	}
 	pending := r.deferredQueue
 	r.deferredQueue = nil
-	for _, id := range pending {
-		delete(r.deferredSet, id)
+	for _, e := range pending {
+		e.flags &^= recDeferred
 	}
-	for _, id := range pending {
-		if r.labels.Get(id).IsInf() {
-			r.defer_(id)
+	for _, e := range pending {
+		if e.label.IsInf() {
+			r.defer_(e)
 			continue
 		}
-		r.markDoneLocal(id)
-		if r.doneCount[id] == r.n {
-			r.markStableLocal(id)
+		r.markDoneLocal(e)
+		if e.done == r.all {
+			r.markStableLocal(e)
 		}
 		// If it was stable-deferred (label missing at stable time), redo the
 		// maxStable update.
-		if _, st := r.stableAt[r.id][id]; st {
-			l := r.labels.Get(id)
-			if r.maxStable.IsInf() || r.maxStable.Less(l) {
-				r.maxStable = l
-			}
+		if e.stableAt(r.id) && (r.maxStable.IsInf() || r.maxStable.Less(e.label)) {
+			r.maxStable = e.label
 		}
 	}
 }
@@ -818,19 +783,19 @@ func (r *Replica) tryDoIt() {
 	for {
 		progress := false
 		remaining := r.rcvdQueue[:0]
-		for _, id := range r.rcvdQueue {
-			if _, done := r.doneAt[r.id][id]; done {
+		for _, e := range r.rcvdQueue {
+			if e.doneAt(r.id) {
 				continue // became done via gossip
 			}
-			if !r.labels.Get(id).IsInf() {
+			if !e.label.IsInf() {
 				// Labelled by another replica: it is done elsewhere and will
 				// join doneSeq via markDoneLocal, never via do_it.
-				r.markDoneLocal(id)
+				r.markDoneLocal(e)
 				continue
 			}
-			x := r.retained[id]
+			x := e.x
 			if !r.prevsDone(x) {
-				remaining = append(remaining, id)
+				remaining = append(remaining, e)
 				continue
 			}
 			if r.storeFailed {
@@ -838,12 +803,12 @@ func (r *Replica) tryDoIt() {
 				// issued (they would not survive a crash). The operation
 				// stays received; front-end retransmission routes it to a
 				// healthy replica.
-				remaining = append(remaining, id)
+				remaining = append(remaining, e)
 				continue
 			}
-			l, reuse := r.storeHeld[id]
+			l, reuse := e.held, e.has(recHeld)
 			if reuse {
-				delete(r.storeHeld, id)
+				e.flags &^= recHeld
 				// §9.3: reuse the persisted pre-crash label so the op
 				// re-enters at its old position — but only while no done
 				// operation sorts above it. Stability (hence memoization, at
@@ -863,8 +828,8 @@ func (r *Replica) tryDoIt() {
 					// a near-maximal label Seq. Fail soft like a store
 					// failure: stop labeling, keep merging, let healthy
 					// replicas serve.
-					r.fault(FaultLabelsExhausted, id, "label sequence space exhausted")
-					remaining = append(remaining, id)
+					r.fault(FaultLabelsExhausted, e.id, "label sequence space exhausted")
+					remaining = append(remaining, e)
 					continue
 				}
 				l = r.gen.Next()
@@ -879,20 +844,19 @@ func (r *Replica) tryDoIt() {
 				// group Commit, which every message carrying this label
 				// waits on before leaving (see deliverOutbox).
 				if err := r.store.PersistOp(x, l); err != nil {
-					r.fault(FaultStoreFailed, id, "persisting op with label %v: %v", l, err)
+					r.fault(FaultStoreFailed, e.id, "persisting op with label %v: %v", l, err)
 					r.storeFailed = true
-					remaining = append(remaining, id)
+					remaining = append(remaining, e)
 					continue
 				}
 			}
-			r.labels.SetMin(id, l)
-			r.enqueueL(id)
-			r.addDone(id, x)
+			e.setLabelMin(l)
+			r.enqueueL(e)
+			r.addDone(e, x)
 			r.metrics.DoItCount++
-			if r.opt.Prune {
+			if r.opt.Prune && e.has(recRetained) {
 				// §10.2: the prev set is only needed by do_it; free it.
-				x.Prev = nil
-				r.retained[id] = x
+				e.x.Prev = nil
 			}
 			progress = true
 		}
@@ -912,13 +876,9 @@ func (r *Replica) tryDoIt() {
 // after (so the client's ordering constraint holds transitively).
 func (r *Replica) prevsDone(x ops.Operation) bool {
 	for _, p := range x.Prev {
-		if _, done := r.doneAt[r.id][p]; done {
-			continue
+		if e := r.ids.get(p); e == nil || !e.doneAt(r.id) && !e.has(recPrevSatisfied) {
+			return false
 		}
-		if _, sat := r.prevSatisfied[p]; sat {
-			continue
-		}
-		return false
 	}
 	return true
 }
@@ -939,14 +899,14 @@ func (r *Replica) ensureSorted() int {
 		if r.sortedTo == len(r.doneSeq) {
 			return len(r.doneSeq)
 		}
-		min := r.labels.Get(r.doneSeq[r.sortedTo])
+		min := r.ids.label(r.doneSeq[r.sortedTo])
 		for _, id := range r.doneSeq[r.sortedTo+1:] {
-			if l := r.labels.Get(id); l.Less(min) {
+			if l := r.ids.label(id); l.Less(min) {
 				min = l
 			}
 		}
 		run := r.doneSeq[lo:r.sortedTo]
-		skip := sort.Search(len(run), func(i int) bool { return min.Less(r.labels.Get(run[i])) })
+		skip := sort.Search(len(run), func(i int) bool { return min.Less(r.ids.label(run[i])) })
 		lo, inOrder = lo+skip, len(run)-skip
 	}
 	suffix := r.doneSeq[lo:]
@@ -956,7 +916,7 @@ func (r *Replica) ensureSorted() int {
 	}
 	scratch := r.sortScratch[:n]
 	for i, id := range suffix {
-		scratch[i] = labeledID{id: id, l: r.labels.Get(id)}
+		scratch[i] = labeledID{id: id, l: r.ids.label(id)}
 	}
 	// Insertion sort of the rest: it is nearly sorted (labels only lower
 	// via gossip, and new ops append with the highest label yet).
@@ -1009,7 +969,7 @@ func (r *Replica) maxDoneLabelLocked() (label.Label, bool) {
 		return label.Label{}, false
 	}
 	r.ensureSorted()
-	return r.labels.Get(r.doneSeq[len(r.doneSeq)-1]), true
+	return r.ids.label(r.doneSeq[len(r.doneSeq)-1]), true
 }
 
 // advanceMemo extends the memoized solid prefix (§10.1): operations whose
@@ -1027,13 +987,13 @@ func (r *Replica) maxDoneLabelLocked() (label.Label, bool) {
 // normal operation (incremental-gossip reordering), so the gate costs
 // nothing outside recovery windows.
 func (r *Replica) advanceMemo() {
-	if !r.opt.Memoize || r.maxStable.IsInf() || len(r.deferredSet) > 0 {
+	if !r.opt.Memoize || r.maxStable.IsInf() || len(r.deferredQueue) > 0 {
 		return
 	}
 	r.ensureSorted()
 	for r.memoized < len(r.doneSeq) {
-		id := r.doneSeq[r.memoized]
-		l := r.labels.Get(id)
+		e := r.ids.get(r.doneSeq[r.memoized])
+		l := e.label
 		if !l.LessEq(r.maxStable) {
 			break
 		}
@@ -1042,12 +1002,12 @@ func (r *Replica) advanceMemo() {
 			// can produce this (solid positions are final). Stop advancing —
 			// the prefix stays uncorrupted, unstable ops keep answering via
 			// replay.
-			r.fault(FaultMemoOrderViolation, id, "label %v below memoized frontier %v", l, r.lastMemoLabel)
+			r.fault(FaultMemoOrderViolation, e.id, "label %v below memoized frontier %v", l, r.lastMemoLabel)
 			return
 		}
-		x, ok := r.retained[id]
+		x, ok := e.descriptor()
 		if !ok {
-			r.fault(FaultMemoizePruned, id, "memoizing op with no retained descriptor")
+			r.fault(FaultMemoizePruned, e.id, "memoizing op with no retained descriptor")
 			return
 		}
 		var v dtype.Value
@@ -1062,10 +1022,11 @@ func (r *Replica) advanceMemo() {
 			r.memoState, v = r.dt.Apply(r.memoState, x.Op)
 			r.metrics.AppliesForMemoize++
 		}
-		r.memoVals[id] = v
+		e.memo = v
+		e.flags |= recMemo
 		r.lastMemoLabel = l
 		r.memoized++
-		r.maybePrune(id)
+		r.maybePrune(e)
 	}
 }
 
@@ -1076,17 +1037,10 @@ func (r *Replica) advanceMemo() {
 // solid ops is unsound: a solid op's descriptor may not have reached every
 // peer yet, and skipping it in gossip R would leave those peers with D/L
 // entries they can never complete.
-func (r *Replica) maybePrune(id ops.ID) {
-	if !r.opt.Prune {
-		return
+func (r *Replica) maybePrune(e *idRec) {
+	if r.opt.Prune && e.has(recMemo) && e.stableAt(r.id) {
+		r.unretain(e)
 	}
-	if _, memoed := r.memoVals[id]; !memoed {
-		return
-	}
-	if _, st := r.stableAt[r.id][id]; !st {
-		return
-	}
-	delete(r.retained, id)
 }
 
 // respondPending is send_rc(⟨"response", x, v⟩) of Fig. 7: every pending
@@ -1100,28 +1054,24 @@ func (r *Replica) respondPending() []responseOut {
 	}
 	remaining := r.pendingQueue[:0]
 	var outbox []responseOut
-	for _, id := range r.pendingQueue {
-		if _, stillPending := r.pendingSet[id]; !stillPending {
+	for _, e := range r.pendingQueue {
+		if !e.doneAt(r.id) {
+			remaining = append(remaining, e)
 			continue
 		}
-		if _, done := r.doneAt[r.id][id]; !done {
-			remaining = append(remaining, id)
+		strict := r.isStrict(e)
+		if strict && e.stable != r.all {
+			remaining = append(remaining, e)
 			continue
 		}
-		strict := r.isStrict(id)
-		if strict && r.stableCount[id] < r.n {
-			remaining = append(remaining, id)
+		if strict && r.opt.Memoize && !e.has(recMemo) {
+			// Stable everywhere but the solid prefix has not advanced past
+			// it yet (only possible transiently); respond next round.
+			remaining = append(remaining, e)
 			continue
 		}
-		if strict && r.opt.Memoize {
-			if _, memoed := r.memoVals[id]; !memoed {
-				// Stable everywhere but the solid prefix has not advanced
-				// past it yet (only possible transiently); respond next round.
-				remaining = append(remaining, id)
-				continue
-			}
-		}
-		v, err := r.valueFor(id, strict)
+		v, err := r.valueFor(e, strict)
+		e.flags &^= recPending
 		if err != nil {
 			// The value is uncomputable (fault recorded by valueFor). Drop
 			// the op from pending rather than retrying on every message: a
@@ -1129,12 +1079,10 @@ func (r *Replica) respondPending() []responseOut {
 			// e.g. a snapshot still in flight — heals at the retransmit
 			// cadence), and a permanent one neither burns the replay path
 			// nor floods the fault counter per message.
-			delete(r.pendingSet, id)
 			continue
 		}
-		delete(r.pendingSet, id)
 		r.metrics.ResponsesSent++
-		outbox = append(outbox, responseOut{to: FrontEndNodeIn(r.shard, id.Client), msg: ResponseMsg{ID: id, Value: v}})
+		outbox = append(outbox, responseOut{to: FrontEndNodeIn(r.shard, e.id.Client), msg: ResponseMsg{ID: e.id, Value: v}})
 	}
 	// remaining compacted pendingQueue in place over its own backing array;
 	// adopting it directly avoids re-copying the queue on every message.
@@ -1231,16 +1179,15 @@ func (r *Replica) sendResponsesBatched(outbox []responseOut) {
 }
 
 // isStrict reports the strict flag of a done operation. For pruned
-// descriptors the flag survives in strictGhost when the op arrived via a
+// descriptors the flag survives as recStrictGhost when the op arrived via a
 // snapshot; otherwise pruning only affects memoized-stable ops, whose
 // strictness no longer matters for ordering — a pruned pending op must have
 // been answered already, so the fallback is non-strict.
-func (r *Replica) isStrict(id ops.ID) bool {
-	if x, ok := r.retained[id]; ok {
+func (r *Replica) isStrict(e *idRec) bool {
+	if x, ok := e.descriptor(); ok {
 		return x.Strict
 	}
-	_, ghost := r.strictGhost[id]
-	return ghost
+	return e.has(recStrictGhost)
 }
 
 // valueFor computes the response value for a locally done operation: its
@@ -1250,21 +1197,20 @@ func (r *Replica) isStrict(id ops.ID) bool {
 // Fast paths: commute mode answers non-strict ops from the value recorded
 // when the op was applied to cs_r (Fig. 11, Lemma 10.6); memoized (or
 // snapshot-seeded) solid ops answer from the cached prefix (Fig. 10) — the
-// memoVals check is unconditional because snapshot installation seeds
+// recMemo check is unconditional because snapshot installation seeds
 // values even when Memoize is off, and a seeded op has no descriptor to
 // replay. Anything else is replayed from memoState along the unsolid
 // suffix; under Memoize the replay extends the suffix cache, so it starts
 // where the cache ends and stops at the op asked for. Uncomputable values
 // (hostile interleavings) return an error with the fault recorded.
-func (r *Replica) valueFor(id ops.ID, strict bool) (dtype.Value, error) {
-	if r.opt.Commute && !strict {
-		if v, ok := r.curVals[id]; ok {
-			return v, nil
-		}
+func (r *Replica) valueFor(e *idRec, strict bool) (dtype.Value, error) {
+	if r.opt.Commute && !strict && e.has(recCur) {
+		return e.cur, nil
 	}
-	if v, ok := r.memoVals[id]; ok {
-		return v, nil
+	if e.has(recMemo) {
+		return e.memo, nil
 	}
+	id := e.id
 	r.ensureSorted()
 	suffix := r.doneSeq[r.memoized:]
 	pos := slices.Index(suffix, id)
@@ -1283,7 +1229,7 @@ func (r *Replica) valueFor(id ops.ID, strict bool) (dtype.Value, error) {
 	}
 	var v dtype.Value
 	for ; k <= pos; k++ {
-		x, ok := r.retained[suffix[k]]
+		x, ok := r.ids.get(suffix[k]).descriptor()
 		if !ok {
 			r.fault(FaultValuePruned, id, "replay needs pruned unsolid op %v", suffix[k])
 			return nil, &ReplicaFault{Replica: r.id, Code: FaultValuePruned, ID: id}
@@ -1379,7 +1325,7 @@ func (r *Replica) wireGossip(i int, msg GossipMsg) any {
 // buildGossip, also used by the range server when it cannot snapshot (its
 // tail must then carry everything). Mutex held.
 func (r *Replica) buildFullGossip() GossipMsg {
-	msg := GossipMsg{From: r.id, L: r.labels.Snapshot()}
+	msg := GossipMsg{From: r.id, L: r.labelSnapshot()}
 	msg.R = make([]ops.Operation, 0, len(r.doneSeq)+len(r.rcvdQueue))
 
 	// R: operation descriptors. Order: arrival-independent but deterministic
@@ -1387,16 +1333,16 @@ func (r *Replica) buildFullGossip() GossipMsg {
 	// process dependencies first. Pruned descriptors are omitted: pruning
 	// requires stability at this replica, i.e. the op is done (descriptor
 	// and all) at every replica already.
-	appendR := func(id ops.ID) {
-		if x, ok := r.retained[id]; ok {
+	appendR := func(e *idRec) {
+		if x, ok := e.descriptor(); ok {
 			msg.R = append(msg.R, x)
 		}
 	}
 	for _, id := range r.doneSeq {
-		appendR(id)
+		appendR(r.ids.get(id))
 	}
-	for _, id := range r.rcvdQueue {
-		appendR(id)
+	for _, e := range r.rcvdQueue {
+		appendR(e)
 	}
 
 	// D: done_r[r], in local label order (CSC-consistent by Invariant 7.10,
@@ -1405,12 +1351,32 @@ func (r *Replica) buildFullGossip() GossipMsg {
 	msg.D = append(msg.D, r.doneSeq...)
 
 	// S: stable_r[r], in label order for determinism.
+	msg.S = r.stableInOrder()
+	return msg
+}
+
+// stableInOrder returns stable_r[r] in local label order. Mutex held,
+// doneSeq sorted.
+func (r *Replica) stableInOrder() []ops.ID {
+	var out []ops.ID
 	for _, id := range r.doneSeq {
-		if _, st := r.stableAt[r.id][id]; st {
-			msg.S = append(msg.S, id)
+		if r.ids.get(id).stableAt(r.id) {
+			out = append(out, id)
 		}
 	}
-	return msg
+	return out
+}
+
+// labelSnapshot returns the proper entries of label_r, for a full gossip
+// message's L.
+func (r *Replica) labelSnapshot() map[ops.ID]label.Label {
+	out := make(map[ops.ID]label.Label, len(r.ids.m))
+	for id, e := range r.ids.m {
+		if !e.label.IsInf() {
+			out[id] = e.label
+		}
+	}
+	return out
 }
 
 // deltaEmpty reports whether the accumulated delta for peer i carries
@@ -1422,13 +1388,13 @@ func (r *Replica) deltaEmpty(i int) bool {
 
 // buildDelta drains the pending delta queues for peer i (§10.4). Cost is
 // proportional to the changes since the last send, not to the history.
-// The pending label set is cleared in place and reused; msg.L must be a
+// The pending label queue is drained in place and reused; msg.L must be a
 // fresh map, since LiveNet hands the message to the peer by reference.
 func (r *Replica) buildDelta(i int) GossipMsg {
 	msg := GossipMsg{From: r.id, L: make(map[ops.ID]label.Label, len(r.pendL[i]))}
 	msg.R = make([]ops.Operation, 0, len(r.pendR[i]))
-	for _, id := range r.pendR[i] {
-		if x, ok := r.retained[id]; ok {
+	for _, e := range r.pendR[i] {
+		if x, ok := e.descriptor(); ok {
 			msg.R = append(msg.R, x)
 		}
 		// Pruned before first send: the op is stable here, hence done (with
@@ -1436,28 +1402,35 @@ func (r *Replica) buildDelta(i int) GossipMsg {
 	}
 	msg.D = r.pendD[i]
 	msg.S = r.pendS[i]
-	for id := range r.pendL[i] {
-		if l := r.labels.Get(id); !l.IsInf() {
-			msg.L[id] = l
-		}
+	for _, e := range r.pendL[i] {
+		msg.L[e.id] = e.label // queued only when it became proper or lower
 	}
 	r.pendR[i] = nil
 	r.pendD[i] = nil
 	r.pendS[i] = nil
-	clear(r.pendL[i])
+	r.dropPendL(i)
 	return msg
+}
+
+// dropPendL empties peer i's label queue in place.
+func (r *Replica) dropPendL(i int) {
+	for _, e := range r.pendL[i] {
+		e.queuedL &^= 1 << i
+	}
+	clear(r.pendL[i])
+	r.pendL[i] = r.pendL[i][:0]
 }
 
 // Delta enqueue helpers: record a change for every peer. No-ops when
 // incremental gossip is off (full gossip rebuilds from state each round).
 
-func (r *Replica) enqueueR(id ops.ID) {
+func (r *Replica) enqueueR(e *idRec) {
 	if !r.opt.IncrementalGossip {
 		return
 	}
 	for i := 0; i < r.n; i++ {
 		if i != int(r.id) {
-			r.pendR[i] = append(r.pendR[i], id)
+			r.pendR[i] = append(r.pendR[i], e)
 		}
 	}
 }
@@ -1484,13 +1457,14 @@ func (r *Replica) enqueueS(id ops.ID) {
 	}
 }
 
-func (r *Replica) enqueueL(id ops.ID) {
+func (r *Replica) enqueueL(e *idRec) {
 	if !r.opt.IncrementalGossip {
 		return
 	}
 	for i := 0; i < r.n; i++ {
-		if i != int(r.id) {
-			r.pendL[i][id] = struct{}{}
+		if bit := uint64(1) << i; i != int(r.id) && e.queuedL&bit == 0 {
+			e.queuedL |= bit
+			r.pendL[i] = append(r.pendL[i], e)
 		}
 	}
 }
@@ -1512,20 +1486,15 @@ func (r *Replica) Snapshot() DebugSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ensureSorted()
-	snap := DebugSnapshot{
+	return DebugSnapshot{
 		Done:      append([]ops.ID(nil), r.doneSeq...),
-		Labels:    r.labels.Snapshot(),
+		Stable:    r.stableInOrder(),
+		Labels:    r.labelSnapshot(),
 		Memoized:  r.memoized,
-		Pending:   len(r.pendingSet),
-		Deferred:  len(r.deferredSet),
+		Pending:   len(r.pendingQueue),
+		Deferred:  len(r.deferredQueue),
 		MaxStable: r.maxStable,
 	}
-	for _, id := range r.doneSeq {
-		if _, st := r.stableAt[r.id][id]; st {
-			snap.Stable = append(snap.Stable, id)
-		}
-	}
-	return snap
 }
 
 // StableEverywhereCount returns |{x : x ∈ ∩_i stable_r[i]}| — the ops this
@@ -1534,8 +1503,8 @@ func (r *Replica) StableEverywhereCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	count := 0
-	for _, c := range r.stableCount {
-		if c == r.n {
+	for _, e := range r.ids.m {
+		if e.stable == r.all {
 			count++
 		}
 	}

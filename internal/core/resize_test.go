@@ -452,8 +452,8 @@ func TestSnapshotReseedsKeyIndex(t *testing.T) {
 	r0.mu.Lock()
 	defer r0.mu.Unlock()
 	for id, key := range want {
-		if got := r0.keyOf[id]; got != key {
-			t.Errorf("recovered key index: keyOf[%v] = %q, want %q", id, got, key)
+		if e := r0.ids.get(id); e == nil || !e.has(recKeyed) || e.key != key {
+			t.Errorf("recovered key index: no key %q for %v", key, id)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"esds/internal/dtype"
 	"esds/internal/label"
 	"esds/internal/ops"
@@ -53,15 +57,14 @@ type prefixSnapshot struct {
 func (r *Replica) buildPrefixSnapOps(lo, hi int) []SnapOp {
 	out := make([]SnapOp, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		id := r.doneSeq[i]
-		_, stable := r.stableAt[r.id][id]
+		e := r.ids.get(r.doneSeq[i])
 		out = append(out, SnapOp{
-			ID:     id,
-			Label:  r.labels.Get(id),
-			Value:  r.memoVals[id],
-			Stable: stable,
-			Strict: r.isStrict(id),
-			Key:    r.keyOf[id],
+			ID:     e.id,
+			Label:  e.label,
+			Value:  e.memo,
+			Stable: e.stableAt(r.id),
+			Strict: r.isStrict(e),
+			Key:    e.key,
 		})
 	}
 	return out
@@ -88,13 +91,7 @@ func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 	// final: a snapshot that "re-labels" the solid prefix is exactly the
 	// corruption setLabelMin refuses when it arrives as gossip.
 	prev := label.Label{}
-	seen := make(map[ops.ID]struct{}, len(msg.Ops))
 	for i, so := range msg.Ops {
-		if _, dup := seen[so.ID]; dup {
-			r.fault(FaultBadSnapshot, so.ID, "snapshot repeats op at %d", i)
-			return false
-		}
-		seen[so.ID] = struct{}{}
 		if so.Label.IsInf() {
 			r.fault(FaultBadSnapshot, so.ID, "snapshot op %d has no label", i)
 			return false
@@ -109,11 +106,15 @@ func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 				r.fault(FaultBadSnapshot, so.ID, "snapshot prefix diverges at %d: local %v", i, r.doneSeq[i])
 				return false
 			}
-			if got := r.labels.Get(so.ID); got != so.Label {
+			if got := r.ids.label(so.ID); got != so.Label {
 				r.fault(FaultBadSnapshot, so.ID, "snapshot label %v differs from solid label %v", so.Label, got)
 				return false
 			}
 		}
+	}
+	if id, dup := repeatedID(msg.Ops); dup {
+		r.fault(FaultBadSnapshot, id, "snapshot repeats op")
+		return false
 	}
 	state, err := sn.DecodeState(msg.State)
 	if err != nil {
@@ -125,71 +126,65 @@ func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 	// labels, and every label this replica generates from now on sorts
 	// above everything the sender had seen (§9.3).
 	r.gen.ObserveSeq(msg.Watermark)
-	for _, so := range msg.Ops {
+	recs := make([]*idRec, len(msg.Ops))
+	for i, so := range msg.Ops {
 		r.gen.Observe(so.Label)
-		r.labels.SetMin(so.ID, so.Label)
+		recs[i] = r.ids.rec(so.ID)
+		recs[i].setLabelMin(so.Label)
+		recs[i].flags |= recSnap
 	}
 
 	// Rebuild the local total order: the snapshot prefix, then every
 	// locally done operation not covered by it (their labels are above the
 	// snapshot frontier by the solid-prefix invariant).
-	snapSet := make(map[ops.ID]struct{}, len(msg.Ops))
 	newSeq := make([]ops.ID, 0, len(msg.Ops)+len(r.doneSeq))
 	for _, so := range msg.Ops {
-		snapSet[so.ID] = struct{}{}
 		newSeq = append(newSeq, so.ID)
 	}
-	var suffix []ops.ID
+	var suffix []*idRec
 	for _, id := range r.doneSeq {
-		if _, covered := snapSet[id]; !covered {
-			suffix = append(suffix, id)
+		if e := r.ids.get(id); !e.has(recSnap) {
+			suffix = append(suffix, e)
+			newSeq = append(newSeq, id)
 		}
 	}
-	newSeq = append(newSeq, suffix...)
 
 	// Per-operation marks: received, locally done, done/stable at peers.
 	// Stable snapshot ops get the full gossip-S treatment (stable at the
 	// sender ⇒ done at every replica); unstable ones only what the sender
 	// itself vouches for.
-	for _, so := range msg.Ops {
-		id := so.ID
-		r.rcvdIDs[id] = struct{}{}
+	for i, so := range msg.Ops {
+		e := recs[i]
+		e.flags = e.flags&^recSnap | recRcvd
 		if so.Key != "" {
 			// Reseed the prune-surviving key index alongside rcvd_r: both
 			// must survive recovery for resize exports to stay complete.
-			r.keyOf[id] = so.Key
+			e.key = so.Key
+			e.flags |= recKeyed
 		}
-		if so.Strict {
-			if _, retained := r.retained[id]; !retained {
-				r.strictGhost[id] = struct{}{}
-			}
+		if so.Strict && !e.has(recRetained) {
+			e.flags |= recStrictGhost
 		}
 		// Never overwrite a value this replica already holds: memoized
 		// values are final, and honest senders agree on them anyway.
-		if _, has := r.memoVals[id]; !has {
-			r.memoVals[id] = so.Value
+		if !e.has(recMemo) {
+			e.memo = so.Value
+			e.flags |= recMemo
 		}
-		if _, done := r.doneAt[r.id][id]; !done {
-			r.doneAt[r.id][id] = struct{}{}
-			delete(r.storeHeld, id)
-			r.doneCount[id]++
-			r.enqueueD(id)
-			r.enqueueL(id)
+		if !e.doneAt(r.id) {
+			r.setDoneLocal(e)
+			r.enqueueL(e)
 			r.metrics.SnapshotOpsSeeded++
 		}
 		if so.Stable {
-			for i := 0; i < r.n; i++ {
-				if i != int(r.id) {
-					r.markDoneAt(i, id)
-				}
-			}
-			r.markStableAt(from, id)
-			r.markStableLocal(id)
+			r.markDoneEverywhere(e)
+			r.markStableAt(from, e)
+			r.markStableLocal(e)
 		} else {
-			r.markDoneAt(from, id)
+			r.markDoneAt(from, e)
 		}
-		if r.doneCount[id] == r.n {
-			r.markStableLocal(id)
+		if e.done == r.all {
+			r.markStableLocal(e)
 		}
 	}
 
@@ -208,25 +203,44 @@ func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 	// memoized values.
 	if r.opt.Commute {
 		st := state
-		for _, id := range suffix {
-			x, retained := r.retained[id]
+		for _, e := range suffix {
+			x, retained := e.descriptor()
 			if !retained {
-				r.fault(FaultApplyPruned, id, "rebuilding current state after snapshot")
+				r.fault(FaultApplyPruned, e.id, "rebuilding current state after snapshot")
 				continue
 			}
 			var v dtype.Value
 			st, v = r.dt.Apply(st, x.Op)
 			r.metrics.AppliesForCurrentState++
-			if _, seen := r.curVals[id]; !seen {
-				r.curVals[id] = v
+			if !e.has(recCur) {
+				e.cur = v
+				e.flags |= recCur
 			}
 		}
 		r.curState = st
-		for _, so := range msg.Ops {
-			if _, seen := r.curVals[so.ID]; !seen {
-				r.curVals[so.ID] = so.Value
+		for i, so := range msg.Ops {
+			if e := recs[i]; !e.has(recCur) {
+				e.cur = so.Value
+				e.flags |= recCur
 			}
 		}
 	}
 	return true
+}
+
+// repeatedID returns an identifier that occurs more than once in sos.
+func repeatedID(sos []SnapOp) (ops.ID, bool) {
+	ids := make([]ops.ID, len(sos))
+	for i, so := range sos {
+		ids[i] = so.ID
+	}
+	slices.SortFunc(ids, func(a, b ops.ID) int {
+		return cmp.Or(strings.Compare(a.Client, b.Client), cmp.Compare(a.Seq, b.Seq))
+	})
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return ids[i], true
+		}
+	}
+	return ops.ID{}, false
 }

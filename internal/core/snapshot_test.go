@@ -551,8 +551,8 @@ func TestApplyPrunedFault(t *testing.T) {
 	e.s.RunFor(100 * sim.Millisecond)
 	r0 := e.cluster.Replica(0)
 	r0.mu.Lock()
-	delete(r0.retained, x.x.ID)
-	r0.applyCurrent(x.x.ID)
+	r0.unretain(r0.ids.get(x.x.ID))
+	r0.applyCurrent(r0.ids.get(x.x.ID))
 	r0.mu.Unlock()
 	var rf *ReplicaFault
 	if !errorsAsAny(r0.Faults(), &rf) || rf.Code != FaultApplyPruned {
@@ -571,9 +571,9 @@ func TestValueForPrunedAndUnknownFaults(t *testing.T) {
 	r0 := e.cluster.Replica(0)
 
 	r0.mu.Lock()
-	_, errUnknown := r0.valueFor(ops.ID{Client: "nobody", Seq: 7}, false)
-	delete(r0.retained, x.x.ID)
-	_, errPruned := r0.valueFor(x.x.ID, false)
+	_, errUnknown := r0.valueFor(r0.ids.rec(ops.ID{Client: "nobody", Seq: 7}), false)
+	r0.unretain(r0.ids.get(x.x.ID))
+	_, errPruned := r0.valueFor(r0.ids.get(x.x.ID), false)
 	r0.mu.Unlock()
 
 	var rf *ReplicaFault

@@ -16,6 +16,162 @@ import (
 	"esds/internal/ops"
 )
 
+// StableStore is the replica's only non-volatile state: the write-ahead
+// journal of everything §9.3 recovery needs. Implementations must retain
+// writes made before a crash.
+//
+// The Persist* methods journal records; they may buffer — a record is
+// guaranteed durable only once a later Commit returns nil. The replica
+// groups the records of one admission round and issues one Commit before
+// any message built from them leaves (the group-commit, ack-after-durable
+// write path of DESIGN.md §10): responses, gossip, and recovery answers
+// all wait on the round's Commit, so no label or acknowledgement is ever
+// externalized on the strength of a record a crash could lose.
+type StableStore interface {
+	// PersistLabel records that the replica assigned l to id. A non-nil
+	// error means the label is NOT durable; the replica then refuses to use
+	// it (and stops labeling new operations): §9.3's safety rests on every
+	// locally generated label surviving a crash, and a label used but lost
+	// could be re-issued to a different operation after recovery, splitting
+	// the total order.
+	PersistLabel(id ops.ID, l label.Label) error
+	// PersistOp journals the full operation descriptor together with the
+	// label the replica assigned it — the do_it write path. Persisting the
+	// descriptor (not just the label) is what lets recovery re-introduce an
+	// answered-then-lost operation into gossip: without it, a replica that
+	// acknowledged a non-strict operation and crashed before gossiping it
+	// lost the operation forever (the former DESIGN.md §6 gap).
+	PersistOp(x ops.Operation, l label.Label) error
+	// PersistResize journals one resize epoch's freeze/migration record so
+	// a crashed single-replica shard re-learns its obligations without a
+	// peer. Later records for the same epoch supersede earlier ones.
+	PersistResize(rec ResizeRecord) error
+	// PersistKey journals one entry of the prune-surviving key index
+	// (idRec.key), which ExportKeyState needs even after descriptors are gone.
+	PersistKey(id ops.ID, key string) error
+	// Commit makes every record journaled so far durable. A non-nil error
+	// means durability is unknown-at-best; the replica withholds the
+	// messages of the round and latches storeFailed.
+	Commit() error
+	// Labels returns all persisted label assignments (from PersistLabel and
+	// PersistOp records alike).
+	Labels() map[ops.ID]label.Label
+	// Ops returns all persisted operation descriptors in journal order —
+	// the order they were labeled, which respects prev constraints.
+	Ops() []ops.Operation
+	// Resizes returns the latest persisted record of every resize epoch.
+	Resizes() []ResizeRecord
+	// Keys returns the persisted key index.
+	Keys() map[ops.ID]string
+}
+
+// MemStableStore is an in-memory StableStore that lives outside the replica
+// (so it survives Replica.Crash). It is safe for concurrent use.
+type MemStableStore struct {
+	mu      sync.Mutex
+	m       map[ops.ID]label.Label
+	ops     []ops.Operation
+	opIdx   map[ops.ID]int
+	resizes map[int]ResizeRecord
+	keys    map[ops.ID]string
+}
+
+var _ StableStore = (*MemStableStore)(nil)
+
+// NewMemStableStore returns an empty store.
+func NewMemStableStore() *MemStableStore {
+	return &MemStableStore{
+		m:       make(map[ops.ID]label.Label),
+		opIdx:   make(map[ops.ID]int),
+		resizes: make(map[int]ResizeRecord),
+		keys:    make(map[ops.ID]string),
+	}
+}
+
+// PersistLabel implements StableStore; memory writes cannot fail.
+func (s *MemStableStore) PersistLabel(id ops.ID, l label.Label) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[id] = l
+	return nil
+}
+
+// PersistOp implements StableStore. Re-persisting an operation (a recovery
+// replay re-labeling it with its held label) overwrites in place.
+func (s *MemStableStore) PersistOp(x ops.Operation, l label.Label) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[x.ID] = l
+	if i, ok := s.opIdx[x.ID]; ok {
+		s.ops[i] = x
+	} else {
+		s.opIdx[x.ID] = len(s.ops)
+		s.ops = append(s.ops, x)
+	}
+	return nil
+}
+
+// PersistResize implements StableStore: the latest record per epoch wins
+// (records only grow — more migrated keys, then Complete).
+func (s *MemStableStore) PersistResize(rec ResizeRecord) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.resizes[rec.Epoch] = rec
+	return nil
+}
+
+// PersistKey implements StableStore.
+func (s *MemStableStore) PersistKey(id ops.ID, key string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.keys[id] = key
+	return nil
+}
+
+// Commit implements StableStore; memory records are durable on write.
+func (s *MemStableStore) Commit() error { return nil }
+
+// Labels implements StableStore.
+func (s *MemStableStore) Labels() map[ops.ID]label.Label {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[ops.ID]label.Label, len(s.m))
+	for id, l := range s.m {
+		out[id] = l
+	}
+	return out
+}
+
+// Ops implements StableStore.
+func (s *MemStableStore) Ops() []ops.Operation {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]ops.Operation(nil), s.ops...)
+}
+
+// Resizes implements StableStore.
+func (s *MemStableStore) Resizes() []ResizeRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]ResizeRecord, 0, len(s.resizes))
+	for _, rec := range s.resizes {
+		out = append(out, rec)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
+	return out
+}
+
+// Keys implements StableStore.
+func (s *MemStableStore) Keys() map[ops.ID]string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[ops.ID]string, len(s.keys))
+	for id, k := range s.keys {
+		out[id] = k
+	}
+	return out
+}
+
 // FileStableStore is a StableStore backed by an append-only framed log, for
 // multi-process deployments (cmd/esds-server -store). It is the durable
 // half of the group-commit write path (DESIGN.md §10): Persist* calls

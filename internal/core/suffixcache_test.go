@@ -42,7 +42,7 @@ func suffixCacheErr(r *Replica) error {
 	}
 	st := r.memoState
 	for i, id := range r.doneSeq[r.memoized : r.memoized+k] {
-		x, ok := r.retained[id]
+		x, ok := r.ids.get(id).descriptor()
 		if !ok {
 			return fmt.Errorf("position %d (%v) cached without a descriptor", i, id)
 		}
