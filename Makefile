@@ -72,12 +72,14 @@ bench-diff:
 # that never stabilizes), one batch-flush tick over 256 front ends of
 # which one is busy, and one incremental gossip delta of 64 operations
 # merged into a replica holding a 1k- or 100k-operation history (the
-# identifier table's per-id cost). Unlike the `bench` smoke run these numbers carry
+# identifier table's per-id cost), and a stream of frames between two
+# loopback TCPNets, a 32-operation request batch or a 64-operation compact
+# gossip delta each (ns and allocations per frame). Unlike the `bench` smoke run these numbers carry
 # information; the CI build job runs them at MICROBENCHTIME=100x so they
 # cannot rot.
 MICROBENCHTIME ?= 2000x
 microbench:
-	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush|GossipMerge' -benchmem -benchtime $(MICROBENCHTIME) .
+	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush|GossipMerge|TCPNetFrames' -benchmem -benchtime $(MICROBENCHTIME) .
 
 # Deterministic fault-injection suite under the race detector: the
 # identifier-table invariants checked after every delivery under loss and
@@ -114,7 +116,9 @@ loadlab:
 	$(GO) test -count=1 -run 'TestHist' ./internal/stats
 
 # Native fuzzing of the doors through which another process's bytes reach
-# a replica's state: range responses delivered to a recovering replica,
+# a replica's state: a TCP connection's inbound bytes (preamble, length
+# prefixes and the connection's gob stream), range responses delivered to
+# a recovering replica,
 # the compact gossip decoder, the stable-store journal a restarting replica
 # reloads (torn and corrupt record frames), the Directory and Keyed
 # snapshot decoders (which also check their golden encodings first), and
@@ -124,6 +128,7 @@ loadlab:
 # deep-chaos job runs it; FUZZTIME=5m make fuzz for a longer local session.
 FUZZTIME ?= 30s
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzTCPInbound$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzRangeResponse$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompactGossip$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFileStableStore$$' -fuzztime $(FUZZTIME) ./internal/core

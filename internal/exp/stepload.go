@@ -90,12 +90,16 @@ func DefaultStepLoadParams() StepLoadParams {
 		MinRatio:           0.9,
 		// The gate compares whole-run wire bytes per op — requests and
 		// responses included — so it moves with everything else in the
-		// frames. With GossipMsg down to its five fields the legacy frames
-		// shrank (4084 → ~3280 B/op on a 2-vCPU box) while compact held
-		// ~2650, a 0.19 drop; one compact frame every tick instead of every
-		// other tick reads ~3050–3090 against ~3700–3780 (0.17–0.19). 0.10
-		// keeps the codec's edge gated with headroom for run-to-run noise.
-		MinBytesDrop: 0.10,
+		// frames. While every TCP frame paid its gob type descriptors, the
+		// codec also saved the plain GossipMsg's descriptors, and the drop
+		// read 0.17–0.19 (~3300 vs ~4000 B/op on a 2-vCPU box), gated at
+		// 0.10 ≈ 0.6 × the smallest drop. On one gob stream per connection
+		// neither form pays descriptors per frame and the codec keeps only
+		// what interning and label deltas save: 10 runs read 1366–1446
+		// against 1477–1604 B/op, drops 0.030–0.134 (eight at 0.084–0.134,
+		// two at 0.030 and 0.039, where the plain run itself read ~1480).
+		// By the same rule, 0.6 × 0.030 = 0.018, rounded down.
+		MinBytesDrop: 0.015,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -21,15 +22,27 @@ import (
 //
 // # Wire format
 //
-// Each message is one self-contained frame:
+// Every connection opens with an 8-byte preamble and then carries ONE gob
+// stream, cut into length-prefixed frames:
 //
-//	uint32 big-endian length | gob(tcpFrame)
+//	preamble: uint32 magic "ESDS" | uint32 wire version   (big-endian)
+//	frame:    uint32 big-endian length | gob messages
 //
-// where tcpFrame carries (From, To, ReplyTo, Payload). Frames are encoded
-// independently (a fresh gob stream per frame), so a dropped connection
-// never corrupts the decoder state of later frames. Payloads are carried in
-// an interface field: every concrete payload type crossing the wire must be
-// registered with encoding/gob (see core.RegisterWire).
+// A frame holds one tcpFrame (From, To, ReplyTo, Feat, Subs, Payload),
+// preceded by the gob type definitions the connection has not carried yet.
+// The sender goroutine owns the connection's gob.Encoder and the reader
+// goroutine its gob.Decoder, so a type's descriptor crosses the wire, and
+// is compiled into a decode engine, once per connection instead of once
+// per frame. Both streams live and die with their connection: a redial
+// starts a fresh pair, and anything that could desynchronize them — an
+// undecodable frame, a frame with bytes gob did not consume, an outbound
+// frame dropped after encoding — closes the connection. A receiver that
+// reads any other preamble closes the connection; an older build, which
+// expects bare frames, reads the magic as a frame length above MaxFrame
+// and does the same, so mismatched builds fail loudly in both directions.
+// Payloads are carried in an interface field: every concrete payload type
+// crossing the wire must be registered with encoding/gob (see
+// core.RegisterWire).
 //
 // # Addressing
 //
@@ -45,7 +58,8 @@ import (
 // One sender goroutine per remote address owns an outbound connection,
 // dialing lazily and redialing after failures with a backoff window during
 // which frames are counted Dropped without blocking the caller. Send never
-// blocks on the network. Inbound connections are read by per-connection
+// blocks on the network and never encodes: the sender goroutine does, so a
+// payload must not be mutated after Send. Inbound connections are read by per-connection
 // goroutines; a malformed frame (oversized, truncated, or undecodable)
 // closes that one connection without disturbing the listener or other
 // connections.
@@ -113,8 +127,10 @@ type TCPConfig struct {
 	// locally are ignored (local delivery bypasses the network).
 	Peers map[NodeID]string
 	// MaxFrame caps the encoded size of a single message in bytes. Larger
-	// outbound messages are dropped; larger inbound length headers are
-	// treated as stream corruption and close the connection. Default 16 MiB.
+	// outbound messages are dropped and their connection redialed (the
+	// dropped frame may hold type definitions of the connection's gob
+	// stream); larger inbound length headers are treated as stream
+	// corruption and close the connection. Default 16 MiB.
 	MaxFrame int
 	// DialTimeout bounds each connection attempt. Default 2s.
 	DialTimeout time.Duration
@@ -141,32 +157,40 @@ type tcpFrame struct {
 	To      NodeID
 	ReplyTo string
 	// Feat carries the sending node's announced capability bits
-	// (FeatureNegotiator). gob tolerates the field on exactly one side:
-	// an old peer decodes frames that carry it and sends frames without it
-	// (which decode here as 0 = no capabilities) — negotiation with
-	// pre-feature builds therefore works without a version handshake.
+	// (FeatureNegotiator); a frame without bits decodes as 0 = no
+	// capabilities. The connection preamble versions the wire as a whole;
+	// these bits negotiate the optional forms within one version.
 	Feat uint32
 	// Subs carries the sending MEMBER's shard subscription bitmap
 	// (ShardSubscriber), nil when the member never subscribed — gob omits
 	// the nil field entirely, so non-placement deployments pay zero bytes
-	// for it, and pre-subscription builds interoperate the same way Feat
-	// does.
+	// for it.
 	Subs    []uint64
 	Payload any
 }
 
 // tcpSend owns the outbound connection to one remote address. The queue is
-// unbounded so Send never blocks; the sender goroutine drains it, dialing
-// on demand. When the address is down (dial or write failed), frames are
-// dropped until the backoff window elapses.
+// unbounded so Send never blocks; the sender goroutine drains and encodes
+// it, dialing on demand. When the address is down (dial or write failed),
+// frames are dropped until the backoff window elapses.
 type tcpSend struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	queue     [][]byte
-	conn      net.Conn
-	downUntil time.Time
-	closed    bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []tcpFrame
+	conn   net.Conn
+	closed bool
 }
+
+// tcpPreamble opens every connection: the magic "ESDS" and the wire
+// version, big-endian. Version 1 was a fresh gob stream per frame and had
+// no preamble; read as its frame length, the magic exceeds any MaxFrame.
+var tcpPreamble = []byte{'E', 'S', 'D', 'S', 0, 0, 0, tcpWireVersion}
+
+const tcpWireVersion = 2
+
+// errMalformed marks inbound bytes that break the wire format. The
+// connection carrying them is closed and counted Dropped.
+var errMalformed = errors.New("malformed")
 
 const defaultMaxFrame = 16 << 20
 
@@ -316,38 +340,105 @@ func (n *TCPNet) readLoop(conn net.Conn) {
 		delete(n.inbound, conn)
 		n.mu.Unlock()
 	}()
-	var hdr [4]byte
-	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			if err != io.EOF {
-				n.cfg.Logf("transport: tcp read header from %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		size := binary.BigEndian.Uint32(hdr[:])
-		if size == 0 || size > uint32(n.cfg.MaxFrame) {
-			// The length prefix is the only framing; an absurd value means
-			// the stream is garbage, so drop the connection rather than
-			// trust it to resynchronize.
-			n.cfg.Logf("transport: tcp frame of %d bytes from %s exceeds limit %d, closing connection",
-				size, conn.RemoteAddr(), n.cfg.MaxFrame)
-			n.bumpDropped()
-			return
-		}
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			n.cfg.Logf("transport: tcp truncated frame from %s: %v", conn.RemoteAddr(), err)
-			n.bumpDropped()
-			return
-		}
-		var f tcpFrame
-		if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&f); err != nil {
-			n.cfg.Logf("transport: tcp undecodable frame from %s: %v", conn.RemoteAddr(), err)
-			n.bumpDropped()
-			return
-		}
-		n.deliver(f)
+	err := readFrames(conn, n.cfg.MaxFrame, n.deliver)
+	if errors.Is(err, errMalformed) {
+		n.cfg.Logf("transport: tcp %v from %s, closing connection", err, conn.RemoteAddr())
+		n.bumpDropped()
+	} else if err != nil {
+		n.cfg.Logf("transport: tcp read from %s: %v", conn.RemoteAddr(), err)
 	}
+}
+
+// readFrames decodes one inbound connection: the preamble, then frames,
+// each handed whole to the connection's one gob stream and then to
+// deliver. It returns nil when the connection ends cleanly between frames,
+// the read error when it breaks there, and an errMalformed error — after
+// which nothing more is delivered — for a wrong preamble, a length of 0 or
+// above maxFrame, a truncated or undecodable frame, or one with bytes left
+// over after its tcpFrame.
+func readFrames(r io.Reader, maxFrame int, deliver func(tcpFrame)) error {
+	br := bufio.NewReader(r)
+	var hdr [8]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return fmt.Errorf("%w: truncated preamble", errMalformed)
+		}
+		return ignoreEOF(err)
+	}
+	if !bytes.Equal(hdr[:], tcpPreamble) {
+		return fmt.Errorf("%w: preamble %x is not wire version %d", errMalformed, hdr, tcpWireVersion)
+	}
+	fr := &frameReader{r: br}
+	dec := gob.NewDecoder(fr)
+	for {
+		if _, err := io.ReadFull(br, hdr[:4]); err != nil {
+			if err == io.ErrUnexpectedEOF {
+				return fmt.Errorf("%w: truncated frame header", errMalformed)
+			}
+			return ignoreEOF(err)
+		}
+		// The length prefix is the only framing; an absurd value means the
+		// stream is garbage, so drop the connection rather than trust it to
+		// resynchronize.
+		size := binary.BigEndian.Uint32(hdr[:4])
+		if size == 0 || size > uint32(maxFrame) {
+			return fmt.Errorf("%w: frame of %d bytes exceeds limit %d", errMalformed, size, maxFrame)
+		}
+		fr.left = int(size)
+		var f tcpFrame // fresh: gob leaves fields absent from the wire untouched
+		if err := dec.Decode(&f); err != nil {
+			return fmt.Errorf("%w: undecodable frame: %v", errMalformed, err)
+		}
+		if fr.left != 0 {
+			return fmt.Errorf("%w: %d bytes left over after the frame's message", errMalformed, fr.left)
+		}
+		deliver(f)
+	}
+}
+
+func ignoreEOF(err error) error {
+	if err == io.EOF {
+		return nil
+	}
+	return err
+}
+
+// frameReader feeds gob one frame at a time: it reads through to the
+// connection but reports EOF at the frame's end, so the decoder can never
+// consume the next frame's bytes. It is an io.ByteReader, so gob adds no
+// read-ahead buffer of its own.
+type frameReader struct {
+	r    *bufio.Reader
+	left int // bytes of the current frame not yet read
+}
+
+func (fr *frameReader) Read(p []byte) (int, error) {
+	if fr.left == 0 {
+		return 0, io.EOF
+	}
+	if len(p) > fr.left {
+		p = p[:fr.left]
+	}
+	k, err := fr.r.Read(p)
+	fr.left -= k
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // the connection ended inside the frame
+	}
+	return k, err
+}
+
+func (fr *frameReader) ReadByte() (byte, error) {
+	if fr.left == 0 {
+		return 0, io.EOF
+	}
+	b, err := fr.r.ReadByte()
+	if err == io.EOF {
+		return 0, io.ErrUnexpectedEOF
+	}
+	if err == nil {
+		fr.left--
+	}
+	return b, err
 }
 
 // deliver routes a decoded frame to the local mailbox for f.To, learning
@@ -443,9 +534,10 @@ func dialable(addr string) bool {
 }
 
 // Send implements Network. Local destinations are delivered through their
-// mailbox without touching a socket; remote destinations are encoded and
-// handed to the peer's sender goroutine. Send never blocks on the network
-// and never delivers synchronously, so callers may hold locks.
+// mailbox without touching a socket; remote destinations are queued for the
+// peer's sender goroutine, which encodes them later — the payload must not
+// be mutated after Send. Send never blocks on the network and never
+// delivers synchronously, so callers may hold locks.
 func (n *TCPNet) Send(from, to NodeID, payload any) {
 	n.mu.Lock()
 	if n.closed {
@@ -487,28 +579,7 @@ func (n *TCPNet) Send(from, to NodeID, payload any) {
 			return
 		}
 	}
-	feat := n.feat[from]
-	subs := n.subs
-	n.mu.Unlock()
-
-	frame, err := encodeFrame(tcpFrame{From: from, To: to, ReplyTo: n.cfg.Advertise, Feat: feat, Subs: subs, Payload: payload})
-	if err != nil {
-		n.bumpDropped()
-		n.cfg.Logf("transport: tcp encode %T for %q: %v", payload, to, err)
-		return
-	}
-	if len(frame) > n.cfg.MaxFrame+4 {
-		n.bumpDropped()
-		n.cfg.Logf("transport: tcp message of %d bytes for %q exceeds MaxFrame %d, dropped",
-			len(frame)-4, to, n.cfg.MaxFrame)
-		return
-	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.stats.Bytes += uint64(len(frame))
+	f := tcpFrame{From: from, To: to, ReplyTo: n.cfg.Advertise, Feat: n.feat[from], Subs: n.subs, Payload: payload}
 	s, ok := n.senders[addr]
 	if !ok {
 		s = &tcpSend{}
@@ -523,36 +594,67 @@ func (n *TCPNet) Send(from, to NodeID, payload any) {
 	n.mu.Unlock()
 	s.mu.Lock()
 	if !s.closed {
-		s.queue = append(s.queue, frame)
+		s.queue = append(s.queue, f)
 		s.cond.Signal()
 	}
 	s.mu.Unlock()
 }
 
-func encodeFrame(f tcpFrame) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, err
-	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-	return b, nil
-}
-
-// sendLoop drains the queue for one remote address. Frames already queued
-// are taken as one batch (bounded by WriteBuffer bytes), written through a
-// buffered writer, and flushed with one explicit Flush — so a batch of
-// frames costs one write syscall, which is what makes the batched hot path
-// (DESIGN.md §8) cheap on the wire. A failed dial or write marks the
-// address down for RedialBackoff; frames dequeued while it is down are
-// dropped (the transport is lossy by contract — retransmission is the
-// front end's job). The in-hand batch is dropped on write error too: the
-// connection state is unknown, so resending could duplicate, and
-// duplication is the one fault the algorithm does NOT need the transport
-// to add.
+// sendLoop drains and encodes the queue for one remote address. It owns
+// the connection's gob stream: the encoder is created when the connection
+// is dialed and dropped with it. Frames are encoded one at a time and
+// written through a buffered writer that is flushed explicitly — once per
+// WriteBuffer bytes of frames and once when the queue is empty — so a
+// backlog of frames costs one write syscall, which is what makes the
+// batched hot path (DESIGN.md §8) cheap on the wire.
+//
+// A frame that fails to encode or exceeds MaxFrame is dropped, and its
+// connection closed after the frames before it are flushed: the encoder
+// may already have emitted type definitions the peer will never see. A
+// failed dial or write marks the address down for RedialBackoff; frames
+// dequeued while it is down are dropped unencoded (the transport is lossy
+// by contract — retransmission is the front end's job). The frames of a
+// failed write are dropped too: the connection state is unknown, so
+// resending could duplicate, and duplication is the one fault the
+// algorithm does NOT need the transport to add.
 func (n *TCPNet) sendLoop(addr string, s *tcpSend) {
-	var bw *bufio.Writer // rebuilt whenever the connection is redialed
+	var (
+		conn      net.Conn
+		bw        *bufio.Writer
+		enc       *gob.Encoder // the connection's gob stream; nil while undialed
+		fb        bytes.Buffer // the frame being encoded: length prefix, then gob messages
+		downUntil time.Time
+		spare     []tcpFrame
+		// Frames and bytes written to bw since its last flush.
+		pending, pendingBytes int
+	)
+	closeConn := func() {
+		conn.Close()
+		conn, bw, enc = nil, nil, nil
+		s.mu.Lock()
+		s.conn = nil
+		s.mu.Unlock()
+	}
+	flush := func() {
+		if pending == 0 {
+			return
+		}
+		err := bw.Flush()
+		n.mu.Lock()
+		n.stats.Bytes += uint64(pendingBytes)
+		if err == nil {
+			n.stats.Flushes++
+		} else {
+			n.stats.Dropped += uint64(pending)
+		}
+		n.mu.Unlock()
+		pending, pendingBytes = 0, 0
+		if err != nil {
+			n.cfg.Logf("transport: tcp write %s: %v", addr, err)
+			closeConn()
+			downUntil = time.Now().Add(n.cfg.RedialBackoff)
+		}
+	}
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {
@@ -566,71 +668,76 @@ func (n *TCPNet) sendLoop(addr string, s *tcpSend) {
 			s.mu.Unlock()
 			return
 		}
-		// Take every frame already queued, up to WriteBuffer bytes (the
-		// first frame is always taken, however large).
-		take, total := 1, len(s.queue[0])
-		for take < len(s.queue) && total+len(s.queue[take]) <= n.cfg.WriteBuffer {
-			total += len(s.queue[take])
-			take++
-		}
-		batch := s.queue[:take:take]
-		s.queue = s.queue[take:]
-		if time.Now().Before(s.downUntil) {
-			s.mu.Unlock()
-			n.bumpDroppedN(len(batch))
-			continue
-		}
-		conn := s.conn
+		batch := s.queue
+		s.queue = spare[:0]
 		s.mu.Unlock()
 
-		if conn == nil {
-			c, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
-			if err != nil {
-				n.cfg.Logf("transport: tcp dial %s: %v", addr, err)
-				n.bumpDroppedN(len(batch))
+		for i := range batch {
+			if conn == nil {
+				if time.Now().Before(downUntil) {
+					n.bumpDroppedN(len(batch) - i)
+					break
+				}
+				c, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+				if err != nil {
+					n.cfg.Logf("transport: tcp dial %s: %v", addr, err)
+					n.bumpDroppedN(len(batch) - i)
+					downUntil = time.Now().Add(n.cfg.RedialBackoff)
+					break
+				}
 				s.mu.Lock()
-				s.downUntil = time.Now().Add(n.cfg.RedialBackoff)
+				if s.closed {
+					s.mu.Unlock()
+					c.Close()
+					return
+				}
+				s.conn = c
 				s.mu.Unlock()
+				conn, bw, enc = c, bufio.NewWriterSize(c, n.cfg.WriteBuffer), gob.NewEncoder(&fb)
+				bw.Write(tcpPreamble) // a write error surfaces at the flush
+			}
+			frame, err := encodeFrame(enc, &fb, &batch[i], n.cfg.MaxFrame)
+			if err != nil {
+				n.cfg.Logf("transport: tcp frame %T for %q dropped, reconnecting: %v", batch[i].Payload, batch[i].To, err)
+				n.bumpDropped()
+				flush()
+				if conn != nil {
+					closeConn()
+				}
 				continue
 			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				c.Close()
-				return
+			if pendingBytes > 0 && pendingBytes+len(frame) > n.cfg.WriteBuffer {
+				flush()
+				if conn == nil {
+					n.bumpDroppedN(len(batch) - i)
+					break
+				}
 			}
-			s.conn = c
-			conn = c
-			bw = nil
-			s.mu.Unlock()
+			bw.Write(frame) // a write error surfaces at the flush
+			pending++
+			pendingBytes += len(frame)
 		}
-		if bw == nil {
-			bw = bufio.NewWriterSize(conn, n.cfg.WriteBuffer)
-		}
-		var err error
-		for _, frame := range batch {
-			if _, err = bw.Write(frame); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err != nil {
-			n.cfg.Logf("transport: tcp write %s: %v", addr, err)
-			n.bumpDroppedN(len(batch))
-			conn.Close()
-			bw = nil
-			s.mu.Lock()
-			s.conn = nil
-			s.downUntil = time.Now().Add(n.cfg.RedialBackoff)
-			s.mu.Unlock()
-			continue
-		}
-		n.mu.Lock()
-		n.stats.Flushes++
-		n.mu.Unlock()
+		flush()
+		clear(batch)
+		spare = batch
 	}
+}
+
+// encodeFrame encodes f as the next frame of enc's stream, which writes to
+// fb: the length prefix, the type definitions the stream has not carried
+// yet, and the value. The frame is valid until fb's next use.
+func encodeFrame(enc *gob.Encoder, fb *bytes.Buffer, f *tcpFrame, maxFrame int) ([]byte, error) {
+	fb.Reset()
+	fb.Write([]byte{0, 0, 0, 0}) // length placeholder
+	if err := enc.Encode(f); err != nil {
+		return nil, err
+	}
+	frame := fb.Bytes()
+	if len(frame)-4 > maxFrame {
+		return nil, fmt.Errorf("%d bytes exceeds MaxFrame %d", len(frame)-4, maxFrame)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame, nil
 }
 
 func (n *TCPNet) bumpDropped() { n.bumpDroppedN(1) }
@@ -698,9 +805,12 @@ func (n *TCPNet) SetPeer(id NodeID, addr string) {
 }
 
 // Stats returns a snapshot of the counters. Bytes counts the encoded size
-// (including the 4-byte length prefix) of frames handed to the network —
-// real wire bytes, unlike SimNet's Sizer estimate. Locally delivered
-// messages are never encoded and count zero bytes.
+// (including the 4-byte length prefix) of frames written to a connection —
+// real wire bytes, unlike SimNet's Sizer estimate — and is counted where
+// the sender goroutine encodes them, so it trails Sent briefly. Messages
+// delivered locally, and frames dropped before encoding (inside a redial
+// backoff) or for exceeding MaxFrame, count zero bytes; the per-connection
+// preamble is not counted.
 func (n *TCPNet) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()

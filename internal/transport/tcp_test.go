@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"net"
 	"sync"
 	"testing"
@@ -47,6 +49,21 @@ func (c *collector) last() Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.msgs[len(c.msgs)-1]
+}
+
+// dialWire opens a raw connection to n and writes the connection preamble,
+// so the bytes a test writes next reach the frame checks.
+func dialWire(t *testing.T, n *TCPNet) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", n.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write(tcpPreamble); err != nil {
+		t.Fatal(err)
+	}
+	return conn
 }
 
 // waitUntil polls cond for up to 5s.
@@ -190,11 +207,7 @@ func TestTCPNetOversizedInboundFrame(t *testing.T) {
 	b.Register("b", got.handle)
 	b.Start()
 
-	conn, err := net.Dial("tcp", b.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialWire(t, b)
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 1<<31)
 	if _, err := conn.Write(hdr[:]); err != nil {
@@ -224,10 +237,7 @@ func TestTCPNetTruncatedInboundFrame(t *testing.T) {
 	b.Register("b", got.handle)
 	b.Start()
 
-	conn, err := net.Dial("tcp", b.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialWire(t, b)
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 100)
 	conn.Write(hdr[:])
@@ -253,11 +263,7 @@ func TestTCPNetUndecodableInboundFrame(t *testing.T) {
 	b.Register("b", got.handle)
 	b.Start()
 
-	conn, err := net.Dial("tcp", b.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialWire(t, b)
 	payload := []byte("\xff\xfe\xfdnot gob")
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -266,6 +272,115 @@ func TestTCPNetUndecodableInboundFrame(t *testing.T) {
 	waitUntil(t, "garbage frame rejection", func() bool { return b.Stats().Dropped >= 1 })
 	if got.count() != 0 {
 		t.Fatalf("garbage frame was delivered: %+v", got.last())
+	}
+}
+
+// TestTCPNetRefusesPerFrameWire speaks the previous wire version at a
+// receiver: a bare frame holding its own gob stream, with no connection
+// preamble. The receiver must refuse the connection — close it, count it
+// Dropped, deliver nothing — rather than guess at the stream.
+func TestTCPNetRefusesPerFrameWire(t *testing.T) {
+	b := newTCP(t, nil)
+	var got collector
+	b.Register("b", got.handle)
+	b.Start()
+
+	conn, err := net.Dial("tcp", b.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(tcpFrame{From: "a", To: "b", Payload: "old wire"}); err != nil {
+		t.Fatal(err)
+	}
+	conn.Write(binary.BigEndian.AppendUint32(nil, uint32(body.Len())))
+	conn.Write(body.Bytes())
+	waitUntil(t, "per-frame wire refusal", func() bool { return b.Stats().Dropped >= 1 })
+	one := make([]byte, 1)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(one); err == nil {
+		t.Fatal("connection still open after a frame without preamble")
+	}
+	if got.count() != 0 {
+		t.Fatalf("per-frame wire was delivered: %+v", got.last())
+	}
+}
+
+// streamProbe is a struct payload, so its gob type definition is a real
+// part of the first frame that carries one.
+type streamProbe struct {
+	Seq  int
+	Note string
+}
+
+// TestTCPNetStreamSendsDescriptorsOnce sends two frames of the same payload
+// type over one connection: both must arrive, and the second must be the
+// smaller, because the connection's gob stream already carried the type
+// definitions in the first.
+func TestTCPNetStreamSendsDescriptorsOnce(t *testing.T) {
+	gob.Register(streamProbe{})
+	b := newTCP(t, nil)
+	a := newTCP(t, map[NodeID]string{"b": b.Addr().String()})
+	var got collector
+	b.Register("b", got.handle)
+	a.Start()
+	b.Start()
+
+	a.Send("a", "b", streamProbe{Seq: 1, Note: "first"})
+	waitUntil(t, "first frame", func() bool { return got.count() == 1 && a.Stats().Bytes > 0 })
+	first := a.Stats().Bytes
+	a.Send("a", "b", streamProbe{Seq: 2, Note: "again"})
+	waitUntil(t, "second frame", func() bool { return got.count() == 2 && a.Stats().Bytes > first })
+	second := a.Stats().Bytes - first
+	if m := got.last(); m.Payload != (streamProbe{Seq: 2, Note: "again"}) {
+		t.Fatalf("second frame delivered %+v", m)
+	}
+	if second >= first {
+		t.Fatalf("second frame is %d bytes, first %d: the stream re-sent its type definitions", second, first)
+	}
+	if s := a.Stats(); s.Flushes != 2 || s.Dropped != 0 {
+		t.Fatalf("stats = %+v, want 2 flushes on one connection and no drops", s)
+	}
+}
+
+// TestTCPNetConcurrentSenders sends from several goroutines at once to one
+// peer: the frames share one sender goroutine and one gob stream, and
+// every frame must arrive intact (run under -race by make race).
+func TestTCPNetConcurrentSenders(t *testing.T) {
+	gob.Register(streamProbe{})
+	b := newTCP(t, nil)
+	a := newTCP(t, map[NodeID]string{"b": b.Addr().String()})
+	var got collector
+	b.Register("b", got.handle)
+	a.Start()
+	b.Start()
+
+	const senders, each = 4, 200
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				a.Send("a", "b", streamProbe{Seq: g*each + i, Note: "concurrent"})
+			}
+		}()
+	}
+	wg.Wait()
+	waitUntil(t, "every frame", func() bool { return got.count() == senders*each })
+	got.mu.Lock()
+	defer got.mu.Unlock()
+	seen := make(map[int]bool)
+	for _, m := range got.msgs {
+		p, ok := m.Payload.(streamProbe)
+		if !ok || p.Note != "concurrent" || seen[p.Seq] {
+			t.Fatalf("bad or duplicate delivery %+v", m.Payload)
+		}
+		seen[p.Seq] = true
+	}
+	if s := a.Stats(); s.Dropped != 0 {
+		t.Fatalf("dropped %d frames on a healthy link", s.Dropped)
 	}
 }
 

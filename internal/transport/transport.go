@@ -50,6 +50,10 @@ type Network interface {
 	// before any message is sent to that node, and at most once per node.
 	Register(id NodeID, h Handler)
 	// Send enqueues a message. Delivery is asynchronous and unordered.
+	// The payload is handed over, not copied: an in-process transport
+	// delivers it by reference and TCPNet encodes it after Send returns,
+	// so the caller must not mutate it (or anything it references) after
+	// Send.
 	Send(from, to NodeID, payload any)
 }
 
