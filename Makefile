@@ -83,7 +83,8 @@ microbench:
 
 # Deterministic fault-injection suite under the race detector: the
 # identifier-table invariants checked after every delivery under loss and
-# a crash, the crash/recover/prune chaos matrix (crash timing × option sets × gossip
+# a crash, the gossip loss-liveness cells (SimNet loss, and cut TCP
+# connections with a replica killed and recovered), the crash/recover/prune chaos matrix (crash timing × option sets × gossip
 # loss, including the replay cell for a type with no state encoding and
 # the group-commit cell over real FileStableStore journals), the
 # concurrent-recoveries cell, the state-transfer and prune×recovery
@@ -99,7 +100,7 @@ microbench:
 # Seeds are pinned; sweep others with ESDS_CHAOS_SEEDS=7,8,9 make chaos.
 # A failing matrix cell shrinks to a minimal reproduction automatically.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestIDTableInvariants|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact|FuzzFileStableStore' ./internal/core
+	$(GO) test -race -count=1 -run 'TestChaos|TestIDTableInvariants|TestGossipLossLiveness|TestGossipReconnectLiveness|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact|FuzzFileStableStore' ./internal/core
 	$(GO) test -race -count=1 -run 'TestKillNine|TestResizeAdminAgainstCluster' ./cmd/esds-server
 	$(GO) test -race -count=2 -run 'TestResize' ./internal/core
 

@@ -114,8 +114,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.BoolVar(&cfg.opts.Memoize, "memoize", true, "memoize the solid prefix (§10.1)")
 	fs.BoolVar(&cfg.opts.Prune, "prune", true, "prune descriptors of memoized stable operations (§10.2); recovering and joining peers are then handed the memoized prefix itself")
 	fs.BoolVar(&cfg.opts.Commute, "commute", false, "answer non-strict operations from the current state (§10.3)")
-	fs.BoolVar(&cfg.opts.IncrementalGossip, "incremental", false,
-		"send gossip deltas instead of full state (§10.4; requires reliable FIFO channels — a TCP reconnect loses deltas, so leave this off unless the network is trusted)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}

@@ -77,9 +77,10 @@ type Value = dtype.Value
 // ordering.
 type ID = ops.ID
 
-// Options selects the §10 optimizations of the paper. The zero value is
-// the unoptimized algorithm; DefaultOptions enables memoization, pruning,
-// and incremental gossip.
+// Options selects the §10 optimizations of the paper that are options.
+// The zero value recomputes every response as Fig. 7 does; DefaultOptions
+// enables memoization and pruning. Gossip is not among them: it always
+// sends acknowledged deltas (§10.4).
 type Options = core.Options
 
 // DefaultOptions returns the recommended production options.

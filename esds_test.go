@@ -227,7 +227,7 @@ func TestCloseIdempotent(t *testing.T) {
 
 func TestDefaultOptions(t *testing.T) {
 	opt := esds.DefaultOptions()
-	if !opt.Memoize || !opt.Prune || !opt.IncrementalGossip || opt.Commute {
+	if !opt.Memoize || !opt.Prune || opt.Commute {
 		t.Fatalf("DefaultOptions = %+v", opt)
 	}
 	// Custom options are honored.

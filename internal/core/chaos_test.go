@@ -47,7 +47,7 @@ func runChaos(t *testing.T, seed int64, replicas, numOps int, strictProb, dropPr
 		Replicas: replicas,
 		DataType: dtype.Log{},
 		Network:  net,
-		Options:  Options{Memoize: true}, // full gossip: loss-tolerant
+		Options:  Options{Memoize: true}, // lost gossip is resent once its ack is overdue
 	})
 	cluster.StartSimGossip(s, 5*sim.Millisecond)
 	defer cluster.Close()
@@ -201,9 +201,9 @@ type recoveryChaosConfig struct {
 }
 
 func (c recoveryChaosConfig) String() string {
-	return fmt.Sprintf("seed=%d replicas=%d ops=%d strict=%.2f drop=%.2f crashFrac=%.2f cycles=%d victims=%d prune=%v incr=%v filestores=%v opaque=%v",
+	return fmt.Sprintf("seed=%d replicas=%d ops=%d strict=%.2f drop=%.2f crashFrac=%.2f cycles=%d victims=%d prune=%v filestores=%v opaque=%v",
 		c.Seed, c.Replicas, c.NumOps, c.StrictProb, c.DropProb, c.CrashFrac, c.Cycles, c.Victims,
-		c.Opt.Prune, c.Opt.IncrementalGossip, c.FileStores, c.Opaque)
+		c.Opt.Prune, c.FileStores, c.Opaque)
 }
 
 // runRecoveryChaos drives one cell and returns the first violated property

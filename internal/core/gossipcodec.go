@@ -20,6 +20,8 @@ import (
 //
 //	V    uint8            codec version (compactGossipV2)
 //	From label.ReplicaID  frame sender, hoisted out of every element
+//	Epoch, Base, Seq, Ack the GossipMsg header (gossip.go), plain fields
+//	                      outside Data
 //	Ops  []dtype.Operator the operators of the unique descriptors, in
 //	                      table order
 //	Data []byte:
@@ -60,6 +62,8 @@ type CompactGossipMsg struct {
 	From label.ReplicaID
 	Data []byte
 	Ops  []dtype.Operator
+
+	Epoch, Base, Seq, Ack uint64
 }
 
 // SubscribableGossip marks CompactGossipMsg as gossip-topic traffic: a
@@ -68,6 +72,7 @@ type CompactGossipMsg struct {
 func (CompactGossipMsg) SubscribableGossip() {}
 
 // encodeCompactGossip packs msgs (all from `from`) into a CompactGossipMsg.
+// The header is the caller's to set.
 func encodeCompactGossip(from label.ReplicaID, msgs []GossipMsg) CompactGossipMsg {
 	// Pass 1: intern client strings, dedup descriptors by id, find the base
 	// label. Interning covers every id position (R ids, prev sets, D, L, S),
@@ -244,8 +249,8 @@ func (r *compactReader) bytes(n int) []byte {
 }
 
 // decodeCompactGossip unpacks a compact frame into the GossipMsg elements
-// it carries (each stamped with the frame's From, exactly as a
-// BatchGossipMsg receiver requires of its elements). Any malformed input —
+// it carries, each stamped with the frame's From and header. Any malformed
+// input —
 // truncation, trailing garbage, out-of-range intern or descriptor index,
 // unknown version, an operator count other than the descriptor count —
 // rejects the whole frame.
@@ -323,7 +328,7 @@ func decodeCompactGossip(m CompactGossipMsg) ([]GossipMsg, error) {
 	nElem := r.count("element")
 	msgs := make([]GossipMsg, 0, nElem)
 	for e := 0; e < nElem && r.err == nil; e++ {
-		g := GossipMsg{From: m.From}
+		g := GossipMsg{From: m.From, Epoch: m.Epoch, Base: m.Base, Seq: m.Seq, Ack: m.Ack}
 		nR := r.count("R")
 		for i := 0; i < nR && r.err == nil; i++ {
 			di := r.uvarint()

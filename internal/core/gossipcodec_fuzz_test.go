@@ -15,37 +15,45 @@ import (
 // descriptors. Properties:
 //
 //   - it never panics;
-//   - a frame is either rejected whole, or it decodes to elements whose
-//     re-encoding decodes to the same elements;
+//   - a frame is either rejected whole, or it decodes to elements that
+//     carry the frame's header and whose re-encoding decodes to the same
+//     elements;
 //   - allocation is O(len(Data)): linear in the frame.
 func FuzzCompactGossip(f *testing.F) {
 	RegisterWire()
 	valid := encodeCompactGossip(2, compactTestFrame())
-	f.Add(valid.Data) // a multi-element frame: interning, dedup, ∞ labels
-	f.Add(encodeCompactGossip(2, []GossipMsg{{From: 2}}).Data)
+	const none = uint64(0)
+	f.Add(valid.Data, none, none, none, none) // a multi-element frame: interning, dedup, ∞ labels
+	f.Add(encodeCompactGossip(2, []GossipMsg{{From: 2}}).Data, none, none, none, none)
 	// Every truncation point and every one-byte corruption — a low bit
 	// (a count or index off by one) and a high one — of the multi-element
 	// frame and of a one-element frame, the form every delta takes on
 	// the wire.
 	for _, frame := range [][]byte{valid.Data, encodeCompactGossip(2, compactTestFrame()[:1]).Data} {
 		for n := 0; n < len(frame); n++ {
-			f.Add(bytes.Clone(frame[:n]))
+			f.Add(bytes.Clone(frame[:n]), none, none, none, none)
 		}
 		for _, mask := range []byte{0x01, 0x40} {
 			for n := range frame {
 				flipped := bytes.Clone(frame)
 				flipped[n] ^= mask
-				f.Add(flipped)
+				f.Add(flipped, none, none, none, none)
 			}
 		}
 	}
-	f.Add(append(bytes.Clone(valid.Data), 0))               // trailing garbage
-	f.Add(binary.AppendUvarint([]byte{0, 0}, 1<<22))        // six bytes claiming 1<<22 descriptors
-	f.Add(binary.AppendUvarint([]byte{0}, uint64(1)<<62))   // a string table past any frame
-	f.Add(append(binary.AppendUvarint(nil, ^uint64(0)), 0)) // base label at the top of the space
+	f.Add(append(bytes.Clone(valid.Data), 0), none, none, none, none)               // trailing garbage
+	f.Add(binary.AppendUvarint([]byte{0, 0}, 1<<22), none, none, none, none)        // six bytes claiming 1<<22 descriptors
+	f.Add(binary.AppendUvarint([]byte{0}, uint64(1)<<62), none, none, none, none)   // a string table past any frame
+	f.Add(append(binary.AppendUvarint(nil, ^uint64(0)), 0), none, none, none, none) // base label at the top of the space
+	// Header fields (gossip.go): an honest frame, a Base above its Seq, and
+	// every field at the top of its range. The decoder passes them through
+	// untouched; the replica judges them (TestGossipHeaderRejects*).
+	f.Add(valid.Data, uint64(1)<<60, uint64(1)<<60+5, uint64(1)<<60+9, uint64(3))
+	f.Add(valid.Data, uint64(7), uint64(9), uint64(8), uint64(0))
+	f.Add(valid.Data, ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m := CompactGossipMsg{V: compactGossipV2, From: 2, Data: data, Ops: valid.Ops}
+	f.Fuzz(func(t *testing.T, data []byte, epoch, base, seq, ack uint64) {
+		m := CompactGossipMsg{V: compactGossipV2, From: 2, Data: data, Ops: valid.Ops, Epoch: epoch, Base: base, Seq: seq, Ack: ack}
 		var msgs []GossipMsg
 		var err error
 		alloc := allocated(func() { msgs, err = decodeCompactGossip(m) })
@@ -58,7 +66,14 @@ func FuzzCompactGossip(f *testing.F) {
 			}
 			return
 		}
-		got, err := decodeCompactGossip(encodeCompactGossip(m.From, msgs))
+		for _, g := range msgs {
+			if g.Epoch != epoch || g.Base != base || g.Seq != seq || g.Ack != ack {
+				t.Fatalf("element header %d/%d/%d/%d, frame header %d/%d/%d/%d", g.Epoch, g.Base, g.Seq, g.Ack, epoch, base, seq, ack)
+			}
+		}
+		again := encodeCompactGossip(m.From, msgs)
+		again.Epoch, again.Base, again.Seq, again.Ack = epoch, base, seq, ack
+		got, err := decodeCompactGossip(again)
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}

@@ -20,21 +20,8 @@ type idRec struct {
 	id ops.ID
 	x  ops.Operation // the descriptor while recRetained; §10.2 pruning clears it
 
-	// label is label_r(id), label.Infinity until one is known. held is a
-	// store-reloaded label (recHeld) of an operation not yet done again
-	// after a recovery. It is NOT label_r: if it ever escaped this replica
-	// pre-crash, the peers' recovery answers restore it (done-ness and
-	// labels travel in the same gossip message, so any peer that learned
-	// the op done here also holds its label); if no answer mentions the op,
-	// the label is known only here and the operation can only re-enter via
-	// front-end retransmission. do_it then reuses the held label — unless a
-	// done operation already sorts above it, in which case reusing would
-	// insert the op under a peer's memoized frontier (the store-label race)
-	// and the label is voided in favor of a fresh one, which is safe
-	// precisely because no peer ever saw it. The bit clears as the op
-	// becomes done.
+	// label is label_r(id), label.Infinity until one is known.
 	label label.Label
-	held  label.Label
 
 	memo dtype.Value // the memoized value (§10.1), while recMemo
 	cur  dtype.Value // the value at its commute-mode apply (§10.3), while recCur
@@ -44,10 +31,9 @@ type idRec struct {
 	// full source-era history after descriptors are gone.
 	key string
 
-	done    uint64 // bit i: id ∈ done_r[i]
-	stable  uint64 // bit i: id ∈ stable_r[i]
-	queuedL uint64 // bit i: id waits in pendL[i]
-	flags   recFlag
+	done   uint64 // bit i: id ∈ done_r[i]
+	stable uint64 // bit i: id ∈ stable_r[i]
+	flags  recFlag
 }
 
 // recFlag is the set of one-bit facts an idRec holds.
@@ -60,7 +46,6 @@ const (
 	recDeferred                     // waiting in the deferred queue
 	recMemo                         // memo is set
 	recCur                          // cur is set
-	recHeld                         // held is set
 	recKeyed                        // key is set
 	// recStrictGhost keeps the strict flag of a snapshot-seeded operation
 	// whose descriptor was pruned everywhere, so a retransmitted request

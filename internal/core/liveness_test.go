@@ -169,10 +169,11 @@ func TestRetransmitRecoversLostRequestOverTCP(t *testing.T) {
 	}
 }
 
-// TestEmptyDeltaSuppression is the idle-gossip regression: with
-// incremental gossip, a quiescent replica sends NO messages (the all-empty
-// delta is suppressed and counted), and suppression does not interfere
-// with convergence once traffic resumes.
+// TestEmptyDeltaSuppression is the idle-gossip regression: a replica that
+// owes its peers nothing sends NO messages (the round is suppressed and
+// counted), suppression does not interfere with convergence once traffic
+// resumes, and after quiescence a cluster sends at most one round of
+// acknowledgements and then falls silent.
 func TestEmptyDeltaSuppression(t *testing.T) {
 	s := sim.New(1)
 	net := transport.NewSimNet(s, transport.SimNetConfig{})
@@ -180,7 +181,7 @@ func TestEmptyDeltaSuppression(t *testing.T) {
 		Replicas: 3,
 		DataType: dtype.Counter{},
 		Network:  net,
-		Options:  DefaultOptions(), // incremental gossip on
+		Options:  DefaultOptions(),
 	})
 
 	// Idle cluster: every gossip round is all-empty and must be suppressed.
@@ -223,17 +224,32 @@ func TestEmptyDeltaSuppression(t *testing.T) {
 		t.Fatalf("quiescent cluster kept gossiping: %d -> %d", sentAtQuiescence, m.GossipSent)
 	}
 
-	// Full (non-incremental) gossip is never suppressed: it re-sends
-	// complete state every round by design.
-	full := NewCluster(ClusterConfig{
-		Replicas: 2,
-		DataType: dtype.Counter{},
-		Network:  transport.NewSimNet(sim.New(1), transport.SimNetConfig{}),
-		Options:  Options{Memoize: true},
-	})
-	full.GossipAll()
-	if fm := full.TotalMetrics(); fm.GossipSent != 2 || fm.GossipSuppressed != 0 {
-		t.Fatalf("full gossip sent=%d suppressed=%d, want 2/0", fm.GossipSent, fm.GossipSuppressed)
+	// One more operation, then count the frames of every round until the
+	// cluster is silent: once the changes are out, a round of
+	// acknowledgements (at most one frame per peer) and then nothing.
+	fe.Submit(dtype.CtrAdd{N: 1}, nil, false, nil)
+	s.Run(0)
+	var perRound []uint64
+	for i := 0; i < 8; i++ {
+		before := cluster.TotalMetrics().GossipSent
+		cluster.GossipAll()
+		s.Run(0)
+		perRound = append(perRound, cluster.TotalMetrics().GossipSent-before)
+	}
+	last := 0
+	for i, k := range perRound {
+		if k > 0 {
+			last = i
+		}
+	}
+	if conv := cluster.CheckConvergence(); !conv.Converged || last >= len(perRound)-3 {
+		t.Fatalf("frames per round %v: the cluster never fell silent (converged %v)", perRound, conv.Converged)
+	}
+	if ackRound := perRound[last]; ackRound > 3*2 {
+		t.Fatalf("frames per round %v: last round sent %d frames, more than one per peer", perRound, ackRound)
+	}
+	if m := cluster.TotalMetrics(); m.GossipResent != 0 {
+		t.Fatalf("%d frames resent on a lossless network", m.GossipResent)
 	}
 }
 
@@ -249,11 +265,10 @@ func TestEmptyDeltaSuppressionKeepsRecoveryHandshake(t *testing.T) {
 		Replicas: 3,
 		DataType: dtype.Counter{},
 		Network:  net,
-		// Incremental gossip (the suppressed mode) without pruning: §9.3
-		// recovery replays descriptors from peers, so it supports every
-		// configuration that retains them (see DESIGN.md §5 on the
-		// prune/recovery interaction).
-		Options: Options{Memoize: true, IncrementalGossip: true},
+		// No pruning: §9.3 recovery replays descriptors from peers, so it
+		// supports every configuration that retains them (see DESIGN.md §5
+		// on the prune/recovery interaction).
+		Options: Options{Memoize: true},
 		Stores:  stores,
 	})
 	fe := cluster.FrontEnd("c")
@@ -303,7 +318,7 @@ func TestCheckConvergenceElementwise(t *testing.T) {
 
 	r0, r1 := cluster.Replica(0), cluster.Replica(1)
 	// Exchange ONLY label knowledge (a gossip L without R/D/S — possible
-	// under incremental gossip reordering): both replicas now know both
+	// when gossip frames are lost or reordered): both replicas now know both
 	// labels, done sets still differ.
 	r1.handleMessage(transport.Message{Payload: GossipMsg{From: 0, L: r0.Snapshot().Labels}})
 	r0.handleMessage(transport.Message{Payload: GossipMsg{From: 1, L: r1.Snapshot().Labels}})

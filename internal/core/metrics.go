@@ -12,19 +12,24 @@ type ReplicaMetrics struct {
 	GossipSent     uint64
 	GossipReceived uint64
 	// GossipSuppressed counts gossip rounds to a peer skipped because the
-	// incremental delta was empty (§10.4): idle clusters send nothing.
-	GossipSuppressed uint64
+	// peer was owed nothing — no change, no overdue resend, no
+	// acknowledgement: idle clusters send nothing. GossipResent counts
+	// frames that resent the change log after an overdue acknowledgement;
+	// on a lossless network it stays near 0, since each change is sent
+	// once. GossipHeaderRejects counts frame headers ignored as impossible
+	// for an honest sender (Base above Seq, or an Ack above anything sent
+	// to that peer).
+	GossipSuppressed    uint64
+	GossipResent        uint64
+	GossipHeaderRejects uint64
 	// ResponsesSent counts ⟨response⟩ messages.
 	ResponsesSent uint64
 	// RequestBatchesReceived / ResponseBatchesSent count the batched hot
 	// path's frames (DESIGN.md §8): one BatchRequestMsg admitted, one
-	// BatchResponseMsg sent. GossipBatchesReceived counts multi-element
-	// gossip frames applied (BatchGossipMsg, or a CompactGossipMsg of more
-	// than one element — older builds send them). The per-element counters
-	// above keep counting elements, so e.g. RequestsReceived /
-	// RequestBatchesReceived is the achieved request batch size.
+	// BatchResponseMsg sent. The per-element counters above keep counting
+	// elements, so RequestsReceived / RequestBatchesReceived is the
+	// achieved request batch size.
 	RequestBatchesReceived uint64
-	GossipBatchesReceived  uint64
 	ResponseBatchesSent    uint64
 	// SnapshotsInstalled counts range answers whose spliced prefix extended
 	// the local memoized prefix; SnapshotsIgnored counts answers carrying a
@@ -107,9 +112,10 @@ func (m *ReplicaMetrics) Add(o ReplicaMetrics) {
 	m.GossipSent += o.GossipSent
 	m.GossipReceived += o.GossipReceived
 	m.GossipSuppressed += o.GossipSuppressed
+	m.GossipResent += o.GossipResent
+	m.GossipHeaderRejects += o.GossipHeaderRejects
 	m.ResponsesSent += o.ResponsesSent
 	m.RequestBatchesReceived += o.RequestBatchesReceived
-	m.GossipBatchesReceived += o.GossipBatchesReceived
 	m.ResponseBatchesSent += o.ResponseBatchesSent
 	m.SnapshotsInstalled += o.SnapshotsInstalled
 	m.SnapshotsIgnored += o.SnapshotsIgnored

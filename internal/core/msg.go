@@ -2,7 +2,7 @@
 // serializable data service: the lazy-replication algorithm of §6 of
 // Fekete et al. (front ends, replicas, gossip, labels), extended with the
 // §10 optimizations (memoized solid prefix, memory pruning, commutativity
-// mode, incremental gossip).
+// mode, incremental gossip made loss-tolerant by acknowledgements).
 //
 // The same algorithm is transliterated as I/O automata in internal/model
 // for specification checking; this package is the version a downstream user
@@ -89,40 +89,35 @@ type BatchResponseMsg struct {
 	Resps []ResponseMsg
 }
 
-// BatchGossipMsg carries several gossip messages for one peer in one frame.
-// Builds that held deltas across gossip ticks sent it; this one sends one
-// frame per peer per tick and only RECEIVES it, so a rolling upgrade keeps
-// the older peers' delta chains intact. The receiver applies the elements
-// in order, so a batch is indistinguishable from its elements arriving
-// individually on a FIFO channel — which is what §10.4 already requires of
-// delta gossip. From is the frame's sender; an element whose own From
-// contradicts it is dropped without affecting its siblings.
+// BatchGossipMsg is a gossip frame of older builds that no peer sends and
+// no replica accepts any more (TCP wire version 3 refuses those builds).
+// The declaration stays only because the benchmark module's trace names it
+// in a type switch.
 type BatchGossipMsg struct {
 	From label.ReplicaID
 	Msgs []GossipMsg
 }
-
-// SubscribableGossip marks BatchGossipMsg as gossip-topic traffic: a
-// transport with per-shard subscriptions (transport.ShardSubscriber) may
-// suppress it toward members that do not host the destination shard.
-func (BatchGossipMsg) SubscribableGossip() {}
 
 // GossipMsg is a ⟨"gossip", R, D, L, S⟩ message between replicas (message
 // set 𝓜_gossip, §6.1). R carries full operation descriptors (the receiver
 // may not know them yet); D and S are identifier sets (their descriptors are
 // in R or were carried by earlier gossip); L is the label-function snapshot.
 //
-// With incremental gossip (§10.4) the fields carry only entries not
-// previously sent to the destination. Full gossip messages are
-// self-contained (D comes with its R descriptors and L labels), so they
-// tolerate loss and reordering; deltas require reliable FIFO channels,
-// exactly the condition §10.4 states.
+// As §10.4 allows, the fields carry only the changes in the sender's change
+// log between positions Base and Seq (gossip.go), not the whole state. The
+// header makes that loss-tolerant without FIFO channels: Epoch is the
+// sender's incarnation (the log position it began at), and Ack is the
+// sender's watermark in the destination's own log — everything below it
+// has arrived. A lost frame is resent once its acknowledgement is overdue.
+// A range answer's tail carries the whole state, from Base = Epoch.
 type GossipMsg struct {
 	From label.ReplicaID
 	R    []ops.Operation
 	D    []ops.ID
 	L    map[ops.ID]label.Label
 	S    []ops.ID
+
+	Epoch, Base, Seq, Ack uint64
 }
 
 // SubscribableGossip marks GossipMsg as gossip-topic traffic (see
@@ -171,10 +166,9 @@ type SnapOp struct {
 // response chunks with one request round, so chunks from an abandoned
 // round (after a retry rotated to another peer) are ignored.
 //
-// A range request also resets the serving peer's incremental-gossip
-// bookkeeping for the requester: everything previously delta-sent may have
-// been lost with the requester's memory, so the peer's tail answer is
-// rebuilt from its full state.
+// The answer covers the serving peer's whole change log: its tail's header
+// gives the log position the requester's watermark for that peer starts
+// at, and the peer's deltas to the requester restart there.
 type RangeRequestMsg struct {
 	From  label.ReplicaID
 	Have  int

@@ -154,38 +154,49 @@ func TestPruneReleasesDescriptors(t *testing.T) {
 	}
 }
 
+// TestIncrementalGossipEquivalentAndSmaller checks §10.4's claim on the
+// gossip replicas send: the deltas alone carry the full state — every
+// replica ends with the same done set, labels and stable set, which is
+// what a full-state frame carries — and the whole run's traffic costs
+// fewer bytes than the full-state frames of Fig. 7 as written (priced at
+// every gossip tick of the same run) would have on their own.
 func TestIncrementalGossipEquivalentAndSmaller(t *testing.T) {
-	_, full := runWorkload(t, Options{Memoize: true}, 4)
-	_, incr := runWorkload(t, Options{Memoize: true, IncrementalGossip: true}, 4)
-	fullConv := full.cluster.CheckConvergence()
-	incrConv := incr.cluster.CheckConvergence()
-	if !fullConv.Converged || !incrConv.Converged {
-		t.Fatalf("convergence: full=%v incr=%v", fullConv.Reason, incrConv.Reason)
+	e := newTestEnv(t, 3, dtype.Log{}, Options{Memoize: true})
+	var fullBytes uint64
+	e.s.Every(e.g, func() {
+		for _, r := range e.cluster.LocalReplicas() {
+			fullBytes += 2 * uint64(r.FullGossipSize())
+		}
+	})
+	const n = 30
+	for i := 0; i < n; i++ {
+		e.submit(fmt.Sprintf("c%d", i%3), logOp(i), nil, i%4 == 0)
+		e.s.RunFor(2 * sim.Millisecond)
 	}
-	if len(fullConv.Order) != len(incrConv.Order) {
-		t.Fatal("different op counts")
+	e.s.RunFor(800 * sim.Millisecond)
+	if conv := e.cluster.CheckConvergence(); !conv.Converged || len(conv.Order) != n {
+		t.Fatalf("convergence: %v (%d of %d ops)", conv.Reason, len(conv.Order), n)
 	}
-	for i := range fullConv.Order {
-		if fullConv.Order[i] != incrConv.Order[i] {
-			t.Fatalf("eventual orders diverge at %d", i)
+	for i, r := range e.cluster.LocalReplicas() {
+		if got := len(r.Snapshot().Stable); got != n {
+			t.Fatalf("replica %d: %d of %d ops stable", i, got, n)
 		}
 	}
-	fullBytes := full.net.Stats().Bytes
-	incrBytes := incr.net.Stats().Bytes
+	incrBytes := e.net.Stats().Bytes
 	if incrBytes >= fullBytes {
-		t.Fatalf("incremental gossip bytes %d not smaller than full %d", incrBytes, fullBytes)
+		t.Fatalf("run bytes %d not smaller than full gossip's %d", incrBytes, fullBytes)
 	}
-	t.Logf("gossip bytes: full=%d incremental=%d (%.1f%%)",
+	t.Logf("bytes: full gossip alone=%d whole run=%d (%.1f%%)",
 		fullBytes, incrBytes, 100*float64(incrBytes)/float64(fullBytes))
 }
 
 // labelSink makes a label map escape as a gossip message's does.
 var labelSink map[ops.ID]label.Label
 
-// TestBuildDeltaAllocations pins what one incremental gossip build
-// allocates for a steady stream of label changes: the message's own label
-// map, and nothing for the per-peer set of changed labels, which is drained
-// in place rather than replaced (and so never regrows either).
+// TestBuildDeltaAllocations pins what one gossip frame build allocates for
+// a steady stream of label changes: the message's own label map, and
+// nothing for the change log, which is trimmed in place as peers
+// acknowledge it (and so never regrows either).
 func TestBuildDeltaAllocations(t *testing.T) {
 	s := sim.New(1)
 	net := transport.NewSimNet(s, transport.SimNetConfig{})
@@ -197,11 +208,16 @@ func TestBuildDeltaAllocations(t *testing.T) {
 		r.ids.rec(ids[i]).setLabelMin(label.Make(uint64(i+1), 0))
 	}
 	cycle := func() {
+		base := r.logNext()
 		for _, id := range ids {
-			r.enqueueL(r.ids.get(id))
+			r.logChange(r.ids.get(id), logL)
 		}
-		if msg := r.buildDelta(1); len(msg.L) != len(ids) {
+		if msg := r.buildDelta(base, r.logNext()); len(msg.L) != len(ids) {
 			t.Fatalf("delta carries %d labels, want %d", len(msg.L), len(ids))
+		}
+		for i := 1; i < len(r.links); i++ {
+			r.links[i].sent = r.logNext()
+			r.ackLocked(&r.links[i], r.logNext())
 		}
 	}
 	cycle()
@@ -502,16 +518,23 @@ func TestSelfAndMalformedGossipIgnored(t *testing.T) {
 	}
 }
 
+// TestGossipByteAccountingGrowsWithHistory checks that the network's byte
+// accounting follows the history: every new operation's gossip adds bytes,
+// and a quiescent cluster adds none.
 func TestGossipByteAccountingGrowsWithHistory(t *testing.T) {
 	e := newTestEnv(t, 2, dtype.Counter{}, Options{})
+	prev := e.net.Stats().Bytes
 	for i := 0; i < 5; i++ {
 		e.submit("c", dtype.CtrAdd{N: 1}, nil, false)
 		e.s.RunFor(20 * sim.Millisecond)
+		if got := e.net.Stats().Bytes; got <= prev {
+			t.Fatalf("operation %d added no bytes (%d)", i, got)
+		}
+		prev = e.net.Stats().Bytes
 	}
-	bytesAfter5 := e.net.Stats().Bytes
 	e.s.RunFor(100 * sim.Millisecond)
-	if e.net.Stats().Bytes <= bytesAfter5 {
-		t.Fatal("full gossip should keep resending state")
+	if got := e.net.Stats().Bytes; got != prev {
+		t.Fatalf("quiescent cluster sent %d more bytes", got-prev)
 	}
 }
 

@@ -3,8 +3,9 @@ package core
 import "time"
 
 // Options selects which of the §10 optimizations a replica runs. The zero
-// value is the unoptimized abstract algorithm of Fig. 7 (recompute every
-// response from the initial state, full gossip).
+// value recomputes every response from the initial state, as Fig. 7 does.
+// Gossip is not an option: a replica always sends each peer the changes it
+// has not acknowledged (§10.4, made loss-tolerant; see GossipMsg).
 type Options struct {
 	// Memoize caches computed states. It enables the §10.1 solid-prefix
 	// memoization (ESDS-Alg′, Fig. 10): once an operation is solid at the
@@ -42,9 +43,9 @@ type Options struct {
 	// ends pack up to BatchSize submissions per target replica into one
 	// BatchRequestMsg and replicas pack responses to one front end into one
 	// BatchResponseMsg. Gossip needs no knob of its own: a replica sends
-	// each peer one frame per gossip tick, and under IncrementalGossip that
-	// frame already carries everything that changed since the last tick —
-	// the gossip interval is the gossip batch. A batch is semantically the
+	// each peer one frame per gossip tick, and that frame already carries
+	// everything that changed since the last tick — the gossip interval is
+	// the gossip batch. A batch is semantically the
 	// sequence of its elements, applied in order — no protocol obligation
 	// changes — so the knob trades per-operation latency for frame-rate and
 	// CPU: one frame (and, over TCPNet, typically one syscall) carries many
@@ -63,15 +64,6 @@ type Options struct {
 	// open target, and sleeps otherwise. Zero means the default period of
 	// FlushPeriod. Meaningful only with BatchSize > 1.
 	BatchDelay time.Duration
-
-	// IncrementalGossip enables the §10.4 communication reduction: each
-	// replica remembers what it has sent to each peer and gossips only new
-	// operations, newly done/stable identifiers, and lowered labels.
-	// As in the paper, this requires reliable FIFO channels: with full
-	// gossip every message is self-contained (its D entries come with their
-	// R descriptors and L labels), so reordering is harmless, but a delta
-	// depends on its predecessors having been delivered.
-	IncrementalGossip bool
 }
 
 // FlushPeriod is the batch flusher's period for an enabled batched hot
@@ -86,15 +78,14 @@ func (o Options) FlushPeriod() time.Duration {
 }
 
 // DefaultOptions is the configuration a production deployment would run:
-// memoization and pruning on, incremental gossip on, commute mode off
-// (commute mode needs the SafeUsers client discipline), batching off
-// (it trades per-operation latency for throughput — a deployment
-// decision; see BatchSize and DESIGN.md §8). The gossip wire form is not
-// an option: the transport negotiates it.
+// memoization and pruning on, commute mode off (commute mode needs the
+// SafeUsers client discipline), batching off (it trades per-operation
+// latency for throughput — a deployment decision; see BatchSize and
+// DESIGN.md §8). Gossip has one mode and its wire form is not an option
+// either: the transport negotiates it.
 func DefaultOptions() Options {
 	return Options{
-		Memoize:           true,
-		Prune:             true,
-		IncrementalGossip: true,
+		Memoize: true,
+		Prune:   true,
 	}
 }

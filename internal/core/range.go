@@ -68,8 +68,9 @@ func (r *Replica) openRangeRoundLocked() (transport.NodeID, RangeRequestMsg) {
 		r.rangeTries++
 	}
 	r.rangeHave = r.memoized
-	r.rangeBuf = nil
+	r.rangeBuf, r.rangeDone = nil, nil
 	r.rangeProgress = false
+	r.rangeSeen = r.round
 	return r.peers[r.rangePeer], RangeRequestMsg{From: r.id, Have: r.rangeHave, Nonce: r.rangeNonce}
 }
 
@@ -108,10 +109,13 @@ func (r *Replica) RetryRecovery() {
 // recoveries — or a whole cluster restarted from its journals — would
 // otherwise wait on each other forever.
 //
-// Serving the request resets this replica's delta bookkeeping for the
-// requester: everything previously delta-sent may have died with the
-// requester's memory, and the answer re-covers the full state, so the
-// queues restart empty from here.
+// The answer covers this replica's whole change log: its tail's header
+// spans the log from the incarnation's start to the next free position,
+// where the requester starts its watermark, and deltas to the requester
+// restart there. Until the requester acknowledges that position the answer
+// counts as an unacknowledged frame, so a lost answer, or one the
+// requester did not install, leads to a resend from its last
+// acknowledgement.
 func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 	from := int(msg.From)
 	r.mu.Lock()
@@ -157,55 +161,30 @@ func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 		}
 	}
 	done := RangeResponseMsg{
-		From:     r.id,
-		Nonce:    msg.Nonce,
-		Offset:   total,
-		Done:     true,
-		DataType: r.dt.Name(),
-		Total:    total,
-		HasState: canSnap,
-		State:    state,
-		Resizes:  r.resizeRecordsLocked(),
+		From:      r.id,
+		Nonce:     msg.Nonce,
+		Offset:    total,
+		Done:      true,
+		DataType:  r.dt.Name(),
+		Total:     total,
+		HasState:  canSnap,
+		State:     state,
+		Watermark: r.gen.HighSeq(),
+		Resizes:   r.resizeRecordsLocked(),
 	}
 	if canSnap {
-		done.Watermark = r.gen.HighSeq()
 		// The chunks and state cover the prefix; the tail only has to carry
 		// the unsolid suffix and the not-yet-done arrival queue.
-		r.ensureSorted()
-		done.Tail = GossipMsg{From: r.id, L: make(map[ops.ID]label.Label)}
-		addTail := func(e *idRec) {
-			if x, ok := e.descriptor(); ok {
-				done.Tail.R = append(done.Tail.R, x)
-			}
-			if !e.label.IsInf() {
-				done.Tail.L[e.id] = e.label
-			}
-		}
-		for _, id := range r.doneSeq[r.memoized:] {
-			e := r.ids.get(id)
-			addTail(e)
-			done.Tail.D = append(done.Tail.D, id)
-			if e.stableAt(r.id) {
-				done.Tail.S = append(done.Tail.S, id)
-			}
-		}
-		for _, e := range r.rcvdQueue {
-			addTail(e)
-		}
+		done.Tail = r.buildTail(r.memoized)
 	} else {
 		done.Tail = r.buildFullGossip()
-		done.Watermark = r.gen.HighSeq()
 	}
+	next := r.logNext()
+	done.Tail.Epoch, done.Tail.Base, done.Tail.Seq = r.epoch, r.epoch, next
+	l := &r.links[from]
+	l.sent, l.since, l.probing = next, r.round, true
 	out = append(out, done)
 	r.metrics.RangeChunksSent += uint64(len(out))
-
-	// Pending deltas for the requester are superseded by this answer.
-	if r.opt.IncrementalGossip {
-		r.pendR[from] = nil
-		r.pendD[from] = nil
-		r.pendS[from] = nil
-		r.dropPendL(from)
-	}
 	to := r.peers[from]
 	r.mu.Unlock()
 
@@ -225,7 +204,8 @@ func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 // merge the tail. Any gap, nonce mismatch, or validation failure abandons
 // the attempt — the round stays open and the retry ticker rotates it to
 // another peer, so a lossy or hostile server costs a retry, never
-// corruption. A recovery still owed answers opens its next round here.
+// corruption. A Done chunk that overtakes chunks of its own answer waits
+// for them. A recovery still owed answers opens its next round here.
 func (r *Replica) handleRangeResponse(msg RangeResponseMsg) {
 	r.mu.Lock()
 	if r.crashed || r.rangeNonce == 0 || msg.Nonce != r.rangeNonce || int(msg.From) != r.rangePeer {
@@ -233,21 +213,42 @@ func (r *Replica) handleRangeResponse(msg RangeResponseMsg) {
 		r.mu.Unlock()
 		return
 	}
+	end := r.rangeHave + len(r.rangeBuf)
 	if !msg.Done {
-		if msg.Offset != r.rangeHave+len(r.rangeBuf) || len(msg.Ops) == 0 {
-			// Out-of-order or empty chunk: drop it and everything after it —
-			// the buffer stays a solid extension of Have or it is worthless.
+		if msg.Offset > end || msg.Offset+len(msg.Ops) <= end {
+			// A gap, or nothing past the buffer: the buffer stays a solid
+			// extension of Have or it is worthless. A chunk that overlaps
+			// its end (a repeated request's answer) extends it: a solid
+			// prefix never changes, so both answers agree where they
+			// overlap, and the install validator checks the splice.
 			r.metrics.RangeRejects++
 			r.mu.Unlock()
 			return
 		}
 		r.metrics.RangeChunksReceived++
-		r.rangeBuf = append(r.rangeBuf, msg.Ops...)
-		r.rangeProgress = true
-		r.mu.Unlock()
-		return
+		r.rangeBuf = append(r.rangeBuf, msg.Ops[end-msg.Offset:]...)
+		r.rangeProgress, r.rangeSeen = true, r.round
+		done := r.rangeDone
+		if done == nil || r.rangeHave+len(r.rangeBuf) < done.Total {
+			r.mu.Unlock()
+			return
+		}
+		// The Done chunk overtook this one and waited for it.
+		msg, r.rangeDone = *done, nil
+	} else {
+		r.metrics.RangeChunksReceived++
+		if msg.HasState && msg.Total > r.memoized && end < msg.Total {
+			// Chunks still in flight or lost: keep the Done chunk until they
+			// arrive, from this answer or a repeated one.
+			r.rangeDone = &msg
+			r.rangeProgress, r.rangeSeen = true, r.round
+			r.mu.Unlock()
+			return
+		}
 	}
-	r.metrics.RangeChunksReceived++
+	if msg.HasState && r.rangeHave <= msg.Total && msg.Total < r.rangeHave+len(r.rangeBuf) {
+		r.rangeBuf = r.rangeBuf[:msg.Total-r.rangeHave] // a repeated answer's chunks ran past this Done
+	}
 	if !r.finishRangeLocked(msg) {
 		// Failed round: keep it open (and the buffer clear) for the next
 		// retry to rotate.
@@ -304,7 +305,10 @@ func (r *Replica) finishRangeLocked(msg RangeResponseMsg) bool {
 		r.metrics.SnapshotsInstalled++
 	}
 	r.installResizeRecords(msg.Resizes)
-	r.mergeGossipLocked(msg.Tail)
+	// The tail completes the peer's whole state, so it merges whatever its
+	// header says; the header then starts the watermark at its Seq.
+	r.mergeStateLocked(int(msg.From), msg.Tail)
+	r.gossipHeaderLocked(int(msg.From), msg.Tail)
 	r.rangeNonce = 0
 	r.rangeBuf = nil
 	r.metrics.RangeCatchups++

@@ -67,6 +67,9 @@ func FuzzRangeResponse(f *testing.F) {
 	f.Add(script(frame(0, 1, 0, 6, 0), frame(fzDone|fzHasState, 1, 6, 0, 6)))                         // forged extension
 	f.Add(script(frame(fzDone, 1, 0, 0, 0), frame(fzDone, 2, 0, 0, 0)))                               // stateless answers from both peers
 	f.Add(script(frame(0, 1, 0, 4, 0), frame(fzDone|fzHasState, 1, 4, 0, 4), frame(fzDone|fzHasState, 2, 4, 0, 4)))
+	f.Add(script(frame(fzDone|fzHasState, 1, 4, 0, 4), frame(0, 1, 0, 4, 0)))                       // Done overtakes its chunk
+	f.Add(script(frame(fzDone|fzHasState, 1, 4, 0, 4), frame(0, 1, 0, 2, 0), frame(0, 1, 2, 2, 0))) // ... and two chunks
+	f.Add(script(frame(fzDone|fzHasState, 1, 6, 0, 6), frame(0, 1, 0, 6, 0)))                       // waiting Done of a forged extension
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, _ := newRecoveryEnvOf(t, dtype.Counter{}, DefaultOptions())
@@ -100,6 +103,7 @@ func FuzzRangeResponse(f *testing.F) {
 			r0.mu.Lock()
 			open := r0.rangeNonce != 0
 			nonce, peer, have, buffered, memoized := r0.rangeNonce, r0.rangePeer, r0.rangeHave, len(r0.rangeBuf), r0.memoized
+			waiting := r0.rangeDone
 			r0.mu.Unlock()
 			before := r0.Metrics()
 
@@ -142,27 +146,44 @@ func FuzzRangeResponse(f *testing.F) {
 			r0.handleRangeResponse(msg) // must not panic
 
 			after := r0.Metrics()
+			r0.mu.Lock()
+			held := open && msg.Nonce == nonce && int(msg.From) == peer && msg.Done && r0.rangeDone != nil && r0.rangeDone.Nonce == msg.Nonce && r0.rangeDone.Total == msg.Total
+			r0.mu.Unlock()
 			addressed := open && msg.Nonce == nonce && int(msg.From) == peer
-			accepted := addressed && !msg.Done && msg.Offset == have+buffered && len(msg.Ops) > 0
+			accepted := addressed && !msg.Done && msg.Offset <= have+buffered && have+buffered < msg.Offset+len(msg.Ops)
 			completed := after.RangeCatchups > before.RangeCatchups
 			refused := after.RangeRejects > before.RangeRejects || after.Faults > before.Faults
 			what := fmt.Sprintf("frame %v (open=%v nonce=%d peer=%d have=%d buffered=%d memoized=%d)", fr, open, nonce, peer, have, buffered, memoized)
 
+			// The Done chunk that decides the round: this frame, or one that
+			// overtook its chunks and waited for this one.
+			done := &msg
+			if accepted {
+				buffered = msg.Offset + len(msg.Ops) - have
+				done = waiting
+			}
 			switch {
 			case accepted:
-				if completed || refused || after.RangeChunksReceived != before.RangeChunksReceived+1 {
-					t.Fatalf("%s: a contiguous chunk must be buffered and nothing else", what)
+				if refused && !(done != nil && have+buffered >= done.Total) || after.RangeChunksReceived != before.RangeChunksReceived+1 {
+					t.Fatalf("%s: a chunk extending the buffer must be buffered and nothing else", what)
+				}
+				if completed && (done == nil || have+buffered < done.Total) {
+					t.Fatalf("%s: a chunk completed a round no waiting Done chunk covers", what)
 				}
 			case completed:
 				if !addressed || !msg.Done {
 					t.Fatalf("%s: round completed on a frame that was not its Done chunk", what)
 				}
+			case held:
+				if !msg.HasState || have+buffered >= msg.Total {
+					t.Fatalf("%s: a Done chunk waits although its chunks are all in", what)
+				}
 			case !refused:
 				t.Fatalf("%s: dropped without a RangeRejects tick or a typed fault", what)
 			}
 			if got := r0.Snapshot().Memoized; got != memoized {
-				covered := addressed && msg.Done && msg.HasState && msg.Total > memoized && have+buffered == msg.Total
-				if !completed || !covered || got != msg.Total {
+				covered := addressed && done != nil && done.Done && done.HasState && done.Total > memoized && have+buffered >= done.Total
+				if !completed || !covered || got != done.Total {
 					t.Fatalf("%s: memoized moved %d -> %d without a contiguous buffer covering [Have, Total)", what, memoized, got)
 				}
 			}

@@ -33,7 +33,7 @@ import "esds/internal/label"
 func (r *Replica) Crash() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.ids = newIDTable() // held labels are rebuilt by Recover from the store
+	r.ids = newIDTable() // this replica's own labels are reloaded by Recover
 	r.doneLocal, r.stableLocal, r.retainedN = 0, 0, 0
 	r.pendingQueue = nil
 	r.rcvdQueue = nil
@@ -48,12 +48,9 @@ func (r *Replica) Crash() {
 	r.lastMemoLabel = label.Label{}
 	r.maxStable = label.Infinity
 	r.curState = r.dt.Initial()
-	for i := 0; i < r.n; i++ {
-		r.pendR[i] = nil
-		r.pendD[i] = nil
-		r.pendS[i] = nil
-		r.pendL[i] = nil
-	}
+	// A new incarnation: its change log begins where the last one ended,
+	// so an acknowledgement meant for the old log changes nothing.
+	r.startLog(r.logNext())
 	r.resizes = nil // re-learned from the store and the range answers' Done chunks
 	r.recoveryParked = nil
 	r.storeFailed = false // re-latches on the next failed write
@@ -63,30 +60,25 @@ func (r *Replica) Crash() {
 	// Abandon any open range round (rangeSeq survives, so a chunk addressed
 	// to a pre-crash round can never match a post-crash nonce).
 	r.rangeNonce = 0
-	r.rangeBuf = nil
+	r.rangeBuf, r.rangeDone = nil, nil
 	r.rangeTries = 0
 }
 
 // reloadStoreLocked replays the stable store into a freshly crashed
 // replica — the first half of Recover. Persisted labels are observed (so
-// every future label sorts above them, §9.3) and held aside for reuse,
-// descriptors are replayed into rcvd_r in journal order, and resize records
-// and key-index entries are reinstalled. Clears the crashed flag. Mutex
-// held.
+// every future label sorts above them) and entered into label_r, so every
+// operation keeps a label ≤ its pre-crash one, the §9.3 condition, even
+// when every peer that learned the label crashed too. The change log
+// carries them ahead of anything the replica reports done after the
+// crash, and peers merge a sender's log in order, so no peer can find an
+// operation stable above such a label before it knows the label.
+// Descriptors are replayed into rcvd_r in journal order, and resize
+// records and key-index entries are reinstalled. Clears the crashed flag.
+// Mutex held.
 func (r *Replica) reloadStoreLocked() {
 	if r.store != nil {
 		for id, l := range r.store.Labels() {
-			// Freshness is unconditional: labels issued after recovery must
-			// sort above everything issued before the crash. The label
-			// ASSIGNMENT is not entered into label_r — if it ever
-			// escaped, the peers' answers restore it; if not, it is held
-			// aside for §9.3 reuse when the front end retransmits the op
-			// (see idRec.held).
-			r.gen.Observe(l)
-			if e := r.ids.rec(id); !e.doneAt(r.id) {
-				e.held = l
-				e.flags |= recHeld
-			}
+			r.setLabelMin(r.ids.rec(id), l)
 		}
 	}
 	r.crashed = false
@@ -94,9 +86,9 @@ func (r *Replica) reloadStoreLocked() {
 		// Replay the durable descriptors in journal order (prev-respecting:
 		// do_it labeled them in that order). Each goes through receiveOp —
 		// NOT pending (the front end retransmits anything unanswered) — so
-		// the next process() pass re-labels it with its held label and
-		// re-enters it into gossip. Duplicates against the peers' answers
-		// dedup via the identifier table as usual.
+		// the next process() pass makes it done again at its reloaded label
+		// and gossips it. Duplicates against the peers' answers dedup via
+		// the identifier table as usual.
 		for _, x := range r.store.Ops() {
 			r.receiveOp(x)
 		}

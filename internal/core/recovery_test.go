@@ -393,12 +393,15 @@ func TestStoreFailureStopsLabelingNotService(t *testing.T) {
 
 // TestRecoveredLabelVoidedBelowDoneMax pins the store-label race: a replica
 // crashes after persisting an operation's label but before the response (or
-// any gossip) escapes, recovers, memoizes a LATER operation, and only then
-// sees the front end retransmit the first one. Reusing the persisted label
-// would re-admit the op below the memoized frontier — at this replica AND at
-// every peer that already memoized past it (FaultMemoOrderViolation on both
-// sides). The fix holds the reloaded label aside and voids it in favor of a
-// fresh label when a done operation already sorts above it. Deterministic
+// any gossip) escapes, recovers while a LATER operation becomes stable, and
+// only then sees the front end retransmit the first one. Re-admitting the
+// op at its persisted label after a peer memoized past it would fault
+// (FaultMemoOrderViolation); full-state gossip once forced the label to be
+// voided for a fresh one instead. Now the reloaded label enters label_r and
+// the change log before anything the replica reports done after the crash,
+// and peers merge its log in order, so no replica can find the later
+// operation stable before it knows the earlier label: A keeps its label
+// (§9.3: ≤ the pre-crash one) and sorts first everywhere. Deterministic
 // companion to the chaos-matrix pin (seed 26, snapshot cell).
 func TestRecoveredLabelVoidedBelowDoneMax(t *testing.T) {
 	e, stores := newRecoveryEnv(t, Options{Memoize: true})
@@ -435,9 +438,8 @@ func TestRecoveredLabelVoidedBelowDoneMax(t *testing.T) {
 	})
 	e.s.RunFor(40 * sim.Millisecond)
 
-	// r0 recovers: A's label is reloaded from the store, B arrives from the
-	// peers, becomes stable everywhere, and is now the memoization candidate
-	// at r0 even though the unoccupied slot l_A sorts below it.
+	// r0 recovers: A's label and descriptor are reloaded from the store,
+	// and B arrives from the peers.
 	e.net.SetNodeDown(r0.Node(), false)
 	r0.Recover()
 	e.s.RunFor(60 * sim.Millisecond)
@@ -461,14 +463,13 @@ func TestRecoveredLabelVoidedBelowDoneMax(t *testing.T) {
 	if !conv.Converged {
 		t.Fatalf("no convergence: %s", conv.Reason)
 	}
-	// B was memoized while A's slot was vacant, so A's persisted label was
-	// voided: A re-entered with a fresh label ABOVE B, and every replica
-	// agrees on the order [B, A].
-	if len(conv.Order) != 2 || conv.Order[0] != resB.x.ID || conv.Order[1] != resA.x.ID {
-		t.Fatalf("order = %v, want [B A]", conv.Order)
+	// A kept its persisted label, below B's, and every replica agrees on
+	// the order [A, B].
+	if len(conv.Order) != 2 || conv.Order[0] != resA.x.ID || conv.Order[1] != resB.x.ID {
+		t.Fatalf("order = %v, want [A B]", conv.Order)
 	}
-	if got := r0.Snapshot().Labels[resA.x.ID]; !preLabel.Less(got) {
-		t.Fatalf("A's label %v was not voided above the pre-crash label %v", got, preLabel)
+	if got := r0.Snapshot().Labels[resA.x.ID]; got != preLabel {
+		t.Fatalf("A's label %v, want its pre-crash label %v", got, preLabel)
 	}
 }
 

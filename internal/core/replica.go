@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"esds/internal/dtype"
 	"esds/internal/label"
@@ -61,8 +62,8 @@ type Replica struct {
 	seqDirty bool
 
 	// deferred: ids reported done elsewhere (gossip D/S) whose descriptor or
-	// label has not arrived yet (possible with incremental gossip under
-	// reordering). Retried after every message; recDeferred dedupes.
+	// label has not arrived yet (possible when gossip frames are lost or
+	// reordered). Retried after every message; recDeferred dedupes.
 	deferredQueue []*idRec
 
 	// Memoization (§10.1): the state after the solid prefix (its values are
@@ -85,17 +86,20 @@ type Replica struct {
 	// application order (the value each op produced is in its record).
 	curState dtype.State
 
-	// Incremental gossip bookkeeping (§10.4): per destination replica, the
-	// deltas accumulated since the last message to it. Keeping explicit
-	// delta queues makes each gossip build O(changes), not O(history) — the
-	// point of the optimization.
-	pendR [][]*idRec // descriptors not yet sent
-	pendD [][]ops.ID // newly locally-done ids, in done order
-	pendS [][]ops.ID // newly locally-stable ids
-	pendL [][]*idRec // ids whose label changed (value read at build; idRec.queuedL dedupes)
+	// Gossip (gossip.go): glog is the change log, holding log positions
+	// logBase onward; epoch is the position this incarnation's log began
+	// at; links[i] is the link with peer i; round counts gossip rounds;
+	// ackWait and ackDev are the smoothed mean and deviation of the rounds
+	// a peer takes to acknowledge a frame.
+	glog            []logEntry
+	logBase         uint64
+	epoch           uint64
+	links           []peerLink
+	round           uint64
+	ackWait, ackDev float64
 
 	// negotiator is the transport's capability channel, nil when it has no
-	// wire to negotiate over (DESIGN.md §12; see wireGossip).
+	// wire to negotiate over (DESIGN.md §12; see SendGossip).
 	negotiator transport.FeatureNegotiator
 
 	// sortScratch is the reusable buffer ensureSorted pre-fetches labels
@@ -117,13 +121,18 @@ type Replica struct {
 	// rangeSeq is the monotone nonce source (it survives Crash so a stale
 	// pre-crash chunk can never match a post-crash round). rangeProgress
 	// records a chunk accepted since the last RetryRecovery, which then
-	// leaves the streaming round alone. rangeChunk is the SnapOp count per
-	// chunk this replica SERVES: rangeChunkOps, lowered only by tests.
+	// leaves the streaming round alone; rangeDone holds a Done chunk that
+	// arrived before the chunks it completes, and rangeSeen is the gossip
+	// round the request left in or a chunk last arrived in. rangeChunk is
+	// the SnapOp count per chunk this replica SERVES: rangeChunkOps,
+	// lowered only by tests.
 	rangeNonce    uint64
 	rangeSeq      uint64
 	rangePeer     int
 	rangeHave     int
 	rangeBuf      []SnapOp
+	rangeDone     *RangeResponseMsg
+	rangeSeen     uint64
 	rangeTries    int
 	rangeProgress bool
 	rangeChunk    int
@@ -214,13 +223,10 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		memoState:  cfg.DataType.Initial(),
 		maxStable:  label.Infinity,
 		curState:   cfg.DataType.Initial(),
-		pendR:      make([][]*idRec, n),
-		pendD:      make([][]ops.ID, n),
-		pendS:      make([][]ops.ID, n),
-		pendL:      make([][]*idRec, n),
 		store:      cfg.Store,
 		rangeChunk: rangeChunkOps,
 	}
+	r.startLog(uint64(time.Now().UnixNano()))
 	// §10.2 pruning discards descriptors that only a state transfer can
 	// stand in for afterwards, so it is on only for a type that can encode
 	// its state; any other type retains every descriptor and recovers by
@@ -290,11 +296,11 @@ func (r *Replica) deliverBatch(items []queueItem) {
 	flush()
 }
 
-// hotPath reports whether a payload is one deliverRun applies: requests
-// and gossip, batched or not.
+// hotPath reports whether a payload is one deliverRun applies: requests,
+// batched or not, and gossip.
 func hotPath(payload any) bool {
 	switch payload.(type) {
-	case RequestMsg, BatchRequestMsg, GossipMsg, BatchGossipMsg, CompactGossipMsg:
+	case RequestMsg, BatchRequestMsg, GossipMsg, CompactGossipMsg:
 		return true
 	}
 	return false
@@ -329,15 +335,6 @@ func (r *Replica) deliverRun(run []transport.Message) {
 			}
 		case GossipMsg:
 			r.mergeGossipLocked(p)
-		case BatchGossipMsg:
-			// Sent only by older builds; an element contradicting the
-			// frame's sender is malformed.
-			r.metrics.GossipBatchesReceived++
-			for _, g := range p.Msgs {
-				if g.From == p.From {
-					r.mergeGossipLocked(g)
-				}
-			}
 		case CompactGossipMsg:
 			r.mergeCompactGossipLocked(p)
 		}
@@ -493,7 +490,7 @@ func (r *Replica) receiveOp(x ops.Operation) *idRec {
 			}
 		}
 	}
-	r.enqueueR(e)
+	r.logChange(e, logR)
 	if !e.doneAt(r.id) {
 		r.rcvdQueue = append(r.rcvdQueue, e)
 	}
@@ -533,27 +530,31 @@ func (r *Replica) mergeCompactGossipLocked(msg CompactGossipMsg) {
 		return
 	}
 	r.metrics.CompactGossipReceived++
-	if len(msgs) > 1 {
-		r.metrics.GossipBatchesReceived++
-	}
 	for _, g := range msgs {
-		// The decoder stamps every element with the frame's From, so the
-		// element-vs-frame sender check of a BatchGossipMsg holds by
-		// construction here.
+		// The decoder stamps every element with the frame's sender and
+		// header; applying a header twice changes nothing.
 		r.mergeGossipLocked(g)
 	}
 }
 
-// mergeGossipLocked folds one gossip message into the replica state — the
+// mergeGossipLocked folds one gossip frame into the replica state — the
 // receive_r'r merge of Fig. 7 — without running internal actions (the
-// caller does, once per run). Mutex held.
+// caller does, once per run). The frame's header decides whether its
+// content is merged (gossip.go). Mutex held.
 func (r *Replica) mergeGossipLocked(msg GossipMsg) {
 	r.metrics.GossipReceived++
 	from := int(msg.From)
 	if from < 0 || from >= r.n || from == int(r.id) {
 		return // malformed or self gossip: ignore
 	}
+	if r.gossipHeaderLocked(from, msg) {
+		r.mergeStateLocked(from, msg)
+	}
+}
 
+// mergeStateLocked is the merge of Fig. 7's receive_r'r: the content of a
+// gossip message from replica from. Mutex held.
+func (r *Replica) mergeStateLocked(from int, msg GossipMsg) {
 	// rcvd_r ← rcvd_r ∪ R.
 	for _, x := range msg.R {
 		r.receiveOp(x)
@@ -596,7 +597,7 @@ func (r *Replica) setLabelMin(e *idRec, l label.Label) {
 	if !e.setLabelMin(l) {
 		return
 	}
-	r.enqueueL(e)
+	r.logChange(e, logL)
 	if e.doneAt(r.id) {
 		r.seqDirty = true
 	}
@@ -630,7 +631,7 @@ func (r *Replica) markDoneEverywhere(e *idRec) {
 
 // markDoneLocal makes e done at this replica via gossip: it joins doneSeq
 // (ordered by its gossiped label) once its label is known; if the label has
-// not arrived yet (incremental gossip reordering) it is deferred.
+// not arrived yet (a gossip frame lost or reordered) it is deferred.
 func (r *Replica) markDoneLocal(e *idRec) {
 	if e.doneAt(r.id) {
 		return
@@ -642,7 +643,7 @@ func (r *Replica) markDoneLocal(e *idRec) {
 	x, ok := e.descriptor()
 	if !ok {
 		// Done elsewhere but the descriptor has not arrived (possible only
-		// with incremental gossip while a message is in flight).
+		// while a gossip frame is in flight or awaits its resend).
 		r.defer_(e)
 		return
 	}
@@ -651,7 +652,7 @@ func (r *Replica) markDoneLocal(e *idRec) {
 
 // addDone makes a labeled operation x locally done — the tail shared by
 // do_it and by learning it done from gossip: it joins done_r[r], the local
-// order and every peer's delta, an install's subsumed prevs become
+// order and the change log, an install's subsumed prevs become
 // satisfied, and it is stable once every replica has it.
 func (r *Replica) addDone(e *idRec, x ops.Operation) {
 	r.setDoneLocal(e)
@@ -663,13 +664,12 @@ func (r *Replica) addDone(e *idRec, x ops.Operation) {
 	r.applyCurrent(e)
 }
 
-// setDoneLocal enters e into done_r[r] and every peer's delta; a held store
-// label is no longer needed. The caller places it in doneSeq.
+// setDoneLocal enters e into done_r[r] and the change log. The caller
+// places it in doneSeq.
 func (r *Replica) setDoneLocal(e *idRec) {
 	e.done |= 1 << r.id
-	e.flags &^= recHeld
 	r.doneLocal++
-	r.enqueueD(e.id)
+	r.logChange(e, logD)
 }
 
 // defer_ queues an id whose done-ness cannot be processed yet.
@@ -694,12 +694,11 @@ func (r *Replica) markStableLocal(e *idRec) {
 	}
 	e.stable |= 1 << r.id
 	r.stableLocal++
-	r.enqueueS(e.id)
+	r.logChange(e, logS)
 	if e.label.IsInf() {
 		// A stable op is done everywhere, so a label must exist (Invariant
-		// 7.5); with incremental gossip the label may still be in flight.
-		// maxStable will advance when it arrives and the op is re-marked via
-		// the deferred queue.
+		// 7.5), but it may still be in flight. maxStable will advance when
+		// it arrives and the op is re-marked via the deferred queue.
 		r.defer_(e)
 		return
 	}
@@ -806,34 +805,16 @@ func (r *Replica) tryDoIt() {
 				remaining = append(remaining, e)
 				continue
 			}
-			l, reuse := e.held, e.has(recHeld)
-			if reuse {
-				e.flags &^= recHeld
-				// §9.3: reuse the persisted pre-crash label so the op
-				// re-enters at its old position — but only while no done
-				// operation sorts above it. Stability (hence memoization, at
-				// any replica) reaches only labels this replica has reported
-				// done, so a slot below the local done maximum may already
-				// sit under a peer's memoized frontier; reusing it would
-				// re-admit the op below that frontier. Voiding is safe: the
-				// peers' recovery answers proved none of them saw this label.
-				if max, ok := r.maxDoneLabelLocked(); ok && l.LessEq(max) {
-					reuse = false
-				}
+			if r.gen.Exhausted() {
+				// The label sequence space is used up — reachable remotely,
+				// since a hostile peer can gossip (or snapshot) a
+				// near-maximal label Seq. Fail soft like a store failure:
+				// stop labeling, keep merging, let healthy replicas serve.
+				r.fault(FaultLabelsExhausted, e.id, "label sequence space exhausted")
+				remaining = append(remaining, e)
+				continue
 			}
-			if !reuse {
-				if r.gen.Exhausted() {
-					// The label sequence space is used up — reachable
-					// remotely, since a hostile peer can gossip (or snapshot)
-					// a near-maximal label Seq. Fail soft like a store
-					// failure: stop labeling, keep merging, let healthy
-					// replicas serve.
-					r.fault(FaultLabelsExhausted, e.id, "label sequence space exhausted")
-					remaining = append(remaining, e)
-					continue
-				}
-				l = r.gen.Next()
-			}
+			l := r.gen.Next()
 			if r.store != nil {
 				// §9.3 requires the label to survive a crash before it is
 				// used; journaling the whole DESCRIPTOR with it (DESIGN.md
@@ -851,7 +832,7 @@ func (r *Replica) tryDoIt() {
 				}
 			}
 			e.setLabelMin(l)
-			r.enqueueL(e)
+			r.logChange(e, logL)
 			r.addDone(e, x)
 			r.metrics.DoItCount++
 			if r.opt.Prune && e.has(recRetained) {
@@ -961,17 +942,6 @@ func (r *Replica) cutSuffixCache(k int) {
 	r.sufStates, r.sufVals = r.sufStates[:k], r.sufVals[:k]
 }
 
-// maxDoneLabelLocked returns the greatest label of any locally done
-// operation (ok=false when none is done). doneSeq is sorted by label, so
-// this is its last element.
-func (r *Replica) maxDoneLabelLocked() (label.Label, bool) {
-	if len(r.doneSeq) == 0 {
-		return label.Label{}, false
-	}
-	r.ensureSorted()
-	return r.ids.label(r.doneSeq[len(r.doneSeq)-1]), true
-}
-
 // advanceMemo extends the memoized solid prefix (§10.1): operations whose
 // label is ≤ the largest stable label are solid — their position in the
 // eventual total order is fixed — so their value and the state after them
@@ -984,7 +954,7 @@ func (r *Replica) maxDoneLabelLocked() (label.Label, bool) {
 // the situation after a crash when peers gossip done-ids whose descriptors
 // §10.2 pruning discarded. Memoizing past it would fix a wrong prefix and
 // make the incoming range answer uninstallable. Deferrals are transient in
-// normal operation (incremental-gossip reordering), so the gate costs
+// normal operation (a lost or reordered gossip frame), so the gate costs
 // nothing outside recovery windows.
 func (r *Replica) advanceMemo() {
 	if !r.opt.Memoize || r.maxStable.IsInf() || len(r.deferredQueue) > 0 {
@@ -1244,225 +1214,6 @@ func (r *Replica) valueFor(e *idRec, strict bool) (dtype.Value, error) {
 	return v, nil
 }
 
-// SendGossip performs one gossip round: send_rr'(⟨"gossip", ...⟩) of Fig. 7
-// to every peer, one frame per peer. With IncrementalGossip only the delta
-// since the last send to each peer is included (§10.4), so the gossip
-// interval is the gossip batch (DESIGN.md §8).
-func (r *Replica) SendGossip() {
-	r.mu.Lock()
-	if r.crashed || r.recovering {
-		r.mu.Unlock()
-		return
-	}
-	type outMsg struct {
-		to  transport.NodeID
-		msg any
-	}
-	var outbox []outMsg
-	for i := 0; i < r.n; i++ {
-		if i == int(r.id) {
-			continue
-		}
-		if r.opt.IncrementalGossip && r.deltaEmpty(i) {
-			// §10.4: an empty delta carries no information — every change
-			// since the last send was already enqueued for this peer, so
-			// nothing was missed. Suppressing it removes the n² idle wire
-			// traffic while keeping the §9.1 liveness assumption intact:
-			// whenever this replica HAS news for a peer, the next tick still
-			// sends within g. Full gossip is never suppressed (each round
-			// re-sends complete state, which is what makes loss tolerable),
-			// and range answers go through their own path
-			// (handleRangeRequest), which always sends.
-			r.metrics.GossipSuppressed++
-			continue
-		}
-		r.metrics.GossipSent++
-		outbox = append(outbox, outMsg{to: r.peers[i], msg: r.wireGossip(i, r.buildGossip(i))})
-	}
-	r.mu.Unlock()
-	// Gossip carries labels; any journaled in an admission round whose
-	// group commit is still in flight must become durable before they leave
-	// (the ack-after-durable invariant covers every label-carrying message,
-	// not just responses). The commit is a no-op when nothing is pending.
-	if len(outbox) > 0 && !r.commitStore() {
-		return
-	}
-	for _, o := range outbox {
-		r.net.Send(r.node, o.to, o.msg)
-	}
-}
-
-// buildGossip assembles the gossip message for destination replica i:
-// the full local state (Fig. 7) or, under §10.4, only the accumulated
-// delta.
-func (r *Replica) buildGossip(i int) GossipMsg {
-	if r.opt.IncrementalGossip {
-		return r.buildDelta(i)
-	}
-	return r.buildFullGossip()
-}
-
-// wireGossip picks the wire form of peer i's gossip: a delta goes out as a
-// one-element CompactGossipMsg to a peer that negotiated it (DESIGN.md
-// §12), anything else as the plain GossipMsg. Mutex held.
-func (r *Replica) wireGossip(i int, msg GossipMsg) any {
-	if !r.opt.IncrementalGossip || r.negotiator == nil ||
-		r.negotiator.PeerFeatures(r.peers[i])&transport.FeatureCompactGossip == 0 {
-		return msg
-	}
-	r.metrics.CompactGossipSent++
-	return encodeCompactGossip(r.id, []GossipMsg{msg})
-}
-
-// buildFullGossip assembles a self-contained full-state gossip message,
-// regardless of the IncrementalGossip setting — the non-incremental body of
-// buildGossip, also used by the range server when it cannot snapshot (its
-// tail must then carry everything). Mutex held.
-func (r *Replica) buildFullGossip() GossipMsg {
-	msg := GossipMsg{From: r.id, L: r.labelSnapshot()}
-	msg.R = make([]ops.Operation, 0, len(r.doneSeq)+len(r.rcvdQueue))
-
-	// R: operation descriptors. Order: arrival-independent but deterministic
-	// (doneSeq order, then the not-yet-done arrival queue) so receivers
-	// process dependencies first. Pruned descriptors are omitted: pruning
-	// requires stability at this replica, i.e. the op is done (descriptor
-	// and all) at every replica already.
-	appendR := func(e *idRec) {
-		if x, ok := e.descriptor(); ok {
-			msg.R = append(msg.R, x)
-		}
-	}
-	for _, id := range r.doneSeq {
-		appendR(r.ids.get(id))
-	}
-	for _, e := range r.rcvdQueue {
-		appendR(e)
-	}
-
-	// D: done_r[r], in local label order (CSC-consistent by Invariant 7.10,
-	// so commute-mode receivers can apply in message order).
-	r.ensureSorted()
-	msg.D = append(msg.D, r.doneSeq...)
-
-	// S: stable_r[r], in label order for determinism.
-	msg.S = r.stableInOrder()
-	return msg
-}
-
-// stableInOrder returns stable_r[r] in local label order. Mutex held,
-// doneSeq sorted.
-func (r *Replica) stableInOrder() []ops.ID {
-	var out []ops.ID
-	for _, id := range r.doneSeq {
-		if r.ids.get(id).stableAt(r.id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// labelSnapshot returns the proper entries of label_r, for a full gossip
-// message's L.
-func (r *Replica) labelSnapshot() map[ops.ID]label.Label {
-	out := make(map[ops.ID]label.Label, len(r.ids.m))
-	for id, e := range r.ids.m {
-		if !e.label.IsInf() {
-			out[id] = e.label
-		}
-	}
-	return out
-}
-
-// deltaEmpty reports whether the accumulated delta for peer i carries
-// nothing: no new descriptors, done/stable ids, or changed labels.
-func (r *Replica) deltaEmpty(i int) bool {
-	return len(r.pendR[i]) == 0 && len(r.pendD[i]) == 0 &&
-		len(r.pendS[i]) == 0 && len(r.pendL[i]) == 0
-}
-
-// buildDelta drains the pending delta queues for peer i (§10.4). Cost is
-// proportional to the changes since the last send, not to the history.
-// The pending label queue is drained in place and reused; msg.L must be a
-// fresh map, since LiveNet hands the message to the peer by reference.
-func (r *Replica) buildDelta(i int) GossipMsg {
-	msg := GossipMsg{From: r.id, L: make(map[ops.ID]label.Label, len(r.pendL[i]))}
-	msg.R = make([]ops.Operation, 0, len(r.pendR[i]))
-	for _, e := range r.pendR[i] {
-		if x, ok := e.descriptor(); ok {
-			msg.R = append(msg.R, x)
-		}
-		// Pruned before first send: the op is stable here, hence done (with
-		// descriptor) at every replica — the peer does not need it.
-	}
-	msg.D = r.pendD[i]
-	msg.S = r.pendS[i]
-	for _, e := range r.pendL[i] {
-		msg.L[e.id] = e.label // queued only when it became proper or lower
-	}
-	r.pendR[i] = nil
-	r.pendD[i] = nil
-	r.pendS[i] = nil
-	r.dropPendL(i)
-	return msg
-}
-
-// dropPendL empties peer i's label queue in place.
-func (r *Replica) dropPendL(i int) {
-	for _, e := range r.pendL[i] {
-		e.queuedL &^= 1 << i
-	}
-	clear(r.pendL[i])
-	r.pendL[i] = r.pendL[i][:0]
-}
-
-// Delta enqueue helpers: record a change for every peer. No-ops when
-// incremental gossip is off (full gossip rebuilds from state each round).
-
-func (r *Replica) enqueueR(e *idRec) {
-	if !r.opt.IncrementalGossip {
-		return
-	}
-	for i := 0; i < r.n; i++ {
-		if i != int(r.id) {
-			r.pendR[i] = append(r.pendR[i], e)
-		}
-	}
-}
-
-func (r *Replica) enqueueD(id ops.ID) {
-	if !r.opt.IncrementalGossip {
-		return
-	}
-	for i := 0; i < r.n; i++ {
-		if i != int(r.id) {
-			r.pendD[i] = append(r.pendD[i], id)
-		}
-	}
-}
-
-func (r *Replica) enqueueS(id ops.ID) {
-	if !r.opt.IncrementalGossip {
-		return
-	}
-	for i := 0; i < r.n; i++ {
-		if i != int(r.id) {
-			r.pendS[i] = append(r.pendS[i], id)
-		}
-	}
-}
-
-func (r *Replica) enqueueL(e *idRec) {
-	if !r.opt.IncrementalGossip {
-		return
-	}
-	for i := 0; i < r.n; i++ {
-		if bit := uint64(1) << i; i != int(r.id) && e.queuedL&bit == 0 {
-			e.queuedL |= bit
-			r.pendL[i] = append(r.pendL[i], e)
-		}
-	}
-}
-
 // DebugSnapshot exposes a consistent view of the replica's key state for
 // tests and trace checkers.
 type DebugSnapshot struct {
@@ -1489,6 +1240,16 @@ func (r *Replica) Snapshot() DebugSnapshot {
 		Deferred:  len(r.deferredQueue),
 		MaxStable: r.maxStable,
 	}
+}
+
+// FullGossipSize is the EstimateSize of the full-state frame Fig. 7's
+// gossip as written would send one peer now (buildFullGossip): the
+// baseline the §10.4 ablation prices delta gossip against, measured in
+// the same run.
+func (r *Replica) FullGossipSize() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return EstimateSize(r.buildFullGossip())
 }
 
 // StableEverywhereCount returns |{x : x ∈ ∩_i stable_r[i]}| — the ops this

@@ -173,7 +173,7 @@ func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 		}
 		if !e.doneAt(r.id) {
 			r.setDoneLocal(e)
-			r.enqueueL(e)
+			r.logChange(e, logL)
 			r.metrics.SnapshotOpsSeeded++
 		}
 		if so.Stable {

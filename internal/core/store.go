@@ -96,8 +96,8 @@ func (s *MemStableStore) PersistLabel(id ops.ID, l label.Label) error {
 	return nil
 }
 
-// PersistOp implements StableStore. Re-persisting an operation (a recovery
-// replay re-labeling it with its held label) overwrites in place.
+// PersistOp implements StableStore. Re-persisting an operation overwrites
+// it in place.
 func (s *MemStableStore) PersistOp(x ops.Operation, l label.Label) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -480,10 +480,9 @@ func (s *FileStableStore) PersistLabel(id ops.ID, l label.Label) error {
 	return nil
 }
 
-// PersistOp implements StableStore. A replay-reused (id, label) pair that
-// is already journaled is not re-appended: recovery re-labels replayed
-// operations with their held labels, and journaling the no-op again on
-// every restart would grow the log by its own length each crash.
+// PersistOp implements StableStore. An (id, label) pair that is already
+// journaled is not re-appended, so persisting the same record again cannot
+// grow the log.
 func (s *FileStableStore) PersistOp(x ops.Operation, l label.Label) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

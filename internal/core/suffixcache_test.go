@@ -58,8 +58,8 @@ func suffixCacheErr(r *Replica) error {
 
 // TestSuffixCacheMatchesReplay is the suffix cache's refinement check: a
 // Directory workload from three round-robin clients (so labels from every
-// replica interleave in each local order) runs under full gossip over a
-// jittered, reordering network, and after EVERY delivery each replica's
+// replica interleave in each local order) runs over a jittered,
+// reordering network, and after EVERY delivery each replica's
 // cached values and states must equal a fresh replay from memoState. The
 // run covers lowered labels (requests retransmitted to a second replica
 // are labeled twice, and the higher label is lowered when the lower one
@@ -203,7 +203,7 @@ func TestSuffixCacheMatchesReplay(t *testing.T) {
 // Memoize on it must never replay — no response applies, and an empty
 // suffix cache at every replica after every delivery.
 func TestCommuteModeNeverFillsSuffixCache(t *testing.T) {
-	e := newTestEnv(t, 3, dtype.Counter{}, Options{Memoize: true, Prune: true, Commute: true, IncrementalGossip: true})
+	e := newTestEnv(t, 3, dtype.Counter{}, Options{Memoize: true, Prune: true, Commute: true})
 	defer e.cluster.Close()
 	for i := 0; i < 60; i++ {
 		e.submit(fmt.Sprintf("c%d", i%3), dtype.CtrAdd{N: int64(i)}, nil, i%10 == 0)

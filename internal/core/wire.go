@@ -18,7 +18,7 @@ var wireOnce sync.Once
 
 // RegisterWire registers the core message set (𝓜_req, 𝓜_resp, 𝓜_gossip,
 // the range catch-up pair that carries all state transfer, and the resize
-// control messages — 14 types) and the built-in data type operators with
+// control messages — 13 types) and the built-in data type operators with
 // encoding/gob. It is idempotent; cmd/esds-server and every test that opens
 // a TCPNet call it once at startup.
 func RegisterWire() {
@@ -28,7 +28,6 @@ func RegisterWire() {
 		gob.Register(GossipMsg{})
 		gob.Register(BatchRequestMsg{})
 		gob.Register(BatchResponseMsg{})
-		gob.Register(BatchGossipMsg{}) // only received, from older peers
 		gob.Register(CompactGossipMsg{})
 		gob.Register(RangeRequestMsg{})
 		gob.Register(RangeResponseMsg{})

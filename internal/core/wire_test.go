@@ -63,11 +63,6 @@ func TestWireRoundTrip(t *testing.T) {
 			{ID: id1, Value: int64(3)},
 			{ID: id2, Value: "ok", Redirect: &Redirect{From: 1, Epoch: 2, Shards: 4, Final: true}},
 		}},
-		BatchGossipMsg{From: 1, Msgs: []GossipMsg{
-			{From: 1, D: []ops.ID{id1}, L: map[ops.ID]label.Label{id1: label.Make(2, 1)}},
-			{From: 1, R: []ops.Operation{ops.New(dtype.CtrAdd{N: 9}, id2, []ops.ID{id1}, false)},
-				S: []ops.ID{id1}},
-		}},
 		RangeRequestMsg{From: 1, Have: 3, Nonce: 7},
 		RangeResponseMsg{
 			From:   2,

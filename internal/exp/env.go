@@ -8,7 +8,7 @@
 //	E5  fault-window recovery             (Theorem 9.4)
 //	E6  memoization ablation              (§10.1)
 //	E7  commute-mode ablation             (§10.3)
-//	E8  incremental-gossip ablation       (§10.4)
+//	E8  delta-gossip ablation             (§10.4)
 //	E9  baseline comparison               (§1.1, §5, Corollary 5.9)
 //	E10 sharded keyspace throughput       (DESIGN.md §4, beyond the paper)
 //
@@ -46,13 +46,15 @@ func DefaultTiming() Timing {
 	return Timing{DF: 1 * sim.Millisecond, DG: 2 * sim.Millisecond, G: 5 * sim.Millisecond}
 }
 
-// Env is a ready-to-run simulated cluster.
+// Env is a ready-to-run simulated cluster. GossipBytes is the share of
+// Net's estimated bytes that gossip frames took.
 type Env struct {
-	S       *sim.Sim
-	Net     *transport.SimNet
-	Cluster *core.Cluster
-	Timing  Timing
-	RNG     *rand.Rand
+	S           *sim.Sim
+	Net         *transport.SimNet
+	Cluster     *core.Cluster
+	Timing      Timing
+	RNG         *rand.Rand
+	GossipBytes uint64
 }
 
 // EnvConfig assembles an Env.
@@ -62,9 +64,8 @@ type EnvConfig struct {
 	DataType dtype.DataType
 	Options  core.Options
 	Timing   Timing
-	// Jitter makes message latency uniform in [d/2, d] instead of exactly d.
-	// Incremental gossip requires FIFO channels, so jitter must be off when
-	// that option is set (enforced here).
+	// Jitter makes message latency uniform in [d/2, d] instead of exactly
+	// d, so messages overtake each other; gossip needs no FIFO channels.
 	Jitter bool
 }
 
@@ -73,10 +74,8 @@ func NewEnv(cfg EnvConfig) *Env {
 	if cfg.Timing == (Timing{}) {
 		cfg.Timing = DefaultTiming()
 	}
-	if cfg.Jitter && cfg.Options.IncrementalGossip {
-		panic("exp: incremental gossip requires FIFO (jitter-free) channels")
-	}
 	s := sim.New(cfg.Seed)
+	env := &Env{S: s, Timing: cfg.Timing, RNG: rand.New(rand.NewSource(cfg.Seed + 7919))}
 	isReplica := func(id transport.NodeID) bool {
 		return len(id) > 8 && id[:8] == "replica:"
 	}
@@ -86,24 +85,24 @@ func NewEnv(cfg EnvConfig) *Env {
 		}
 		return transport.FixedLatency(d)
 	}
-	net := transport.NewSimNet(s, transport.SimNetConfig{
+	env.Net = transport.NewSimNet(s, transport.SimNetConfig{
 		Latency: transport.ClassLatency(isReplica, mk(cfg.Timing.DF), mk(cfg.Timing.DG)),
-		Sizer:   core.EstimateSize,
+		Sizer: func(payload any) int {
+			n := core.EstimateSize(payload)
+			if _, ok := payload.(core.GossipMsg); ok {
+				env.GossipBytes += uint64(n)
+			}
+			return n
+		},
 	})
-	cluster := core.NewCluster(core.ClusterConfig{
+	env.Cluster = core.NewCluster(core.ClusterConfig{
 		Replicas: cfg.Replicas,
 		DataType: cfg.DataType,
-		Network:  net,
+		Network:  env.Net,
 		Options:  cfg.Options,
 	})
-	cluster.StartSimGossip(s, cfg.Timing.G)
-	return &Env{
-		S:       s,
-		Net:     net,
-		Cluster: cluster,
-		Timing:  cfg.Timing,
-		RNG:     rand.New(rand.NewSource(cfg.Seed + 7919)),
-	}
+	env.Cluster.StartSimGossip(s, cfg.Timing.G)
+	return env
 }
 
 // Obs is one completed operation observation.

@@ -184,19 +184,6 @@ func TestDeltaValues(t *testing.T) {
 	Delta(OpClass3(9), tm)
 }
 
-func TestEnvJitterIncompatibleWithIncremental(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	opt := DefaultAblationParams()
-	_ = opt
-	cfg := EnvConfig{Seed: 1, Replicas: 2, DataType: dirDT(), Jitter: true}
-	cfg.Options.IncrementalGossip = true
-	NewEnv(cfg)
-}
-
 func TestDirectoryWorkloadCoversOperators(t *testing.T) {
 	env := NewEnv(EnvConfig{Seed: 42, Replicas: 2, DataType: dirDT()})
 	next := DirectoryWorkload(env.RNG)

@@ -201,8 +201,8 @@ func runLoadLabPoint(p LoadLabParams, profName string, rate float64, seed int64)
 		Replicas: p.Replicas,
 		DataType: dtype.Counter{},
 		Network:  fnet,
-		// Full gossip: FaultNet's loss and reordering break the FIFO
-		// prerequisite of IncrementalGossip; everything else stays on.
+		// The default options with batching: gossip resends what FaultNet's
+		// loss and reordering took.
 		Options:  core.Options{Memoize: true, Prune: true, BatchSize: 8},
 		StoreFor: storeFor,
 	})

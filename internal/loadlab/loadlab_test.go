@@ -64,9 +64,8 @@ func runCell(cfg cellConfig) error {
 		Replicas: cfg.Replicas,
 		DataType: dtype.Counter{},
 		Network:  fnet,
-		// Full gossip (no IncrementalGossip): FaultNet's loss, jitter, and
-		// reordering break the FIFO-channel prerequisite of the incremental
-		// mode; Memoize+Prune+batching all stay on.
+		// The default options with batching: gossip resends what FaultNet's
+		// loss, jitter and reordering took.
 		Options: core.Options{Memoize: true, Prune: true, BatchSize: 8},
 	})
 	defer func() {

@@ -19,7 +19,7 @@ import (
 //	         replica↔replica links are slower than client↔replica links
 //	         (the paper's d_g > d_f).
 //	lossy  — 30% loss on every link with moderate latency; liveness
-//	         rides entirely on retransmission and full gossip.
+//	         rides entirely on retransmission and gossip resends.
 //	flap   — a repeating asymmetric partition: each shard's replica 0
 //	         periodically stops RECEIVING from its peers (it can still
 //	         send, and clients still reach it) for a window, then heals.
@@ -74,8 +74,8 @@ func WAN() Profile {
 }
 
 // Lossy drops 30% of every link's messages with moderate latency — the
-// regime where the retransmission ticker and loss-tolerant full gossip
-// carry the protocol.
+// regime where the retransmission ticker and gossip resent after an
+// overdue acknowledgement carry the protocol.
 func Lossy() Profile {
 	return Profile{
 		Name: "lossy",

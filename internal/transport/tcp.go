@@ -184,9 +184,12 @@ type tcpSend struct {
 // tcpPreamble opens every connection: the magic "ESDS" and the wire
 // version, big-endian. Version 1 was a fresh gob stream per frame and had
 // no preamble; read as its frame length, the magic exceeds any MaxFrame.
+// Version 2 carried gossip without acknowledgements: a peer that never
+// acknowledges would hold its peers' change logs forever, so it may not
+// connect.
 var tcpPreamble = []byte{'E', 'S', 'D', 'S', 0, 0, 0, tcpWireVersion}
 
-const tcpWireVersion = 2
+const tcpWireVersion = 3
 
 // errMalformed marks inbound bytes that break the wire format. The
 // connection carrying them is closed and counted Dropped.

@@ -79,6 +79,15 @@ func FuzzTCPInbound(f *testing.F) {
 	f.Add(bytes.Clone(tcpPreamble))      // a connection that says nothing
 	f.Add(append(bytes.Clone(tcpPreamble), 0, 0, 0, 0))
 	f.Add(two[len(tcpPreamble):]) // frames without the preamble
+	// A gossip frame's header: four uint64 fields a peer fills as it likes
+	// (the replica, not the transport, judges them), and the same stream
+	// opened with the version 2 preamble, which carried no header.
+	gob.Register(gossipHeaderProbe{})
+	headers := wireStream(f,
+		tcpFrame{From: "r1", To: "r0", Payload: gossipHeaderProbe{From: 1, Epoch: 1 << 62, Base: 9, Seq: 5, Ack: math.MaxUint64}},
+		tcpFrame{From: "r1", To: "r0", Payload: gossipHeaderProbe{From: 1, Epoch: math.MaxUint64, Base: math.MaxUint64, Seq: math.MaxUint64}})
+	f.Add(headers)
+	f.Add(append([]byte{'E', 'S', 'D', 'S', 0, 0, 0, 2}, headers[len(tcpPreamble):]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got []tcpFrame
@@ -95,6 +104,12 @@ func FuzzTCPInbound(f *testing.F) {
 			t.Fatalf("deliveries depend on read sizes:\n at once %+v\n one byte at a time %+v", got, slow)
 		}
 	})
+}
+
+// gossipHeaderProbe has the shape of a gossip frame with its header.
+type gossipHeaderProbe struct {
+	From                  int32
+	Epoch, Base, Seq, Ack uint64
 }
 
 // allocated reports the bytes the process allocated while fn ran: the least

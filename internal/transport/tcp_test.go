@@ -275,10 +275,11 @@ func TestTCPNetUndecodableInboundFrame(t *testing.T) {
 	}
 }
 
-// TestTCPNetRefusesPerFrameWire speaks the previous wire version at a
-// receiver: a bare frame holding its own gob stream, with no connection
-// preamble. The receiver must refuse the connection — close it, count it
-// Dropped, deliver nothing — rather than guess at the stream.
+// TestTCPNetRefusesPerFrameWire speaks older wire versions at a receiver:
+// a bare frame holding its own gob stream, with no connection preamble
+// (version 1), and a version 2 preamble. The receiver must refuse each
+// connection — close it, count it Dropped, deliver nothing — rather than
+// guess at the stream.
 func TestTCPNetRefusesPerFrameWire(t *testing.T) {
 	b := newTCP(t, nil)
 	var got collector
@@ -304,6 +305,18 @@ func TestTCPNetRefusesPerFrameWire(t *testing.T) {
 	}
 	if got.count() != 0 {
 		t.Fatalf("per-frame wire was delivered: %+v", got.last())
+	}
+
+	v2, err := net.Dial("tcp", b.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	v2.Write([]byte{'E', 'S', 'D', 'S', 0, 0, 0, 2})
+	waitUntil(t, "wire version 2 refusal", func() bool { return b.Stats().Dropped >= 2 })
+	v2.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := v2.Read(one); err == nil {
+		t.Fatal("connection still open after a version 2 preamble")
 	}
 }
 
