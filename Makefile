@@ -73,8 +73,9 @@ bench-diff:
 # which one is busy, and one incremental gossip delta of 64 operations
 # merged into a replica holding a 1k- or 100k-operation history (the
 # identifier table's per-id cost), and a stream of frames between two
-# loopback TCPNets, a 32-operation request batch or a 64-operation compact
-# gossip delta each (ns and allocations per frame). Unlike the `bench` smoke run these numbers carry
+# loopback TCPNets, a 32-operation request batch, the 32 responses to it,
+# or a 64-operation compact gossip delta each (ns and allocations per
+# frame). Unlike the `bench` smoke run these numbers carry
 # information; the CI build job runs them at MICROBENCHTIME=100x so they
 # cannot rot.
 MICROBENCHTIME ?= 2000x
@@ -89,7 +90,7 @@ microbench:
 # the group-commit cell over real FileStableStore journals), the
 # concurrent-recoveries cell, the state-transfer and prune×recovery
 # regression tests, the range catch-up tests, the FuzzRangeResponse,
-# FuzzCompactGossip and FuzzFileStableStore seed corpora, the
+# FuzzCompactGossip, FuzzHotFrames and FuzzFileStableStore seed corpora, the
 # multi-process SIGKILL restart tests
 # (recovery with pruning, and mid-batch durability against the
 # group-commit journal), and the
@@ -100,7 +101,7 @@ microbench:
 # Seeds are pinned; sweep others with ESDS_CHAOS_SEEDS=7,8,9 make chaos.
 # A failing matrix cell shrinks to a minimal reproduction automatically.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestIDTableInvariants|TestGossipLossLiveness|TestGossipReconnectLiveness|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact|FuzzFileStableStore' ./internal/core
+	$(GO) test -race -count=1 -run 'TestChaos|TestIDTableInvariants|TestGossipLossLiveness|TestGossipReconnectLiveness|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact|FuzzHotFrames|FuzzFileStableStore' ./internal/core
 	$(GO) test -race -count=1 -run 'TestKillNine|TestResizeAdminAgainstCluster' ./cmd/esds-server
 	$(GO) test -race -count=2 -run 'TestResize' ./internal/core
 
@@ -120,7 +121,8 @@ loadlab:
 # a replica's state: a TCP connection's inbound bytes (preamble, length
 # prefixes and the connection's gob stream), range responses delivered to
 # a recovering replica,
-# the compact gossip decoder, the stable-store journal a restarting replica
+# the compact gossip decoder, the request and response frame decoders
+# (FuzzHotFrames), the stable-store journal a restarting replica
 # reloads (torn and corrupt record frames), the Directory and Keyed
 # snapshot decoders (which also check their golden encodings first), and
 # the Counter, Register, Set, Log and Bank state decoders. go test takes one -fuzz target
@@ -132,6 +134,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTCPInbound$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzRangeResponse$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompactGossip$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzHotFrames$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFileStableStore$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDirectoryState$$' -fuzztime $(FUZZTIME) ./internal/dtype
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyedState$$' -fuzztime $(FUZZTIME) ./internal/dtype

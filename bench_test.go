@@ -763,16 +763,22 @@ func BenchmarkFrontEndFlush(b *testing.B) {
 // last is delivered, so ns/op is the cost of a frame through encode,
 // socket and decode, and -benchmem's allocs/op is allocations per frame.
 // batch-request-32 is a front end's request batch of 32 increments;
-// compact-gossip-64 is the compact gossip frame a replica sends after
-// taking 64 operations. One frame is delivered before the timer starts, so
-// the dial and that connection's first type definitions are not counted.
+// batch-response-32 is a replica's answer to it; compact-gossip-64 is the
+// compact gossip frame a replica sends after taking 64 operations. One
+// frame is delivered before the timer starts, so the dial and that
+// connection's first type definitions are not counted.
 func BenchmarkTCPNetFrames(b *testing.B) {
 	core.RegisterWire()
 	batch := core.BatchRequestMsg{Ops: make([]ops.Operation, 32)}
 	for i := range batch.Ops {
 		batch.Ops[i] = ops.New(dtype.CtrAdd{N: 1}, ops.ID{Client: "bench", Seq: uint64(i + 1)}, nil, false)
 	}
+	resps := core.BatchResponseMsg{Resps: make([]core.ResponseMsg, 32)}
+	for i := range resps.Resps {
+		resps.Resps[i] = core.ResponseMsg{ID: batch.Ops[i].ID, Value: "ok"}
+	}
 	b.Run("batch-request-32", func(b *testing.B) { benchTCPFrames(b, batch) })
+	b.Run("batch-response-32", func(b *testing.B) { benchTCPFrames(b, resps) })
 	b.Run("compact-gossip-64", func(b *testing.B) { benchTCPFrames(b, compactGossip64()) })
 }
 

@@ -115,6 +115,7 @@ func (r *Replica) SendGossip() {
 	// Peers at the same positions share one frame body and encoding.
 	var body GossipMsg
 	var compact *CompactGossipMsg
+	var compactErr error
 	built := false
 	for i := range r.links {
 		if i == int(r.id) || r.recovering {
@@ -126,7 +127,7 @@ func (r *Replica) SendGossip() {
 			continue
 		}
 		if !built || body.Base != base || body.Seq != seq {
-			body, compact, built = r.buildDelta(base, seq), nil, true
+			body, compact, compactErr, built = r.buildDelta(base, seq), nil, nil, true
 		}
 		l := &r.links[i]
 		l.owed = false
@@ -135,16 +136,23 @@ func (r *Replica) SendGossip() {
 		g.Ack = l.mark
 		var msg any = g
 		if r.negotiator != nil && r.negotiator.PeerFeatures(r.peers[i])&transport.FeatureCompactGossip != 0 {
-			// The peer negotiated the compact wire form (DESIGN.md §12).
-			if compact == nil {
-				cm := encodeCompactGossip(r.id, []GossipMsg{body})
-				cm.Epoch, cm.Base, cm.Seq = body.Epoch, body.Base, body.Seq
-				compact = &cm
+			// The peer negotiated the compact wire form (DESIGN.md §12). A
+			// delta carrying an operator without a wire form goes plain.
+			if compact == nil && compactErr == nil {
+				var cm CompactGossipMsg
+				if cm, compactErr = encodeCompactGossip(r.id, []GossipMsg{body}); compactErr == nil {
+					cm.Epoch, cm.Base, cm.Seq = body.Epoch, body.Base, body.Seq
+					compact = &cm
+				}
 			}
-			cm := *compact
-			cm.Ack = l.mark
-			msg = cm
-			r.metrics.CompactGossipSent++
+			if compact != nil {
+				cm := *compact
+				cm.Ack = l.mark
+				msg = cm
+				r.metrics.CompactGossipSent++
+			} else {
+				r.metrics.CompactGossipFallbacks++
+			}
 		}
 		outbox = append(outbox, outMsg{to: r.peers[i], msg: msg})
 	}

@@ -12,6 +12,8 @@ import (
 	"esds/internal/dtype"
 	"esds/internal/label"
 	"esds/internal/ops"
+	"esds/internal/sim"
+	"esds/internal/transport"
 )
 
 // compactTestFrame builds a representative multi-element frame: three
@@ -58,9 +60,9 @@ func compactTestFrame() []GossipMsg {
 func TestCompactGossipRoundTrip(t *testing.T) {
 	RegisterWire()
 	msgs := compactTestFrame()
-	cm := encodeCompactGossip(2, msgs)
-	if cm.V != compactGossipV2 || cm.From != 2 {
-		t.Fatalf("frame header V=%d From=%d, want V=%d From=2", cm.V, cm.From, compactGossipV2)
+	cm := mustEncodeCompact(t, 2, msgs)
+	if cm.V != compactGossipV3 || cm.From != 2 {
+		t.Fatalf("frame header V=%d From=%d, want V=%d From=2", cm.V, cm.From, compactGossipV3)
 	}
 	got, err := decodeCompactGossip(cm)
 	if err != nil {
@@ -108,7 +110,7 @@ func TestCompactGossipRoundTripSingle(t *testing.T) {
 		compactTestFrame()[:1],
 		{{From: 1}},
 	} {
-		got, err := decodeCompactGossip(encodeCompactGossip(msgs[0].From, msgs))
+		got, err := decodeCompactGossip(mustEncodeCompact(t, msgs[0].From, msgs))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -122,56 +124,65 @@ func TestCompactGossipRoundTripSingle(t *testing.T) {
 // one must return an error — never panic, never a partial decode.
 func TestCompactGossipRejectsGarbage(t *testing.T) {
 	RegisterWire()
-	valid := encodeCompactGossip(2, compactTestFrame())
+	valid := mustEncodeCompact(t, 2, compactTestFrame())
 
 	// Every proper prefix is a truncation and must be rejected.
 	for n := 0; n < len(valid.Data); n++ {
-		if _, err := decodeCompactGossip(CompactGossipMsg{V: valid.V, From: valid.From, Data: valid.Data[:n], Ops: valid.Ops}); err == nil {
+		if _, err := decodeCompactGossip(CompactGossipMsg{V: valid.V, From: valid.From, Data: valid.Data[:n]}); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded without error", n, len(valid.Data))
 		}
 	}
 
 	uv := func(vs ...uint64) []byte {
 		var b []byte
-		var tmp [binary.MaxVarintLen64]byte
 		for _, v := range vs {
-			b = append(b, tmp[:binary.PutUvarint(tmp[:], v)]...)
+			b = binary.AppendUvarint(b, v)
 		}
 		return b
 	}
-	// A structurally valid empty frame: baseSeq 0, no strings, no
-	// descriptors, then the element section under test.
+	// A structurally valid empty frame: baseSeq 0, no descriptors, then
+	// the element section under test.
 	empty := func(tail []byte) []byte {
-		return append(uv(0, 0, 0), tail...)
+		return append(uv(0, 0), tail...)
 	}
-	// One descriptor (client 0 "x", seq 1, flags 0, no prev) and no elements.
-	oneDesc := append(append(uv(0, 1, 1), 'x'), uv(1, 0, 1, 0, 0, 0)...)
+	// One descriptor (client ref 0 introducing "x", seq 1, flags 0, no
+	// prev, the operator under test) and no elements.
+	oneDesc := func(op ...byte) []byte {
+		b := append(uv(0, 1, 0, 1), 'x')
+		b = append(append(b, uv(1, 0, 0)...), op...)
+		return append(b, uv(0)...)
+	}
+	ctrRead, err := dtype.AppendOperator(nil, dtype.CtrRead{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]CompactGossipMsg{
-		"unknown version":      {V: compactGossipV2 + 1, From: 2, Data: valid.Data, Ops: valid.Ops},
-		"version 1":            {V: compactGossipV2 - 1, From: 2, Data: valid.Data, Ops: valid.Ops},
-		"trailing bytes":       {V: compactGossipV2, From: 2, Data: append(append([]byte{}, valid.Data...), 0), Ops: valid.Ops},
-		"count past the frame": {V: compactGossipV2, From: 2, Data: uv(0, 3, 1, 'x')},
+		"unknown version":      {V: compactGossipV3 + 1, From: 2, Data: valid.Data},
+		"version 1":            {V: 1, From: 2, Data: valid.Data},
+		"version 2":            {V: 2, From: 2, Data: valid.Data},
+		"trailing bytes":       {V: compactGossipV3, From: 2, Data: append(bytes.Clone(valid.Data), 0)},
+		"count past the frame": {V: compactGossipV3, From: 2, Data: uv(0, 3, 1)},
 		"duplicate descriptor": func() CompactGossipMsg {
 			a, b := ops.ID{Client: "x", Seq: 1}, ops.ID{Client: "x", Seq: 2}
-			m := encodeCompactGossip(2, []GossipMsg{{From: 2, R: []ops.Operation{
+			m := mustEncodeCompact(t, 2, []GossipMsg{{From: 2, R: []ops.Operation{
 				ops.New(dtype.CtrAdd{N: 1}, a, nil, false), ops.New(dtype.CtrAdd{N: 2}, b, nil, false)}}})
-			// The second descriptor's {client 0, seq 2, flags, no prev}
+			// The second descriptor's {client ref 0, seq 2, flags, no prev}
 			// becomes a second entry for x:1; the frame stays well formed.
 			m.Data = bytes.Replace(m.Data, []byte{0, 2, 0, 0}, []byte{0, 1, 0, 0}, 1)
 			return m
 		}(),
-		"descriptor index out of range": {V: compactGossipV2, From: 2,
+		"descriptor index out of range": {V: compactGossipV3, From: 2,
 			// one element, one R entry referencing descriptor 5 of an empty table
 			Data: empty(uv(1, 1, 5))},
-		"string index out of range": {V: compactGossipV2, From: 2,
-			// one element, no R, one D id with client index 3 of an empty table
+		"client ref past the strings introduced": {V: compactGossipV3, From: 2,
+			// one element, no R, one D id with client ref 3 before any string
 			Data: empty(uv(1, 0, 1, 3, 9))},
-		"no operators for a descriptor":    {V: compactGossipV2, From: 2, Data: oneDesc},
-		"two operators for one descriptor": {V: compactGossipV2, From: 2, Data: oneDesc, Ops: valid.Ops[:2]},
-		"operators for no descriptor":      {V: compactGossipV2, From: 2, Data: empty(uv(0)), Ops: valid.Ops[:1]},
+		"unknown operator tag":       {V: compactGossipV3, From: 2, Data: oneDesc(0xff)},
+		"value where an operator is": {V: compactGossipV3, From: 2, Data: oneDesc(mustAppendValue(t, "ok")...)},
+		"unknown descriptor flag":    {V: compactGossipV3, From: 2, Data: bytes.Replace(oneDesc(ctrRead...), []byte{'x', 1, 0}, []byte{'x', 1, 2}, 1)},
 	}
-	if _, err := decodeCompactGossip(CompactGossipMsg{V: compactGossipV2, From: 2, Data: oneDesc, Ops: valid.Ops[:1]}); err != nil {
-		t.Fatalf("the one-descriptor frame the count cases alter is itself invalid: %v", err)
+	if _, err := decodeCompactGossip(CompactGossipMsg{V: compactGossipV3, From: 2, Data: oneDesc(ctrRead...)}); err != nil {
+		t.Fatalf("the one-descriptor frame the operator cases alter is itself invalid: %v", err)
 	}
 	for name, m := range cases {
 		if _, err := decodeCompactGossip(m); err == nil {
@@ -182,28 +193,48 @@ func TestCompactGossipRejectsGarbage(t *testing.T) {
 	// Byte-flip sweep: single-bit corruption anywhere in a valid frame must
 	// never panic (an error or an accidental clean decode are both fine).
 	for i := range valid.Data {
-		data := append([]byte{}, valid.Data...)
+		data := bytes.Clone(valid.Data)
 		data[i] ^= 0x40
-		decodeCompactGossip(CompactGossipMsg{V: valid.V, From: valid.From, Data: data, Ops: valid.Ops}) //nolint:errcheck
+		decodeCompactGossip(CompactGossipMsg{V: valid.V, From: valid.From, Data: data}) //nolint:errcheck
 	}
 }
 
 // TestCompactGossipCountCannotAmplify pins the decoder's allocation bound:
-// a six-byte frame claiming 1<<22 descriptors must be refused before
+// a five-byte frame claiming 1<<22 descriptors must be refused before
 // anything is allocated for them (believing the count cost 288 MiB).
 func TestCompactGossipCountCannotAmplify(t *testing.T) {
-	frame := CompactGossipMsg{V: compactGossipV2, From: 2, Data: binary.AppendUvarint([]byte{0, 0}, 1<<22)}
-	if len(frame.Data) != 6 {
-		t.Fatalf("frame is %d bytes, want 6", len(frame.Data))
+	frame := CompactGossipMsg{V: compactGossipV3, From: 2, Data: binary.AppendUvarint([]byte{0}, 1<<22)}
+	if len(frame.Data) != 5 {
+		t.Fatalf("frame is %d bytes, want 5", len(frame.Data))
 	}
 	var err error
 	alloc := allocated(func() { _, err = decodeCompactGossip(frame) })
 	if err == nil {
-		t.Fatal("a frame claiming 1<<22 descriptors in 6 bytes decoded without error")
+		t.Fatal("a frame claiming 1<<22 descriptors in 5 bytes decoded without error")
 	}
 	if alloc >= 1<<20 {
-		t.Fatalf("decoding a 6-byte frame allocated %d bytes", alloc)
+		t.Fatalf("decoding a 5-byte frame allocated %d bytes", alloc)
 	}
+}
+
+// mustEncodeCompact encodes msgs as a compact frame, failing the test if
+// an operator has no wire form.
+func mustEncodeCompact(t testing.TB, from label.ReplicaID, msgs []GossipMsg) CompactGossipMsg {
+	t.Helper()
+	m, err := encodeCompactGossip(from, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func mustAppendValue(t testing.TB, v dtype.Value) []byte {
+	t.Helper()
+	b, err := dtype.AppendValue(nil, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // allocated reports the bytes the process allocated while fn ran: the least
@@ -218,4 +249,57 @@ func allocated(fn func()) uint64 {
 		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
 	return best
+}
+
+// negotiatingSim is a SimNet that claims every node negotiated the
+// compact gossip form.
+type negotiatingSim struct{ *transport.SimNet }
+
+func (negotiatingSim) AnnounceFeatures(transport.NodeID, uint32) {}
+
+func (negotiatingSim) PeerFeatures(transport.NodeID) uint32 {
+	return transport.FeatureCompactGossip
+}
+
+// unwiredCounter is a counter whose increments are operators with no wire
+// form (unwired).
+type unwiredCounter struct{ dtype.Counter }
+
+func (c unwiredCounter) Apply(s dtype.State, op dtype.Operator) (dtype.State, dtype.Value) {
+	if u, ok := op.(unwired); ok {
+		return s.(int64) + int64(u.N), "ok"
+	}
+	return c.Counter.Apply(s, op)
+}
+
+// TestCompactGossipFallsBackWithoutWireForm runs a cluster whose peers all
+// negotiated the compact form on a data type whose operators have no wire
+// form: each delta carrying one goes as plain GossipMsg (counted as a
+// fallback), and a strict read still sees the whole history.
+func TestCompactGossipFallsBackWithoutWireForm(t *testing.T) {
+	s := sim.New(1)
+	net := negotiatingSim{transport.NewSimNet(s, transport.SimNetConfig{})}
+	c := NewCluster(ClusterConfig{Replicas: 3, DataType: unwiredCounter{}, Network: net, Options: DefaultOptions()})
+	fe := c.FrontEnd("c")
+	for i := 0; i < 6; i++ {
+		fe.Submit(unwired{N: 2}, nil, false, nil)
+	}
+	var got dtype.Value
+	fe.Submit(dtype.CtrRead{}, nil, true, func(r Response) { got = r.Value })
+	for i := 0; i < 20 && got == nil; i++ {
+		s.Run(0)
+		c.GossipAll()
+	}
+	s.Run(0)
+	if got != int64(12) {
+		t.Fatalf("strict read = %v, want 12", got)
+	}
+	var m ReplicaMetrics
+	for i := 0; i < 3; i++ {
+		m.Add(c.Replica(i).Metrics())
+	}
+	if m.CompactGossipFallbacks == 0 || m.CompactGossipReceived == 0 || m.CompactGossipRejects != 0 {
+		t.Fatalf("fallbacks %d, compact received %d, rejects %d: want fallbacks for the unwired deltas and compact frames for the rest",
+			m.CompactGossipFallbacks, m.CompactGossipReceived, m.CompactGossipRejects)
+	}
 }

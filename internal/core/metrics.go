@@ -53,10 +53,9 @@ type ReplicaMetrics struct {
 	RangeRejects        uint64
 	// CompactGossipSent / CompactGossipReceived count CompactGossipMsg
 	// frames (the negotiated delta-encoded wire form of gossip deltas,
-	// DESIGN.md §12). CompactGossipFallbacks always reads 0: it counted
-	// deltas whose operators failed the codec's own gob encode, and the
-	// operators now ride the transport's stream instead. It stays because
-	// the benchmark reports it. CompactGossipRejects counts received
+	// DESIGN.md §12). CompactGossipFallbacks counts deltas a negotiated
+	// peer was sent as plain GossipMsg because an operator in them has no
+	// wire form (dtype.AppendOperator). CompactGossipRejects counts received
 	// compact frames dropped because decoding failed — corrupt or truncated
 	// payloads are refused, never partially applied.
 	CompactGossipSent      uint64

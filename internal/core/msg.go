@@ -90,7 +90,7 @@ type BatchResponseMsg struct {
 }
 
 // BatchGossipMsg is a gossip frame of older builds that no peer sends and
-// no replica accepts any more (TCP wire version 3 refuses those builds).
+// no replica accepts any more (the TCP wire version refuses those builds).
 // The declaration stays only because the benchmark module's trace names it
 // in a type switch.
 type BatchGossipMsg struct {

@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"esds/internal/dtype"
 	"esds/internal/label"
 	"esds/internal/ops"
+	"esds/internal/transport"
 )
 
 // roundTrip encodes payload as an interface value (exactly how TCPNet
@@ -63,6 +66,10 @@ func TestWireRoundTrip(t *testing.T) {
 			{ID: id1, Value: int64(3)},
 			{ID: id2, Value: "ok", Redirect: &Redirect{From: 1, Epoch: 2, Shards: 4, Final: true}},
 		}},
+		ResponseMsg{ID: id1, Value: 7, Redirect: &Redirect{From: -3, Epoch: 9, Shards: 8, HasInstall: true, InstallID: id2, Members: 5}},
+		RequestMsg{Op: ops.New(dtype.KeyInstall{Key: "k", State: []byte{1, 2}, Subsumes: []dtype.OpRef{{Client: "c", Seq: 4}}}, id1, []ops.ID{id2}, false)},
+		// More clients than the encoder's linear intern scan covers.
+		manyClientBatch(),
 		RangeRequestMsg{From: 1, Have: 3, Nonce: 7},
 		RangeResponseMsg{
 			From:   2,
@@ -115,5 +122,129 @@ func TestWireLabelInfinity(t *testing.T) {
 	proper := label.Make(5, 2)
 	if got := roundTrip(t, GossipMsg{L: map[ops.ID]label.Label{{Client: "c", Seq: 1}: proper}}).(GossipMsg); got.L[ops.ID{Client: "c", Seq: 1}] != proper {
 		t.Fatalf("proper label decoded as %v", got.L)
+	}
+}
+
+// manyClientBatch is a request batch naming a dozen clients, each op with
+// the previous two ids in its prev set.
+func manyClientBatch() BatchRequestMsg {
+	var m BatchRequestMsg
+	for i := 0; i < 12; i++ {
+		id := ops.ID{Client: fmt.Sprintf("client-%02d", i), Seq: uint64(i + 1)}
+		var prev []ops.ID
+		for _, x := range m.Ops[max(0, i-2):] {
+			prev = append(prev, x.ID)
+		}
+		prev = append(prev, id) // a self-reference ops.New drops
+		m.Ops = append(m.Ops, ops.New(dtype.SetAdd{Elem: id.Client}, id, prev, i%3 == 0))
+	}
+	return m
+}
+
+// unwired is an operator and a value with no wire form.
+type unwired struct{ N int }
+
+// TestTCPDropsFrameWithoutWireForm sends a TCP peer frames holding an
+// operator or a value that has no wire form, each followed by an
+// encodable frame: the sender drops the first (counted in Stats.Dropped)
+// and resets the connection, and the second arrives.
+func TestTCPDropsFrameWithoutWireForm(t *testing.T) {
+	RegisterWire()
+	dst, err := transport.NewTCPNet(transport.TCPConfig{Listen: "127.0.0.1:0", Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	got := make(chan any, 8)
+	dst.Register("dst", func(m transport.Message) { got <- m.Payload })
+	dst.Start()
+	src, err := transport.NewTCPNet(transport.TCPConfig{
+		Listen: "127.0.0.1:0", Logf: t.Logf, RedialBackoff: time.Millisecond,
+		Peers: map[transport.NodeID]string{"dst": dst.Addr().String()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	src.Start()
+
+	id := ops.ID{Client: "c", Seq: 1}
+	for i, bad := range []any{
+		RequestMsg{Op: ops.New(unwired{1}, id, nil, false)},
+		BatchResponseMsg{Resps: []ResponseMsg{{ID: id, Value: "ok"}, {ID: id, Value: unwired{2}}}},
+	} {
+		good := ResponseMsg{ID: ops.ID{Client: "c", Seq: uint64(i + 2)}, Value: int64(i)}
+		src.Send("src", "dst", bad)
+		src.Send("src", "dst", good)
+		select {
+		case p := <-got:
+			if !reflect.DeepEqual(p, good) {
+				t.Fatalf("delivered %#v, want %#v", p, good)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the frame after an unencodable %T never arrived (stats %+v)", bad, src.Stats())
+		}
+		if d := src.Stats().Dropped; d != uint64(i+1) {
+			t.Fatalf("after %d unencodable frames Dropped = %d", i+1, d)
+		}
+	}
+}
+
+// TestTCPRetransmitsOperatorWithoutWireForm pins what a front end does
+// with an operation whose operator has no wire form: it stays pending and
+// unanswered, every retransmission costs one dropped frame (and the reset
+// of the process's connection to that replica), and another client's
+// next request through the same connection still arrives.
+func TestTCPRetransmitsOperatorWithoutWireForm(t *testing.T) {
+	RegisterWire()
+	dst, err := transport.NewTCPNet(transport.TCPConfig{Listen: "127.0.0.1:0", Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	replica := ReplicaNode(0)
+	got := make(chan ops.Operation, 8)
+	dst.Register(replica, func(m transport.Message) { got <- m.Payload.(RequestMsg).Op })
+	dst.Start()
+	src, err := transport.NewTCPNet(transport.TCPConfig{
+		Listen: "127.0.0.1:0", Logf: t.Logf, RedialBackoff: time.Millisecond,
+		Peers: map[transport.NodeID]string{replica: dst.Addr().String()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	bad := NewFrontEnd(FrontEndConfig{Client: "bad", Replicas: []transport.NodeID{replica}, Network: src})
+	good := NewFrontEnd(FrontEndConfig{Client: "good", Replicas: []transport.NodeID{replica}, Network: src})
+	src.Start()
+
+	answered := make(chan Response, 1)
+	bad.Submit(unwired{1}, nil, false, func(r Response) { answered <- r })
+	for round := 1; round <= 3; round++ {
+		if round > 1 {
+			if n := bad.Retransmit(); n != 1 {
+				t.Fatalf("round %d: Retransmit re-sent %d operations, want 1", round, n)
+			}
+		}
+		x := good.Submit(dtype.CtrAdd{N: int64(round)}, nil, false, nil)
+		select {
+		case op := <-got:
+			if op.ID != x.ID {
+				t.Fatalf("round %d: replica got %v, want %v", round, op.ID, x.ID)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: the other client's request never arrived (stats %+v)", round, src.Stats())
+		}
+		if d := src.Stats().Dropped; d != uint64(round) {
+			t.Fatalf("after %d sends of the unencodable request Dropped = %d", round, d)
+		}
+	}
+	select {
+	case r := <-answered:
+		t.Fatalf("the unencodable operation was answered: %+v", r)
+	default:
+	}
+	if n := bad.Pending(); n != 1 {
+		t.Fatalf("%d operations pending at the bad client, want 1", n)
 	}
 }

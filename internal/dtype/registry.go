@@ -36,22 +36,29 @@ func Names() []string {
 	return out
 }
 
+// wireOperators lists one value of every built-in operator type: the
+// types RegisterWire registers with gob and the wire form (wire.go) tags.
+var wireOperators = []Operator{
+	CtrAdd{}, CtrDouble{}, CtrRead{},
+	RegWrite{}, RegRead{},
+	SetAdd{}, SetRemove{}, SetContains{}, SetSize{},
+	DirBind{}, DirUnbind{}, DirSetAttr{}, DirGetAttr{}, DirLookup{}, DirList{},
+	LogAppend{}, LogRead{}, LogLen{},
+	BankDeposit{}, BankWithdraw{}, BankBalance{},
+	KeyedOp{Op: CtrRead{}}, KeyInstall{}, // an inner operator, so the KeyedOp encodes
+}
+
 // RegisterWire registers every built-in operator type with encoding/gob, so
 // operators can cross process boundaries inside interface-typed fields
-// (Operation.Op). Reportable values of the built-in types are primitives
-// and []string, which gob transmits without registration. RegisterWire is
-// idempotent and safe to call from multiple packages.
+// (Operation.Op) of the messages that still travel as gob — plain gossip,
+// range answers and the stable-store journal. The hot frames carry
+// operators in the package's own wire form (AppendOperator) instead.
+// Reportable values of the built-in types are primitives and []string,
+// which gob transmits without registration. RegisterWire is idempotent and
+// safe to call from multiple packages.
 func RegisterWire() {
 	registerOnce.Do(func() {
-		for _, op := range []Operator{
-			CtrAdd{}, CtrDouble{}, CtrRead{},
-			RegWrite{}, RegRead{},
-			SetAdd{}, SetRemove{}, SetContains{}, SetSize{},
-			DirBind{}, DirUnbind{}, DirSetAttr{}, DirGetAttr{}, DirLookup{}, DirList{},
-			LogAppend{}, LogRead{}, LogLen{},
-			BankDeposit{}, BankWithdraw{}, BankBalance{},
-			KeyedOp{}, KeyInstall{},
-		} {
+		for _, op := range wireOperators {
 			gob.Register(op)
 		}
 	})

@@ -6,7 +6,9 @@
 package ops
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,22 +48,29 @@ type Operation struct {
 }
 
 // New constructs an operation descriptor, normalizing the prev set
-// (sorting, deduplicating, and dropping self-references).
+// (sorting, deduplicating, and dropping self-references). It runs for
+// every submission and every descriptor a gossip frame decodes, so the
+// common prev sets of zero or one id take no sort.
 func New(op dtype.Operator, id ID, prev []ID, strict bool) Operation {
 	cp := make([]ID, 0, len(prev))
-	seen := make(map[ID]struct{}, len(prev))
 	for _, p := range prev {
-		if p == id {
-			continue
+		if p != id {
+			cp = append(cp, p)
 		}
-		if _, dup := seen[p]; dup {
-			continue
-		}
-		seen[p] = struct{}{}
-		cp = append(cp, p)
 	}
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Less(cp[j]) })
+	if len(cp) > 1 {
+		slices.SortFunc(cp, compareIDs)
+		cp = slices.Compact(cp)
+	}
 	return Operation{Op: op, ID: id, Prev: cp, Strict: strict}
+}
+
+// compareIDs orders ids as ID.Less does.
+func compareIDs(a, b ID) int {
+	if c := strings.Compare(a.Client, b.Client); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // String renders the descriptor for diagnostics.

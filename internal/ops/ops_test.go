@@ -45,6 +45,16 @@ func TestNewNormalizesPrev(t *testing.T) {
 	if !x.HasPrev(id("a", 9)) || !x.HasPrev(id("c", 2)) || x.HasPrev(id("z", 1)) {
 		t.Fatal("HasPrev wrong")
 	}
+	// The short sets that skip the sort.
+	if got := New(dtype.CtrRead{}, id("c", 3), []ID{id("c", 3)}, false).Prev; len(got) != 0 {
+		t.Fatalf("prev of a lone self-reference = %v, want empty", got)
+	}
+	if got := New(dtype.CtrRead{}, id("c", 3), []ID{id("b", 1)}, false).Prev; len(got) != 1 || got[0] != id("b", 1) {
+		t.Fatalf("prev = %v, want [b:1]", got)
+	}
+	if got := New(dtype.CtrRead{}, id("c", 3), []ID{id("b", 1), id("b", 1), id("c", 3)}, false).Prev; len(got) != 1 || got[0] != id("b", 1) {
+		t.Fatalf("prev = %v, want [b:1]", got)
+	}
 }
 
 func TestOperationString(t *testing.T) {

@@ -42,7 +42,13 @@ import (
 // and does the same, so mismatched builds fail loudly in both directions.
 // Payloads are carried in an interface field: every concrete payload type
 // crossing the wire must be registered with encoding/gob (see
-// core.RegisterWire).
+// core.RegisterWire). A payload type that implements
+// encoding.BinaryMarshaler travels as the bytes it encodes itself to, so
+// gob walks none of its fields: core's requests and responses do, and its
+// compact gossip frame is a byte payload already, so on the hot path gob
+// carries only the envelope. A payload that fails to encode — such as
+// one holding an operator with no wire form — is dropped like an
+// oversized one, and its connection is reset.
 //
 // # Addressing
 //
@@ -186,10 +192,12 @@ type tcpSend struct {
 // no preamble; read as its frame length, the magic exceeds any MaxFrame.
 // Version 2 carried gossip without acknowledgements: a peer that never
 // acknowledges would hold its peers' change logs forever, so it may not
-// connect.
+// connect. Version 3 carried requests and responses as gob structs and the
+// compact gossip codec's operators beside its bytes; version 4 carries the
+// hot frames in their own binary form (core's wire.go).
 var tcpPreamble = []byte{'E', 'S', 'D', 'S', 0, 0, 0, tcpWireVersion}
 
-const tcpWireVersion = 3
+const tcpWireVersion = 4
 
 // errMalformed marks inbound bytes that break the wire format. The
 // connection carrying them is closed and counted Dropped.

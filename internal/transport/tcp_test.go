@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -277,9 +278,9 @@ func TestTCPNetUndecodableInboundFrame(t *testing.T) {
 
 // TestTCPNetRefusesPerFrameWire speaks older wire versions at a receiver:
 // a bare frame holding its own gob stream, with no connection preamble
-// (version 1), and a version 2 preamble. The receiver must refuse each
-// connection — close it, count it Dropped, deliver nothing — rather than
-// guess at the stream.
+// (version 1), and version 2 and 3 preambles. The receiver must refuse
+// each connection — close it, count it Dropped, deliver nothing — rather
+// than guess at the stream.
 func TestTCPNetRefusesPerFrameWire(t *testing.T) {
 	b := newTCP(t, nil)
 	var got collector
@@ -307,16 +308,18 @@ func TestTCPNetRefusesPerFrameWire(t *testing.T) {
 		t.Fatalf("per-frame wire was delivered: %+v", got.last())
 	}
 
-	v2, err := net.Dial("tcp", b.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	v2.Write([]byte{'E', 'S', 'D', 'S', 0, 0, 0, 2})
-	waitUntil(t, "wire version 2 refusal", func() bool { return b.Stats().Dropped >= 2 })
-	v2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := v2.Read(one); err == nil {
-		t.Fatal("connection still open after a version 2 preamble")
+	for _, v := range []byte{2, 3} {
+		old, err := net.Dial("tcp", b.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer old.Close()
+		old.Write([]byte{'E', 'S', 'D', 'S', 0, 0, 0, v})
+		waitUntil(t, fmt.Sprintf("wire version %d refusal", v), func() bool { return b.Stats().Dropped >= uint64(v) })
+		old.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := old.Read(one); err == nil {
+			t.Fatalf("connection still open after a version %d preamble", v)
+		}
 	}
 }
 
