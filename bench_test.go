@@ -448,12 +448,12 @@ func benchGossipMerge(b *testing.B, history int) {
 	// gossip is replica 1's message carrying k new operations, stable at
 	// every replica or done at the sender only.
 	gossip := func(k int, stable bool) core.GossipMsg {
-		m := core.GossipMsg{From: 1, L: make(map[ops.ID]label.Label, k)}
+		m := core.GossipMsg{From: 1, L: make([]core.IDLabel, 0, k)}
 		for i := 0; i < k; i++ {
 			seq++
 			id := ops.ID{Client: "c", Seq: seq}
 			m.R = append(m.R, ops.New(dtype.CtrAdd{N: 1}, id, nil, false))
-			m.L[id] = label.Make(seq, 1)
+			m.L = append(m.L, core.IDLabel{ID: id, Label: label.Make(seq, 1)})
 			if stable {
 				m.S = append(m.S, id)
 			} else {

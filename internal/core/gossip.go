@@ -140,8 +140,7 @@ func (r *Replica) SendGossip() {
 			// delta carrying an operator without a wire form goes plain.
 			if compact == nil && compactErr == nil {
 				var cm CompactGossipMsg
-				if cm, compactErr = encodeCompactGossip(r.id, []GossipMsg{body}); compactErr == nil {
-					cm.Epoch, cm.Base, cm.Seq = body.Epoch, body.Base, body.Seq
+				if cm, compactErr = encodeCompactGossip(body); compactErr == nil {
 					compact = &cm
 				}
 			}
@@ -202,8 +201,9 @@ func (r *Replica) nextFrame(i int) (base, seq uint64, ok bool) {
 }
 
 // buildDelta assembles the frame body for the log positions [base, seq)
-// in fresh slices and map: LiveNet hands the message over by reference.
-// Mutex held.
+// in fresh slices, in log order: LiveNet hands the message over by
+// reference. A label lowered twice in the range appears twice, and the
+// receiver keeps the lower. Mutex held.
 func (r *Replica) buildDelta(base, seq uint64) GossipMsg {
 	msg := GossipMsg{From: r.id, Epoch: r.epoch, Base: base, Seq: seq}
 	entries := r.glog[base-r.logBase : seq-r.logBase]
@@ -213,7 +213,7 @@ func (r *Replica) buildDelta(base, seq uint64) GossipMsg {
 	}
 	msg.R, msg.D, msg.S = make([]ops.Operation, 0, n[logR]), make([]ops.ID, 0, n[logD]), make([]ops.ID, 0, n[logS])
 	if n[logL] > 0 {
-		msg.L = make(map[ops.ID]label.Label, n[logL])
+		msg.L = make([]IDLabel, 0, n[logL])
 	}
 	for _, le := range entries {
 		switch e := le.e; le.kind {
@@ -223,7 +223,7 @@ func (r *Replica) buildDelta(base, seq uint64) GossipMsg {
 				msg.R = append(msg.R, x)
 			}
 		case logL:
-			msg.L[e.id] = e.label
+			msg.L = append(msg.L, IDLabel{ID: e.id, Label: e.label})
 		case logD:
 			msg.D = append(msg.D, e.id)
 		case logS:
@@ -303,13 +303,13 @@ func (r *Replica) ackTimeout() uint64 { return uint64(r.ackWait+4*r.ackDev) + 3 
 // stability here, so every replica holds them. Mutex held.
 func (r *Replica) buildTail(from int) GossipMsg {
 	r.ensureSorted()
-	msg := GossipMsg{From: r.id, L: make(map[ops.ID]label.Label)}
+	msg := GossipMsg{From: r.id}
 	add := func(e *idRec) {
 		if x, ok := e.descriptor(); ok {
 			msg.R = append(msg.R, x)
 		}
 		if !e.label.IsInf() {
-			msg.L[e.id] = e.label
+			msg.L = append(msg.L, IDLabel{ID: e.id, Label: e.label})
 		}
 	}
 	for _, id := range r.doneSeq[from:] {
@@ -331,7 +331,12 @@ func (r *Replica) buildTail(from int) GossipMsg {
 // snapshot, and FullGossipSize prices it. Mutex held.
 func (r *Replica) buildFullGossip() GossipMsg {
 	msg := r.buildTail(0)
-	msg.L = r.labelSnapshot()
+	msg.L = msg.L[:0]
+	for e := range r.ids.all() {
+		if !e.label.IsInf() {
+			msg.L = append(msg.L, IDLabel{ID: e.id, Label: e.label})
+		}
+	}
 	return msg
 }
 
@@ -349,10 +354,10 @@ func (r *Replica) stableInOrder() []ops.ID {
 
 // labelSnapshot returns the proper entries of label_r.
 func (r *Replica) labelSnapshot() map[ops.ID]label.Label {
-	out := make(map[ops.ID]label.Label, len(r.ids.m))
-	for id, e := range r.ids.m {
+	out := make(map[ops.ID]label.Label, r.ids.n)
+	for e := range r.ids.all() {
 		if !e.label.IsInf() {
-			out[id] = e.label
+			out[e.id] = e.label
 		}
 	}
 	return out

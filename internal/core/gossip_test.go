@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	gonet "net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -359,7 +360,7 @@ func TestGossipHeaderRejects(t *testing.T) {
 
 			x := ops.New(dtype.CtrAdd{N: 7}, ops.ID{Client: "forged", Seq: 1}, nil, false)
 			msg := GossipMsg{From: 1, Epoch: before.epoch, R: []ops.Operation{x}, D: []ops.ID{x.ID},
-				L: map[ops.ID]label.Label{x.ID: label.Make(1000, 1)}}
+				L: []IDLabel{{ID: x.ID, Label: label.Make(1000, 1)}}}
 			msg.Base, msg.Seq, msg.Ack = tc.header(before)
 			rejects := r0.Metrics().GossipHeaderRejects
 			r0.handleMessage(transport.Message{Payload: msg})
@@ -376,5 +377,53 @@ func TestGossipHeaderRejects(t *testing.T) {
 					before.acked, after.acked, before.mark, after.mark, known)
 			}
 		})
+	}
+}
+
+// TestGossipRepeatedDescriptorFirstWins sends a frame whose R names one id
+// twice with different descriptors, plain and compact. Both must merge to
+// the same state as a frame carrying only the first descriptor: the
+// receiver keeps the descriptor that arrived first (receiveOp), whichever
+// form carried the frame.
+func TestGossipRepeatedDescriptorFirstWins(t *testing.T) {
+	RegisterWire()
+	id := ops.ID{Client: "c", Seq: 1}
+	first := ops.New(dtype.CtrAdd{N: 1}, id, nil, false)
+	second := ops.New(dtype.CtrAdd{N: 100}, id, nil, true)
+	type outcome struct {
+		snap  DebugSnapshot
+		x     ops.Operation
+		value dtype.Value
+	}
+	merge := func(compact bool, r ...ops.Operation) outcome {
+		s := sim.New(1)
+		c := NewCluster(ClusterConfig{Replicas: 2, DataType: dtype.Counter{},
+			Network: transport.NewSimNet(s, transport.SimNetConfig{})})
+		r0 := c.Replica(0)
+		g := nextFrame(r0, GossipMsg{From: 1, R: r, D: []ops.ID{id},
+			L: []IDLabel{{ID: id, Label: label.Make(5, 1)}}})
+		var payload any = g
+		if compact {
+			payload = mustEncodeCompact(t, g)
+		}
+		r0.handleMessage(transport.Message{Payload: payload})
+		fe := c.FrontEnd("reader")
+		fe.StickTo(ReplicaNode(0))
+		var got dtype.Value
+		fe.Submit(dtype.CtrRead{}, nil, false, func(resp Response) { got = resp.Value })
+		s.Run(0)
+		r0.mu.Lock()
+		x, _ := r0.ids.get(id).descriptor()
+		r0.mu.Unlock()
+		return outcome{snap: r0.Snapshot(), x: x, value: got}
+	}
+	want := merge(false, first)
+	if want.value != int64(1) || !reflect.DeepEqual(want.x, first) {
+		t.Fatalf("the one-descriptor frame: value %v, descriptor %v", want.value, want.x)
+	}
+	for _, compact := range []bool{false, true} {
+		if got := merge(compact, first, second); !reflect.DeepEqual(got, want) {
+			t.Fatalf("compact=%v: a repeated descriptor merged to\n%+v\nwant\n%+v", compact, got, want)
+		}
 	}
 }

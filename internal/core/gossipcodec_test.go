@@ -16,65 +16,49 @@ import (
 	"esds/internal/transport"
 )
 
-// compactTestFrame builds a representative multi-element frame: three
-// elements exercising every field the codec carries — R with operators,
-// prev sets and strict flags, D and S identifier lists, L with proper and ∞ labels, and
-// repeated client strings so interning and descriptor dedup have work to do.
-func compactTestFrame() []GossipMsg {
+// compactTestFrame builds a representative frame exercising every field
+// the codec carries — R with operators, prev sets and strict flags, D and S
+// identifier lists, L with proper and ∞ labels and an id labelled twice
+// (as a delta lists a label lowered twice), the header, and repeated
+// client strings so interning has work to do.
+func compactTestFrame() GossipMsg {
 	idA1 := ops.ID{Client: "client-alpha", Seq: 1}
 	idA2 := ops.ID{Client: "client-alpha", Seq: 2}
 	idB1 := ops.ID{Client: "client-beta", Seq: 1}
 	opA1 := ops.New(dtype.CtrAdd{N: 3}, idA1, nil, false)
 	opA2 := ops.New(dtype.CtrAdd{N: 5}, idA2, []ops.ID{idA1}, true)
 	opB1 := ops.New(dtype.CtrRead{}, idB1, []ops.ID{idA1, idA2}, false)
-	return []GossipMsg{
-		{
-			From: 2,
-			R:    []ops.Operation{opA1, opA2},
-			L: map[ops.ID]label.Label{
-				idA1: label.Make(100, 0),
-				idA2: label.Make(107, 2),
-			},
+	return GossipMsg{
+		From: 2,
+		R:    []ops.Operation{opA1, opA2, opB1},
+		D:    []ops.ID{idA1, idA2, idB1},
+		L: []IDLabel{
+			{ID: idA1, Label: label.Make(100, 0)},
+			{ID: idA2, Label: label.Make(107, 2)},
+			{ID: idB1, Label: label.Infinity}, // ∞ sentinel must survive the delta form
+			{ID: idB1, Label: label.Make(113, 1)},
 		},
-		{
-			From: 2,
-			R:    []ops.Operation{opA2, opB1}, // opA2 dedups against element 0
-			D:    []ops.ID{idA1},
-			L: map[ops.ID]label.Label{
-				idB1: label.Infinity, // ∞ sentinel must survive the delta form
-			},
-		},
-		{
-			From: 2,
-			D:    []ops.ID{idA2, idB1},
-			L:    map[ops.ID]label.Label{idB1: label.Make(113, 1)},
-			S:    []ops.ID{idA1},
-		},
+		S:     []ops.ID{idA1},
+		Epoch: 1 << 40, Base: 1<<40 + 17, Seq: 1<<40 + 29, Ack: 5,
 	}
 }
 
-// TestCompactGossipRoundTrip encodes a multi-element flush and requires the
-// decode to reproduce every element exactly (with From stamped from the
-// frame), and the compact frame to encode smaller than the plain elements
-// it replaces — the reason the codec exists.
+// TestCompactGossipRoundTrip encodes a frame and requires the decode to
+// reproduce it exactly, header included, and the compact frame to encode
+// smaller than the plain frame it replaces — the reason the codec exists.
 func TestCompactGossipRoundTrip(t *testing.T) {
 	RegisterWire()
-	msgs := compactTestFrame()
-	cm := mustEncodeCompact(t, 2, msgs)
-	if cm.V != compactGossipV3 || cm.From != 2 {
-		t.Fatalf("frame header V=%d From=%d, want V=%d From=2", cm.V, cm.From, compactGossipV3)
+	msg := compactTestFrame()
+	cm := mustEncodeCompact(t, msg)
+	if cm.V != compactGossipV4 || cm.From != 2 {
+		t.Fatalf("frame header V=%d From=%d, want V=%d From=2", cm.V, cm.From, compactGossipV4)
 	}
 	got, err := decodeCompactGossip(cm)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(got) != len(msgs) {
-		t.Fatalf("decoded %d elements, want %d", len(got), len(msgs))
-	}
-	for i := range msgs {
-		if !reflect.DeepEqual(got[i], msgs[i]) {
-			t.Fatalf("element %d round-trip mismatch:\n got %+v\nwant %+v", i, got[i], msgs[i])
-		}
+	if !reflect.DeepEqual(got, msg) {
+		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, msg)
 	}
 
 	// The size claim, on the wire TCPNet runs: a connection's gob stream
@@ -92,30 +76,27 @@ func TestCompactGossipRoundTrip(t *testing.T) {
 		}
 		return buf.Len() - first
 	}
-	compact, plain := streamed(cm), 0
-	for _, g := range msgs {
-		plain += streamed(g)
-	}
-	if compact >= plain {
-		t.Fatalf("compact frame %dB not smaller than the plain elements' %dB", compact, plain)
+	if compact, plain := streamed(cm), streamed(msg); compact >= plain {
+		t.Fatalf("compact frame %dB not smaller than the plain frame's %dB", compact, plain)
 	}
 }
 
-// TestCompactGossipRoundTripSingle covers the single-element frame — the
-// form every delta takes on a negotiated wire — and the all-empty
-// degenerate element.
+// TestCompactGossipRoundTripSingle covers the smallest frames: one
+// operation with its label, and the acknowledgement-only frame with no
+// content at all.
 func TestCompactGossipRoundTripSingle(t *testing.T) {
 	RegisterWire()
-	for _, msgs := range [][]GossipMsg{
-		compactTestFrame()[:1],
-		{{From: 1}},
+	full := compactTestFrame()
+	for _, msg := range []GossipMsg{
+		{From: 2, R: full.R[:1], L: full.L[:1], Epoch: 3, Base: 4, Seq: 5},
+		{From: 1, Ack: 9},
 	} {
-		got, err := decodeCompactGossip(mustEncodeCompact(t, msgs[0].From, msgs))
+		got, err := decodeCompactGossip(mustEncodeCompact(t, msg))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if !reflect.DeepEqual(got, msgs) {
-			t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, msgs)
+		if !reflect.DeepEqual(got, msg) {
+			t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, msg)
 		}
 	}
 }
@@ -124,7 +105,7 @@ func TestCompactGossipRoundTripSingle(t *testing.T) {
 // one must return an error — never panic, never a partial decode.
 func TestCompactGossipRejectsGarbage(t *testing.T) {
 	RegisterWire()
-	valid := mustEncodeCompact(t, 2, compactTestFrame())
+	valid := mustEncodeCompact(t, compactTestFrame())
 
 	// Every proper prefix is a truncation and must be rejected.
 	for n := 0; n < len(valid.Data); n++ {
@@ -140,49 +121,34 @@ func TestCompactGossipRejectsGarbage(t *testing.T) {
 		}
 		return b
 	}
-	// A structurally valid empty frame: baseSeq 0, no descriptors, then
-	// the element section under test.
-	empty := func(tail []byte) []byte {
-		return append(uv(0, 0), tail...)
-	}
-	// One descriptor (client ref 0 introducing "x", seq 1, flags 0, no
-	// prev, the operator under test) and no elements.
-	oneDesc := func(op ...byte) []byte {
+	// One operation in R (client ref 0 introducing "x", seq 1, flags 0,
+	// no prev, the operator under test) and empty D, L and S.
+	oneOp := func(op ...byte) []byte {
 		b := append(uv(0, 1, 0, 1), 'x')
 		b = append(append(b, uv(1, 0, 0)...), op...)
-		return append(b, uv(0)...)
+		return append(b, uv(0, 0, 0)...)
 	}
 	ctrRead, err := dtype.AppendOperator(nil, dtype.CtrRead{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string]CompactGossipMsg{
-		"unknown version":      {V: compactGossipV3 + 1, From: 2, Data: valid.Data},
+		"unknown version":      {V: compactGossipV4 + 1, From: 2, Data: valid.Data},
 		"version 1":            {V: 1, From: 2, Data: valid.Data},
 		"version 2":            {V: 2, From: 2, Data: valid.Data},
-		"trailing bytes":       {V: compactGossipV3, From: 2, Data: append(bytes.Clone(valid.Data), 0)},
-		"count past the frame": {V: compactGossipV3, From: 2, Data: uv(0, 3, 1)},
-		"duplicate descriptor": func() CompactGossipMsg {
-			a, b := ops.ID{Client: "x", Seq: 1}, ops.ID{Client: "x", Seq: 2}
-			m := mustEncodeCompact(t, 2, []GossipMsg{{From: 2, R: []ops.Operation{
-				ops.New(dtype.CtrAdd{N: 1}, a, nil, false), ops.New(dtype.CtrAdd{N: 2}, b, nil, false)}}})
-			// The second descriptor's {client ref 0, seq 2, flags, no prev}
-			// becomes a second entry for x:1; the frame stays well formed.
-			m.Data = bytes.Replace(m.Data, []byte{0, 2, 0, 0}, []byte{0, 1, 0, 0}, 1)
-			return m
-		}(),
-		"descriptor index out of range": {V: compactGossipV3, From: 2,
-			// one element, one R entry referencing descriptor 5 of an empty table
-			Data: empty(uv(1, 1, 5))},
-		"client ref past the strings introduced": {V: compactGossipV3, From: 2,
-			// one element, no R, one D id with client ref 3 before any string
-			Data: empty(uv(1, 0, 1, 3, 9))},
-		"unknown operator tag":       {V: compactGossipV3, From: 2, Data: oneDesc(0xff)},
-		"value where an operator is": {V: compactGossipV3, From: 2, Data: oneDesc(mustAppendValue(t, "ok")...)},
-		"unknown descriptor flag":    {V: compactGossipV3, From: 2, Data: bytes.Replace(oneDesc(ctrRead...), []byte{'x', 1, 0}, []byte{'x', 1, 2}, 1)},
+		"version 3":            {V: 3, From: 2, Data: valid.Data},
+		"trailing bytes":       {V: compactGossipV4, From: 2, Data: append(bytes.Clone(valid.Data), 0)},
+		"count past the frame": {V: compactGossipV4, From: 2, Data: uv(0, 3, 1)},
+		"client ref past the strings introduced": {V: compactGossipV4, From: 2,
+			// no R, one D id with client ref 3 before any string
+			Data: uv(0, 0, 1, 3, 9, 0, 0)},
+		"unknown operator tag":       {V: compactGossipV4, From: 2, Data: oneOp(0xff)},
+		"value where an operator is": {V: compactGossipV4, From: 2, Data: oneOp(mustAppendValue(t, "ok")...)},
+		"unknown descriptor flag":    {V: compactGossipV4, From: 2, Data: bytes.Replace(oneOp(ctrRead...), []byte{'x', 1, 0}, []byte{'x', 1, 2}, 1)},
+		"unknown label flag":         {V: compactGossipV4, From: 2, Data: append(uv(0, 0, 0, 1, 0, 1), 'x', 1, 2, 0)},
 	}
-	if _, err := decodeCompactGossip(CompactGossipMsg{V: compactGossipV3, From: 2, Data: oneDesc(ctrRead...)}); err != nil {
-		t.Fatalf("the one-descriptor frame the operator cases alter is itself invalid: %v", err)
+	if _, err := decodeCompactGossip(CompactGossipMsg{V: compactGossipV4, From: 2, Data: oneOp(ctrRead...)}); err != nil {
+		t.Fatalf("the one-operation frame the operator cases alter is itself invalid: %v", err)
 	}
 	for name, m := range cases {
 		if _, err := decodeCompactGossip(m); err == nil {
@@ -200,28 +166,28 @@ func TestCompactGossipRejectsGarbage(t *testing.T) {
 }
 
 // TestCompactGossipCountCannotAmplify pins the decoder's allocation bound:
-// a five-byte frame claiming 1<<22 descriptors must be refused before
+// a five-byte frame claiming 1<<22 operations must be refused before
 // anything is allocated for them (believing the count cost 288 MiB).
 func TestCompactGossipCountCannotAmplify(t *testing.T) {
-	frame := CompactGossipMsg{V: compactGossipV3, From: 2, Data: binary.AppendUvarint([]byte{0}, 1<<22)}
+	frame := CompactGossipMsg{V: compactGossipV4, From: 2, Data: binary.AppendUvarint([]byte{0}, 1<<22)}
 	if len(frame.Data) != 5 {
 		t.Fatalf("frame is %d bytes, want 5", len(frame.Data))
 	}
 	var err error
 	alloc := allocated(func() { _, err = decodeCompactGossip(frame) })
 	if err == nil {
-		t.Fatal("a frame claiming 1<<22 descriptors in 5 bytes decoded without error")
+		t.Fatal("a frame claiming 1<<22 operations in 5 bytes decoded without error")
 	}
 	if alloc >= 1<<20 {
 		t.Fatalf("decoding a 5-byte frame allocated %d bytes", alloc)
 	}
 }
 
-// mustEncodeCompact encodes msgs as a compact frame, failing the test if
+// mustEncodeCompact encodes msg as a compact frame, failing the test if
 // an operator has no wire form.
-func mustEncodeCompact(t testing.TB, from label.ReplicaID, msgs []GossipMsg) CompactGossipMsg {
+func mustEncodeCompact(t testing.TB, msg GossipMsg) CompactGossipMsg {
 	t.Helper()
-	m, err := encodeCompactGossip(from, msgs)
+	m, err := encodeCompactGossip(msg)
 	if err != nil {
 		t.Fatal(err)
 	}

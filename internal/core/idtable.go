@@ -1,6 +1,8 @@
 package core
 
 import (
+	"iter"
+
 	"esds/internal/dtype"
 	"esds/internal/label"
 	"esds/internal/ops"
@@ -58,44 +60,141 @@ const (
 	recSnap // transient: covered by the snapshot installSnapshot is adopting
 )
 
-// idTable maps identifiers to their records. Records are carved out of
-// chunks, so creating one allocates once per chunk rather than once per
-// identifier, and a record never moves: queues hold *idRec.
+// idTable maps identifiers to their records, one stream per client: a
+// client issues its identifiers in sequence (the per-client summaries of
+// lazy replication, Ladin et al., TOCS 1992), so a stream finds a sequence
+// number's 64-slot page by seq>>6 and the slot by its low bits. The same
+// pages hold dense, strided and lone sequence numbers alike. A slot is a
+// pointer-free handle into the record chunks, so the collector scans no
+// page. Records are carved out of chunks, so creating one allocates once
+// per chunk rather than once per identifier, and a record never moves:
+// queues hold *idRec.
 type idTable struct {
-	m    map[ops.ID]*idRec
-	free []idRec // the unused tail of the newest chunk
+	streams map[string]*idStream
+	last    *idStream // the stream looked up last: runs of one client are the common case
+	chunks  [][]idRec // in creation order; each is appended to within its capacity only
+	n       int       // records created
 }
 
-// maxRecChunk caps the records allocated at once; chunks grow with the
-// table up to it, so a small replica stays small.
-const maxRecChunk = 512
+// idStream is one client's identifiers.
+type idStream struct {
+	client string
+	index  map[uint64]uint32 // seq>>6 → its page in pages
+	pages  []idPage
+	// lastKey is 1 + the seq>>6 looked up last and lastPage its page: a
+	// run of one client's ids mostly stays within a page.
+	lastKey, lastPage uint64
+}
 
-func newIDTable() idTable { return idTable{m: make(map[ops.ID]*idRec)} }
+// idPage holds the records of 64 consecutive sequence numbers: slot
+// seq&63 is 1 + the record's handle (chunk<<recSlotBits | slot in the
+// chunk), 0 when the identifier has none.
+type idPage [64]uint32
+
+// maxRecChunk caps the records allocated at once; chunks grow with the
+// table up to it, so a small replica stays small. recSlotBits is the
+// handle's share for the slot within a chunk.
+const (
+	recSlotBits = 9
+	maxRecChunk = 1 << recSlotBits
+)
+
+func newIDTable() idTable { return idTable{streams: make(map[string]*idStream)} }
+
+// stream returns client's stream, nil when it has none.
+func (t *idTable) stream(client string) *idStream {
+	if s := t.last; s != nil && s.client == client {
+		return s
+	}
+	s := t.streams[client]
+	if s != nil {
+		t.last = s
+	}
+	return s
+}
+
+// slot returns the page slot of seq, nil when its page does not exist.
+func (s *idStream) slot(seq uint64) *uint32 {
+	if k := seq>>6 + 1; k != s.lastKey {
+		p, ok := s.index[k-1]
+		if !ok {
+			return nil
+		}
+		s.lastKey, s.lastPage = k, uint64(p)
+	}
+	return &s.pages[s.lastPage][seq&63]
+}
 
 // get returns id's record, nil when there is none.
-func (t *idTable) get(id ops.ID) *idRec { return t.m[id] }
+func (t *idTable) get(id ops.ID) *idRec {
+	s := t.stream(id.Client)
+	if s == nil {
+		return nil
+	}
+	if h := s.slot(id.Seq); h != nil && *h != 0 {
+		return t.at(*h)
+	}
+	return nil
+}
+
+// at returns the record a page slot names.
+func (t *idTable) at(h uint32) *idRec {
+	h--
+	return &t.chunks[h>>recSlotBits][h&(maxRecChunk-1)]
+}
 
 // rec returns id's record, creating an empty one (label ∞, no flags).
 func (t *idTable) rec(id ops.ID) *idRec {
-	if e := t.m[id]; e != nil {
-		return e
+	s := t.stream(id.Client)
+	if s == nil {
+		s = &idStream{client: id.Client, index: make(map[uint64]uint32)}
+		t.streams[id.Client], t.last = s, s
 	}
-	if len(t.free) == 0 {
-		t.free = make([]idRec, min(len(t.m)+16, maxRecChunk))
+	h := s.slot(id.Seq)
+	if h == nil {
+		s.index[id.Seq>>6] = uint32(len(s.pages))
+		s.pages = append(s.pages, idPage{})
+		s.lastKey, s.lastPage = id.Seq>>6+1, uint64(len(s.pages)-1)
+		h = &s.pages[s.lastPage][id.Seq&63]
+	} else if *h != 0 {
+		return t.at(*h)
 	}
-	e := &t.free[0]
-	t.free = t.free[1:]
+	c := len(t.chunks) - 1
+	if c < 0 || len(t.chunks[c]) == cap(t.chunks[c]) {
+		t.chunks = append(t.chunks, make([]idRec, 0, min(t.n+16, maxRecChunk)))
+		c++
+	}
+	// Extend the chunk and fill the fresh record in place: it is zero
+	// already, and copying a whole record in would pay write barriers.
+	slot := len(t.chunks[c])
+	t.chunks[c] = t.chunks[c][:slot+1]
+	e := &t.chunks[c][slot]
 	e.id, e.label = id, label.Infinity
-	t.m[id] = e
+	t.n++
+	*h = uint32(c<<recSlotBits|slot) + 1
 	return e
 }
 
 // label returns label_r(id), ∞ when unknown.
 func (t *idTable) label(id ops.ID) label.Label {
-	if e := t.m[id]; e != nil {
+	if e := t.get(id); e != nil {
 		return e.label
 	}
 	return label.Infinity
+}
+
+// all yields every record in the order they were created. The caller
+// creates none while it iterates.
+func (t *idTable) all() iter.Seq[*idRec] {
+	return func(yield func(*idRec) bool) {
+		for _, c := range t.chunks {
+			for i := range c {
+				if !yield(&c[i]) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // setLabelMin lowers the record's label to min(label, l) — the merge rule

@@ -2,9 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"esds/internal/dtype"
+	"esds/internal/label"
 	"esds/internal/ops"
 	"esds/internal/sim"
 	"esds/internal/transport"
@@ -32,7 +36,8 @@ func idTableErr(r *Replica) (deferred bool, err error) {
 	if r.crashed {
 		return false, nil
 	}
-	for id, e := range r.ids.m {
+	for e := range r.ids.all() {
+		id := e.id
 		if e.doneAt(r.id) && e.label.IsInf() {
 			return false, fmt.Errorf("(d) %v is done without a label", id)
 		}
@@ -55,8 +60,8 @@ func idTableErr(r *Replica) (deferred bool, err error) {
 	for _, id := range r.doneSeq {
 		inSeq[id] = true
 	}
-	for id, e := range r.ids.m {
-		if e.doneAt(r.id) != inSeq[id] {
+	for e := range r.ids.all() {
+		if id := e.id; e.doneAt(r.id) != inSeq[id] {
 			return false, fmt.Errorf("(e) %v: done bit %v, in the local order %v", id, e.doneAt(r.id), inSeq[id])
 		}
 	}
@@ -76,7 +81,8 @@ func crossReplicaErr(replicas []*Replica) error {
 	}
 	for _, r := range replicas {
 		r.mu.Lock()
-		for id, e := range r.ids.m {
+		for e := range r.ids.all() {
+			id := e.id
 			for i, p := range replicas {
 				if p == r || !up[i] || e.done&(1<<i) == 0 && e.stable&(1<<i) == 0 {
 					continue
@@ -222,4 +228,165 @@ func runIDTableInvariants(t *testing.T, n int) {
 	}
 	t.Logf("%d deliveries checked (%d replica checks with nothing deferred, %d with deferrals or recovering), %d ops submitted, %d stable across replicas",
 		checks, settled, deferrals, submitted, stable)
+}
+
+// TestIDStreamsMatchMapModel runs random insert orders into an idTable
+// beside a map[ops.ID]*idRec model: dense sequence numbers (a pipelined
+// client), stride-4 ones (a keyspace client's sequence spread over 4
+// shards) and lone ones up to 2^64−1, for 1 to 200 clients, past several
+// 512-record chunks. get, rec and label must agree with the model for
+// every id known and for ids never inserted, a record's pointer must not
+// move as the table grows, and all() must yield exactly the records in
+// the order they were created.
+func TestIDStreamsMatchMapModel(t *testing.T) {
+	kinds := []struct {
+		name  string
+		seqOf func(rng *rand.Rand, i int) uint64
+	}{
+		{"dense", func(_ *rand.Rand, i int) uint64 { return uint64(i) }},
+		{"stride4", func(_ *rand.Rand, i int) uint64 { return uint64(4*i + 1) }},
+		{"lone", func(rng *rand.Rand, i int) uint64 {
+			if i == 0 {
+				return math.MaxUint64
+			}
+			return rng.Uint64()
+		}},
+	}
+	for _, kind := range kinds {
+		name, seqOf := kind.name, kind.seqOf
+		for _, clients := range []int{1, 7, 200} {
+			t.Run(fmt.Sprintf("%s/clients=%d", name, clients), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(len(name)*1000 + clients)))
+				var universe []ops.ID
+				for c := 0; c < clients; c++ {
+					for i := 0; i < 2400/clients+3; i++ {
+						universe = append(universe, ops.ID{Client: fmt.Sprintf("client-%d", c), Seq: seqOf(rng, i)})
+					}
+				}
+				rng.Shuffle(len(universe), func(i, j int) { universe[i], universe[j] = universe[j], universe[i] })
+				// A quarter of the universe is never inserted: lookups of
+				// it must miss.
+				absent := universe[:len(universe)/4]
+				insert := universe[len(universe)/4:]
+				runIDStreamsModel(t, rng, insert, absent)
+			})
+		}
+	}
+}
+
+func runIDStreamsModel(t *testing.T, rng *rand.Rand, insert, absent []ops.ID) {
+	tab := newIDTable()
+	model := make(map[ops.ID]*idRec)
+	var created []*idRec
+	check := func() {
+		for id, want := range model {
+			if got := tab.get(id); got != want {
+				t.Fatalf("get(%v) = %p, model %p", id, got, want)
+			}
+			if got := tab.label(id); got != want.label {
+				t.Fatalf("label(%v) = %v, model %v", id, got, want.label)
+			}
+		}
+		for _, id := range absent {
+			if model[id] != nil {
+				continue // a lone sequence number drawn twice
+			}
+			if e := tab.get(id); e != nil {
+				t.Fatalf("get(%v) of an id never inserted = %+v", id, e.id)
+			}
+			if l := tab.label(id); !l.IsInf() {
+				t.Fatalf("label(%v) of an id never inserted = %v", id, l)
+			}
+		}
+		i := 0
+		for e := range tab.all() {
+			if i >= len(created) || e != created[i] {
+				t.Fatalf("all() yields %v at position %d, not the record created there", e.id, i)
+			}
+			i++
+		}
+		if i != len(created) || tab.n != len(created) {
+			t.Fatalf("all() yields %d records, n = %d, %d were created", i, tab.n, len(created))
+		}
+	}
+	for step, id := range insert {
+		// Revisit a known id now and then, as a merge does.
+		if len(created) > 0 && rng.Intn(4) == 0 {
+			old := created[rng.Intn(len(created))]
+			if got := tab.rec(old.id); got != old {
+				t.Fatalf("rec(%v) of a known id = %p, model %p", old.id, got, old)
+			}
+		}
+		e := tab.rec(id)
+		if want, ok := model[id]; ok {
+			if e != want {
+				t.Fatalf("rec(%v) again = %p, model %p", id, e, want)
+			}
+			continue
+		}
+		if e.id != id || !e.label.IsInf() || e.flags != 0 {
+			t.Fatalf("rec(%v) created %+v, want an empty record", id, *e)
+		}
+		if rng.Intn(2) == 0 {
+			e.setLabelMin(label.Make(uint64(step+1), label.ReplicaID(rng.Intn(3))))
+		}
+		model[id] = e
+		created = append(created, e)
+		if step%500 == 0 {
+			check()
+		}
+	}
+	check()
+	if len(tab.chunks) < 3 {
+		t.Fatalf("%d records filled %d chunks: the test never grew the table past a chunk", len(created), len(tab.chunks))
+	}
+}
+
+// TestIDStreamsHostileMemory merges one gossip frame of k identifiers, each
+// alone in its 64-slot page — sequence numbers 64 apart, and one at 2^64−1
+// — into a replica, and bounds the heap the replica grows by at 1 KiB per
+// identifier: a page per lone identifier must not amplify memory much
+// beyond the record it indexes.
+func TestIDStreamsHostileMemory(t *testing.T) {
+	const k = 4096
+	s := sim.New(1)
+	c := NewCluster(ClusterConfig{Replicas: 3, DataType: dtype.Counter{},
+		Network: transport.NewSimNet(s, transport.SimNetConfig{})})
+	r0 := c.Replica(0)
+	g := GossipMsg{From: 1}
+	for i := 0; i < k; i++ {
+		id := ops.ID{Client: "hostile", Seq: uint64(i) << 6}
+		if i == k-1 {
+			id.Seq = math.MaxUint64
+		}
+		g.R = append(g.R, ops.New(dtype.CtrAdd{N: 1}, id, nil, false))
+		g.D = append(g.D, id)
+		g.L = append(g.L, IDLabel{ID: id, Label: label.Make(uint64(i+1), 1)})
+	}
+	g = nextFrame(r0, g)
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	r0.handleMessage(transport.Message{Payload: g})
+	after := heap()
+	runtime.KeepAlive(g)
+	if got := r0.Metrics().DoneOps; got != k {
+		t.Fatalf("the frame left %d of %d operations done", got, k)
+	}
+	r0.mu.Lock()
+	pages := len(r0.ids.stream("hostile").pages)
+	r0.mu.Unlock()
+	if pages != k {
+		t.Fatalf("%d identifiers filled %d pages, want one each", k, pages)
+	}
+	perID := float64(int64(after)-int64(before)) / k
+	t.Logf("heap growth %.0f B per lone identifier", perID)
+	if perID > 1024 {
+		t.Fatalf("heap grew %.0f B per lone identifier, bound 1024", perID)
+	}
+	runtime.KeepAlive(r0)
 }

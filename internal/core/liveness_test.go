@@ -320,8 +320,15 @@ func TestCheckConvergenceElementwise(t *testing.T) {
 	// Exchange ONLY label knowledge (a gossip L without R/D/S — possible
 	// when gossip frames are lost or reordered): both replicas now know both
 	// labels, done sets still differ.
-	r1.handleMessage(transport.Message{Payload: GossipMsg{From: 0, L: r0.Snapshot().Labels}})
-	r0.handleMessage(transport.Message{Payload: GossipMsg{From: 1, L: r1.Snapshot().Labels}})
+	labels := func(r *Replica) []IDLabel {
+		var out []IDLabel
+		for id, l := range r.Snapshot().Labels {
+			out = append(out, IDLabel{ID: id, Label: l})
+		}
+		return out
+	}
+	r1.handleMessage(transport.Message{Payload: GossipMsg{From: 0, L: labels(r0)}})
+	r0.handleMessage(transport.Message{Payload: GossipMsg{From: 1, L: labels(r1)}})
 
 	s0, s1 := r0.Snapshot(), r1.Snapshot()
 	if len(s0.Done) != 1 || len(s1.Done) != 1 || s0.Done[0] == s1.Done[0] {

@@ -135,14 +135,14 @@ func (r *Replica) handleFreezeKeys(msg FreezeKeysMsg) {
 	}
 	ack := FreezeAckMsg{From: r.id, Shard: r.shard, Epoch: msg.Epoch, Nonce: msg.Nonce}
 	perKey := make(map[string][]ops.ID)
-	for id, e := range r.ids.m {
+	for e := range r.ids.all() {
 		if !e.has(recRetained) || !e.has(recKeyed) || !rr.movesAway(r.shard, e.key) {
 			continue
 		}
 		if e.stableAt(r.id) {
 			continue // stable ⇒ done at every replica, exporter included
 		}
-		perKey[e.key] = append(perKey[e.key], id)
+		perKey[e.key] = append(perKey[e.key], e.id)
 	}
 	keys := make([]string, 0, len(perKey))
 	for key := range perKey {
@@ -372,9 +372,9 @@ func (r *Replica) ExportKeyState(key string, drain []ops.ID) (enc []byte, subsum
 	// The key's full source-era identifier history, from the
 	// prune-surviving index; drain ids are a subset (they were received —
 	// via request or gossip — to become solid here).
-	for id, e := range r.ids.m {
+	for e := range r.ids.all() {
 		if e.has(recKeyed) && e.key == key {
-			subsumes = append(subsumes, dtype.OpRef{Client: id.Client, Seq: id.Seq})
+			subsumes = append(subsumes, dtype.OpRef{Client: e.id.Client, Seq: e.id.Seq})
 		}
 	}
 	sort.Slice(subsumes, func(i, j int) bool {

@@ -110,14 +110,24 @@ type BatchGossipMsg struct {
 // sender's watermark in the destination's own log — everything below it
 // has arrived. A lost frame is resent once its acknowledgement is overdue.
 // A range answer's tail carries the whole state, from Base = Epoch.
+//
+// L is a list in the order the sender's log recorded the labels. An id
+// may appear in it twice; merging takes the minimum, so a repeat changes
+// nothing.
 type GossipMsg struct {
 	From label.ReplicaID
 	R    []ops.Operation
 	D    []ops.ID
-	L    map[ops.ID]label.Label
+	L    []IDLabel
 	S    []ops.ID
 
 	Epoch, Base, Seq, Ack uint64
+}
+
+// IDLabel is one entry label_r(ID) = Label of a gossip frame.
+type IDLabel struct {
+	ID    ops.ID
+	Label label.Label
 }
 
 // SubscribableGossip marks GossipMsg as gossip-topic traffic (see

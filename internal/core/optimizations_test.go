@@ -190,11 +190,11 @@ func TestIncrementalGossipEquivalentAndSmaller(t *testing.T) {
 		fullBytes, incrBytes, 100*float64(incrBytes)/float64(fullBytes))
 }
 
-// labelSink makes a label map escape as a gossip message's does.
-var labelSink map[ops.ID]label.Label
+// labelSink makes a label list escape as a gossip message's does.
+var labelSink []IDLabel
 
 // TestBuildDeltaAllocations pins what one gossip frame build allocates for
-// a steady stream of label changes: the message's own label map, and
+// a steady stream of label changes: the message's own label list, and
 // nothing for the change log, which is trimmed in place as peers
 // acknowledge it (and so never regrows either).
 func TestBuildDeltaAllocations(t *testing.T) {
@@ -222,13 +222,13 @@ func TestBuildDeltaAllocations(t *testing.T) {
 	}
 	cycle()
 	msgOnly := testing.AllocsPerRun(100, func() {
-		labelSink = make(map[ops.ID]label.Label, len(ids))
+		labelSink = make([]IDLabel, 0, len(ids))
 		for _, id := range ids {
-			labelSink[id] = r.ids.label(id)
+			labelSink = append(labelSink, IDLabel{ID: id, Label: r.ids.label(id)})
 		}
 	})
 	if got := testing.AllocsPerRun(100, cycle); got > msgOnly {
-		t.Fatalf("a delta build allocates %.0f times, want at most the %.0f of its label map", got, msgOnly)
+		t.Fatalf("a delta build allocates %.0f times, want at most the %.0f of its label list", got, msgOnly)
 	}
 }
 
@@ -544,7 +544,7 @@ func TestEstimateSize(t *testing.T) {
 		t.Error("request with prev should outweigh a response")
 	}
 	g := GossipMsg{R: []ops.Operation{x}, D: []ops.ID{x.ID}, S: []ops.ID{x.ID},
-		L: map[ops.ID]label.Label{x.ID: label.Make(1, 0)}}
+		L: []IDLabel{{ID: x.ID, Label: label.Make(1, 0)}}}
 	if EstimateSize(g) <= EstimateSize(RequestMsg{Op: x}) {
 		t.Error("gossip should outweigh a single request")
 	}

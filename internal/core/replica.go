@@ -519,22 +519,17 @@ func (r *Replica) absorbInstall(x ops.Operation) {
 }
 
 // mergeCompactGossipLocked decodes a delta-encoded gossip frame (DESIGN.md
-// §12) and merges each carried element in order — semantically identical
-// to the GossipMsg elements it encodes. A frame that fails to decode is
-// dropped whole and counted (CompactGossipRejects): the codec rejects
+// §12) and merges the GossipMsg it encodes. A frame that fails to decode
+// is dropped whole and counted (CompactGossipRejects): the codec rejects
 // corruption atomically, so no partial state can be applied. Mutex held.
 func (r *Replica) mergeCompactGossipLocked(msg CompactGossipMsg) {
-	msgs, err := decodeCompactGossip(msg)
+	g, err := decodeCompactGossip(msg)
 	if err != nil {
 		r.metrics.CompactGossipRejects++
 		return
 	}
 	r.metrics.CompactGossipReceived++
-	for _, g := range msgs {
-		// The decoder stamps every element with the frame's sender and
-		// header; applying a header twice changes nothing.
-		r.mergeGossipLocked(g)
-	}
+	r.mergeGossipLocked(g)
 }
 
 // mergeGossipLocked folds one gossip frame into the replica state — the
@@ -562,8 +557,8 @@ func (r *Replica) mergeStateLocked(from int, msg GossipMsg) {
 
 	// label_r ← min(label_r, L), observing every label so future labels from
 	// this replica sort above everything it has seen (do_it precondition).
-	for id, l := range msg.L {
-		r.setLabelMin(r.ids.rec(id), l)
+	for _, il := range msg.L {
+		r.setLabelMin(r.ids.rec(il.ID), il.Label)
 	}
 
 	// done_r[r'] ∪= D ∪ S; done_r[r] ∪= D ∪ S; done_r[i] ∪= S for all i;
@@ -1258,7 +1253,7 @@ func (r *Replica) StableEverywhereCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	count := 0
-	for _, e := range r.ids.m {
+	for e := range r.ids.all() {
 		if e.stable == r.all {
 			count++
 		}

@@ -508,7 +508,7 @@ func TestHostileGossipCannotLowerSolidLabel(t *testing.T) {
 
 	r0.handleMessage(transport.Message{Payload: nextFrame(r0, GossipMsg{
 		From: 1,
-		L:    map[ops.ID]label.Label{x.x.ID: label.Make(0, 1)},
+		L:    []IDLabel{{ID: x.x.ID, Label: label.Make(0, 1)}},
 	})})
 
 	if got := r0.Snapshot().Labels[x.x.ID]; got != want {
@@ -540,7 +540,7 @@ func TestHostileGossipBelowMemoizedFrontier(t *testing.T) {
 	r0.handleMessage(transport.Message{Payload: nextFrame(r0, GossipMsg{
 		From: 1,
 		R:    []ops.Operation{evil},
-		L:    map[ops.ID]label.Label{evil.ID: label.Make(0, 1)}, // below everything
+		L:    []IDLabel{{ID: evil.ID, Label: label.Make(0, 1)}}, // below everything
 		D:    []ops.ID{evil.ID},
 	})})
 

@@ -172,20 +172,27 @@ func (m *BatchResponseMsg) UnmarshalBinary(data []byte) error {
 }
 
 // frameEncoder appends one frame in the hot frames' form: the bytes so
-// far and the refs of the client strings the frame has introduced.
+// far and the refs of the client strings the frame has introduced. last
+// is the client written last and lastRef its ref: ids come in runs of one
+// client.
 type frameEncoder struct {
-	b    []byte
-	refs map[string]uint64
+	b       []byte
+	refs    map[string]uint64
+	last    string
+	lastRef uint64
 }
 
 func (e *frameEncoder) id(id ops.ID) {
-	ref, known := e.refs[id.Client]
+	ref, known := e.lastRef, e.refs != nil && id.Client == e.last
 	if !known {
-		if e.refs == nil {
-			e.refs = make(map[string]uint64)
+		if ref, known = e.refs[id.Client]; !known {
+			if e.refs == nil {
+				e.refs = make(map[string]uint64)
+			}
+			ref = uint64(len(e.refs))
+			e.refs[id.Client] = ref
 		}
-		ref = uint64(len(e.refs))
-		e.refs[id.Client] = ref
+		e.last, e.lastRef = id.Client, ref
 	}
 	e.b = binary.AppendUvarint(e.b, ref)
 	if !known {

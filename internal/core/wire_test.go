@@ -52,9 +52,9 @@ func TestWireRoundTrip(t *testing.T) {
 				ops.New(dtype.SetAdd{Elem: "e"}, id2, []ops.ID{id1}, false),
 			},
 			D: []ops.ID{id1},
-			L: map[ops.ID]label.Label{
-				id1: label.Make(3, 1),
-				id2: label.Make(9, 0),
+			L: []IDLabel{
+				{ID: id1, Label: label.Make(3, 1)},
+				{ID: id2, Label: label.Make(9, 0)},
 			},
 			S: []ops.ID{id2},
 		},
@@ -91,7 +91,7 @@ func TestWireRoundTrip(t *testing.T) {
 			State:     []byte("a|b"),
 			Watermark: 9,
 			Resizes:   []ResizeRecord{{Epoch: 1, OldShards: 1, NewShards: 2, Migrated: []MigratedKey{{Key: "k", HasInstall: true, InstallID: id1}}}},
-			Tail:      GossipMsg{From: 2, D: []ops.ID{id1}, L: map[ops.ID]label.Label{id1: label.Make(6, 2)}},
+			Tail:      GossipMsg{From: 2, D: []ops.ID{id1}, L: []IDLabel{{ID: id1, Label: label.Make(6, 2)}}},
 		},
 	}
 	for _, msg := range msgs {
@@ -120,7 +120,7 @@ func TestWireLabelInfinity(t *testing.T) {
 		t.Fatalf("∞ decoded as %v", out.L)
 	}
 	proper := label.Make(5, 2)
-	if got := roundTrip(t, GossipMsg{L: map[ops.ID]label.Label{{Client: "c", Seq: 1}: proper}}).(GossipMsg); got.L[ops.ID{Client: "c", Seq: 1}] != proper {
+	if got := roundTrip(t, GossipMsg{L: []IDLabel{{ID: ops.ID{Client: "c", Seq: 1}, Label: proper}}}).(GossipMsg); got.L[0].Label != proper {
 		t.Fatalf("proper label decoded as %v", got.L)
 	}
 }

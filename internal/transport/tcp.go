@@ -193,11 +193,13 @@ type tcpSend struct {
 // Version 2 carried gossip without acknowledgements: a peer that never
 // acknowledges would hold its peers' change logs forever, so it may not
 // connect. Version 3 carried requests and responses as gob structs and the
-// compact gossip codec's operators beside its bytes; version 4 carries the
-// hot frames in their own binary form (core's wire.go).
+// compact gossip codec's operators beside its bytes. Version 4 carried the
+// hot frames in their own binary form (core's wire.go) but gossip labels
+// as a map and compact gossip as codec V3; version 5 carries labels as a
+// list and compact gossip as codec V4, one message per frame.
 var tcpPreamble = []byte{'E', 'S', 'D', 'S', 0, 0, 0, tcpWireVersion}
 
-const tcpWireVersion = 4
+const tcpWireVersion = 5
 
 // errMalformed marks inbound bytes that break the wire format. The
 // connection carrying them is closed and counted Dropped.

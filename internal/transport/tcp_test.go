@@ -278,7 +278,7 @@ func TestTCPNetUndecodableInboundFrame(t *testing.T) {
 
 // TestTCPNetRefusesPerFrameWire speaks older wire versions at a receiver:
 // a bare frame holding its own gob stream, with no connection preamble
-// (version 1), and version 2 and 3 preambles. The receiver must refuse
+// (version 1), and version 2, 3 and 4 preambles. The receiver must refuse
 // each connection — close it, count it Dropped, deliver nothing — rather
 // than guess at the stream.
 func TestTCPNetRefusesPerFrameWire(t *testing.T) {
@@ -308,7 +308,7 @@ func TestTCPNetRefusesPerFrameWire(t *testing.T) {
 		t.Fatalf("per-frame wire was delivered: %+v", got.last())
 	}
 
-	for _, v := range []byte{2, 3} {
+	for _, v := range []byte{2, 3, 4} {
 		old, err := net.Dial("tcp", b.Addr().String())
 		if err != nil {
 			t.Fatal(err)
