@@ -4,7 +4,7 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: build test benchmark-test race bench bench-diff microbench chaos loadlab fuzz fmt vet lint ci clean
+.PHONY: build test benchmark-test examples race bench bench-diff microbench chaos loadlab fuzz fmt vet lint ci clean
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,19 @@ test:
 # it wherever the main module is tested, or a core change rots it unseen.
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The examples are documentation that runs: build all five and run each to
+# completion under a 30s timeout (each takes well under a second), so a
+# change that breaks one fails the build. Binaries go to a temporary
+# directory that is removed afterwards.
+EXAMPLES := directory keyspace quickstart repository tcpcluster
+examples:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for e in $(EXAMPLES); do $(GO) build -o "$$dir/$$e" ./examples/$$e || exit 1; done && \
+	for e in $(EXAMPLES); do \
+		echo "--- examples/$$e"; \
+		timeout 30 "$$dir/$$e" || { echo "examples/$$e failed or timed out" >&2; exit 1; }; \
+	done
 
 # GOMAXPROCS=4 forces the shard-per-core worker pool to real parallelism —
 # worker-ownership races only interleave when workers actually preempt each
@@ -168,7 +181,7 @@ lint: vet
 
 # CI runs the micro-benchmarks as a smoke test (see microbench).
 ci: MICROBENCHTIME = 100x
-ci: build lint fmt test benchmark-test microbench race chaos loadlab bench-diff
+ci: build lint fmt test benchmark-test examples microbench race chaos loadlab bench-diff
 
 clean:
 	$(GO) clean

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"esds"
 	"esds/internal/core"
 	"esds/internal/dtype"
 	"esds/internal/exp"
@@ -496,42 +495,47 @@ func benchGossipMerge(b *testing.B, history int) {
 	}
 }
 
+// liveBenchCluster starts the 3-replica counter cluster the live submit
+// benchmarks drive, wired as esds.New wires an unsharded service but
+// running opt and a 1ms gossip period. It returns the "bench" client's
+// front end and a function that stops the cluster.
+func liveBenchCluster(opt core.Options) (*core.FrontEnd, func()) {
+	net := transport.NewLiveNet()
+	c := core.NewCluster(core.ClusterConfig{
+		Replicas: 3,
+		DataType: dtype.Counter{},
+		Network:  net,
+		Options:  opt,
+	})
+	c.StartLiveGossip(time.Millisecond)
+	c.StartLiveRetransmit(core.RetransmitInterval)
+	if opt.BatchSize > 1 {
+		c.StartLiveBatchFlush(opt.FlushPeriod())
+	}
+	return c.FrontEnd("bench"), func() {
+		c.Close()
+		net.Close()
+	}
+}
+
 // BenchmarkLiveSubmitNonStrict measures the end-to-end latency path of a
-// non-strict operation on the live transport. The service is recreated
+// non-strict operation on the live transport. The cluster is recreated
 // every few thousand operations so the measurement reflects a bounded
 // history (otherwise per-op gossip cost grows with b.N and the benchmark
 // measures history length, not the submit path).
 func BenchmarkLiveSubmitNonStrict(b *testing.B) {
 	const historyCap = 4000
-	var (
-		svc    *esds.Service
-		client *esds.Client
-	)
-	fresh := func() {
-		if svc != nil {
-			svc.Close()
-		}
-		var err error
-		svc, err = esds.New(esds.Config{
-			Replicas:       3,
-			DataType:       esds.Counter(),
-			GossipInterval: time.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		client = svc.Client("bench")
-	}
-	fresh()
-	defer func() { svc.Close() }()
+	fe, stop := liveBenchCluster(core.DefaultOptions())
+	defer func() { stop() }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i > 0 && i%historyCap == 0 {
 			b.StopTimer()
-			fresh()
+			stop()
+			fe, stop = liveBenchCluster(core.DefaultOptions())
 			b.StartTimer()
 		}
-		client.Apply(esds.Add(1))
+		fe.SubmitWait(dtype.CtrAdd{N: 1}, nil, false)
 	}
 }
 
@@ -539,7 +543,7 @@ func BenchmarkLiveSubmitNonStrict(b *testing.B) {
 // on the live in-process transport, unbatched vs batched: b.N non-strict
 // increments in flight up to a 128-deep window. Run with -benchmem — the
 // allocation pass on the label-compare/memoize path and the per-frame
-// savings of batching both show up here. The service is recreated every
+// savings of batching both show up here. The cluster is recreated every
 // few thousand operations so the measurement reflects a bounded history.
 func BenchmarkLivePipelinedSubmit(b *testing.B) {
 	for _, batch := range []int{1, 32} {
@@ -549,31 +553,11 @@ func BenchmarkLivePipelinedSubmit(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			const historyCap = 4000
-			opt := esds.DefaultOptions()
+			opt := core.DefaultOptions()
 			opt.BatchSize = batch
 			opt.BatchDelay = time.Millisecond
-			var (
-				svc    *esds.Service
-				client *esds.Client
-			)
-			fresh := func() {
-				if svc != nil {
-					svc.Close()
-				}
-				var err error
-				svc, err = esds.New(esds.Config{
-					Replicas:       3,
-					DataType:       esds.Counter(),
-					GossipInterval: time.Millisecond,
-					Options:        &opt,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				client = svc.Client("bench")
-			}
-			fresh()
-			defer func() { svc.Close() }()
+			fe, stop := liveBenchCluster(opt)
+			defer func() { stop() }()
 			window := make(chan struct{}, 128)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -582,11 +566,12 @@ func BenchmarkLivePipelinedSubmit(b *testing.B) {
 					for len(window) > 0 { // drain before teardown
 						time.Sleep(time.Millisecond)
 					}
-					fresh()
+					stop()
+					fe, stop = liveBenchCluster(opt)
 					b.StartTimer()
 				}
 				window <- struct{}{}
-				client.ApplyAsync(esds.Add(1), false, nil, func(esds.Response) { <-window })
+				fe.Submit(dtype.CtrAdd{N: 1}, nil, false, func(core.Response) { <-window })
 			}
 			for len(window) > 0 {
 				time.Sleep(time.Millisecond)

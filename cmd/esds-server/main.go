@@ -68,7 +68,6 @@ type config struct {
 	dtName    string
 	shards    int
 	place     int
-	workers   int
 	resize    int
 	gossip    time.Duration
 	client    string
@@ -76,11 +75,15 @@ type config struct {
 	storeSync bool
 	recover   bool
 	verbose   bool
-	opts      core.Options
+	opts      core.Options // core.BatchedOptions(), which every member runs
 }
 
+// keyspace reports whether the member serves a multi-object keyspace (-shards
+// above 1, or a placed fleet) rather than one replicated object.
+func (cfg config) keyspace() bool { return cfg.shards > 1 || cfg.place > 0 }
+
 func parseFlags(args []string, stderr io.Writer) (config, error) {
-	var cfg config
+	cfg := config{opts: core.BatchedOptions()}
 	fs := flag.NewFlagSet("esds-server", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var peers string
@@ -94,15 +97,9 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		"shard the service into a multi-object keyspace of this many independent clusters; every member must agree")
 	fs.IntVar(&cfg.place, "place", 0,
 		"replicate each shard on only this many of the -peers members (shard placement, DESIGN.md §13): the placement map assigns every shard's replica slots to members deterministically, and a member stores, serves, and gossips only the shards it hosts; 0 = every member hosts every shard; every member and client must agree")
-	fs.IntVar(&cfg.workers, "workers", 0,
-		"size of the shard-per-core worker pool executing this member's shard replicas (DESIGN.md §9): each shard is pinned to one worker goroutine; 0 = one worker per schedulable core (GOMAXPROCS), negative = disable (one mailbox goroutine per replica); applies to replica members with -shards > 1")
 	fs.IntVar(&cfg.resize, "resize", 0,
 		"ADMIN MODE: grow the running keyspace the -peers members serve to this many shards, online (live resharding; DESIGN.md §7), then exit. Member 0 drives the migration; restart members with the new -shards afterwards so a later cold start matches")
-	fs.DurationVar(&cfg.gossip, "gossip", 100*time.Millisecond, "gossip period")
-	fs.IntVar(&cfg.opts.BatchSize, "batch", 0,
-		"enable the batched hot path with this many elements per frame (DESIGN.md §8): front ends pack submissions into BatchRequestMsg and replicas batch responses (gossip already sends one frame per peer per -gossip tick); 0 or 1 = unbatched (every message its own frame); every member must agree")
-	fs.DurationVar(&cfg.opts.BatchDelay, "batch-delay", 0,
-		"front-end flush period: longest a partially filled request batch waits before it is sent (default 1ms when -batch is on); requires -batch > 1")
+	fs.DurationVar(&cfg.gossip, "gossip", core.GossipInterval, "gossip period")
 	fs.StringVar(&cfg.client, "client", "", "run a front end for this client name instead of a replica")
 	fs.StringVar(&cfg.storeDir, "store", "",
 		"directory for the §9.3 stable store (locally generated labels and the operation descriptors they name, group-committed; DESIGN.md §10); required for correct crash recovery with -recover")
@@ -111,9 +108,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.BoolVar(&cfg.recover, "recover", false,
 		"start in §9.3 recovery: reload -store, then fetch every peer's state (range catch-up, in bounded chunks) before serving; use when restarting a crashed replica")
 	fs.BoolVar(&cfg.verbose, "verbose", false, "log transport diagnostics to stderr")
-	fs.BoolVar(&cfg.opts.Memoize, "memoize", true, "memoize the solid prefix (§10.1)")
-	fs.BoolVar(&cfg.opts.Prune, "prune", true, "prune descriptors of memoized stable operations (§10.2); recovering and joining peers are then handed the memoized prefix itself")
-	fs.BoolVar(&cfg.opts.Commute, "commute", false, "answer non-strict operations from the current state (§10.3)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -144,15 +138,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	}
 	if cfg.gossip <= 0 {
 		return cfg, fmt.Errorf("-gossip %v must be positive: the §9.1 liveness assumption needs a gossip round in every bounded interval", cfg.gossip)
-	}
-	if cfg.opts.BatchSize < 0 {
-		return cfg, fmt.Errorf("-batch %d is negative; use 0 or 1 for the unbatched hot path", cfg.opts.BatchSize)
-	}
-	if cfg.opts.BatchDelay < 0 {
-		return cfg, fmt.Errorf("-batch-delay %v is negative", cfg.opts.BatchDelay)
-	}
-	if cfg.opts.BatchDelay > 0 && cfg.opts.BatchSize <= 1 {
-		return cfg, fmt.Errorf("-batch-delay %v needs -batch > 1: without batching there is nothing to flush", cfg.opts.BatchDelay)
 	}
 	if cfg.resize < 0 {
 		return cfg, fmt.Errorf("-resize %d is negative", cfg.resize)
@@ -252,12 +237,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if cfg.verbose {
 		logf = func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
 	}
-	// The worker runtime is created before the transport and its Close
-	// deferred first, so the LIFO unwind closes the transport (no more
-	// deliveries) before the workers drain and stop.
+	// The worker runtime (one worker per schedulable core) is created
+	// before the transport and its Close deferred first, so the LIFO unwind
+	// closes the transport (no more deliveries) before the workers drain
+	// and stop.
 	var rt *core.ShardRuntime
-	if cfg.shards > 1 && cfg.client == "" && cfg.workers >= 0 {
-		rt = core.NewShardRuntime(cfg.workers)
+	if cfg.shards > 1 && cfg.client == "" {
+		rt = core.NewShardRuntime(0)
 		defer rt.Close()
 	}
 	net, err := transport.NewTCPNet(transport.TCPConfig{
@@ -279,7 +265,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if cfg.client == "" {
 		local = []int{cfg.id}
 	}
-	if cfg.shards > 1 || place != nil {
+	if cfg.keyspace() {
 		return runSharded(cfg, dt, net, rt, local, place, stdin, stdout, stderr)
 	}
 	var stores []core.StableStore
@@ -311,19 +297,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		(&memberCtl{id: cfg.id, net: net, ks: nil, stdout: stdout, stderr: stderr}).register()
 	}
 	net.Start()
-
+	startTimers(cluster, cfg)
 	if cfg.client != "" {
-		// The retransmission ticker is the liveness mechanism against frames
-		// lost on the real network (§6.2); without it a lost request or
-		// response would strand its operation until the deadline.
-		cluster.StartLiveRetransmit(250 * time.Millisecond)
-		if cfg.opts.BatchSize > 1 {
-			cluster.StartLiveBatchFlush(cfg.opts.FlushPeriod())
-		}
 		return runClient(cfg, cluster, stdin, stdout, stderr)
 	}
-
-	cluster.StartLiveGossip(cfg.gossip)
 	if cfg.recover {
 		startRecovery(cluster.LocalReplicas(), cfg.gossip, stdout)
 	}
@@ -339,6 +316,32 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	case err := <-storeFailure(fileStores):
 		fmt.Fprintf(stderr, "esds-server: stable store failed: %v; shutting down — the replica can no longer recover safely\n", err)
 		return 1
+	}
+}
+
+// timers is the live timer surface a Cluster and a Keyspace share.
+type timers interface {
+	StartLiveGossip(time.Duration)
+	StartLiveRetransmit(time.Duration)
+	StartLiveBatchFlush(time.Duration)
+}
+
+// startTimers starts the shipped timers a member runs: gossip on a replica
+// member, and retransmission and the batch flusher on every member that
+// creates front ends. A -client member submits through its front ends, and
+// a sharded replica member creates them too: a -resize admin command makes
+// member 0 the migration driver, whose strict KeyInstall submissions go
+// through keyspace front ends. Without the flusher a buffered install would
+// wait for the size trigger, and without retransmission (the paper's §6.2
+// liveness mechanism) a lost install frame would stall the INSTALL phase
+// forever.
+func startTimers(c timers, cfg config) {
+	if cfg.client == "" {
+		c.StartLiveGossip(cfg.gossip)
+	}
+	if cfg.client != "" || cfg.keyspace() {
+		c.StartLiveRetransmit(core.RetransmitInterval)
+		c.StartLiveBatchFlush(cfg.opts.FlushPeriod())
 	}
 }
 
@@ -367,9 +370,6 @@ func openStore(dir string, shard, id int, noSync bool) (*core.FileStableStore, e
 func startRecovery(replicas []*core.Replica, period time.Duration, stdout io.Writer) {
 	for _, r := range replicas {
 		r.Recover()
-	}
-	if period <= 0 {
-		period = 100 * time.Millisecond
 	}
 	go func() {
 		ticker := time.NewTicker(2 * period)
@@ -510,25 +510,9 @@ func runSharded(cfg config, dt dtype.DataType, net *transport.TCPNet, rt *core.S
 		(&memberCtl{id: cfg.id, net: net, ks: ks, stdout: stdout, stderr: stderr}).register()
 	}
 	net.Start()
-
+	startTimers(ks, cfg)
 	if cfg.client != "" {
-		ks.StartLiveRetransmit(250 * time.Millisecond)
-		if cfg.opts.BatchSize > 1 {
-			ks.StartLiveBatchFlush(cfg.opts.FlushPeriod())
-		}
 		return runShardedClient(cfg, ks, stdin, stdout, stderr)
-	}
-
-	ks.StartLiveGossip(cfg.gossip)
-	if cfg.opts.BatchSize > 1 {
-		// Replica members create front ends too: a -resize admin command
-		// makes member 0 the migration driver, whose strict KeyInstall
-		// submissions go through keyspace front ends — buffered under
-		// batching, they need the flush ticker (and retransmission against
-		// lost install frames) or the INSTALL phase stalls until the
-		// resize deadline.
-		ks.StartLiveBatchFlush(cfg.opts.FlushPeriod())
-		ks.StartLiveRetransmit(250 * time.Millisecond)
 	}
 	if cfg.recover {
 		var all []*core.Replica

@@ -330,8 +330,8 @@ func TestKillNineRecoveryWithPruning(t *testing.T) {
 }
 
 // TestKillNineMidBatchDurability is the group-commit durability test
-// (DESIGN.md §10): a SINGLE replica on the batched hot path acknowledges a
-// stream of non-strict appends, then is SIGKILLed. With no peers, nothing
+// (DESIGN.md §10): a SINGLE replica on the shipped batched hot path
+// acknowledges a batch of non-strict appends, then is SIGKILLed. With no peers, nothing
 // was ever gossiped — the stable store's journal is the only place the
 // acknowledged operations survive. The restarted replica must answer a
 // strict read covering every acknowledged append from its own journal.
@@ -344,8 +344,8 @@ func TestKillNineMidBatchDurability(t *testing.T) {
 	core.RegisterWire()
 	peers := reservePorts(t, 1)
 	storeDir := t.TempDir()
-	batchArgs := []string{"-store", storeDir, "-type", "log", "-batch", "8", "-batch-delay", "1ms"}
-	proc := spawnReplica(t, 0, peers, batchArgs...)
+	storeArgs := []string{"-store", storeDir, "-type", "log"}
+	proc := spawnReplica(t, 0, peers, storeArgs...)
 
 	feNet, err := transport.NewTCPNet(transport.TCPConfig{Listen: "127.0.0.1:0", Logf: t.Logf})
 	if err != nil {
@@ -353,7 +353,7 @@ func TestKillNineMidBatchDurability(t *testing.T) {
 	}
 	defer feNet.Close()
 	feNet.SetPeer(core.ReplicaNode(0), peers[0])
-	opts := core.Options{BatchSize: 8, BatchDelay: time.Millisecond}
+	opts := core.BatchedOptions()
 	cluster := core.NewCluster(core.ClusterConfig{
 		Replicas:      1,
 		DataType:      dtype.Log{},
@@ -363,22 +363,38 @@ func TestKillNineMidBatchDurability(t *testing.T) {
 	})
 	defer cluster.Close()
 	feNet.Start()
-	cluster.StartLiveRetransmit(250 * time.Millisecond)
+	cluster.StartLiveRetransmit(core.RetransmitInterval)
 	cluster.StartLiveBatchFlush(opts.FlushPeriod())
 	fe := cluster.FrontEnd("load")
 
-	// Causally chained appends, every one ACKNOWLEDGED before the kill.
+	// Causally chained appends, submitted at once so that they travel as a
+	// batch — the first opens the replica target, the other 29 buffer
+	// below the shipped batch size of 32 until the next flush — and every
+	// one ACKNOWLEDGED before the kill.
 	const acked = 30
 	var last ops.ID
-	for i := 0; i < acked; i++ {
-		x, v, err := submitWithDeadline(fe, dtype.LogAppend{Entry: fmt.Sprintf("d%02d", i)}, prevOf(last), false, 15*time.Second)
-		if err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		if fmt.Sprint(v) != fmt.Sprint(i+1) { // LogAppend answers the new length
-			t.Fatalf("append %d returned %v, want %d", i, v, i+1)
-		}
+	resps := make([]chan core.Response, acked)
+	for i := range resps {
+		ch := make(chan core.Response, 1)
+		resps[i] = ch
+		x := fe.Submit(dtype.LogAppend{Entry: fmt.Sprintf("d%02d", i)}, prevOf(last), false, func(r core.Response) { ch <- r })
 		last = x.ID
+	}
+	for i, ch := range resps {
+		select {
+		case r := <-ch:
+			if r.Err != nil {
+				t.Fatalf("append %d: %v", i, r.Err)
+			}
+			if fmt.Sprint(r.Value) != fmt.Sprint(i+1) { // LogAppend answers the new length
+				t.Fatalf("append %d returned %v, want %d", i, r.Value, i+1)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("append %d never acknowledged", i)
+		}
+	}
+	if sent := feNet.Stats().Sent; sent >= acked {
+		t.Fatalf("front end sent %d frames for %d appends: no batch was in flight", sent, acked)
 	}
 
 	// kill -9 mid-batch: no shutdown path, no gossip ever left (n=1). Only
@@ -388,7 +404,7 @@ func TestKillNineMidBatchDurability(t *testing.T) {
 	}
 	proc.Wait()
 
-	restartArgs := append(append([]string{}, batchArgs...), "-recover")
+	restartArgs := append(append([]string{}, storeArgs...), "-recover")
 	spawnReplicaWatch(t, 0, peers, restartArgs...)
 
 	// A strict read causally after the whole chain: answerable only once the
@@ -481,10 +497,12 @@ func TestParseFlagsValidation(t *testing.T) {
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-snapshot-cap", "4096"}, "flag provided but not defined: -snapshot-cap"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-snapshot=false"}, "flag provided but not defined: -snapshot"},
 		{[]string{"-peers", "a:1,b:2", "-id", "0", "-compact-gossip=false"}, "flag provided but not defined: -compact-gossip"},
-		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch", "-4"}, "-batch -4 is negative"},
-		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch", "8", "-batch-delay", "-1ms"}, "-batch-delay -1ms is negative"},
-		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch-delay", "2ms"}, "needs -batch > 1"},
-		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch", "1", "-batch-delay", "2ms"}, "needs -batch > 1"},
+		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch", "8"}, "flag provided but not defined: -batch"},
+		{[]string{"-peers", "a:1,b:2", "-id", "0", "-batch-delay", "2ms"}, "flag provided but not defined: -batch-delay"},
+		{[]string{"-peers", "a:1,b:2", "-id", "0", "-workers", "2"}, "flag provided but not defined: -workers"},
+		{[]string{"-peers", "a:1,b:2", "-id", "0", "-memoize=false"}, "flag provided but not defined: -memoize"},
+		{[]string{"-peers", "a:1,b:2", "-id", "0", "-prune=false"}, "flag provided but not defined: -prune"},
+		{[]string{"-peers", "a:1,b:2", "-id", "0", "-commute"}, "flag provided but not defined: -commute"},
 		{[]string{"-peers", "a:1,b:2", "-resize", "-2"}, "-resize -2 is negative"},
 		{[]string{"-peers", "a:1,b:2", "-resize", "1"}, "grow to 2 or more"},
 		{[]string{"-peers", "a:1,b:2", "-resize", "4", "-id", "0"}, "admin command"},
@@ -515,12 +533,91 @@ func TestParseFlagsValidation(t *testing.T) {
 	if _, err := parseFlags([]string{"-peers", "a:1,b:2", "-resize", "4"}, os.Stderr); err != nil {
 		t.Errorf("valid -resize admin flags rejected: %v", err)
 	}
-	cfg, err = parseFlags([]string{"-peers", "a:1,b:2", "-id", "0", "-batch", "32", "-batch-delay", "2ms"}, os.Stderr)
-	if err != nil {
-		t.Fatalf("valid batching flags rejected: %v", err)
+}
+
+// TestShippedConfiguration pins every member kind to internal/core's table
+// of shipped values: a member started with only -peers and -id (or
+// -client) runs the table's gossip period and batched options. The esds
+// package's test of the same name pins esds.New and the benchmark to the
+// same table.
+func TestShippedConfiguration(t *testing.T) {
+	for _, args := range [][]string{
+		{"-peers", "a:1,b:2,c:3", "-id", "1"},
+		{"-peers", "a:1,b:2,c:3", "-client", "c"},
+	} {
+		cfg, err := parseFlags(args, os.Stderr)
+		if err != nil {
+			t.Fatalf("parseFlags(%v): %v", args, err)
+		}
+		if cfg.gossip != core.GossipInterval || cfg.opts != core.BatchedOptions() {
+			t.Errorf("parseFlags(%v): gossip %v, options %+v; want %v, %+v",
+				args, cfg.gossip, cfg.opts, core.GossipInterval, core.BatchedOptions())
+		}
 	}
-	if cfg.opts.BatchSize != 32 || cfg.opts.BatchDelay != 2*time.Millisecond {
-		t.Errorf("batch knobs = %d/%v, want 32/2ms", cfg.opts.BatchSize, cfg.opts.BatchDelay)
+}
+
+// timerLog is a timers fake that records which Start* calls a member made.
+type timerLog []string
+
+func (l *timerLog) StartLiveGossip(d time.Duration) {
+	*l = append(*l, fmt.Sprintf("gossip %v", d))
+}
+
+func (l *timerLog) StartLiveRetransmit(d time.Duration) {
+	*l = append(*l, fmt.Sprintf("retransmit %v", d))
+}
+
+func (l *timerLog) StartLiveBatchFlush(d time.Duration) {
+	*l = append(*l, fmt.Sprintf("flush %v", d))
+}
+
+// TestStartTimers pins which timers each kind of member starts: gossip on
+// every replica member, and retransmission and the batch flusher on every
+// member that creates front ends — clients, and keyspace replica members,
+// whose migration driver submits strict KeyInstalls under -resize. A
+// keyspace replica member without retransmission would block Resize
+// forever on one lost install frame.
+func TestStartTimers(t *testing.T) {
+	gossip := fmt.Sprintf("gossip %v", core.GossipInterval)
+	retransmit := fmt.Sprintf("retransmit %v", core.RetransmitInterval)
+	flush := fmt.Sprintf("flush %v", core.BatchedOptions().BatchDelay)
+	shapes := []struct {
+		name  string
+		flags []string
+	}{
+		{"unsharded", nil},
+		{"sharded", []string{"-shards", "4"}},
+		{"placed", []string{"-shards", "4", "-place", "2"}},
+	}
+	members := []struct {
+		name  string
+		flags []string
+	}{
+		{"client", []string{"-client", "c"}},
+		{"replica", []string{"-id", "0"}},
+	}
+	want := map[string][]string{
+		"client/unsharded":  {retransmit, flush},
+		"client/sharded":    {retransmit, flush},
+		"client/placed":     {retransmit, flush},
+		"replica/unsharded": {gossip},
+		"replica/sharded":   {gossip, retransmit, flush},
+		"replica/placed":    {gossip, retransmit, flush},
+	}
+	for _, m := range members {
+		for _, shape := range shapes {
+			name := m.name + "/" + shape.name
+			args := append([]string{"-peers", "a:1,b:2,c:3"}, m.flags...)
+			cfg, err := parseFlags(append(args, shape.flags...), os.Stderr)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var got timerLog
+			startTimers(&got, cfg)
+			if !reflect.DeepEqual([]string(got), want[name]) {
+				t.Errorf("%s starts %q, want %q", name, got, want[name])
+			}
+		}
 	}
 }
 
@@ -558,18 +655,17 @@ func TestResizeAdminAgainstCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
-	// Members run the batched hot path (DESIGN.md §8): member 0 becomes
-	// the migration driver, whose strict KeyInstall submissions ride
-	// batch buffers — the replica-mode flush ticker must move them, or
+	// Members run the shipped batched hot path (DESIGN.md §8): member 0
+	// becomes the migration driver, whose strict KeyInstall submissions
+	// ride batch buffers — the replica-mode flush ticker must move them, or
 	// INSTALL stalls until the resize deadline (a live-drive regression).
-	// The clients below stay unbatched, proving the mixed config holds.
 	peers := reservePorts(t, 3)
 	var watch0 func() string
 	for i := 0; i < 3; i++ {
 		if i == 0 {
-			_, watch0 = spawnReplicaWatch(t, i, peers, "-shards", "2", "-batch", "8", "-batch-delay", "1ms")
+			_, watch0 = spawnReplicaWatch(t, i, peers, "-shards", "2")
 		} else {
-			spawnReplica(t, i, peers, "-shards", "2", "-batch", "8", "-batch-delay", "1ms")
+			spawnReplica(t, i, peers, "-shards", "2")
 		}
 	}
 

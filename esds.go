@@ -48,6 +48,7 @@
 package esds
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -77,16 +78,12 @@ type Value = dtype.Value
 // ordering.
 type ID = ops.ID
 
-// Options selects the §10 optimizations of the paper that are options.
-// The zero value recomputes every response as Fig. 7 does; DefaultOptions
-// enables memoization and pruning. Gossip is not among them: it always
-// sends acknowledged deltas (§10.4).
-type Options = core.Options
-
-// DefaultOptions returns the recommended production options.
-func DefaultOptions() Options { return core.DefaultOptions() }
-
-// Config assembles a Service.
+// Config assembles a Service. Everything it does not name is the shipped
+// configuration, one table in internal/core that esds-server and the
+// benchmark share: §10.1 memoization and §10.2 pruning, front-end
+// retransmission every 250ms (the paper's §6.2 liveness mechanism), and on
+// a sharded service the batched hot path (DESIGN.md §8) and a
+// shard-per-core worker pool sized from GOMAXPROCS (DESIGN.md §9).
 type Config struct {
 	// Replicas is the number of data replicas (≥ 1; the paper's algorithm
 	// targets ≥ 2). With Shards ≥ 2 it is the replica count per shard.
@@ -99,35 +96,13 @@ type Config struct {
 	// Object, Resize, ShardOf). All of the paper's guarantees hold within
 	// one object; constraints cannot span objects on different shards.
 	Shards int
-	// Workers sizes the shard-per-core worker pool of a sharded service
-	// (DESIGN.md §9): each shard's replicas are pinned to one worker that
-	// exclusively drives their state, so distinct shards never contend.
-	// 0 sizes the pool from GOMAXPROCS (one worker per schedulable core);
-	// negative disables the runtime, leaving each replica on its own
-	// transport mailbox goroutine. Ignored when Shards ≤ 1 — an unsharded
-	// cluster has nothing to spread across workers, and serializing all its
-	// replicas behind one would only add latency.
-	Workers int
 	// GossipInterval is the anti-entropy period (the paper's g). Default:
-	// 10ms.
+	// 5ms.
 	GossipInterval time.Duration
-	// RetransmitInterval is the period of the front-end retransmission
-	// ticker (the paper's §6.2 liveness mechanism): every pending request
-	// is periodically re-sent, rotating replicas, so a lost request or
-	// response cannot block a caller forever. Default: 250ms. Negative
-	// disables retransmission (only safe on lossless transports).
-	RetransmitInterval time.Duration
-	// Options selects optimizations. Default: DefaultOptions(). Setting
-	// Options.BatchSize > 1 enables the batched hot path (submissions and
-	// responses travel in batch frames; see DESIGN.md §8
-	// and the README's Tuning section); New then also starts a batch
-	// flusher of period Options.BatchDelay (1ms when unset) so a partially
-	// filled batch never waits longer than that.
-	Options *Options
 }
 
-// ErrClosed is returned by operations submitted to a closed Service or
-// Keyspace, and delivered to operations still pending when Close runs.
+// ErrClosed is returned by operations submitted to a closed Service and
+// delivered to operations still pending when Close runs.
 var ErrClosed = core.ErrClosed
 
 // Service is a running eventually-serializable data service over the
@@ -139,7 +114,7 @@ type Service struct {
 	net       *transport.LiveNet
 	cluster   *core.Cluster      // unsharded mode
 	ks        *core.Keyspace     // sharded mode
-	rt        *core.ShardRuntime // sharded mode, unless Workers < 0
+	rt        *core.ShardRuntime // sharded mode
 	replicas  int
 	closeOnce sync.Once
 }
@@ -148,98 +123,66 @@ type Service struct {
 // Config.Shards ≤ 1, a sharded keyspace on the shard-per-core runtime when
 // Config.Shards ≥ 2.
 func New(cfg Config) (*Service, error) {
-	if cfg.Shards >= 2 {
-		return newSharded(cfg)
-	}
-	cfg, err := configure(cfg)
+	opt, gossip, err := configure(cfg)
 	if err != nil {
 		return nil, err
 	}
-	net := transport.NewLiveNet()
-	cluster := core.NewCluster(core.ClusterConfig{
-		Replicas: cfg.Replicas,
-		DataType: cfg.DataType,
-		Network:  net,
-		Options:  *cfg.Options,
-	})
-	startTickers(cluster, cfg)
-	return &Service{net: net, cluster: cluster, replicas: cfg.Replicas}, nil
+	s := &Service{net: transport.NewLiveNet(), replicas: cfg.Replicas}
+	var c interface {
+		StartLiveGossip(time.Duration)
+		StartLiveRetransmit(time.Duration)
+		StartLiveBatchFlush(time.Duration)
+	}
+	if cfg.Shards < 2 {
+		s.cluster = core.NewCluster(core.ClusterConfig{
+			Replicas: cfg.Replicas,
+			DataType: cfg.DataType,
+			Network:  s.net,
+			Options:  opt,
+		})
+		c = s.cluster
+	} else {
+		s.rt = core.NewShardRuntime(0)
+		s.ks = core.NewKeyspace(core.KeyspaceConfig{
+			Shards:   cfg.Shards,
+			Replicas: cfg.Replicas,
+			DataType: cfg.DataType,
+			Network:  s.net,
+			Options:  opt,
+			Runtime:  s.rt,
+		})
+		c = s.ks
+	}
+	c.StartLiveGossip(gossip)
+	c.StartLiveRetransmit(core.RetransmitInterval)
+	if opt.BatchSize > 1 {
+		c.StartLiveBatchFlush(opt.FlushPeriod())
+	}
+	return s, nil
 }
 
-// newSharded starts a keyspace-backed service. Unlike New it accepts
-// Shards == 1 — the deprecated NewKeyspace allows a one-shard keyspace,
-// which differs from an unsharded Service in that Resize can grow it.
-func newSharded(cfg Config) (*Service, error) {
-	cfg, err := configure(cfg)
-	if err != nil {
-		return nil, err
-	}
-	net := transport.NewLiveNet()
-	var rt *core.ShardRuntime
-	if cfg.Workers >= 0 {
-		rt = core.NewShardRuntime(cfg.Workers)
-	}
-	ks := core.NewKeyspace(core.KeyspaceConfig{
-		Shards:   cfg.Shards,
-		Replicas: cfg.Replicas,
-		DataType: cfg.DataType,
-		Network:  net,
-		Options:  *cfg.Options,
-		Runtime:  rt,
-	})
-	startTickers(ks, cfg)
-	return &Service{net: net, ks: ks, rt: rt, replicas: cfg.Replicas}, nil
-}
-
-// configure validates cfg for either door of New and returns it with its
-// defaults filled in; Options is non-nil afterwards.
-func configure(cfg Config) (Config, error) {
+// configure validates cfg and returns the shipped options and gossip
+// period New runs for its shape: an unsharded cluster runs unbatched (the
+// paper's shape, one frame per message), a sharded keyspace the batched
+// hot path.
+func configure(cfg Config) (core.Options, time.Duration, error) {
 	if cfg.Shards < 0 {
-		return cfg, fmt.Errorf("esds: invalid shard count %d", cfg.Shards)
+		return core.Options{}, 0, fmt.Errorf("esds: invalid shard count %d", cfg.Shards)
 	}
 	if cfg.Replicas < 1 || cfg.Replicas > core.MaxReplicas {
-		return cfg, fmt.Errorf("esds: invalid replica count %d (1 to %d)", cfg.Replicas, core.MaxReplicas)
+		return core.Options{}, 0, fmt.Errorf("esds: invalid replica count %d (1 to %d)", cfg.Replicas, core.MaxReplicas)
 	}
 	if cfg.DataType == nil {
-		return cfg, errors.New("esds: nil data type")
+		return core.Options{}, 0, errors.New("esds: nil data type")
 	}
 	if cfg.GossipInterval < 0 {
-		return cfg, fmt.Errorf("esds: negative gossip interval %v", cfg.GossipInterval)
-	}
-	if cfg.GossipInterval == 0 {
-		cfg.GossipInterval = 10 * time.Millisecond
-	}
-	if cfg.RetransmitInterval == 0 {
-		cfg.RetransmitInterval = 250 * time.Millisecond
+		return core.Options{}, 0, fmt.Errorf("esds: negative gossip interval %v", cfg.GossipInterval)
 	}
 	opt := core.DefaultOptions()
-	if cfg.Options != nil {
-		opt = *cfg.Options
+	if cfg.Shards >= 2 {
+		opt = core.BatchedOptions()
 	}
-	if opt.BatchSize < 0 {
-		return cfg, fmt.Errorf("esds: negative batch size %d", opt.BatchSize)
-	}
-	if opt.BatchDelay < 0 {
-		return cfg, fmt.Errorf("esds: negative batch delay %v", opt.BatchDelay)
-	}
-	cfg.Options = &opt
-	return cfg, nil
-}
-
-// startTickers starts the gossip, retransmission and batch-flush tickers a
-// configured service runs, on a cluster or a keyspace alike.
-func startTickers(c interface {
-	StartLiveGossip(time.Duration)
-	StartLiveRetransmit(time.Duration)
-	StartLiveBatchFlush(time.Duration)
-}, cfg Config) {
-	c.StartLiveGossip(cfg.GossipInterval)
-	if cfg.RetransmitInterval > 0 {
-		c.StartLiveRetransmit(cfg.RetransmitInterval)
-	}
-	if cfg.Options.BatchSize > 1 {
-		c.StartLiveBatchFlush(cfg.Options.FlushPeriod())
-	}
+	return opt, cmp.Or(cfg.GossipInterval, core.GossipInterval), nil
 }
 
 // Close stops gossip, fails every operation still awaiting a response with
@@ -266,7 +209,7 @@ func (s *Service) Close() {
 func (s *Service) Replicas() int { return s.replicas }
 
 // Workers returns the size of the shard-per-core worker pool, or 0 when the
-// service runs without one (unsharded, or Config.Workers < 0).
+// service runs without one (unsharded).
 func (s *Service) Workers() int {
 	if s.rt == nil {
 		return 0
@@ -344,8 +287,7 @@ func (s *Service) ShardOf(object string) int { return s.keyspace("ShardOf").Shar
 // exactly once. Clients obtained via Object.Client follow the move
 // automatically.
 //
-// Resize requires the default Memoize option and a snapshottable data type
-// (all built-ins are). Only one resize may run at a time; a failed resize
+// Resize requires a snapshottable data type (all built-ins are). Only one resize may run at a time; a failed resize
 // (e.g. timeout) leaves the service consistent and is retryable with the
 // same target. See DESIGN.md §7 for the protocol.
 func (s *Service) Resize(newShards int) (*core.ResizeReport, error) {
@@ -368,8 +310,8 @@ func (s *Service) ShardMetrics(shard int) core.ReplicaMetrics {
 
 // Client submits operations on behalf of one named client. A Client from
 // Service.Client addresses the service's single object through its front
-// end; a Client from Object.Client addresses one named object of a
-// Keyspace through the keyspace router (wrap routes each operator to that
+// end; a Client from Object.Client addresses one named object of a sharded
+// service through the keyspace router (wrap routes each operator to that
 // object, and the router follows the object across live resizes).
 type Client struct {
 	fe   core.Submitter

@@ -35,8 +35,6 @@ func TestNewValidation(t *testing.T) {
 		{"65 replicas", esds.Config{Replicas: 65, DataType: esds.Counter()}},
 		{"nil data type", esds.Config{Replicas: 3}},
 		{"negative gossip interval", esds.Config{Replicas: 3, DataType: esds.Counter(), GossipInterval: -time.Second}},
-		{"negative batch size", esds.Config{Replicas: 3, DataType: esds.Counter(), Options: &esds.Options{BatchSize: -1}}},
-		{"negative batch delay", esds.Config{Replicas: 3, DataType: esds.Counter(), Options: &esds.Options{BatchSize: 8, BatchDelay: -time.Millisecond}}},
 	}
 	for _, shards := range []int{0, 4} {
 		for _, tc := range cases {
@@ -223,23 +221,6 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	svc.Close()
 	svc.Close()
-}
-
-func TestDefaultOptions(t *testing.T) {
-	opt := esds.DefaultOptions()
-	if !opt.Memoize || !opt.Prune || opt.Commute {
-		t.Fatalf("DefaultOptions = %+v", opt)
-	}
-	// Custom options are honored.
-	svc, err := esds.New(esds.Config{Replicas: 2, DataType: esds.Counter(), Options: &esds.Options{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	v, _, _ := svc.Client("c").Apply(esds.Add(1))
-	if v != "ok" {
-		t.Fatal("unoptimized service broken")
-	}
 }
 
 // TestCloseFailsPendingApply is the liveness acceptance regression:

@@ -12,7 +12,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"esds/internal/core"
 	"esds/internal/dtype"
@@ -26,6 +25,9 @@ func main() {
 	// any message is encoded or decoded.
 	core.RegisterWire()
 	const n = 3
+	// Every member runs the shipped configuration, as esds-server does:
+	// the batched hot path and the core package's protocol timers.
+	opt := core.BatchedOptions()
 
 	// Bind one listener per replica first, so the full peer table is known
 	// before any member starts talking.
@@ -54,12 +56,12 @@ func main() {
 			Replicas:      n,
 			DataType:      dtype.Counter{},
 			Network:       nets[i],
-			Options:       core.DefaultOptions(),
+			Options:       opt,
 			LocalReplicas: []int{i},
 		})
 		defer member.Close()
 		nets[i].Start()
-		member.StartLiveGossip(5 * time.Millisecond)
+		member.StartLiveGossip(core.GossipInterval)
 	}
 
 	// The client runs on its own transport, like a fourth process. The
@@ -77,6 +79,7 @@ func main() {
 		Replicas:      n,
 		DataType:      dtype.Counter{},
 		Network:       feNet,
+		Options:       opt,
 		LocalReplicas: []int{}, // front-end-only member: no replica here
 	})
 	defer feMember.Close()
@@ -84,8 +87,10 @@ func main() {
 	fe := feMember.FrontEnd("alice")
 
 	// Over real sockets a frame can always be lost; the retransmission
-	// ticker is the paper's §6.2 liveness mechanism against that.
-	feMember.StartLiveRetransmit(100 * time.Millisecond)
+	// ticker is the paper's §6.2 liveness mechanism against that. The
+	// flusher sends a partially filled request batch after BatchDelay.
+	feMember.StartLiveRetransmit(core.RetransmitInterval)
+	feMember.StartLiveBatchFlush(opt.FlushPeriod())
 
 	// A non-strict increment: answered from one replica's local view after
 	// a single request/response over TCP.

@@ -56,8 +56,8 @@ type Options struct {
 
 	// BatchDelay is the front-end flush period: a partially filled request
 	// batch waits at most this long before the batch flusher sends it
-	// (esds.New/NewKeyspace and esds-server start the flusher; raw core
-	// users call Cluster.StartLiveBatchFlush or FrontEnd.Flush). The first
+	// (esds.New and esds-server start the flusher; raw core users call
+	// Cluster.StartLiveBatchFlush or FrontEnd.Flush). The first
 	// submission to an idle replica target never waits: it is sent at once
 	// and opens the target, and only submissions to an open target buffer.
 	// The flusher ticks at this period only while some front end has an
@@ -68,8 +68,8 @@ type Options struct {
 
 // FlushPeriod is the batch flusher's period for an enabled batched hot
 // path: BatchDelay when set, else 1ms — a partial batch must never be
-// stranded waiting for the size trigger alone. esds.New/NewKeyspace and
-// esds-server pass it to StartLiveBatchFlush whenever BatchSize > 1.
+// stranded waiting for the size trigger alone. esds.New and esds-server
+// pass it to StartLiveBatchFlush whenever BatchSize > 1.
 func (o Options) FlushPeriod() time.Duration {
 	if o.BatchDelay > 0 {
 		return o.BatchDelay
@@ -77,15 +77,36 @@ func (o Options) FlushPeriod() time.Duration {
 	return time.Millisecond
 }
 
-// DefaultOptions is the configuration a production deployment would run:
-// memoization and pruning on, commute mode off (commute mode needs the
-// SafeUsers client discipline), batching off (it trades per-operation
-// latency for throughput — a deployment decision; see BatchSize and
-// DESIGN.md §8). Gossip has one mode and its wire form is not an option
-// either: the transport negotiates it.
+// The shipped configuration: the protocol timers and batch shape that
+// esds.New and every esds-server member run, and that the benchmark
+// (benchmark/deploy.go) measures. A test pins the three to each other.
+const (
+	// GossipInterval is the anti-entropy period (the paper's g).
+	GossipInterval = 5 * time.Millisecond
+	// RetransmitInterval is the front-end retransmission period (§6.2): a
+	// pending request is re-sent, rotating replicas, this often.
+	RetransmitInterval = 250 * time.Millisecond
+)
+
+// DefaultOptions is the configuration an unbatched deployment runs (an
+// unsharded esds.New service): memoization and pruning on, commute mode
+// off (commute mode needs the SafeUsers client discipline, which nothing
+// enforces), batching off. Gossip has one mode and its wire form is not an
+// option either: the transport negotiates it.
 func DefaultOptions() Options {
 	return Options{
 		Memoize: true,
 		Prune:   true,
 	}
+}
+
+// BatchedOptions is DefaultOptions plus the batched hot path (DESIGN.md
+// §8): what a sharded esds.New service and every esds-server member run.
+// Batching trades a flush period of per-operation latency for frame rate
+// and CPU.
+func BatchedOptions() Options {
+	opt := DefaultOptions()
+	opt.BatchSize = 32
+	opt.BatchDelay = time.Millisecond
+	return opt
 }

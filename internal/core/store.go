@@ -194,18 +194,18 @@ func (s *MemStableStore) Keys() map[ops.ID]string {
 // but faults on a frame whose checksum or declared length is garbage:
 // corruption anywhere but the tail means the journal cannot be trusted.
 // Unknown record types with valid checksums are skipped (forward
-// compatibility). Later records for the same id win, matching
-// MemStableStore's overwrite semantics.
+// compatibility). Later records for the same id win: the in-memory view
+// is a MemStableStore, and every record is folded into it.
 type FileStableStore struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	f       *os.File
-	noSync  bool
-	m       map[ops.ID]label.Label
-	opsLog  []ops.Operation
-	opIdx   map[ops.ID]int
-	resizes map[int]ResizeRecord
-	keys    map[ops.ID]string
+	mu     sync.Mutex
+	cond   *sync.Cond
+	f      *os.File
+	noSync bool
+	// view is the journal's in-memory image, which the accessors read. It
+	// changes only under mu (load, and each Persist* after its frame is
+	// appended), so the skip-if-unchanged checks read its maps directly
+	// while holding mu.
+	view *MemStableStore
 
 	appended uint64 // records appended to the log (page cache)
 	synced   uint64 // records made durable by the committer
@@ -280,13 +280,10 @@ func OpenFileStableStoreWith(path string, opt FileStoreOptions) (*FileStableStor
 		return nil, fmt.Errorf("core: opening stable store: %w", err)
 	}
 	s := &FileStableStore{
-		f:       f,
-		noSync:  opt.NoSync,
-		m:       make(map[ops.ID]label.Label),
-		opIdx:   make(map[ops.ID]int),
-		resizes: make(map[int]ResizeRecord),
-		keys:    make(map[ops.ID]string),
-		done:    make(chan struct{}),
+		f:      f,
+		noSync: opt.NoSync,
+		view:   NewMemStableStore(),
+		done:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.load(path); err != nil {
@@ -353,31 +350,25 @@ func (s *FileStableStore) apply(typ byte, payload []byte) error {
 		if err := dec(&rec); err != nil {
 			return fmt.Errorf("decoding label record: %w", err)
 		}
-		s.m[rec.ID] = rec.L
+		s.view.PersistLabel(rec.ID, rec.L)
 	case recOpByte:
 		var rec storedOpRecord
 		if err := dec(&rec); err != nil {
 			return fmt.Errorf("decoding op record: %w", err)
 		}
-		s.m[rec.X.ID] = rec.L
-		if i, ok := s.opIdx[rec.X.ID]; ok {
-			s.opsLog[i] = rec.X
-		} else {
-			s.opIdx[rec.X.ID] = len(s.opsLog)
-			s.opsLog = append(s.opsLog, rec.X)
-		}
+		s.view.PersistOp(rec.X, rec.L)
 	case recResizeByte:
 		var rec ResizeRecord
 		if err := dec(&rec); err != nil {
 			return fmt.Errorf("decoding resize record: %w", err)
 		}
-		s.resizes[rec.Epoch] = rec
+		s.view.PersistResize(rec)
 	case recKeyByte:
 		var rec keyRecord
 		if err := dec(&rec); err != nil {
 			return fmt.Errorf("decoding key record: %w", err)
 		}
-		s.keys[rec.ID] = rec.Key
+		s.view.PersistKey(rec.ID, rec.Key)
 	default:
 		// Unknown but checksummed: a newer writer's record type. Skip it —
 		// the fields this reader understands are still whole.
@@ -476,8 +467,7 @@ func (s *FileStableStore) PersistLabel(id ops.ID, l label.Label) error {
 	if err := s.appendLocked(recLabelByte, labelRecord{ID: id, L: l}); err != nil {
 		return err
 	}
-	s.m[id] = l
-	return nil
+	return s.view.PersistLabel(id, l)
 }
 
 // PersistOp implements StableStore. An (id, label) pair that is already
@@ -486,20 +476,13 @@ func (s *FileStableStore) PersistLabel(id ops.ID, l label.Label) error {
 func (s *FileStableStore) PersistOp(x ops.Operation, l label.Label) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i, ok := s.opIdx[x.ID]; ok && s.m[x.ID] == l && reflect.DeepEqual(s.opsLog[i], x) {
+	if i, ok := s.view.opIdx[x.ID]; ok && s.view.m[x.ID] == l && reflect.DeepEqual(s.view.ops[i], x) {
 		return nil
 	}
 	if err := s.appendLocked(recOpByte, storedOpRecord{X: x, L: l}); err != nil {
 		return err
 	}
-	s.m[x.ID] = l
-	if i, ok := s.opIdx[x.ID]; ok {
-		s.opsLog[i] = x
-	} else {
-		s.opIdx[x.ID] = len(s.opsLog)
-		s.opsLog = append(s.opsLog, x)
-	}
-	return nil
+	return s.view.PersistOp(x, l)
 }
 
 // PersistResize implements StableStore; an epoch's unchanged record is not
@@ -507,14 +490,13 @@ func (s *FileStableStore) PersistOp(x ops.Operation, l label.Label) error {
 func (s *FileStableStore) PersistResize(rec ResizeRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.resizes[rec.Epoch]; ok && reflect.DeepEqual(cur, rec) {
+	if cur, ok := s.view.resizes[rec.Epoch]; ok && reflect.DeepEqual(cur, rec) {
 		return nil
 	}
 	if err := s.appendLocked(recResizeByte, rec); err != nil {
 		return err
 	}
-	s.resizes[rec.Epoch] = rec
-	return nil
+	return s.view.PersistResize(rec)
 }
 
 // PersistKey implements StableStore; an id's key never changes, so a known
@@ -522,14 +504,13 @@ func (s *FileStableStore) PersistResize(rec ResizeRecord) error {
 func (s *FileStableStore) PersistKey(id ops.ID, key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.keys[id]; ok {
+	if _, ok := s.view.keys[id]; ok {
 		return nil
 	}
 	if err := s.appendLocked(recKeyByte, keyRecord{ID: id, Key: key}); err != nil {
 		return err
 	}
-	s.keys[id] = key
-	return nil
+	return s.view.PersistKey(id, key)
 }
 
 // Commit implements StableStore: it blocks until the committer has made
@@ -552,45 +533,16 @@ func (s *FileStableStore) Commit() error {
 }
 
 // Labels implements StableStore.
-func (s *FileStableStore) Labels() map[ops.ID]label.Label {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[ops.ID]label.Label, len(s.m))
-	for id, l := range s.m {
-		out[id] = l
-	}
-	return out
-}
+func (s *FileStableStore) Labels() map[ops.ID]label.Label { return s.view.Labels() }
 
 // Ops implements StableStore: descriptors in journal order.
-func (s *FileStableStore) Ops() []ops.Operation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]ops.Operation(nil), s.opsLog...)
-}
+func (s *FileStableStore) Ops() []ops.Operation { return s.view.Ops() }
 
 // Resizes implements StableStore.
-func (s *FileStableStore) Resizes() []ResizeRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ResizeRecord, 0, len(s.resizes))
-	for _, rec := range s.resizes {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
-	return out
-}
+func (s *FileStableStore) Resizes() []ResizeRecord { return s.view.Resizes() }
 
 // Keys implements StableStore.
-func (s *FileStableStore) Keys() map[ops.ID]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[ops.ID]string, len(s.keys))
-	for id, k := range s.keys {
-		out[id] = k
-	}
-	return out
-}
+func (s *FileStableStore) Keys() map[ops.ID]string { return s.view.Keys() }
 
 // Err returns the first write or sync error, if any: a deployment that
 // cannot persist its journal should not advertise itself as recoverable

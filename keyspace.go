@@ -1,108 +1,8 @@
 package esds
 
-import (
-	"time"
+import "esds/internal/core"
 
-	"esds/internal/core"
-)
-
-// Keyspace is a sharded multi-object data service.
-//
-// Deprecated: the sharded service is now a Service mode — construct it with
-// New and Config.Shards ≥ 2, which additionally runs the replicas on the
-// shard-per-core worker runtime (DESIGN.md §9). Keyspace remains as a thin
-// wrapper over that Service so existing callers keep working.
-type Keyspace struct {
-	s *Service
-}
-
-// KeyspaceConfig assembles a Keyspace.
-//
-// Deprecated: use Config with Shards set (see Keyspace).
-type KeyspaceConfig struct {
-	// Shards is the number of independent ESDS clusters the namespace is
-	// partitioned into. Default: 1.
-	Shards int
-	// Replicas is the number of data replicas per shard (≥ 1).
-	Replicas int
-	// DataType is the serial type of every named object.
-	DataType DataType
-	// GossipInterval is the per-shard anti-entropy period. Default: 10ms.
-	GossipInterval time.Duration
-	// RetransmitInterval is the front-end retransmission period (see
-	// Config.RetransmitInterval). Default: 250ms; negative disables.
-	RetransmitInterval time.Duration
-	// Options selects optimizations for every shard. Default:
-	// DefaultOptions(). Options.BatchSize > 1 enables the batched hot path
-	// on every shard (see Config.Options and DESIGN.md §8).
-	Options *Options
-}
-
-// NewKeyspace starts a sharded service from the legacy config.
-//
-// Deprecated: use New with Config.Shards ≥ 2. Unlike New, NewKeyspace
-// accepts a one-shard keyspace (Shards ≤ 1), which differs from an
-// unsharded Service in that Resize can grow it.
-func NewKeyspace(cfg KeyspaceConfig) (*Keyspace, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	s, err := newSharded(Config{
-		Replicas:           cfg.Replicas,
-		DataType:           cfg.DataType,
-		Shards:             cfg.Shards,
-		GossipInterval:     cfg.GossipInterval,
-		RetransmitInterval: cfg.RetransmitInterval,
-		Options:            cfg.Options,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Keyspace{s: s}, nil
-}
-
-// Service returns the Service backing this keyspace — the migration path
-// off the deprecated wrapper.
-func (k *Keyspace) Service() *Service { return k.s }
-
-// Close stops every shard, fails all pending operations with ErrClosed,
-// and shuts the transport and worker runtime down. Close is idempotent and
-// safe for concurrent use.
-func (k *Keyspace) Close() { k.s.Close() }
-
-// NumShards returns the shard count.
-func (k *Keyspace) NumShards() int { return k.s.NumShards() }
-
-// Resize grows the keyspace online; see Service.Resize.
-func (k *Keyspace) Resize(newShards int) (*core.ResizeReport, error) {
-	return k.s.Resize(newShards)
-}
-
-// Epoch returns the number of completed resizes.
-func (k *Keyspace) Epoch() int { return k.s.Epoch() }
-
-// MigrationMetrics returns the live-resharding counters.
-func (k *Keyspace) MigrationMetrics() core.MigrationMetrics { return k.s.MigrationMetrics() }
-
-// Faults returns the typed faults recorded by every shard's replicas (see
-// Service.Faults).
-func (k *Keyspace) Faults() []error { return k.s.Faults() }
-
-// ShardOf reports which shard serves the named object.
-func (k *Keyspace) ShardOf(object string) int { return k.s.ShardOf(object) }
-
-// Object returns a handle on the named object, routed to its shard. Two
-// handles with the same name address the same replicated object.
-func (k *Keyspace) Object(name string) *Object { return k.s.Object(name) }
-
-// Metrics returns operation counters aggregated across every shard.
-func (k *Keyspace) Metrics() core.ReplicaMetrics { return k.s.Metrics() }
-
-// ShardMetrics returns the counters of one shard.
-func (k *Keyspace) ShardMetrics(shard int) core.ReplicaMetrics { return k.s.ShardMetrics(shard) }
-
-// Object is one named object of a sharded Service (or the deprecated
-// Keyspace wrapper).
+// Object is one named object of a sharded Service.
 type Object struct {
 	ks    *core.Keyspace
 	name  string

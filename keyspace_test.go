@@ -10,9 +10,9 @@ import (
 	"esds"
 )
 
-func newKeyspace(t *testing.T, shards, replicas int, dt esds.DataType) *esds.Keyspace {
+func newKeyspace(t *testing.T, shards, replicas int, dt esds.DataType) *esds.Service {
 	t.Helper()
-	ks, err := esds.NewKeyspace(esds.KeyspaceConfig{
+	ks, err := esds.New(esds.Config{
 		Shards:         shards,
 		Replicas:       replicas,
 		DataType:       dt,
@@ -26,25 +26,17 @@ func newKeyspace(t *testing.T, shards, replicas int, dt esds.DataType) *esds.Key
 }
 
 func TestKeyspaceValidation(t *testing.T) {
-	bad := []esds.KeyspaceConfig{
+	bad := []esds.Config{
 		{Shards: -1, Replicas: 3, DataType: esds.Counter()},
 		{Shards: 2, Replicas: 0, DataType: esds.Counter()},
 		{Shards: 2, Replicas: 3},
 		{Shards: 2, Replicas: 3, DataType: esds.Counter(), GossipInterval: -time.Second},
 	}
 	for i, cfg := range bad {
-		if _, err := esds.NewKeyspace(cfg); err == nil {
+		if svc, err := esds.New(cfg); err == nil {
+			svc.Close()
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
-	}
-	// Shards defaults to 1.
-	ks, err := esds.NewKeyspace(esds.KeyspaceConfig{Replicas: 2, DataType: esds.Counter()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ks.Close()
-	if ks.NumShards() != 1 {
-		t.Fatalf("default shards = %d", ks.NumShards())
 	}
 }
 
@@ -144,7 +136,7 @@ func TestKeyspaceAggregateMetrics(t *testing.T) {
 // TestKeyspaceCloseFailsPendingWaiters mirrors the service-level liveness
 // guarantee for the sharded API.
 func TestKeyspaceCloseFailsPendingWaiters(t *testing.T) {
-	ks, err := esds.NewKeyspace(esds.KeyspaceConfig{
+	ks, err := esds.New(esds.Config{
 		Shards:         2,
 		Replicas:       3,
 		DataType:       esds.Counter(),
@@ -170,7 +162,7 @@ func TestKeyspaceCloseFailsPendingWaiters(t *testing.T) {
 	select {
 	case <-waitDone:
 	case <-time.After(10 * time.Second):
-		t.Fatal("strict waiters still blocked after Keyspace.Close")
+		t.Fatal("strict waiters still blocked after Service.Close")
 	}
 	close(errs)
 	for err := range errs {
