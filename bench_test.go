@@ -14,9 +14,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"esds"
 	"esds/internal/core"
 	"esds/internal/dtype"
 	"esds/internal/exp"
@@ -741,6 +743,34 @@ func BenchmarkFrontEndFlush(b *testing.B) {
 			cluster.FlushAll()
 		}
 	})
+}
+
+// BenchmarkIdleKeyspace measures what the shipped sharded service costs
+// while it serves nothing: esds.New with 4 shards × 3 replicas, left idle.
+// Each iteration is one millisecond of wall clock, and cpu-ms/s is the
+// process's user plus system CPU (rusage) per second of it — the price of
+// the gossip, retransmission and flush tickers of twelve replicas, which
+// wake whether or not there is anything to send.
+func BenchmarkIdleKeyspace(b *testing.B) {
+	svc, err := esds.New(esds.Config{Shards: 4, Replicas: 3, DataType: esds.Counter()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	time.Sleep(50 * time.Millisecond) // past start-up
+	cpu := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			b.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	b.ResetTimer()
+	c0, t0 := cpu(), time.Now()
+	time.Sleep(time.Duration(b.N) * time.Millisecond) // one sleep: a wake-up per iteration would be charged too
+	used, wall := cpu()-c0, time.Since(t0)
+	b.StopTimer()
+	b.ReportMetric(float64(used)/float64(time.Millisecond)/wall.Seconds(), "cpu-ms/s")
 }
 
 // BenchmarkTCPNetFrames measures the TCP transport alone: b.N frames of

@@ -230,11 +230,15 @@ func TestCloseFailsPendingApply(t *testing.T) {
 	svc, err := esds.New(esds.Config{
 		Replicas:       3,
 		DataType:       esds.Counter(),
-		GossipInterval: time.Hour, // strict ops cannot stabilize: guaranteed pending
+		GossipInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Strict ops cannot stabilize with a replica crashed: guaranteed
+	// pending. A stopped gossip ticker is not enough, since a lone strict
+	// operation is gossiped promptly.
+	esds.CrashReplica(svc, 0, 2)
 	client := svc.Client("c")
 	blocked := make(chan error, 1)
 	go func() {

@@ -58,6 +58,9 @@ const (
 	// install contains its effects and is ordered first).
 	recPrevSatisfied
 	recSnap // transient: covered by the snapshot installSnapshot is adopting
+	// recStrictLive marks a strict operation received here and not yet
+	// stable at every replica: one of the Replica.strictLive it counts.
+	recStrictLive
 )
 
 // idTable maps identifiers to their records, one stream per client: a

@@ -27,7 +27,10 @@ import (
 //	(d) a locally done id has a proper label, and every memoized position
 //	    of doneSeq holds a memoized value;
 //	(e) id ∈ done_r[r] iff it is in the local order doneSeq (Invariant
-//	    7.15 orders exactly done_r[r]).
+//	    7.15 orders exactly done_r[r]);
+//	(g) the records counted in strictLive are received and not stable at
+//	    every replica, every retained strict descriptor not yet stable at
+//	    every replica is counted, and the count is strictLive.
 //
 // It reports whether anything was deferred, which (c) needs.
 func idTableErr(r *Replica) (deferred bool, err error) {
@@ -36,8 +39,17 @@ func idTableErr(r *Replica) (deferred bool, err error) {
 	if r.crashed {
 		return false, nil
 	}
+	live := 0
 	for e := range r.ids.all() {
 		id := e.id
+		if e.has(recStrictLive) {
+			live++
+			if !e.has(recRcvd) || e.stable == r.all {
+				return false, fmt.Errorf("(g) %v counted unsettled strict, but received %v, stable mask %b of %b", id, e.has(recRcvd), e.stable, r.all)
+			}
+		} else if x, ok := e.descriptor(); ok && x.Strict && e.stable != r.all {
+			return false, fmt.Errorf("(g) %v is strict and stable mask %b of %b, but not counted unsettled", id, e.stable, r.all)
+		}
 		if e.doneAt(r.id) && e.label.IsInf() {
 			return false, fmt.Errorf("(d) %v is done without a label", id)
 		}
@@ -64,6 +76,9 @@ func idTableErr(r *Replica) (deferred bool, err error) {
 		if id := e.id; e.doneAt(r.id) != inSeq[id] {
 			return false, fmt.Errorf("(e) %v: done bit %v, in the local order %v", id, e.doneAt(r.id), inSeq[id])
 		}
+	}
+	if live != r.strictLive {
+		return false, fmt.Errorf("(g) strictLive %d, but %d records are unsettled strict", r.strictLive, live)
 	}
 	return len(r.deferredQueue) > 0, nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestCloseFailsPendingWaiters is the Close-with-pending-ops regression:
-// a strict operation that can never stabilize (gossip never started) must
+// a strict operation that can never stabilize (one replica is crashed) must
 // not strand its SubmitWait goroutine when the cluster closes — it returns
 // ErrClosed instead.
 func TestCloseFailsPendingWaiters(t *testing.T) {
@@ -24,8 +24,10 @@ func TestCloseFailsPendingWaiters(t *testing.T) {
 		Network:  net,
 		Options:  DefaultOptions(),
 	})
-	// No gossip: a strict op needs stability at all three replicas, so it
-	// stays pending forever.
+	// A strict op needs stability at all three replicas, so with one
+	// crashed it stays pending forever. Gossip not running is not enough:
+	// a lone strict operation is gossiped promptly, without the ticker.
+	cluster.LocalReplicas()[2].Crash()
 	fe := cluster.FrontEnd("c")
 	done := make(chan error, 1)
 	go func() {

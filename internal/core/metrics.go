@@ -22,6 +22,10 @@ type ReplicaMetrics struct {
 	GossipSuppressed    uint64
 	GossipResent        uint64
 	GossipHeaderRejects uint64
+	// GossipPrompt counts the frames of GossipSent that a prompt send sent
+	// between rounds: the changes of the one strict operation in flight,
+	// sent at the end of the locked round that made them (DESIGN.md §8).
+	GossipPrompt uint64
 	// ResponsesSent counts ⟨response⟩ messages.
 	ResponsesSent uint64
 	// RequestBatchesReceived / ResponseBatchesSent count the batched hot
@@ -113,6 +117,7 @@ func (m *ReplicaMetrics) Add(o ReplicaMetrics) {
 	m.GossipSuppressed += o.GossipSuppressed
 	m.GossipResent += o.GossipResent
 	m.GossipHeaderRejects += o.GossipHeaderRejects
+	m.GossipPrompt += o.GossipPrompt
 	m.ResponsesSent += o.ResponsesSent
 	m.RequestBatchesReceived += o.RequestBatchesReceived
 	m.ResponseBatchesSent += o.ResponseBatchesSent

@@ -35,6 +35,7 @@ func (r *Replica) Crash() {
 	defer r.mu.Unlock()
 	r.ids = newIDTable() // this replica's own labels are reloaded by Recover
 	r.doneLocal, r.stableLocal, r.retainedN = 0, 0, 0
+	r.strictLive, r.strictDirty = 0, false
 	r.pendingQueue = nil
 	r.rcvdQueue = nil
 	r.gen = label.NewGenerator(r.id)

@@ -140,10 +140,14 @@ func TestKeyspaceCloseFailsPendingWaiters(t *testing.T) {
 		Shards:         2,
 		Replicas:       3,
 		DataType:       esds.Counter(),
-		GossipInterval: time.Hour, // strict ops cannot stabilize
+		GossipInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Strict ops cannot stabilize with a replica of each shard crashed.
+	for shard := 0; shard < ks.NumShards(); shard++ {
+		esds.CrashReplica(ks, shard, 2)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
