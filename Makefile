@@ -88,13 +88,15 @@ bench-diff:
 # identifier table's per-id cost), and a stream of frames between two
 # loopback TCPNets, a 32-operation request batch, the 32 responses to it,
 # or a 64-operation compact gossip delta each (ns and allocations per
-# frame), and the shipped 4-shard × 3-replica keyspace left idle (cpu-ms/s
-# of process CPU: what its tickers cost while nothing happens). Unlike the
+# frame), the shipped 4-shard × 3-replica keyspace left idle (cpu-ms/s
+# of process CPU: what its tickers cost while nothing happens), and one
+# collection over a replica holding 100k retained operations (ns per
+# runtime.GC() and heap bytes per identifier). Unlike the
 # `bench` smoke run these numbers carry information; the CI build job runs
 # them at MICROBENCHTIME=100x so they cannot rot.
 MICROBENCHTIME ?= 2000x
 microbench:
-	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush|GossipMerge|TCPNetFrames|IdleKeyspace' -benchmem -benchtime $(MICROBENCHTIME) .
+	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush|GossipMerge|TCPNetFrames|IdleKeyspace|RetainedHistoryGC' -benchmem -benchtime $(MICROBENCHTIME) .
 
 # Deterministic fault-injection suite under the race detector: the
 # identifier-table invariants checked after every delivery under loss and

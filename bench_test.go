@@ -497,6 +497,53 @@ func benchGossipMerge(b *testing.B, history int) {
 	}
 }
 
+// BenchmarkRetainedHistoryGC measures what a replica's retained history
+// costs the collector: one replica of three holding 100k counter
+// operations, stable everywhere, memoized and pruned, each with its
+// memoized and commute-mode value (the state tcp_pipelined leaves behind).
+// ns/op is one runtime.GC(), which marks the whole heap; heap-B/id is what
+// the history added to the live heap, per identifier.
+func BenchmarkRetainedHistoryGC(b *testing.B) {
+	const history = 100_000
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	s := sim.New(1)
+	net := transport.NewSimNet(s, transport.SimNetConfig{})
+	cluster := core.NewCluster(core.ClusterConfig{
+		Replicas: 3, DataType: dtype.Counter{}, Network: net,
+		Options: core.Options{Memoize: true, Prune: true, Commute: true},
+	})
+	to, from := cluster.Nodes()[0], cluster.Nodes()[1]
+	for seq := uint64(0); seq < history; {
+		m := core.GossipMsg{From: 1}
+		for range 1000 {
+			seq++
+			id := ops.ID{Client: "c", Seq: seq}
+			m.R = append(m.R, ops.New(dtype.CtrAdd{N: 1}, id, nil, false))
+			m.L = append(m.L, core.IDLabel{ID: id, Label: label.Make(seq, 1)})
+			m.S = append(m.S, id)
+		}
+		net.Send(from, to, m)
+		s.Run(0)
+	}
+	grown := float64(heap()-before) / history
+	if got := cluster.Replica(0).Metrics().MemoizedOps; got != history {
+		b.Fatalf("replica 0 memoized %d of %d operations", got, history)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+	b.StopTimer()
+	b.ReportMetric(grown, "heap-B/id")
+	runtime.KeepAlive(cluster)
+}
+
 // liveBenchCluster starts the 3-replica counter cluster the live submit
 // benchmarks drive, wired as esds.New wires an unsharded service but
 // running opt and a 1ms gossip period. It returns the "bench" client's

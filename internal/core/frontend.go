@@ -47,8 +47,9 @@ type FrontEnd struct {
 	wait     map[ops.ID]ops.Operation
 	sentTo   map[ops.ID]transport.NodeID
 	onResult map[ops.ID]func(Response)
-	history  []ops.ID // issue order, for auto-causality helpers
-	closed   error    // non-nil once Close ran; delivered to all waiters
+	last     ops.ID // the operation issued last, for auto-causality helpers
+	issued   bool   // last is set
+	closed   error  // non-nil once Close ran; delivered to all waiters
 
 	// Request batching (DESIGN.md §8): with opt.BatchSize > 1, every
 	// replica target is closed or open, and open exactly when batch holds
@@ -160,7 +161,7 @@ func (fe *FrontEnd) Submit(op dtype.Operator, prev []ops.ID, strict bool, cb fun
 	if cb != nil {
 		fe.onResult[id] = cb
 	}
-	fe.history = append(fe.history, id)
+	fe.last, fe.issued = id, true
 	to, payload := fe.dispatchLocked(x)
 	fe.mu.Unlock()
 
@@ -274,7 +275,7 @@ func (fe *FrontEnd) SubmitOp(x ops.Operation, cb func(Response)) {
 	if cb != nil {
 		fe.onResult[x.ID] = cb
 	}
-	fe.history = append(fe.history, x.ID)
+	fe.last, fe.issued = x.ID, true
 	to, payload := fe.dispatchLocked(x)
 	fe.mu.Unlock()
 
@@ -486,23 +487,13 @@ func (fe *FrontEnd) Stats() (requests, responses uint64) {
 	return fe.requests, fe.responses
 }
 
-// History returns the ids of all operations issued, in issue order.
-func (fe *FrontEnd) History() []ops.ID {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
-	return append([]ops.ID(nil), fe.history...)
-}
-
 // LastID returns the identifier of the most recently issued operation and
 // whether one exists — a convenience for building causal chains
 // (prev = {last}).
 func (fe *FrontEnd) LastID() (ops.ID, bool) {
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
-	if len(fe.history) == 0 {
-		return ops.ID{}, false
-	}
-	return fe.history[len(fe.history)-1], true
+	return fe.last, fe.issued
 }
 
 // handleMessage processes replica responses (receive_rc of Fig. 6): the

@@ -35,9 +35,10 @@ const (
 	logS                // stable here
 )
 
-// logEntry is one change; its value is read when a frame is built.
+// logEntry is one change to the record with handle h; its value is read
+// when a frame is built.
 type logEntry struct {
-	e    *idRec
+	h    uint32
 	kind logKind
 }
 
@@ -83,7 +84,7 @@ func (r *Replica) logNext() uint64 { return r.logBase + uint64(len(r.glog)) }
 // A change to an unsettled strict operation asks for a prompt send.
 func (r *Replica) logChange(e *idRec, k logKind) {
 	if r.n > 1 {
-		r.glog = append(r.glog, logEntry{e: e, kind: k})
+		r.glog = append(r.glog, logEntry{h: e.h, kind: k})
 		r.strictDirty = r.strictDirty || e.has(recStrictLive)
 	}
 }
@@ -249,18 +250,18 @@ func (r *Replica) buildDelta(base, seq uint64) GossipMsg {
 		msg.L = make([]IDLabel, 0, n[logL])
 	}
 	for _, le := range entries {
-		switch e := le.e; le.kind {
+		switch e := r.ids.at(le.h); le.kind {
 		case logR:
 			// A descriptor pruned since is stable here, so held everywhere.
-			if x, ok := e.descriptor(); ok {
+			if x, ok := r.ids.descriptor(e); ok {
 				msg.R = append(msg.R, x)
 			}
 		case logL:
-			msg.L = append(msg.L, IDLabel{ID: e.id, Label: e.label})
+			msg.L = append(msg.L, IDLabel{ID: r.ids.id(e), Label: e.label()})
 		case logD:
-			msg.D = append(msg.D, e.id)
+			msg.D = append(msg.D, r.ids.id(e))
 		case logS:
-			msg.S = append(msg.S, e.id)
+			msg.S = append(msg.S, r.ids.id(e))
 		}
 	}
 	return msg
@@ -338,16 +339,17 @@ func (r *Replica) buildTail(from int) GossipMsg {
 	r.ensureSorted()
 	msg := GossipMsg{From: r.id}
 	add := func(e *idRec) {
-		if x, ok := e.descriptor(); ok {
+		if x, ok := r.ids.descriptor(e); ok {
 			msg.R = append(msg.R, x)
 		}
-		if !e.label.IsInf() {
-			msg.L = append(msg.L, IDLabel{ID: e.id, Label: e.label})
+		if e.labeled() {
+			msg.L = append(msg.L, IDLabel{ID: r.ids.id(e), Label: e.label()})
 		}
 	}
-	for _, id := range r.doneSeq[from:] {
-		e := r.ids.get(id)
+	for _, h := range r.doneSeq[from:] {
+		e := r.ids.at(h)
 		add(e)
+		id := r.ids.id(e)
 		msg.D = append(msg.D, id)
 		if e.stableAt(r.id) {
 			msg.S = append(msg.S, id)
@@ -366,8 +368,8 @@ func (r *Replica) buildFullGossip() GossipMsg {
 	msg := r.buildTail(0)
 	msg.L = msg.L[:0]
 	for e := range r.ids.all() {
-		if !e.label.IsInf() {
-			msg.L = append(msg.L, IDLabel{ID: e.id, Label: e.label})
+		if e.labeled() {
+			msg.L = append(msg.L, IDLabel{ID: r.ids.id(e), Label: e.label()})
 		}
 	}
 	return msg
@@ -377,9 +379,9 @@ func (r *Replica) buildFullGossip() GossipMsg {
 // doneSeq sorted.
 func (r *Replica) stableInOrder() []ops.ID {
 	var out []ops.ID
-	for _, id := range r.doneSeq {
-		if r.ids.get(id).stableAt(r.id) {
-			out = append(out, id)
+	for _, h := range r.doneSeq {
+		if e := r.ids.at(h); e.stableAt(r.id) {
+			out = append(out, r.ids.id(e))
 		}
 	}
 	return out
@@ -389,8 +391,8 @@ func (r *Replica) stableInOrder() []ops.ID {
 func (r *Replica) labelSnapshot() map[ops.ID]label.Label {
 	out := make(map[ops.ID]label.Label, r.ids.n)
 	for e := range r.ids.all() {
-		if !e.label.IsInf() {
-			out[e.id] = e.label
+		if e.labeled() {
+			out[r.ids.id(e)] = e.label()
 		}
 	}
 	return out

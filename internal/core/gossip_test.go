@@ -413,7 +413,7 @@ func TestGossipRepeatedDescriptorFirstWins(t *testing.T) {
 		fe.Submit(dtype.CtrRead{}, nil, false, func(resp Response) { got = resp.Value })
 		s.Run(0)
 		r0.mu.Lock()
-		x, _ := r0.ids.get(id).descriptor()
+		x, _ := r0.ids.descriptor(r0.ids.get(id))
 		r0.mu.Unlock()
 		return outcome{snap: r0.Snapshot(), x: x, value: got}
 	}

@@ -104,6 +104,11 @@ type ReplicaMetrics struct {
 	MemoizedOps int
 	PendingOps  int
 	RetainedOps int
+	// HistoryBytes is the heap the replica's retained history holds: the
+	// identifier records and their pages, the memoized and commute-mode
+	// values, the descriptors still retained and the local order. It is
+	// computed from counts and capacities, not by walking the records.
+	HistoryBytes int
 }
 
 // Add accumulates o into m field-by-field — the single place aggregate
@@ -146,4 +151,5 @@ func (m *ReplicaMetrics) Add(o ReplicaMetrics) {
 	m.MemoizedOps += o.MemoizedOps
 	m.PendingOps += o.PendingOps
 	m.RetainedOps += o.RetainedOps
+	m.HistoryBytes += o.HistoryBytes
 }

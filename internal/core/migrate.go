@@ -136,13 +136,14 @@ func (r *Replica) handleFreezeKeys(msg FreezeKeysMsg) {
 	ack := FreezeAckMsg{From: r.id, Shard: r.shard, Epoch: msg.Epoch, Nonce: msg.Nonce}
 	perKey := make(map[string][]ops.ID)
 	for e := range r.ids.all() {
-		if !e.has(recRetained) || !e.has(recKeyed) || !rr.movesAway(r.shard, e.key) {
+		key := r.ids.keyOf(e)
+		if !e.has(recRetained) || !e.has(recKeyed) || !rr.movesAway(r.shard, key) {
 			continue
 		}
 		if e.stableAt(r.id) {
 			continue // stable ⇒ done at every replica, exporter included
 		}
-		perKey[e.key] = append(perKey[e.key], e.id)
+		perKey[key] = append(perKey[key], r.ids.id(e))
 	}
 	keys := make([]string, 0, len(perKey))
 	for key := range perKey {
@@ -353,16 +354,16 @@ func (r *Replica) ExportKeyState(key string, drain []ops.ID) (enc []byte, subsum
 	// exporter may additionally know ops the acks predate.)
 	touchesKey := func(e *idRec) bool {
 		// A pruned op is stable, hence memoized.
-		return e.has(recRetained) && e.has(recKeyed) && e.key == key
+		return e.has(recRetained) && e.has(recKeyed) && r.ids.keyOf(e) == key
 	}
-	for _, id := range r.doneSeq[r.memoized:] {
-		if touchesKey(r.ids.get(id)) {
-			return nil, nil, false, &ErrNotDrained{Reason: fmt.Sprintf("done op %v not yet solid", id)}
+	for _, h := range r.doneSeq[r.memoized:] {
+		if e := r.ids.at(h); touchesKey(e) {
+			return nil, nil, false, &ErrNotDrained{Reason: fmt.Sprintf("done op %v not yet solid", r.ids.id(e))}
 		}
 	}
 	for _, e := range r.rcvdQueue {
 		if touchesKey(e) {
-			return nil, nil, false, &ErrNotDrained{Reason: fmt.Sprintf("received op %v not yet done", e.id)}
+			return nil, nil, false, &ErrNotDrained{Reason: fmt.Sprintf("received op %v not yet done", r.ids.id(e))}
 		}
 	}
 	st, ok := r.memoState.(dtype.KeyedState)
@@ -373,8 +374,9 @@ func (r *Replica) ExportKeyState(key string, drain []ops.ID) (enc []byte, subsum
 	// prune-surviving index; drain ids are a subset (they were received —
 	// via request or gossip — to become solid here).
 	for e := range r.ids.all() {
-		if e.has(recKeyed) && e.key == key {
-			subsumes = append(subsumes, dtype.OpRef{Client: e.id.Client, Seq: e.id.Seq})
+		if e.has(recKeyed) && r.ids.keyOf(e) == key {
+			id := r.ids.id(e)
+			subsumes = append(subsumes, dtype.OpRef{Client: id.Client, Seq: id.Seq})
 		}
 	}
 	sort.Slice(subsumes, func(i, j int) bool {

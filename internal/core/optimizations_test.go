@@ -224,7 +224,7 @@ func TestBuildDeltaAllocations(t *testing.T) {
 	msgOnly := testing.AllocsPerRun(100, func() {
 		labelSink = make([]IDLabel, 0, len(ids))
 		for _, id := range ids {
-			labelSink = append(labelSink, IDLabel{ID: id, Label: r.ids.label(id)})
+			labelSink = append(labelSink, IDLabel{ID: id, Label: r.ids.get(id).label()})
 		}
 	})
 	if got := testing.AllocsPerRun(100, cycle); got > msgOnly {
@@ -459,6 +459,9 @@ func TestFrontEndIdentifiers(t *testing.T) {
 	e := newTestEnv(t, 2, dtype.Counter{}, Options{})
 	fe := e.cluster.FrontEnd("u")
 	x1 := fe.Submit(dtype.CtrAdd{N: 1}, nil, false, nil)
+	if last, ok := fe.LastID(); !ok || last != x1.ID {
+		t.Fatal("LastID after the first submission wrong")
+	}
 	x2 := fe.Submit(dtype.CtrAdd{N: 2}, nil, false, nil)
 	if x1.ID == x2.ID {
 		t.Fatal("duplicate ids")
@@ -471,9 +474,6 @@ func TestFrontEndIdentifiers(t *testing.T) {
 	}
 	if last, ok := fe.LastID(); !ok || last != x2.ID {
 		t.Fatal("LastID wrong")
-	}
-	if h := fe.History(); len(h) != 2 || h[0] != x1.ID {
-		t.Fatalf("history = %v", h)
 	}
 	e.s.RunFor(100 * sim.Millisecond)
 	req, resp := fe.Stats()
@@ -586,19 +586,20 @@ func TestEnsureSortedMatchesFullSort(t *testing.T) {
 			if l.Seq > top {
 				top = l.Seq
 			}
-			r.ids.rec(id).setLabelMin(l)
-			r.doneSeq = append(r.doneSeq, id)
+			e := r.ids.rec(id)
+			e.setLabelMin(l)
+			r.doneSeq = append(r.doneSeq, e.h)
 		case k == 6 && len(r.doneSeq) > r.memoized: // setLabelMin on a done op
-			id := r.doneSeq[r.memoized+rng.Intn(len(r.doneSeq)-r.memoized)]
-			if cur := r.ids.label(id); cur.Seq > 1 {
-				r.ids.get(id).setLabelMin(fresh(cur.Seq/2, cur.Seq-1))
+			e := r.ids.at(r.doneSeq[r.memoized+rng.Intn(len(r.doneSeq)-r.memoized)])
+			if cur := e.label(); cur.Seq > 1 {
+				e.setLabelMin(fresh(cur.Seq/2, cur.Seq-1))
 				r.seqDirty = true
 			}
 		case k == 7: // advanceMemo fixing part of the sorted prefix
 			r.ensureSorted()
 			r.memoized += rng.Intn(len(r.doneSeq) - r.memoized + 1)
 		default:
-			before := append([]ops.ID(nil), r.doneSeq...)
+			before := append([]uint32(nil), r.doneSeq...)
 			moved := r.ensureSorted()
 			firstDiff := len(before)
 			for i := range before {
@@ -610,17 +611,17 @@ func TestEnsureSortedMatchesFullSort(t *testing.T) {
 			if moved != firstDiff {
 				t.Fatalf("step %d: ensureSorted reported first moved index %d, orders first differ at %d", step, moved, firstDiff)
 			}
-			want := append([]ops.ID(nil), before[r.memoized:]...)
-			sort.Slice(want, func(i, j int) bool { return r.ids.label(want[i]).Less(r.ids.label(want[j])) })
+			want := append([]uint32(nil), before[r.memoized:]...)
+			sort.Slice(want, func(i, j int) bool { return r.ids.at(want[i]).label().Less(r.ids.at(want[j]).label()) })
 			for i := range before[:r.memoized] {
 				if r.doneSeq[i] != before[i] {
 					t.Fatalf("step %d: memoized position %d changed", step, i)
 				}
 			}
-			for i, id := range want {
-				if got := r.doneSeq[r.memoized+i]; got != id {
+			for i, h := range want {
+				if got := r.doneSeq[r.memoized+i]; got != h {
 					t.Fatalf("step %d: suffix position %d holds %v (label %v), want %v (label %v)",
-						step, i, got, r.ids.label(got), id, r.ids.label(id))
+						step, i, r.ids.id(r.ids.at(got)), r.ids.at(got).label(), r.ids.id(r.ids.at(h)), r.ids.at(h).label())
 				}
 			}
 		}

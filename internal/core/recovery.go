@@ -46,6 +46,7 @@ func (r *Replica) Crash() {
 	r.memoized = 0
 	r.memoState = r.dt.Initial()
 	r.sufStates, r.sufVals = nil, nil
+	r.fresh = nil
 	r.lastMemoLabel = label.Label{}
 	r.maxStable = label.Infinity
 	r.curState = r.dt.Initial()
@@ -95,10 +96,7 @@ func (r *Replica) reloadStoreLocked() {
 		}
 		r.installResizeRecords(r.store.Resizes())
 		for id, key := range r.store.Keys() {
-			if e := r.ids.rec(id); !e.has(recKeyed) {
-				e.key = key
-				e.flags |= recKeyed
-			}
+			r.ids.setKey(r.ids.rec(id), key)
 		}
 	}
 }

@@ -60,7 +60,7 @@ type Replica struct {
 	// and never reordered (Lemma 10.2); the suffix is re-sorted lazily:
 	// ops done since the last sort sit past sortedTo, and seqDirty records a
 	// lowered label of a done op, which may move anything in the suffix.
-	doneSeq  []ops.ID
+	doneSeq  []uint32 // record handles
 	sortedTo int
 	seqDirty bool
 
@@ -89,6 +89,12 @@ type Replica struct {
 	// application order (the value each op produced is in its record).
 	curState dtype.State
 
+	// fresh holds the commute-mode and memoized values an apply computed
+	// for a pending operation (keyed by freshKey) until it leaves
+	// pending_r: its first response then needs no decode from the value
+	// arena.
+	fresh map[uint64]dtype.Value
+
 	// Gossip (gossip.go): glog is the change log, holding log positions
 	// logBase onward; epoch is the position this incarnation's log began
 	// at; links[i] is the link with peer i; round counts gossip rounds;
@@ -115,7 +121,8 @@ type Replica struct {
 	// sortScratch is the reusable buffer ensureSorted pre-fetches labels
 	// into: the nearly-sorted suffix pass is the label-compare hot path,
 	// and re-reading the label table per comparison (plus re-allocating the
-	// buffer per call) dominated its profile.
+	// buffer per call) dominated its profile. It is kept only up to
+	// maxKeptSort.
 	sortScratch []labeledID
 
 	// Crash recovery (§9.3): the stable store holding locally generated
@@ -172,10 +179,10 @@ type Replica struct {
 	metrics ReplicaMetrics
 }
 
-// labeledID pairs an identifier with its label for sorting.
+// labeledID pairs a record handle with its label for sorting.
 type labeledID struct {
-	id ops.ID
-	l  label.Label
+	h uint32
+	l label.Label
 }
 
 // ReplicaConfig assembles a replica.
@@ -394,6 +401,7 @@ func (r *Replica) Metrics() ReplicaMetrics {
 	m.MemoizedOps = r.memoized
 	m.PendingOps = len(r.pendingQueue)
 	m.RetainedOps = r.retainedN
+	m.HistoryBytes = r.ids.bytes() + 4*cap(r.doneSeq)
 	return m
 }
 
@@ -491,12 +499,11 @@ func (r *Replica) receiveOp(x ops.Operation) *idRec {
 		return e
 	}
 	// Only receiveOp retains descriptors, so this is the first.
-	e.x = x
-	e.flags |= recRcvd | recRetained
+	r.ids.retain(e, x)
+	e.flags |= recRcvd
 	r.retainedN++
 	if key, keyed := dtype.KeyOf(x.Op); keyed {
-		e.key = key
-		e.flags |= recKeyed
+		r.ids.setKey(e, key)
 		if r.store != nil {
 			// The key index outlives pruning (ExportKeyState enumerates a
 			// key's full source-era history from it), so it rides the
@@ -521,11 +528,9 @@ func (r *Replica) receiveOp(x ops.Operation) *idRec {
 
 // unretain releases e's descriptor (§10.2 pruning).
 func (r *Replica) unretain(e *idRec) {
-	if e.has(recRetained) {
+	if r.ids.unretain(e) {
 		r.retainedN--
 	}
-	e.x = ops.Operation{}
-	e.flags &^= recRetained
 }
 
 // absorbInstall records the prev constraints a locally done KeyInstall
@@ -607,8 +612,8 @@ func (r *Replica) mergeStateLocked(from int, msg GossipMsg) {
 // could only corrupt the solid prefix.
 func (r *Replica) setLabelMin(e *idRec, l label.Label) {
 	r.gen.Observe(l)
-	if e.has(recMemo) && !e.label.IsInf() && l.Less(e.label) {
-		r.fault(FaultMemoLabelChange, e.id, "label %v below solid label %v", l, e.label)
+	if e.has(recMemo) && e.labeled() && l.Less(e.label()) {
+		r.fault(FaultMemoLabelChange, r.ids.id(e), "label %v below solid label %v", l, e.label())
 		return
 	}
 	if !e.setLabelMin(l) {
@@ -653,11 +658,11 @@ func (r *Replica) markDoneLocal(e *idRec) {
 	if e.doneAt(r.id) {
 		return
 	}
-	if e.label.IsInf() {
+	if !e.labeled() {
 		r.defer_(e)
 		return
 	}
-	x, ok := e.descriptor()
+	x, ok := r.ids.descriptor(e)
 	if !ok {
 		// Done elsewhere but the descriptor has not arrived (possible only
 		// while a gossip frame is in flight or awaits its resend).
@@ -673,7 +678,7 @@ func (r *Replica) markDoneLocal(e *idRec) {
 // satisfied, and it is stable once every replica has it.
 func (r *Replica) addDone(e *idRec, x ops.Operation) {
 	r.setDoneLocal(e)
-	r.doneSeq = append(r.doneSeq, e.id)
+	r.doneSeq = append(r.doneSeq, e.h)
 	r.absorbInstall(x)
 	if e.done == r.all {
 		r.markStableLocal(e)
@@ -723,15 +728,15 @@ func (r *Replica) markStableLocal(e *idRec) {
 	r.stableLocal++
 	r.logChange(e, logS) // before settle: the peers settle it by this entry
 	r.settle(e)
-	if e.label.IsInf() {
+	if !e.labeled() {
 		// A stable op is done everywhere, so a label must exist (Invariant
 		// 7.5), but it may still be in flight. maxStable will advance when
 		// it arrives and the op is re-marked via the deferred queue.
 		r.defer_(e)
 		return
 	}
-	if r.maxStable.IsInf() || r.maxStable.Less(e.label) {
-		r.maxStable = e.label
+	if l := e.label(); r.maxStable.IsInf() || r.maxStable.Less(l) {
+		r.maxStable = l
 	}
 	r.maybePrune(e)
 }
@@ -742,18 +747,46 @@ func (r *Replica) applyCurrent(e *idRec) {
 	if !r.opt.Commute {
 		return
 	}
-	x, ok := e.descriptor()
+	x, ok := r.ids.descriptor(e)
 	if !ok {
 		// Descriptor pruned: only possible for memoized (stable-everywhere)
 		// ops, which were applied when first done — reaching this means a
 		// hostile interleaving or a bug. Skip the apply: the op's value (if
 		// ever requested) falls back to the memoized/replay paths.
-		r.fault(FaultApplyPruned, e.id, "commute apply of pruned op")
+		r.fault(FaultApplyPruned, r.ids.id(e), "commute apply of pruned op")
 		return
 	}
-	r.curState, e.cur = r.dt.Apply(r.curState, x.Op)
-	e.flags |= recCur
+	var v dtype.Value
+	r.curState, v = r.dt.Apply(r.curState, x.Op)
+	r.ids.setCur(e, v)
+	r.keepFresh(e, recCur, v)
 	r.metrics.AppliesForCurrentState++
+}
+
+// freshKey is the key of e's value of kind (recCur or recMemo) in fresh.
+func freshKey(e *idRec, kind recFlag) uint64 { return uint64(e.h)<<16 | uint64(kind) }
+
+// keepFresh holds v, e's value of kind, while e is pending.
+func (r *Replica) keepFresh(e *idRec, kind recFlag, v dtype.Value) {
+	if !e.has(recPending) {
+		return
+	}
+	if r.fresh == nil {
+		r.fresh = make(map[uint64]dtype.Value)
+	}
+	r.fresh[freshKey(e, kind)] = v
+}
+
+// retainedValue returns e's value of kind (recCur or recMemo): the one
+// fresh holds, else the arena's.
+func (r *Replica) retainedValue(e *idRec, kind recFlag) dtype.Value {
+	if v, ok := r.fresh[freshKey(e, kind)]; ok {
+		return v
+	}
+	if kind == recCur {
+		return r.ids.curOf(e)
+	}
+	return r.ids.memoOf(e)
 }
 
 // process runs the replica's internal actions to quiescence: deferred
@@ -787,7 +820,7 @@ func (r *Replica) retryDeferred() {
 		e.flags &^= recDeferred
 	}
 	for _, e := range pending {
-		if e.label.IsInf() {
+		if !e.labeled() {
 			r.defer_(e)
 			continue
 		}
@@ -797,8 +830,8 @@ func (r *Replica) retryDeferred() {
 		}
 		// If it was stable-deferred (label missing at stable time), redo the
 		// maxStable update.
-		if e.stableAt(r.id) && (r.maxStable.IsInf() || r.maxStable.Less(e.label)) {
-			r.maxStable = e.label
+		if l := e.label(); e.stableAt(r.id) && (r.maxStable.IsInf() || r.maxStable.Less(l)) {
+			r.maxStable = l
 		}
 	}
 }
@@ -814,13 +847,13 @@ func (r *Replica) tryDoIt() {
 			if e.doneAt(r.id) {
 				continue // became done via gossip
 			}
-			if !e.label.IsInf() {
+			if e.labeled() {
 				// Labelled by another replica: it is done elsewhere and will
 				// join doneSeq via markDoneLocal, never via do_it.
 				r.markDoneLocal(e)
 				continue
 			}
-			x := e.x
+			x, _ := r.ids.descriptor(e) // received and undone: retained
 			if !r.prevsDone(x) {
 				remaining = append(remaining, e)
 				continue
@@ -838,7 +871,7 @@ func (r *Replica) tryDoIt() {
 				// since a hostile peer can gossip (or snapshot) a
 				// near-maximal label Seq. Fail soft like a store failure:
 				// stop labeling, keep merging, let healthy replicas serve.
-				r.fault(FaultLabelsExhausted, e.id, "label sequence space exhausted")
+				r.fault(FaultLabelsExhausted, x.ID, "label sequence space exhausted")
 				remaining = append(remaining, e)
 				continue
 			}
@@ -853,7 +886,7 @@ func (r *Replica) tryDoIt() {
 				// group Commit, which every message carrying this label
 				// waits on before leaving (see deliverOutbox).
 				if err := r.store.PersistOp(x, l); err != nil {
-					r.fault(FaultStoreFailed, e.id, "persisting op with label %v: %v", l, err)
+					r.fault(FaultStoreFailed, x.ID, "persisting op with label %v: %v", l, err)
 					r.storeFailed = true
 					remaining = append(remaining, e)
 					continue
@@ -863,9 +896,9 @@ func (r *Replica) tryDoIt() {
 			r.logChange(e, logL)
 			r.addDone(e, x)
 			r.metrics.DoItCount++
-			if r.opt.Prune && e.has(recRetained) {
+			if r.opt.Prune {
 				// §10.2: the prev set is only needed by do_it; free it.
-				e.x.Prev = nil
+				r.ids.dropPrev(e)
 			}
 			progress = true
 		}
@@ -908,14 +941,14 @@ func (r *Replica) ensureSorted() int {
 		if r.sortedTo == len(r.doneSeq) {
 			return len(r.doneSeq)
 		}
-		min := r.ids.label(r.doneSeq[r.sortedTo])
-		for _, id := range r.doneSeq[r.sortedTo+1:] {
-			if l := r.ids.label(id); l.Less(min) {
+		min := r.ids.at(r.doneSeq[r.sortedTo]).label()
+		for _, h := range r.doneSeq[r.sortedTo+1:] {
+			if l := r.ids.at(h).label(); l.Less(min) {
 				min = l
 			}
 		}
 		run := r.doneSeq[lo:r.sortedTo]
-		skip := sort.Search(len(run), func(i int) bool { return min.Less(r.ids.label(run[i])) })
+		skip := sort.Search(len(run), func(i int) bool { return min.Less(r.ids.at(run[i]).label()) })
 		lo, inOrder = lo+skip, len(run)-skip
 	}
 	suffix := r.doneSeq[lo:]
@@ -924,8 +957,8 @@ func (r *Replica) ensureSorted() int {
 		r.sortScratch = make([]labeledID, 2*n)
 	}
 	scratch := r.sortScratch[:n]
-	for i, id := range suffix {
-		scratch[i] = labeledID{id: id, l: r.ids.label(id)}
+	for i, h := range suffix {
+		scratch[i] = labeledID{h: h, l: r.ids.at(h).label()}
 	}
 	// Insertion sort of the rest: it is nearly sorted (labels only lower
 	// via gossip, and new ops append with the highest label yet).
@@ -948,16 +981,24 @@ func (r *Replica) ensureSorted() int {
 	}
 	moved := len(r.doneSeq)
 	for i := range scratch {
-		if moved == len(r.doneSeq) && suffix[i] != scratch[i].id {
+		if moved == len(r.doneSeq) && suffix[i] != scratch[i].h {
 			moved = lo + i
 		}
-		suffix[i] = scratch[i].id
+		suffix[i] = scratch[i].h
+	}
+	if n > maxKeptSort {
+		r.sortScratch = nil
 	}
 	r.sortedTo = len(r.doneSeq)
 	r.seqDirty = false
 	r.cutSuffixCache(moved - r.memoized)
 	return moved
 }
+
+// maxKeptSort is the longest sort whose buffer ensureSorted keeps for the
+// next one: a longer sort is a catch-up, and keeping its buffer would hold
+// 48 bytes per operation it sorted for the life of the replica.
+const maxKeptSort = 1 << 12
 
 // cutSuffixCache keeps the first k positions of the suffix cache (O(1)
 // when it holds no more), releasing the states it drops.
@@ -990,8 +1031,8 @@ func (r *Replica) advanceMemo() {
 	}
 	r.ensureSorted()
 	for r.memoized < len(r.doneSeq) {
-		e := r.ids.get(r.doneSeq[r.memoized])
-		l := e.label
+		e := r.ids.at(r.doneSeq[r.memoized])
+		l := e.label()
 		if !l.LessEq(r.maxStable) {
 			break
 		}
@@ -1000,12 +1041,12 @@ func (r *Replica) advanceMemo() {
 			// can produce this (solid positions are final). Stop advancing —
 			// the prefix stays uncorrupted, unstable ops keep answering via
 			// replay.
-			r.fault(FaultMemoOrderViolation, e.id, "label %v below memoized frontier %v", l, r.lastMemoLabel)
+			r.fault(FaultMemoOrderViolation, r.ids.id(e), "label %v below memoized frontier %v", l, r.lastMemoLabel)
 			return
 		}
-		x, ok := e.descriptor()
+		x, ok := r.ids.descriptor(e)
 		if !ok {
-			r.fault(FaultMemoizePruned, e.id, "memoizing op with no retained descriptor")
+			r.fault(FaultMemoizePruned, r.ids.id(e), "memoizing op with no retained descriptor")
 			return
 		}
 		var v dtype.Value
@@ -1020,8 +1061,8 @@ func (r *Replica) advanceMemo() {
 			r.memoState, v = r.dt.Apply(r.memoState, x.Op)
 			r.metrics.AppliesForMemoize++
 		}
-		e.memo = v
-		e.flags |= recMemo
+		r.ids.setMemo(e, v)
+		r.keepFresh(e, recMemo, v)
 		r.lastMemoLabel = l
 		r.memoized++
 		r.maybePrune(e)
@@ -1070,6 +1111,10 @@ func (r *Replica) respondPending() []responseOut {
 		}
 		v, err := r.valueFor(e, strict)
 		e.flags &^= recPending
+		if len(r.fresh) > 0 {
+			delete(r.fresh, freshKey(e, recCur))
+			delete(r.fresh, freshKey(e, recMemo))
+		}
 		if err != nil {
 			// The value is uncomputable (fault recorded by valueFor). Drop
 			// the op from pending rather than retrying on every message: a
@@ -1080,7 +1125,8 @@ func (r *Replica) respondPending() []responseOut {
 			continue
 		}
 		r.metrics.ResponsesSent++
-		outbox = append(outbox, responseOut{to: FrontEndNodeIn(r.shard, e.id.Client), msg: ResponseMsg{ID: e.id, Value: v}})
+		id := r.ids.id(e)
+		outbox = append(outbox, responseOut{to: FrontEndNodeIn(r.shard, id.Client), msg: ResponseMsg{ID: id, Value: v}})
 	}
 	// remaining compacted pendingQueue in place over its own backing array;
 	// adopting it directly avoids re-copying the queue on every message.
@@ -1182,7 +1228,7 @@ func (r *Replica) sendResponsesBatched(outbox []responseOut) {
 // strictness no longer matters for ordering — a pruned pending op must have
 // been answered already, so the fallback is non-strict.
 func (r *Replica) isStrict(e *idRec) bool {
-	if x, ok := e.descriptor(); ok {
+	if x, ok := r.ids.descriptor(e); ok {
 		return x.Strict
 	}
 	return e.has(recStrictGhost)
@@ -1203,15 +1249,15 @@ func (r *Replica) isStrict(e *idRec) bool {
 // (hostile interleavings) return an error with the fault recorded.
 func (r *Replica) valueFor(e *idRec, strict bool) (dtype.Value, error) {
 	if r.opt.Commute && !strict && e.has(recCur) {
-		return e.cur, nil
+		return r.retainedValue(e, recCur), nil
 	}
 	if e.has(recMemo) {
-		return e.memo, nil
+		return r.retainedValue(e, recMemo), nil
 	}
-	id := e.id
+	id := r.ids.id(e)
 	r.ensureSorted()
 	suffix := r.doneSeq[r.memoized:]
-	pos := slices.Index(suffix, id)
+	pos := slices.Index(suffix, e.h)
 	if pos < 0 {
 		r.fault(FaultValueNotDone, id, "op not in local total order")
 		return nil, &ReplicaFault{Replica: r.id, Code: FaultValueNotDone, ID: id}
@@ -1227,9 +1273,10 @@ func (r *Replica) valueFor(e *idRec, strict bool) (dtype.Value, error) {
 	}
 	var v dtype.Value
 	for ; k <= pos; k++ {
-		x, ok := r.ids.get(suffix[k]).descriptor()
+		y := r.ids.at(suffix[k])
+		x, ok := r.ids.descriptor(y)
 		if !ok {
-			r.fault(FaultValuePruned, id, "replay needs pruned unsolid op %v", suffix[k])
+			r.fault(FaultValuePruned, id, "replay needs pruned unsolid op %v", r.ids.id(y))
 			return nil, &ReplicaFault{Replica: r.id, Code: FaultValuePruned, ID: id}
 		}
 		st, v = r.dt.Apply(st, x.Op)
@@ -1260,7 +1307,7 @@ func (r *Replica) Snapshot() DebugSnapshot {
 	defer r.mu.Unlock()
 	r.ensureSorted()
 	return DebugSnapshot{
-		Done:      append([]ops.ID(nil), r.doneSeq...),
+		Done:      r.doneIDs(r.doneSeq),
 		Stable:    r.stableInOrder(),
 		Labels:    r.labelSnapshot(),
 		Memoized:  r.memoized,
@@ -1268,6 +1315,18 @@ func (r *Replica) Snapshot() DebugSnapshot {
 		Deferred:  len(r.deferredQueue),
 		MaxStable: r.maxStable,
 	}
+}
+
+// doneIDs returns the identifiers of the records hs names.
+func (r *Replica) doneIDs(hs []uint32) []ops.ID {
+	if len(hs) == 0 {
+		return nil
+	}
+	out := make([]ops.ID, len(hs))
+	for i, h := range hs {
+		out[i] = r.ids.id(r.ids.at(h))
+	}
+	return out
 }
 
 // FullGossipSize is the EstimateSize of the full-state frame Fig. 7's

@@ -452,7 +452,7 @@ func TestSnapshotReseedsKeyIndex(t *testing.T) {
 	r0.mu.Lock()
 	defer r0.mu.Unlock()
 	for id, key := range want {
-		if e := r0.ids.get(id); e == nil || !e.has(recKeyed) || e.key != key {
+		if e := r0.ids.get(id); e == nil || !e.has(recKeyed) || r0.ids.keyOf(e) != key {
 			t.Errorf("recovered key index: no key %q for %v", key, id)
 		}
 	}

@@ -56,15 +56,15 @@ type prefixSnapshot struct {
 // Mutex held.
 func (r *Replica) buildPrefixSnapOps(lo, hi int) []SnapOp {
 	out := make([]SnapOp, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		e := r.ids.get(r.doneSeq[i])
+	for _, h := range r.doneSeq[lo:hi] {
+		e := r.ids.at(h)
 		out = append(out, SnapOp{
-			ID:     e.id,
-			Label:  e.label,
-			Value:  e.memo,
+			ID:     r.ids.id(e),
+			Label:  e.label(),
+			Value:  r.ids.memoOf(e),
 			Stable: e.stableAt(r.id),
 			Strict: r.isStrict(e),
-			Key:    e.key,
+			Key:    r.ids.keyOf(e),
 		})
 	}
 	return out
@@ -102,11 +102,12 @@ func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 		}
 		prev = so.Label
 		if i < r.memoized {
-			if r.doneSeq[i] != so.ID {
-				r.fault(FaultBadSnapshot, so.ID, "snapshot prefix diverges at %d: local %v", i, r.doneSeq[i])
+			e := r.ids.at(r.doneSeq[i])
+			if id := r.ids.id(e); id != so.ID {
+				r.fault(FaultBadSnapshot, so.ID, "snapshot prefix diverges at %d: local %v", i, id)
 				return false
 			}
-			if got := r.ids.label(so.ID); got != so.Label {
+			if got := e.label(); got != so.Label {
 				r.fault(FaultBadSnapshot, so.ID, "snapshot label %v differs from solid label %v", so.Label, got)
 				return false
 			}
@@ -137,15 +138,15 @@ func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 	// Rebuild the local total order: the snapshot prefix, then every
 	// locally done operation not covered by it (their labels are above the
 	// snapshot frontier by the solid-prefix invariant).
-	newSeq := make([]ops.ID, 0, len(msg.Ops)+len(r.doneSeq))
-	for _, so := range msg.Ops {
-		newSeq = append(newSeq, so.ID)
+	newSeq := make([]uint32, 0, len(msg.Ops)+len(r.doneSeq))
+	for _, e := range recs {
+		newSeq = append(newSeq, e.h)
 	}
 	var suffix []*idRec
-	for _, id := range r.doneSeq {
-		if e := r.ids.get(id); !e.has(recSnap) {
+	for _, h := range r.doneSeq {
+		if e := r.ids.at(h); !e.has(recSnap) {
 			suffix = append(suffix, e)
-			newSeq = append(newSeq, id)
+			newSeq = append(newSeq, h)
 		}
 	}
 
@@ -159,8 +160,7 @@ func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 		if so.Key != "" {
 			// Reseed the prune-surviving key index alongside rcvd_r: both
 			// must survive recovery for resize exports to stay complete.
-			e.key = so.Key
-			e.flags |= recKeyed
+			r.ids.setKey(e, so.Key)
 		}
 		if so.Strict && !e.has(recRetained) {
 			e.flags |= recStrictGhost
@@ -168,8 +168,7 @@ func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 		// Never overwrite a value this replica already holds: memoized
 		// values are final, and honest senders agree on them anyway.
 		if !e.has(recMemo) {
-			e.memo = so.Value
-			e.flags |= recMemo
+			r.ids.setMemo(e, so.Value)
 		}
 		if !e.doneAt(r.id) {
 			r.setDoneLocal(e)
@@ -204,24 +203,22 @@ func (r *Replica) installSnapshot(msg prefixSnapshot) bool {
 	if r.opt.Commute {
 		st := state
 		for _, e := range suffix {
-			x, retained := e.descriptor()
+			x, retained := r.ids.descriptor(e)
 			if !retained {
-				r.fault(FaultApplyPruned, e.id, "rebuilding current state after snapshot")
+				r.fault(FaultApplyPruned, r.ids.id(e), "rebuilding current state after snapshot")
 				continue
 			}
 			var v dtype.Value
 			st, v = r.dt.Apply(st, x.Op)
 			r.metrics.AppliesForCurrentState++
 			if !e.has(recCur) {
-				e.cur = v
-				e.flags |= recCur
+				r.ids.setCur(e, v)
 			}
 		}
 		r.curState = st
 		for i, so := range msg.Ops {
 			if e := recs[i]; !e.has(recCur) {
-				e.cur = so.Value
-				e.flags |= recCur
+				r.ids.setCur(e, so.Value)
 			}
 		}
 	}

@@ -41,8 +41,9 @@ func suffixCacheErr(r *Replica) error {
 		return fmt.Errorf("%d positions cached past a %d-op suffix", k, len(r.doneSeq)-r.memoized)
 	}
 	st := r.memoState
-	for i, id := range r.doneSeq[r.memoized : r.memoized+k] {
-		x, ok := r.ids.get(id).descriptor()
+	for i, h := range r.doneSeq[r.memoized : r.memoized+k] {
+		id := r.ids.id(r.ids.at(h))
+		x, ok := r.ids.descriptor(r.ids.at(h))
 		if !ok {
 			return fmt.Errorf("position %d (%v) cached without a descriptor", i, id)
 		}
