@@ -89,14 +89,17 @@ bench-diff:
 # loopback TCPNets, a 32-operation request batch, the 32 responses to it,
 # or a 64-operation compact gossip delta each (ns and allocations per
 # frame), the shipped 4-shard × 3-replica keyspace left idle (cpu-ms/s
-# of process CPU: what its tickers cost while nothing happens), and one
+# of process CPU: what its tickers cost while nothing happens), one
 # collection over a replica holding 100k retained operations (ns per
-# runtime.GC() and heap bytes per identifier). Unlike the
+# runtime.GC() and heap bytes per identifier), and one front end keeping
+# 128 operations in flight on the live transport, unbatched and with
+# batches of 32 (the batched run reports ops/frame, requests per request
+# batch: it falls if a client's stream is split across replicas). Unlike the
 # `bench` smoke run these numbers carry information; the CI build job runs
 # them at MICROBENCHTIME=100x so they cannot rot.
 MICROBENCHTIME ?= 2000x
 microbench:
-	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush|GossipMerge|TCPNetFrames|IdleKeyspace|RetainedHistoryGC' -benchmem -benchtime $(MICROBENCHTIME) .
+	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush|GossipMerge|TCPNetFrames|IdleKeyspace|RetainedHistoryGC|LivePipelinedSubmit' -benchmem -benchtime $(MICROBENCHTIME) .
 
 # Deterministic fault-injection suite under the race detector: the
 # identifier-table invariants checked after every delivery under loss and
@@ -117,11 +120,13 @@ microbench:
 # live-resharding cell (resize under load, with replicas crashing
 # mid-migration, and the multi-process -resize admin path), and the
 # placement cell (a placed fleet's hosting member killed mid-load and
-# recovered from surviving co-hosts, DESIGN.md §13).
+# recovered from surviving co-hosts, DESIGN.md §13), and the home-failover
+# cell (a batched client's home replica cut off under a closed loop: every
+# operation answered within two retransmit periods, DESIGN.md §8).
 # Seeds are pinned; sweep others with ESDS_CHAOS_SEEDS=7,8,9 make chaos.
 # A failing matrix cell shrinks to a minimal reproduction automatically.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestIDTableInvariants|TestIDStreamsMatchMapModel|TestStrictPromptWhenRare|TestStrictRidesIntervalWhenCommon|TestPromptStrictUnderLoss|TestGossipFramesLeaveInOrder|TestGossipLossLiveness|TestGossipReconnectLiveness|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact|FuzzHotFrames|FuzzFileStableStore' ./internal/core
+	$(GO) test -race -count=1 -run 'TestChaos|TestHomeFailover|TestIDTableInvariants|TestIDStreamsMatchMapModel|TestStrictPromptWhenRare|TestStrictRidesIntervalWhenCommon|TestPromptStrictUnderLoss|TestGossipFramesLeaveInOrder|TestGossipLossLiveness|TestGossipReconnectLiveness|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact|FuzzHotFrames|FuzzFileStableStore' ./internal/core
 	$(GO) test -race -count=1 -run 'TestKillNine|TestResizeAdminAgainstCluster' ./cmd/esds-server
 	$(GO) test -race -count=2 -run 'TestResize' ./internal/core
 

@@ -546,9 +546,9 @@ func BenchmarkRetainedHistoryGC(b *testing.B) {
 
 // liveBenchCluster starts the 3-replica counter cluster the live submit
 // benchmarks drive, wired as esds.New wires an unsharded service but
-// running opt and a 1ms gossip period. It returns the "bench" client's
-// front end and a function that stops the cluster.
-func liveBenchCluster(opt core.Options) (*core.FrontEnd, func()) {
+// running opt and a 1ms gossip period. It returns the cluster (the "bench"
+// client's front end is c.FrontEnd("bench")) and a function that stops it.
+func liveBenchCluster(opt core.Options) (*core.Cluster, func()) {
 	net := transport.NewLiveNet()
 	c := core.NewCluster(core.ClusterConfig{
 		Replicas: 3,
@@ -561,7 +561,7 @@ func liveBenchCluster(opt core.Options) (*core.FrontEnd, func()) {
 	if opt.BatchSize > 1 {
 		c.StartLiveBatchFlush(opt.FlushPeriod())
 	}
-	return c.FrontEnd("bench"), func() {
+	return c, func() {
 		c.Close()
 		net.Close()
 	}
@@ -574,14 +574,16 @@ func liveBenchCluster(opt core.Options) (*core.FrontEnd, func()) {
 // measures history length, not the submit path).
 func BenchmarkLiveSubmitNonStrict(b *testing.B) {
 	const historyCap = 4000
-	fe, stop := liveBenchCluster(core.DefaultOptions())
+	c, stop := liveBenchCluster(core.DefaultOptions())
+	fe := c.FrontEnd("bench")
 	defer func() { stop() }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i > 0 && i%historyCap == 0 {
 			b.StopTimer()
 			stop()
-			fe, stop = liveBenchCluster(core.DefaultOptions())
+			c, stop = liveBenchCluster(core.DefaultOptions())
+			fe = c.FrontEnd("bench")
 			b.StartTimer()
 		}
 		fe.SubmitWait(dtype.CtrAdd{N: 1}, nil, false)
@@ -592,8 +594,11 @@ func BenchmarkLiveSubmitNonStrict(b *testing.B) {
 // on the live in-process transport, unbatched vs batched: b.N non-strict
 // increments in flight up to a 128-deep window. Run with -benchmem — the
 // allocation pass on the label-compare/memoize path and the per-frame
-// savings of batching both show up here. The cluster is recreated every
-// few thousand operations so the measurement reflects a bounded history.
+// savings of batching both show up here. The batched run also reports
+// ops/frame, the replicas' requests received per request batch: a change
+// that splits one client's stream across replicas again shows up there as
+// a count, not as noisy latency. The cluster is recreated every few
+// thousand operations so the measurement reflects a bounded history.
 func BenchmarkLivePipelinedSubmit(b *testing.B) {
 	for _, batch := range []int{1, 32} {
 		name := "unbatched"
@@ -605,8 +610,15 @@ func BenchmarkLivePipelinedSubmit(b *testing.B) {
 			opt := core.DefaultOptions()
 			opt.BatchSize = batch
 			opt.BatchDelay = time.Millisecond
-			fe, stop := liveBenchCluster(opt)
+			c, stop := liveBenchCluster(opt)
+			fe := c.FrontEnd("bench")
 			defer func() { stop() }()
+			var requests, batches uint64
+			count := func() {
+				m := c.TotalMetrics()
+				requests += m.RequestsReceived
+				batches += m.RequestBatchesReceived
+			}
 			window := make(chan struct{}, 128)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -615,8 +627,10 @@ func BenchmarkLivePipelinedSubmit(b *testing.B) {
 					for len(window) > 0 { // drain before teardown
 						time.Sleep(time.Millisecond)
 					}
+					count()
 					stop()
-					fe, stop = liveBenchCluster(opt)
+					c, stop = liveBenchCluster(opt)
+					fe = c.FrontEnd("bench")
 					b.StartTimer()
 				}
 				window <- struct{}{}
@@ -624,6 +638,10 @@ func BenchmarkLivePipelinedSubmit(b *testing.B) {
 			}
 			for len(window) > 0 {
 				time.Sleep(time.Millisecond)
+			}
+			count()
+			if batches > 0 {
+				b.ReportMetric(float64(requests)/float64(batches), "ops/frame")
 			}
 		})
 	}

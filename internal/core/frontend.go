@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -43,7 +44,7 @@ type FrontEnd struct {
 	replicas []transport.NodeID
 
 	nextSeq  uint64
-	rr       int // round-robin cursor over replicas
+	rr       int // round-robin cursor over replicas (unbatched front ends)
 	wait     map[ops.ID]ops.Operation
 	sentTo   map[ops.ID]transport.NodeID
 	onResult map[ops.ID]func(Response)
@@ -64,6 +65,16 @@ type FrontEnd struct {
 	opt   Options
 	batch map[transport.NodeID][]ops.Operation
 
+	// Home routing (DESIGN.md §8): a batched front end sends every
+	// submission to replicas[home], so one client's stream fills one
+	// target's batches instead of splitting across all of them. owed is 0
+	// while the home owes no answer; the first submission after the home's
+	// last response sets it to 1 and each Retransmit tick raises it, so it
+	// reads 2 once the home has owed an answer across a whole tick, and the
+	// next tick moves the home to the next replica.
+	home int
+	owed int
+
 	// join puts the front end in its cluster's flush set (nil for a front
 	// end built outside a Cluster, which only explicit Flush calls tick).
 	// inFlushSet records membership: set here when a target opens, cleared
@@ -81,6 +92,18 @@ type FrontEnd struct {
 
 	responses uint64
 	requests  uint64
+}
+
+// homeIndex is a batched front end's first home among n replicas: FNV-1a
+// of the client name, plus the shard, mod n. It is the same in every
+// process, so a restarted client comes back to the same replica; adding
+// the shard spreads one client's per-shard front ends over the replica
+// indices, which an esds-server fleet without -place hosts on different
+// members.
+func homeIndex(client string, shard, n int) int {
+	h := fnv.New32a()
+	h.Write([]byte(client))
+	return int((uint64(h.Sum32()) + uint64(shard)) % uint64(n))
 }
 
 // FrontEndConfig assembles a front end.
@@ -126,6 +149,7 @@ func newFrontEnd(cfg FrontEndConfig, register bool) *FrontEnd {
 	}
 	if fe.opt.BatchSize > 1 {
 		fe.batch = make(map[transport.NodeID][]ops.Operation)
+		fe.home = homeIndex(cfg.Client, cfg.Shard, len(fe.replicas))
 	}
 	if register {
 		cfg.Network.Register(fe.node, fe.handleMessage)
@@ -171,19 +195,25 @@ func (fe *FrontEnd) Submit(op dtype.Operator, prev []ops.ID, strict bool, cb fun
 	return x
 }
 
-// dispatchLocked assigns the next round-robin target to x and returns the
-// message to send now: a lone RequestMsg when batching is off or the
-// target was closed (x opens it), a full BatchRequestMsg when x topped an
-// open target's buffer up to BatchSize, or nil when x joined a partial
-// batch (a later submission, Flush, or the retransmission ticker moves it).
-// Mutex held; callers send outside it.
+// dispatchLocked assigns x its target — the next round-robin replica when
+// batching is off, the home when it is on — and returns the message to
+// send now: a lone RequestMsg when batching is off, the target was closed
+// (x opens it) or x is the only pending operation, a full BatchRequestMsg
+// when x topped an open target's buffer up to BatchSize, or nil when x
+// joined a partial batch (a later submission, Flush, or the retransmission
+// ticker moves it). Mutex held; callers send outside it.
 func (fe *FrontEnd) dispatchLocked(x ops.Operation) (to transport.NodeID, payload any) {
-	target := fe.replicas[fe.rr%len(fe.replicas)]
-	fe.rr++
-	fe.sentTo[x.ID] = target
 	fe.requests++
 	if fe.batch == nil {
+		target := fe.replicas[fe.rr%len(fe.replicas)]
+		fe.rr++
+		fe.sentTo[x.ID] = target
 		return target, RequestMsg{Op: x}
+	}
+	target := fe.replicas[fe.home]
+	fe.sentTo[x.ID] = target
+	if fe.owed == 0 {
+		fe.owed = 1
 	}
 	buffered, open := fe.batch[target]
 	if !open {
@@ -192,6 +222,11 @@ func (fe *FrontEnd) dispatchLocked(x ops.Operation) (to transport.NodeID, payloa
 			fe.inFlushSet = true
 			fe.join(fe)
 		}
+		return target, RequestMsg{Op: x}
+	}
+	if len(fe.wait) == 1 {
+		// Nothing else is in flight for x to share a frame with: a client
+		// that waits for each answer never waits for a flush tick.
 		return target, RequestMsg{Op: x}
 	}
 	buffered = append(buffered, x)
@@ -400,22 +435,21 @@ func (fe *FrontEnd) Closed() error {
 	return fe.closed
 }
 
-// Retransmit re-sends every pending request, rotating to a different
-// replica. This is the fault-tolerance mechanism the paper permits (§6.2):
-// duplicate requests do not affect safety, and retransmission restores
-// liveness after message loss or a replica crash. With batching on, the
-// re-sends are packed into BatchRequestMsg frames per target — a deep
-// pipeline re-transmits its whole window each tick, and doing that singly
-// would hand the unbatched per-frame cost right back.
+// Retransmit re-sends every pending request, each to a replica other than
+// the one it last went to. This is the fault-tolerance mechanism the paper
+// permits (§6.2): duplicate requests do not affect safety, and
+// retransmission restores liveness after message loss or a replica crash.
+// Unbatched, each re-send takes the next round-robin replica. Batched, the
+// home first moves to the next replica if it has owed an answer across a
+// whole tick, and then the re-sends go to the replica after the home,
+// packed into BatchRequestMsg frames: a deep pipeline re-transmits its
+// whole window each tick, and doing that singly would hand the unbatched
+// per-frame cost right back.
 func (fe *FrontEnd) Retransmit() int {
 	fe.mu.Lock()
 	if fe.closed != nil {
 		fe.mu.Unlock()
 		return 0
-	}
-	type outMsg struct {
-		to  transport.NodeID
-		msg RequestMsg
 	}
 	// Re-send in issue order (ids are sequential per client): a dependent
 	// operation then always reaches the replica after the operation its prev
@@ -426,51 +460,74 @@ func (fe *FrontEnd) Retransmit() int {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i].Seq < ids[j].Seq })
-	outbox := make([]outMsg, 0, len(fe.wait))
-	for _, id := range ids {
-		x := fe.wait[id]
-		next := fe.replicas[fe.rr%len(fe.replicas)]
-		fe.rr++
-		if prev, ok := fe.sentTo[id]; ok && prev == next && len(fe.replicas) > 1 {
-			next = fe.replicas[fe.rr%len(fe.replicas)]
-			fe.rr++
+	n := len(fe.replicas)
+	if fe.batch == nil {
+		type outMsg struct {
+			to  transport.NodeID
+			msg RequestMsg
 		}
-		fe.sentTo[id] = next
-		outbox = append(outbox, outMsg{to: next, msg: RequestMsg{Op: x}})
-	}
-	batching := fe.batch != nil
-	batchSize := fe.opt.BatchSize
-	fe.mu.Unlock()
-	if !batching {
+		outbox := make([]outMsg, 0, len(ids))
+		for _, id := range ids {
+			next := fe.replicas[fe.rr%n]
+			fe.rr++
+			if fe.sentTo[id] == next && n > 1 {
+				next = fe.replicas[fe.rr%n]
+				fe.rr++
+			}
+			fe.sentTo[id] = next
+			outbox = append(outbox, outMsg{to: next, msg: RequestMsg{Op: fe.wait[id]}})
+		}
+		fe.mu.Unlock()
 		for _, o := range outbox {
 			fe.net.Send(fe.node, o.to, o.msg)
 		}
 		return len(outbox)
 	}
-	grouped := make(map[transport.NodeID][]ops.Operation)
-	var order []transport.NodeID
-	for _, o := range outbox {
-		if len(grouped[o.to]) == 0 {
-			order = append(order, o.to)
-		}
-		grouped[o.to] = append(grouped[o.to], o.msg.Op)
+	// The home moves when it has owed an answer since before the previous
+	// tick: a healthy home answers within a tick, so it is never left, and
+	// a crashed or cut-off one is left at the second tick after the first
+	// submission it did not answer.
+	switch {
+	case fe.owed == 2 && n > 1:
+		fe.home = (fe.home + 1) % n
+		fe.owed = 0
+	case fe.owed > 0:
+		fe.owed = 2
 	}
-	for _, to := range order {
-		batched := grouped[to]
-		for len(batched) > 0 {
-			n := len(batched)
-			if n > batchSize {
-				n = batchSize
-			}
-			if n == 1 {
-				fe.net.Send(fe.node, to, RequestMsg{Op: batched[0]})
-			} else {
-				fe.net.Send(fe.node, to, BatchRequestMsg{Ops: batched[:n:n]})
-			}
-			batched = batched[n:]
+	// Every re-send goes to the replica after the home, unless that is
+	// where the operation last went (it was re-sent there last tick and the
+	// home stayed, or, with two replicas, it was submitted to the home this
+	// tick left); then it goes to the replica after that.
+	to, alt := fe.replicas[(fe.home+1)%n], fe.replicas[(fe.home+2)%n]
+	resend := make([]ops.Operation, 0, len(ids))
+	var stuck []ops.Operation
+	for _, id := range ids {
+		if fe.sentTo[id] == to && n > 1 {
+			fe.sentTo[id] = alt
+			stuck = append(stuck, fe.wait[id])
+		} else {
+			fe.sentTo[id] = to
+			resend = append(resend, fe.wait[id])
 		}
 	}
-	return len(outbox)
+	fe.mu.Unlock()
+	fe.sendBatched(to, resend)
+	fe.sendBatched(alt, stuck)
+	return len(ids)
+}
+
+// sendBatched sends xs to one replica in issue order, cut into frames of at
+// most BatchSize operations (a lone operation goes as a RequestMsg).
+func (fe *FrontEnd) sendBatched(to transport.NodeID, xs []ops.Operation) {
+	for len(xs) > 0 {
+		n := min(len(xs), fe.opt.BatchSize)
+		if n == 1 {
+			fe.net.Send(fe.node, to, RequestMsg{Op: xs[0]})
+		} else {
+			fe.net.Send(fe.node, to, BatchRequestMsg{Ops: xs[:n:n]})
+		}
+		xs = xs[n:]
+	}
 }
 
 // Pending returns the number of requests still awaiting a response.
@@ -503,22 +560,32 @@ func (fe *FrontEnd) LastID() (ops.ID, bool) {
 func (fe *FrontEnd) handleMessage(m transport.Message) {
 	switch p := m.Payload.(type) {
 	case ResponseMsg:
-		fe.handleResponse(p)
+		fe.handleResponse(m.From, p)
 	case BatchResponseMsg:
 		for _, resp := range p.Resps {
-			fe.handleResponse(resp)
+			fe.handleResponse(m.From, resp)
 		}
 	}
 }
 
-// handleResponse delivers one replica response (or Redirect refusal).
-func (fe *FrontEnd) handleResponse(resp ResponseMsg) {
+// heardLocked notes that from answered: if it is the home, the home owes
+// nothing any more. Mutex held.
+func (fe *FrontEnd) heardLocked(from transport.NodeID) {
+	if from == fe.replicas[fe.home] {
+		fe.owed = 0
+	}
+}
+
+// handleResponse delivers one replica response (or Redirect refusal) that
+// arrived from the replica from.
+func (fe *FrontEnd) handleResponse(from transport.NodeID, resp ResponseMsg) {
 	if resp.Redirect != nil {
 		// A "wrong shard" refusal, not a response: the operation stays
 		// pending (the replica did NOT accept it) and the router decides
 		// what to do. Read the handler and pending-ness under the lock,
 		// call outside it.
 		fe.mu.Lock()
+		fe.heardLocked(from)
 		h := fe.onRedirect
 		_, waiting := fe.wait[resp.ID]
 		fe.mu.Unlock()
@@ -528,6 +595,7 @@ func (fe *FrontEnd) handleResponse(resp ResponseMsg) {
 		return
 	}
 	fe.mu.Lock()
+	fe.heardLocked(from)
 	if _, waiting := fe.wait[resp.ID]; !waiting {
 		fe.mu.Unlock()
 		return // duplicate or stale response
@@ -543,24 +611,30 @@ func (fe *FrontEnd) handleResponse(resp ResponseMsg) {
 	}
 }
 
-// ReplicaForRoundRobin exposes the next round-robin target without issuing
-// a request (used by tests to pin expectations).
-func (fe *FrontEnd) ReplicaForRoundRobin() transport.NodeID {
+// NextTarget returns the replica the next submission goes to, without
+// issuing one: the home for a batched front end, the round-robin cursor
+// otherwise (used by tests to pin expectations).
+func (fe *FrontEnd) NextTarget() transport.NodeID {
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
+	if fe.batch != nil {
+		return fe.replicas[fe.home]
+	}
 	return fe.replicas[fe.rr%len(fe.replicas)]
 }
 
-// StickTo pins the front end to a single replica (disables round-robin).
-// §9.2 notes that a client whose front end always talks to the same replica
-// gets the fast 2·d_f path for its causal chains.
+// StickTo pins the front end to a single replica (disables round-robin and
+// the home). §9.2 notes that a client whose front end always talks to the
+// same replica gets the fast 2·d_f path for its causal chains. It also
+// turns off failover: retransmission re-sends to the same replica, so a
+// pinned front end waits out a crash of its replica instead of leaving it.
 func (fe *FrontEnd) StickTo(replica transport.NodeID) {
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
 	for i, node := range fe.replicas {
 		if node == replica {
 			fe.replicas = []transport.NodeID{fe.replicas[i]}
-			fe.rr = 0
+			fe.rr, fe.home = 0, 0
 			return
 		}
 	}

@@ -156,7 +156,7 @@ func TestRetransmitRecoversLostRequestOverTCP(t *testing.T) {
 	fe := feCluster.FrontEnd("c")
 	// Force the first send at the dead replica so the request is genuinely
 	// lost and only retransmission can save it.
-	for fe.ReplicaForRoundRobin() != ReplicaNode(1) {
+	for fe.NextTarget() != ReplicaNode(1) {
 		fe.Submit(dtype.CtrRead{}, nil, false, nil) // burn a cursor position (served by r0 eventually or lost — irrelevant)
 	}
 	done := make(chan Response, 1)

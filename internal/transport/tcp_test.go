@@ -527,14 +527,14 @@ func TestTCPNetBufferedWriterCoalescesFrames(t *testing.T) {
 		a.Send("a", "b", "payload")
 	}
 	waitUntil(t, "all frames delivered", func() bool { return got.count() == frames })
+	// The sender counts a flush only once its write returns, and the
+	// receiver can count every frame before that: wait for the count too.
+	waitUntil(t, "the last flush counted", func() bool {
+		s := a.Stats()
+		return s.Sent == frames && s.Flushes > 0
+	})
 
 	s := a.Stats()
-	if s.Sent != frames {
-		t.Fatalf("sent %d frames, want %d", s.Sent, frames)
-	}
-	if s.Flushes == 0 {
-		t.Fatal("no flushes counted")
-	}
 	if s.Flushes >= s.Sent {
 		t.Fatalf("flushes = %d for %d frames: the writer never coalesced", s.Flushes, s.Sent)
 	}
