@@ -36,6 +36,8 @@ package main
 import (
 	"bufio"
 	"cmp"
+	"crypto/rand"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"io"
@@ -545,9 +547,14 @@ func runSharded(cfg config, dt dtype.DataType, net *transport.TCPNet, rt *core.S
 // learns the new topology from Redirect replies; OnGrow extends the peer
 // table), so a front end started with a stale -shards keeps working.
 func runShardedClient(cfg config, ks *core.Keyspace, stdin io.Reader, stdout, stderr io.Writer) int {
+	session, err := sessionName(cfg.client)
+	if err != nil {
+		fmt.Fprintf(stderr, "esds-server: %v\n", err)
+		return 1
+	}
 	fmt.Fprintf(stdout, "READY client=%s shards=%d type=%s\n", cfg.client, cfg.shards, cfg.dtName)
 	scanner := bufio.NewScanner(stdin)
-	router := ks.Client(cfg.client)
+	router := ks.Client(session)
 	prev := make(map[string][]ops.ID)
 	for scanner.Scan() {
 		line := strings.TrimSpace(scanner.Text())
@@ -584,7 +591,12 @@ func runShardedClient(cfg config, ks *core.Keyspace, stdin io.Reader, stdout, st
 // runClient reads operations from stdin and submits them through a front
 // end, chaining each operation's id into the next one's prev set.
 func runClient(cfg config, cluster *core.Cluster, stdin io.Reader, stdout, stderr io.Writer) int {
-	fe := cluster.FrontEnd(cfg.client)
+	session, err := sessionName(cfg.client)
+	if err != nil {
+		fmt.Fprintf(stderr, "esds-server: %v\n", err)
+		return 1
+	}
+	fe := cluster.FrontEnd(session)
 	fmt.Fprintf(stdout, "READY client=%s type=%s\n", cfg.client, cfg.dtName)
 	scanner := bufio.NewScanner(stdin)
 	var prev []ops.ID
@@ -612,6 +624,20 @@ func runClient(cfg config, cluster *core.Cluster, stdin io.Reader, stdout, stder
 		return 1
 	}
 	return 0
+}
+
+// sessionName is the name a -client process gives its front ends: the
+// client name, "#", and 64 random bits in hex. Operation ids are the name
+// and a sequence number that starts at 0 in every process, and replicas
+// remember the ids they have answered, so a second session under the same
+// bare name would reuse the first one's ids and be answered with its
+// values.
+func sessionName(client string) (string, error) {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", fmt.Errorf("naming the client session: %w", err)
+	}
+	return client + "#" + hex.EncodeToString(b[:]), nil
 }
 
 // submitWithDeadline submits one operation and waits for its response or

@@ -196,6 +196,22 @@ func TestClientModeAgainstCluster(t *testing.T) {
 	if !strings.HasSuffix(lines[3], "= 5") {
 		t.Fatalf("strict read line = %q, want suffix %q", lines[3], "= 5")
 	}
+
+	// A second session under the same client name starts its sequence at 0
+	// again; its operations must still be new to the replicas, not answered
+	// as the first session's.
+	stdout.Reset()
+	code = run([]string{"-client", "cli", "-peers", strings.Join(peers, ",")}, strings.NewReader("add 4\nread!\n"), &stdout, os.Stderr)
+	if code != 0 {
+		t.Fatalf("second session exited %d\noutput:\n%s", code, stdout.String())
+	}
+	lines = strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != 3 || lines[0] != "READY client=cli type=counter" {
+		t.Fatalf("second session printed:\n%s", stdout.String())
+	}
+	if !strings.HasSuffix(lines[2], "= 9") {
+		t.Fatalf("second session's strict read line = %q, want suffix %q", lines[2], "= 9")
+	}
 }
 
 // TestKillNineRecoveryWithPruning is the multi-process crash-recovery

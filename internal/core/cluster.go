@@ -30,10 +30,9 @@ type Cluster struct {
 	stops    []func()
 	closed   bool
 
-	// The flush set (DESIGN.md §8): the front ends with an open replica
-	// target, each once. A front end joins it itself (joinFlushSet) when a
-	// target opens; flushPass takes the set and puts back the members still
-	// open. flushWake holds a token once the set turns non-empty, so the
+	// The flush set (DESIGN.md §8): the front ends with an open batch,
+	// each once. A front end joins it itself (joinFlushSet) when its batch
+	// opens; flushPass takes the set and puts back the members still open. flushWake holds a token once the set turns non-empty, so the
 	// flusher sleeps, with no timer, while it is empty.
 	flushMu     sync.Mutex
 	flushSet    []*FrontEnd
@@ -279,8 +278,8 @@ func (c *Cluster) wakeFlusher() {
 }
 
 // flushPass is one tick of the batch flusher: it takes the flush set, runs
-// one flush tick (FrontEnd.Flush) for each member and puts back those with
-// a target still open. It reports whether the set is non-empty afterwards.
+// one flush tick (FrontEnd.Flush) for each member and puts back those whose
+// batch is still open. It reports whether the set is non-empty afterwards.
 func (c *Cluster) flushPass() bool {
 	c.flushMu.Lock()
 	due := c.flushSet
@@ -313,15 +312,15 @@ func (c *Cluster) flushPass() bool {
 	return true
 }
 
-// FlushAll runs one flush tick for every front end with an open replica
-// target (see FrontEnd.Flush). A no-op when batching is off.
+// FlushAll runs one flush tick for every front end with an open batch (see
+// FrontEnd.Flush). A no-op when batching is off.
 func (c *Cluster) FlushAll() { c.flushPass() }
 
 // StartLiveBatchFlush starts the cluster's batch flusher: every period it
 // runs one flush tick for each front end in the flush set — the
 // Options.BatchDelay bound on how long a buffered submission waits for its
 // batch to fill — and it sleeps, with no timer running, while no front end
-// has an open target. Call Close to stop it. Meaningless (but harmless)
+// has an open batch. Call Close to stop it. Meaningless (but harmless)
 // without batching.
 func (c *Cluster) StartLiveBatchFlush(period time.Duration) {
 	if period <= 0 {

@@ -20,8 +20,8 @@ func flushOptions() Options {
 	return opt
 }
 
-// TestFirstSubmitGoesAtOnce: a submission to a closed target is sent at
-// once, so with BatchSize 32 and no flush tick a lone operation still
+// TestFirstSubmitGoesAtOnce: a submission that finds the batch closed is
+// sent at once, so with BatchSize 32 and no flush tick a lone operation still
 // reaches its replica within one link latency.
 func TestFirstSubmitGoesAtOnce(t *testing.T) {
 	s := sim.New(1)
@@ -40,11 +40,10 @@ func TestFirstSubmitGoesAtOnce(t *testing.T) {
 	}
 }
 
-// TestOpenTargetCoalesces walks one target through the rule: the first of
-// ten submissions in one instant goes at once and opens the target, the
-// other nine buffer and leave as one batch at the next flush tick, a tick
-// with nothing buffered closes the target, and the next submission goes at
-// once again.
+// TestOpenTargetCoalesces walks the batch through the rule: the first of
+// ten submissions in one instant goes at once and opens it, the other nine
+// buffer and leave as one batch at the next flush tick, a tick with nothing
+// buffered closes it, and the next submission goes at once again.
 func TestOpenTargetCoalesces(t *testing.T) {
 	s := sim.New(2)
 	net := transport.NewSimNet(s, transport.SimNetConfig{})

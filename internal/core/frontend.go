@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 
 	"esds/internal/dtype"
@@ -43,27 +44,27 @@ type FrontEnd struct {
 	net      transport.Network
 	replicas []transport.NodeID
 
-	nextSeq  uint64
-	rr       int // round-robin cursor over replicas (unbatched front ends)
-	wait     map[ops.ID]ops.Operation
-	sentTo   map[ops.ID]transport.NodeID
-	onResult map[ops.ID]func(Response)
-	last     ops.ID // the operation issued last, for auto-causality helpers
-	issued   bool   // last is set
-	closed   error  // non-nil once Close ran; delivered to all waiters
+	nextSeq uint64
+	rr      int                  // round-robin cursor over replicas (unbatched front ends)
+	wait    map[ops.ID]pendingOp // wait_c: one record per pending operation
+	last    ops.ID               // the operation issued last, for auto-causality helpers
+	issued  bool                 // last is set
+	closed  error                // non-nil once Close ran; delivered to all waiters
 
-	// Request batching (DESIGN.md §8): with opt.BatchSize > 1, every
-	// replica target is closed or open, and open exactly when batch holds
-	// a key for it. A submission to a closed target is sent at once and
-	// opens it; on an open target submissions buffer until BatchSize, which
-	// is sent at once, or until the next flush tick (Flush, driven by the
-	// cluster's batch flusher, Cluster.StartLiveBatchFlush), which sends
-	// every partial buffer and closes every target it finds empty. A
-	// buffered-but-unsent operation is already in wait, so the
+	// Request batching (DESIGN.md §8): with opt.BatchSize > 1 the front end
+	// keeps one batch, for its home, which is closed or open. A submission
+	// that finds it closed is sent at once and opens it; on an open batch
+	// submissions buffer in buf until BatchSize, which is sent at once, or
+	// until the next flush tick (Flush, driven by the cluster's batch
+	// flusher, Cluster.StartLiveBatchFlush), which sends a partial buffer
+	// and closes a batch it finds empty. Moving the home empties and closes
+	// the batch: everything buffered is pending and leaves in that tick's
+	// re-send. A buffered-but-unsent operation is already in wait, so the
 	// retransmission ticker re-sends it if a flush never comes — batching
 	// can add latency, never deadlock.
-	opt   Options
-	batch map[transport.NodeID][]ops.Operation
+	opt  Options
+	buf  []ops.Operation
+	open bool
 
 	// Home routing (DESIGN.md §8): a batched front end sends every
 	// submission to replicas[home], so one client's stream fills one
@@ -77,8 +78,8 @@ type FrontEnd struct {
 
 	// join puts the front end in its cluster's flush set (nil for a front
 	// end built outside a Cluster, which only explicit Flush calls tick).
-	// inFlushSet records membership: set here when a target opens, cleared
-	// only by the flusher's pass once no target is left open.
+	// inFlushSet records membership: set when the batch opens, cleared only
+	// by the flusher's pass once the batch is closed.
 	join       func(*FrontEnd)
 	inFlushSet bool
 
@@ -94,12 +95,21 @@ type FrontEnd struct {
 	requests  uint64
 }
 
+// pendingOp is one operation in wait_c: the operation, the replica it last
+// went to, and the callback its first response fires (nil for none).
+type pendingOp struct {
+	x  ops.Operation
+	to transport.NodeID
+	cb func(Response)
+}
+
 // homeIndex is a batched front end's first home among n replicas: FNV-1a
-// of the client name, plus the shard, mod n. It is the same in every
-// process, so a restarted client comes back to the same replica; adding
-// the shard spreads one client's per-shard front ends over the replica
-// indices, which an esds-server fleet without -place hosts on different
-// members.
+// of the client name, plus the shard, mod n. It depends on nothing but the
+// name, so an in-process client that comes back under its name comes back
+// to the same replica (an esds-server -client session names its front ends
+// afresh, so each session draws its home anew). Adding the shard spreads
+// one client's per-shard front ends over the replica indices, which an
+// esds-server fleet without -place hosts on different members.
 func homeIndex(client string, shard, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(client))
@@ -142,13 +152,10 @@ func newFrontEnd(cfg FrontEndConfig, register bool) *FrontEnd {
 		node:     FrontEndNodeIn(cfg.Shard, cfg.Client),
 		net:      cfg.Network,
 		replicas: append([]transport.NodeID(nil), cfg.Replicas...),
-		wait:     make(map[ops.ID]ops.Operation),
-		sentTo:   make(map[ops.ID]transport.NodeID),
-		onResult: make(map[ops.ID]func(Response)),
+		wait:     make(map[ops.ID]pendingOp),
 		opt:      cfg.Options,
 	}
 	if fe.opt.BatchSize > 1 {
-		fe.batch = make(map[transport.NodeID][]ops.Operation)
 		fe.home = homeIndex(cfg.Client, cfg.Shard, len(fe.replicas))
 	}
 	if register {
@@ -171,119 +178,10 @@ func (fe *FrontEnd) Node() transport.NodeID { return fe.node }
 // descriptor (whose ID the client may use in later prev sets).
 func (fe *FrontEnd) Submit(op dtype.Operator, prev []ops.ID, strict bool, cb func(Response)) ops.Operation {
 	fe.mu.Lock()
-	id := ops.ID{Client: fe.client, Seq: fe.nextSeq}
+	x := ops.New(op, ops.ID{Client: fe.client, Seq: fe.nextSeq}, prev, strict)
 	fe.nextSeq++
-	x := ops.New(op, id, prev, strict)
-	if err := fe.closed; err != nil {
-		fe.mu.Unlock()
-		if cb != nil {
-			cb(Response{ID: id, Err: err})
-		}
-		return x
-	}
-	fe.wait[id] = x
-	if cb != nil {
-		fe.onResult[id] = cb
-	}
-	fe.last, fe.issued = id, true
-	to, payload := fe.dispatchLocked(x)
-	fe.mu.Unlock()
-
-	if payload != nil {
-		fe.net.Send(fe.node, to, payload)
-	}
+	fe.admit(x, cb)
 	return x
-}
-
-// dispatchLocked assigns x its target — the next round-robin replica when
-// batching is off, the home when it is on — and returns the message to
-// send now: a lone RequestMsg when batching is off, the target was closed
-// (x opens it) or x is the only pending operation, a full BatchRequestMsg
-// when x topped an open target's buffer up to BatchSize, or nil when x
-// joined a partial batch (a later submission, Flush, or the retransmission
-// ticker moves it). Mutex held; callers send outside it.
-func (fe *FrontEnd) dispatchLocked(x ops.Operation) (to transport.NodeID, payload any) {
-	fe.requests++
-	if fe.batch == nil {
-		target := fe.replicas[fe.rr%len(fe.replicas)]
-		fe.rr++
-		fe.sentTo[x.ID] = target
-		return target, RequestMsg{Op: x}
-	}
-	target := fe.replicas[fe.home]
-	fe.sentTo[x.ID] = target
-	if fe.owed == 0 {
-		fe.owed = 1
-	}
-	buffered, open := fe.batch[target]
-	if !open {
-		fe.batch[target] = nil
-		if fe.join != nil && !fe.inFlushSet {
-			fe.inFlushSet = true
-			fe.join(fe)
-		}
-		return target, RequestMsg{Op: x}
-	}
-	if len(fe.wait) == 1 {
-		// Nothing else is in flight for x to share a frame with: a client
-		// that waits for each answer never waits for a flush tick.
-		return target, RequestMsg{Op: x}
-	}
-	buffered = append(buffered, x)
-	if len(buffered) < fe.opt.BatchSize {
-		fe.batch[target] = buffered
-		return target, nil
-	}
-	fe.batch[target] = nil
-	return target, BatchRequestMsg{Ops: buffered}
-}
-
-// Flush runs one explicit flush tick: it sends every partially filled
-// request batch immediately and closes every open target with nothing
-// buffered; a no-op when batching is off. The cluster's batch flusher runs
-// the same tick for every front end in its flush set
-// (Cluster.StartLiveBatchFlush).
-func (fe *FrontEnd) Flush() { fe.flush(false) }
-
-// flush is one flush tick. From the cluster's flush pass (fromSet) it also
-// reports whether the front end stays in the flush set, and leaves it, under
-// the same lock, when no target is left open: the submission that opens one
-// re-joins it.
-func (fe *FrontEnd) flush(fromSet bool) (stay bool) {
-	fe.mu.Lock()
-	if fe.batch == nil || fe.closed != nil {
-		if fromSet {
-			fe.inFlushSet = false
-		}
-		fe.mu.Unlock()
-		return false
-	}
-	type outMsg struct {
-		to  transport.NodeID
-		msg any
-	}
-	var outbox []outMsg
-	for to, buffered := range fe.batch {
-		switch len(buffered) {
-		case 0:
-			delete(fe.batch, to)
-			continue
-		case 1:
-			outbox = append(outbox, outMsg{to: to, msg: RequestMsg{Op: buffered[0]}})
-		default:
-			outbox = append(outbox, outMsg{to: to, msg: BatchRequestMsg{Ops: buffered}})
-		}
-		fe.batch[to] = nil
-	}
-	stay = len(fe.batch) > 0
-	if fromSet {
-		fe.inFlushSet = stay
-	}
-	fe.mu.Unlock()
-	for _, o := range outbox {
-		fe.net.Send(fe.node, o.to, o.msg)
-	}
-	return stay
 }
 
 // SubmitOp relays an externally assembled operation — identifier included
@@ -295,6 +193,17 @@ func (fe *FrontEnd) flush(fromSet bool) (stay bool) {
 // existing registration wins).
 func (fe *FrontEnd) SubmitOp(x ops.Operation, cb func(Response)) {
 	fe.mu.Lock()
+	if _, dup := fe.wait[x.ID]; dup {
+		fe.mu.Unlock()
+		return
+	}
+	fe.admit(x, cb)
+}
+
+// admit is the admission path Submit and SubmitOp share. Called with the
+// mutex held, it releases it: a closed front end fails x at once; otherwise
+// x enters wait_c and is relayed as dispatchLocked decides.
+func (fe *FrontEnd) admit(x ops.Operation, cb func(Response)) {
 	if err := fe.closed; err != nil {
 		fe.mu.Unlock()
 		if cb != nil {
@@ -302,21 +211,78 @@ func (fe *FrontEnd) SubmitOp(x ops.Operation, cb func(Response)) {
 		}
 		return
 	}
-	if _, dup := fe.wait[x.ID]; dup {
-		fe.mu.Unlock()
-		return
-	}
-	fe.wait[x.ID] = x
-	if cb != nil {
-		fe.onResult[x.ID] = cb
-	}
 	fe.last, fe.issued = x.ID, true
 	to, payload := fe.dispatchLocked(x)
+	fe.wait[x.ID] = pendingOp{x: x, to: to, cb: cb}
 	fe.mu.Unlock()
-
 	if payload != nil {
 		fe.net.Send(fe.node, to, payload)
 	}
+}
+
+// dispatchLocked assigns x, not yet in wait, its target — the next
+// round-robin replica when batching is off, the home when it is on — and
+// returns the message to send now: a lone RequestMsg when batching is off,
+// the batch was closed (x opens it) or nothing else is pending, a full
+// BatchRequestMsg when x topped the buffer up to BatchSize, or nil when x
+// joined a partial batch (a later submission, Flush, or the retransmission
+// ticker moves it). Mutex held; callers send outside it.
+func (fe *FrontEnd) dispatchLocked(x ops.Operation) (to transport.NodeID, payload any) {
+	fe.requests++
+	if fe.opt.BatchSize <= 1 {
+		to = fe.replicas[fe.rr%len(fe.replicas)]
+		fe.rr++
+		return to, RequestMsg{Op: x}
+	}
+	to = fe.replicas[fe.home]
+	if fe.owed == 0 {
+		fe.owed = 1
+	}
+	if !fe.open {
+		fe.open = true
+		if fe.join != nil && !fe.inFlushSet {
+			fe.inFlushSet = true
+			fe.join(fe)
+		}
+		return to, RequestMsg{Op: x}
+	}
+	if len(fe.wait) == 0 {
+		// Nothing else is in flight for x to share a frame with: a client
+		// that waits for each answer never waits for a flush tick.
+		return to, RequestMsg{Op: x}
+	}
+	fe.buf = append(fe.buf, x)
+	if len(fe.buf) < fe.opt.BatchSize {
+		return to, nil
+	}
+	full := fe.buf
+	fe.buf = nil
+	return to, BatchRequestMsg{Ops: full}
+}
+
+// Flush runs one explicit flush tick: it sends a partially filled request
+// batch immediately, or closes the batch if nothing is buffered; a no-op
+// when batching is off. The cluster's batch flusher runs the same tick for
+// every front end in its flush set (Cluster.StartLiveBatchFlush).
+func (fe *FrontEnd) Flush() { fe.flush(false) }
+
+// flush is one flush tick. From the cluster's flush pass (fromSet) it also
+// reports whether the front end stays in the flush set, and leaves it, under
+// the same lock, when the batch is closed: the submission that opens it
+// re-joins it. Nothing is buffered while the batch is closed (batching off,
+// the front end closed, the home just moved), so such a tick sends nothing.
+func (fe *FrontEnd) flush(fromSet bool) (stay bool) {
+	fe.mu.Lock()
+	to, buffered := fe.replicas[fe.home], fe.buf
+	fe.buf = nil
+	fe.open = fe.open && len(buffered) > 0
+	if fromSet {
+		fe.inFlushSet = fe.open
+	}
+	stay = fe.open
+	fe.mu.Unlock()
+	fe.sendBatched(to, buffered)
+	return stay
 }
 
 // Cancel withdraws a pending operation without firing its callback: the
@@ -330,8 +296,6 @@ func (fe *FrontEnd) Cancel(id ops.ID) bool {
 		return false
 	}
 	delete(fe.wait, id)
-	delete(fe.sentTo, id)
-	delete(fe.onResult, id)
 	return true
 }
 
@@ -341,15 +305,14 @@ func (fe *FrontEnd) Cancel(id ops.ID) bool {
 // waiting for the retransmission ticker to rotate through them.
 func (fe *FrontEnd) ProbeAll(id ops.ID) {
 	fe.mu.Lock()
-	x, pending := fe.wait[id]
+	p, pending := fe.wait[id]
 	replicas := fe.replicas
-	closed := fe.closed
 	fe.mu.Unlock()
-	if !pending || closed != nil {
-		return
+	if !pending {
+		return // answered, cancelled, or the front end is closed
 	}
 	for _, to := range replicas {
-		fe.net.Send(fe.node, to, RequestMsg{Op: x})
+		fe.net.Send(fe.node, to, RequestMsg{Op: p.x})
 	}
 }
 
@@ -411,19 +374,14 @@ func (fe *FrontEnd) Close(err error) {
 		return
 	}
 	fe.closed = err
-	failed := make(map[ops.ID]func(Response), len(fe.onResult))
-	for id, cb := range fe.onResult {
-		failed[id] = cb
-	}
-	fe.wait = make(map[ops.ID]ops.Operation)
-	fe.sentTo = make(map[ops.ID]transport.NodeID)
-	fe.onResult = make(map[ops.ID]func(Response))
-	if fe.batch != nil {
-		fe.batch = make(map[transport.NodeID][]ops.Operation)
-	}
+	failed := fe.wait
+	fe.wait = make(map[ops.ID]pendingOp)
+	fe.buf, fe.open = nil, false
 	fe.mu.Unlock()
-	for id, cb := range failed {
-		cb(Response{ID: id, Err: err})
+	for id, p := range failed {
+		if p.cb != nil {
+			p.cb(Response{ID: id, Err: err})
+		}
 	}
 }
 
@@ -455,42 +413,40 @@ func (fe *FrontEnd) Retransmit() int {
 	// operation then always reaches the replica after the operation its prev
 	// names, so one retransmission round suffices to unpark a whole chain —
 	// map-order iteration could need a round per link.
-	ids := make([]ops.ID, 0, len(fe.wait))
-	for id := range fe.wait {
-		ids = append(ids, id)
+	recs := make([]pendingOp, 0, len(fe.wait))
+	for _, p := range fe.wait {
+		recs = append(recs, p)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Seq < ids[j].Seq })
+	slices.SortFunc(recs, func(a, b pendingOp) int { return cmp.Compare(a.x.ID.Seq, b.x.ID.Seq) })
 	n := len(fe.replicas)
-	if fe.batch == nil {
-		type outMsg struct {
-			to  transport.NodeID
-			msg RequestMsg
-		}
-		outbox := make([]outMsg, 0, len(ids))
-		for _, id := range ids {
+	if fe.opt.BatchSize <= 1 {
+		for i := range recs {
+			p := &recs[i]
 			next := fe.replicas[fe.rr%n]
 			fe.rr++
-			if fe.sentTo[id] == next && n > 1 {
+			if p.to == next && n > 1 {
 				next = fe.replicas[fe.rr%n]
 				fe.rr++
 			}
-			fe.sentTo[id] = next
-			outbox = append(outbox, outMsg{to: next, msg: RequestMsg{Op: fe.wait[id]}})
+			p.to = next
+			fe.wait[p.x.ID] = *p
 		}
 		fe.mu.Unlock()
-		for _, o := range outbox {
-			fe.net.Send(fe.node, o.to, o.msg)
+		for _, p := range recs {
+			fe.net.Send(fe.node, p.to, RequestMsg{Op: p.x})
 		}
-		return len(outbox)
+		return len(recs)
 	}
 	// The home moves when it has owed an answer since before the previous
 	// tick: a healthy home answers within a tick, so it is never left, and
 	// a crashed or cut-off one is left at the second tick after the first
-	// submission it did not answer.
+	// submission it did not answer. Moving empties and closes the batch:
+	// everything buffered is pending, so it leaves in the re-send below.
 	switch {
 	case fe.owed == 2 && n > 1:
 		fe.home = (fe.home + 1) % n
 		fe.owed = 0
+		fe.buf, fe.open = nil, false
 	case fe.owed > 0:
 		fe.owed = 2
 	}
@@ -499,21 +455,23 @@ func (fe *FrontEnd) Retransmit() int {
 	// home stayed, or, with two replicas, it was submitted to the home this
 	// tick left); then it goes to the replica after that.
 	to, alt := fe.replicas[(fe.home+1)%n], fe.replicas[(fe.home+2)%n]
-	resend := make([]ops.Operation, 0, len(ids))
+	resend := make([]ops.Operation, 0, len(recs))
 	var stuck []ops.Operation
-	for _, id := range ids {
-		if fe.sentTo[id] == to && n > 1 {
-			fe.sentTo[id] = alt
-			stuck = append(stuck, fe.wait[id])
+	for i := range recs {
+		p := &recs[i]
+		if p.to == to && n > 1 {
+			p.to = alt
+			stuck = append(stuck, p.x)
 		} else {
-			fe.sentTo[id] = to
-			resend = append(resend, fe.wait[id])
+			p.to = to
+			resend = append(resend, p.x)
 		}
+		fe.wait[p.x.ID] = *p
 	}
 	fe.mu.Unlock()
 	fe.sendBatched(to, resend)
 	fe.sendBatched(alt, stuck)
-	return len(ids)
+	return len(recs)
 }
 
 // sendBatched sends xs to one replica in issue order, cut into frames of at
@@ -596,18 +554,16 @@ func (fe *FrontEnd) handleResponse(from transport.NodeID, resp ResponseMsg) {
 	}
 	fe.mu.Lock()
 	fe.heardLocked(from)
-	if _, waiting := fe.wait[resp.ID]; !waiting {
+	p, waiting := fe.wait[resp.ID]
+	if !waiting {
 		fe.mu.Unlock()
 		return // duplicate or stale response
 	}
 	delete(fe.wait, resp.ID)
-	delete(fe.sentTo, resp.ID)
-	cb := fe.onResult[resp.ID]
-	delete(fe.onResult, resp.ID)
 	fe.responses++
 	fe.mu.Unlock()
-	if cb != nil {
-		cb(Response{ID: resp.ID, Value: resp.Value})
+	if p.cb != nil {
+		p.cb(Response{ID: resp.ID, Value: resp.Value})
 	}
 }
 
@@ -617,7 +573,7 @@ func (fe *FrontEnd) handleResponse(from transport.NodeID, resp ResponseMsg) {
 func (fe *FrontEnd) NextTarget() transport.NodeID {
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
-	if fe.batch != nil {
+	if fe.opt.BatchSize > 1 {
 		return fe.replicas[fe.home]
 	}
 	return fe.replicas[fe.rr%len(fe.replicas)]

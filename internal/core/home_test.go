@@ -207,7 +207,7 @@ func TestRetransmitFailsOverFromSilentHome(t *testing.T) {
 		lastSent := func() transport.NodeID {
 			fe.mu.Lock()
 			defer fe.mu.Unlock()
-			return fe.sentTo[strict.ID]
+			return fe.wait[strict.ID].to
 		}
 		for tick := 0; tick < 6; tick++ {
 			answered := false

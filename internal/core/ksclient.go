@@ -47,15 +47,9 @@ type KeyspaceClient struct {
 	mu       sync.Mutex
 	nextSeq  uint64
 	inflight map[ops.ID]*routedOp
-	record   map[ops.ID]opRecord // answered ops: where they completed
+	record   map[ops.ID]int      // answered ops: the shard each completed on
 	waiters  map[ops.ID][]ops.ID // prev id → parked dependents
 	closed   error
-}
-
-// opRecord is where a completed operation was answered.
-type opRecord struct {
-	object string
-	shard  int
 }
 
 // routedOp is one submission the router is shepherding.
@@ -85,7 +79,7 @@ func (k *Keyspace) Client(name string) *KeyspaceClient {
 		ks:       k,
 		name:     name,
 		inflight: make(map[ops.ID]*routedOp),
-		record:   make(map[ops.ID]opRecord),
+		record:   make(map[ops.ID]int),
 		waiters:  make(map[ops.ID][]ops.ID),
 	}
 	k.clients[name] = c
@@ -242,8 +236,8 @@ func (c *KeyspaceClient) translateLocked(ro *routedOp, target int) []ops.ID {
 			out = append(out, p)
 			continue
 		}
-		if rec, ok := c.record[p]; ok {
-			if rec.shard == target {
+		if shard, ok := c.record[p]; ok {
+			if shard == target {
 				out = append(out, p)
 			} else {
 				needInstall = true
@@ -278,7 +272,7 @@ func (c *KeyspaceClient) onResponse(id ops.ID, r Response) {
 		return
 	}
 	delete(c.inflight, id)
-	c.record[id] = opRecord{object: ro.object, shard: ro.shard}
+	c.record[id] = ro.shard
 	woken := c.takeWaitersLocked(id)
 	for _, wid := range woken {
 		if dep, ok := c.inflight[wid]; ok && dep.parked {

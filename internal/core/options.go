@@ -57,11 +57,11 @@ type Options struct {
 	// BatchDelay is the front-end flush period: a partially filled request
 	// batch waits at most this long before the batch flusher sends it
 	// (esds.New and esds-server start the flusher; raw core users call
-	// Cluster.StartLiveBatchFlush or FrontEnd.Flush). The first
-	// submission to an idle replica target never waits: it is sent at once
-	// and opens the target, and only submissions to an open target buffer.
+	// Cluster.StartLiveBatchFlush or FrontEnd.Flush). A submission that
+	// finds its front end's batch closed never waits: it is sent at once
+	// and opens the batch, and only submissions to an open batch buffer.
 	// The flusher ticks at this period only while some front end has an
-	// open target, and sleeps otherwise. Zero means the default period of
+	// open batch, and sleeps otherwise. Zero means the default period of
 	// FlushPeriod. Meaningful only with BatchSize > 1.
 	BatchDelay time.Duration
 }
