@@ -286,9 +286,11 @@ func (fe *FrontEnd) flush(fromSet bool) (stay bool) {
 }
 
 // Cancel withdraws a pending operation without firing its callback: the
-// router is moving it to another shard's front end. It reports whether
-// the operation was still pending (false means a response already won the
-// race and the callback has fired or is firing).
+// router is moving it to another shard's front end, or its caller gave up
+// (SubmitWaitCtx). An operation still in the batch buffer leaves it, so
+// no replica ever receives it; one already sent may still be executed. It
+// reports whether the operation was still pending (false means a response
+// already won the race and the callback has fired or is firing).
 func (fe *FrontEnd) Cancel(id ops.ID) bool {
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
@@ -296,6 +298,7 @@ func (fe *FrontEnd) Cancel(id ops.ID) bool {
 		return false
 	}
 	delete(fe.wait, id)
+	fe.buf = slices.DeleteFunc(fe.buf, func(x ops.Operation) bool { return x.ID == id })
 	return true
 }
 

@@ -182,20 +182,30 @@ func (t *idTable) at(h uint32) *idRec {
 }
 
 // rec returns id's record, creating an empty one (label ∞, no flags).
-func (t *idTable) rec(id ops.ID) *idRec {
-	s := t.stream(id.Client)
+func (t *idTable) rec(id ops.ID) *idRec { return t.recIn(t.streamOf(id.Client), id.Seq) }
+
+// streamOf returns client's stream, creating an empty one.
+func (t *idTable) streamOf(client string) *idStream {
+	s := t.stream(client)
 	if s == nil {
-		s = &idStream{client: id.Client, n: uint32(len(t.list)), index: make(map[uint64]uint32)}
-		t.streams[id.Client], t.last = s, s
+		s = &idStream{client: client, n: uint32(len(t.list)), index: make(map[uint64]uint32)}
+		t.streams[client], t.last = s, s
 		t.list = append(t.list, s)
 	}
-	h := s.slot(id.Seq)
+	return s
+}
+
+// recIn returns the record of sequence number seq in stream s, creating
+// an empty one: a gossip merge resolves each client's stream once per
+// frame and walks its runs' records by it.
+func (t *idTable) recIn(s *idStream, seq uint64) *idRec {
+	h := s.slot(seq)
 	if h == nil {
-		s.index[id.Seq>>6] = uint32(len(s.pages))
+		s.index[seq>>6] = uint32(len(s.pages))
 		s.pages = append(s.pages, idPage{})
 		t.pages++
-		s.lastKey, s.lastPage = id.Seq>>6+1, uint64(len(s.pages)-1)
-		h = &s.pages[s.lastPage][id.Seq&63]
+		s.lastKey, s.lastPage = seq>>6+1, uint64(len(s.pages)-1)
+		h = &s.pages[s.lastPage][seq&63]
 	} else if *h != 0 {
 		return t.at(*h)
 	}
@@ -212,7 +222,7 @@ func (t *idTable) rec(id ops.ID) *idRec {
 	t.chunks[c] = t.chunks[c][:slot+1]
 	e := &t.chunks[c][slot]
 	*h = uint32(c<<recSlotBits|slot) + 1
-	e.seq, e.client, e.h = id.Seq, s.n, *h
+	e.seq, e.client, e.h = seq, s.n, *h
 	t.n++
 	return e
 }

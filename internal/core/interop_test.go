@@ -17,9 +17,11 @@ type legacyWire struct{ transport.Network }
 // TestCompactGossipMixedVersionInterop runs a 3-replica cluster, each member
 // on its own loopback TCPNet the way three processes would, where replicas 0
 // and 2 negotiate the compact gossip form and replica 1 is built on a
-// non-negotiating wire (a pre-feature binary during a rolling upgrade). The
-// cluster must converge, the compact pair must actually use the compact
-// form, and the legacy replica must never be sent one.
+// non-negotiating wire. The cluster must converge, the compact pair must
+// actually use the compact form, and the legacy replica must never be sent
+// one. Both forms carry D, L and S as runs — codec V5 and plain gob — and
+// no replica may refuse a frame an honest peer built: no compact frame is
+// rejected and no plain frame's runs fail the receiver's check.
 func TestCompactGossipMixedVersionInterop(t *testing.T) {
 	RegisterWire()
 	const n = 3
@@ -104,6 +106,12 @@ func TestCompactGossipMixedVersionInterop(t *testing.T) {
 	m1 := clusters[1].Replica(1).Metrics()
 	if m1.CompactGossipReceived != 0 || m1.CompactGossipRejects != 0 || m1.CompactGossipSent != 0 {
 		t.Fatalf("legacy replica touched the compact path: %+v", m1)
+	}
+	for i, c := range clusters {
+		if m := c.Replica(i).Metrics(); m.CompactGossipRejects != 0 || m.GossipHeaderRejects != 0 {
+			t.Fatalf("replica %d refused honest gossip: %d compact frames rejected, %d plain frames' headers or runs",
+				i, m.CompactGossipRejects, m.GossipHeaderRejects)
+		}
 	}
 	// And the upgraded replicas must have degraded to legacy frames toward
 	// it rather than dropping gossip: it received plenty.

@@ -322,15 +322,15 @@ func TestCheckConvergenceElementwise(t *testing.T) {
 	// Exchange ONLY label knowledge (a gossip L without R/D/S — possible
 	// when gossip frames are lost or reordered): both replicas now know both
 	// labels, done sets still differ.
-	labels := func(r *Replica) []IDLabel {
-		var out []IDLabel
+	labels := func(r *Replica) GossipMsg {
+		var out []idLabel
 		for id, l := range r.Snapshot().Labels {
-			out = append(out, IDLabel{ID: id, Label: l})
+			out = append(out, idLabel{id, l})
 		}
-		return out
+		return withRuns(GossipMsg{From: r.ID()}, nil, out, nil)
 	}
-	r1.handleMessage(transport.Message{Payload: GossipMsg{From: 0, L: labels(r0)}})
-	r0.handleMessage(transport.Message{Payload: GossipMsg{From: 1, L: labels(r1)}})
+	r1.handleMessage(transport.Message{Payload: nextFrame(r1, labels(r0))})
+	r0.handleMessage(transport.Message{Payload: nextFrame(r0, labels(r1))})
 
 	s0, s1 := r0.Snapshot(), r1.Snapshot()
 	if len(s0.Done) != 1 || len(s1.Done) != 1 || s0.Done[0] == s1.Done[0] {

@@ -16,9 +16,9 @@ type ReplicaMetrics struct {
 	// acknowledgement: idle clusters send nothing. GossipResent counts
 	// frames that resent the change log after an overdue acknowledgement;
 	// on a lossless network it stays near 0, since each change is sent
-	// once. GossipHeaderRejects counts frame headers ignored as impossible
-	// for an honest sender (Base above Seq, or an Ack above anything sent
-	// to that peer).
+	// once. GossipHeaderRejects counts frames ignored as impossible for an
+	// honest sender: a Base above Seq, an Ack above anything sent to that
+	// peer, or runs that fail GossipMsg.checkRuns.
 	GossipSuppressed    uint64
 	GossipResent        uint64
 	GossipHeaderRejects uint64

@@ -190,45 +190,60 @@ func TestIncrementalGossipEquivalentAndSmaller(t *testing.T) {
 		fullBytes, incrBytes, 100*float64(incrBytes)/float64(fullBytes))
 }
 
-// labelSink makes a label list escape as a gossip message's does.
-var labelSink []IDLabel
+// labelSink and clientSink make a run list and a client table escape as a
+// gossip message's do.
+var (
+	labelSink  []LabelRun
+	clientSink []string
+)
 
 // TestBuildDeltaAllocations pins what one gossip frame build allocates for
-// a steady stream of label changes: the message's own label list, and
-// nothing for the change log, which is trimmed in place as peers
-// acknowledge it (and so never regrows either).
+// a steady stream of label changes: the message's own run list, sized to
+// its runs by the counting pass, and its client table, and nothing for
+// the change log, which is trimmed in place as peers acknowledge it (and
+// so never regrows either).
+// 32 dense identifiers labelled in sequence are one run; 32 strided ones,
+// or 32 whose labels alternate between replicas, are 32.
 func TestBuildDeltaAllocations(t *testing.T) {
-	s := sim.New(1)
-	net := transport.NewSimNet(s, transport.SimNetConfig{})
-	c := NewCluster(ClusterConfig{Replicas: 3, DataType: dtype.Counter{}, Network: net, Options: DefaultOptions()})
-	r := c.Replica(0)
-	ids := make([]ops.ID, 32)
-	for i := range ids {
-		ids[i] = ops.ID{Client: "c", Seq: uint64(i)}
-		r.ids.rec(ids[i]).setLabelMin(label.Make(uint64(i+1), 0))
-	}
-	cycle := func() {
-		base := r.logNext()
-		for _, id := range ids {
-			r.logChange(r.ids.get(id), logL)
-		}
-		if msg := r.buildDelta(base, r.logNext()); len(msg.L) != len(ids) {
-			t.Fatalf("delta carries %d labels, want %d", len(msg.L), len(ids))
-		}
-		for i := 1; i < len(r.links); i++ {
-			r.links[i].sent = r.logNext()
-			r.ackLocked(&r.links[i], r.logNext())
-		}
-	}
-	cycle()
-	msgOnly := testing.AllocsPerRun(100, func() {
-		labelSink = make([]IDLabel, 0, len(ids))
-		for _, id := range ids {
-			labelSink = append(labelSink, IDLabel{ID: id, Label: r.ids.get(id).label()})
-		}
-	})
-	if got := testing.AllocsPerRun(100, cycle); got > msgOnly {
-		t.Fatalf("a delta build allocates %.0f times, want at most the %.0f of its label list", got, msgOnly)
+	for _, tc := range []struct {
+		name   string
+		stride uint64
+		reps   int32
+		runs   int
+	}{{"dense", 1, 1, 1}, {"strided", 2, 1, 32}, {"replicas", 1, 2, 32}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			net := transport.NewSimNet(s, transport.SimNetConfig{})
+			c := NewCluster(ClusterConfig{Replicas: 3, DataType: dtype.Counter{}, Network: net, Options: DefaultOptions()})
+			r := c.Replica(0)
+			ids := make([]ops.ID, 32)
+			for i := range ids {
+				ids[i] = ops.ID{Client: "c", Seq: uint64(i) * tc.stride}
+				r.ids.rec(ids[i]).setLabelMin(label.Make(uint64(i+1), label.ReplicaID(int32(i)%tc.reps)))
+			}
+			cycle := func() {
+				base := r.logNext()
+				for _, id := range ids {
+					r.logChange(r.ids.get(id), logL)
+				}
+				msg := r.buildDelta(base, r.logNext())
+				if len(msg.L) != tc.runs || cap(msg.L) != tc.runs || frameIDs(msg) != uint64(len(ids)) {
+					t.Fatalf("delta carries %d label runs (capacity %d) naming %d identifiers, want %d runs naming %d",
+						len(msg.L), cap(msg.L), frameIDs(msg), tc.runs, len(ids))
+				}
+				for i := 1; i < len(r.links); i++ {
+					r.links[i].sent = r.logNext()
+					r.ackLocked(&r.links[i], r.logNext())
+				}
+			}
+			cycle()
+			msgOnly := testing.AllocsPerRun(100, func() {
+				labelSink, clientSink = make([]LabelRun, 0, tc.runs), make([]string, 1)
+			})
+			if got := testing.AllocsPerRun(100, cycle); got > msgOnly {
+				t.Fatalf("a delta build allocates %.0f times, want at most the %.0f of its run list and client table", got, msgOnly)
+			}
+		})
 	}
 }
 
@@ -543,8 +558,7 @@ func TestEstimateSize(t *testing.T) {
 	if EstimateSize(RequestMsg{Op: x}) <= EstimateSize(ResponseMsg{}) {
 		t.Error("request with prev should outweigh a response")
 	}
-	g := GossipMsg{R: []ops.Operation{x}, D: []ops.ID{x.ID}, S: []ops.ID{x.ID},
-		L: []IDLabel{{ID: x.ID, Label: label.Make(1, 0)}}}
+	g := withRuns(GossipMsg{R: []ops.Operation{x}}, []ops.ID{x.ID}, []idLabel{{x.ID, label.Make(1, 0)}}, []ops.ID{x.ID})
 	if EstimateSize(g) <= EstimateSize(RequestMsg{Op: x}) {
 		t.Error("gossip should outweigh a single request")
 	}

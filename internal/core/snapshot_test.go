@@ -488,7 +488,7 @@ func nextFrame(r *Replica, msg GossipMsg) GossipMsg {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	l := r.links[msg.From]
-	msg.Epoch, msg.Base, msg.Seq = l.epoch, l.mark, l.mark+1
+	msg.Epoch, msg.Base, msg.Seq = l.epoch, l.mark, l.mark+max(1, frameIDs(msg))
 	return msg
 }
 
@@ -506,10 +506,8 @@ func TestHostileGossipCannotLowerSolidLabel(t *testing.T) {
 	}
 	want := r0.Snapshot().Labels[x.x.ID]
 
-	r0.handleMessage(transport.Message{Payload: nextFrame(r0, GossipMsg{
-		From: 1,
-		L:    []IDLabel{{ID: x.x.ID, Label: label.Make(0, 1)}},
-	})})
+	r0.handleMessage(transport.Message{Payload: nextFrame(r0,
+		withRuns(GossipMsg{From: 1}, nil, []idLabel{{x.x.ID, label.Make(0, 1)}}, nil))})
 
 	if got := r0.Snapshot().Labels[x.x.ID]; got != want {
 		t.Fatalf("solid label moved: %v -> %v", want, got)
@@ -537,12 +535,10 @@ func TestHostileGossipBelowMemoizedFrontier(t *testing.T) {
 	}
 
 	evil := ops.New(dtype.LogAppend{Entry: "evil"}, ops.ID{Client: "evil", Seq: 0}, nil, false)
-	r0.handleMessage(transport.Message{Payload: nextFrame(r0, GossipMsg{
+	r0.handleMessage(transport.Message{Payload: nextFrame(r0, withRuns(GossipMsg{
 		From: 1,
 		R:    []ops.Operation{evil},
-		L:    []IDLabel{{ID: evil.ID, Label: label.Make(0, 1)}}, // below everything
-		D:    []ops.ID{evil.ID},
-	})})
+	}, []ops.ID{evil.ID}, []idLabel{{evil.ID, label.Make(0, 1)}}, nil))}) // labelled below everything
 
 	if got := r0.Snapshot().Memoized; got != memoBefore {
 		t.Fatalf("memoized prefix moved: %d -> %d", memoBefore, got)

@@ -172,12 +172,13 @@ func (m *BatchResponseMsg) UnmarshalBinary(data []byte) error {
 }
 
 // frameEncoder appends one frame in the hot frames' form: the bytes so
-// far and the refs of the client strings the frame has introduced. last
-// is the client written last and lastRef its ref: ids come in runs of one
-// client.
+// far, the refs of the client strings the frame has introduced and their
+// number. last is the client written last and lastRef its ref: ids come
+// in runs of one client.
 type frameEncoder struct {
 	b       []byte
 	refs    map[string]uint64
+	n       uint64
 	last    string
 	lastRef uint64
 }
@@ -186,11 +187,7 @@ func (e *frameEncoder) id(id ops.ID) {
 	ref, known := e.lastRef, e.refs != nil && id.Client == e.last
 	if !known {
 		if ref, known = e.refs[id.Client]; !known {
-			if e.refs == nil {
-				e.refs = make(map[string]uint64)
-			}
-			ref = uint64(len(e.refs))
-			e.refs[id.Client] = ref
+			ref = e.introduce(id.Client)
 		}
 		e.last, e.lastRef = id.Client, ref
 	}
@@ -199,6 +196,17 @@ func (e *frameEncoder) id(id ops.ID) {
 		e.b = dtype.AppendString(e.b, id.Client)
 	}
 	e.b = binary.AppendUvarint(e.b, id.Seq)
+}
+
+// introduce gives client the next ref; the caller writes the string.
+func (e *frameEncoder) introduce(client string) uint64 {
+	if e.refs == nil {
+		e.refs = make(map[string]uint64)
+	}
+	ref := e.n
+	e.refs[client], e.n = ref, e.n+1
+	e.last, e.lastRef = client, ref
+	return ref
 }
 
 func (e *frameEncoder) op(x ops.Operation) error {

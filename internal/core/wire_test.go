@@ -51,12 +51,13 @@ func TestWireRoundTrip(t *testing.T) {
 				ops.New(dtype.RegWrite{Val: "x"}, id1, []ops.ID{id2}, false),
 				ops.New(dtype.SetAdd{Elem: "e"}, id2, []ops.ID{id1}, false),
 			},
-			D: []ops.ID{id1},
-			L: []IDLabel{
-				{ID: id1, Label: label.Make(3, 1)},
-				{ID: id2, Label: label.Make(9, 0)},
+			Clients: []string{id1.Client, id2.Client},
+			D:       []IDRun{{Seq: id1.Seq, N: 3}},
+			L: []LabelRun{
+				{IDRun: IDRun{Seq: id1.Seq, N: 1}, Label: label.Make(3, 1)},
+				{IDRun: IDRun{Seq: id2.Seq, Client: 1, N: 2}, Label: label.Make(9, 0)},
 			},
-			S: []ops.ID{id2},
+			S: []IDRun{{Seq: id2.Seq, Client: 1, N: 1}},
 		},
 		BatchRequestMsg{Ops: []ops.Operation{
 			ops.New(dtype.CtrAdd{N: 1}, id1, []ops.ID{id2}, false),
@@ -91,7 +92,7 @@ func TestWireRoundTrip(t *testing.T) {
 			State:     []byte("a|b"),
 			Watermark: 9,
 			Resizes:   []ResizeRecord{{Epoch: 1, OldShards: 1, NewShards: 2, Migrated: []MigratedKey{{Key: "k", HasInstall: true, InstallID: id1}}}},
-			Tail:      GossipMsg{From: 2, D: []ops.ID{id1}, L: []IDLabel{{ID: id1, Label: label.Make(6, 2)}}},
+			Tail:      withRuns(GossipMsg{From: 2}, []ops.ID{id1}, []idLabel{{id1, label.Make(6, 2)}}, nil),
 		},
 	}
 	for _, msg := range msgs {
@@ -120,7 +121,7 @@ func TestWireLabelInfinity(t *testing.T) {
 		t.Fatalf("∞ decoded as %v", out.L)
 	}
 	proper := label.Make(5, 2)
-	if got := roundTrip(t, GossipMsg{L: []IDLabel{{ID: ops.ID{Client: "c", Seq: 1}, Label: proper}}}).(GossipMsg); got.L[0].Label != proper {
+	if got := roundTrip(t, withRuns(GossipMsg{}, nil, []idLabel{{ops.ID{Client: "c", Seq: 1}, proper}}, nil)).(GossipMsg); got.L[0].Label != proper {
 		t.Fatalf("proper label decoded as %v", got.L)
 	}
 }

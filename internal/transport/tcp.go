@@ -195,11 +195,14 @@ type tcpSend struct {
 // connect. Version 3 carried requests and responses as gob structs and the
 // compact gossip codec's operators beside its bytes. Version 4 carried the
 // hot frames in their own binary form (core's wire.go) but gossip labels
-// as a map and compact gossip as codec V3; version 5 carries labels as a
-// list and compact gossip as codec V4, one message per frame.
+// as a map and compact gossip as codec V3; version 5 carried gossip's
+// labels and identifiers one per entry and compact gossip as codec V4.
+// Version 6 carries them as per-client runs, plain and as codec V5, one
+// message per frame: a version 5 peer would decode a version 6 frame's
+// runs as empty lists and drop them silently.
 var tcpPreamble = []byte{'E', 'S', 'D', 'S', 0, 0, 0, tcpWireVersion}
 
-const tcpWireVersion = 5
+const tcpWireVersion = 6
 
 // errMalformed marks inbound bytes that break the wire format. The
 // connection carrying them is closed and counted Dropped.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -278,9 +279,10 @@ func TestTCPNetUndecodableInboundFrame(t *testing.T) {
 
 // TestTCPNetRefusesPerFrameWire speaks older wire versions at a receiver:
 // a bare frame holding its own gob stream, with no connection preamble
-// (version 1), and version 2, 3 and 4 preambles. The receiver must refuse
+// (version 1), and version 2 to 5 preambles. The receiver must refuse
 // each connection — close it, count it Dropped, deliver nothing — rather
-// than guess at the stream.
+// than guess at the stream. A sender in turn opens with the version 6
+// preamble, which a version 5 receiver refuses the same way.
 func TestTCPNetRefusesPerFrameWire(t *testing.T) {
 	b := newTCP(t, nil)
 	var got collector
@@ -308,7 +310,7 @@ func TestTCPNetRefusesPerFrameWire(t *testing.T) {
 		t.Fatalf("per-frame wire was delivered: %+v", got.last())
 	}
 
-	for _, v := range []byte{2, 3, 4} {
+	for _, v := range []byte{2, 3, 4, 5} {
 		old, err := net.Dial("tcp", b.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -320,6 +322,28 @@ func TestTCPNetRefusesPerFrameWire(t *testing.T) {
 		if _, err := old.Read(one); err == nil {
 			t.Fatalf("connection still open after a version %d preamble", v)
 		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a := newTCP(t, map[NodeID]string{"old": ln.Addr().String()})
+	a.Start()
+	a.Send("a", "old", "hello")
+	in, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	hdr := make([]byte, len(tcpPreamble))
+	in.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(in, hdr); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{'E', 'S', 'D', 'S', 0, 0, 0, 6}; !bytes.Equal(hdr, want) {
+		t.Fatalf("sender opened with preamble %x, want %x: a version 5 receiver must refuse it", hdr, want)
 	}
 }
 
