@@ -85,7 +85,8 @@ bench-diff:
 # that never stabilizes), one batch-flush tick over 256 front ends of
 # which one is busy, and one incremental gossip delta of 64 operations
 # merged into a replica holding a 1k- or 100k-operation history (the
-# identifier table's per-id cost), and a stream of frames between two
+# identifier table's per-id cost), from one client or 64, plain or in the
+# compact form (internal/core, whose encoder is unexported), and a stream of frames between two
 # loopback TCPNets, a 32-operation request batch, the 32 responses to it,
 # or a 64-operation compact gossip delta each (ns and allocations per
 # frame), the shipped 4-shard × 3-replica keyspace left idle (cpu-ms/s
@@ -99,7 +100,7 @@ bench-diff:
 # them at MICROBENCHTIME=100x so they cannot rot.
 MICROBENCHTIME ?= 2000x
 microbench:
-	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush|GossipMerge|TCPNetFrames|IdleKeyspace|RetainedHistoryGC|LivePipelinedSubmit' -benchmem -benchtime $(MICROBENCHTIME) .
+	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush|GossipMerge|TCPNetFrames|IdleKeyspace|RetainedHistoryGC|LivePipelinedSubmit' -benchmem -benchtime $(MICROBENCHTIME) . ./internal/core
 
 # Deterministic fault-injection suite under the race detector: the
 # identifier-table invariants checked after every delivery under loss and
