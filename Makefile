@@ -4,7 +4,7 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: build test benchmark-test examples race bench bench-diff microbench chaos loadlab fuzz fmt vet lint ci clean
+.PHONY: build test benchmark-test examples race microbench chaos loadlab fuzz fmt vet lint ci clean
 
 build:
 	$(GO) build ./...
@@ -16,8 +16,9 @@ test:
 # `./...` — and compiles against internal/core's exported surface
 # (Options, the message types, ReplicaMetrics, StableStore). Vet and test
 # it wherever the main module is tested, or a core change rots it unseen.
+# -count=1: a cached pass of a wall-clock test proves nothing about this run.
 benchmark-test:
-	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # The examples are documentation that runs: build all five and run each to
 # completion under a 30s timeout (each takes well under a second), so a
@@ -38,46 +39,6 @@ examples:
 race:
 	GOMAXPROCS=4 $(GO) test -race -count=1 . ./internal/core ./internal/transport ./cmd/esds-server
 
-# Every E1–E17 benchmark body runs exactly once: a harness smoke test, not
-# a measurement (the E10–E17 live-transport experiments run their full
-# workloads even at 1x). benchjson tees the output and captures every
-# metric — sharding speedup, resize windows, core scaling, durable
-# throughput, compact-gossip wire efficiency — into the
-# BENCH_results.json trajectory artifact. For real numbers drop -benchtime
-# or raise it.
-bench:
-	set -o pipefail; $(GO) test -bench . -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_results.json
-
-# bench-diff regenerates the benchmark artifact into BENCH_fresh.json and
-# fails if any benchmark recorded in the committed BENCH_results.json
-# disappeared or stopped emitting one of its metrics — the guard against
-# silent harness rot — or if an E12 throughput metric fell more than 20%
-# below its committed value, or a bytes/op metric rose more than 20% above
-# it (-max-regress: throughput baselines are floors, wire baselines are
-# ceilings). The gate is scoped to E12–E17 (-regress-match) because their
-# steady-state metrics are stable run-to-run, while windowed metrics like
-# E11's mid-migration ops/s swing ±2× on identical code; gate more
-# benchmarks as their variance is characterized. E12's speedup ratio is
-# machine-normalized and holds anywhere; absolute ops/s are not —
-# regenerate BENCH_results.json (make bench) on the slowest machine the
-# gate must pass on (this repo commits the 1-core reference container's
-# numbers, with each gated throughput metric FLOORED at its minimum over
-# repeated runs and each gated bytes/op metric CEILINGED at its maximum,
-# so run-to-run jitter cannot trip the 20% band in either direction).
-# E13's core-scaling ratio and E14's durable/nosync ratio are bounded by
-# hardware (physical cores, fsync latency), so both are reported under
-# units ("x-scaling", "x-ratio") the gate ignores; the gated `esds-bench
-# -exp e13` / `-exp e14` runs enforce them where they are meaningful.
-# E16's bytes/op-compact and bytes/op-legacy are the new wire-efficiency
-# trajectory: frame layouts, not machine speed, so the ceiling holds on
-# any runner. E17's per-member bytes/op figures are placement-geometry
-# quantities and hold anywhere for the same reason. BENCH_fresh.json is a
-# scratch comparison artifact, deleted once the diff passes — only the
-# committed BENCH_results.json trajectory belongs in the tree.
-bench-diff:
-	set -o pipefail; $(GO) test -bench . -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_fresh.json -require BENCH_results.json -max-regress 0.2 -regress-match '^BenchmarkE12|^BenchmarkE13|^BenchmarkE14|^BenchmarkE15|^BenchmarkE16|^BenchmarkE17'
-	rm -f BENCH_fresh.json
-
 # Per-layer micro-benchmarks with real iteration counts and allocs/op: the
 # data types' transition functions (the directory on a 64-name x 4-key
 # state, keyed counters at 16, 256 and 4 096 objects), response-value
@@ -95,9 +56,8 @@ bench-diff:
 # runtime.GC() and heap bytes per identifier), and one front end keeping
 # 128 operations in flight on the live transport, unbatched and with
 # batches of 32 (the batched run reports ops/frame, requests per request
-# batch: it falls if a client's stream is split across replicas). Unlike the
-# `bench` smoke run these numbers carry information; the CI build job runs
-# them at MICROBENCHTIME=100x so they cannot rot.
+# batch: it falls if a client's stream is split across replicas). The CI
+# build job runs them at MICROBENCHTIME=100x so they cannot rot.
 MICROBENCHTIME ?= 2000x
 microbench:
 	$(GO) test -run '^$$' -bench 'DataTypeApply|ValueComputation|FrontEndFlush|GossipMerge|TCPNetFrames|IdleKeyspace|RetainedHistoryGC|LivePipelinedSubmit' -benchmem -benchtime $(MICROBENCHTIME) . ./internal/core
@@ -133,7 +93,7 @@ chaos:
 
 # Hostile-network load lab under the race detector (DESIGN.md §11): the
 # open-loop chaos matrix (profile × seed full-stack cells with a mid-run
-# resize), the 30%-loss retransmission+batching regression pin, the
+# resize and a group-commit FileStableStore journal per replica), the 30%-loss retransmission+batching regression pin, the
 # FaultNet determinism/partition tests, and the latency-histogram tests.
 # Seeds are pinned; sweep others with ESDS_CHAOS_SEEDS=7,8,9 make loadlab.
 # A failing matrix cell shrinks to a minimal reproduction automatically.
@@ -194,8 +154,8 @@ lint: vet
 
 # CI runs the micro-benchmarks as a smoke test (see microbench).
 ci: MICROBENCHTIME = 100x
-ci: build lint fmt test benchmark-test examples microbench race chaos loadlab bench-diff
+ci: build lint fmt test benchmark-test examples microbench race chaos loadlab
 
 clean:
 	$(GO) clean
-	rm -f *.test *.prof cpu.out mem.out BENCH_fresh.json
+	rm -f *.test *.prof cpu.out mem.out

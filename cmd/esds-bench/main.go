@@ -1,5 +1,6 @@
-// Command esds-bench regenerates the evaluation: every table and figure
-// of the reproduction (E1–E16, see the experiment index in DESIGN.md §3).
+// Command esds-bench regenerates the paper's evaluation: the tables of
+// E1–E9, each checked against the claim it reproduces (see the experiment
+// index in DESIGN.md §3).
 //
 // Usage:
 //
@@ -8,14 +9,14 @@
 //	esds-bench -list       # list experiments
 //
 // Experiments run on the deterministic discrete-event simulator, so the
-// output is reproducible bit-for-bit.
+// output is reproducible bit-for-bit. End-to-end performance on real
+// sockets is measured by benchmark/run.sh, not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"esds/internal/exp"
 )
@@ -26,7 +27,7 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("esds-bench", flag.ContinueOnError)
-	which := fs.String("exp", "all", "experiment id (e1..e17) or 'all'")
+	which := fs.String("exp", "all", "experiment id (e1..e9) or 'all'")
 	list := fs.Bool("list", false, "list experiments and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -50,9 +51,8 @@ func run(args []string) int {
 	}
 	failures := 0
 	for _, e := range chosen {
-		start := time.Now()
 		table, err := e.Run()
-		fmt.Printf("=== %s — %s (%s) [%.1fs]\n\n", e.ID, e.Title, e.PaperRef, time.Since(start).Seconds())
+		fmt.Printf("=== %s — %s (%s)\n\n", e.ID, e.Title, e.PaperRef)
 		fmt.Println(table)
 		if err != nil {
 			failures++

@@ -4,8 +4,7 @@
 // runtime (DESIGN.md §9). Each named object keeps the full ESDS semantics
 // (non-strict speed, strict finality, per-object causal sessions); the
 // shards give the deployment aggregate throughput a single cluster cannot
-// reach (see the E10 experiment: `go run ./cmd/esds-bench -exp e10`, and
-// its multi-core companion E13).
+// reach (benchmark/run.sh's keyspace_openloop workload measures it).
 //
 // Run with:
 //

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"esds/internal/dtype"
+	"esds/internal/label"
 	"esds/internal/ops"
 	"esds/internal/ring"
 	"esds/internal/sim"
@@ -515,5 +516,147 @@ func TestLiveNetKeyspaceSendsNoCompactGossip(t *testing.T) {
 	if m.CompactGossipSent != 0 || m.CompactGossipFallbacks != 0 {
 		t.Fatalf("in-process gossip touched the compact codec: %d compact frames, %d fallbacks",
 			m.CompactGossipSent, m.CompactGossipFallbacks)
+	}
+}
+
+// pipelinedTCPLoad runs 4 clients × 1 000 non-strict increments, each
+// client keeping up to 256 in flight, against a 3-replica counter cluster
+// whose replicas live on their own TCPNets and whose front ends share a
+// fourth: the in-process shape of four processes on loopback sockets. The
+// shipped timers drive it. Every increment is then read back by a strict
+// read constrained after all of them, outside the counted window. It
+// returns the frames handed to the sockets and their bytes, across every
+// transport, per increment.
+func pipelinedTCPLoad(t *testing.T, opt Options) (framesPerOp, bytesPerOp float64) {
+	t.Helper()
+	RegisterWire()
+	const (
+		replicas = 3
+		clients  = 4
+		perCli   = 1000
+		window   = 256
+	)
+	var nets []*transport.TCPNet
+	listen := func() *transport.TCPNet {
+		net, err := transport.NewTCPNet(transport.TCPConfig{Listen: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		t.Cleanup(func() { net.Close() })
+		nets = append(nets, net)
+		return net
+	}
+	addrs := make([]string, replicas)
+	for i := range addrs {
+		addrs[i] = listen().Addr().String()
+	}
+	peer := func(net *transport.TCPNet, self int) {
+		for j, addr := range addrs {
+			if j != self {
+				net.SetPeer(ReplicaNode(label.ReplicaID(j)), addr)
+			}
+		}
+	}
+	for i := 0; i < replicas; i++ {
+		peer(nets[i], i)
+		c := NewCluster(ClusterConfig{
+			Replicas: replicas, DataType: dtype.Counter{}, Network: nets[i],
+			Options: opt, LocalReplicas: []int{i},
+		})
+		t.Cleanup(c.Close)
+		nets[i].Start()
+		c.StartLiveGossip(GossipInterval)
+	}
+	feNet := listen()
+	peer(feNet, -1)
+	fes := NewCluster(ClusterConfig{
+		Replicas: replicas, DataType: dtype.Counter{}, Network: feNet,
+		Options: opt, LocalReplicas: []int{},
+	})
+	t.Cleanup(fes.Close)
+	feNet.Start()
+	fes.StartLiveRetransmit(RetransmitInterval)
+	if opt.BatchSize > 1 {
+		fes.StartLiveBatchFlush(opt.FlushPeriod())
+	}
+	count := func() (frames, bytes uint64) {
+		for _, n := range nets {
+			s := n.Stats()
+			frames += s.Sent
+			bytes += s.Bytes
+		}
+		return frames, bytes
+	}
+
+	frames0, bytes0 := count()
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed error
+		ids    []ops.ID
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			fe := fes.FrontEnd(fmt.Sprintf("w%d", c))
+			inFlight := make(chan struct{}, window)
+			var answered sync.WaitGroup
+			for i := 0; i < perCli; i++ {
+				inFlight <- struct{}{}
+				answered.Add(1)
+				x := fe.Submit(dtype.CtrAdd{N: 1}, nil, false, func(r Response) {
+					if r.Err != nil {
+						mu.Lock()
+						failed = r.Err
+						mu.Unlock()
+					}
+					<-inFlight
+					answered.Done()
+				})
+				mu.Lock()
+				ids = append(ids, x.ID)
+				mu.Unlock()
+			}
+			answered.Wait()
+		}(c)
+	}
+	wg.Wait()
+	frames1, bytes1 := count()
+	if failed != nil {
+		t.Fatalf("increment failed: %v", failed)
+	}
+	got := make(chan Response, 1)
+	reader := fes.FrontEnd("reader")
+	reader.Submit(dtype.CtrRead{}, ids, true, func(r Response) { got <- r })
+	reader.Flush()
+	select {
+	case r := <-got:
+		if r.Err != nil || r.Value != int64(clients*perCli) {
+			t.Fatalf("strict read-back = %v (err %v), want %d", r.Value, r.Err, clients*perCli)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("strict read-back timed out")
+	}
+	return float64(frames1-frames0) / (clients * perCli), float64(bytes1-bytes0) / (clients * perCli)
+}
+
+// TestBatchingCutsFramesPerOp pins what the batched hot path is for
+// (DESIGN.md §8): the same pipelined load sends at least ten times fewer
+// frames per operation under BatchedOptions than under DefaultOptions,
+// and no more bytes per operation. Frames are counted, not timed, so the
+// threshold means the same on any host. (On a 2-vCPU host the unbatched
+// run sends about 2 frames per operation, the batched one about 0.1.)
+func TestBatchingCutsFramesPerOp(t *testing.T) {
+	plainFrames, plainBytes := pipelinedTCPLoad(t, DefaultOptions())
+	batchedFrames, batchedBytes := pipelinedTCPLoad(t, BatchedOptions())
+	t.Logf("frames/op %.3f unbatched, %.3f batched; bytes/op %.0f unbatched, %.0f batched",
+		plainFrames, batchedFrames, plainBytes, batchedBytes)
+	if cut := plainFrames / batchedFrames; cut < 10 {
+		t.Fatalf("batching cut frames/op %.1f×, want ≥ 10× (%.3f unbatched, %.3f batched)",
+			cut, plainFrames, batchedFrames)
+	}
+	if batchedBytes > plainBytes {
+		t.Fatalf("batching grew bytes/op: %.0f batched, %.0f unbatched", batchedBytes, plainBytes)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"esds/internal/dtype"
@@ -18,13 +19,13 @@ import (
 // descriptors with their labels, done at the sender, plus the previous
 // delta's 64 operations now stable — and runs the internal actions,
 // memoizing what became stable. The deltas grow the history, so it is
-// rebuilt (timer stopped) whenever they have added a quarter of N: every
-// iteration sees between N and 1.25N identifiers. One client issues the
-// operations, so D, L and S are a run each, except in lone, where 64
-// clients issue one each per delta and every run names one identifier
-// (the shape of in-process and keyspace gossip). compact-dense also
-// encodes each delta in the compact form and the replica decodes it (the
-// shape of tcp_pipelined's gossip).
+// rebuilt (timer stopped, then collected) whenever they have added a
+// quarter of N: every iteration sees between N and 1.25N identifiers. One
+// client issues the operations, so D, L and S are a run each, except in
+// lone, where 64 clients issue one each per delta and every run names one
+// identifier (the shape of in-process and keyspace gossip). compact-dense
+// also encodes each delta in the compact form and the replica decodes it
+// (the shape of tcp_pipelined's gossip).
 func BenchmarkGossipMerge(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
 		b.Run(fmt.Sprintf("history-%dk", n/1000), func(b *testing.B) { benchGossipMerge(b, n, 1, false) })
@@ -99,6 +100,9 @@ func benchGossipMerge(b *testing.B, history, clients int, compact bool) {
 				deltas[i].S = deltas[i-1].D
 			}
 		}
+		// Collect the previous history and the set-up's garbage now, with
+		// the timer stopped, not inside the timed merges that follow.
+		runtime.GC()
 	}
 	build()
 	b.ResetTimer()

@@ -181,9 +181,10 @@ func TestResizeUnderLoad(t *testing.T) {
 	if movedTouched < objects/4 || movedTouched > objects*3/4 {
 		t.Fatalf("ring moved %d of %d objects on 4→8, want ≈ half", movedTouched, objects)
 	}
-	if rep.KeysMoved < movedTouched/2 {
+	if rep.KeysMoved < movedTouched/2 || rep.KeysMoved > movedTouched {
 		// Objects with no traffic by resize time may legitimately move
-		// without an install, but most were touched in the warm-up.
+		// without an install, but most were touched in the warm-up; no key
+		// the ring diff does not name may move.
 		t.Fatalf("resize migrated %d keys, ring diff names %d touched objects", rep.KeysMoved, movedTouched)
 	}
 

@@ -65,8 +65,8 @@ type queueItem struct {
 }
 
 // NewShardRuntime starts a worker pool. workers ≤ 0 sizes the pool from
-// GOMAXPROCS — one worker per schedulable core, the configuration the E13
-// experiment measures.
+// GOMAXPROCS — one worker per schedulable core, the configuration esds.New
+// and esds-server run.
 func NewShardRuntime(workers int) *ShardRuntime {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

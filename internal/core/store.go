@@ -222,9 +222,9 @@ type FileStoreOptions struct {
 	// NoSync makes Commit return as soon as records reach the OS page
 	// cache, skipping the fsync. Appends survive kill -9 (the page cache
 	// belongs to the kernel) but not power loss — the pre-durability
-	// behavior, kept as the E14 baseline and as an opt-out for deployments
-	// that prefer write latency over power-loss durability
-	// (cmd/esds-server -store-sync=false).
+	// behavior, kept as an opt-out for deployments that prefer write
+	// latency over power-loss durability (cmd/esds-server
+	// -store-sync=false).
 	NoSync bool
 }
 
@@ -450,7 +450,7 @@ func (s *FileStableStore) committer() {
 // Syncs reports how many committer passes have run — each one fsync (or,
 // with NoSync, one bookkeeping pass) covering every record appended since
 // the previous pass. The records/syncs ratio is the measured group-commit
-// batch size (E14).
+// batch size.
 func (s *FileStableStore) Syncs() (syncs, records uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"esds/internal/dtype"
@@ -59,6 +61,62 @@ func TestFileStableStorePersistsAcrossReopen(t *testing.T) {
 	}
 	if n := len(st2.Labels()); n != 3 {
 		t.Fatalf("labels after append = %d, want 3", n)
+	}
+}
+
+// TestFileStableStoreGroupCommit pins group commit (DESIGN.md §10):
+// writers that each append a record and Commit it at once share fsyncs, so
+// Syncs reports fewer committer passes than records, and every committed
+// record is in the journal on reopen.
+func TestFileStableStoreGroupCommit(t *testing.T) {
+	const writers, perWriter = 8, 50
+	path := filepath.Join(t.TempDir(), "r0.labels")
+	st, err := OpenFileStableStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := ops.ID{Client: fmt.Sprintf("w%d", w), Seq: uint64(i)}
+				if err := st.PersistLabel(id, label.Make(uint64(i+1), 0)); err != nil {
+					errs <- err
+					return
+				}
+				if err := st.Commit(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	syncs, records := st.Syncs()
+	t.Logf("%d records in %d syncs", records, syncs)
+	if records != writers*perWriter {
+		t.Fatalf("journal appended %d records, want %d", records, writers*perWriter)
+	}
+	if syncs == 0 || syncs >= records {
+		t.Fatalf("%d records took %d syncs: overlapping commits did not share an fsync", records, syncs)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = OpenFileStableStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if n := len(st.Labels()); n != writers*perWriter {
+		t.Fatalf("reopened journal holds %d labels, want %d", n, writers*perWriter)
 	}
 }
 

@@ -10,12 +10,10 @@
 //	E7  commute-mode ablation             (§10.3)
 //	E8  delta-gossip ablation             (§10.4)
 //	E9  baseline comparison               (§1.1, §5, Corollary 5.9)
-//	E10 sharded keyspace throughput       (DESIGN.md §4, beyond the paper)
 //
-// E1–E9 are pure functions of their parameters and seed: the
+// Each experiment is a pure function of its parameters and seed: the
 // discrete-event simulator and seeded rngs make each table reproducible
-// bit-for-bit. E10 runs real clusters on the live transport and measures
-// wall-clock throughput (machine-dependent by nature).
+// bit-for-bit.
 package exp
 
 import (

@@ -77,70 +77,6 @@ func All() []Experiment {
 				return r.Table(), r.Verify()
 			},
 		},
-		{
-			ID: "e10", Title: "Sharded keyspace throughput", PaperRef: "DESIGN.md §4 (beyond the paper)",
-			Run: func() (string, error) {
-				p := DefaultShardedParams()
-				r := RunSharded(p)
-				return r.Table(), r.Verify(p)
-			},
-		},
-		{
-			ID: "e11", Title: "Online resharding under load", PaperRef: "DESIGN.md §7 (beyond the paper)",
-			Run: func() (string, error) {
-				p := DefaultResizeExpParams()
-				r := RunResizeExp(p)
-				return r.Table(), r.Verify(p)
-			},
-		},
-		{
-			ID: "e12", Title: "Batched hot path over TCP loopback", PaperRef: "DESIGN.md §8 (beyond the paper)",
-			Run: func() (string, error) {
-				p := DefaultBatchingParams()
-				r := RunBatching(p)
-				return r.Table(), r.Verify(p)
-			},
-		},
-		{
-			ID: "e13", Title: "Shard-per-core runtime scaling", PaperRef: "DESIGN.md §9 (beyond the paper)",
-			Run: func() (string, error) {
-				p := DefaultCoreScalingParams()
-				r := RunCoreScaling(p)
-				return r.Table(), r.Verify(p)
-			},
-		},
-		{
-			ID: "e14", Title: "Durable group-commit write path", PaperRef: "DESIGN.md §10 (beyond the paper)",
-			Run: func() (string, error) {
-				p := DefaultDurableParams()
-				r := RunDurable(p)
-				return r.Table(), r.Verify(p)
-			},
-		},
-		{
-			ID: "e15", Title: "Hostile-network load lab (open-loop latency tail)", PaperRef: "DESIGN.md §11 (beyond the paper)",
-			Run: func() (string, error) {
-				p := DefaultLoadLabParams()
-				r := RunLoadLab(p)
-				return r.Table(), r.Verify(p)
-			},
-		},
-		{
-			ID: "e16", Title: "Wire compression & one batch size under step load", PaperRef: "DESIGN.md §12 (beyond the paper)",
-			Run: func() (string, error) {
-				p := DefaultStepLoadParams()
-				r := RunStepLoad(p)
-				return r.Table(), r.Verify(p)
-			},
-		},
-		{
-			ID: "e17", Title: "Shard placement across a growing fleet", PaperRef: "DESIGN.md §13 (beyond the paper)",
-			Run: func() (string, error) {
-				p := DefaultFleetParams()
-				r := RunFleet(p)
-				return r.Table(), r.Verify(p)
-			},
-		},
 	}
 }
 

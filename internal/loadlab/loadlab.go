@@ -3,9 +3,9 @@
 // sessions firing at a configured arrival rate regardless of completion —
 // with per-operation latency recorded into mergeable histograms, plus the
 // audit helpers (strict read-back, answered-ops-in-order) the chaos cells
-// and the E15 experiment assert with.
+// assert with.
 //
-// Open vs closed loop: a closed-loop driver (E10–E14) waits for responses
+// Open vs closed loop: a closed-loop driver waits for responses
 // before issuing more work, so when the system slows down the offered
 // load politely slows with it and queueing collapse is invisible. The
 // open-loop generator models independent users: arrivals follow a seeded
@@ -59,11 +59,11 @@ type Config struct {
 	DrainTimeout time.Duration
 }
 
-// ObjectAudit is the generator's ground truth for one object: which
+// objectAudit is the generator's ground truth for one object: which
 // session owns it, which CtrAdds were acknowledged, and their sum. The
 // strict read-back must reproduce Sum exactly — less means an
 // acknowledged operation was lost, more means one was applied twice.
-type ObjectAudit struct {
+type objectAudit struct {
 	Session string
 	AddIDs  []ops.ID
 	Sum     int64
@@ -79,9 +79,9 @@ type Report struct {
 	// Lat holds per-op latency in nanoseconds, submission to callback,
 	// merged from the per-session histograms. Errored ops are excluded.
 	Lat *stats.Hist
-	// Objects maps every object that received acknowledged adds to its
+	// objects maps every object that received acknowledged adds to its
 	// audit record.
-	Objects map[string]ObjectAudit
+	objects map[string]objectAudit
 	// AnsweredIDs lists every successfully answered operation id — each
 	// must appear in some shard's converged order (AnsweredInOrder).
 	AnsweredIDs []ops.ID
@@ -196,7 +196,7 @@ func Run(ks *core.Keyspace, cfg Config) *Report {
 		Offered: offered,
 		Elapsed: elapsed,
 		Lat:     stats.NewHist(),
-		Objects: make(map[string]ObjectAudit),
+		objects: make(map[string]objectAudit),
 	}
 	for _, s := range sessions {
 		s.mu.Lock()
@@ -205,7 +205,7 @@ func Run(ks *core.Keyspace, cfg Config) *Report {
 		rep.Errors += s.errors
 		rep.AnsweredIDs = append(rep.AnsweredIDs, s.answered...)
 		for obj, ids := range s.addIDs {
-			rep.Objects[obj] = ObjectAudit{
+			rep.objects[obj] = objectAudit{
 				Session: s.name,
 				AddIDs:  append([]ops.ID(nil), ids...),
 				Sum:     s.addSum[obj],
@@ -226,10 +226,10 @@ func ReadBack(ks *core.Keyspace, rep *Report, timeout time.Duration) error {
 	defer cancel()
 	type item struct {
 		obj   string
-		audit ObjectAudit
+		audit objectAudit
 	}
-	work := make(chan item, len(rep.Objects))
-	for obj, a := range rep.Objects {
+	work := make(chan item, len(rep.objects))
+	for obj, a := range rep.objects {
 		work <- item{obj, a}
 	}
 	close(work)

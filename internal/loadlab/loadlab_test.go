@@ -3,6 +3,7 @@ package loadlab
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,9 +47,14 @@ func (c cellConfig) String() string {
 //   - zero answered-then-lost: every answered op id appears in a shard's
 //     converged order,
 //   - no replica faults,
+//   - every replica's group-commit journal took records without a write
+//     or sync error,
 //   - non-clean profiles actually injected faults (the cell would
 //     otherwise prove nothing).
-func runCell(cfg cellConfig) error {
+//
+// Each replica, of the first shards and of those the resize adds, keeps a
+// FileStableStore journal in a fresh directory under dir.
+func runCell(cfg cellConfig, dir string) (err error) {
 	maxShards := cfg.Shards
 	if cfg.GrowTo > maxShards {
 		maxShards = cfg.GrowTo
@@ -56,6 +62,27 @@ func runCell(cfg cellConfig) error {
 	prof, ok := ProfileByName(cfg.Profile, maxShards, cfg.Replicas)
 	if !ok {
 		return fmt.Errorf("unknown profile %q", cfg.Profile)
+	}
+	journals, err := os.MkdirTemp(dir, "cell-*")
+	if err != nil {
+		return err
+	}
+	// StoreFor also runs on the resize's goroutine for the grown shards.
+	var (
+		storeMu  sync.Mutex
+		stores   []*core.FileStableStore
+		storeErr error
+	)
+	storeFor := func(shard, replica int) core.StableStore {
+		st, err := core.OpenFileStableStore(filepath.Join(journals, fmt.Sprintf("s%d-r%d.journal", shard, replica)))
+		storeMu.Lock()
+		defer storeMu.Unlock()
+		if err != nil {
+			storeErr = err
+			return nil
+		}
+		stores = append(stores, st)
+		return st
 	}
 	inner := transport.NewLiveNet()
 	fnet := transport.NewFaultNet(inner, prof.NetConfig(cfg.Seed))
@@ -66,12 +93,20 @@ func runCell(cfg cellConfig) error {
 		Network:  fnet,
 		// The default options with batching: gossip resends what FaultNet's
 		// loss, jitter and reordering took.
-		Options: core.Options{Memoize: true, Prune: true, BatchSize: 8},
+		Options:  core.Options{Memoize: true, Prune: true, BatchSize: 8},
+		StoreFor: storeFor,
 	})
 	defer func() {
 		ks.Close()
 		fnet.Close()
 		inner.Close()
+		storeMu.Lock()
+		defer storeMu.Unlock()
+		for _, st := range stores {
+			if cerr := st.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("closing a journal: %w", cerr)
+			}
+		}
 	}()
 	ks.StartLiveGossip(2 * time.Millisecond)
 	ks.StartLiveRetransmit(25 * time.Millisecond)
@@ -130,6 +165,24 @@ func runCell(cfg cellConfig) error {
 	if faults := ks.Faults(); len(faults) > 0 {
 		return fmt.Errorf("replica faults under honest chaos: %v", faults)
 	}
+	// The resize has returned, so no StoreFor call is still running.
+	if storeErr != nil {
+		return fmt.Errorf("opening a journal: %w", storeErr)
+	}
+	if want := cfg.Replicas * maxShards; len(stores) != want {
+		return fmt.Errorf("%d replicas kept a journal, want %d", len(stores), want)
+	}
+	var journaled uint64
+	for _, st := range stores {
+		if err := st.Err(); err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+		_, records := st.Syncs()
+		journaled += records
+	}
+	if journaled == 0 {
+		return fmt.Errorf("no replica journaled a record")
+	}
 	st := fnet.Stats()
 	switch cfg.Profile {
 	case "wan":
@@ -151,10 +204,10 @@ func runCell(cfg cellConfig) error {
 // shrinkCell reduces a failing cell while it keeps failing — no resize,
 // lower rate, shorter window, fewer sessions — and returns the smallest
 // still-failing configuration with its error.
-func shrinkCell(cfg cellConfig, orig error) (cellConfig, error) {
+func shrinkCell(cfg cellConfig, dir string, orig error) (cellConfig, error) {
 	minCfg, minErr := cfg, orig
 	try := func(c cellConfig) bool {
-		if err := runCell(c); err != nil {
+		if err := runCell(c, dir); err != nil {
 			minCfg, minErr = c, err
 			return true
 		}
@@ -228,8 +281,9 @@ func TestLoadLabHostileMatrix(t *testing.T) {
 				Objects:  2,
 			}
 			t.Run(fmt.Sprintf("%s/seed=%d", profile, seed), func(t *testing.T) {
-				if err := runCell(cfg); err != nil {
-					minCfg, minErr := shrinkCell(cfg, err)
+				dir := t.TempDir()
+				if err := runCell(cfg, dir); err != nil {
+					minCfg, minErr := shrinkCell(cfg, dir, err)
 					t.Fatalf("cell {%v} failed: %v\nminimal failing reproduction: {%v}: %v",
 						cfg, err, minCfg, minErr)
 				}
@@ -281,7 +335,7 @@ func TestLoadLabGeneratorBasics(t *testing.T) {
 		t.Fatalf("answered id list has %d entries, answered %d", len(rep.AnsweredIDs), rep.Answered)
 	}
 	var adds int64
-	for _, a := range rep.Objects {
+	for _, a := range rep.objects {
 		adds += a.Sum
 		if len(a.AddIDs) != int(a.Sum) {
 			t.Fatalf("audit ids (%d) disagree with sum (%d)", len(a.AddIDs), a.Sum)

@@ -214,3 +214,35 @@ func TestInvalidGeometriesPanic(t *testing.T) {
 		New(4, 2, 2).Extend(2)
 	}()
 }
+
+// TestGrowingTheFleetShedsResidentShards pins what placement is for
+// (DESIGN.md §13): the 6-shard × 3-replica keyspace on 3 members forces
+// full replication, and on 6 members both the mean and the largest number
+// of shards resident per member fall by at least 40% (half is available
+// geometrically). The largest set is what a new member that took no slots
+// would leave unchanged.
+func TestGrowingTheFleetShedsResidentShards(t *testing.T) {
+	resident := func(p *Placement) (mean float64, most int) {
+		total := 0
+		for m := 0; m < p.Members(); m++ {
+			n := len(p.ShardsOf(m))
+			total += n
+			most = max(most, n)
+		}
+		return float64(total) / float64(p.Members()), most
+	}
+	small := New(6, 3, 3)
+	for _, grown := range []*Placement{New(6, 3, 6), small.Grow(6)} {
+		meanSmall, mostSmall := resident(small)
+		meanGrown, mostGrown := resident(grown)
+		if mostSmall != 6 {
+			t.Fatalf("3 members: the busiest hosts %d shards, want all 6", mostSmall)
+		}
+		if meanGrown > 0.6*meanSmall {
+			t.Fatalf("mean resident shards %.2f on 6 members, not 40%% below %.2f on 3", meanGrown, meanSmall)
+		}
+		if float64(mostGrown) > 0.6*float64(mostSmall) {
+			t.Fatalf("the busiest of 6 members hosts %d shards, not 40%% below %d on 3", mostGrown, mostSmall)
+		}
+	}
+}

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 // Hist is an HDR-style latency histogram: log-linear buckets giving a
 // bounded RELATIVE quantile error (at most 1/2^histSubBits ≈ 1.6%) over
@@ -155,35 +151,4 @@ func (h *Hist) Quantile(p float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Quantiles is the standard latency read-out of a Hist, in the recorded
-// unit: the load-lab tables and the E10–E15 report plumbing print one of
-// these per measured window.
-type Quantiles struct {
-	N                   uint64
-	P50, P95, P99, P999 int64
-	Max                 int64
-}
-
-// Quantiles returns the standard percentile set.
-func (h *Hist) Quantiles() Quantiles {
-	return Quantiles{
-		N:    h.total,
-		P50:  h.Quantile(0.50),
-		P95:  h.Quantile(0.95),
-		P99:  h.Quantile(0.99),
-		P999: h.Quantile(0.999),
-		Max:  h.Max(),
-	}
-}
-
-// MsString renders nanosecond-recorded quantiles as milliseconds, the
-// form the experiment tables print.
-func (q Quantiles) MsString() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "p50=%.1fms p95=%.1fms p99=%.1fms p99.9=%.1fms max=%.1fms (n=%d)",
-		float64(q.P50)/1e6, float64(q.P95)/1e6, float64(q.P99)/1e6,
-		float64(q.P999)/1e6, float64(q.Max)/1e6, q.N)
-	return b.String()
 }

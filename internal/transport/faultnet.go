@@ -13,7 +13,7 @@ import (
 // and asymmetric partitions, optionally scripted as a timeline of
 // partition/heal phases. It is the load lab's WAN emulator (DESIGN.md
 // §11): SimNet already injects these faults under the discrete-event
-// simulator, but the full-stack experiments (E10–E16) run on wall-clock
+// simulator, but the full-stack load-lab cells run on wall-clock
 // transports where nothing previously stood between the stack and a
 // perfect loopback network.
 //

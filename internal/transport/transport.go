@@ -197,7 +197,7 @@ func bitmapHas(b []uint64, shard int) bool {
 }
 
 // Stats are cumulative message counters, used by the communication
-// experiments (E8 and E12).
+// experiment E8 and the frame-count tests.
 type Stats struct {
 	Sent       uint64
 	Delivered  uint64
