@@ -64,7 +64,11 @@ microbench:
 
 # Deterministic fault-injection suite under the race detector: the
 # identifier-table invariants checked after every delivery under loss and
-# a crash, the prompt-send rule for strict operations (a lone one is
+# a crash, the descriptor relay rule (each descriptor crosses each link
+# once on a loss-free network, and a peer cut off from the replica that
+# received a request gets it relayed within an acknowledgement timeout,
+# and under load keeps memoizing and pruning while operations wait for
+# that relay, DESIGN.md §8), the prompt-send rule for strict operations (a lone one is
 # answered off the gossip tick, overlapping ones ride it, prompt
 # frames lost at 10% are recovered, and a prompt send and a tick running
 # at once send their frames in order), the gossip loss-liveness cells
@@ -87,7 +91,7 @@ microbench:
 # Seeds are pinned; sweep others with ESDS_CHAOS_SEEDS=7,8,9 make chaos.
 # A failing matrix cell shrinks to a minimal reproduction automatically.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestHomeFailover|TestIDTableInvariants|TestIDStreamsMatchMapModel|TestStrictPromptWhenRare|TestStrictRidesIntervalWhenCommon|TestPromptStrictUnderLoss|TestGossipFramesLeaveInOrder|TestGossipLossLiveness|TestGossipReconnectLiveness|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact|FuzzHotFrames|FuzzFileStableStore' ./internal/core
+	$(GO) test -race -count=1 -run 'TestChaos|TestHomeFailover|TestIDTableInvariants|TestDescriptorsCrossOnce|TestRelayReachesCutPeer|TestRelayCutPeerKeepsPruning|TestIDStreamsMatchMapModel|TestStrictPromptWhenRare|TestStrictRidesIntervalWhenCommon|TestPromptStrictUnderLoss|TestGossipFramesLeaveInOrder|TestGossipLossLiveness|TestGossipReconnectLiveness|TestPruneRecovery|TestSnapshot|TestRecover|TestCrash|TestHostile|TestRange|FuzzRange|FuzzCompact|FuzzHotFrames|FuzzFileStableStore' ./internal/core
 	$(GO) test -race -count=1 -run 'TestKillNine|TestResizeAdminAgainstCluster' ./cmd/esds-server
 	$(GO) test -race -count=2 -run 'TestResize' ./internal/core
 

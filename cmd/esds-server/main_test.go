@@ -685,12 +685,27 @@ func TestResizeAdminAgainstCluster(t *testing.T) {
 		}
 	}
 
-	// Seed objects through a (stale-to-be) client.
+	// Seed objects through a (stale-to-be) client. Each object's strict
+	// read names the seeding add in its prev set (the client chains prev
+	// per object), so its answer means the add is done, with its label, at
+	// every replica: every label issued afterwards is greater, and the
+	// stale client's reads below are ordered after the adds. Without it a
+	// read from another session, which names no prev, may legally be
+	// ordered before an add its replica has not heard of yet, and read 0.
 	var out1 strings.Builder
-	seed := "obj:a add 1\nobj:b add 2\nobj:c add 3\nobj:d add 4\nobj:a read!\n"
+	seed := "obj:a add 1\nobj:b add 2\nobj:c add 3\nobj:d add 4\nobj:a read!\nobj:b read!\nobj:c read!\nobj:d read!\n"
 	if code := run([]string{"-client", "seed", "-shards", "2", "-peers", strings.Join(peers, ",")},
 		strings.NewReader(seed), &out1, os.Stderr); code != 0 {
 		t.Fatalf("seeding client exited %d\n%s", code, out1.String())
+	}
+	seeded := strings.Split(strings.TrimSpace(out1.String()), "\n")
+	if len(seeded) != 9 { // READY + eight responses
+		t.Fatalf("seeding client printed %d lines:\n%s", len(seeded), out1.String())
+	}
+	for i, w := range []string{"= 1", "= 2", "= 3", "= 4"} {
+		if !strings.HasSuffix(seeded[i+5], w) {
+			t.Fatalf("seed read %d = %q, want suffix %q\nall:\n%s", i, seeded[i+5], w, out1.String())
+		}
 	}
 
 	// Grow 2 → 4 online.

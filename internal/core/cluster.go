@@ -143,9 +143,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	return c
 }
 
-// NumReplicas returns the total replica count, local and remote.
-func (c *Cluster) NumReplicas() int { return len(c.replicas) }
-
 // Replica returns replica i, or nil when replica i lives in another
 // process (see ClusterConfig.LocalReplicas).
 func (c *Cluster) Replica(i int) *Replica { return c.replicas[i] }

@@ -11,14 +11,16 @@ import (
 // Gossip is delta-state anti-entropy with acknowledgements (Almeida,
 // Shoker and Baquero, "Delta state replicated data types", JPDC 2018,
 // Alg. 2). Every change to a record's R, D or S membership or to its label
-// (Fig. 7) appends one entry to a change log that serves every peer. A
-// frame carries the entries between log positions Base and Seq; its
-// receiver keeps a watermark, the highest Seq up to which it has received
-// everything, and returns it as Ack. Each entry is sent once, and resent
-// only when its acknowledgement is overdue. A receiver merges only a frame
-// that continues its watermark, so it holds a prefix of the sender's
-// changes, as §10.4's FIFO channels gave. The log is trimmed below the
-// lowest acknowledged position.
+// (Fig. 7) appends one entry to a change log that serves every peer — save
+// a descriptor that gossip brought, which waits on the relay queue and is
+// logged only if a peer may still lack it when its deadline passes
+// (relayOverdue). A frame carries the entries between log positions Base
+// and Seq; its receiver keeps a watermark, the highest Seq up to which it
+// has received everything, and returns it as Ack. Each entry is sent once,
+// and resent only when its acknowledgement is overdue. A receiver merges
+// only a frame that continues its watermark, so it holds a prefix of the
+// sender's changes, as §10.4's FIFO channels gave. The log is trimmed below
+// the lowest acknowledged position.
 //
 // An incarnation's log begins at its Epoch: the wall clock in nanoseconds
 // for a new replica, the next free position after a Crash. Positions thus
@@ -66,9 +68,16 @@ const (
 	probeEntries = 64
 )
 
+// relayEntry is a descriptor gossip brought in the given round: the
+// record with handle h.
+type relayEntry struct {
+	h     uint32
+	round uint64
+}
+
 // startLog begins an incarnation's change log at position epoch. Mutex held.
 func (r *Replica) startLog(epoch uint64) {
-	r.glog = nil
+	r.glog, r.relayQueue = nil, nil
 	r.epoch, r.logBase = epoch, epoch
 	r.links = make([]peerLink, r.n)
 	for i := range r.links {
@@ -87,6 +96,54 @@ func (r *Replica) logChange(e *idRec, k logKind) {
 		r.glog = append(r.glog, logEntry{h: e.h, kind: k})
 		r.strictDirty = r.strictDirty || e.has(recStrictLive)
 	}
+}
+
+// relayOverdue decides the relay of every descriptor on the relay queue
+// that arrived more than an acknowledgement timeout ago. Its sender logged
+// it and sends it to every peer, resending until acknowledged, so Fig. 7's
+// relay of everything in rcvd_r is needed only when the sender cannot: it
+// crashed, or its link to a peer is down. A descriptor still held that some
+// peer is not yet known to have done is therefore logged, and so relayed to
+// every peer; any other is dropped — done at every replica, or pruned,
+// which needs that too — since every peer holds it. Labels, done and
+// stable entries are logged as they happen: a peer that learns an
+// operation done before its descriptor defers it (markDoneLocal), and the
+// memoized prefix waits for every deferral (advanceMemo). Mutex held.
+func (r *Replica) relayOverdue() {
+	timeout, k := r.ackTimeout(), 0
+	for ; k < len(r.relayQueue) && r.round-r.relayQueue[k].round > timeout; k++ {
+		if e := r.ids.at(r.relayQueue[k].h); e.has(recRetained) && e.done != r.all {
+			r.metrics.DescriptorsRelayed++
+			r.logChange(e, logR)
+		}
+	}
+	if k > 0 {
+		n := copy(r.relayQueue, r.relayQueue[k:])
+		r.relayQueue = r.relayQueue[:n]
+	}
+}
+
+// queueRelay puts e, a descriptor gossip brought, on the relay queue.
+// Before the queue grows it drops the entries relayOverdue would drop
+// whatever their age (pruned, or done at every replica), and grows only if
+// that freed less than half of it: the queue holds at most twice the
+// descriptors gossip brought that are not yet done everywhere, whether or
+// not rounds run. Mutex held.
+func (r *Replica) queueRelay(e *idRec) {
+	if q := r.relayQueue; len(q) == cap(q) && len(q) > 0 {
+		k := 0
+		for _, x := range q {
+			if y := r.ids.at(x.h); y.has(recRetained) && y.done != r.all {
+				q[k], k = x, k+1
+			}
+		}
+		if k > cap(q)/2 {
+			r.relayQueue = append(make([]relayEntry, 0, 2*cap(q)), q[:k]...)
+		} else {
+			r.relayQueue = q[:k]
+		}
+	}
+	r.relayQueue = append(r.relayQueue, relayEntry{h: e.h, round: r.round})
 }
 
 // SendGossip performs one gossip round: send_rr'(⟨"gossip", ...⟩) of Fig. 7
@@ -130,6 +187,8 @@ func (r *Replica) sendGossip(prompt bool) {
 	var outbox []outMsg
 	if !prompt {
 		r.round++
+		r.relayOverdue()
+		r.ids.trimDescs()
 		if r.recovering && r.rangeNonce != 0 && r.round-r.rangeSeen > uint64(r.ackWait)+1 {
 			r.rangeSeen = r.round
 			outbox = append(outbox, outMsg{to: r.peers[r.rangePeer],

@@ -129,10 +129,58 @@ func encodeCompactGossip(g GossipMsg) (CompactGossipMsg, error) {
 // whole frame; the replica judges the runs it decodes to, as it does a
 // plain frame's (GossipMsg.checkRuns).
 func decodeCompactGossip(m CompactGossipMsg) (GossipMsg, error) {
+	var sc gossipScratch
+	return sc.decode(m)
+}
+
+// gossipScratch holds the slices a replica decodes compact frames into,
+// reused from one frame to the next: a frame is merged under the replica's
+// mutex and forgotten (done) before the next is decoded, and the merge
+// copies what it keeps of a descriptor into the identifier table.
+type gossipScratch struct {
+	strs []string // the frame's client table, then its operations' clients
+	r    []ops.Operation
+	d, s []IDRun
+	l    []LabelRun
+}
+
+// reuse returns *buf emptied, with room for n; what it returns stays the
+// scratch's backing array.
+func reuse[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, 0, n)
+	}
+	return (*buf)[:0]
+}
+
+// done forgets g, the frame decode returned last: the descriptors and
+// client names it held are released for the collector.
+func (sc *gossipScratch) done(g GossipMsg) {
+	clear(g.R)
+	clear(sc.strs)
+	sc.strs = sc.strs[:0]
+	trim(&sc.strs)
+	trim(&sc.r)
+	trim(&sc.d)
+	trim(&sc.s)
+	trim(&sc.l)
+}
+
+// trim drops *buf when a catch-up frame grew it past maxKeptScratch.
+func trim[T any](buf *[]T) {
+	if cap(*buf) > maxKeptScratch {
+		*buf = nil
+	}
+}
+
+// decode is decodeCompactGossip into the scratch's slices: the frame it
+// returns is valid until the next decode or done.
+func (sc *gossipScratch) decode(m CompactGossipMsg) (GossipMsg, error) {
 	if m.V != compactGossipV5 {
 		return GossipMsg{}, fmt.Errorf("core: compact gossip: unknown version %d", m.V)
 	}
 	d := newFrameDecoder(m.Data)
+	d.strs = sc.strs[:0]
 	baseSeq := d.Uvarint()
 	readLabel := func() label.Label {
 		switch d.Byte() {
@@ -162,12 +210,12 @@ func decodeCompactGossip(m CompactGossipMsg) (GossipMsg, error) {
 		}
 		return IDRun{Seq: seq, Client: uint32(c), N: uint32(n) + 1}
 	}
-	runs := func(what string) []IDRun {
+	runs := func(what string, buf *[]IDRun) []IDRun {
 		n := d.Count(what)
 		if n == 0 {
 			return nil
 		}
-		out := make([]IDRun, 0, n)
+		out := reuse(buf, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			out = append(out, run())
 		}
@@ -182,21 +230,23 @@ func decodeCompactGossip(m CompactGossipMsg) (GossipMsg, error) {
 		g.Clients = d.strs[:len(d.strs):len(d.strs)]
 	}
 	if n := d.Count("R"); n > 0 {
-		g.R = make([]ops.Operation, 0, n)
+		g.R = reuse(&sc.r, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			g.R = append(g.R, d.op())
 		}
 	}
-	g.D = runs("D")
+	g.D = runs("D", &sc.d)
 	if n := d.Count("L"); n > 0 {
-		g.L = make([]LabelRun, 0, n)
+		g.L = reuse(&sc.l, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			u := run()
 			g.L = append(g.L, LabelRun{IDRun: u, Label: readLabel()})
 		}
 	}
-	g.S = runs("S")
+	g.S = runs("S", &sc.s)
+	sc.strs = d.strs
 	if err := d.Finish(); err != nil {
+		clear(g.R)
 		return GossipMsg{}, fmt.Errorf("core: compact gossip: %w", err)
 	}
 	return g, nil

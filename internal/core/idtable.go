@@ -8,6 +8,7 @@ import (
 	"esds/internal/dtype"
 	"esds/internal/label"
 	"esds/internal/ops"
+	"esds/internal/transport"
 )
 
 // MaxReplicas bounds the replicas of one cluster (or of one keyspace
@@ -103,9 +104,11 @@ type idTable struct {
 	// descs holds the retained descriptors densely, and owner[i] is the
 	// handle of the record descs[i] belongs to: releasing one moves the
 	// last into its slot, so the slab is as long as the descriptors
-	// retained and gives its memory back as pruning empties it.
-	descs []ops.Operation
-	owner []uint32
+	// retained. descsPeak is the most it held since the last trimDescs,
+	// which gives its memory back.
+	descs     []ops.Operation
+	owner     []uint32
+	descsPeak int
 
 	keys     []string
 	keyIndex map[string]uint32
@@ -116,6 +119,7 @@ type idTable struct {
 // idStream is one client's identifiers.
 type idStream struct {
 	client string
+	fe     transport.NodeID  // the client's front end, once a response named it
 	n      uint32            // the stream's index in idTable.list
 	index  map[uint64]uint32 // seq>>6 → its page in pages
 	pages  []idPage
@@ -286,12 +290,12 @@ func (t *idTable) retain(e *idRec, x ops.Operation) {
 	e.desc = uint32(len(t.descs))
 	t.descs = append(t.descs, x)
 	t.owner = append(t.owner, e.h)
+	t.descsPeak = max(t.descsPeak, len(t.descs))
 	e.flags |= recRetained
 }
 
 // unretain releases the record's descriptor (§10.2 pruning) and reports
-// whether it held one. The slab halves its capacity once a quarter of it
-// is in use.
+// whether it held one.
 func (t *idTable) unretain(e *idRec) bool {
 	if !e.has(recRetained) {
 		return false
@@ -303,12 +307,24 @@ func (t *idTable) unretain(e *idRec) bool {
 	}
 	t.descs[last] = ops.Operation{}
 	t.descs, t.owner = t.descs[:last], t.owner[:last]
-	if c := cap(t.descs); c > 64 && last < c/4 {
-		t.descs = append(make([]ops.Operation, 0, c/2), t.descs...)
-		t.owner = append(make([]uint32, 0, c/2), t.owner...)
-	}
 	e.flags &^= recRetained
 	return true
+}
+
+// trimDescs shrinks the slab to a quarter of its capacity when it held
+// less than a sixteenth of it at every moment since the last call, which
+// each gossip round makes. Within a round a loaded replica's retained
+// descriptors swing between a few hundred and a few thousand, as
+// operations arrive and stable ones are pruned in batches: judged at each
+// release, the slab would shrink and regrow every round. Judged over a
+// round, it keeps its working size and still gives a burst's memory back,
+// a quarter per round.
+func (t *idTable) trimDescs() {
+	if c := cap(t.descs); c > 64 && t.descsPeak < c/16 {
+		t.descs = append(make([]ops.Operation, 0, c/4), t.descs...)
+		t.owner = append(make([]uint32, 0, c/4), t.owner...)
+	}
+	t.descsPeak = len(t.descs)
 }
 
 // dropPrev releases the prev set of the retained descriptor: only do_it

@@ -31,7 +31,12 @@ import (
 //	    7.15 orders exactly done_r[r]);
 //	(g) the records counted in strictLive are received and not stable at
 //	    every replica, every retained strict descriptor not yet stable at
-//	    every replica is counted, and the count is strictLive.
+//	    every replica is counted, and the count is strictLive;
+//	(i) an id done at a peer whose descriptor has not arrived here — a
+//	    peer's done entry may overtake the descriptor, which its sender
+//	    relays only when overdue (gossip.go) — is deferred, and no
+//	    memoized position lies above its label: the memoized prefix waits
+//	    for it.
 //
 // It reports whether anything was deferred, which (c) needs. memoValueErr
 // checks (h), the values.
@@ -54,6 +59,14 @@ func idTableErr(r *Replica) (deferred bool, err error) {
 		}
 		if e.doneAt(r.id) && !e.labeled() {
 			return false, fmt.Errorf("(d) %v is done without a label", id)
+		}
+		if e.done&^(1<<r.id) != 0 && !e.has(recRcvd) {
+			if !e.has(recDeferred) {
+				return false, fmt.Errorf("(i) %v is done at peers (mask %b) with no descriptor here, but not deferred", id, e.done)
+			}
+			if e.labeled() && r.memoized > 0 && e.label().Less(r.lastMemoLabel) {
+				return false, fmt.Errorf("(i) %v waits for its descriptor at label %v, below the memoized frontier %v", id, e.label(), r.lastMemoLabel)
+			}
 		}
 		if e.has(recDeferred) {
 			continue
@@ -302,6 +315,55 @@ func runIDTableInvariants(t *testing.T, n int) {
 	}
 	t.Logf("%d deliveries checked (%d replica checks with nothing deferred, %d with deferrals or recovering), %d ops submitted, %d stable across replicas",
 		checks, settled, deferrals, submitted, stable)
+}
+
+// TestDescriptorSlabSteadyState swings a table between 3 000 and 30
+// retained descriptors once per gossip round, as a loaded replica's
+// retained descriptors swing within a round: after the first round,
+// retaining, pruning and the round's trim allocate nothing — the slab
+// neither shrinks nor regrows — and once every descriptor is pruned the
+// rounds give the slab's memory back.
+func TestDescriptorSlabSteadyState(t *testing.T) {
+	tab := newIDTable()
+	recs := make([]*idRec, 3000)
+	for i := range recs {
+		recs[i] = tab.rec(ops.ID{Client: "c", Seq: uint64(i)})
+	}
+	x := ops.New(dtype.CtrAdd{N: 1}, ops.ID{Client: "c", Seq: 1}, nil, false)
+	round := func() {
+		for _, e := range recs {
+			if !e.has(recRetained) {
+				tab.retain(e, x)
+			}
+		}
+		for _, e := range recs[30:] {
+			tab.unretain(e)
+		}
+		tab.trimDescs()
+	}
+	round()
+	if a := testing.AllocsPerRun(50, round); a != 0 {
+		t.Fatalf("a round swinging between 3000 and 30 descriptors allocated %.1f times", a)
+	}
+	grown := cap(tab.descs)
+	for _, e := range recs {
+		if !e.has(recRetained) {
+			tab.retain(e, x)
+		}
+	}
+	for _, e := range recs {
+		tab.unretain(e)
+	}
+	tab.trimDescs()
+	if cap(tab.descs) != grown {
+		t.Fatalf("the round that pruned everything shrank the slab from %d to %d: it held 3000 in that round", grown, cap(tab.descs))
+	}
+	for range 3 {
+		tab.trimDescs()
+	}
+	if c := cap(tab.descs); c > 64 {
+		t.Fatalf("three empty rounds left a slab of %d (grown to %d)", c, grown)
+	}
 }
 
 // TestIDStreamsMatchMapModel runs random insert orders into an idTable

@@ -22,6 +22,14 @@ type ReplicaMetrics struct {
 	GossipSuppressed    uint64
 	GossipResent        uint64
 	GossipHeaderRejects uint64
+	// GossipDescriptorsReceived counts the descriptors (R entries) of the
+	// gossip frames merged, repeats included. DescriptorsRelayed counts the
+	// descriptors gossip brought that this replica logged for its peers
+	// because one of them was not known to have done it when the relay
+	// deadline passed (gossip.go); on a lossless network it stays 0, and a
+	// 3-replica cluster receives 2 descriptors per operation.
+	GossipDescriptorsReceived uint64
+	DescriptorsRelayed        uint64
 	// GossipPrompt counts the frames of GossipSent that a prompt send sent
 	// between rounds: the changes of the one strict operation in flight,
 	// sent at the end of the locked round that made them (DESIGN.md §8).
@@ -122,6 +130,8 @@ func (m *ReplicaMetrics) Add(o ReplicaMetrics) {
 	m.GossipSuppressed += o.GossipSuppressed
 	m.GossipResent += o.GossipResent
 	m.GossipHeaderRejects += o.GossipHeaderRejects
+	m.GossipDescriptorsReceived += o.GossipDescriptorsReceived
+	m.DescriptorsRelayed += o.DescriptorsRelayed
 	m.GossipPrompt += o.GossipPrompt
 	m.ResponsesSent += o.ResponsesSent
 	m.RequestBatchesReceived += o.RequestBatchesReceived

@@ -325,7 +325,7 @@ func (r *Replica) finishRangeLocked(msg RangeResponseMsg) bool {
 	r.installResizeRecords(msg.Resizes)
 	// The tail completes the peer's whole state, so it merges whatever its
 	// header says; the header then starts the watermark at its Seq.
-	r.mergeStateLocked(int(msg.From), msg.Tail)
+	r.mergeStateLocked(int(msg.From), msg.Tail, false)
 	r.gossipHeaderLocked(int(msg.From), msg.Tail)
 	r.rangeNonce = 0
 	r.rangeBuf = nil

@@ -65,9 +65,10 @@ type Replica struct {
 	seqDirty bool
 
 	// deferred: ids reported done elsewhere (gossip D/S) whose descriptor or
-	// label has not arrived yet (possible when gossip frames are lost or
-	// reordered). Retried after every message; recDeferred dedupes.
-	deferredQueue []*idRec
+	// label has not arrived yet (gossip frames lost or reordered, or a
+	// descriptor waiting for its relay). Retried after every message, with
+	// deferredSpare as the next queue; recDeferred dedupes.
+	deferredQueue, deferredSpare []*idRec
 
 	// Memoization (§10.1): the state after the solid prefix (its values are
 	// in the records).
@@ -107,12 +108,20 @@ type Replica struct {
 	round           uint64
 	ackWait, ackDev float64
 
+	// relayQueue holds the descriptors gossip brought, in arrival order,
+	// until a round decides whether to relay them (relayOverdue).
+	relayQueue []relayEntry
+
 	// Scratch for gossip frames' client tables, empty between frames:
 	// clientRefs and frameClients while buildFrame builds one (see there),
 	// frameStreams the streams of a merged frame's clients.
 	clientRefs   []uint32
 	frameClients []uint32
 	frameStreams []*idStream
+
+	// gossipScratch holds the slices compact gossip frames decode into
+	// (mergeCompactGossipLocked).
+	gossipScratch gossipScratch
 
 	// Prompt gossip (gossip.go, DESIGN.md §8): strictLive counts the
 	// strict operations received here and not yet stable at every replica
@@ -129,7 +138,7 @@ type Replica struct {
 	// into: the nearly-sorted suffix pass is the label-compare hot path,
 	// and re-reading the label table per comparison (plus re-allocating the
 	// buffer per call) dominated its profile. It is kept only up to
-	// maxKeptSort.
+	// maxKeptScratch.
 	sortScratch []labeledID
 
 	// Crash recovery (§9.3): the stable store holding locally generated
@@ -498,14 +507,26 @@ func (r *Replica) drainRecoveryParked() []ResponseMsg {
 	return redirects
 }
 
-// receiveOp records an operation descriptor in rcvd_r and returns its
-// record.
+// receiveOp records an operation descriptor in rcvd_r and in the change
+// log, and returns its record: a request, a range answer's tail or a
+// journal replay. A descriptor a peer gossiped takes acceptOp instead and
+// waits on the relay queue (gossip.go).
 func (r *Replica) receiveOp(x ops.Operation) *idRec {
-	e := r.ids.rec(x.ID)
-	if e.has(recRcvd) {
-		return e
+	e, fresh := r.acceptOp(x)
+	if fresh {
+		r.logChange(e, logR)
 	}
-	// Only receiveOp retains descriptors, so this is the first.
+	return e
+}
+
+// acceptOp records an operation descriptor in rcvd_r and returns its
+// record; fresh reports whether the descriptor is new here.
+func (r *Replica) acceptOp(x ops.Operation) (e *idRec, fresh bool) {
+	e = r.ids.rec(x.ID)
+	if e.has(recRcvd) {
+		return e, false
+	}
+	// Only acceptOp retains descriptors, so this is the first.
 	r.ids.retain(e, x)
 	e.flags |= recRcvd
 	r.retainedN++
@@ -526,11 +547,10 @@ func (r *Replica) receiveOp(x ops.Operation) *idRec {
 		e.flags |= recStrictLive
 		r.strictLive++
 	}
-	r.logChange(e, logR)
 	if !e.doneAt(r.id) {
 		r.rcvdQueue = append(r.rcvdQueue, e)
 	}
-	return e
+	return e, true
 }
 
 // unretain releases e's descriptor (§10.2 pruning).
@@ -557,13 +577,14 @@ func (r *Replica) absorbInstall(x ops.Operation) {
 // is dropped whole and counted (CompactGossipRejects): the codec rejects
 // corruption atomically, so no partial state can be applied. Mutex held.
 func (r *Replica) mergeCompactGossipLocked(msg CompactGossipMsg) {
-	g, err := decodeCompactGossip(msg)
+	g, err := r.gossipScratch.decode(msg)
 	if err != nil {
 		r.metrics.CompactGossipRejects++
 		return
 	}
 	r.metrics.CompactGossipReceived++
 	r.mergeGossipLocked(g)
+	r.gossipScratch.done(g)
 }
 
 // mergeGossipLocked folds one gossip frame into the replica state — the
@@ -581,16 +602,22 @@ func (r *Replica) mergeGossipLocked(msg GossipMsg) {
 		return
 	}
 	if r.gossipHeaderLocked(from, msg) {
-		r.mergeStateLocked(from, msg)
+		r.metrics.GossipDescriptorsReceived += uint64(len(msg.R))
+		r.mergeStateLocked(from, msg, true)
 	}
 }
 
 // mergeStateLocked is the merge of Fig. 7's receive_r'r: the content of a
-// gossip message from replica from. Mutex held.
-func (r *Replica) mergeStateLocked(from int, msg GossipMsg) {
+// gossip message from replica from. With relay, a new descriptor waits on
+// the relay queue (gossip.go); without, it is logged at once. Mutex held.
+func (r *Replica) mergeStateLocked(from int, msg GossipMsg, relay bool) {
 	// rcvd_r ← rcvd_r ∪ R.
 	for _, x := range msg.R {
-		r.receiveOp(x)
+		if !relay {
+			r.receiveOp(x)
+		} else if e, fresh := r.acceptOp(x); fresh {
+			r.queueRelay(e)
+		}
 	}
 
 	// label_r ← min(label_r, L), observing every label so future labels from
@@ -843,8 +870,11 @@ func (r *Replica) retryDeferred() {
 	if len(r.deferredQueue) == 0 {
 		return
 	}
+	// The queue and its spare trade places: the ids still deferred are
+	// queued on the spare, and the old queue becomes the next spare, so
+	// neither is reallocated per message.
 	pending := r.deferredQueue
-	r.deferredQueue = nil
+	r.deferredQueue = r.deferredSpare[:0]
 	for _, e := range pending {
 		e.flags &^= recDeferred
 	}
@@ -862,6 +892,10 @@ func (r *Replica) retryDeferred() {
 		if l := e.label(); e.stableAt(r.id) && (r.maxStable.IsInf() || r.maxStable.Less(l)) {
 			r.maxStable = l
 		}
+	}
+	clear(pending)
+	if cap(pending) <= maxKeptScratch {
+		r.deferredSpare = pending[:0]
 	}
 }
 
@@ -1015,7 +1049,7 @@ func (r *Replica) ensureSorted() int {
 		}
 		suffix[i] = scratch[i].h
 	}
-	if n > maxKeptSort {
+	if n > maxKeptScratch {
 		r.sortScratch = nil
 	}
 	r.sortedTo = len(r.doneSeq)
@@ -1024,10 +1058,12 @@ func (r *Replica) ensureSorted() int {
 	return moved
 }
 
-// maxKeptSort is the longest sort whose buffer ensureSorted keeps for the
-// next one: a longer sort is a catch-up, and keeping its buffer would hold
-// 48 bytes per operation it sorted for the life of the replica.
-const maxKeptSort = 1 << 12
+// maxKeptScratch is the most elements a scratch buffer reused from one
+// message or round to the next keeps: the sort buffer of ensureSorted, the
+// deferred queue's spare (retryDeferred) and the slices compact gossip
+// decodes into (gossipScratch). A longer one served a catch-up, and keeping
+// it would hold its memory for the life of the replica.
+const maxKeptScratch = 1 << 12
 
 // cutSuffixCache keeps the first k positions of the suffix cache (O(1)
 // when it holds no more), releasing the states it drops.
@@ -1046,23 +1082,30 @@ func (r *Replica) cutSuffixCache(k int) {
 // are computed once and cached, or taken over from the suffix cache when a
 // response already computed them.
 //
-// The prefix never advances while deferred completions are outstanding: a
-// deferred id is an operation done somewhere whose label or descriptor this
-// replica is missing, and it may belong below the stable frontier — exactly
-// the situation after a crash when peers gossip done-ids whose descriptors
-// §10.2 pruning discarded. Memoizing past it would fix a wrong prefix and
-// make the incoming range answer uninstallable. Deferrals are transient in
-// normal operation (a lost or reordered gossip frame), so the gate costs
-// nothing outside recovery windows.
+// The prefix never advances past a deferred completion: a deferred id is an
+// operation done somewhere whose label or descriptor this replica is
+// missing, and it may belong below the stable frontier — as after a crash,
+// when peers gossip done-ids whose descriptors §10.2 pruning discarded, or
+// when a peer's done entry overtakes a descriptor that waits for its relay
+// (gossip.go). Memoizing past it would fix a wrong prefix and make the
+// incoming range answer uninstallable. So the prefix stops below the
+// lowest deferred label (deferredFloor), and does not advance at all while
+// a deferred id has no label. A deferred label is final once it lies below
+// the stable frontier: a peer sends the labels it issued or learned before
+// the done entry that makes a later operation stable here.
 func (r *Replica) advanceMemo() {
-	if !r.opt.Memoize || r.maxStable.IsInf() || len(r.deferredQueue) > 0 {
+	if !r.opt.Memoize || r.maxStable.IsInf() {
+		return
+	}
+	floor, ok := r.deferredFloor()
+	if !ok {
 		return
 	}
 	r.ensureSorted()
 	for r.memoized < len(r.doneSeq) {
 		e := r.ids.at(r.doneSeq[r.memoized])
 		l := e.label()
-		if !l.LessEq(r.maxStable) {
+		if !l.LessEq(r.maxStable) || !l.Less(floor) {
 			break
 		}
 		if l.Less(r.lastMemoLabel) {
@@ -1096,6 +1139,19 @@ func (r *Replica) advanceMemo() {
 		r.memoized++
 		r.maybePrune(e)
 	}
+}
+
+// deferredFloor returns the lowest label of a deferred id, ∞ when none is
+// deferred; ok is false when one has no label yet.
+func (r *Replica) deferredFloor() (floor label.Label, ok bool) {
+	floor = label.Infinity
+	for _, e := range r.deferredQueue {
+		if !e.labeled() {
+			return floor, false
+		}
+		floor = label.Min(floor, e.label())
+	}
+	return floor, true
 }
 
 // maybePrune releases the descriptor of id under §10.2 once BOTH hold:
@@ -1154,13 +1210,22 @@ func (r *Replica) respondPending() []responseOut {
 			continue
 		}
 		r.metrics.ResponsesSent++
-		id := r.ids.id(e)
-		outbox = append(outbox, responseOut{to: FrontEndNodeIn(r.shard, id.Client), msg: ResponseMsg{ID: id, Value: v}})
+		outbox = append(outbox, responseOut{to: r.frontEndOf(e), msg: ResponseMsg{ID: r.ids.id(e), Value: v}})
 	}
 	// remaining compacted pendingQueue in place over its own backing array;
 	// adopting it directly avoids re-copying the queue on every message.
 	r.pendingQueue = remaining
 	return outbox
+}
+
+// frontEndOf returns the front end of e's client in this replica's shard,
+// naming it once per client rather than once per response.
+func (r *Replica) frontEndOf(e *idRec) transport.NodeID {
+	s := r.ids.list[e.client]
+	if s.fe == "" {
+		s.fe = FrontEndNodeIn(r.shard, s.client)
+	}
+	return s.fe
 }
 
 // responseOut is one response awaiting send, with its destination.

@@ -45,9 +45,6 @@ type Config struct {
 	// session-owned so the strict read-back can constrain on the owning
 	// client's own operation ids (resize-translatable prev references).
 	ObjectsPerSession int
-	// AddFrac is the fraction of operations that are CtrAdd{1}; the rest
-	// are non-strict reads. Defaults to 0.9.
-	AddFrac float64
 	// BeforeDrain, if non-nil, runs after the dispatch window closes and
 	// before Run waits for in-flight operations — where the chaos cells
 	// heal their FaultNet so the drain measures liveness, not luck.
@@ -58,6 +55,10 @@ type Config struct {
 	// judge.
 	DrainTimeout time.Duration
 }
+
+// addFrac is the fraction of operations that are CtrAdd{1}; the rest are
+// non-strict reads.
+const addFrac = 0.9
 
 // objectAudit is the generator's ground truth for one object: which
 // session owns it, which CtrAdds were acknowledged, and their sum. The
@@ -75,7 +76,6 @@ type Report struct {
 	Answered   int // operations acknowledged (successfully)
 	Errors     int // operations answered with an error
 	Unanswered int // operations still pending at the drain timeout
-	Elapsed    time.Duration
 	// Lat holds per-op latency in nanoseconds, submission to callback,
 	// merged from the per-session histograms. Errored ops are excluded.
 	Lat *stats.Hist
@@ -107,10 +107,6 @@ type session struct {
 func Run(ks *core.Keyspace, cfg Config) *Report {
 	if cfg.Sessions < 1 || cfg.Rate <= 0 || cfg.Duration <= 0 || cfg.ObjectsPerSession < 1 {
 		panic(fmt.Sprintf("loadlab: invalid config %+v", cfg))
-	}
-	addFrac := cfg.AddFrac
-	if addFrac == 0 {
-		addFrac = 0.9
 	}
 	drainTimeout := cfg.DrainTimeout
 	if drainTimeout == 0 {
@@ -177,7 +173,6 @@ func Run(ks *core.Keyspace, cfg Config) *Report {
 			pending.Done()
 		})
 	}
-	elapsed := time.Since(start)
 
 	if cfg.BeforeDrain != nil {
 		cfg.BeforeDrain()
@@ -194,7 +189,6 @@ func Run(ks *core.Keyspace, cfg Config) *Report {
 
 	rep := &Report{
 		Offered: offered,
-		Elapsed: elapsed,
 		Lat:     stats.NewHist(),
 		objects: make(map[string]objectAudit),
 	}

@@ -193,9 +193,9 @@ func runCell(cfg cellConfig, dir string) (err error) {
 		if st.LossDropped == 0 {
 			return fmt.Errorf("lossy profile dropped nothing: %+v", st)
 		}
-	case "flap":
+	case "flap", "cut":
 		if st.PartitionDropped == 0 {
-			return fmt.Errorf("flapping profile partition-dropped nothing: %+v", st)
+			return fmt.Errorf("%s profile partition-dropped nothing: %+v", cfg.Profile, st)
 		}
 	}
 	return nil
@@ -258,7 +258,7 @@ func chaosSeeds(t *testing.T) []int64 {
 }
 
 // TestLoadLabHostileMatrix is the full-stack chaos matrix: open-loop load
-// × the four network profiles × pinned seeds, over a batched, pruning,
+// × the five network profiles × pinned seeds, over a batched, pruning,
 // snapshotting keyspace that resizes mid-run. Every cell must keep the
 // paper's promises — convergence, exact read-back, zero answered-then-
 // lost — no matter what the network did. Failures shrink to a minimal
@@ -267,7 +267,7 @@ func TestLoadLabHostileMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load lab matrix is wall-clock heavy; run via make loadlab")
 	}
-	for _, profile := range []string{"clean", "wan", "lossy", "flap"} {
+	for _, profile := range []string{"clean", "wan", "lossy", "flap", "cut"} {
 		for _, seed := range chaosSeeds(t) {
 			cfg := cellConfig{
 				Seed:     seed,

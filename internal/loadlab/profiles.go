@@ -11,7 +11,7 @@ import (
 
 // Profile is a named network personality for the load lab: steady-state
 // per-link faults plus an optional scripted timeline, realized as a
-// transport.FaultNet around the real transport. The four standard
+// transport.FaultNet around the real transport. The five standard
 // profiles (DESIGN.md §11):
 //
 //	clean  — perfect loopback; the baseline the p99 gate pins.
@@ -23,6 +23,9 @@ import (
 //	flap   — a repeating asymmetric partition: each shard's replica 0
 //	         periodically stops RECEIVING from its peers (it can still
 //	         send, and clients still reach it) for a window, then heals.
+//	cut    — one link down for the whole window: each shard's replica 0
+//	         cannot send to its replica 2, which gets replica 0's
+//	         operations only as replica 1 relays them.
 type Profile struct {
 	Name     string
 	Faults   func(from, to transport.NodeID) transport.LinkFaults
@@ -116,10 +119,32 @@ func Flapping(maxShards, replicas int) Profile {
 	}
 }
 
+// Cut builds the one-link profile for a keyspace of up to maxShards
+// shards: every shard's link from replica 0 to replica 2 is down until
+// the cell heals the network. Replica 2 hears of replica 0's operations,
+// labels and completions through replica 1, and gets their descriptors
+// from replica 1's relay (DESIGN.md §8, "Relays on a deadline").
+func Cut(maxShards int) Profile {
+	var block []transport.Block
+	for s := 0; s < maxShards; s++ {
+		block = append(block, transport.Block{
+			From: []transport.NodeID{core.ReplicaNodeIn(s, 0)},
+			To:   []transport.NodeID{core.ReplicaNodeIn(s, 2)},
+		})
+	}
+	return Profile{
+		Name: "cut",
+		Faults: func(transport.NodeID, transport.NodeID) transport.LinkFaults {
+			return transport.LinkFaults{Base: time.Millisecond, Jitter: 2 * time.Millisecond}
+		},
+		Timeline: []transport.Phase{{Dur: time.Hour, Block: block}},
+	}
+}
+
 // Profiles returns the standard profile set for a keyspace that may grow
 // to maxShards shards of the given replica count.
 func Profiles(maxShards, replicas int) []Profile {
-	return []Profile{Clean(), WAN(), Lossy(), Flapping(maxShards, replicas)}
+	return []Profile{Clean(), WAN(), Lossy(), Flapping(maxShards, replicas), Cut(maxShards)}
 }
 
 // ProfileByName finds a standard profile.
