@@ -75,17 +75,6 @@ type relayEntry struct {
 	round uint64
 }
 
-// startLog begins an incarnation's change log at position epoch. Mutex held.
-func (r *Replica) startLog(epoch uint64) {
-	r.glog, r.relayQueue = nil, nil
-	r.epoch, r.logBase = epoch, epoch
-	r.links = make([]peerLink, r.n)
-	for i := range r.links {
-		r.links[i] = peerLink{sent: epoch, acked: epoch}
-	}
-	r.ackWait, r.ackDev = 1, 0.5
-}
-
 // logNext is the position the next change log entry takes.
 func (r *Replica) logNext() uint64 { return r.logBase + uint64(len(r.glog)) }
 
@@ -158,102 +147,87 @@ func (r *Replica) queueRelay(e *idRec) {
 func (r *Replica) SendGossip() { r.sendGossip(false) }
 
 // sendGossip is a gossip round or, with prompt, a prompt send (DESIGN.md
-// §8): when a locked round changed the one unsettled strict operation this
-// replica knows, finishLocked sends the log's unsent entries at once
-// rather than at the next tick, which takes a rare strict operation's
-// three exchanges off the gossip interval. The ticks still run, and with
-// them every bound stated per interval. A prompt send is not a round: it
-// leaves r.round, which times acknowledgements, alone, and neither resends
-// nor sends a bare acknowledgement.
+// §8): when a step changed the one unsettled strict operation this replica
+// knows, release sends the log's unsent entries at once rather than at the
+// next tick, which takes a rare strict operation's three exchanges off the
+// gossip interval. The ticks still run, and with them every bound stated
+// per interval. A prompt send is not a round: it leaves r.round, which
+// times acknowledgements, alone, and neither resends nor sends a bare
+// acknowledgement.
 //
 // The frames leave in the order their log ranges were assigned. Outside
 // the shard runtime a tick and a delivery goroutine's prompt send can run
 // at once, and a receiver drops a frame that starts past its mark, so
-// without sendMu a prompt frame overtaking a round's would wait for the
+// without sendMu, held until release has handed the frames to the
+// transport, a prompt frame overtaking a round's would wait for the
 // resend, several rounds later.
 func (r *Replica) sendGossip(prompt bool) {
 	r.sendMu.Lock()
 	defer r.sendMu.Unlock()
-	r.mu.Lock()
-	if r.crashed {
-		r.mu.Unlock()
-		return
-	}
-	r.strictDirty = false // the unsent entries go now (a probed peer's at its resend)
-	type outMsg struct {
-		to  transport.NodeID
-		msg any
-	}
-	var outbox []outMsg
-	if !prompt {
-		r.round++
-		r.relayOverdue()
-		r.ids.trimDescs()
-		if r.recovering && r.rangeNonce != 0 && r.round-r.rangeSeen > uint64(r.ackWait)+1 {
-			r.rangeSeen = r.round
-			outbox = append(outbox, outMsg{to: r.peers[r.rangePeer],
-				msg: RangeRequestMsg{From: r.id, Have: r.rangeHave + len(r.rangeBuf), Nonce: r.rangeNonce}})
-		}
-	}
-	// Peers at the same positions share one frame body and encoding.
-	var body GossipMsg
-	var compact *CompactGossipMsg
-	var compactErr error
-	built := false
-	for i := range r.links {
-		if i == int(r.id) || r.recovering {
-			continue
-		}
-		base, seq, ok := r.nextFrame(i, prompt)
-		if !ok {
-			if !prompt {
-				r.metrics.GossipSuppressed++
+	r.step(skipCrashed, func() (o outbox) {
+		r.strictDirty = false // the unsent entries go now (a probed peer's at its resend)
+		if !prompt {
+			r.round++
+			r.relayOverdue()
+			r.ids.trimDescs()
+			if r.recovering && r.rangeNonce != 0 && r.round-r.rangeSeen > uint64(r.ackWait)+1 {
+				r.rangeSeen = r.round
+				o.now = append(o.now, outMsg{to: r.peers[r.rangePeer],
+					msg: RangeRequestMsg{From: r.id, Have: r.rangeHave + len(r.rangeBuf), Nonce: r.rangeNonce}})
 			}
-			continue
 		}
-		if prompt {
-			r.metrics.GossipPrompt++
-		}
-		if !built || body.Base != base || body.Seq != seq {
-			body, compact, compactErr, built = r.buildDelta(base, seq), nil, nil, true
-		}
-		l := &r.links[i]
-		l.owed = false
-		r.metrics.GossipSent++
-		g := body
-		g.Ack = l.mark
-		var msg any = g
-		if r.negotiator != nil && r.negotiator.PeerFeatures(r.peers[i])&transport.FeatureCompactGossip != 0 {
-			// The peer negotiated the compact wire form (DESIGN.md §12). A
-			// delta carrying an operator without a wire form goes plain.
-			if compact == nil && compactErr == nil {
-				var cm CompactGossipMsg
-				if cm, compactErr = encodeCompactGossip(body); compactErr == nil {
-					compact = &cm
+		// Peers at the same positions share one frame body and encoding.
+		var body GossipMsg
+		var compact *CompactGossipMsg
+		var compactErr error
+		built := false
+		for i := range r.links {
+			if i == int(r.id) || r.recovering {
+				continue
+			}
+			base, seq, ok := r.nextFrame(i, prompt)
+			if !ok {
+				if !prompt {
+					r.metrics.GossipSuppressed++
+				}
+				continue
+			}
+			if prompt {
+				r.metrics.GossipPrompt++
+			}
+			if !built || body.Base != base || body.Seq != seq {
+				body, compact, compactErr, built = r.buildDelta(base, seq), nil, nil, true
+			}
+			l := &r.links[i]
+			l.owed = false
+			r.metrics.GossipSent++
+			g := body
+			g.Ack = l.mark
+			var msg any = g
+			if r.negotiator != nil && r.negotiator.PeerFeatures(r.peers[i])&transport.FeatureCompactGossip != 0 {
+				// The peer negotiated the compact wire form (DESIGN.md §12). A
+				// delta carrying an operator without a wire form goes plain.
+				if compact == nil && compactErr == nil {
+					var cm CompactGossipMsg
+					if cm, compactErr = encodeCompactGossip(body); compactErr == nil {
+						compact = &cm
+					}
+				}
+				if compact != nil {
+					cm := *compact
+					cm.Ack = l.mark
+					msg = cm
+					r.metrics.CompactGossipSent++
+				} else {
+					r.metrics.CompactGossipFallbacks++
 				}
 			}
-			if compact != nil {
-				cm := *compact
-				cm.Ack = l.mark
-				msg = cm
-				r.metrics.CompactGossipSent++
-			} else {
-				r.metrics.CompactGossipFallbacks++
-			}
+			// Gossip carries labels: it waits for the step's commit like
+			// every label-carrying message.
+			o.after = append(o.after, outMsg{to: r.peers[i], msg: msg})
 		}
-		outbox = append(outbox, outMsg{to: r.peers[i], msg: msg})
-	}
-	r.mu.Unlock()
-	// Gossip carries labels; any journaled in an admission round whose
-	// group commit is still in flight must become durable before they leave
-	// (the ack-after-durable invariant covers every label-carrying message,
-	// not just responses). The commit is a no-op when nothing is pending.
-	if len(outbox) > 0 && !r.commitStore() {
-		return
-	}
-	for _, o := range outbox {
-		r.net.Send(r.node, o.to, o.msg)
-	}
+		return o
+	})
 }
 
 // nextFrame decides peer i's frame this round, the log positions
@@ -313,10 +287,7 @@ func (r *Replica) buildFrame(entries []logEntry) GossipMsg {
 	msg := GossipMsg{From: r.id}
 	// refs[i] is 1 + the index in Clients of stream i's client, while the
 	// frame is built; clients lists the streams Clients names.
-	if d := len(r.ids.list) - len(r.clientRefs); d > 0 {
-		r.clientRefs = append(r.clientRefs, make([]uint32, d)...)
-	}
-	refs, clients := r.clientRefs, r.frameClients[:0]
+	refs, clients := r.clientTable()
 	var n [logS + 1]int
 	var last [logS + 1]*idRec
 	for _, le := range entries {
@@ -372,11 +343,27 @@ func (r *Replica) buildFrame(entries []logEntry) GossipMsg {
 			}
 		}
 	}
+	r.doneClients(clients)
+	return msg
+}
+
+// clientTable returns the scratch that numbers the clients of a frame
+// (buildFrame) or of a step's responses (respondPending): refs[i] is 1 +
+// the index in clients of stream i, 0 for a stream not yet numbered, and
+// clients is empty. doneClients empties both again. Mutex held.
+func (r *Replica) clientTable() (refs, clients []uint32) {
+	if d := len(r.ids.list) - len(r.clientRefs); d > 0 {
+		r.clientRefs = append(r.clientRefs, make([]uint32, d)...)
+	}
+	return r.clientRefs, r.frameClients[:0]
+}
+
+// doneClients empties the table clientTable returned. Mutex held.
+func (r *Replica) doneClients(clients []uint32) {
 	for _, c := range clients {
-		refs[c] = 0
+		r.clientRefs[c] = 0
 	}
 	r.frameClients = clients
-	return msg
 }
 
 // extends reports whether e continues a run of kind k whose last record

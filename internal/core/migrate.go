@@ -112,59 +112,66 @@ func (r *Replica) refuseForResize(x ops.Operation) (*Redirect, bool) {
 	return nil, false
 }
 
+// resizeRecordLocked returns the record of a resize epoch from oldShards
+// to newShards, created if new, or nil when the message naming it is
+// malformed or the replica is no keyspace shard — resharding is a keyspace
+// protocol, ignored on plain clusters. Mutex held.
+func (r *Replica) resizeRecordLocked(epoch, oldShards, newShards int) *replicaResize {
+	if oldShards < 1 || newShards <= oldShards {
+		return nil
+	}
+	if _, keyed := r.dt.(dtype.Keyed); !keyed {
+		return nil
+	}
+	return r.resizeFor(epoch, oldShards, newShards)
+}
+
 // handleFreezeKeys processes a FreezeKeysMsg: adopt (or refresh) the
 // freeze and answer with this replica's source-era operations on moving
 // keys. While a §9.3 recovery is outstanding the ack is
 // withheld — rcvd_r is still being rebuilt, and an incomplete ack could
 // hide a source-era operation from the drain; the driver simply retries.
 func (r *Replica) handleFreezeKeys(msg FreezeKeysMsg) {
-	r.mu.Lock()
-	if r.crashed || msg.OldShards < 1 || msg.NewShards <= msg.OldShards || r.shard >= msg.OldShards {
-		r.mu.Unlock()
-		return
-	}
-	if _, keyed := r.dt.(dtype.Keyed); !keyed {
-		r.mu.Unlock()
-		return // resharding is a keyspace protocol; ignore on plain clusters
-	}
-	rr := r.resizeFor(msg.Epoch, msg.OldShards, msg.NewShards)
-	r.persistResizeLocked(rr)
-	if r.recovering {
-		r.mu.Unlock()
-		return
-	}
-	ack := FreezeAckMsg{From: r.id, Shard: r.shard, Epoch: msg.Epoch, Nonce: msg.Nonce}
-	perKey := make(map[string][]ops.ID)
-	for e := range r.ids.all() {
-		key := r.ids.keyOf(e)
-		if !e.has(recRetained) || !e.has(recKeyed) || !rr.movesAway(r.shard, key) {
-			continue
+	r.step(skipCrashed, func() (o outbox) {
+		if r.shard >= msg.OldShards {
+			return o
 		}
-		if e.stableAt(r.id) {
-			continue // stable ⇒ done at every replica, exporter included
+		rr := r.resizeRecordLocked(msg.Epoch, msg.OldShards, msg.NewShards)
+		if rr == nil {
+			return o
 		}
-		perKey[key] = append(perKey[key], r.ids.id(e))
-	}
-	keys := make([]string, 0, len(perKey))
-	for key := range perKey {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		ids := perKey[key]
-		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-		ack.Keys = append(ack.Keys, FrozenKey{Key: key, IDs: ids})
-	}
-	to := msg.ReplyTo
-	node := r.node
-	r.mu.Unlock()
-	// The ack promises the driver this replica refuses new operations on
-	// moving keys from now on; the freeze record behind that promise must
-	// outlive a crash before the promise is made.
-	if !r.commitStore() {
-		return
-	}
-	r.net.Send(node, to, ack)
+		r.persistResizeLocked(rr)
+		if r.recovering {
+			return o
+		}
+		ack := FreezeAckMsg{From: r.id, Shard: r.shard, Epoch: msg.Epoch, Nonce: msg.Nonce}
+		perKey := make(map[string][]ops.ID)
+		for e := range r.ids.all() {
+			key := r.ids.keyOf(e)
+			if !e.has(recRetained) || !e.has(recKeyed) || !rr.movesAway(r.shard, key) {
+				continue
+			}
+			if e.stableAt(r.id) {
+				continue // stable ⇒ done at every replica, exporter included
+			}
+			perKey[key] = append(perKey[key], r.ids.id(e))
+		}
+		keys := make([]string, 0, len(perKey))
+		for key := range perKey {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			ids := perKey[key]
+			sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+			ack.Keys = append(ack.Keys, FrozenKey{Key: key, IDs: ids})
+		}
+		// The ack promises the driver this replica refuses new operations on
+		// moving keys from now on; the freeze record behind that promise must
+		// outlive a crash before the promise is made.
+		o.after = append(o.after, outMsg{to: msg.ReplyTo, msg: ack})
+		return o
+	})
 }
 
 // handleKeyMigrated records completed per-key migrations: refusals for
@@ -172,24 +179,20 @@ func (r *Replica) handleFreezeKeys(msg FreezeKeysMsg) {
 // may arrive arbitrarily late — and survive crashes via the durable
 // journal and the recovery answer.
 func (r *Replica) handleKeyMigrated(msg KeyMigratedMsg) {
-	r.mu.Lock()
-	if r.crashed || msg.OldShards < 1 || msg.Shards <= msg.OldShards {
-		r.mu.Unlock()
-		return
-	}
-	if _, keyed := r.dt.(dtype.Keyed); !keyed {
-		r.mu.Unlock()
-		return
-	}
-	rr := r.resizeFor(msg.Epoch, msg.OldShards, msg.Shards)
-	for _, mk := range msg.Keys {
-		rr.migrated[mk.Key] = mk
-	}
-	r.persistResizeLocked(rr)
-	r.mu.Unlock()
-	// No reply to hold back, but committing here keeps the
-	// migrated-forgotten window to one message instead of one epoch.
-	r.commitStore()
+	r.step(skipCrashed, func() (o outbox) {
+		rr := r.resizeRecordLocked(msg.Epoch, msg.OldShards, msg.Shards)
+		if rr == nil {
+			return o
+		}
+		for _, mk := range msg.Keys {
+			rr.migrated[mk.Key] = mk
+		}
+		r.persistResizeLocked(rr)
+		// No reply to hold back, but committing here keeps the
+		// migrated-forgotten window to one message instead of one epoch.
+		o.commit = true
+		return o
+	})
 }
 
 // handleResizeComplete closes a resize epoch: moving keys never
@@ -197,28 +200,18 @@ func (r *Replica) handleKeyMigrated(msg KeyMigratedMsg) {
 // Final (installless) refusals. The ack lets the driver stop
 // rebroadcasting.
 func (r *Replica) handleResizeComplete(msg ResizeCompleteMsg) {
-	r.mu.Lock()
-	if r.crashed || msg.OldShards < 1 || msg.Shards <= msg.OldShards {
-		r.mu.Unlock()
-		return
-	}
-	if _, keyed := r.dt.(dtype.Keyed); !keyed {
-		r.mu.Unlock()
-		return
-	}
-	rr := r.resizeFor(msg.Epoch, msg.OldShards, msg.Shards)
-	rr.complete = true
-	r.persistResizeLocked(rr)
-	ack := ResizeCompleteAckMsg{From: r.id, Shard: r.shard, Epoch: msg.Epoch}
-	to := msg.ReplyTo
-	node := r.node
-	r.mu.Unlock()
-	// Completion upgrades refusals to Final; the driver stops
-	// rebroadcasting on this ack, so the record must be crash-proof first.
-	if !r.commitStore() {
-		return
-	}
-	r.net.Send(node, to, ack)
+	r.step(skipCrashed, func() (o outbox) {
+		rr := r.resizeRecordLocked(msg.Epoch, msg.OldShards, msg.Shards)
+		if rr == nil {
+			return o
+		}
+		rr.complete = true
+		r.persistResizeLocked(rr)
+		// Completion upgrades refusals to Final; the driver stops
+		// rebroadcasting on this ack, so the record must be crash-proof first.
+		o.after = append(o.after, outMsg{to: msg.ReplyTo, msg: ResizeCompleteAckMsg{From: r.id, Shard: r.shard, Epoch: msg.Epoch}})
+		return o
+	})
 }
 
 // renderResizeRecord renders one epoch's record in canonical (key-sorted)
@@ -244,9 +237,9 @@ func renderResizeRecord(rr *replicaResize) ResizeRecord {
 
 // persistResizeLocked journals the current record of one resize epoch.
 // Mutex held. Like any journal append, the record is durable only after
-// the caller's group commit; the freeze/complete handlers commit before
-// sending their acks so the driver never holds an ack for an obligation a
-// crash could erase.
+// the step's group commit, which the freeze and complete acks wait for
+// (release), so the driver never holds an ack for an obligation a crash
+// could erase.
 func (r *Replica) persistResizeLocked(rr *replicaResize) {
 	if r.store == nil {
 		return

@@ -577,7 +577,7 @@ func TestEstimateSize(t *testing.T) {
 // the first position at which the old and new orders differ.
 func TestEnsureSortedMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	r := &Replica{ids: newIDTable()}
+	r := &Replica{volatile: volatile{ids: newIDTable()}}
 	used := make(map[label.Label]bool)
 	fresh := func(lo, hi uint64) label.Label {
 		for {

@@ -4,7 +4,6 @@ import (
 	"esds/internal/dtype"
 	"esds/internal/label"
 	"esds/internal/ops"
-	"esds/internal/transport"
 )
 
 // Descriptor-range catch-up (DESIGN.md §5): the one state-transfer path.
@@ -33,16 +32,14 @@ const rangeChunkOps = 256
 // false when the replica has no peer to fetch from (single-replica shard)
 // or is crashed. RetryRecovery rotates an unanswered round to the next
 // peer; the round closes when the Done chunk installs.
-func (r *Replica) CatchUpRange() bool {
-	r.mu.Lock()
-	if r.crashed || r.n < 2 {
-		r.mu.Unlock()
-		return false
-	}
-	to, req := r.openRangeRoundLocked()
-	r.mu.Unlock()
-	r.net.Send(r.node, to, req)
-	return true
+func (r *Replica) CatchUpRange() (ok bool) {
+	r.step(skipCrashed, func() (o outbox) {
+		if ok = r.n > 1; ok {
+			r.openRangeRoundLocked(&o)
+		}
+		return o
+	})
+	return ok
 }
 
 // RangeCatchingUp reports whether a range round is open.
@@ -55,9 +52,9 @@ func (r *Replica) RangeCatchingUp() bool {
 // openRangeRoundLocked starts a fresh round: new nonce, next peer in the
 // rotation that has not yet answered this recovery (recoveryAcks is empty
 // outside one), buffer cleared, Have pinned to the current solid prefix.
-// The caller guarantees some peer is still unanswered. Mutex held; caller
-// sends the returned request after unlocking.
-func (r *Replica) openRangeRoundLocked() (transport.NodeID, RangeRequestMsg) {
+// The request joins the outbox. The caller guarantees some peer is still
+// unanswered. Mutex held.
+func (r *Replica) openRangeRoundLocked(o *outbox) {
 	r.rangeSeq++
 	r.rangeNonce = r.rangeSeq
 	for {
@@ -71,7 +68,7 @@ func (r *Replica) openRangeRoundLocked() (transport.NodeID, RangeRequestMsg) {
 	r.rangeBuf, r.rangeDone = nil, nil
 	r.rangeProgress = false
 	r.rangeSeen = r.round
-	return r.peers[r.rangePeer], RangeRequestMsg{From: r.id, Have: r.rangeHave, Nonce: r.rangeNonce}
+	o.now = append(o.now, outMsg{to: r.peers[r.rangePeer], msg: RangeRequestMsg{From: r.id, Have: r.rangeHave, Nonce: r.rangeNonce}})
 }
 
 // RetryRecovery is the periodic retry against lost range requests, lost
@@ -83,17 +80,16 @@ func (r *Replica) openRangeRoundLocked() (transport.NodeID, RangeRequestMsg) {
 // just completed is never restarted; contrast Recover, which always begins
 // afresh).
 func (r *Replica) RetryRecovery() {
-	r.mu.Lock()
-	if r.crashed || r.rangeNonce == 0 || r.rangeProgress {
-		r.rangeProgress = false
-		r.mu.Unlock()
-		return
-	}
-	r.rangeTries++
-	r.metrics.RangeRetries++
-	to, req := r.openRangeRoundLocked()
-	r.mu.Unlock()
-	r.net.Send(r.node, to, req)
+	r.step(skipCrashed, func() (o outbox) {
+		if r.rangeNonce == 0 || r.rangeProgress {
+			r.rangeProgress = false
+			return o
+		}
+		r.rangeTries++
+		r.metrics.RangeRetries++
+		r.openRangeRoundLocked(&o)
+		return o
+	})
 }
 
 // handleRangeRequest serves one range round: chunked SnapOps for the slice
@@ -118,84 +114,64 @@ func (r *Replica) RetryRecovery() {
 // acknowledgement.
 func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 	from := int(msg.From)
-	r.mu.Lock()
-	if from < 0 || from >= r.n || from == int(r.id) || r.crashed {
-		r.mu.Unlock()
+	if from < 0 || from >= r.n || from == int(r.id) {
 		return
 	}
-	r.metrics.RangeServed++
-	lo := msg.Have
-	if lo < 0 {
-		lo = 0
-	}
-	total := r.memoized
-	if lo > total {
-		lo = total
-	}
+	r.step(skipCrashed, func() (o outbox) {
+		r.metrics.RangeServed++
+		total := r.memoized
+		lo := min(max(msg.Have, 0), total)
 
-	canSnap := total > 0 && dtype.CanSnapshot(r.dt)
-	var state []byte
-	if canSnap {
-		enc, err := r.dt.(dtype.Snapshotter).EncodeState(r.memoState)
-		if err != nil {
-			r.fault(FaultBadSnapshot, ops.ID{}, "encoding local state for range answer: %v", err)
-			canSnap = false
-		} else {
-			state = enc
-		}
-	}
-
-	var out []RangeResponseMsg
-	if canSnap {
-		for off := lo; off < total; off += r.rangeChunk {
-			hi := off + r.rangeChunk
-			if hi > total {
-				hi = total
+		canSnap := total > 0 && dtype.CanSnapshot(r.dt)
+		var state []byte
+		if canSnap {
+			var err error
+			if state, err = r.dt.(dtype.Snapshotter).EncodeState(r.memoState); err != nil {
+				r.fault(FaultBadSnapshot, ops.ID{}, "encoding local state for range answer: %v", err)
+				canSnap, state = false, nil
 			}
-			out = append(out, RangeResponseMsg{
-				From:   r.id,
-				Nonce:  msg.Nonce,
-				Offset: off,
-				Ops:    r.buildPrefixSnapOps(off, hi),
-			})
 		}
-	}
-	done := RangeResponseMsg{
-		From:      r.id,
-		Nonce:     msg.Nonce,
-		Offset:    total,
-		Done:      true,
-		DataType:  r.dt.Name(),
-		Total:     total,
-		HasState:  canSnap,
-		State:     state,
-		Watermark: r.gen.HighSeq(),
-		Resizes:   r.resizeRecordsLocked(),
-	}
-	if canSnap {
-		// The chunks and state cover the prefix; the tail only has to carry
-		// the unsolid suffix and the not-yet-done arrival queue.
-		done.Tail = r.buildTail(r.memoized)
-	} else {
-		done.Tail = r.buildFullGossip()
-	}
-	next := r.logNext()
-	done.Tail.Epoch, done.Tail.Base, done.Tail.Seq = r.epoch, r.epoch, next
-	l := &r.links[from]
-	l.sent, l.since, l.probing = next, r.round, true
-	out = append(out, done)
-	r.metrics.RangeChunksSent += uint64(len(out))
-	to := r.peers[from]
-	r.mu.Unlock()
 
-	// The answer carries labels; the ack-after-durable invariant extends to
-	// range answers like any other externalization.
-	if !r.commitStore() {
-		return
-	}
-	for _, m := range out {
-		r.net.Send(r.node, to, m)
-	}
+		// The answer carries labels: like every label-carrying message it
+		// waits for the step's commit.
+		to := r.peers[from]
+		if canSnap {
+			for off := lo; off < total; off += r.rangeChunk {
+				o.after = append(o.after, outMsg{to: to, msg: RangeResponseMsg{
+					From:   r.id,
+					Nonce:  msg.Nonce,
+					Offset: off,
+					Ops:    r.buildPrefixSnapOps(off, min(off+r.rangeChunk, total)),
+				}})
+			}
+		}
+		done := RangeResponseMsg{
+			From:      r.id,
+			Nonce:     msg.Nonce,
+			Offset:    total,
+			Done:      true,
+			DataType:  r.dt.Name(),
+			Total:     total,
+			HasState:  canSnap,
+			State:     state,
+			Watermark: r.gen.HighSeq(),
+			Resizes:   r.resizeRecordsLocked(),
+		}
+		if canSnap {
+			// The chunks and state cover the prefix; the tail only has to carry
+			// the unsolid suffix and the not-yet-done arrival queue.
+			done.Tail = r.buildTail(r.memoized)
+		} else {
+			done.Tail = r.buildFullGossip()
+		}
+		next := r.logNext()
+		done.Tail.Epoch, done.Tail.Base, done.Tail.Seq = r.epoch, r.epoch, next
+		l := &r.links[from]
+		l.sent, l.since, l.probing = next, r.round, true
+		o.after = append(o.after, outMsg{to: to, msg: done})
+		r.metrics.RangeChunksSent += uint64(len(o.after))
+		return o
+	})
 }
 
 // handleRangeResponse assembles the client side of a round: buffer
@@ -207,66 +183,58 @@ func (r *Replica) handleRangeRequest(msg RangeRequestMsg) {
 // corruption. A Done chunk that overtakes chunks of its own answer waits
 // for them. A recovery still owed answers opens its next round here.
 func (r *Replica) handleRangeResponse(msg RangeResponseMsg) {
-	r.mu.Lock()
-	if r.crashed || r.rangeNonce == 0 || msg.Nonce != r.rangeNonce || int(msg.From) != r.rangePeer {
-		r.metrics.RangeRejects++
-		r.mu.Unlock()
-		return
-	}
-	end := r.rangeHave + len(r.rangeBuf)
-	if !msg.Done {
-		if msg.Offset > end || msg.Offset+len(msg.Ops) <= end {
-			// A gap, or nothing past the buffer: the buffer stays a solid
-			// extension of Have or it is worthless. A chunk that overlaps
-			// its end (a repeated request's answer) extends it: a solid
-			// prefix never changes, so both answers agree where they
-			// overlap, and the install validator checks the splice.
+	r.step(evenCrashed, func() (o outbox) {
+		if r.crashed || r.rangeNonce == 0 || msg.Nonce != r.rangeNonce || int(msg.From) != r.rangePeer {
 			r.metrics.RangeRejects++
-			r.mu.Unlock()
-			return
+			return o
 		}
-		r.metrics.RangeChunksReceived++
-		r.rangeBuf = append(r.rangeBuf, msg.Ops[end-msg.Offset:]...)
-		r.rangeProgress, r.rangeSeen = true, r.round
-		done := r.rangeDone
-		if done == nil || r.rangeHave+len(r.rangeBuf) < done.Total {
-			r.mu.Unlock()
-			return
-		}
-		// The Done chunk overtook this one and waited for it.
-		msg, r.rangeDone = *done, nil
-	} else {
-		r.metrics.RangeChunksReceived++
-		if msg.HasState && msg.Total > r.memoized && end < msg.Total {
-			// Chunks still in flight or lost: keep the Done chunk until they
-			// arrive, from this answer or a repeated one.
-			r.rangeDone = &msg
+		end := r.rangeHave + len(r.rangeBuf)
+		if !msg.Done {
+			if msg.Offset > end || msg.Offset+len(msg.Ops) <= end {
+				// A gap, or nothing past the buffer: the buffer stays a solid
+				// extension of Have or it is worthless. A chunk that overlaps
+				// its end (a repeated request's answer) extends it: a solid
+				// prefix never changes, so both answers agree where they
+				// overlap, and the install validator checks the splice.
+				r.metrics.RangeRejects++
+				return o
+			}
+			r.metrics.RangeChunksReceived++
+			r.rangeBuf = append(r.rangeBuf, msg.Ops[end-msg.Offset:]...)
 			r.rangeProgress, r.rangeSeen = true, r.round
-			r.mu.Unlock()
-			return
+			done := r.rangeDone
+			if done == nil || r.rangeHave+len(r.rangeBuf) < done.Total {
+				return o
+			}
+			// The Done chunk overtook this one and waited for it.
+			msg, r.rangeDone = *done, nil
+		} else {
+			r.metrics.RangeChunksReceived++
+			if msg.HasState && msg.Total > r.memoized && end < msg.Total {
+				// Chunks still in flight or lost: keep the Done chunk until they
+				// arrive, from this answer or a repeated one.
+				r.rangeDone = &msg
+				r.rangeProgress, r.rangeSeen = true, r.round
+				return o
+			}
 		}
-	}
-	if msg.HasState && r.rangeHave <= msg.Total && msg.Total < r.rangeHave+len(r.rangeBuf) {
-		r.rangeBuf = r.rangeBuf[:msg.Total-r.rangeHave] // a repeated answer's chunks ran past this Done
-	}
-	if !r.finishRangeLocked(msg) {
-		// Failed round: keep it open (and the buffer clear) for the next
-		// retry to rotate.
-		r.metrics.RangeRejects++
-		r.rangeBuf = nil
-		r.rangeProgress = false
-		r.mu.Unlock()
-		return
-	}
-	var to transport.NodeID
-	var next RangeRequestMsg
-	if r.recovering {
-		to, next = r.openRangeRoundLocked()
-	}
-	r.finishLocked(nil)
-	if next.Nonce != 0 {
-		r.net.Send(r.node, to, next)
-	}
+		if msg.HasState && r.rangeHave <= msg.Total && msg.Total < r.rangeHave+len(r.rangeBuf) {
+			r.rangeBuf = r.rangeBuf[:msg.Total-r.rangeHave] // a repeated answer's chunks ran past this Done
+		}
+		if !r.finishRangeLocked(msg) {
+			// Failed round: keep it open (and the buffer clear) for the next
+			// retry to rotate.
+			r.metrics.RangeRejects++
+			r.rangeBuf = nil
+			r.rangeProgress = false
+			return o
+		}
+		if r.recovering {
+			r.openRangeRoundLocked(&o)
+		}
+		r.finishLocked(&o)
+		return o
+	})
 }
 
 // maxTailIDs bounds the records a range answer's tail can make this

@@ -33,37 +33,10 @@ import "esds/internal/label"
 func (r *Replica) Crash() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.ids = newIDTable() // this replica's own labels are reloaded by Recover
-	r.doneLocal, r.stableLocal, r.retainedN = 0, 0, 0
-	r.strictLive, r.strictDirty = 0, false
-	r.pendingQueue = nil
-	r.rcvdQueue = nil
-	r.gen = label.NewGenerator(r.id)
-	r.doneSeq = nil
-	r.sortedTo = 0
-	r.seqDirty = false
-	r.deferredQueue = nil
-	r.memoized = 0
-	r.memoState = r.dt.Initial()
-	r.sufStates, r.sufVals = nil, nil
-	r.fresh = nil
-	r.lastMemoLabel = label.Label{}
-	r.maxStable = label.Infinity
-	r.curState = r.dt.Initial()
 	// A new incarnation: its change log begins where the last one ended,
 	// so an acknowledgement meant for the old log changes nothing.
-	r.startLog(r.logNext())
-	r.resizes = nil // re-learned from the store and the range answers' Done chunks
-	r.recoveryParked = nil
-	r.storeFailed = false // re-latches on the next failed write
+	r.volatile = newVolatile(r.id, r.n, r.dt, r.logNext())
 	r.crashed = true
-	r.recovering = false
-	r.recoveryAcks = nil
-	// Abandon any open range round (rangeSeq survives, so a chunk addressed
-	// to a pre-crash round can never match a post-crash nonce).
-	r.rangeNonce = 0
-	r.rangeBuf, r.rangeDone = nil, nil
-	r.rangeTries = 0
 }
 
 // reloadStoreLocked replays the stable store into a freshly crashed
@@ -113,17 +86,14 @@ func (r *Replica) reloadStoreLocked() {
 // arrive with the Done chunks). A single-replica cluster resumes
 // immediately on its store alone.
 func (r *Replica) Recover() {
-	r.mu.Lock()
-	r.reloadStoreLocked()
-	r.recovering = r.n > 1
-	if !r.recovering {
-		r.mu.Unlock()
-		return
-	}
-	r.recoveryAcks = make(map[label.ReplicaID]struct{})
-	to, req := r.openRangeRoundLocked()
-	r.mu.Unlock()
-	r.net.Send(r.node, to, req)
+	r.step(evenCrashed, func() (o outbox) {
+		r.reloadStoreLocked()
+		if r.recovering = r.n > 1; r.recovering {
+			r.recoveryAcks = make(map[label.ReplicaID]struct{})
+			r.openRangeRoundLocked(&o)
+		}
+		return o
+	})
 }
 
 // Recovering reports whether the replica is still owed a recovery answer.

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"esds/internal/dtype"
 	"esds/internal/label"
@@ -91,6 +94,82 @@ func TestCrashWipesAndRecoverRebuilds(t *testing.T) {
 	conv := e.cluster.CheckConvergence()
 	if !conv.Converged {
 		t.Fatalf("cluster did not reconverge: %s", conv.Reason)
+	}
+	t.Run("by construction", testCrashResetsByConstruction)
+}
+
+// testCrashResetsByConstruction drives a replica through every kind of
+// volatile state — a memoized and pruned history, a deferred id, a queued
+// relay, an open range round, a resize freeze and a pending strict
+// operation — and requires Crash to leave exactly the volatile state of a
+// freshly constructed replica, but for the change log's epoch.
+func testCrashResetsByConstruction(t *testing.T) {
+	dt := dtype.NewKeyed(dtype.Counter{})
+	e, _ := newRecoveryEnvOf(t, dt, DefaultOptions())
+	for i := 0; i < 8; i++ {
+		e.submit("c", dtype.KeyedOp{Key: "k", Op: dtype.CtrAdd{N: 1}}, nil, false)
+	}
+	e.s.RunFor(100 * sim.Millisecond)
+	r0 := e.cluster.Replica(0)
+	add := func(client string, strict bool) ops.Operation {
+		return ops.New(dtype.KeyedOp{Key: "k", Op: dtype.CtrAdd{N: 1}}, ops.ID{Client: client}, nil, strict)
+	}
+	r0.handleMessage(transport.Message{Payload: RequestMsg{Op: add("strict", true)}})
+	r0.mu.Lock()
+	l := r0.links[1]
+	r0.mu.Unlock()
+	// From replica 1: a descriptor to relay, and an id done there whose
+	// descriptor and label have not arrived.
+	r0.handleMessage(transport.Message{Payload: GossipMsg{From: 1, Epoch: l.epoch, Base: l.mark, Seq: l.mark + 4,
+		Clients: []string{"ghost"}, R: []ops.Operation{add("relayed", false)}, D: []IDRun{{Client: 0, N: 1}}}})
+	r0.handleMessage(transport.Message{Payload: FreezeKeysMsg{Epoch: 1, OldShards: 1, NewShards: 2, Nonce: 1, ReplyTo: "ctl:test"}})
+	r0.CatchUpRange()
+
+	r0.mu.Lock()
+	for what, held := range map[string]bool{
+		"memoized":        r0.memoized > 0,
+		"pruned":          r0.retainedN < r0.ids.n,
+		"deferred":        len(r0.deferredQueue) > 0,
+		"relay":           len(r0.relayQueue) > 0,
+		"range round":     r0.rangeNonce != 0,
+		"freeze":          len(r0.resizes) > 0,
+		"pending strict":  r0.strictLive > 0 && len(r0.pendingQueue) > 0,
+		"change log held": len(r0.glog) > 0,
+	} {
+		if !held {
+			t.Errorf("set-up: no %s state before the crash", what)
+		}
+	}
+	next, nonces, metrics := r0.logNext(), r0.rangeSeq, r0.metrics
+	r0.mu.Unlock()
+
+	r0.Crash()
+	fresh := NewReplica(ReplicaConfig{ID: 0, Peers: e.cluster.Nodes(), DataType: dt,
+		Network: transport.NewSimNet(sim.New(1), transport.SimNetConfig{}), Options: DefaultOptions()})
+	r0.mu.Lock()
+	defer r0.mu.Unlock()
+	if r0.epoch != next || !r0.crashed || r0.rangeSeq != nonces || r0.metrics != metrics {
+		t.Fatalf("crash reset what survives: epoch %d (log ended at %d), crashed %v, range nonces %d → %d",
+			r0.epoch, next, r0.crashed, nonces, r0.rangeSeq)
+	}
+	unepoch := func(v volatile) reflect.Value {
+		v.epoch, v.logBase, v.links = 0, 0, slices.Clone(v.links)
+		for i := range v.links {
+			v.links[i].sent, v.links[i].acked = 0, 0
+		}
+		p := reflect.New(reflect.TypeOf(v)).Elem()
+		p.Set(reflect.ValueOf(v))
+		return p
+	}
+	got, want := unepoch(r0.volatile), unepoch(fresh.volatile)
+	for i := 0; i < got.NumField(); i++ {
+		field := func(v reflect.Value) any {
+			f := v.Field(i)
+			return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
+		}
+		if !reflect.DeepEqual(field(got), field(want)) {
+			t.Errorf("after Crash, %s = %+v, a new replica's is %+v", got.Type().Field(i).Name, field(got), field(want))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -18,7 +19,8 @@ import (
 // the object, assigns labels to operations from its own partition ℒ_r, and
 // exchanges gossip with its peers. All state is guarded by a single mutex so
 // the replica is safe both on the single-threaded simulated network and on
-// the live goroutine transport.
+// the live goroutine transport; every entry point takes it through step
+// (shell.go), and everything the replica sends leaves through release.
 type Replica struct {
 	mu sync.Mutex
 	// sendMu orders gossip sends (sendGossip): taken before mu, held until
@@ -33,16 +35,52 @@ type Replica struct {
 	node  transport.NodeID
 	peers []transport.NodeID // node ids of ALL replicas, indexed by ReplicaID
 	opt   Options
+	// all is the done/stable mask of an id in every replica's set
+	// (stable_r[r] = ∩_i done_r[i], Invariant 7.2, is done == all).
+	all uint64
 
+	// volatile is everything Crash wipes; a crashed replica holds a fresh
+	// one (newVolatile), so it resets by construction.
+	volatile
+
+	// negotiator is the transport's capability channel, nil when it has no
+	// wire to negotiate over (DESIGN.md §12; see SendGossip).
+	negotiator transport.FeatureNegotiator
+
+	// Crash recovery (§9.3): the stable store holding locally generated
+	// labels survives a crash; crashed is set by Crash and cleared by
+	// Recover.
+	store   StableStore
+	crashed bool
+
+	// rangeSeq is the monotone nonce source of range rounds: it survives
+	// Crash, so a stale pre-crash chunk can never match a post-crash round.
+	// rangeChunk is the SnapOp count per chunk this replica SERVES:
+	// rangeChunkOps, lowered only by tests.
+	rangeSeq   uint64
+	rangeChunk int
+
+	// faults is the bounded log of rejected-input faults (see errors.go).
+	faults []*ReplicaFault
+
+	// queue is the replica's inbound queue on the shard-per-core runtime
+	// (nil on the legacy per-delivery path). Set once at construction,
+	// never mutated: reads need no lock.
+	queue *replicaQueue
+
+	metrics ReplicaMetrics
+}
+
+// volatile is the replica state a crash wipes: all of it but the identity,
+// configuration, stable store, range nonce source, faults and metrics, and
+// the change log's next position, where a new incarnation's log begins.
+type volatile struct {
 	// ids is the identifier table (idtable.go): one record per operation
 	// identifier this replica has heard of, holding its membership in every
-	// per-identifier set of Fig. 7 and the §10 optimizations. all is the
-	// done/stable mask of an id in every replica's set (stable_r[r] =
-	// ∩_i done_r[i], Invariant 7.2, is done == all). doneLocal, stableLocal
-	// and retainedN count |done_r[r]|, |stable_r[r]| and the descriptors
-	// still held.
+	// per-identifier set of Fig. 7 and the §10 optimizations. doneLocal,
+	// stableLocal and retainedN count |done_r[r]|, |stable_r[r]| and the
+	// descriptors still held.
 	ids                               idTable
-	all                               uint64
 	doneLocal, stableLocal, retainedN int
 
 	// pending_r: requests awaiting a response (Fig. 7), in arrival order;
@@ -112,12 +150,14 @@ type Replica struct {
 	// until a round decides whether to relay them (relayOverdue).
 	relayQueue []relayEntry
 
-	// Scratch for gossip frames' client tables, empty between frames:
-	// clientRefs and frameClients while buildFrame builds one (see there),
-	// frameStreams the streams of a merged frame's clients.
+	// Scratch, empty between uses: clientRefs and frameClients number the
+	// clients of a frame buildFrame builds or of the responses
+	// respondPending collects in answers (clientTable), and frameStreams
+	// holds the streams of a merged frame's clients.
 	clientRefs   []uint32
 	frameClients []uint32
 	frameStreams []*idStream
+	answers      []answer
 
 	// gossipScratch holds the slices compact gossip frames decode into
 	// (mergeCompactGossipLocked).
@@ -130,10 +170,6 @@ type Replica struct {
 	strictLive  int
 	strictDirty bool
 
-	// negotiator is the transport's capability channel, nil when it has no
-	// wire to negotiate over (DESIGN.md §12; see SendGossip).
-	negotiator transport.FeatureNegotiator
-
 	// sortScratch is the reusable buffer ensureSorted pre-fetches labels
 	// into: the nearly-sorted suffix pass is the label-compare hot path,
 	// and re-reading the label table per comparison (plus re-allocating the
@@ -141,26 +177,19 @@ type Replica struct {
 	// maxKeptScratch.
 	sortScratch []labeledID
 
-	// Crash recovery (§9.3): the stable store holding locally generated
-	// labels, and the peers whose range answer has installed since Recover
-	// (the replica resumes once all n-1 have; nil outside a recovery).
-	store        StableStore
-	crashed      bool
+	// Crash recovery (§9.3): the peers whose range answer has installed
+	// since Recover (the replica resumes once all n-1 have; nil outside a
+	// recovery).
 	recovering   bool
 	recoveryAcks map[label.ReplicaID]struct{}
 
 	// Descriptor-range catch-up (range.go, DESIGN.md §5): the client-side
-	// state of one range round. rangeNonce is 0 when no round is open;
-	// rangeSeq is the monotone nonce source (it survives Crash so a stale
-	// pre-crash chunk can never match a post-crash round). rangeProgress
-	// records a chunk accepted since the last RetryRecovery, which then
-	// leaves the streaming round alone; rangeDone holds a Done chunk that
-	// arrived before the chunks it completes, and rangeSeen is the gossip
-	// round the request left in or a chunk last arrived in. rangeChunk is
-	// the SnapOp count per chunk this replica SERVES: rangeChunkOps,
-	// lowered only by tests.
+	// state of one range round. rangeNonce is 0 when no round is open.
+	// rangeProgress records a chunk accepted since the last RetryRecovery,
+	// which then leaves the streaming round alone; rangeDone holds a Done
+	// chunk that arrived before the chunks it completes, and rangeSeen is
+	// the gossip round the request left in or a chunk last arrived in.
 	rangeNonce    uint64
-	rangeSeq      uint64
 	rangePeer     int
 	rangeHave     int
 	rangeBuf      []SnapOp
@@ -168,31 +197,43 @@ type Replica struct {
 	rangeSeen     uint64
 	rangeTries    int
 	rangeProgress bool
-	rangeChunk    int
 
 	// storeFailed latches after a StableStore write error: the replica
 	// stops labeling new operations (see tryDoIt) because an unpersisted
-	// label violates the §9.3 safety condition.
+	// label violates the §9.3 safety condition. It re-latches on the next
+	// failed write after a crash.
 	storeFailed bool
 
 	// resizes is the live-resharding history this replica participates in
 	// as a source shard: freezes, migrated keys, completed epochs (see
-	// migrate.go). Volatile — re-learned from the store and the range
-	// answers' Done chunks after a crash. recoveryParked holds requests
-	// received during recovery, admitted only once that history is whole
-	// again.
+	// migrate.go), re-learned from the store and the range answers' Done
+	// chunks after a crash. recoveryParked holds requests received during
+	// recovery, admitted only once that history is whole again.
 	resizes        []*replicaResize
 	recoveryParked []ops.Operation
+}
 
-	// faults is the bounded log of rejected-input faults (see errors.go).
-	faults []*ReplicaFault
-
-	// queue is the replica's inbound queue on the shard-per-core runtime
-	// (nil on the legacy per-delivery path). Set once at construction,
-	// never mutated: reads need no lock.
-	queue *replicaQueue
-
-	metrics ReplicaMetrics
+// newVolatile is the state of a replica with no history whose change log
+// begins at position epoch: the wall clock for a new replica, the next
+// free position after a crash, so an acknowledgement meant for an earlier
+// incarnation falls below the log.
+func newVolatile(id label.ReplicaID, n int, dt dtype.DataType, epoch uint64) volatile {
+	v := volatile{
+		ids:       newIDTable(),
+		gen:       label.NewGenerator(id),
+		memoState: dt.Initial(),
+		maxStable: label.Infinity,
+		curState:  dt.Initial(),
+		logBase:   epoch,
+		epoch:     epoch,
+		links:     make([]peerLink, n),
+		ackWait:   1,
+		ackDev:    0.5,
+	}
+	for i := range v.links {
+		v.links[i] = peerLink{sent: epoch, acked: epoch}
+	}
+	return v
 }
 
 // labeledID pairs a record handle with its label for sorting.
@@ -250,16 +291,11 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		node:       cfg.Peers[cfg.ID],
 		peers:      append([]transport.NodeID(nil), cfg.Peers...),
 		opt:        cfg.Options,
-		ids:        newIDTable(),
 		all:        ^uint64(0) >> (64 - n),
-		gen:        label.NewGenerator(cfg.ID),
-		memoState:  cfg.DataType.Initial(),
-		maxStable:  label.Infinity,
-		curState:   cfg.DataType.Initial(),
+		volatile:   newVolatile(cfg.ID, n, cfg.DataType, uint64(time.Now().UnixNano())),
 		store:      cfg.Store,
 		rangeChunk: rangeChunkOps,
 	}
-	r.startLog(uint64(time.Now().UnixNano()))
 	// §10.2 pruning discards descriptors that only a state transfer can
 	// stand in for afterwards, so it is on only for a type that can encode
 	// its state; any other type retains every descriptor and recovers by
@@ -346,59 +382,41 @@ func hotPath(payload any) bool {
 // sound because they are enabled at any time. Outside the shard runtime
 // every delivery is a run of one.
 func (r *Replica) deliverRun(run []transport.Message) {
-	r.mu.Lock()
-	if r.crashed {
-		r.mu.Unlock()
-		return
-	}
-	var redirects []ResponseMsg
-	admit := func(x ops.Operation) {
-		if resp, refuse := r.admitOrRefuseLocked(x); refuse {
-			redirects = append(redirects, resp)
-		}
-	}
-	for _, m := range run {
-		switch p := m.Payload.(type) {
-		case RequestMsg:
-			admit(p.Op)
-		case BatchRequestMsg:
-			r.metrics.RequestBatchesReceived++
-			for _, x := range p.Ops {
-				admit(x)
+	r.step(skipCrashed, func() (o outbox) {
+		for _, m := range run {
+			switch p := m.Payload.(type) {
+			case RequestMsg:
+				r.admitOrRefuseLocked(&o, p.Op)
+			case BatchRequestMsg:
+				r.metrics.RequestBatchesReceived++
+				for _, x := range p.Ops {
+					r.admitOrRefuseLocked(&o, x)
+				}
+			case GossipMsg:
+				r.mergeGossipLocked(p)
+			case CompactGossipMsg:
+				r.mergeCompactGossipLocked(p)
 			}
-		case GossipMsg:
-			r.mergeGossipLocked(p)
-		case CompactGossipMsg:
-			r.mergeCompactGossipLocked(p)
 		}
-	}
-	if r.queue != nil {
-		r.metrics.PipelineRuns++ // a run of the shard runtime's worker
-	}
-	r.finishLocked(redirects)
+		if r.queue != nil {
+			r.metrics.PipelineRuns++ // a run of the shard runtime's worker
+		}
+		r.finishLocked(&o)
+		return o
+	})
 }
 
-// finishLocked ends a locked round: re-admit parked requests if a §9.3
-// recovery just completed, run the internal actions, unlock, and send the
-// refusals (no labels, so no durability wait) and the responses (after the
-// round's one group commit). When the round left the one strict operation
-// in flight with changes not yet sent, they leave now rather than at the
-// next tick (a prompt send, gossip.go): changes the round made, or changes
-// held back while strict operations overlapped, if the round ended the
-// overlap. Mutex held on entry; released on return.
-func (r *Replica) finishLocked(redirects []ResponseMsg) {
-	redirects = append(redirects, r.drainRecoveryParked()...)
-	outbox := r.process()
-	prompt := r.strictDirty && r.strictLive <= 1
-	node, shard := r.node, r.shard
-	r.mu.Unlock()
-	for _, resp := range redirects {
-		r.net.Send(node, FrontEndNodeIn(shard, resp.ID.Client), resp)
-	}
-	r.deliverOutbox(outbox)
-	if prompt {
-		r.sendGossip(true)
-	}
+// finishLocked ends a step that merged state: re-admit parked requests if
+// a §9.3 recovery just completed and run the internal actions, whose
+// responses join the outbox. When the step left the one strict operation
+// in flight with changes not yet sent, they leave right after it rather
+// than at the next tick (a prompt send, gossip.go): changes the step made,
+// or changes held back while strict operations overlapped, if the step
+// ended the overlap. Mutex held.
+func (r *Replica) finishLocked(o *outbox) {
+	r.drainRecoveryParked(o)
+	r.process(o)
+	o.prompt = r.strictDirty && r.strictLive <= 1
 }
 
 // ID returns the replica's identifier.
@@ -449,10 +467,8 @@ func (r *Replica) handleMessage(m transport.Message) {
 // operations only — see the comment below), refuse it with a Redirect when
 // live resharding froze or moved its object, or admit it as pending and
 // received — even if received before: the front end may legitimately
-// retransmit (§6.3 footnote 4). It returns the refusal to send, if any.
-// Mutex held; the caller runs process() and sends refusals after
-// unlocking.
-func (r *Replica) admitOrRefuseLocked(x ops.Operation) (ResponseMsg, bool) {
+// retransmit (§6.3 footnote 4). A refusal joins the outbox. Mutex held.
+func (r *Replica) admitOrRefuseLocked(o *outbox, x ops.Operation) {
 	r.metrics.RequestsReceived++
 	if _, keyed := dtype.KeyOf(x.Op); keyed && r.recovering {
 		// A recovering replica has not yet re-learned which keys live
@@ -466,19 +482,19 @@ func (r *Replica) admitOrRefuseLocked(x ops.Operation) (ResponseMsg, bool) {
 		// accepted immediately, processed after recovery.
 		r.metrics.RequestsParkedRecovering++
 		r.recoveryParked = append(r.recoveryParked, x)
-		return ResponseMsg{}, false
+		return
 	}
-	if rd, refuse := r.refuseForResize(x); refuse {
-		r.metrics.ResizeRedirects++
-		return ResponseMsg{ID: x.ID, Redirect: rd}, true
-	}
-	r.admitRequest(x)
-	return ResponseMsg{}, false
+	r.admitLocked(o, x)
 }
 
-// admitRequest records an admitted request as pending and received.
-// Mutex held; the resize refusal check has already passed.
-func (r *Replica) admitRequest(x ops.Operation) {
+// admitLocked refuses x with a Redirect when live resharding froze or
+// moved its object, else records it as pending and received. Mutex held.
+func (r *Replica) admitLocked(o *outbox, x ops.Operation) {
+	if rd, refuse := r.refuseForResize(x); refuse {
+		r.metrics.ResizeRedirects++
+		o.now = append(o.now, outMsg{to: FrontEndNodeIn(r.shard, x.ID.Client), msg: ResponseMsg{ID: x.ID, Redirect: rd}})
+		return
+	}
 	e := r.receiveOp(x)
 	if !e.has(recPending) {
 		e.flags |= recPending
@@ -487,24 +503,16 @@ func (r *Replica) admitRequest(x ops.Operation) {
 }
 
 // drainRecoveryParked re-admits requests parked during §9.3 recovery,
-// now that the freeze/migration view is whole. It returns the redirects
-// to send (outside the mutex). Mutex held.
-func (r *Replica) drainRecoveryParked() []ResponseMsg {
+// now that the freeze/migration view is whole. Mutex held.
+func (r *Replica) drainRecoveryParked(o *outbox) {
 	if r.recovering || len(r.recoveryParked) == 0 {
-		return nil
+		return
 	}
 	parked := r.recoveryParked
 	r.recoveryParked = nil
-	var redirects []ResponseMsg
 	for _, x := range parked {
-		if rd, refuse := r.refuseForResize(x); refuse {
-			r.metrics.ResizeRedirects++
-			redirects = append(redirects, ResponseMsg{ID: x.ID, Redirect: rd})
-			continue
-		}
-		r.admitRequest(x)
+		r.admitLocked(o, x)
 	}
-	return redirects
 }
 
 // receiveOp records an operation descriptor in rcvd_r and in the change
@@ -847,21 +855,20 @@ func (r *Replica) retainedValue(e *idRec, kind recFlag) dtype.Value {
 
 // process runs the replica's internal actions to quiescence: deferred
 // completions, do_it (Fig. 7), stability bookkeeping, memoization (§10.1),
-// and responses. Called with the mutex held after every message; it
-// returns the round's responses UNSENT — the caller unlocks, commits the
-// round's journal records with one fsync (group commit), and only then
-// ships them (deliverOutbox): a replica never acknowledges a request
-// before its record is durable. While a §9.3 recovery is outstanding the
-// replica only merges state; it neither labels new operations nor answers
-// clients.
-func (r *Replica) process() []responseOut {
+// and responses. Called with the mutex held after every message; the
+// responses join the outbox UNSENT — release commits the step's journal
+// records with one fsync (group commit) and only then sends them: a
+// replica never acknowledges a request before its record is durable. While
+// a §9.3 recovery is outstanding the replica only merges state; it neither
+// labels new operations nor answers clients.
+func (r *Replica) process(o *outbox) {
 	r.retryDeferred()
 	if r.recovering {
-		return nil
+		return
 	}
 	r.tryDoIt()
 	r.advanceMemo()
-	return r.respondPending()
+	r.respondPending(o)
 }
 
 // retryDeferred re-attempts done/stable processing for ids whose descriptor
@@ -947,7 +954,7 @@ func (r *Replica) tryDoIt() {
 				// answered-then-lost operation can no longer exist. The
 				// record is buffered here; it becomes durable at the round's
 				// group Commit, which every message carrying this label
-				// waits on before leaving (see deliverOutbox).
+				// waits on before leaving (see release).
 				if err := r.store.PersistOp(x, l); err != nil {
 					r.fault(FaultStoreFailed, x.ID, "persisting op with label %v: %v", l, err)
 					r.storeFailed = true
@@ -1169,15 +1176,17 @@ func (r *Replica) maybePrune(e *idRec) {
 
 // respondPending is send_rc(⟨"response", x, v⟩) of Fig. 7: every pending
 // operation that is locally done — and, if strict, known stable at every
-// replica — is answered and removed from pending. The responses are
-// returned, not sent: acknowledgements may only leave after the round's
-// journal records are durable (deliverOutbox).
-func (r *Replica) respondPending() []responseOut {
+// replica — is answered and removed from pending. The responses join the
+// outbox, not the wire: acknowledgements may only leave after the step's
+// journal records are durable (release). With batching they join it
+// grouped by front end, front ends in the order of their first response,
+// so each front end's batches can be cut from one run (sendResponses).
+func (r *Replica) respondPending(o *outbox) {
 	if len(r.pendingQueue) == 0 {
-		return nil
+		return
 	}
-	remaining := r.pendingQueue[:0]
-	var outbox []responseOut
+	remaining, answers := r.pendingQueue[:0], r.answers[:0]
+	refs, clients := r.clientTable()
 	for _, e := range r.pendingQueue {
 		if !e.doneAt(r.id) {
 			remaining = append(remaining, e)
@@ -1210,12 +1219,27 @@ func (r *Replica) respondPending() []responseOut {
 			continue
 		}
 		r.metrics.ResponsesSent++
-		outbox = append(outbox, responseOut{to: r.frontEndOf(e), msg: ResponseMsg{ID: r.ids.id(e), Value: v}})
+		if refs[e.client] == 0 {
+			clients = append(clients, e.client)
+			refs[e.client] = uint32(len(clients))
+		}
+		answers = append(answers, answer{responseOut{to: r.frontEndOf(e), msg: ResponseMsg{ID: r.ids.id(e), Value: v}}, refs[e.client]})
 	}
 	// remaining compacted pendingQueue in place over its own backing array;
 	// adopting it directly avoids re-copying the queue on every message.
 	r.pendingQueue = remaining
-	return outbox
+	if r.opt.BatchSize > 1 && len(clients) > 1 {
+		slices.SortStableFunc(answers, func(a, b answer) int { return cmp.Compare(a.rank, b.rank) })
+	}
+	r.doneClients(clients)
+	o.resps = make([]responseOut, len(answers))
+	for i, a := range answers {
+		o.resps[i] = a.responseOut
+	}
+	clear(answers)
+	if cap(answers) <= maxKeptScratch {
+		r.answers = answers[:0]
+	}
 }
 
 // frontEndOf returns the front end of e's client in this replica's shard,
@@ -1226,94 +1250,6 @@ func (r *Replica) frontEndOf(e *idRec) transport.NodeID {
 		s.fe = FrontEndNodeIn(r.shard, s.client)
 	}
 	return s.fe
-}
-
-// responseOut is one response awaiting send, with its destination.
-type responseOut struct {
-	to  transport.NodeID
-	msg ResponseMsg
-}
-
-// commitStore makes every record journaled so far durable — ONE Commit
-// (one fsync on a FileStableStore) covering a whole admission round, the
-// group commit of DESIGN.md §10. Called WITHOUT the mutex, so the next
-// round can admit and journal while this round's fsync is in flight; the
-// store's committer coalesces the overlapping commits. A false return
-// means durability failed: the caller must withhold every label-carrying
-// message of the round (front ends retransmit, and healthy replicas take
-// over the labeling — storeFailed is latched exactly as for a failed
-// append).
-func (r *Replica) commitStore() bool {
-	if r.store == nil {
-		return true
-	}
-	if err := r.store.Commit(); err != nil {
-		r.mu.Lock()
-		r.fault(FaultStoreFailed, ops.ID{}, "committing journal: %v", err)
-		r.storeFailed = true
-		r.mu.Unlock()
-		return false
-	}
-	return true
-}
-
-// deliverOutbox ships one round's responses after committing the round's
-// journal records — the ack-after-durable ordering: an acknowledgement
-// reaches the wire only once the operation it answers (descriptor and
-// label) is on stable storage. Called without the mutex.
-func (r *Replica) deliverOutbox(outbox []responseOut) {
-	if len(outbox) == 0 {
-		return
-	}
-	if !r.commitStore() {
-		return
-	}
-	if r.opt.BatchSize > 1 && len(outbox) > 1 {
-		r.sendResponsesBatched(outbox)
-		return
-	}
-	for _, o := range outbox {
-		r.net.Send(r.node, o.to, o.msg)
-	}
-}
-
-// sendResponsesBatched groups one process pass's responses by destination
-// front end and sends each group as a BatchResponseMsg (chunked at
-// BatchSize; a group of one stays a plain ResponseMsg), preserving
-// per-destination order — the response side of the batched hot path.
-// Called without the mutex (r.opt and r.node are immutable; the metrics
-// touch re-locks).
-func (r *Replica) sendResponsesBatched(outbox []responseOut) {
-	grouped := make(map[transport.NodeID][]ResponseMsg)
-	var order []transport.NodeID
-	for _, o := range outbox {
-		if len(grouped[o.to]) == 0 {
-			order = append(order, o.to)
-		}
-		grouped[o.to] = append(grouped[o.to], o.msg)
-	}
-	var batches uint64
-	for _, to := range order {
-		resps := grouped[to]
-		for len(resps) > 0 {
-			n := len(resps)
-			if n > r.opt.BatchSize {
-				n = r.opt.BatchSize
-			}
-			if n == 1 {
-				r.net.Send(r.node, to, resps[0])
-			} else {
-				batches++
-				r.net.Send(r.node, to, BatchResponseMsg{Resps: resps[:n:n]})
-			}
-			resps = resps[n:]
-		}
-	}
-	if batches > 0 {
-		r.mu.Lock()
-		r.metrics.ResponseBatchesSent += batches
-		r.mu.Unlock()
-	}
 }
 
 // isStrict reports the strict flag of a done operation. For pruned
