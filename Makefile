@@ -40,8 +40,8 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -count=1 . ./internal/core ./internal/transport ./cmd/esds-server
 
 # Per-layer micro-benchmarks with real iteration counts and allocs/op: the
-# data types' transition functions (the directory on a 64-name x 4-key
-# state, keyed counters at 16, 256 and 4 096 objects), response-value
+# data types' transition functions (the directory on a 64- or 4 096-name
+# x 4-key state, keyed counters at 16, 256 and 4 096 objects), response-value
 # computation (memoized prefix, Fig. 7 recompute, and an unstable suffix
 # that never stabilizes), one batch-flush tick over 256 front ends of
 # which one is busy, and one incremental gossip delta of 64 operations

@@ -279,10 +279,11 @@ func dirBenchCycle() []dtype.Operator {
 // BenchmarkDataTypeApply measures the serial data types' transition
 // functions: one operator applied to its own output from the initial
 // state, except the directory, which cycles dirBenchCycle over 64 names
-// with 4 attributes each (the benchmark workload's shape), and the keyed
-// counters, which cycle an add over every one of 16, 256 or 4 096 existing
-// objects (one keyspace shard's share at the benchmark workload's 1 024
-// objects is 256). A write's cost should not grow with the object count.
+// with 4 attributes each (the benchmark workload's shape) or 4 096 such
+// names, and the keyed counters, which cycle an add over every one of 16,
+// 256 or 4 096 existing objects (one keyspace shard's share at the
+// benchmark workload's 1 024 objects is 256). A write's cost should not
+// grow with the object or name count.
 func BenchmarkDataTypeApply(b *testing.B) {
 	keyed := dtype.NewKeyed(dtype.Counter{})
 	keyedAdds := func(objects int) []dtype.Operator {
@@ -296,17 +297,19 @@ func BenchmarkDataTypeApply(b *testing.B) {
 		return func() dtype.State { return dtype.ApplyAll(keyed, keyed.Initial(), ops) }
 	}
 	k16, k256, k4096 := keyedAdds(16), keyedAdds(256), keyedAdds(4096)
-	dir := func() dtype.State {
-		var d dtype.Directory
-		st := d.Initial()
-		for i := 0; i < 64; i++ {
-			name := fmt.Sprintf("n%02d", i)
-			st, _ = d.Apply(st, dtype.DirBind{Name: name})
-			for k := 0; k < 4; k++ {
-				st, _ = d.Apply(st, dtype.DirSetAttr{Name: name, Key: fmt.Sprintf("k%d", k), Val: fmt.Sprintf("v%d", i)})
+	dirAt := func(names int) func() dtype.State {
+		return func() dtype.State {
+			var d dtype.Directory
+			st := d.Initial()
+			for i := 0; i < names; i++ {
+				name := fmt.Sprintf("n%02d", i)
+				st, _ = d.Apply(st, dtype.DirBind{Name: name})
+				for k := 0; k < 4; k++ {
+					st, _ = d.Apply(st, dtype.DirSetAttr{Name: name, Key: fmt.Sprintf("k%d", k), Val: fmt.Sprintf("v%d", i)})
+				}
 			}
+			return st
 		}
-		return st
 	}
 	cases := []struct {
 		name string
@@ -317,7 +320,8 @@ func BenchmarkDataTypeApply(b *testing.B) {
 		{"counter", dtype.Counter{}, nil, []dtype.Operator{dtype.CtrAdd{N: 1}}},
 		{"register", dtype.Register{}, nil, []dtype.Operator{dtype.RegWrite{Val: "v"}}},
 		{"set", dtype.Set{}, nil, []dtype.Operator{dtype.SetAdd{Elem: "e"}}},
-		{"directory", dtype.Directory{}, dir, dirBenchCycle()},
+		{"directory", dtype.Directory{}, dirAt(64), dirBenchCycle()},
+		{"directory-4096", dtype.Directory{}, dirAt(4096), dirBenchCycle()},
 		{"log", dtype.Log{}, nil, []dtype.Operator{dtype.LogLen{}}},
 		{"bank", dtype.Bank{}, nil, []dtype.Operator{dtype.BankDeposit{Account: "a", Amount: 1}}},
 		{"keyed-16", keyed, keyedAt(k16), k16},

@@ -46,15 +46,14 @@ type BankState struct{ enc string }
 
 func (s BankState) String() string { return "bank[" + strings.ReplaceAll(s.enc, "\x00", " ") + "]" }
 
-// Balance returns the balance of an account (0 if absent).
+// Balance returns the balance of an account (0 if absent). It scans the
+// encoding in place.
 func (s BankState) Balance(account string) int64 {
-	if s.enc == "" {
-		return 0
-	}
-	for _, kv := range strings.Split(s.enc, "\x00") {
-		i := strings.IndexByte(kv, '=')
-		if kv[:i] == account {
-			n, _ := strconv.ParseInt(kv[i+1:], 10, 64)
+	for rest := s.enc; rest != ""; {
+		var kv string
+		kv, rest, _ = strings.Cut(rest, "\x00")
+		if k, v, _ := strings.Cut(kv, "="); k == account {
+			n, _ := strconv.ParseInt(v, 10, 64)
 			return n
 		}
 	}
@@ -92,7 +91,8 @@ func (Bank) Name() string { return "bank" }
 // Initial implements DataType.
 func (Bank) Initial() State { return BankState{} }
 
-// Apply implements DataType.
+// Apply implements DataType. Whenever the state does not change it returns
+// s itself, so a read does not re-box the state.
 func (Bank) Apply(s State, op Operator) (State, Value) {
 	cur, ok := s.(BankState)
 	if !ok {
@@ -104,11 +104,11 @@ func (Bank) Apply(s State, op Operator) (State, Value) {
 	case BankWithdraw:
 		bal := cur.Balance(o.Account)
 		if bal < o.Amount {
-			return cur, "insufficient"
+			return s, "insufficient"
 		}
 		return cur.with(o.Account, bal-o.Amount), "ok"
 	case BankBalance:
-		return cur, cur.Balance(o.Account)
+		return s, cur.Balance(o.Account)
 	default:
 		panic(fmt.Sprintf("dtype: bank does not support operator %T", op))
 	}

@@ -2,8 +2,6 @@ package dtype
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 )
 
@@ -60,22 +58,35 @@ func (o DirGetAttr) String() string { return fmt.Sprintf("getattr(%s.%s)", o.Nam
 func (o DirLookup) String() string  { return fmt.Sprintf("lookup(%s)", o.Name) }
 func (DirList) String() string      { return "list" }
 
-// DirState is the immutable state of a Directory: the bound names in
-// ascending order, each with its attribute set. It is copy-on-write —
-// Apply never mutates an entry array or attribute map it did not just
-// allocate — so a replica can keep every intermediate state (the memoized
-// prefix, the unstable-suffix cache) and successive states share
-// structure: a read copies nothing, a write copies the entry array and at
-// most one attribute map. The canonical string form ("name\x01k=v\x02k=v"
-// entries joined by "\x00", names and keys sorted) exists only in
-// EncodeState, DecodeState and String.
+// DirState is the immutable state of a Directory: a persistent map (pmap)
+// from each bound name to its attribute set. Apply never writes a trie node
+// or attribute set it did not just allocate, so a replica can keep every
+// intermediate state (the memoized prefix, the unstable-suffix cache) and
+// successive states share structure: a read copies nothing, and a Bind,
+// SetAttr or Unbind copies the O(log₃₂ n) trie nodes on one name's path
+// plus, for SetAttr, that name's attribute set. The canonical string form
+// ("name\x01k=v\x02k=v" entries joined by "\x00", names and keys sorted)
+// exists only in EncodeState, DecodeState and String.
 type DirState struct {
-	entries []dirEntry // ascending by name, names unique
+	names pmap[dirAttrs]
 }
 
-type dirEntry struct {
-	name  string
-	attrs map[string]string // never mutated once built; nil when empty
+// dirAttrs is one name's attribute set: (key, value) pairs in ascending
+// key order, never written once built; nil when empty.
+type dirAttrs []dirAttr
+
+type dirAttr struct{ key, val string }
+
+// index returns the position of key in a — where it is, or where it would
+// be inserted — and whether it is set. Attribute sets are small, so a scan
+// beats a binary search.
+func (a dirAttrs) index(key string) (int, bool) {
+	for i, at := range a {
+		if at.key >= key {
+			return i, at.key == key
+		}
+	}
+	return len(a), false
 }
 
 // String renders the canonical encoding with entries separated by spaces,
@@ -90,65 +101,45 @@ func (s DirState) String() string {
 
 // write renders the canonical encoding with entries separated by sep.
 func (s DirState) write(b *strings.Builder, sep byte) {
-	for i, e := range s.entries {
-		if i > 0 {
+	first := true
+	for name, attrs := range s.names.All() {
+		if !first {
 			b.WriteByte(sep)
 		}
-		b.WriteString(e.name)
+		first = false
+		b.WriteString(name)
 		b.WriteByte('\x01')
-		keys := make([]string, 0, len(e.attrs))
-		for k := range e.attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for j, k := range keys {
+		for j, a := range attrs {
 			if j > 0 {
 				b.WriteByte('\x02')
 			}
-			b.WriteString(k)
+			b.WriteString(a.key)
 			b.WriteByte('=')
-			b.WriteString(e.attrs[k])
+			b.WriteString(a.val)
 		}
 	}
 }
 
-// find returns the position of name among the entries — where it is, or
-// where it would be inserted — and whether it is bound.
-func (s DirState) find(name string) (int, bool) {
-	return slices.BinarySearchFunc(s.entries, name, func(e dirEntry, name string) int {
-		return strings.Compare(e.name, name)
-	})
-}
-
-// splice returns a new state whose entries are s's with entries[i:j]
-// replaced by repl; s itself is untouched.
-func (s DirState) splice(i, j int, repl ...dirEntry) DirState {
-	out := make([]dirEntry, 0, len(s.entries)-(j-i)+len(repl))
-	out = append(out, s.entries[:i]...)
-	out = append(out, repl...)
-	out = append(out, s.entries[j:]...)
-	return DirState{entries: out}
-}
-
 // Bound reports whether name is bound in the state.
 func (s DirState) Bound(name string) bool {
-	_, ok := s.find(name)
+	_, ok := s.names.Get(name)
 	return ok
 }
 
 // Attr returns the value of an attribute, or "" if absent.
 func (s DirState) Attr(name, key string) string {
-	if i, ok := s.find(name); ok {
-		return s.entries[i].attrs[key]
+	attrs, _ := s.names.Get(name)
+	if i, ok := attrs.index(key); ok {
+		return attrs[i].val
 	}
 	return ""
 }
 
 // Names returns the sorted bound names.
 func (s DirState) Names() []string {
-	out := make([]string, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e.name)
+	out := make([]string, 0, s.names.Len())
+	for name := range s.names.All() {
+		out = append(out, name)
 	}
 	return out
 }
@@ -182,38 +173,38 @@ func (Directory) Apply(s State, op Operator) (State, Value) {
 		if !dirField(o.Name, false) {
 			return s, DirInvalid
 		}
-		i, bound := cur.find(o.Name)
-		if bound {
+		if cur.Bound(o.Name) {
 			return s, "ok"
 		}
-		return cur.splice(i, i, dirEntry{name: o.Name}), "ok"
+		return DirState{names: cur.names.With(o.Name, nil)}, "ok"
 	case DirUnbind:
 		if !dirField(o.Name, false) {
 			return s, DirInvalid
 		}
-		i, bound := cur.find(o.Name)
-		if !bound {
+		next := cur.names.Without(o.Name)
+		if next.Len() == cur.names.Len() {
 			return s, "ok"
 		}
-		return cur.splice(i, i+1), "ok"
+		return DirState{names: next}, "ok"
 	case DirSetAttr:
 		if !dirField(o.Name, false) || !dirField(o.Key, true) || !dirField(o.Val, false) {
 			return s, DirInvalid
 		}
-		i, bound := cur.find(o.Name)
+		attrs, bound := cur.names.Get(o.Name)
 		if !bound {
 			return s, "no-such-name"
 		}
-		e := cur.entries[i]
-		if v, has := e.attrs[o.Key]; has && v == o.Val {
+		a := dirAttr{key: o.Key, val: o.Val}
+		i, has := attrs.index(o.Key)
+		switch {
+		case !has:
+			attrs = insertedAt(attrs, i, a)
+		case attrs[i].val != o.Val:
+			attrs = replacedAt(attrs, i, a)
+		default:
 			return s, "ok"
 		}
-		attrs := make(map[string]string, len(e.attrs)+1)
-		for k, v := range e.attrs {
-			attrs[k] = v
-		}
-		attrs[o.Key] = o.Val
-		return cur.splice(i, i+1, dirEntry{name: e.name, attrs: attrs}), "ok"
+		return DirState{names: cur.names.With(o.Name, attrs)}, "ok"
 	case DirGetAttr:
 		if !dirField(o.Name, false) || !dirField(o.Key, true) {
 			return s, DirInvalid

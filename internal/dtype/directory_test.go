@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -73,25 +75,300 @@ func TestDirectoryRefusesSeparatorFields(t *testing.T) {
 	}
 }
 
-// TestDirectoryReadsDoNotAllocate pins the structured state's point: a
-// lookup is a binary search over the sorted entries, and an attribute read
-// allocates at most the boxing of the string it returns.
+// TestDirectoryReadsDoNotAllocate pins the read paths of the structured
+// states: a Directory lookup is a walk down the name trie, a Set or Bank
+// read scans the canonical encoding in place, and none of them re-boxes
+// the state, so a read allocates at most the boxing of the value it
+// returns.
 func TestDirectoryReadsDoNotAllocate(t *testing.T) {
 	var d Directory
-	st := dirFixture(64, 4)
-	var lookup, getattr Operator = DirLookup{Name: "n31"}, DirGetAttr{Name: "n31", Key: "k2"}
-	if n := testing.AllocsPerRun(100, func() { d.Apply(st, lookup) }); n != 0 {
-		t.Errorf("lookup allocates %.0f times", n)
+	dir := dirFixture(64, 4)
+	var adds, deposits []Operator
+	for i := 0; i < 64; i++ {
+		adds = append(adds, SetAdd{Elem: fmt.Sprintf("e%02d", i)})
+		deposits = append(deposits, BankDeposit{Account: fmt.Sprintf("a%02d", i), Amount: int64(1000 + i)})
 	}
-	if n := testing.AllocsPerRun(100, func() { d.Apply(st, getattr) }); n > 1 {
-		t.Errorf("getattr allocates %.0f times, want at most the value's box", n)
+	set := ApplyAll(Set{}, Set{}.Initial(), adds)
+	bank := ApplyAll(Bank{}, Bank{}.Initial(), deposits)
+	for _, tc := range []struct {
+		dt    DataType
+		st    State
+		op    Operator
+		allow float64 // the value's box, if it needs one
+	}{
+		{d, dir, DirLookup{Name: "n31"}, 0},
+		{d, dir, DirLookup{Name: "absent"}, 0},
+		{d, dir, DirGetAttr{Name: "n31", Key: "k2"}, 1},
+		{d, dir, DirBind{Name: "n31"}, 0},
+		{Set{}, set, SetContains{Elem: "e31"}, 0},
+		{Set{}, set, SetContains{Elem: "absent"}, 0},
+		{Set{}, set, SetAdd{Elem: "e63"}, 0},
+		{Set{}, set, SetSize{}, 1},
+		{Bank{}, bank, BankBalance{Account: "a31"}, 1},
+		{Bank{}, bank, BankBalance{Account: "absent"}, 1},
+		{Bank{}, bank, BankWithdraw{Account: "a31", Amount: 1 << 40}, 0},
+	} {
+		if n := testing.AllocsPerRun(100, func() { tc.dt.Apply(tc.st, tc.op) }); n > tc.allow {
+			t.Errorf("%s %v allocates %.0f times, want at most %.0f", tc.dt.Name(), tc.op, n, tc.allow)
+		}
 	}
-	next, _ := d.Apply(st, DirSetAttr{Name: "n31", Key: "k2", Val: "new"})
-	if _, v := d.Apply(st, DirGetAttr{Name: "n31", Key: "k2"}); v != "v31.2" {
+	if _, v := (Set{}).Apply(set, SetSize{}); v != 64 {
+		t.Fatalf("size = %v, want 64", v)
+	}
+	if _, v := (Bank{}).Apply(bank, BankBalance{Account: "a31"}); v != int64(1031) {
+		t.Fatalf("balance(a31) = %v, want 1031", v)
+	}
+	next, _ := d.Apply(dir, DirSetAttr{Name: "n31", Key: "k2", Val: "new"})
+	if _, v := d.Apply(dir, DirGetAttr{Name: "n31", Key: "k2"}); v != "v31.2" {
 		t.Fatalf("setattr mutated its input state: getattr = %v", v)
 	}
 	if _, v := d.Apply(next, DirGetAttr{Name: "n31", Key: "k2"}); v != "new" {
 		t.Fatalf("getattr after setattr = %v", v)
+	}
+}
+
+// TestDirectoryWriteCostDoesNotGrowWithNames: a Bind, SetAttr or Unbind
+// copies one trie path and one attribute set, so the bytes it allocates
+// grow with the trie's depth (log₃₂ of the name count), not with the name
+// count. Over 4 096 names a write may allocate at most twice what it does
+// over 64; an entry array copied whole would allocate about 64 times as
+// much. Each figure is the mean over 64 names, so no one name's place in
+// the trie decides it.
+func TestDirectoryWriteCostDoesNotGrowWithNames(t *testing.T) {
+	var d Directory
+	var sets, binds, unbinds []Operator
+	for i := 0; i < 64; i++ {
+		sets = append(sets, DirSetAttr{Name: fmt.Sprintf("n%02d", i), Key: "k2", Val: "new"})
+		binds = append(binds, DirBind{Name: fmt.Sprintf("x%02d", i)})
+		unbinds = append(unbinds, DirUnbind{Name: fmt.Sprintf("x%02d", i)})
+	}
+	type cost struct{ setattr, bindUnbind float64 }
+	costAt := func(names int) (c cost) {
+		st := dirFixture(names, 4)
+		c.setattr = allocBytesPerRun(20, func() {
+			for _, op := range sets {
+				d.Apply(st, op)
+			}
+		}) / 64
+		c.bindUnbind = allocBytesPerRun(20, func() {
+			for i := range binds {
+				bound, _ := d.Apply(st, binds[i])
+				d.Apply(bound, unbinds[i])
+			}
+		}) / 64
+		return c
+	}
+	small, large := costAt(64), costAt(4096)
+	t.Logf("bytes per write, 64 → 4 096 names: setattr %.0f → %.0f, bind+unbind %.0f → %.0f",
+		small.setattr, large.setattr, small.bindUnbind, large.bindUnbind)
+	if large.setattr > 2*small.setattr || large.bindUnbind > 2*small.bindUnbind {
+		t.Fatalf("a write over 4 096 names allocates more than twice what it does over 64")
+	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one
+// call of f allocates, averaged over runs after one warm-up call.
+func allocBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// dirModelOp draws an operator of a model history: over 8 names and 3
+// keys, so names are unbound and bound again and attributes overwritten.
+func dirModelOp(rng *rand.Rand) Operator {
+	name := fmt.Sprintf("m%d", rng.Intn(8))
+	key := fmt.Sprintf("k%d", rng.Intn(3))
+	switch rng.Intn(6) {
+	case 0:
+		return DirBind{Name: name}
+	case 1:
+		return DirUnbind{Name: name}
+	case 2:
+		return DirSetAttr{Name: name, Key: key, Val: fmt.Sprintf("v%d", rng.Intn(4))}
+	case 3:
+		return DirGetAttr{Name: name, Key: key}
+	case 4:
+		return DirLookup{Name: name}
+	default:
+		return DirList{}
+	}
+}
+
+// dirModel is the map a DirState is checked against: name → key → value.
+type dirModel map[string]map[string]string
+
+// apply applies op to a copy of m and returns it with op's value.
+func (m dirModel) apply(op Operator) (dirModel, Value) {
+	out := make(dirModel, len(m))
+	for name, attrs := range m {
+		out[name] = attrs
+	}
+	switch o := op.(type) {
+	case DirBind:
+		if _, ok := out[o.Name]; !ok {
+			out[o.Name] = map[string]string{}
+		}
+		return out, "ok"
+	case DirUnbind:
+		delete(out, o.Name)
+		return out, "ok"
+	case DirSetAttr:
+		attrs, ok := out[o.Name]
+		if !ok {
+			return out, "no-such-name"
+		}
+		next := map[string]string{o.Key: o.Val}
+		for k, v := range attrs {
+			if k != o.Key {
+				next[k] = v
+			}
+		}
+		out[o.Name] = next
+		return out, "ok"
+	case DirGetAttr:
+		return out, out[o.Name][o.Key]
+	case DirLookup:
+		_, ok := out[o.Name]
+		return out, ok
+	default:
+		return out, m.names()
+	}
+}
+
+func (m dirModel) names() []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// encoding is the canonical encoding of m, built without DirState.
+func (m dirModel) encoding() string {
+	var parts []string
+	for _, name := range m.names() {
+		var kvs []string
+		for k, v := range m[name] {
+			kvs = append(kvs, k+"="+v)
+		}
+		sort.Strings(kvs)
+		parts = append(parts, name+"\x01"+strings.Join(kvs, "\x02"))
+	}
+	return strings.Join(parts, "\x00")
+}
+
+// checkDirTrie checks a name trie's shape: every node's size counts its
+// subtree, and no node below the root holds fewer than two entries (a
+// delete folds such a node into its parent).
+func checkDirTrie(t *testing.T, n *pnode[dirAttrs], root bool) int {
+	t.Helper()
+	if n == nil {
+		return 0
+	}
+	size := len(n.entries)
+	for _, c := range n.children {
+		size += checkDirTrie(t, c, false)
+	}
+	if size != n.size || (!root && size < 2) {
+		t.Fatalf("trie node holds %d entries, size %d (root %v)", size, n.size, root)
+	}
+	return size
+}
+
+// TestDirStateMatchesMapModel runs random histories of every Directory
+// operator over a few names against a map model: every value, the
+// encoding and the trie's shape must agree after every operator, every
+// earlier state must still read, list and encode as the model did at its
+// step (persistence), and encode → decode → encode is the identity on
+// every state reached. The real hash puts the 8 names in 8 of the root's
+// slots, so the history also runs with every name on one hash (one
+// collision bucket), on four hashes (buckets of two) and with the root cut
+// to four slots (pairs split one level down): deletes inside a bucket and
+// the folding of a node left with one entry are covered.
+func TestDirStateMatchesMapModel(t *testing.T) {
+	fnv := keyedHash
+	t.Cleanup(func() { keyedHash = fnv })
+	var d Directory
+	for hi, hash := range []func(string) uint32{
+		fnv,
+		func(string) uint32 { return 0x9e3779b9 },
+		func(key string) uint32 { return fnv(key) & 0x00c00003 },
+		func(key string) uint32 { return fnv(key) &^ 0x1c },
+	} {
+		keyedHash = hash
+		for seed := int64(0); seed < 2; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			type step struct {
+				st    State
+				model dirModel
+				enc   string
+			}
+			var steps []step
+			st, model := d.Initial(), dirModel{}
+			for i := 0; i < 200; i++ {
+				op := dirModelOp(rng)
+				var got, want Value
+				st, got = d.Apply(st, op)
+				model, want = model.apply(op)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("hash %d seed %d op %d (%v): value %v, model %v", hi, seed, i, op, got, want)
+				}
+				ds := st.(DirState)
+				checkDirTrie(t, ds.names.root, true)
+				enc, err := d.EncodeState(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(enc) != model.encoding() || ds.names.Len() != len(model) {
+					t.Fatalf("hash %d seed %d op %d (%v): state %q (%d names), model %q", hi, seed, i, op, enc, ds.names.Len(), model.encoding())
+				}
+				decoded, err := d.DecodeState(enc)
+				if err != nil {
+					t.Fatalf("hash %d seed %d op %d: decode %q: %v", hi, seed, i, enc, err)
+				}
+				if again, _ := d.EncodeState(decoded); string(again) != string(enc) {
+					t.Fatalf("hash %d seed %d op %d: %q decodes and re-encodes as %q", hi, seed, i, enc, again)
+				}
+				steps = append(steps, step{st, model, string(enc)})
+				for j, s := range steps {
+					checkDirReads(t, s.st, s.model, s.enc)
+					if t.Failed() {
+						t.Fatalf("hash %d seed %d: the state of op %d changed after op %d", hi, seed, j, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkDirReads checks that st reads, lists and encodes as model did.
+func checkDirReads(t *testing.T, st State, model dirModel, enc string) {
+	t.Helper()
+	var d Directory
+	if got, _ := d.EncodeState(st); string(got) != enc {
+		t.Errorf("encoding %q, want %q", got, enc)
+	}
+	if _, v := d.Apply(st, DirList{}); fmt.Sprint(v) != fmt.Sprint(model.names()) {
+		t.Errorf("list = %v, want %v", v, model.names())
+	}
+	for _, name := range []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"} {
+		_, attrs := model[name]
+		if _, v := d.Apply(st, DirLookup{Name: name}); v != attrs {
+			t.Errorf("lookup(%s) = %v, want %v", name, v, attrs)
+		}
+		for _, key := range []string{"k0", "k1", "k2"} {
+			if _, v := d.Apply(st, DirGetAttr{Name: name, Key: key}); v != model[name][key] {
+				t.Errorf("getattr(%s.%s) = %v, want %q", name, key, v, model[name][key])
+			}
+		}
 	}
 }
 

@@ -3,9 +3,6 @@ package dtype
 import (
 	"fmt"
 	"iter"
-	"math/bits"
-	"slices"
-	"strings"
 )
 
 // Keyed lifts an inner serial data type to a keyspace of independent named
@@ -48,109 +45,36 @@ type KeyedOp struct {
 
 func (o KeyedOp) String() string { return fmt.Sprintf("%s/%v", o.Key, o.Op) }
 
-// KeyedState is the state of a Keyed object: object name → inner state. It
-// is an immutable persistent map, a hash array mapped trie (Bagwell, "Ideal
-// Hash Trees", 2001) with path copying. With returns a new map that shares
-// every node off the path to the changed key, so a write allocates
-// O(log₃₂ n) small nodes however many objects the map holds, and every
-// earlier version stays intact — a replica keeps one per memoized or cached
-// position. An operator that changes an object's state, or names an object
-// for the first time (which brings it into existence), returns such a new
-// map; a read-only inner operator (dtype.ReadOnly) on an existing object
-// returns its input itself. The zero value is the empty map.
+// KeyedState is the state of a Keyed object: object name → inner state,
+// held in the package's persistent map (pmap), so a write copies the
+// O(log₃₂ n) trie nodes on one object's path however many objects the map
+// holds, and every earlier version stays intact — a replica keeps one per
+// memoized or cached position. An operator that changes an object's state,
+// or names an object for the first time (which brings it into existence),
+// returns such a new map; a read-only inner operator (dtype.ReadOnly) on an
+// existing object returns its input itself. The zero value is the empty
+// map.
 //
 // A KeyedState prints exactly as fmt prints a map[string]State with the
 // same contents: stateEqual and the spec sweeps compare printed states.
 type KeyedState struct {
-	root *keyedNode // nil when empty
-}
-
-// keyedNode is one trie node. At shift s it indexes keys by hash bits
-// [s, s+5): an entry sits in the node itself (dataMap) until a second key
-// claims its slot, and then both move to a child (nodeMap). Past the last
-// level (shift ≥ 32) the keys of a node share their whole hash, and the
-// node is a collision bucket whose entries are searched in turn.
-type keyedNode struct {
-	dataMap, nodeMap uint32
-	size             int          // entries in this subtree
-	entries          []keyedEntry // in slot order; a bucket's in insertion order
-	children         []*keyedNode // in slot order
-}
-
-type keyedEntry struct {
-	key   string
-	state State
-}
-
-const keyedBits = 5 // hash bits per trie level: 32-way nodes
-
-// keyedHash hashes object names for the trie: 32-bit FNV-1a, folded so the
-// low bits the first levels index depend on every input bit. It is a
-// variable only so tests can force collisions.
-var keyedHash = func(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h ^ h>>16
+	objects pmap[State]
 }
 
 // Len returns the number of objects.
-func (s KeyedState) Len() int {
-	if s.root == nil {
-		return 0
-	}
-	return s.root.size
-}
+func (s KeyedState) Len() int { return s.objects.Len() }
 
 // Get returns the named object's state and whether the object exists.
-func (s KeyedState) Get(key string) (State, bool) {
-	h := keyedHash(key)
-	n := s.root
-	for shift := uint(0); n != nil; shift += keyedBits {
-		if shift >= 32 {
-			for _, e := range n.entries {
-				if e.key == key {
-					return e.state, true
-				}
-			}
-			return nil, false
-		}
-		bit := uint32(1) << (h >> shift & 31)
-		switch {
-		case n.dataMap&bit != 0:
-			if e := n.entries[slotOf(n.dataMap, bit)]; e.key == key {
-				return e.state, true
-			}
-			return nil, false
-		case n.nodeMap&bit != 0:
-			n = n.children[slotOf(n.nodeMap, bit)]
-		default:
-			return nil, false
-		}
-	}
-	return nil, false
-}
+func (s KeyedState) Get(key string) (State, bool) { return s.objects.Get(key) }
 
 // With returns the map with key bound to state. s itself is unchanged.
 func (s KeyedState) With(key string, state State) KeyedState {
-	return KeyedState{root: s.root.with(0, keyedHash(key), keyedEntry{key: key, state: state})}
+	return KeyedState{objects: s.objects.With(key, state)}
 }
 
 // All iterates over the objects in ascending key order: the order of the
 // canonical encoding, and the order fmt prints a map's keys in.
-func (s KeyedState) All() iter.Seq2[string, State] {
-	return func(yield func(string, State) bool) {
-		entries := s.root.appendEntries(make([]keyedEntry, 0, s.Len()))
-		slices.SortFunc(entries, func(a, b keyedEntry) int { return strings.Compare(a.key, b.key) })
-		for _, e := range entries {
-			if !yield(e.key, e.state) {
-				return
-			}
-		}
-	}
-}
+func (s KeyedState) All() iter.Seq2[string, State] { return s.objects.All() }
 
 // String prints the map as fmt prints the map[string]State it holds.
 func (s KeyedState) String() string {
@@ -159,106 +83,6 @@ func (s KeyedState) String() string {
 		m[key] = st
 	}
 	return fmt.Sprint(m)
-}
-
-// slotOf is the index, among the set bits of bitmap, of bit.
-func slotOf(bitmap, bit uint32) int { return bits.OnesCount32(bitmap & (bit - 1)) }
-
-// with returns a copy of the subtree n (at shift) with e bound, copying only
-// the nodes on e's path.
-func (n *keyedNode) with(shift uint, h uint32, e keyedEntry) *keyedNode {
-	if n == nil {
-		return &keyedNode{dataMap: 1 << (h & 31), size: 1, entries: []keyedEntry{e}}
-	}
-	out := *n
-	if shift >= 32 {
-		for i, old := range n.entries {
-			if old.key == e.key {
-				out.entries = replacedAt(n.entries, i, e)
-				return &out
-			}
-		}
-		out.entries = insertedAt(n.entries, len(n.entries), e)
-		out.size++
-		return &out
-	}
-	bit := uint32(1) << (h >> shift & 31)
-	switch {
-	case n.dataMap&bit != 0:
-		i := slotOf(n.dataMap, bit)
-		old := n.entries[i]
-		if old.key == e.key {
-			out.entries = replacedAt(n.entries, i, e)
-			return &out
-		}
-		// A second key claims the slot: both move one level down.
-		child := keyedPair(shift+keyedBits, keyedHash(old.key), old, h, e)
-		out.dataMap &^= bit
-		out.entries = removedAt(n.entries, i)
-		out.nodeMap |= bit
-		out.children = insertedAt(n.children, slotOf(out.nodeMap, bit), child)
-	case n.nodeMap&bit != 0:
-		i := slotOf(n.nodeMap, bit)
-		child := n.children[i].with(shift+keyedBits, h, e)
-		out.children = replacedAt(n.children, i, child)
-		out.size += child.size - n.children[i].size
-		return &out
-	default:
-		out.dataMap |= bit
-		out.entries = insertedAt(n.entries, slotOf(out.dataMap, bit), e)
-	}
-	out.size++
-	return &out
-}
-
-// keyedPair builds the subtree, at shift, of two entries with distinct keys.
-func keyedPair(shift uint, h1 uint32, e1 keyedEntry, h2 uint32, e2 keyedEntry) *keyedNode {
-	if shift >= 32 {
-		return &keyedNode{size: 2, entries: []keyedEntry{e1, e2}}
-	}
-	b1, b2 := h1>>shift&31, h2>>shift&31
-	if b1 == b2 {
-		return &keyedNode{nodeMap: 1 << b1, size: 2, children: []*keyedNode{keyedPair(shift+keyedBits, h1, e1, h2, e2)}}
-	}
-	if b1 > b2 {
-		e1, e2 = e2, e1
-	}
-	return &keyedNode{dataMap: 1<<b1 | 1<<b2, size: 2, entries: []keyedEntry{e1, e2}}
-}
-
-func (n *keyedNode) appendEntries(out []keyedEntry) []keyedEntry {
-	if n == nil {
-		return out
-	}
-	out = append(out, n.entries...)
-	for _, c := range n.children {
-		out = c.appendEntries(out)
-	}
-	return out
-}
-
-// replacedAt, insertedAt and removedAt return exactly sized copies of s
-// with one element replaced, inserted or removed; s is never written.
-func replacedAt[T any](s []T, i int, x T) []T {
-	out := make([]T, len(s))
-	copy(out, s)
-	out[i] = x
-	return out
-}
-
-func insertedAt[T any](s []T, i int, x T) []T {
-	out := make([]T, len(s)+1)
-	copy(out, s[:i])
-	out[i] = x
-	copy(out[i+1:], s[i:])
-	return out
-}
-
-func removedAt[T any](s []T, i int) []T {
-	out := make([]T, len(s)-1)
-	copy(out, s[:i])
-	copy(out[i:], s[i+1:])
-	return out
 }
 
 // KeyInstall replaces the named object's state with a decoded canonical

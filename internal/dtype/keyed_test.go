@@ -57,12 +57,12 @@ func TestKeyedReadSharesMap(t *testing.T) {
 	if v != int64(3) {
 		t.Fatalf("read = %v, want 3", v)
 	}
-	if read.(KeyedState).root != in.root {
+	if read.(KeyedState).objects.root != in.objects.root {
 		t.Fatal("a read returned a copy of the object map")
 	}
 
 	added, _ := k.Apply(s, KeyedOp{Key: "a", Op: CtrAdd{N: 1}})
-	if added.(KeyedState).root == in.root {
+	if added.(KeyedState).objects.root == in.objects.root {
 		t.Fatal("an add returned its input map")
 	}
 	inA, _ := in.Get("a")

@@ -48,14 +48,30 @@ func (s SetState) Members() []string {
 	return strings.Split(s.members, "\x00")
 }
 
-// Has reports membership.
+// Has reports membership. It scans the encoding in place.
 func (s SetState) Has(elem string) bool {
-	for _, m := range s.Members() {
+	if s.members == "" {
+		return false
+	}
+	rest := s.members
+	for {
+		m, tail, more := strings.Cut(rest, "\x00")
 		if m == elem {
 			return true
 		}
+		if !more {
+			return false
+		}
+		rest = tail
 	}
-	return false
+}
+
+// size returns the number of members.
+func (s SetState) size() int {
+	if s.members == "" {
+		return 0
+	}
+	return strings.Count(s.members, "\x00") + 1
 }
 
 func (s SetState) String() string { return "{" + strings.ReplaceAll(s.members, "\x00", ",") + "}" }
@@ -71,7 +87,8 @@ func (Set) Name() string { return "set" }
 // Initial implements DataType.
 func (Set) Initial() State { return SetState{} }
 
-// Apply implements DataType.
+// Apply implements DataType. Whenever the state does not change it returns
+// s itself, so a read does not re-box the state.
 func (Set) Apply(s State, op Operator) (State, Value) {
 	cur, ok := s.(SetState)
 	if !ok {
@@ -80,12 +97,12 @@ func (Set) Apply(s State, op Operator) (State, Value) {
 	switch o := op.(type) {
 	case SetAdd:
 		if cur.Has(o.Elem) {
-			return cur, "ok"
+			return s, "ok"
 		}
 		return setStateOf(append(cur.Members(), o.Elem)), "ok"
 	case SetRemove:
 		if !cur.Has(o.Elem) {
-			return cur, "ok"
+			return s, "ok"
 		}
 		ms := cur.Members()
 		out := make([]string, 0, len(ms)-1)
@@ -96,9 +113,9 @@ func (Set) Apply(s State, op Operator) (State, Value) {
 		}
 		return setStateOf(out), "ok"
 	case SetContains:
-		return cur, cur.Has(o.Elem)
+		return s, cur.Has(o.Elem)
 	case SetSize:
-		return cur, len(cur.Members())
+		return s, cur.size()
 	default:
 		panic(fmt.Sprintf("dtype: set does not support operator %T", op))
 	}

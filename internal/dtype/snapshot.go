@@ -178,36 +178,33 @@ func (Directory) DecodeState(data []byte) (State, error) {
 	if len(data) == 0 {
 		return DirState{}, nil
 	}
-	parts := strings.Split(string(data), "\x00")
-	entries := make([]dirEntry, 0, len(parts))
-	for _, part := range parts {
+	var out DirState
+	prevName := ""
+	for _, part := range strings.Split(string(data), "\x00") {
 		name, kvs, ok := strings.Cut(part, "\x01")
 		if !ok || !dirField(name, false) || strings.IndexByte(kvs, '\x01') >= 0 {
 			return nil, fmt.Errorf("dtype: directory snapshot entry %q malformed", part)
 		}
-		if n := len(entries); n > 0 && name <= entries[n-1].name {
+		if out.names.Len() > 0 && name <= prevName {
 			return nil, fmt.Errorf("dtype: directory snapshot not in canonical form")
 		}
-		e := dirEntry{name: name}
+		var attrs dirAttrs
 		if kvs != "" {
-			prev := ""
-			for j, kv := range strings.Split(kvs, "\x02") {
+			for _, kv := range strings.Split(kvs, "\x02") {
 				k, v, ok := strings.Cut(kv, "=")
 				if !ok {
 					return nil, fmt.Errorf("dtype: directory snapshot attribute %q lacks '='", kv)
 				}
-				if j > 0 && k <= prev {
+				if n := len(attrs); n > 0 && k <= attrs[n-1].key {
 					return nil, fmt.Errorf("dtype: directory snapshot not in canonical form")
 				}
-				if e.attrs == nil {
-					e.attrs = make(map[string]string)
-				}
-				e.attrs[k], prev = v, k
+				attrs = append(attrs, dirAttr{key: k, val: v})
 			}
 		}
-		entries = append(entries, e)
+		out.names = out.names.With(name, attrs)
+		prevName = name
 	}
-	return DirState{entries: entries}, nil
+	return out, nil
 }
 
 // --- Keyed ---
