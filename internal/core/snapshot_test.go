@@ -612,7 +612,7 @@ func TestHostileWatermarkCannotCrashLabeling(t *testing.T) {
 			Label: label.Make(1, 1),
 			Value: 1,
 		}},
-		State:     []byte("evil"),
+		State:     []byte("\x04evil"), // a log of one entry, "evil"
 		Watermark: ^uint64(0),
 	}
 	deliverRangeAnswer(r0, 0, evil)

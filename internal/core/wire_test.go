@@ -89,7 +89,7 @@ func TestWireRoundTrip(t *testing.T) {
 			DataType:  "log",
 			Total:     5,
 			HasState:  true,
-			State:     []byte("a|b"),
+			State:     []byte("\x01a\x01b"), // the log a, b
 			Watermark: 9,
 			Resizes:   []ResizeRecord{{Epoch: 1, OldShards: 1, NewShards: 2, Migrated: []MigratedKey{{Key: "k", HasInstall: true, InstallID: id1}}}},
 			Tail:      withRuns(GossipMsg{From: 2}, []ops.ID{id1}, []idLabel{{id1, label.Make(6, 2)}}, nil),

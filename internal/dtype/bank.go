@@ -2,8 +2,6 @@ package dtype
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -40,49 +38,30 @@ func (o BankDeposit) String() string  { return fmt.Sprintf("deposit(%s,%d)", o.A
 func (o BankWithdraw) String() string { return fmt.Sprintf("withdraw(%s,%d)", o.Account, o.Amount) }
 func (o BankBalance) String() string  { return fmt.Sprintf("balance(%s)", o.Account) }
 
-// BankState is the immutable canonical state of a Bank: sorted
-// "account=balance" entries.
-type BankState struct{ enc string }
-
-func (s BankState) String() string { return "bank[" + strings.ReplaceAll(s.enc, "\x00", " ") + "]" }
-
-// Balance returns the balance of an account (0 if absent). It scans the
-// encoding in place.
-func (s BankState) Balance(account string) int64 {
-	for rest := s.enc; rest != ""; {
-		var kv string
-		kv, rest, _ = strings.Cut(rest, "\x00")
-		if k, v, _ := strings.Cut(kv, "="); k == account {
-			n, _ := strconv.ParseInt(v, 10, 64)
-			return n
-		}
-	}
-	return 0
+// BankState is the immutable state of a Bank: account → balance, held in
+// the package's persistent map (pmap). An account whose balance is zero is
+// not bound, so equal balances make equal states.
+type BankState struct {
+	accounts pmap[int64]
 }
 
+func (s BankState) String() string {
+	var b strings.Builder
+	for acct, bal := range s.accounts.All() {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%d", acct, bal)
+	}
+	return "bank[" + b.String() + "]"
+}
+
+// with returns the state with account's balance set, unbinding a zero one.
 func (s BankState) with(account string, balance int64) BankState {
-	m := make(map[string]int64)
-	if s.enc != "" {
-		for _, kv := range strings.Split(s.enc, "\x00") {
-			i := strings.IndexByte(kv, '=')
-			n, _ := strconv.ParseInt(kv[i+1:], 10, 64)
-			m[kv[:i]] = n
-		}
+	if balance == 0 {
+		return BankState{s.accounts.Without(account)}
 	}
-	m[account] = balance
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		if m[k] == 0 {
-			continue // canonical: zero balances are absent
-		}
-		parts = append(parts, k+"="+strconv.FormatInt(m[k], 10))
-	}
-	return BankState{enc: strings.Join(parts, "\x00")}
+	return BankState{s.accounts.With(account, balance)}
 }
 
 // Name implements DataType.
@@ -98,17 +77,20 @@ func (Bank) Apply(s State, op Operator) (State, Value) {
 	if !ok {
 		panic(fmt.Sprintf("dtype: bank state has type %T, want BankState", s))
 	}
+	// An unbound account reads as its zero balance.
 	switch o := op.(type) {
 	case BankDeposit:
-		return cur.with(o.Account, cur.Balance(o.Account)+o.Amount), "ok"
+		bal, _ := cur.accounts.Get(o.Account)
+		return cur.with(o.Account, bal+o.Amount), "ok"
 	case BankWithdraw:
-		bal := cur.Balance(o.Account)
+		bal, _ := cur.accounts.Get(o.Account)
 		if bal < o.Amount {
 			return s, "insufficient"
 		}
 		return cur.with(o.Account, bal-o.Amount), "ok"
 	case BankBalance:
-		return s, cur.Balance(o.Account)
+		bal, _ := cur.accounts.Get(o.Account)
+		return s, bal
 	default:
 		panic(fmt.Sprintf("dtype: bank does not support operator %T", op))
 	}

@@ -90,7 +90,7 @@ func (a dirAttrs) index(key string) (int, bool) {
 }
 
 // String renders the canonical encoding with entries separated by spaces,
-// so equal states print equally (stateEqual compares printed forms).
+// so equal states print equally (the spec sweeps compare printed forms).
 func (s DirState) String() string {
 	var b strings.Builder
 	b.WriteString("dir[")

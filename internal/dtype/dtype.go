@@ -11,7 +11,10 @@
 // by the §10.3 optimization, and ReadOnlyChecker to name their queries.
 package dtype
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // State is an object state σ ∈ Σ. States must be treated as immutable:
 // Apply must return a fresh state rather than mutating its argument, so a
@@ -108,7 +111,7 @@ func CheckCommute(dt DataType, op1, op2 Operator, states []State) bool {
 	for _, s := range states {
 		a := ApplyAll(dt, s, []Operator{op1, op2})
 		b := ApplyAll(dt, s, []Operator{op2, op1})
-		if !stateEqual(a, b) {
+		if !stateEqual(dt, a, b) {
 			return false
 		}
 	}
@@ -129,9 +132,17 @@ func CheckOblivious(dt DataType, op1, op2 Operator, states []State) bool {
 	return true
 }
 
-// stateEqual compares states structurally via their printed form; built-in
-// data types in this package have canonical String representations, making
-// this an exact comparison for them.
-func stateEqual(a, b State) bool {
+// stateEqual compares two states of dt by their canonical encodings when
+// dt has one (Snapshotter), and by their printed forms otherwise. A printed
+// form need not tell states apart: the sets {"a,b"} and {"a", "b"} both
+// print {a,b}.
+func stateEqual(dt DataType, a, b State) bool {
+	if sn, ok := dt.(Snapshotter); ok {
+		ea, errA := sn.EncodeState(a)
+		eb, errB := sn.EncodeState(b)
+		if errA == nil && errB == nil {
+			return bytes.Equal(ea, eb)
+		}
+	}
 	return fmt.Sprint(a) == fmt.Sprint(b)
 }

@@ -72,9 +72,8 @@ func TestSetApply(t *testing.T) {
 	if v != false {
 		t.Fatalf("contains(a) after remove = %v", v)
 	}
-	ss := s.(SetState)
-	if got := ss.Members(); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("members = %v, want [b]", got)
+	if got := fmt.Sprint(s); got != "{b}" {
+		t.Fatalf("set = %s, want {b}", got)
 	}
 }
 
@@ -139,8 +138,8 @@ func TestLogApply(t *testing.T) {
 	if v != 2 {
 		t.Fatalf("len = %v", v)
 	}
-	if es := s.(LogState).Entries(); len(es) != 2 || es[0] != "a" {
-		t.Fatalf("entries = %v", es)
+	if got := fmt.Sprint(s); got != "log[a|b]" {
+		t.Fatalf("log = %s, want log[a|b]", got)
 	}
 }
 
@@ -229,7 +228,12 @@ func setOps() []Operator {
 }
 
 func setStates() []State {
-	return []State{SetState{}, setStateOf([]string{"a"}), setStateOf([]string{"b"}), setStateOf([]string{"a", "b"})}
+	var dt Set
+	s0 := dt.Initial()
+	sa, _ := dt.Apply(s0, SetAdd{Elem: "a"})
+	sb, _ := dt.Apply(s0, SetAdd{Elem: "b"})
+	sab, _ := dt.Apply(sa, SetAdd{Elem: "b"})
+	return []State{s0, sa, sb, sab}
 }
 
 func dirOps() []Operator {
@@ -369,7 +373,7 @@ func TestReadOnlyOracle(t *testing.T) {
 				}
 				queries++
 				for _, s := range tc.states {
-					if next, _ := tc.dt.Apply(s, op); !stateEqual(next, s) {
+					if next, _ := tc.dt.Apply(s, op); !stateEqual(tc.dt, next, s) {
 						t.Errorf("%v declared read-only but takes %v to %v", op, s, next)
 					}
 				}

@@ -56,7 +56,7 @@ func (o KeyedOp) String() string { return fmt.Sprintf("%s/%v", o.Key, o.Op) }
 // map.
 //
 // A KeyedState prints exactly as fmt prints a map[string]State with the
-// same contents: stateEqual and the spec sweeps compare printed states.
+// same contents: the spec sweeps compare printed states.
 type KeyedState struct {
 	objects pmap[State]
 }

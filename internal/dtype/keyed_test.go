@@ -167,8 +167,10 @@ func TestKeyedStateMatchesMapModel(t *testing.T) {
 // (seed, inner type) with the SHA-256 of the final encoding, of every
 // intermediate encoding and of every intermediate printed state (each
 // followed by 0xff), all recorded from the map-backed state the trie
-// replaced. Byte-identical encodings keep range catch-up and KeyInstall
-// working between mixed versions.
+// replaced, except the set encodings, recorded when Set's own encoding
+// became length-prefixed (its printed states did not change).
+// Byte-identical encodings keep range catch-up and KeyInstall working
+// between mixed versions.
 var keyedGolden = []struct {
 	inner                string
 	seed                 int64
@@ -177,9 +179,9 @@ var keyedGolden = []struct {
 	{"counter", 0, "584e08ae22d5ab38eb2868d93d5cf96dd28d4ef2e7fe985539a298279dfaa76c", "387a69d76591b5a5f40f243ccd3b8f952076f38ee950ba3ee830a9bfd03f78aa", "e5789ef4843045b0670a56f30dde60823493c575f859f48363c6b0831dd1a273"},
 	{"counter", 1, "27aec42b3009a845efaab928b0aa51521fae1e8a5b664dd7b801568e793ba470", "b77cc4b8beb7d6f4626d92c4d14fd283e5fe71ec50a2cb026d9c8f1e26df3b4a", "8abfdb4d1f0084ef58d549cee5bf655717d4c01063d2d20be92a0ac423cae235"},
 	{"counter", 2, "eb5f6a0971412bf00338be3475e71c41c91a3df91b65edf87eb39c8e197a47dd", "ef20ac6f6a56eab8d70edf9b401045bab44f1fc77b7254d17cd7923efa23e005", "ffa27a98371e34133eb58afac7fc32b4340d6e08dba3b4d451304464efdf228b"},
-	{"set", 0, "796a5eff27d0fb95a028c4150c8187a1530eeef150794989e491422ec7911510", "7ff37ac5852fa3a9b3ef57fa264b0fb83ea26f9309d92162fb40848d13425063", "f4d2fb26628c949838e634719da7ca8d27993cb52e8f051761422d03b63b5d1b"},
-	{"set", 1, "23e1e7716b3fafc03bb6f14a3a1f384d46fbcc46a3bcf40be4922e83791db116", "7dc610c24c2c599fbcfa732cf43f6a97e36a9d4eee1604eab0e308e46b13215a", "8d5f82cb790d207fc81205eb45450f546c8f313bbe2731557032bca6f87babd9"},
-	{"set", 2, "933b6d82d7dbc4cf09600154da85bf281f62c5fc3900be21df8c86d12d3fc651", "3aa35cb1812f1bf202ef3e5322a139063b3bb4c151b5d82c88bbb2811def764c", "204ce3087bc77e3eb9645024919bd5df15532ec7bdd7700faba89eb2e4b0508c"},
+	{"set", 0, "1ade2382d0ef152e8e9be54f85ec7d8715ac1c57b44b881314a4504fd0b8598e", "47aad9c3682a8cdd95738a0da930424f4d897eeda4b6fc8b40838fec8179bfe9", "f4d2fb26628c949838e634719da7ca8d27993cb52e8f051761422d03b63b5d1b"},
+	{"set", 1, "0c037c5eceb6ec5b13d2096fab5b2cf81843a609fc25cee58edae858f71327ee", "0859bc4b94b817a6c7040ab7d041c73b417d6cbcfbf1463cf9ecac65737fb76d", "8d5f82cb790d207fc81205eb45450f546c8f313bbe2731557032bca6f87babd9"},
+	{"set", 2, "ac1bbb74ecbfa678d6ef16875543d26e2ac7c6e3dd88acd213884f97bea935c9", "4c78bdb40fe72c0d77a8f72ba9beef65fbde338e8c4cc484d22de61c41df1443", "204ce3087bc77e3eb9645024919bd5df15532ec7bdd7700faba89eb2e4b0508c"},
 	{"directory", 0, "2e567adeeb6db972006998ca9bf218535b96f5391c5cbe87f6ea286f19992f4e", "3957c279b09894b2242d86e90201a37d3efe5bf48fa36ad3a905f16858b51842", "1091cea129be644ab65dda752501165b31edddc60b3a655f4608625b80996e8c"},
 	{"directory", 1, "fa1ac0f759df81b499897b9a23fe80bbf56b63cc6cbd48e495e0bba6301230bd", "2e3361d6161ad9aec3c058a1bd80e21c27361febc8093815828c2787b6a6c140", "36b086bf2ec820823a5c9f43994d70e490f5957bdb9430bcceb202d23be9c7e4"},
 	{"directory", 2, "32b04304d89d1c36594d212c5850942eda83dcb990a03fb05829745c7a1021fc", "ba08d42bdb7e5b98f8241de8a73ca129a309ba2242ab7af30f5d1907c4436073", "815bf1b49a52f85926dc6ab00d35aeace9dc668ec09a425f109e78a2ade74935"},
@@ -217,7 +219,7 @@ func checkKeyedGolden(tb testing.TB) {
 		{NewKeyed(Counter{}), []KeyedOp{{"b", CtrAdd{N: -1}}, {"a", CtrAdd{N: 5}}, {"", CtrRead{}}},
 			"000800000000000000000161080000000000000005016208ffffffffffffffff", "map[:0 a:5 b:-1]"},
 		{NewKeyed(Set{}), []KeyedOp{{"x", SetAdd{Elem: "e1"}}, {"x", SetAdd{Elem: "e0"}}, {"y", SetContains{Elem: "e0"}}},
-			"0178056530006531017900", "map[x:{e0,e1} y:{}]"},
+			"017806026530026531017900", "map[x:{e0,e1} y:{}]"},
 	}
 	for _, l := range literals {
 		st := l.dt.Initial()

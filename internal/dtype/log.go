@@ -2,6 +2,7 @@ package dtype
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -32,18 +33,12 @@ func (o LogAppend) String() string { return fmt.Sprintf("append(%s)", o.Entry) }
 func (LogRead) String() string     { return "read" }
 func (LogLen) String() string      { return "len" }
 
-// LogState is the immutable canonical state of a Log.
-type LogState struct{ joined string }
+// LogState is the immutable state of a Log: its entries in order. An
+// append copies them into a new, exactly sized slice, so no later append
+// can write into an array another state holds.
+type LogState struct{ entries []string }
 
-// Entries returns the log entries in order.
-func (s LogState) Entries() []string {
-	if s.joined == "" {
-		return nil
-	}
-	return strings.Split(s.joined, "|")
-}
-
-func (s LogState) String() string { return "log[" + s.joined + "]" }
+func (s LogState) String() string { return "log[" + strings.Join(s.entries, "|") + "]" }
 
 // Name implements DataType.
 func (Log) Name() string { return "log" }
@@ -51,7 +46,8 @@ func (Log) Name() string { return "log" }
 // Initial implements DataType.
 func (Log) Initial() State { return LogState{} }
 
-// Apply implements DataType.
+// Apply implements DataType. A query returns s itself, so it does not
+// re-box the state.
 func (Log) Apply(s State, op Operator) (State, Value) {
 	cur, ok := s.(LogState)
 	if !ok {
@@ -59,16 +55,12 @@ func (Log) Apply(s State, op Operator) (State, Value) {
 	}
 	switch o := op.(type) {
 	case LogAppend:
-		next := o.Entry
-		if cur.joined != "" {
-			next = cur.joined + "|" + o.Entry
-		}
-		ns := LogState{joined: next}
-		return ns, len(ns.Entries())
+		next := LogState{slices.Concat(cur.entries, []string{o.Entry})}
+		return next, len(next.entries)
 	case LogRead:
-		return cur, cur.joined
+		return s, strings.Join(cur.entries, "|")
 	case LogLen:
-		return cur, len(cur.Entries())
+		return s, len(cur.entries)
 	default:
 		panic(fmt.Sprintf("dtype: log does not support operator %T", op))
 	}

@@ -13,9 +13,9 @@ import (
 // the path to the changed key, so a write allocates O(log₃₂ n) small nodes
 // however many keys the map holds, a read allocates nothing, and every
 // earlier version stays intact — a replica keeps one state per memoized or
-// cached position. It is the one trie behind both KeyedState (object name →
-// inner state) and DirState (name → attribute set). The zero value is the
-// empty map.
+// cached position. It is the one trie behind KeyedState (object name →
+// inner state), DirState (name → attribute set), SetState (member → {}) and
+// BankState (account → balance). The zero value is the empty map.
 type pmap[V any] struct {
 	root *pnode[V] // nil when empty
 }

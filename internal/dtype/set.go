@@ -2,12 +2,11 @@ package dtype
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
 // Set is an add/remove set of string elements with membership and size
-// queries. Its state is an immutable sorted membership snapshot.
+// queries.
 type Set struct{}
 
 var (
@@ -34,51 +33,22 @@ func (o SetRemove) String() string   { return fmt.Sprintf("remove(%s)", o.Elem) 
 func (o SetContains) String() string { return fmt.Sprintf("contains(%s)", o.Elem) }
 func (SetSize) String() string       { return "size" }
 
-// SetState is the canonical state of a Set: a sorted list of members.
-// It is treated as immutable.
+// SetState is the immutable state of a Set: its members, held in the
+// package's persistent map (pmap), so a write copies one trie path and
+// any string is a member like any other.
 type SetState struct {
-	members string // "\x00"-joined sorted members; canonical and comparable
+	members pmap[struct{}]
 }
 
-// Members returns the member list.
-func (s SetState) Members() []string {
-	if s.members == "" {
-		return nil
-	}
-	return strings.Split(s.members, "\x00")
-}
-
-// Has reports membership. It scans the encoding in place.
-func (s SetState) Has(elem string) bool {
-	if s.members == "" {
-		return false
-	}
-	rest := s.members
-	for {
-		m, tail, more := strings.Cut(rest, "\x00")
-		if m == elem {
-			return true
+func (s SetState) String() string {
+	var b strings.Builder
+	for m := range s.members.All() {
+		if b.Len() > 0 {
+			b.WriteByte(',')
 		}
-		if !more {
-			return false
-		}
-		rest = tail
+		b.WriteString(m)
 	}
-}
-
-// size returns the number of members.
-func (s SetState) size() int {
-	if s.members == "" {
-		return 0
-	}
-	return strings.Count(s.members, "\x00") + 1
-}
-
-func (s SetState) String() string { return "{" + strings.ReplaceAll(s.members, "\x00", ",") + "}" }
-
-func setStateOf(members []string) SetState {
-	sort.Strings(members)
-	return SetState{members: strings.Join(members, "\x00")}
+	return "{" + b.String() + "}"
 }
 
 // Name implements DataType.
@@ -96,26 +66,20 @@ func (Set) Apply(s State, op Operator) (State, Value) {
 	}
 	switch o := op.(type) {
 	case SetAdd:
-		if cur.Has(o.Elem) {
+		if _, ok := cur.members.Get(o.Elem); ok {
 			return s, "ok"
 		}
-		return setStateOf(append(cur.Members(), o.Elem)), "ok"
+		return SetState{cur.members.With(o.Elem, struct{}{})}, "ok"
 	case SetRemove:
-		if !cur.Has(o.Elem) {
+		if _, ok := cur.members.Get(o.Elem); !ok {
 			return s, "ok"
 		}
-		ms := cur.Members()
-		out := make([]string, 0, len(ms)-1)
-		for _, m := range ms {
-			if m != o.Elem {
-				out = append(out, m)
-			}
-		}
-		return setStateOf(out), "ok"
+		return SetState{cur.members.Without(o.Elem)}, "ok"
 	case SetContains:
-		return s, cur.Has(o.Elem)
+		_, ok := cur.members.Get(o.Elem)
+		return s, ok
 	case SetSize:
-		return s, cur.size()
+		return s, cur.members.Len()
 	default:
 		panic(fmt.Sprintf("dtype: set does not support operator %T", op))
 	}

@@ -3,6 +3,7 @@ package dtype
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"strings"
 )
 
@@ -78,81 +79,122 @@ func (Register) DecodeState(data []byte) (State, error) {
 	return string(data), nil
 }
 
-// --- Set ---
+// --- The entry codec: Set, Log, Bank and Keyed ---
 
-// EncodeState implements Snapshotter: the canonical sorted member encoding.
+// encodeEntries returns a state's canonical encoding: for each key and
+// value all yields, the key in wire form (AppendString), then what val
+// appends for the value — nothing when val is nil. Set, Bank and Keyed
+// states yield their keys ascending (pmap.All); a Log yields its entries
+// in log order, with no value.
+func encodeEntries[V any](all iter.Seq2[string, V], val func([]byte, V) ([]byte, error)) ([]byte, error) {
+	var b []byte
+	for key, v := range all {
+		b = AppendString(b, key)
+		if val != nil {
+			var err error
+			if b, err = val(b, v); err != nil {
+				return nil, fmt.Errorf("entry %q: %w", key, err)
+			}
+		}
+	}
+	return b, nil
+}
+
+// readEntries reads an encoding encodeEntries wrote, up to the end of data:
+// for each key it calls entry, which reads that key's value from r. Keys
+// must be strictly ascending when ascending is set. Every varint must be
+// minimal (WireReader), so bytes that decode re-encode identically. It
+// returns the first violation, whether the framing's or one entry latched.
+func readEntries(data []byte, ascending bool, entry func(key string, r *WireReader)) error {
+	r := NewWireReader(data)
+	for prev := ""; r.err == nil && r.pos < len(data); {
+		start := r.pos
+		key := r.Str()
+		if ascending && start > 0 && key <= prev {
+			r.Fail("key %q not above %q", key, prev)
+		}
+		if r.err == nil {
+			entry(key, &r)
+		}
+		prev = key
+	}
+	return r.Err()
+}
+
+// EncodeState implements Snapshotter: each member, ascending.
 func (Set) EncodeState(s State) ([]byte, error) {
 	cur, ok := s.(SetState)
 	if !ok {
 		return nil, fmt.Errorf("dtype: set snapshot of %T state", s)
 	}
-	return []byte(cur.members), nil
+	return encodeEntries(cur.members.All(), nil)
 }
 
 // DecodeState implements Snapshotter. Members must be strictly ascending:
 // sorted AND duplicate-free, or the decoded set would disagree with every
 // honestly built one (e.g. on SetSize).
 func (Set) DecodeState(data []byte) (State, error) {
-	st := SetState{members: string(data)}
-	ms := st.Members()
-	for i := 1; i < len(ms); i++ {
-		if ms[i] <= ms[i-1] {
-			return nil, fmt.Errorf("dtype: set snapshot members not in canonical order")
-		}
+	var out SetState
+	if err := readEntries(data, true, func(elem string, _ *WireReader) {
+		out.members = out.members.With(elem, struct{}{})
+	}); err != nil {
+		return nil, fmt.Errorf("dtype: set snapshot: %w", err)
 	}
-	return st, nil
+	return out, nil
 }
 
-// --- Log ---
-
-// EncodeState implements Snapshotter: the canonical joined-entries encoding.
+// EncodeState implements Snapshotter: each entry, in log order.
 func (Log) EncodeState(s State) ([]byte, error) {
 	cur, ok := s.(LogState)
 	if !ok {
 		return nil, fmt.Errorf("dtype: log snapshot of %T state", s)
 	}
-	return []byte(cur.joined), nil
+	return encodeEntries(func(yield func(string, struct{}) bool) {
+		for _, e := range cur.entries {
+			if !yield(e, struct{}{}) {
+				return
+			}
+		}
+	}, nil)
 }
 
 // DecodeState implements Snapshotter.
 func (Log) DecodeState(data []byte) (State, error) {
-	return LogState{joined: string(data)}, nil
+	var out LogState
+	if err := readEntries(data, false, func(entry string, _ *WireReader) {
+		out.entries = append(out.entries, entry)
+	}); err != nil {
+		return nil, fmt.Errorf("dtype: log snapshot: %w", err)
+	}
+	return out, nil
 }
 
-// --- Bank ---
-
-// EncodeState implements Snapshotter: the canonical account encoding.
+// EncodeState implements Snapshotter: each account, ascending, followed by
+// its balance as a zig-zag varint.
 func (Bank) EncodeState(s State) ([]byte, error) {
 	cur, ok := s.(BankState)
 	if !ok {
 		return nil, fmt.Errorf("dtype: bank snapshot of %T state", s)
 	}
-	return []byte(cur.enc), nil
+	return encodeEntries(cur.accounts.All(), func(b []byte, bal int64) ([]byte, error) {
+		return binary.AppendVarint(b, bal), nil
+	})
 }
 
-// DecodeState implements Snapshotter.
+// DecodeState implements Snapshotter. Accounts must be strictly ascending
+// and no balance zero: Apply never binds a zero balance.
 func (Bank) DecodeState(data []byte) (State, error) {
-	st := BankState{enc: string(data)}
-	// Validate every entry, then re-canonicalize through the state's own
-	// builder to reject garbage: a valid encoding survives a no-op rebuild
-	// unchanged.
-	if st.enc != "" {
-		entries := strings.Split(st.enc, "\x00")
-		for _, kv := range entries {
-			if strings.IndexByte(kv, '=') < 0 {
-				return nil, fmt.Errorf("dtype: bank snapshot entry %q lacks '='", kv)
-			}
+	var out BankState
+	if err := readEntries(data, true, func(acct string, r *WireReader) {
+		if bal := r.Varint(); bal != 0 {
+			out.accounts = out.accounts.With(acct, bal)
+		} else {
+			r.Fail("account %q has a zero balance", acct)
 		}
-		rebuilt := BankState{}
-		for _, kv := range entries {
-			i := strings.IndexByte(kv, '=')
-			rebuilt = rebuilt.with(kv[:i], st.Balance(kv[:i]))
-		}
-		if rebuilt.enc != st.enc {
-			return nil, fmt.Errorf("dtype: bank snapshot not in canonical form")
-		}
+	}); err != nil {
+		return nil, fmt.Errorf("dtype: bank snapshot: %w", err)
 	}
-	return st, nil
+	return out, nil
 }
 
 // --- Directory ---
@@ -209,8 +251,8 @@ func (Directory) DecodeState(data []byte) (State, error) {
 
 // --- Keyed ---
 
-// EncodeState implements Snapshotter for the keyed lift: (key,
-// inner-encoding) pairs in ascending key order, each length-prefixed with a
+// EncodeState implements Snapshotter for the keyed lift: each object's key,
+// ascending, followed by its inner encoding, length-prefixed with a
 // uvarint. The inner type must itself implement Snapshotter.
 func (k Keyed) EncodeState(s State) ([]byte, error) {
 	sn, ok := k.Inner.(Snapshotter)
@@ -221,16 +263,12 @@ func (k Keyed) EncodeState(s State) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("dtype: keyed snapshot of %T state", s)
 	}
-	var out []byte
-	for key, st := range cur.All() {
+	out, err := encodeEntries(cur.All(), func(b []byte, st State) ([]byte, error) {
 		enc, err := sn.EncodeState(st)
-		if err != nil {
-			return nil, fmt.Errorf("dtype: keyed snapshot of object %q: %w", key, err)
-		}
-		out = binary.AppendUvarint(out, uint64(len(key)))
-		out = append(out, key...)
-		out = binary.AppendUvarint(out, uint64(len(enc)))
-		out = append(out, enc...)
+		return append(binary.AppendUvarint(b, uint64(len(enc))), enc...), err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dtype: keyed snapshot: %w", err)
 	}
 	return out, nil
 }
@@ -242,42 +280,19 @@ func (k Keyed) DecodeState(data []byte) (State, error) {
 		return nil, fmt.Errorf("dtype: keyed inner type %s has no snapshot encoding", k.Inner.Name())
 	}
 	var out KeyedState
-	rest := data
-	var minimal [binary.MaxVarintLen64]byte
-	next := func() ([]byte, error) {
-		n, used := binary.Uvarint(rest)
-		if used <= 0 || n > uint64(len(rest)-used) {
-			return nil, fmt.Errorf("dtype: keyed snapshot truncated")
+	if err := readEntries(data, true, func(key string, r *WireReader) {
+		enc := r.bytes(r.Count("object state"))
+		if r.err != nil {
+			return
 		}
-		// A padded length decodes to the same n but would not re-encode
-		// to the same bytes.
-		if binary.PutUvarint(minimal[:], n) != used {
-			return nil, fmt.Errorf("dtype: keyed snapshot length not in canonical form")
-		}
-		b := rest[used : used+int(n)]
-		rest = rest[used+int(n):]
-		return b, nil
-	}
-	prevKey := ""
-	for len(rest) > 0 {
-		keyB, err := next()
+		inner, err := sn.DecodeState(enc)
 		if err != nil {
-			return nil, err
-		}
-		encB, err := next()
-		if err != nil {
-			return nil, err
-		}
-		key := string(keyB)
-		if out.Len() > 0 && key <= prevKey {
-			return nil, fmt.Errorf("dtype: keyed snapshot keys not in canonical order")
-		}
-		inner, err := sn.DecodeState(encB)
-		if err != nil {
-			return nil, fmt.Errorf("dtype: keyed snapshot object %q: %w", key, err)
+			r.Fail("object %q: %w", key, err)
+			return
 		}
 		out = out.With(key, inner)
-		prevKey = key
+	}); err != nil {
+		return nil, fmt.Errorf("dtype: keyed snapshot: %w", err)
 	}
 	return out, nil
 }

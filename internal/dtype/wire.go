@@ -314,14 +314,20 @@ func (r *WireReader) Finish() error {
 	return r.err
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. It refuses a padded one (a multi-byte
+// varint whose last byte is 0): it decodes to the number a shorter one
+// does, so bytes holding it would not re-encode identically.
 func (r *WireReader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
+	switch {
+	case n <= 0:
 		r.Fail("truncated varint at offset %d", r.pos)
+		return 0
+	case n > 1 && r.data[r.pos+n-1] == 0:
+		r.Fail("padded varint at offset %d", r.pos)
 		return 0
 	}
 	r.pos += n
@@ -330,16 +336,8 @@ func (r *WireReader) Uvarint() uint64 {
 
 // Varint reads a zig-zag varint.
 func (r *WireReader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		r.Fail("truncated varint at offset %d", r.pos)
-		return 0
-	}
-	r.pos += n
-	return v
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Count reads a uvarint count of items that each take at least one byte,

@@ -148,7 +148,8 @@ func TestEveryWireOperatorHasATag(t *testing.T) {
 
 // TestWireFormRefusals pins what has no wire form — operators and values
 // of other types, a keyed operator nested in another, an inner operator
-// that is nil — and that the reader refuses bytes no encoder writes.
+// that is nil — and that the reader refuses bytes no encoder writes,
+// padded varints among them.
 func TestWireFormRefusals(t *testing.T) {
 	type custom struct{ N int }
 	for _, op := range []Operator{
@@ -178,6 +179,8 @@ func TestWireFormRefusals(t *testing.T) {
 		"string past the input":   {tagRegWrite, 5, 'a'},
 		"install count past data": {tagKeyInstall, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x01},
 		"truncated varint":        {tagCtrAdd, 0x80},
+		"padded varint":           {tagCtrAdd, 0x82, 0x00},
+		"padded string length":    {tagRegWrite, 0x81, 0x00, 'a'},
 	} {
 		r := NewWireReader(b)
 		ReadOperator(&r)

@@ -197,12 +197,15 @@ type tcpSend struct {
 // hot frames in their own binary form (core's wire.go) but gossip labels
 // as a map and compact gossip as codec V3; version 5 carried gossip's
 // labels and identifiers one per entry and compact gossip as codec V4.
-// Version 6 carries them as per-client runs, plain and as codec V5, one
-// message per frame: a version 5 peer would decode a version 6 frame's
-// runs as empty lists and drop them silently.
+// Version 6 carried them as per-client runs, plain and as codec V5, one
+// message per frame, as version 7 does: a version 5 peer would decode
+// their runs as empty lists and drop them silently. Version 7 carries
+// Set, Bank and Log states (in range answers and KeyInstall) as
+// length-prefixed entries, where version 6 joined them with separators:
+// each side would refuse or misread the other's state bytes.
 var tcpPreamble = []byte{'E', 'S', 'D', 'S', 0, 0, 0, tcpWireVersion}
 
-const tcpWireVersion = 6
+const tcpWireVersion = 7
 
 // errMalformed marks inbound bytes that break the wire format. The
 // connection carrying them is closed and counted Dropped.

@@ -279,10 +279,10 @@ func TestTCPNetUndecodableInboundFrame(t *testing.T) {
 
 // TestTCPNetRefusesPerFrameWire speaks older wire versions at a receiver:
 // a bare frame holding its own gob stream, with no connection preamble
-// (version 1), and version 2 to 5 preambles. The receiver must refuse
+// (version 1), and version 2 to 6 preambles. The receiver must refuse
 // each connection — close it, count it Dropped, deliver nothing — rather
-// than guess at the stream. A sender in turn opens with the version 6
-// preamble, which a version 5 receiver refuses the same way.
+// than guess at the stream. A sender in turn opens with the version 7
+// preamble, which a version 6 receiver refuses the same way.
 func TestTCPNetRefusesPerFrameWire(t *testing.T) {
 	b := newTCP(t, nil)
 	var got collector
@@ -310,7 +310,7 @@ func TestTCPNetRefusesPerFrameWire(t *testing.T) {
 		t.Fatalf("per-frame wire was delivered: %+v", got.last())
 	}
 
-	for _, v := range []byte{2, 3, 4, 5} {
+	for _, v := range []byte{2, 3, 4, 5, 6} {
 		old, err := net.Dial("tcp", b.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -342,8 +342,8 @@ func TestTCPNetRefusesPerFrameWire(t *testing.T) {
 	if _, err := io.ReadFull(in, hdr); err != nil {
 		t.Fatal(err)
 	}
-	if want := []byte{'E', 'S', 'D', 'S', 0, 0, 0, 6}; !bytes.Equal(hdr, want) {
-		t.Fatalf("sender opened with preamble %x, want %x: a version 5 receiver must refuse it", hdr, want)
+	if want := []byte{'E', 'S', 'D', 'S', 0, 0, 0, 7}; !bytes.Equal(hdr, want) {
+		t.Fatalf("sender opened with preamble %x, want %x: a version 6 receiver must refuse it", hdr, want)
 	}
 }
 
